@@ -1,34 +1,12 @@
-//! Ablation: the blocked engine's chunk length — the host analogue of the
+//! Ablation: the chunked engine's parts count — the host analogue of the
 //! paper's §4.4 row-length tuning (a shape parameter trading startup
-//! against parallelism) — plus the chunked engine's parts sweep and the
-//! `m ≫ n` combine-pass pin.
+//! against parallelism) — plus the `m ≫ n` combine-pass pin.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mp_bench::lcg_labels;
-use multiprefix::blocked::multiprefix_blocked_with_chunk;
 use multiprefix::chunked::multiprefix_chunked_with_parts;
 use multiprefix::op::Plus;
 use std::time::Duration;
-
-fn bench_chunking(c: &mut Criterion) {
-    let n = 4_000_000usize;
-    let m = 1024;
-    let values: Vec<i64> = vec![1; n];
-    let labels = lcg_labels(n, m, 1);
-
-    let mut group = c.benchmark_group("chunking");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1))
-        .throughput(Throughput::Elements(n as u64));
-    for &chunk in &[16_384usize, 65_536, 262_144, 1_048_576, 4_000_000] {
-        group.bench_with_input(BenchmarkId::from_parameter(chunk), &chunk, |b, &chunk| {
-            b.iter(|| multiprefix_blocked_with_chunk(&values, &labels, m, Plus, chunk))
-        });
-    }
-    group.finish();
-}
 
 /// The chunked engine's knob: how many chunks to cut `n` into. One chunk
 /// per worker minimizes the sequential combine scan; oversubscription
@@ -53,10 +31,10 @@ fn bench_chunked_parts(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pin for the touched-label combine pass: with `m ≫ n` the combine scan
-/// must cost `O(distinct)` per chunk, not `O(m)`. Before the touched-list
-/// fix this case was dominated by sweeping `chunks·m` mostly-identity
-/// entries; a regression here reintroduces that sweep.
+/// Pin for the touched-label combine pass: with `m ≫ n` the chunk tables
+/// fall back to probed maps and the combine scan must cost `O(distinct)`
+/// per chunk, not `O(m)`. A regression here reintroduces a sweep over
+/// `chunks·m` mostly-identity entries.
 fn bench_combine_touched(c: &mut Criterion) {
     let n = 100_000usize;
     let m = 200_000usize;
@@ -70,19 +48,11 @@ fn bench_combine_touched(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1))
         .throughput(Throughput::Elements(n as u64));
-    group.bench_function("blocked_m_ggt_n", |b| {
-        b.iter(|| multiprefix_blocked_with_chunk(&values, &labels, m, Plus, 16_384))
-    });
     group.bench_function("chunked_m_ggt_n", |b| {
         b.iter(|| multiprefix_chunked_with_parts(&values, &labels, m, Plus, 8))
     });
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_chunking,
-    bench_chunked_parts,
-    bench_combine_touched
-);
+criterion_group!(benches, bench_chunked_parts, bench_combine_touched);
 criterion_main!(benches);

@@ -17,7 +17,7 @@ fn bench_load(c: &mut Criterion) {
         .throughput(Throughput::Elements(n as u64));
     for &load in &[1usize, 16, 256, 65_536, 1_000_000] {
         let (labels, m) = labels_for_load(n, load, 3);
-        for engine in [Engine::Spinetree, Engine::Blocked] {
+        for engine in [Engine::Spinetree, Engine::Chunked] {
             group.bench_with_input(
                 BenchmarkId::new(format!("{engine:?}"), format!("load_{load}")),
                 &load,

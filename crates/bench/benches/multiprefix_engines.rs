@@ -19,12 +19,7 @@ fn bench_engines(c: &mut Criterion) {
         let values: Vec<i64> = (0..n as i64).collect();
         let labels = lcg_labels(n, m, 1);
         group.throughput(Throughput::Elements(n as u64));
-        for engine in [
-            Engine::Serial,
-            Engine::Spinetree,
-            Engine::Blocked,
-            Engine::Chunked,
-        ] {
+        for engine in [Engine::Serial, Engine::Spinetree, Engine::Chunked] {
             group.bench_with_input(BenchmarkId::new(format!("{engine:?}"), n), &n, |b, _| {
                 b.iter(|| multiprefix(&values, &labels, m, Plus, engine).unwrap());
             });

@@ -27,21 +27,21 @@ fn bench_primitives(c: &mut Criterion) {
         .throughput(Throughput::Elements(n as u64));
 
     group.bench_function("segmented_scan", |b| {
-        b.iter(|| segmented_exclusive_scan(&values, &flags, Plus, Engine::Blocked).unwrap())
+        b.iter(|| segmented_exclusive_scan(&values, &flags, Plus, Engine::Chunked).unwrap())
     });
     group.bench_function("histogram", |b| {
-        b.iter(|| histogram(&labels, 256, Engine::Blocked).unwrap())
+        b.iter(|| histogram(&labels, 256, Engine::Chunked).unwrap())
     });
     group.bench_function("split_stable_4way", |b| {
         let keys: Vec<usize> = labels.iter().map(|l| l % 4).collect();
-        b.iter(|| split_stable(&values, &keys, 4, Engine::Blocked).unwrap())
+        b.iter(|| split_stable(&values, &keys, 4, Engine::Chunked).unwrap())
     });
     group.bench_function("group_by_string_keys", |b| {
-        b.iter(|| multireduce_by_key(&values, &string_keys, Plus, Engine::Blocked).unwrap())
+        b.iter(|| multireduce_by_key(&values, &string_keys, Plus, Engine::Chunked).unwrap())
     });
     group.bench_function("streaming_64k_chunks", |b| {
         b.iter(|| {
-            let mut stream = MultiprefixStream::new(256, Plus, Engine::Blocked);
+            let mut stream = MultiprefixStream::new(256, Plus, Engine::Chunked);
             for (v, l) in values.chunks(64 * 1024).zip(labels.chunks(64 * 1024)) {
                 stream.feed(v, l).unwrap();
             }

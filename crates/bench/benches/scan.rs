@@ -25,8 +25,8 @@ fn bench_scan(c: &mut Criterion) {
     group.bench_function("partition_method", |b| {
         b.iter(|| exclusive_scan_partition(&values, Plus))
     });
-    group.bench_function("single_label_multiprefix_blocked", |b| {
-        b.iter(|| multiprefix(&values, &labels, 1, Plus, Engine::Blocked).unwrap())
+    group.bench_function("single_label_multiprefix_chunked", |b| {
+        b.iter(|| multiprefix(&values, &labels, 1, Plus, Engine::Chunked).unwrap())
     });
     group.finish();
 }

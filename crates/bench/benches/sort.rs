@@ -33,8 +33,8 @@ fn bench_sort(c: &mut Criterion) {
     group.bench_function("mp_rank_serial", |b| {
         b.iter(|| rank_keys(&keys, MAX_KEY, Engine::Serial).unwrap())
     });
-    group.bench_function("mp_rank_blocked", |b| {
-        b.iter(|| rank_keys(&keys, MAX_KEY, Engine::Blocked).unwrap())
+    group.bench_function("mp_rank_chunked", |b| {
+        b.iter(|| rank_keys(&keys, MAX_KEY, Engine::Chunked).unwrap())
     });
     group.finish();
 }

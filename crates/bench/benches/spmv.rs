@@ -27,7 +27,7 @@ fn bench_matrix(
         b.iter(|| JaggedDiagonal::from_coo(coo))
     });
     group.bench_with_input(BenchmarkId::new("mp_eval", name), &0, |b, _| {
-        b.iter(|| mp_spmv(coo, &x, Engine::Blocked))
+        b.iter(|| mp_spmv(coo, &x, Engine::Chunked))
     });
 }
 

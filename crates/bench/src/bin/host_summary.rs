@@ -46,12 +46,9 @@ fn main() {
         format!("{t:.1}"),
     ]);
 
-    let (out, t) = time(|| multiprefix(&values, &labels, m, Plus, Engine::Blocked).unwrap());
+    let (out, t) = time(|| multiprefix(&values, &labels, m, Plus, Engine::Chunked).unwrap());
     assert_eq!(out, reference);
-    rows.push(vec![
-        "multiprefix Blocked (rayon)".into(),
-        format!("{t:.1}"),
-    ]);
+    rows.push(vec!["multiprefix Chunked".into(), format!("{t:.1}")]);
 
     let (out, t) = time(|| multiprefix_atomic(&values, &labels, m, Plus));
     assert_eq!(out, reference);
@@ -60,9 +57,9 @@ fn main() {
         format!("{t:.1}"),
     ]);
 
-    let (red, t) = time(|| multireduce(&values, &labels, m, Plus, Engine::Blocked).unwrap());
+    let (red, t) = time(|| multireduce(&values, &labels, m, Plus, Engine::Chunked).unwrap());
     assert_eq!(red, reference.reductions);
-    rows.push(vec!["multireduce Blocked".into(), format!("{t:.1}")]);
+    rows.push(vec!["multireduce Chunked".into(), format!("{t:.1}")]);
 
     let (red, t) = time(|| multireduce_atomic(&values, &labels, m, Plus));
     assert_eq!(red, reference.reductions);

@@ -5,7 +5,7 @@
 //! it prints only the per-label reductions as `label,total` lines.
 //!
 //! ```text
-//! USAGE: mp_cli [--op plus|max|min|mult] [--engine auto|serial|spinetree|blocked]
+//! USAGE: mp_cli [--op plus|max|min|mult] [--engine auto|serial|spinetree|chunked]
 //!               [--reduce] [--inclusive] [FILE]
 //! ```
 //!
@@ -43,7 +43,7 @@ fn parse_args() -> Result<Options, String> {
                     Some("auto") => Engine::Auto,
                     Some("serial") => Engine::Serial,
                     Some("spinetree") => Engine::Spinetree,
-                    Some("blocked") => Engine::Blocked,
+                    Some("chunked") => Engine::Chunked,
                     other => return Err(format!("unknown engine {other:?}")),
                 };
             }
@@ -52,7 +52,7 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 println!(
                     "mp_cli: multiprefix over value,label CSV lines\n\
-                     options: --op plus|max|min|mult  --engine auto|serial|spinetree|blocked\n\
+                     options: --op plus|max|min|mult  --engine auto|serial|spinetree|chunked\n\
                      \x20        --reduce (totals only)  --inclusive  [FILE]"
                 );
                 std::process::exit(0);

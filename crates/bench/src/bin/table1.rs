@@ -102,7 +102,7 @@ fn main() {
     // ---- host wall-clock cross-check ------------------------------------
     println!("Host wall-clock (one ranking of {n_sim} keys, real implementations):");
     let t = Instant::now();
-    let ranks = rank_keys(&keys, m, multiprefix::Engine::Blocked).unwrap();
+    let ranks = rank_keys(&keys, m, multiprefix::Engine::Chunked).unwrap();
     let mp_host = t.elapsed();
     assert!(full_verify(&keys, &ranks));
 
@@ -124,7 +124,7 @@ fn main() {
             format!("{radix_host:?}"),
         ],
         vec![
-            "multiprefix rank_keys (Blocked)".into(),
+            "multiprefix rank_keys (Chunked)".into(),
             format!("{mp_host:?}"),
         ],
     ];

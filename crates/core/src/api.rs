@@ -1,10 +1,6 @@
 //! The public front door: validated multiprefix / multireduce with engine
 //! selection.
 
-use crate::blocked::{
-    multiprefix_blocked, multireduce_blocked, try_multiprefix_blocked_cfg_ctx,
-    try_multireduce_blocked_cfg_ctx,
-};
 use crate::chunked::{
     multiprefix_chunked, multireduce_chunked, try_multiprefix_chunked_cfg_ctx,
     try_multireduce_chunked_cfg_ctx,
@@ -27,7 +23,7 @@ use crate::spinetree::{
 ///
 /// All engines compute identical results; they differ in execution
 /// strategy. See the module docs of [`crate::serial`], [`crate::spinetree`]
-/// and [`crate::blocked`]. (The `i64`-only concurrent engine lives in
+/// and [`crate::chunked`]. (The `i64`-only concurrent engine lives in
 /// [`crate::atomic`] and is invoked directly, not through this enum,
 /// because it constrains the element type.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -40,12 +36,9 @@ pub enum Engine {
     /// The paper's `O(√n)`-step spinetree algorithm (vector-simulation
     /// execution: one loop per parallel step).
     Spinetree,
-    /// The chunked rayon engine (dense-or-sparse chunk tables over the
-    /// global rayon pool).
-    Blocked,
-    /// The two-level local/combine/apply engine with compact touched-label
-    /// tables and reusable workspaces ([`crate::chunked`]) — the fastest on
-    /// multicore hosts.
+    /// The two-level local/combine/apply engine with label-indexed (or,
+    /// for `m ≫ n`, probed) chunk tables and reusable workspaces
+    /// ([`crate::chunked`]).
     Chunked,
 }
 
@@ -75,7 +68,6 @@ pub fn multiprefix<T: Element, O: CombineOp<T>>(
     Ok(match resolve(engine, values.len()) {
         Engine::Serial => multiprefix_serial(values, labels, m, op),
         Engine::Spinetree => multiprefix_spinetree(values, labels, m, op),
-        Engine::Blocked => multiprefix_blocked(values, labels, m, op),
         Engine::Chunked => multiprefix_chunked(values, labels, m, op),
         Engine::Auto => unreachable!("resolve() never returns Auto"),
     })
@@ -93,7 +85,6 @@ pub fn multireduce<T: Element, O: CombineOp<T>>(
     Ok(match resolve(engine, values.len()) {
         Engine::Serial => multireduce_serial(values, labels, m, op),
         Engine::Spinetree => multireduce_spinetree(values, labels, m, op),
-        Engine::Blocked => multireduce_blocked(values, labels, m, op),
         Engine::Chunked => multireduce_chunked(values, labels, m, op),
         Engine::Auto => unreachable!("resolve() never returns Auto"),
     })
@@ -116,7 +107,7 @@ fn resolve(engine: Engine, n: usize) -> Engine {
 ///
 /// On top of the plain API's validation this enforces the config's resource
 /// budgets *before any allocation*, allocates the large engine blocks
-/// fallibly, contains operator panics in the blocked engine, and applies
+/// fallibly, contains operator panics in the chunked engine, and applies
 /// the configured [`OverflowPolicy`]. See [`crate::exec`] for the full
 /// contract; the essentials:
 ///
@@ -193,7 +184,6 @@ pub fn try_multiprefix_ctx<T: Element, O: TryCombineOp<T>>(
         Engine::Spinetree => {
             try_multiprefix_spinetree_ctx(values, labels, m, op, config.overflow, ctx)?
         }
-        Engine::Blocked => try_multiprefix_blocked_cfg_ctx(values, labels, m, op, config, ctx)?,
         Engine::Chunked => try_multiprefix_chunked_cfg_ctx(values, labels, m, op, config, ctx)?,
         Engine::Auto => unreachable!("resolve() never returns Auto"),
     };
@@ -215,7 +205,7 @@ pub fn try_multiprefix_ctx<T: Element, O: TryCombineOp<T>>(
 /// overflow-free — e.g. chunks `[MAX]` and `[1, −1]` combine cleanly while
 /// the serial prefix trips at `MAX + 1`. Under `Wrap` (the default) the
 /// parallel engines run as usual with budgets, fallible allocation and (for
-/// the blocked engine) panic containment.
+/// the chunked engine) panic containment.
 pub fn try_multireduce<T: Element, O: TryCombineOp<T>>(
     values: &[T],
     labels: &[usize],
@@ -256,7 +246,6 @@ pub fn try_multireduce_ctx<T: Element, O: TryCombineOp<T>>(
         Engine::Spinetree => {
             try_multireduce_spinetree_ctx(values, labels, m, op, config.overflow, ctx)?
         }
-        Engine::Blocked => try_multireduce_blocked_cfg_ctx(values, labels, m, op, config, ctx)?,
         Engine::Chunked => try_multireduce_chunked_cfg_ctx(values, labels, m, op, config, ctx)?,
         Engine::Auto => unreachable!("resolve() never returns Auto"),
     };
@@ -298,12 +287,7 @@ mod tests {
         let values: Vec<i64> = (0..2500).map(|i| (i % 17) as i64 - 8).collect();
         let labels: Vec<usize> = (0..2500).map(|i| (i * 3 + 1) % 11).collect();
         let reference = multiprefix(&values, &labels, 11, Plus, Engine::Serial).unwrap();
-        for engine in [
-            Engine::Spinetree,
-            Engine::Blocked,
-            Engine::Chunked,
-            Engine::Auto,
-        ] {
+        for engine in [Engine::Spinetree, Engine::Chunked, Engine::Auto] {
             assert_eq!(
                 multiprefix(&values, &labels, 11, Plus, engine).unwrap(),
                 reference,
@@ -317,7 +301,6 @@ mod tests {
         for engine in [
             Engine::Serial,
             Engine::Spinetree,
-            Engine::Blocked,
             Engine::Chunked,
             Engine::Auto,
         ] {
@@ -348,12 +331,7 @@ mod tests {
         let values: Vec<i64> = (0..4000).map(|i| i as i64).collect();
         let labels: Vec<usize> = (0..4000).map(|i| i % 7).collect();
         let reference = multireduce(&values, &labels, 7, Plus, Engine::Serial).unwrap();
-        for engine in [
-            Engine::Spinetree,
-            Engine::Blocked,
-            Engine::Chunked,
-            Engine::Auto,
-        ] {
+        for engine in [Engine::Spinetree, Engine::Chunked, Engine::Auto] {
             assert_eq!(
                 multireduce(&values, &labels, 7, Plus, engine).unwrap(),
                 reference,
@@ -399,7 +377,7 @@ mod inclusive_tests {
     fn last_of_each_class_equals_reduction() {
         let values: Vec<i64> = (0..200).map(|i| i % 13 - 6).collect();
         let labels: Vec<usize> = (0..200).map(|i| i % 7).collect();
-        let out = multiprefix_inclusive(&values, &labels, 7, Plus, Engine::Blocked).unwrap();
+        let out = multiprefix_inclusive(&values, &labels, 7, Plus, Engine::Chunked).unwrap();
         // For each label, the last occurrence's inclusive sum is the
         // label's reduction.
         for k in 0..7 {

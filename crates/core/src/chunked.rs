@@ -1,5 +1,5 @@
-//! The two-level chunked engine: work-efficient parallel multiprefix with
-//! compact per-chunk bucket tables and reusable workspaces.
+//! The two-level local/combine/apply engine: work-efficient parallel
+//! multiprefix with per-chunk bucket tables and reusable workspaces.
 //!
 //! This is the multicore instance of the paper's §4 two-level decomposition.
 //! There, the element vector is laid out as rows of length `p ≈ 0.749√n`;
@@ -8,11 +8,11 @@
 //! one per worker thread — and the operation runs in three phases:
 //!
 //! 1. **local** (parallel over chunks): each worker runs the serial
-//!    (Figure 2) multiprefix over its chunk into a *compact* bucket table:
-//!    labels map to dense slots on first touch, and a touched-label list
-//!    records which of the `m` buckets this chunk actually saw. Per-chunk
-//!    cost is `O(chunk_len + distinct_labels)` — **not** `O(m)` — so
-//!    `m ≫ n` workloads pay for the labels present, never the label space;
+//!    (Figure 2) multiprefix over its chunk into its own bucket table, and a
+//!    touched-label list records which of the `m` buckets this chunk
+//!    actually saw. Per-chunk cost is `O(chunk_len + distinct_labels)` —
+//!    **not** `O(m)` — so `m ≫ n` workloads pay for the labels present,
+//!    never the label space;
 //! 2. **combine** (sequential over chunks, `O(Σ distinct)` total): an
 //!    exclusive scan per touched label across the chunk summaries, in chunk
 //!    order. Associativity plus preserved order makes this correct for
@@ -21,13 +21,16 @@
 //! 3. **apply** (parallel over chunks): one linear pass prepends each
 //!    chunk's per-label offset: `sums[i] = offset(chunk, lᵢ) ⊕ local[i]`.
 //!
-//! Unlike the [`crate::atomic`] engine there is no cross-thread `fetch_add`
-//! traffic at all — every cache line is written by exactly one worker until
-//! the (tiny) combine phase — and unlike [`crate::blocked`] the tables are
-//! compact and **reusable**: a [`ChunkedWorkspace`] carries the epoch-marked
-//! label maps, touched lists and chunk summaries across calls, and a
-//! [`WorkspacePool`] lets a [`crate::service::Service`] hand each request a
-//! warm workspace so steady-state traffic does zero large allocations.
+//! The tables ([`ChunkSpace`]) are indexed by label while `chunks · m`
+//! stays within a small multiple of `n` — one load per element in the local
+//! phase and one in apply, as in the Figure 2 loop — and fall back to a
+//! probed hash map when the label space dwarfs the data. There is no
+//! cross-thread `fetch_add` traffic (unlike [`crate::atomic`]): every cache
+//! line is written by exactly one worker until the (tiny) combine phase.
+//! Tables are **reusable**: a [`ChunkedWorkspace`] carries the epoch-marked
+//! tables and touched lists across calls, and a [`WorkspacePool`] lets a
+//! [`crate::service::Service`] hand each request a warm workspace so
+//! steady-state traffic does zero large allocations.
 //!
 //! The hardened entry points (`try_*`) thread the full execution contract
 //! through all three phases: [`crate::exec::OverflowPolicy`] trip-and-replay
@@ -43,6 +46,7 @@ use crate::obs::{phase_key, Phase};
 use crate::op::{CombineOp, TryCombineOp};
 use crate::problem::{validate, Element, MultiprefixOutput};
 use crate::resilience::{EngineKind, RunContext, CHECK_STRIDE};
+use crate::shard::exscan::{exscan_parts, SlicePart, SummaryPart};
 use crate::simd::{Kernel, Kernels};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -80,6 +84,11 @@ pub(crate) trait Comb<T: Element>: Copy + Send + Sync {
     fn allow_f32(&self) -> bool {
         false
     }
+    /// `len` copies of the identity: fallible ([`try_filled_vec`]) on the
+    /// hardened path.
+    fn identity_vec(&self, len: usize) -> Result<Vec<T>, MpError> {
+        try_filled_vec(self.identity(), len)
+    }
 }
 
 /// Resolve the vector-kernel table for this run, or `None` for scalar.
@@ -105,6 +114,13 @@ impl<T: Element, O: CombineOp<T>> Comb<T> for PlainComb<O> {
     #[inline(always)]
     fn kernel(&self) -> Option<Kernel> {
         O::KERNEL
+    }
+    /// The plain path cannot fail anyway, so it allocates with `vec!`,
+    /// which hands an all-zero identity to `calloc`: fresh zero pages
+    /// instead of a fill pass over the whole output before the local
+    /// phase writes it again.
+    fn identity_vec(&self, len: usize) -> Result<Vec<T>, MpError> {
+        Ok(vec![self.0.identity(); len])
     }
 }
 
@@ -150,26 +166,13 @@ fn hash_label(l: usize) -> usize {
     ((l as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize
 }
 
-/// One chunk's (or the combine phase's) compact label table: a label → slot
-/// map plus slot-indexed values and a touched-label list in first-touch
-/// order.
-///
-/// Two map modes, chosen per run:
-///
-/// * **direct** — `m`-sized `mark`/`slot_of` arrays, validated by an epoch
-///   stamp so *reuse costs nothing*: bumping the epoch invalidates every
-///   stale entry without touching memory (the `m`-sized arrays are written
-///   once, on first use at a given `m`, not zeroed per call);
-/// * **probed** — an open-addressed, linear-probe table sized to twice the
-///   chunk's maximum distinct-label count (`≤ 50%` load, so probes are
-///   short and insertion cannot fail). Used when `m` is large relative to
-///   `n` and the direct arrays would dwarf the data.
-///
-/// Either way the per-call work is `O(elements + distinct)`, never `O(m)`.
-pub struct ChunkSpace<T> {
-    // Direct mode: label -> slot, valid iff mark[label] == epoch.
+/// The label → bucket-index half of a [`ChunkSpace`], plus the
+/// touched-label list in first-touch order.
+#[derive(Default)]
+struct LabelMap {
+    // Direct mode: a label is its own index; it is live iff
+    // mark[label] == epoch.
     mark: Vec<u32>,
-    slot_of: Vec<u32>,
     epoch: u32,
     // Probed mode: open-addressed keys (usize::MAX = empty) -> slot.
     keys: Vec<usize>,
@@ -177,21 +180,91 @@ pub struct ChunkSpace<T> {
     mask: usize,
     direct: bool,
     // Both modes.
-    pub(crate) touched: Vec<usize>,
+    touched: Vec<usize>,
+}
+
+impl LabelMap {
+    /// Direct-mode lookup: the label's index (the label itself), and
+    /// whether this is its first touch in the run.
+    #[inline(always)]
+    fn locate_direct(&mut self, label: usize) -> (usize, bool) {
+        let fresh = self.mark[label] != self.epoch;
+        if fresh {
+            self.mark[label] = self.epoch;
+            self.touched.push(label);
+        }
+        (label, fresh)
+    }
+
+    /// Probed-mode lookup: the label's compact slot (its position in the
+    /// touched list), and whether this is its first touch in the run.
+    #[inline(always)]
+    fn locate_probed(&mut self, label: usize) -> (usize, bool) {
+        let mut j = hash_label(label) & self.mask;
+        loop {
+            let k = self.keys[j];
+            if k == label {
+                return (self.slots[j] as usize, false);
+            }
+            if k == usize::MAX {
+                let slot = self.touched.len();
+                self.keys[j] = label;
+                self.slots[j] = slot as u32;
+                self.touched.push(label);
+                return (slot, true);
+            }
+            j = (j + 1) & self.mask;
+        }
+    }
+
+    /// The index of a label already located in this run (apply phase).
+    #[inline]
+    fn slot(&self, label: usize) -> usize {
+        if self.direct {
+            debug_assert_eq!(self.mark[label], self.epoch, "label not in chunk table");
+            return label;
+        }
+        let mut j = hash_label(label) & self.mask;
+        loop {
+            if self.keys[j] == label {
+                return self.slots[j] as usize;
+            }
+            debug_assert_ne!(self.keys[j], usize::MAX, "label not in chunk table");
+            j = (j + 1) & self.mask;
+        }
+    }
+}
+
+/// One chunk's label table: per-label values plus a touched-label list in
+/// first-touch order.
+///
+/// Two layouts, chosen per run:
+///
+/// * **direct** — `vals` is indexed by label (`m` entries), and
+///   `mark[label] == epoch` says the entry belongs to the current run.
+///   Bumping the epoch invalidates every stale entry without touching
+///   memory, so a reused table resets in `O(1)` and the `m`-sized arrays are
+///   written once, when first grown to a given `m`, not per call. An element
+///   costs one mark test and one `vals[label]` access, like Figure 2's
+///   bucket loop;
+/// * **probed** — an open-addressed, linear-probe map from label to a
+///   compact slot, sized to twice the chunk's maximum distinct-label count
+///   (`≤ 50%` load, so probes are short and insertion cannot fail); `vals`
+///   is slot-indexed, parallel to the touched list. Used when `m` is large
+///   relative to `n` and the direct arrays would dwarf the data.
+///
+/// Either way the per-call work is `O(elements + distinct)`, never `O(m)`,
+/// and a first touch reads the identity instead of the (stale) entry, so
+/// `vals` is never cleared between runs.
+pub struct ChunkSpace<T> {
+    map: LabelMap,
     pub(crate) vals: Vec<T>,
 }
 
 impl<T> Default for ChunkSpace<T> {
     fn default() -> Self {
         ChunkSpace {
-            mark: Vec::new(),
-            slot_of: Vec::new(),
-            epoch: 0,
-            keys: Vec::new(),
-            slots: Vec::new(),
-            mask: 0,
-            direct: true,
-            touched: Vec::new(),
+            map: LabelMap::default(),
             vals: Vec::new(),
         }
     }
@@ -200,37 +273,41 @@ impl<T> Default for ChunkSpace<T> {
 impl<T> std::fmt::Debug for ChunkSpace<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChunkSpace")
-            .field("direct", &self.direct)
-            .field("touched", &self.touched.len())
-            .field("map_capacity", &self.mark.len().max(self.keys.len()))
+            .field("direct", &self.map.direct)
+            .field("touched", &self.map.touched.len())
+            .field(
+                "map_capacity",
+                &self.map.mark.len().max(self.map.keys.len()),
+            )
             .finish()
     }
 }
 
 impl<T: Element> ChunkSpace<T> {
-    /// Prepare the space for one run: clear the touched list and values and
-    /// (re)validate the label map. `distinct_cap` bounds the number of
-    /// distinct labels this use can see (chunk length, or `m`, whichever is
-    /// smaller). Self-healing: a space abandoned mid-run by a panic is
-    /// fully reset here.
+    /// Prepare the space for one run: clear the touched list and
+    /// (re)validate the table. `distinct_cap` bounds the number of distinct
+    /// labels this use can see (chunk length, or `m`, whichever is smaller);
+    /// `identity` fills newly grown entries. Self-healing: a space abandoned
+    /// mid-run by a panic is fully reset here.
     pub(crate) fn begin_use(
         &mut self,
         m: usize,
         distinct_cap: usize,
         direct: bool,
+        identity: T,
     ) -> Result<(), MpError> {
-        self.touched.clear();
-        self.vals.clear();
-        self.direct = direct;
+        let map = &mut self.map;
+        map.touched.clear();
+        map.direct = direct;
         if direct {
-            try_grow(&mut self.mark, m, 0)?;
-            try_grow(&mut self.slot_of, m, 0)?;
-            self.epoch = self.epoch.wrapping_add(1);
-            if self.epoch == 0 {
+            try_grow(&mut map.mark, m, 0)?;
+            try_grow(&mut self.vals, m, identity)?;
+            map.epoch = map.epoch.wrapping_add(1);
+            if map.epoch == 0 {
                 // Epoch wrapped: stale stamps could collide. Reset once per
                 // 2³² uses.
-                self.mark.fill(0);
-                self.epoch = 1;
+                map.mark.fill(0);
+                map.epoch = 1;
             }
         } else {
             let cap = distinct_cap
@@ -238,100 +315,79 @@ impl<T: Element> ChunkSpace<T> {
                 .saturating_mul(2)
                 .next_power_of_two()
                 .max(16);
-            try_grow(&mut self.keys, cap, usize::MAX)?;
-            try_grow(&mut self.slots, cap, 0)?;
+            try_grow(&mut map.keys, cap, usize::MAX)?;
+            try_grow(&mut map.slots, cap, 0)?;
             // Memset (not epoch) clearing keeps the probed map panic-safe:
             // no state from an abandoned run can alias a live label.
-            self.keys[..cap].fill(usize::MAX);
-            self.mask = cap - 1;
+            map.keys[..cap].fill(usize::MAX);
+            map.mask = cap - 1;
+            try_grow(&mut self.vals, distinct_cap, identity)?;
         }
         Ok(())
     }
 
-    /// The slot for `label`, inserting it (touched list + identity value)
-    /// on first sight.
+    /// The `vals` index for `label`, setting its entry to `identity` on
+    /// first sight.
     #[inline]
     pub(crate) fn slot_or_insert(&mut self, label: usize, identity: T) -> usize {
-        if self.direct {
-            if self.mark[label] == self.epoch {
-                return self.slot_of[label] as usize;
-            }
-            let slot = self.vals.len();
-            self.mark[label] = self.epoch;
-            self.slot_of[label] = slot as u32;
-            self.touched.push(label);
-            self.vals.push(identity);
-            slot
+        let (slot, fresh) = if self.map.direct {
+            self.map.locate_direct(label)
         } else {
-            let mut j = hash_label(label) & self.mask;
-            loop {
-                let k = self.keys[j];
-                if k == label {
-                    return self.slots[j] as usize;
-                }
-                if k == usize::MAX {
-                    let slot = self.vals.len();
-                    self.keys[j] = label;
-                    self.slots[j] = slot as u32;
-                    self.touched.push(label);
-                    self.vals.push(identity);
-                    return slot;
-                }
-                j = (j + 1) & self.mask;
-            }
+            self.map.locate_probed(label)
+        };
+        if fresh {
+            self.vals[slot] = identity;
         }
+        slot
+    }
+
+    /// The touched labels, and their values parallel to them, moved out of
+    /// the space (`O(distinct)`): the compact summary the sharded engine
+    /// ships between phases.
+    pub(crate) fn take_summary(&mut self) -> (Vec<usize>, Vec<T>) {
+        let touched = std::mem::take(&mut self.map.touched);
+        let vals = if self.map.direct {
+            touched.iter().map(|&l| self.vals[l]).collect()
+        } else {
+            self.vals[..touched.len()].to_vec()
+        };
+        (touched, vals)
     }
 
     /// Bytes retained by the grown map/value buffers (capacity, not
     /// length): the quantity the pool's high-water check budgets.
     fn retained_bytes(&self) -> usize {
-        self.mark.capacity() * std::mem::size_of::<u32>()
-            + self.slot_of.capacity() * std::mem::size_of::<u32>()
-            + self.keys.capacity() * std::mem::size_of::<usize>()
-            + self.slots.capacity() * std::mem::size_of::<u32>()
-            + self.touched.capacity() * std::mem::size_of::<usize>()
+        let map = &self.map;
+        map.mark.capacity() * std::mem::size_of::<u32>()
+            + map.keys.capacity() * std::mem::size_of::<usize>()
+            + map.slots.capacity() * std::mem::size_of::<u32>()
+            + map.touched.capacity() * std::mem::size_of::<usize>()
             + self.vals.capacity() * std::mem::size_of::<T>()
-    }
-
-    /// The slot of a label known to be present (apply phase: every label in
-    /// the chunk was inserted during the local phase).
-    #[inline]
-    pub(crate) fn slot(&self, label: usize) -> usize {
-        if self.direct {
-            debug_assert_eq!(self.mark[label], self.epoch, "label not in chunk table");
-            self.slot_of[label] as usize
-        } else {
-            let mut j = hash_label(label) & self.mask;
-            loop {
-                if self.keys[j] == label {
-                    return self.slots[j] as usize;
-                }
-                debug_assert_ne!(self.keys[j], usize::MAX, "label not in chunk table");
-                j = (j + 1) & self.mask;
-            }
-        }
     }
 }
 
-/// Reusable scratch state for the chunked engine: per-chunk label tables
-/// plus the combine phase's global table. A fresh (default) workspace works
-/// for any call; reusing one across calls retains the grown buffers, so a
-/// warm workspace performs **zero large allocations** per run (the output
-/// vectors themselves are the only O(n)/O(m) allocations left).
+impl<T: Element> SummaryPart<T> for ChunkSpace<T> {
+    fn summary(&mut self) -> (&[usize], &mut [T], bool) {
+        (&self.map.touched, &mut self.vals, self.map.direct)
+    }
+}
+
+/// Reusable scratch state for the chunked engine: one label table per
+/// chunk after the first (whose table is the reduction vector itself). A
+/// fresh (default) workspace works for any call; reusing one across calls
+/// retains the grown buffers, so a warm workspace performs **zero large
+/// allocations** per run (the output vectors themselves are the only
+/// O(n)/O(m) allocations left).
 ///
 /// Not thread-safe by itself — one workspace serves one call at a time; use
 /// a [`WorkspacePool`] to share warm workspaces across service workers.
 pub struct ChunkedWorkspace<T> {
     spaces: Vec<ChunkSpace<T>>,
-    global: ChunkSpace<T>,
 }
 
 impl<T> Default for ChunkedWorkspace<T> {
     fn default() -> Self {
-        ChunkedWorkspace {
-            spaces: Vec::new(),
-            global: ChunkSpace::default(),
-        }
+        ChunkedWorkspace { spaces: Vec::new() }
     }
 }
 
@@ -349,19 +405,33 @@ impl<T: Element> ChunkedWorkspace<T> {
         Self::default()
     }
 
-    fn ensure_chunks(&mut self, chunks: usize) {
-        if self.spaces.len() < chunks {
-            self.spaces.resize_with(chunks, ChunkSpace::default);
+    /// Split `n > 0` elements into at most `parts` chunks and prepare a
+    /// table for every chunk after the first (fallible allocation surfaces
+    /// here, before any thread spawns). Returns the chunk length and those
+    /// tables.
+    fn begin_chunks(
+        &mut self,
+        n: usize,
+        m: usize,
+        parts: usize,
+        identity: T,
+    ) -> Result<(usize, &mut [ChunkSpace<T>]), MpError> {
+        let chunk_len = n.div_ceil(parts.clamp(1, n));
+        let tables = n.div_ceil(chunk_len) - 1;
+        let direct = use_direct(tables, n, m);
+        if self.spaces.len() < tables {
+            self.spaces.resize_with(tables, ChunkSpace::default);
         }
+        let spaces = &mut self.spaces[..tables];
+        for space in spaces.iter_mut() {
+            space.begin_use(m, chunk_len.min(m), direct, identity)?;
+        }
+        Ok((chunk_len, spaces))
     }
 
     /// Bytes retained across all grown scratch buffers.
     pub fn retained_bytes(&self) -> usize {
-        self.spaces
-            .iter()
-            .map(ChunkSpace::retained_bytes)
-            .sum::<usize>()
-            + self.global.retained_bytes()
+        self.spaces.iter().map(ChunkSpace::retained_bytes).sum()
     }
 }
 
@@ -476,19 +546,39 @@ impl<T: Element> Drop for PooledWorkspace<'_, T> {
     }
 }
 
-/// Dense tables are admitted while the per-chunk map arrays stay within a
-/// small multiple of the data we already hold (same criterion as
-/// [`crate::blocked`]).
-pub(crate) fn use_direct(chunks: usize, n: usize, m: usize) -> bool {
-    chunks.saturating_mul(m) <= 8 * n.max(1) + 1024
+/// Direct (label-indexed) tables are admitted while `tables` `m`-sized
+/// arrays stay within a small multiple of the data we already hold.
+pub(crate) fn use_direct(tables: usize, n: usize, m: usize) -> bool {
+    tables.saturating_mul(m) <= 8 * n.max(1) + 1024
 }
 
-/// The local phase over one chunk: a serial (Figure 2) multiprefix into the
-/// chunk's compact table. `worker` indexes the chunk for chaos injection.
+/// The vector kernels for a run, when it has a single label class: then the
+/// local scan and the apply prepend degenerate to plain prefix operations
+/// the simd kernels implement bit-exactly. Multi-bucket tables stay scalar
+/// (see DESIGN §12).
+fn single_label_kernels<T: Element, C: Comb<T>>(m: usize, comb: C) -> Option<&'static Kernels<T>> {
+    if m == 1 {
+        comb_kernels::<T, C>(comb)
+    } else {
+        None
+    }
+}
+
+/// One chunk's local-phase table. The first chunk accumulates straight into
+/// the reduction vector: its totals seed the combine scan and its offsets
+/// are all the identity, so it needs no marks, no touched list and no apply
+/// pass. Every later chunk gets a workspace [`ChunkSpace`].
+enum Table<'a, T> {
+    Output(&'a mut [T]),
+    Space(&'a mut ChunkSpace<T>),
+}
+
+/// The local phase over one chunk. `worker` indexes the chunk for chaos
+/// injection.
 #[allow(clippy::too_many_arguments)]
 fn local_pass<T: Element, C: Comb<T>>(
-    space: &mut ChunkSpace<T>,
-    sums: &mut [T],
+    table: Table<'_, T>,
+    sums: Option<&mut [T]>,
     values: &[T],
     labels: &[usize],
     comb: C,
@@ -502,71 +592,98 @@ fn local_pass<T: Element, C: Comb<T>>(
     if let Some(chaos) = ctx.chaos() {
         chaos.inject_chunk_worker(worker, ctx.deadline());
     }
-    // Single-label fast path (`fast` is only `Some` when `m == 1`, so
-    // every label is 0): the whole chunk is one exclusive scan with the
-    // bucket value as carry. Block-strided so the cancellation fuse is
-    // polled at exactly the same indices as the scalar loop below.
-    if let Some(tbl) = fast {
-        if !values.is_empty() {
-            let s = space.slot_or_insert(0, comb.identity());
-            let mut acc = space.vals[s];
-            let mut i = 0usize;
-            while i < values.len() {
-                ctx.checkpoint_every(i)?;
-                let end = (i + CHECK_STRIDE).min(values.len());
-                acc = (tbl.excl_scan_into)(&values[i..end], &mut sums[i..end], acc);
-                i = end;
-            }
-            space.vals[s] = acc;
-        }
-        return Ok(());
+    // One monomorphic loop per table layout: no per-element mode branch.
+    match table {
+        Table::Output(vals) => fold(vals, |l| (l, false), sums, values, labels, comb, fast, ctx),
+        Table::Space(ChunkSpace { map, vals }) if map.direct => fold(
+            vals,
+            |l| map.locate_direct(l),
+            sums,
+            values,
+            labels,
+            comb,
+            fast,
+            ctx,
+        ),
+        Table::Space(ChunkSpace { map, vals }) => fold(
+            vals,
+            |l| map.locate_probed(l),
+            sums,
+            values,
+            labels,
+            comb,
+            fast,
+            ctx,
+        ),
     }
-    for (i, ((si, &v), &l)) in sums.iter_mut().zip(values).zip(labels).enumerate() {
-        ctx.checkpoint_every(i)?;
-        let s = space.slot_or_insert(l, comb.identity());
-        *si = space.vals[s];
-        space.vals[s] = comb.combine(space.vals[s], v);
-    }
-    Ok(())
 }
 
-/// The local phase of a reduce-only run: totals, no element output.
-fn local_reduce_pass<T: Element, C: Comb<T>>(
-    space: &mut ChunkSpace<T>,
+/// The serial (Figure 2) loop over one chunk into `vals`: writes each
+/// element's chunk-local exclusive prefix into `sums` — or, for a
+/// reduce-only run (`sums` is `None`), only the per-label totals.
+/// `locate` maps a label to its `vals` index and reports a first touch,
+/// whose stale entry is read as the identity.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn fold<T: Element, C: Comb<T>>(
+    vals: &mut [T],
+    mut locate: impl FnMut(usize) -> (usize, bool),
+    sums: Option<&mut [T]>,
     values: &[T],
     labels: &[usize],
     comb: C,
     fast: Option<&'static Kernels<T>>,
     ctx: &RunContext,
-    worker: usize,
 ) -> Result<(), MpError> {
-    if let Some(chaos) = ctx.chaos() {
-        chaos.inject_chunk_worker(worker, ctx.deadline());
-    }
+    let id = comb.identity();
+    // Single-label fast path (`fast` is only `Some` when `m == 1`, so
+    // every label is 0): the whole chunk is one exclusive scan (or
+    // reduction) with the bucket value as carry. Block-strided so the
+    // cancellation fuse is polled at exactly the same indices as the scalar
+    // loops below.
     if let Some(tbl) = fast {
         if !values.is_empty() {
-            let s = space.slot_or_insert(0, comb.identity());
-            let mut acc = space.vals[s];
+            let (s, fresh) = locate(0);
+            let mut acc = if fresh { id } else { vals[s] };
+            let mut sums = sums;
             let mut i = 0usize;
             while i < values.len() {
                 ctx.checkpoint_every(i)?;
                 let end = (i + CHECK_STRIDE).min(values.len());
-                acc = (tbl.reduce)(acc, &values[i..end]);
+                acc = match sums.as_deref_mut() {
+                    Some(out) => (tbl.excl_scan_into)(&values[i..end], &mut out[i..end], acc),
+                    None => (tbl.reduce)(acc, &values[i..end]),
+                };
                 i = end;
             }
-            space.vals[s] = acc;
+            vals[s] = acc;
         }
         return Ok(());
     }
-    for (i, (&v, &l)) in values.iter().zip(labels).enumerate() {
-        ctx.checkpoint_every(i)?;
-        let s = space.slot_or_insert(l, comb.identity());
-        space.vals[s] = comb.combine(space.vals[s], v);
+    match sums {
+        Some(sums) => {
+            for (i, ((si, &v), &l)) in sums.iter_mut().zip(values).zip(labels).enumerate() {
+                ctx.checkpoint_every(i)?;
+                let (s, fresh) = locate(l);
+                let acc = if fresh { id } else { vals[s] };
+                *si = acc;
+                vals[s] = comb.combine(acc, v);
+            }
+        }
+        None => {
+            for (i, (&v, &l)) in values.iter().zip(labels).enumerate() {
+                ctx.checkpoint_every(i)?;
+                let (s, fresh) = locate(l);
+                let acc = if fresh { id } else { vals[s] };
+                vals[s] = comb.combine(acc, v);
+            }
+        }
     }
     Ok(())
 }
 
-/// The apply phase over one chunk: prepend the chunk's per-label offsets.
+/// The apply phase over (a piece of) one chunk: prepend the chunk's
+/// per-label offsets.
 fn apply_pass<T: Element, C: Comb<T>>(
     space: &ChunkSpace<T>,
     sums: &mut [T],
@@ -575,10 +692,11 @@ fn apply_pass<T: Element, C: Comb<T>>(
     fast: Option<&'static Kernels<T>>,
     ctx: &RunContext,
 ) -> Result<(), MpError> {
+    let ChunkSpace { map, vals } = space;
     // Single-label fast path: one offset prepended across the chunk.
     if let Some(tbl) = fast {
         if !sums.is_empty() {
-            let acc = space.vals[space.slot(0)];
+            let acc = vals[map.slot(0)];
             let mut i = 0usize;
             while i < sums.len() {
                 ctx.checkpoint_every(i)?;
@@ -589,39 +707,44 @@ fn apply_pass<T: Element, C: Comb<T>>(
         }
         return Ok(());
     }
-    for (i, (si, &l)) in sums.iter_mut().zip(labels).enumerate() {
-        ctx.checkpoint_every(i)?;
-        *si = comb.combine(space.vals[space.slot(l)], *si);
+    if map.direct {
+        for (i, (si, &l)) in sums.iter_mut().zip(labels).enumerate() {
+            ctx.checkpoint_every(i)?;
+            *si = comb.combine(vals[l], *si);
+        }
+    } else {
+        for (i, (si, &l)) in sums.iter_mut().zip(labels).enumerate() {
+            ctx.checkpoint_every(i)?;
+            *si = comb.combine(vals[map.slot(l)], *si);
+        }
     }
     Ok(())
 }
 
-/// Run `f` over every chunk, on scoped threads when there is more than one
-/// chunk (inline otherwise). Worker panics are re-raised on the caller's
-/// thread (the hardened entry points contain them); worker errors surface
-/// as the first `Err` in chunk order.
-fn run_chunks<'env, I, F>(items: Vec<I>, f: F) -> Result<(), MpError>
+/// Run `f` over every item, the first on the caller's thread and the rest
+/// on scoped threads. Worker panics are re-raised on the caller's thread
+/// (the hardened entry points contain them); worker errors surface as the
+/// first `Err` in item order.
+fn run_chunks<I, F>(items: Vec<I>, f: F) -> Result<(), MpError>
 where
-    I: Send + 'env,
-    F: Fn(usize, I) -> Result<(), MpError> + Sync + Send,
+    I: Send,
+    F: Fn(usize, I) -> Result<(), MpError> + Sync,
 {
-    let mut items = items;
-    if items.len() == 1 {
-        return f(0, items.pop().expect("one item"));
-    }
     let f = &f;
+    let mut items = items.into_iter().enumerate();
+    let Some((first_idx, first)) = items.next() else {
+        return Ok(());
+    };
     let results: Vec<Result<(), MpError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = items
-            .into_iter()
-            .enumerate()
             .map(|(idx, item)| scope.spawn(move || f(idx, item)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
+        let first = f(first_idx, first);
+        std::iter::once(first)
+            .chain(handles.into_iter().map(|h| match h.join() {
                 Ok(r) => r,
                 Err(payload) => std::panic::resume_unwind(payload),
-            })
+            }))
             .collect()
     });
     results.into_iter().collect()
@@ -641,29 +764,15 @@ pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
 ) -> Result<MultiprefixOutput<T>, MpError> {
     ctx.checkpoint()?;
     let n = values.len();
+    let mut reductions = comb.identity_vec(m)?;
     if n == 0 {
         return Ok(MultiprefixOutput {
             sums: Vec::new(),
-            reductions: try_filled_vec(comb.identity(), m)?,
+            reductions,
         });
     }
-    let chunk_len = n.div_ceil(parts.clamp(1, n));
-    let chunks = n.div_ceil(chunk_len);
-    let direct = use_direct(chunks, n, m);
-    let mut sums = try_filled_vec(comb.identity(), n)?;
-    ws.ensure_chunks(chunks);
-    let ChunkedWorkspace { spaces, global } = ws;
-    let spaces = &mut spaces[..chunks];
-
-    // Vector-kernel eligibility for this run: a single label class means
-    // the local scan and the apply prepend degenerate to plain prefix
-    // operations the simd kernels implement bit-exactly. Multi-bucket
-    // tables stay scalar (see DESIGN §12).
-    let fast = if m == 1 {
-        comb_kernels::<T, C>(comb)
-    } else {
-        None
-    };
+    let mut sums = comb.identity_vec(n)?;
+    let fast = single_label_kernels(m, comb);
     if let Some(rec) = ctx.recorder() {
         rec.event(
             phase_key(EngineKind::Chunked, Phase::Local),
@@ -675,53 +784,59 @@ pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
         );
     }
 
-    // Phase 1 — local. Tables are prepared serially (fallible allocation
-    // surfaces before any thread spawns), then each chunk runs its serial
-    // multiprefix on its own thread.
-    {
-        let _span = ctx.phase_span(Phase::Local);
-        let distinct_cap = chunk_len.min(m);
-        for space in spaces.iter_mut() {
-            space.begin_use(m, distinct_cap, direct)?;
-        }
-        let items: Vec<_> = spaces
-            .iter_mut()
-            .zip(sums.chunks_mut(chunk_len))
-            .zip(values.chunks(chunk_len).zip(labels.chunks(chunk_len)))
-            .collect();
-        run_chunks(items, |idx, ((space, s), (v, l))| {
-            local_pass(space, s, v, l, comb, fast, ctx, idx)
-        })?;
-    }
+    // Phase 1 — local: each chunk runs its serial multiprefix on its own
+    // thread.
+    let local_span = ctx.phase_span(Phase::Local);
+    let (chunk_len, spaces) = ws.begin_chunks(n, m, parts, comb.identity())?;
+    let tables = std::iter::once(Table::Output(&mut reductions[..]))
+        .chain(spaces.iter_mut().map(Table::Space));
+    let items: Vec<_> = tables
+        .zip(sums.chunks_mut(chunk_len))
+        .zip(values.chunks(chunk_len).zip(labels.chunks(chunk_len)))
+        .collect();
+    run_chunks(items, |idx, ((table, s), (v, l))| {
+        local_pass(table, Some(s), v, l, comb, fast, ctx, idx)
+    })?;
+    drop(local_span);
 
     // Phase 2 — combine: the shared exscan-over-summaries primitive
-    // ([`crate::shard::exscan`]): an exclusive scan per touched label
-    // across the chunk summaries, in chunk order; the running totals
-    // become the reductions.
+    // ([`crate::shard::exscan`]), seeded with the first chunk's totals: an
+    // exclusive scan per touched label across the later chunks' summaries,
+    // in chunk order; the running totals end as the reductions.
     ctx.checkpoint()?;
-    let reductions = {
+    {
         let _span = ctx.phase_span(Phase::Combine);
-        crate::shard::exscan::exscan_parts(spaces, m, n, global, comb, ctx)?
-    };
+        exscan_parts(spaces, &mut reductions, comb, ctx)?;
+    }
 
-    // Phase 3 — apply: prepend each chunk's offsets in one linear pass.
+    // Phase 3 — apply: prepend each later chunk's offsets in one linear
+    // pass, cut into one piece per worker so every worker shares it.
     ctx.checkpoint()?;
     {
         let _span = ctx.phase_span(Phase::Apply);
+        let piece = (n - chunk_len).div_ceil(spaces.len() + 1).max(1);
         let items: Vec<_> = spaces
             .iter()
-            .zip(sums.chunks_mut(chunk_len))
-            .zip(labels.chunks(chunk_len))
+            .zip(
+                sums.chunks_mut(chunk_len)
+                    .zip(labels.chunks(chunk_len))
+                    .skip(1),
+            )
+            .flat_map(|(space, (s, l))| {
+                s.chunks_mut(piece)
+                    .zip(l.chunks(piece))
+                    .map(move |part| (space, part))
+            })
             .collect();
-        run_chunks(items, |_, ((space, s), l)| {
+        run_chunks(items, |_, (space, (s, l))| {
             apply_pass(space, s, l, comb, fast, ctx)
         })?;
     }
     Ok(MultiprefixOutput { sums, reductions })
 }
 
-/// The reduce-only core: local totals, then a fold across chunk summaries
-/// straight into the `m`-sized output (no global map, no apply phase).
+/// The reduce-only core: the local phase without element output, then the
+/// combine scan, whose running totals are the reductions (no apply phase).
 fn run_reduce<T: Element, C: Comb<T>>(
     values: &[T],
     labels: &[usize],
@@ -733,44 +848,25 @@ fn run_reduce<T: Element, C: Comb<T>>(
 ) -> Result<Vec<T>, MpError> {
     ctx.checkpoint()?;
     let n = values.len();
+    let mut reductions = comb.identity_vec(m)?;
     if n == 0 {
-        return try_filled_vec(comb.identity(), m);
+        return Ok(reductions);
     }
-    let chunk_len = n.div_ceil(parts.clamp(1, n));
-    let chunks = n.div_ceil(chunk_len);
-    let direct = use_direct(chunks, n, m);
-    ws.ensure_chunks(chunks);
-    let spaces = &mut ws.spaces[..chunks];
-    let fast = if m == 1 {
-        comb_kernels::<T, C>(comb)
-    } else {
-        None
-    };
-    {
-        let _span = ctx.phase_span(Phase::Local);
-        let distinct_cap = chunk_len.min(m);
-        for space in spaces.iter_mut() {
-            space.begin_use(m, distinct_cap, direct)?;
-        }
-        let items: Vec<_> = spaces
-            .iter_mut()
-            .zip(values.chunks(chunk_len).zip(labels.chunks(chunk_len)))
-            .collect();
-        run_chunks(items, |idx, (space, (v, l))| {
-            local_reduce_pass(space, v, l, comb, fast, ctx, idx)
-        })?;
-    }
+    let fast = single_label_kernels(m, comb);
+    let local_span = ctx.phase_span(Phase::Local);
+    let (chunk_len, spaces) = ws.begin_chunks(n, m, parts, comb.identity())?;
+    let tables = std::iter::once(Table::Output(&mut reductions[..]))
+        .chain(spaces.iter_mut().map(Table::Space));
+    let items: Vec<_> = tables
+        .zip(values.chunks(chunk_len).zip(labels.chunks(chunk_len)))
+        .collect();
+    run_chunks(items, |idx, (table, (v, l))| {
+        local_pass(table, None, v, l, comb, fast, ctx, idx)
+    })?;
+    drop(local_span);
     ctx.checkpoint()?;
     let _span = ctx.phase_span(Phase::Combine);
-    let mut reductions = try_filled_vec(comb.identity(), m)?;
-    let mut step = 0usize;
-    for space in spaces.iter() {
-        for (ti, &label) in space.touched.iter().enumerate() {
-            ctx.checkpoint_every(step)?;
-            step += 1;
-            reductions[label] = comb.combine(reductions[label], space.vals[ti]);
-        }
-    }
+    exscan_parts(spaces, &mut reductions, comb, ctx)?;
     Ok(reductions)
 }
 
@@ -1070,15 +1166,15 @@ impl ChunkedPlan {
         let mut touched = Vec::new();
         let mut touched_off = Vec::with_capacity(chunks + 1);
         touched_off.push(0);
-        // () values: the ChunkSpace machinery reused purely as a label map.
+        // () values: a probed ChunkSpace reused purely as a label map to
+        // compact, first-touch-order slots.
         let mut space = ChunkSpace::<()>::default();
-        let direct = use_direct(chunks, n.max(1), m);
         for chunk in labels.chunks(chunk_len.max(1)) {
-            space.begin_use(m, chunk.len().min(m), direct)?;
+            space.begin_use(m, chunk.len().min(m), false, ())?;
             for &l in chunk {
                 elem_slot.push(space.slot_or_insert(l, ()) as u32);
             }
-            touched.extend_from_slice(&space.touched);
+            touched.extend_from_slice(&space.map.touched);
             touched_off.push(touched.len());
         }
         Ok(ChunkedPlan {
@@ -1173,17 +1269,14 @@ impl ChunkedPlan {
         if self.n == 0 {
             return Ok(MultiprefixOutput {
                 sums: Vec::new(),
-                reductions: try_filled_vec(comb.identity(), self.m)?,
+                reductions: comb.identity_vec(self.m)?,
             });
         }
-        let mut sums = try_filled_vec(comb.identity(), self.n)?;
+        let mut sums = comb.identity_vec(self.n)?;
         // Per-chunk summaries, sized to each chunk's distinct-label count.
         let mut chunk_vals: Vec<Vec<T>> = Vec::with_capacity(self.chunks);
         for c in 0..self.chunks {
-            chunk_vals.push(try_filled_vec(
-                comb.identity(),
-                self.touched_off[c + 1] - self.touched_off[c],
-            )?);
+            chunk_vals.push(comb.identity_vec(self.touched_off[c + 1] - self.touched_off[c])?);
         }
 
         // Local: pure slot-indexed passes, no hashing.
@@ -1215,19 +1308,19 @@ impl ChunkedPlan {
         // Combine: the shared exscan primitive over (touched-slice, value)
         // part views of the plan's precomputed label lists.
         ctx.checkpoint()?;
-        let reductions = {
+        let mut reductions = comb.identity_vec(self.m)?;
+        {
             let _span = ctx.phase_span(Phase::Combine);
-            let mut global = ChunkSpace::<T>::default();
-            let mut parts: Vec<crate::shard::exscan::SlicePart<'_, T>> = chunk_vals
+            let mut parts: Vec<SlicePart<'_, T>> = chunk_vals
                 .iter_mut()
                 .enumerate()
-                .map(|(c, vals)| crate::shard::exscan::SlicePart {
+                .map(|(c, vals)| SlicePart {
                     touched: &self.touched[self.touched_off[c]..self.touched_off[c + 1]],
                     vals,
                 })
                 .collect();
-            crate::shard::exscan::exscan_parts(&mut parts, self.m, self.n, &mut global, comb, ctx)?
-        };
+            exscan_parts(&mut parts, &mut reductions, comb, ctx)?;
+        }
 
         // Apply.
         ctx.checkpoint()?;

@@ -15,7 +15,7 @@
 //! * **allocation** — the engines' large blocks are reserved with
 //!   `Vec::try_reserve_exact`, so a refusal surfaces as
 //!   [`MpError::AllocationFailed`] instead of an abort;
-//! * **panics** — the blocked engine contains operator panics and returns
+//! * **panics** — the chunked engine contains operator panics and returns
 //!   [`MpError::EnginePanicked`].
 //!
 //! ## Why checked/saturating semantics are defined by serial order
@@ -160,12 +160,19 @@ impl ExecConfig {
 
     /// The worker-thread count to run with: [`ExecConfig::threads`] when
     /// set, otherwise the machine's available parallelism; never zero.
+    ///
+    /// The host value is resolved once per process: on Linux
+    /// `available_parallelism` reads cgroup files on every call, which
+    /// costs more than a whole small request's engine run.
     pub fn effective_threads(&self) -> usize {
+        static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
         self.threads
             .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
+                *HOST.get_or_init(|| {
+                    std::thread::available_parallelism()
+                        .map(|n| n.get())
+                        .unwrap_or(1)
+                })
             })
             .max(1)
     }

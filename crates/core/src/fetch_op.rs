@@ -93,7 +93,7 @@ mod tests {
         let addresses = vec![0, 1, 0, 2, 1, 0];
         let increments = vec![1i64, 2, 3, 4, 5, 6];
         let expect = fetch_and_op_serial(&memory, &addresses, &increments, Plus);
-        for engine in [Engine::Serial, Engine::Spinetree, Engine::Blocked] {
+        for engine in [Engine::Serial, Engine::Spinetree, Engine::Chunked] {
             let got = fetch_and_op(&memory, &addresses, &increments, Plus, engine).unwrap();
             assert_eq!(got, expect, "{engine:?}");
         }
@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn ticket_counter_idiom() {
         // fetch-and-add of 1 hands out consecutive tickets.
-        let got = fetch_and_op(&[0i64], &[0; 8], &[1i64; 8], Plus, Engine::Blocked).unwrap();
+        let got = fetch_and_op(&[0i64], &[0; 8], &[1i64; 8], Plus, Engine::Chunked).unwrap();
         assert_eq!(got.fetched, (0..8).collect::<Vec<i64>>());
         assert_eq!(got.memory, vec![8]);
     }

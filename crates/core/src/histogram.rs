@@ -59,7 +59,7 @@ mod tests {
         for engine in [
             Engine::Serial,
             Engine::Spinetree,
-            Engine::Blocked,
+            Engine::Chunked,
             Engine::Auto,
         ] {
             assert_eq!(histogram(&keys, 31, engine).unwrap(), expect, "{engine:?}");

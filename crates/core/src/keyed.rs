@@ -148,13 +148,13 @@ mod tests {
     }
 
     #[test]
-    fn sparse_u64_ids_via_blocked_engine() {
+    fn sparse_u64_ids_via_chunked_engine() {
         let n = 50_000usize;
         let values: Vec<i64> = (0..n as i64).collect();
         let keys: Vec<u64> = (0..n)
             .map(|i| ((i * 2654435761) as u64) << 13 | (i % 7) as u64)
             .collect();
-        let out = multiprefix_by_key(&values, &keys, Plus, Engine::Blocked).unwrap();
+        let out = multiprefix_by_key(&values, &keys, Plus, Engine::Chunked).unwrap();
         // Cross-check a few positions against a serial map.
         let mut seen: HashMap<u64, i64> = HashMap::new();
         for i in 0..n {

@@ -24,14 +24,13 @@
 //! |---|---|---|
 //! | [`Engine::Serial`] | [`serial`] | the paper's Figure 2 bucket loop — the reference semantics |
 //! | [`Engine::Spinetree`] | [`spinetree`] | the paper's `O(√n)`-step CRCW-ARB algorithm, executed as the paper did on the CRAY Y-MP: one vector loop per parallel step |
-//! | [`Engine::Blocked`] | [`blocked`] | a production `rayon` engine (chunk-local buckets → per-label scan across chunks → replay); deterministic and work-efficient |
-//! | [`Engine::Chunked`] | [`chunked`] | the two-level local/combine/apply engine: compact touched-label tables (O(distinct), never O(m)), scoped worker threads, reusable pooled workspaces — the default primary on multicore hosts |
+//! | [`Engine::Chunked`] | [`chunked`] | the two-level local/combine/apply engine: label-indexed chunk tables (probed maps when `m ≫ n`), O(distinct) per-chunk reset, scoped worker threads, reusable pooled workspaces — the default above [`api::AUTO_SERIAL_THRESHOLD`] |
 //! | [`Engine::AtomicSpinetree`] | [`atomic`] | a genuinely concurrent spinetree build for `i64`/`Plus`: the overwrite-and-test races are resolved by relaxed atomic stores, a faithful CRCW-ARB realization |
 //!
 //! All engines produce results identical to [`serial::multiprefix_serial`]
 //! (bit-for-bit for integer types). Under them sits [`simd`]: runtime-
 //! dispatched AVX2 scan/broadcast/reduce kernels (portable fallback
-//! elsewhere) that the chunked/blocked single-label fast paths, the
+//! elsewhere) that the chunked engine's single-label fast paths, the
 //! [`scan`] partition sweeps, and the session store's bulk Fenwick
 //! rebuild call through — engaged only for operators with an exact
 //! machine counterpart, so results stay bit-identical.
@@ -55,15 +54,15 @@
 //! [`exec::ExecConfig`]: overflow policies (wrap / checked / saturating,
 //! with serial-order semantics shared by every engine), bucket and memory
 //! budgets enforced before allocation, fallible allocation for the large
-//! engine blocks, and panic containment in the blocked engine.
+//! engine blocks, and panic containment in the chunked engine.
 //! [`multiprefix_verified`] cross-validates any engine's output against an
 //! independent serial evaluation. See [`exec`] for the contract.
 //!
 //! ## Resilient dispatch
 //!
 //! [`resilience`] turns the engine ladder into a runtime: a [`Dispatcher`]
-//! runs requests through a fallback chain (e.g. blocked → spinetree →
-//! serial) with deadlines, cooperative cancellation ([`CancelToken`],
+//! runs requests through a fallback chain (by default chunked → spinetree
+//! → serial) with deadlines, cooperative cancellation ([`CancelToken`],
 //! polled at engine phase boundaries and every few thousand loop
 //! iterations), retry with jittered backoff for transient failures, and a
 //! per-engine circuit breaker. A seeded chaos harness
@@ -127,7 +126,6 @@
 
 pub mod api;
 pub mod atomic;
-pub mod blocked;
 pub mod chunked;
 pub mod error;
 pub mod exec;
@@ -149,6 +147,12 @@ pub mod simd;
 pub mod spinetree;
 pub mod split;
 pub mod stream;
+
+/// The former blocked engine's entry point, folded into [`chunked`]. Kept
+/// only because the end-to-end benchmark still times it under this path.
+pub mod blocked {
+    pub use crate::chunked::multiprefix_chunked as multiprefix_blocked;
+}
 
 pub use api::{
     multiprefix, multiprefix_inclusive, multiprefix_verified, multireduce, try_multiprefix,

@@ -50,8 +50,8 @@ use std::time::Instant;
 /// An algorithm phase, named after the paper's §4 cost breakdown.
 ///
 /// The spinetree engines ([`EngineKind::Spinetree`], [`EngineKind::Atomic`])
-/// run `Init → Spinetree → Rowsums → Spinesums → Multisums`; the blocked
-/// and chunked engines' three passes are `Local → Combine → Apply`; the
+/// run `Init → Spinetree → Rowsums → Spinesums → Multisums`; the chunked
+/// engine's three passes are `Local → Combine → Apply`; the
 /// serial engine is the single `Figure2` bucket loop. The sharded engine
 /// distributes the same three passes across shard workers as
 /// `Local → Exscan → Apply`, with `Recover` timing any shard-loss
@@ -68,11 +68,11 @@ pub enum Phase {
     Spinesums,
     /// Final per-element combination (MULTISUMS).
     Multisums,
-    /// Blocked engine pass 1: chunk-local buckets.
+    /// Chunked engine pass 1: chunk-local buckets.
     Local,
-    /// Blocked engine pass 2: per-label scan across chunk summaries.
+    /// Chunked engine pass 2: per-label scan across chunk summaries.
     Combine,
-    /// Blocked engine pass 3: replay chunk-local order with carry-ins.
+    /// Chunked engine pass 3: prepend each chunk's per-label offsets.
     Apply,
     /// The serial engine's Figure 2 loop (one undivided phase).
     Figure2,
@@ -116,9 +116,7 @@ impl Phase {
                 Phase::Spinesums,
                 Phase::Multisums,
             ],
-            EngineKind::Blocked | EngineKind::Chunked => {
-                &[Phase::Local, Phase::Combine, Phase::Apply]
-            }
+            EngineKind::Chunked => &[Phase::Local, Phase::Combine, Phase::Apply],
             EngineKind::Sharded => &[Phase::Local, Phase::Exscan, Phase::Recover, Phase::Apply],
             EngineKind::Serial => &[Phase::Figure2],
         }
@@ -154,12 +152,6 @@ pub fn phase_key(engine: EngineKind, phase: Phase) -> &'static str {
             Exscan / "exscan", Recover / "recover",
         ],
         Chunked / "chunked" => [
-            Init / "init", Spinetree / "spinetree", Rowsums / "rowsums",
-            Spinesums / "spinesums", Multisums / "multisums",
-            Local / "local", Combine / "combine", Apply / "apply", Figure2 / "figure2",
-            Exscan / "exscan", Recover / "recover",
-        ],
-        Blocked / "blocked" => [
             Init / "init", Spinetree / "spinetree", Rowsums / "rowsums",
             Spinesums / "spinesums", Multisums / "multisums",
             Local / "local", Combine / "combine", Apply / "apply", Figure2 / "figure2",

@@ -40,7 +40,7 @@ const EVENT_CAP: usize = 1024;
 /// One recorded [`Recorder::event`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsEvent {
-    /// Event stream name (e.g. `breaker.blocked`).
+    /// Event stream name (e.g. `breaker.chunked`).
     pub name: String,
     /// Event payload (e.g. `closed->open`).
     pub detail: String,
@@ -350,7 +350,7 @@ mod tests {
         rec.gauge("q.depth", 4);
         rec.duration_ns("lat", 1_000);
         rec.duration_ns("lat", 2_000);
-        rec.event("breaker.blocked", "closed->open");
+        rec.event("breaker.chunked", "closed->open");
 
         assert_eq!(rec.counter_value("a.count"), 5);
         assert_eq!(rec.counter_value("never"), 0);
@@ -366,7 +366,7 @@ mod tests {
         assert_eq!(
             snap.events,
             vec![ObsEvent {
-                name: "breaker.blocked".into(),
+                name: "breaker.chunked".into(),
                 detail: "closed->open".into()
             }]
         );

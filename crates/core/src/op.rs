@@ -8,7 +8,7 @@
 //!
 //! [`CombineOp`] captures exactly that contract: an associative `combine`
 //! with a two-sided `identity`. Operators additionally declare whether they
-//! are commutative ([`CombineOp::COMMUTATIVE`]); the spinetree and blocked
+//! are commutative ([`CombineOp::COMMUTATIVE`]); the spinetree and chunked
 //! engines preserve vector order and therefore work for *non*-commutative
 //! operators too, but the lock-free atomic engine requires commutativity
 //! (it accumulates children with fetch-and-op in nondeterministic order).

@@ -138,7 +138,7 @@ mod tests {
     fn engines_pass_the_checker() {
         let values: Vec<i64> = (0..300).map(|i| i % 23 - 11).collect();
         let labels: Vec<usize> = (0..300).map(|i| (i * 7) % 9).collect();
-        for engine in [Engine::Serial, Engine::Spinetree, Engine::Blocked] {
+        for engine in [Engine::Serial, Engine::Spinetree, Engine::Chunked] {
             let out = multiprefix(&values, &labels, 9, Plus, engine).unwrap();
             assert_eq!(check_output(&values, &labels, 9, Plus, &out), Ok(()));
         }

@@ -5,7 +5,7 @@ use crate::error::MpError;
 /// Marker trait for element types the engines can carry.
 ///
 /// Everything is moved by value through tight loops, so elements must be
-/// `Copy`; `Send + Sync` lets the rayon engines share slices across threads.
+/// `Copy`; `Send + Sync` lets the parallel engines share slices across threads.
 pub trait Element: Copy + Send + Sync + 'static {}
 impl<T: Copy + Send + Sync + 'static> Element for T {}
 

@@ -11,7 +11,7 @@
 //! from the stream and may
 //!
 //! * **panic** (`panic_ppm`) — a real `panic!`, exercising the panic
-//!   containment of the blocked engine and of the dispatcher;
+//!   containment of the chunked engine and of the dispatcher;
 //! * **fail an allocation** (`alloc_fail_ppm`) — returns
 //!   [`MpError::AllocationFailed`] (with `bytes = 0`, marking it injected),
 //!   exercising the retry path;
@@ -840,11 +840,11 @@ mod tests {
     fn targeted_plan_spares_other_engines() {
         let state = ChaosPlan::seeded(5)
             .alloc_fail_ppm(1_000_000)
-            .only(EngineKind::Blocked)
+            .only(EngineKind::Chunked)
             .arm();
         assert!(state.inject(Some(EngineKind::Serial), None).is_ok());
         assert!(state.inject(None, None).is_ok());
-        assert!(state.inject(Some(EngineKind::Blocked), None).is_err());
+        assert!(state.inject(Some(EngineKind::Chunked), None).is_err());
         assert_eq!(state.faults_injected(), 1);
     }
 

@@ -2,13 +2,13 @@
 //! backoff, and per-engine circuit breakers over the hardened engines.
 //!
 //! The paper's central observation — serial, spinetree and
-//! blocked/vectorized implementations compute the *same* operation — is
+//! chunked/vectorized implementations compute the *same* operation — is
 //! exactly the raw material for graceful degradation: if one implementation
 //! is slow, wedged or failing, another can serve the identical request. A
 //! [`Dispatcher`] packages that:
 //!
 //! * a configurable **fallback chain** of [`EngineKind`]s, tried in order
-//!   (default `Chunked → Blocked → Spinetree → Serial`);
+//!   (default `Chunked → Spinetree → Serial`);
 //! * per-attempt and per-request **deadlines** and a caller-supplied
 //!   [`crate::resilience::CancelToken`], threaded into every engine via
 //!   [`crate::resilience::RunContext`] checkpoints;
@@ -30,7 +30,6 @@
 use crate::atomic::{
     try_multiprefix_atomic_cfg_ctx, try_multireduce_atomic_cfg_ctx, AtomicCombine,
 };
-use crate::blocked::{try_multiprefix_blocked_ctx, try_multireduce_blocked_ctx};
 use crate::chunked::{
     try_multiprefix_chunked_cfg_ctx, try_multiprefix_chunked_ws_ctx,
     try_multireduce_chunked_cfg_ctx, try_multireduce_chunked_ws_ctx, ChunkedWorkspace,
@@ -65,11 +64,9 @@ pub enum EngineKind {
     /// distributed across supervised shard workers with shard-loss
     /// recovery. Opt-in: skipped unless [`DispatcherConfig::shard`] is set.
     Sharded,
-    /// The two-level local/combine/apply engine with compact reusable
-    /// bucket tables ([`crate::chunked`]) — the default primary.
+    /// The two-level local/combine/apply engine with reusable chunk
+    /// tables ([`crate::chunked`]) — the default primary.
     Chunked,
-    /// The chunked rayon engine ([`crate::blocked`]).
-    Blocked,
     /// The paper's `O(√n)`-step spinetree engine ([`crate::spinetree`]).
     Spinetree,
     /// The Figure 2 reference loop ([`crate::serial`]) — the engine of last
@@ -79,11 +76,10 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// All engine kinds, in default-chain preference order.
-    pub const ALL: [EngineKind; 6] = [
+    pub const ALL: [EngineKind; 5] = [
         EngineKind::Atomic,
         EngineKind::Sharded,
         EngineKind::Chunked,
-        EngineKind::Blocked,
         EngineKind::Spinetree,
         EngineKind::Serial,
     ];
@@ -93,9 +89,8 @@ impl EngineKind {
             EngineKind::Atomic => 0,
             EngineKind::Sharded => 1,
             EngineKind::Chunked => 2,
-            EngineKind::Blocked => 3,
-            EngineKind::Spinetree => 4,
-            EngineKind::Serial => 5,
+            EngineKind::Spinetree => 3,
+            EngineKind::Serial => 4,
         }
     }
 
@@ -117,7 +112,6 @@ impl EngineKind {
             EngineKind::Atomic => keys!("atomic"),
             EngineKind::Sharded => keys!("shard"),
             EngineKind::Chunked => keys!("chunked"),
-            EngineKind::Blocked => keys!("blocked"),
             EngineKind::Spinetree => keys!("spinetree"),
             EngineKind::Serial => keys!("serial"),
         }
@@ -130,7 +124,6 @@ impl std::fmt::Display for EngineKind {
             EngineKind::Atomic => "atomic",
             EngineKind::Sharded => "shard",
             EngineKind::Chunked => "chunked",
-            EngineKind::Blocked => "blocked",
             EngineKind::Spinetree => "spinetree",
             EngineKind::Serial => "serial",
         };
@@ -195,7 +188,6 @@ impl Default for DispatcherConfig {
         DispatcherConfig {
             chain: vec![
                 EngineKind::Chunked,
-                EngineKind::Blocked,
                 EngineKind::Spinetree,
                 EngineKind::Serial,
             ],
@@ -290,7 +282,7 @@ impl JitterRng {
 #[derive(Debug)]
 pub struct Dispatcher {
     cfg: DispatcherConfig,
-    health: [EngineHealth; 6],
+    health: [EngineHealth; 5],
     recorder: Option<Arc<dyn Recorder>>,
     /// The sharded engine's orchestrator, present iff
     /// [`DispatcherConfig::shard`] is set. Owned here so shard breaker
@@ -315,14 +307,7 @@ impl Dispatcher {
         // Element-size-independent config checks; the per-call validation
         // re-runs with the real element size.
         cfg.exec.validate_for(1)?;
-        let health = [
-            EngineHealth::new(cfg.breaker),
-            EngineHealth::new(cfg.breaker),
-            EngineHealth::new(cfg.breaker),
-            EngineHealth::new(cfg.breaker),
-            EngineHealth::new(cfg.breaker),
-            EngineHealth::new(cfg.breaker),
-        ];
+        let health = EngineKind::ALL.map(|_| EngineHealth::new(cfg.breaker));
         let shard = cfg.shard.map(ShardSupervisor::new);
         Ok(Dispatcher {
             cfg,
@@ -431,9 +416,6 @@ impl Dispatcher {
                     EngineKind::Spinetree => {
                         try_multiprefix_spinetree_ctx(values, labels, m, op, policy, ctx)
                     }
-                    EngineKind::Blocked => {
-                        try_multiprefix_blocked_ctx(values, labels, m, op, policy, ctx)
-                    }
                     EngineKind::Chunked => match &ws_cell {
                         Some(cell) => {
                             let mut ws = cell.borrow_mut();
@@ -487,9 +469,6 @@ impl Dispatcher {
                     }
                     EngineKind::Spinetree => {
                         try_multiprefix_spinetree_ctx(values, labels, m, op, policy, ctx)
-                    }
-                    EngineKind::Blocked => {
-                        try_multiprefix_blocked_ctx(values, labels, m, op, policy, ctx)
                     }
                     EngineKind::Chunked => {
                         try_multiprefix_chunked_cfg_ctx(values, labels, m, op, exec, ctx)
@@ -573,9 +552,6 @@ impl Dispatcher {
                     EngineKind::Spinetree => {
                         try_multireduce_spinetree_ctx(values, labels, m, op, policy, ctx)
                     }
-                    EngineKind::Blocked => {
-                        try_multireduce_blocked_ctx(values, labels, m, op, policy, ctx)
-                    }
                     EngineKind::Chunked => match &ws_cell {
                         Some(cell) => {
                             let mut ws = cell.borrow_mut();
@@ -624,9 +600,6 @@ impl Dispatcher {
                     }
                     EngineKind::Spinetree => {
                         try_multireduce_spinetree_ctx(values, labels, m, op, policy, ctx)
-                    }
-                    EngineKind::Blocked => {
-                        try_multireduce_blocked_ctx(values, labels, m, op, policy, ctx)
                     }
                     EngineKind::Chunked => {
                         try_multireduce_chunked_cfg_ctx(values, labels, m, op, exec, ctx)
@@ -949,15 +922,15 @@ mod tests {
         let (values, labels) = problem(1500, 5);
         let expect = multiprefix_serial(&values, &labels, 5, Plus);
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Blocked, EngineKind::Serial],
+            chain: vec![EngineKind::Chunked, EngineKind::Serial],
             ..Default::default()
         };
         let d = Dispatcher::new(cfg).unwrap();
-        // Chaos: every blocked-engine checkpoint fails allocation; serial
+        // Chaos: every chunked-engine checkpoint fails allocation; serial
         // is untouched.
         let chaos = ChaosPlan::seeded(11)
             .alloc_fail_ppm(1_000_000)
-            .only(EngineKind::Blocked)
+            .only(EngineKind::Chunked)
             .arm();
         let opts = DispatchOpts {
             chaos: Some(chaos),
@@ -966,10 +939,10 @@ mod tests {
         let outcome = d.dispatch(&values, &labels, 5, Plus, &opts).unwrap();
         assert_eq!(outcome.output, expect);
         assert_eq!(outcome.engine, EngineKind::Serial);
-        assert_eq!(outcome.attempts, 4, "3 blocked attempts + 1 serial");
+        assert_eq!(outcome.attempts, 4, "3 chunked attempts + 1 serial");
         assert_eq!(outcome.fallbacks, 1);
-        // Three consecutive failures tripped the blocked breaker open...
-        assert_eq!(d.circuit_state(EngineKind::Blocked), CircuitState::Open);
+        // Three consecutive failures tripped the chunked breaker open...
+        assert_eq!(d.circuit_state(EngineKind::Chunked), CircuitState::Open);
         // ...so the next request skips it without burning attempts.
         let outcome = d.dispatch(&values, &labels, 5, Plus, &opts).unwrap();
         assert_eq!(outcome.engine, EngineKind::Serial);
@@ -983,7 +956,7 @@ mod tests {
             .dispatch(&[1i64], &[2], 2, Plus, &DispatchOpts::default())
             .unwrap_err();
         assert!(matches!(err, MpError::LabelOutOfRange { .. }));
-        assert_eq!(d.circuit_state(EngineKind::Blocked), CircuitState::Closed);
+        assert_eq!(d.circuit_state(EngineKind::Chunked), CircuitState::Closed);
     }
 
     #[test]
@@ -1046,7 +1019,7 @@ mod tests {
         let outcome = d.dispatch(&values, &labels, 5, Plus, &opts);
         assert_eq!(outcome.unwrap_err(), MpError::DeadlineExceeded);
         // No attempt was charged to any engine's breaker.
-        assert_eq!(d.circuit_state(EngineKind::Blocked), CircuitState::Closed);
+        assert_eq!(d.circuit_state(EngineKind::Chunked), CircuitState::Closed);
     }
 
     #[test]
@@ -1083,7 +1056,7 @@ mod tests {
     fn exhausted_chain_reports_last_transient() {
         let (values, labels) = problem(800, 3);
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Blocked],
+            chain: vec![EngineKind::Chunked],
             ..Default::default()
         };
         let d = Dispatcher::new(cfg).unwrap();
@@ -1151,7 +1124,7 @@ mod tests {
         // the dispatch — not the incidental error that preceded it.
         let (values, labels) = problem(400, 3);
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Blocked],
+            chain: vec![EngineKind::Chunked],
             retry: RetryPolicy {
                 max_attempts: 2,
                 base_backoff: Duration::from_millis(20),
@@ -1176,7 +1149,7 @@ mod tests {
         let (values, labels) = problem(1500, 5);
         let rec = crate::obs::MemoryRecorder::shared();
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Blocked, EngineKind::Serial],
+            chain: vec![EngineKind::Chunked, EngineKind::Serial],
             ..Default::default()
         };
         let d = Dispatcher::new(cfg)
@@ -1184,7 +1157,7 @@ mod tests {
             .with_recorder(rec.clone() as Arc<dyn Recorder>);
         let chaos = ChaosPlan::seeded(11)
             .alloc_fail_ppm(1_000_000)
-            .only(EngineKind::Blocked)
+            .only(EngineKind::Chunked)
             .arm();
         let opts = DispatchOpts {
             chaos: Some(chaos),
@@ -1194,14 +1167,14 @@ mod tests {
         assert_eq!(outcome.engine, EngineKind::Serial);
 
         assert_eq!(rec.counter_value("dispatch.requests"), 1);
-        assert_eq!(rec.counter_value("dispatch.blocked.attempts"), 3);
-        assert_eq!(rec.counter_value("dispatch.blocked.retries"), 2);
+        assert_eq!(rec.counter_value("dispatch.chunked.attempts"), 3);
+        assert_eq!(rec.counter_value("dispatch.chunked.retries"), 2);
         assert_eq!(rec.counter_value("dispatch.backoff_sleeps"), 2);
         assert_eq!(rec.counter_value("dispatch.serial.attempts"), 1);
         assert_eq!(rec.counter_value("dispatch.fallbacks"), 1);
         // Attempt latency was histogrammed for both engines.
         assert_eq!(
-            rec.histogram("dispatch.blocked.attempt_ns").unwrap().count,
+            rec.histogram("dispatch.chunked.attempt_ns").unwrap().count,
             3
         );
         assert_eq!(
@@ -1214,12 +1187,12 @@ mod tests {
             rec.histogram("engine.serial.phase.figure2").unwrap().count,
             1
         );
-        // Three consecutive blocked failures → breaker closed->open event.
+        // Three consecutive chunked failures → breaker closed->open event.
         let snap = rec.snapshot();
         assert!(
             snap.events
                 .iter()
-                .any(|e| e.name == "dispatch.breaker.blocked" && e.detail == "closed->open"),
+                .any(|e| e.name == "dispatch.breaker.chunked" && e.detail == "closed->open"),
             "events: {:?}",
             snap.events
         );

@@ -273,13 +273,16 @@ mod tests {
         use std::sync::{Arc, Barrier};
 
         for round in 0..20 {
+            // The cooldown also bounds how long an admitted probe holds its
+            // slot, so it must outlast the spread of the threads' arrivals
+            // on a loaded host, or a late thread reclaims the slot.
             let h = Arc::new(EngineHealth::new(BreakerConfig {
                 failure_threshold: 1,
-                cooldown: Duration::from_millis(1),
+                cooldown: Duration::from_millis(50),
             }));
             h.on_failure();
             assert_eq!(h.state(), CircuitState::Open);
-            std::thread::sleep(Duration::from_millis(2));
+            std::thread::sleep(Duration::from_millis(60));
 
             let threads = 8;
             let barrier = Arc::new(Barrier::new(threads));

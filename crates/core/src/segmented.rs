@@ -159,7 +159,7 @@ mod tests {
         let values: Vec<i64> = (0..1000).map(|i| (i % 11) as i64).collect();
         let flags: Vec<bool> = (0..1000).map(|i| i % 37 == 0).collect();
         let expect = segmented_exclusive_scan_serial(&values, &flags, Plus);
-        for engine in [Engine::Serial, Engine::Spinetree, Engine::Blocked] {
+        for engine in [Engine::Serial, Engine::Spinetree, Engine::Chunked] {
             let got = segmented_exclusive_scan(&values, &flags, Plus, engine).unwrap();
             assert_eq!(got.sums, expect, "{engine:?}");
         }

@@ -12,29 +12,20 @@
 //! functions of their span, so a lost part can be recomputed anywhere and
 //! re-scanned with a bit-identical result.
 
-use crate::chunked::{use_direct, ChunkSpace, Comb, PlainComb};
+use crate::chunked::{Comb, PlainComb};
 use crate::error::MpError;
 use crate::exec::try_filled_vec;
 use crate::op::CombineOp;
 use crate::problem::Element;
 use crate::resilience::RunContext;
 
-/// A part view the exscan core can walk: an ordered touched-label list
-/// paired with the per-label values to scan in place.
+/// A part view the exscan core can walk: an ordered touched-label list and
+/// the per-label values to scan in place.
 pub(crate) trait SummaryPart<T> {
-    /// Number of touched labels in this part.
-    fn touched_len(&self) -> usize;
-    /// The touched-label list and its parallel value slice.
-    fn touched_vals(&mut self) -> (&[usize], &mut [T]);
-}
-
-impl<T: Element> SummaryPart<T> for ChunkSpace<T> {
-    fn touched_len(&self) -> usize {
-        self.touched.len()
-    }
-    fn touched_vals(&mut self) -> (&[usize], &mut [T]) {
-        (&self.touched, &mut self.vals)
-    }
+    /// The touched-label list, the value storage, and whether that storage
+    /// is indexed by label (a direct chunk table) rather than parallel to
+    /// the touched list.
+    fn summary(&mut self) -> (&[usize], &mut [T], bool);
 }
 
 /// A borrowed part view over a plan's precomputed touched slice and a
@@ -45,55 +36,40 @@ pub(crate) struct SlicePart<'a, T> {
 }
 
 impl<T: Element> SummaryPart<T> for SlicePart<'_, T> {
-    fn touched_len(&self) -> usize {
-        self.touched.len()
-    }
-    fn touched_vals(&mut self) -> (&[usize], &mut [T]) {
-        (self.touched, self.vals)
+    fn summary(&mut self) -> (&[usize], &mut [T], bool) {
+        (self.touched, self.vals, false)
     }
 }
 
 /// The exscan core: exclusive scan per touched label across `parts` in
-/// order, in place. On return each part's values hold its exclusive
-/// offsets and the returned `m`-vector holds the global reductions.
-///
-/// `n` is a size hint (elements behind the summaries) steering the global
-/// table's direct/probed mode; it does not affect the result. `global` is
-/// caller-supplied scratch so warm workspaces keep their zero-allocation
-/// steady state.
+/// order, in place. `running` is the `m`-sized per-label accumulator —
+/// the identity everywhere, or the totals of a part that precedes all of
+/// `parts` — and ends as the global reductions; each part's values end as
+/// its exclusive offsets.
 pub(crate) fn exscan_parts<T, C, P>(
     parts: &mut [P],
-    m: usize,
-    n: usize,
-    global: &mut ChunkSpace<T>,
+    running: &mut [T],
     comb: C,
     ctx: &RunContext,
-) -> Result<Vec<T>, MpError>
+) -> Result<(), MpError>
 where
     T: Element,
     C: Comb<T>,
     P: SummaryPart<T>,
 {
-    let total_touched: usize = parts.iter().map(|p| p.touched_len()).sum();
-    let gdirect = use_direct(1, n, m);
-    global.begin_use(m, total_touched.min(m), gdirect)?;
     let mut step = 0usize;
     for part in parts.iter_mut() {
-        let (touched, vals) = part.touched_vals();
+        let (touched, vals, by_label) = part.summary();
         for (ti, &label) in touched.iter().enumerate() {
             ctx.checkpoint_every(step)?;
             step += 1;
-            let gs = global.slot_or_insert(label, comb.identity());
-            let offset = global.vals[gs];
-            global.vals[gs] = comb.combine(offset, vals[ti]);
-            vals[ti] = offset;
+            let v = &mut vals[if by_label { label } else { ti }];
+            let offset = running[label];
+            running[label] = comb.combine(offset, *v);
+            *v = offset;
         }
     }
-    let mut reductions = try_filled_vec(comb.identity(), m)?;
-    for (gs, &label) in global.touched.iter().enumerate() {
-        reductions[label] = global.vals[gs];
-    }
-    Ok(reductions)
+    Ok(())
 }
 
 /// One shard's combine-phase summary: the distinct labels its span
@@ -115,11 +91,8 @@ pub struct ShardSummary<T> {
 }
 
 impl<T: Element> SummaryPart<T> for ShardSummary<T> {
-    fn touched_len(&self) -> usize {
-        self.touched.len()
-    }
-    fn touched_vals(&mut self) -> (&[usize], &mut [T]) {
-        (&self.touched, &mut self.totals)
+    fn summary(&mut self) -> (&[usize], &mut [T], bool) {
+        (&self.touched, &mut self.totals, false)
     }
 }
 
@@ -144,7 +117,6 @@ pub fn exscan_over_summaries<T: Element, O: CombineOp<T>>(
     op: O,
 ) -> Result<Vec<T>, MpError> {
     summaries.sort_by_key(|s| s.shard);
-    let mut total = 0usize;
     for pair in summaries.windows(2) {
         if pair[0].shard == pair[1].shard {
             return Err(MpError::InvalidConfig {
@@ -163,19 +135,11 @@ pub fn exscan_over_summaries<T: Element, O: CombineOp<T>>(
                 return Err(MpError::LabelOutOfRange { index, label, m });
             }
         }
-        total += s.touched.len();
     }
-    let mut global = ChunkSpace::<T>::default();
-    // The summaries stand in for the (unknown here) element count, so the
-    // touched total is the size hint for direct vs probed.
-    exscan_parts(
-        summaries,
-        m,
-        total,
-        &mut global,
-        PlainComb(op),
-        &RunContext::new(),
-    )
+    let comb = PlainComb(op);
+    let mut reductions = try_filled_vec(comb.identity(), m)?;
+    exscan_parts(summaries, &mut reductions, comb, &RunContext::new())?;
+    Ok(reductions)
 }
 
 #[cfg(test)]

@@ -428,11 +428,11 @@ impl ShardSupervisor {
         }
 
         ctx.checkpoint()?;
-        let reductions = {
+        let mut reductions = try_filled_vec(comb.identity(), m)?;
+        {
             let _span = ctx.phase_span(Phase::Exscan);
-            let mut global = ChunkSpace::default();
-            exscan::exscan_parts(&mut summaries, m, n, &mut global, comb, ctx)?
-        };
+            exscan::exscan_parts(&mut summaries, &mut reductions, comb, ctx)?;
+        }
 
         // The exscan replaced each summary's totals with its exclusive
         // offsets; ship them back per span for the apply phase.
@@ -790,16 +790,13 @@ fn scan_span<T: Element, C: Comb<T>>(
     ctx: &RunContext,
 ) -> Result<(Vec<usize>, Vec<T>), MpError> {
     let len = span.len();
-    space.begin_use(m, len.min(m), use_direct(1, len, m))?;
+    space.begin_use(m, len.min(m), use_direct(1, len, m), comb.identity())?;
     for (i, idx) in (span.start..span.end).enumerate() {
         ctx.checkpoint_every(i)?;
         let slot = space.slot_or_insert(labels[idx], comb.identity());
         space.vals[slot] = comb.combine(space.vals[slot], values[idx]);
     }
-    Ok((
-        std::mem::take(&mut space.touched),
-        std::mem::take(&mut space.vals),
-    ))
+    Ok(space.take_summary())
 }
 
 /// The apply phase over one span: preload the exscanned offsets, then
@@ -817,7 +814,7 @@ fn apply_span<T: Element, C: Comb<T>>(
     ctx: &RunContext,
 ) -> Result<Vec<T>, MpError> {
     let len = span.len();
-    space.begin_use(m, len.min(m), use_direct(1, len, m))?;
+    space.begin_use(m, len.min(m), use_direct(1, len, m), comb.identity())?;
     for &(label, offset) in offsets {
         let slot = space.slot_or_insert(label, comb.identity());
         space.vals[slot] = offset;

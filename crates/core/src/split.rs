@@ -135,7 +135,7 @@ mod tests {
         ) {
             let items: Vec<i32> = pairs.iter().map(|&(v, _)| v).collect();
             let keys: Vec<usize> = pairs.iter().map(|&(_, k)| k).collect();
-            for engine in [Engine::Serial, Engine::Blocked] {
+            for engine in [Engine::Serial, Engine::Chunked] {
                 let (out, offsets) = split_stable(&items, &keys, 4, engine).unwrap();
                 // Same multiset.
                 let mut a = items.clone();

@@ -10,8 +10,8 @@
 //! vector is the reduction.
 //!
 //! Within a chunk any engine may be used (the chunk-local prefixes are
-//! combined with the carried bucket state exactly as the blocked engine
-//! combines its chunks), so large chunks still get rayon parallelism.
+//! combined with the carried bucket state exactly as the chunked engine
+//! combines its chunks), so large chunks still run in parallel.
 
 use crate::api::{multiprefix, Engine};
 use crate::error::MpError;

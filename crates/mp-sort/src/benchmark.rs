@@ -99,7 +99,7 @@ mod tests {
     fn protocol_runs_and_verifies_all_rankers() {
         for ranker in [
             Ranker::Multiprefix(Engine::Serial),
-            Ranker::Multiprefix(Engine::Blocked),
+            Ranker::Multiprefix(Engine::Chunked),
             Ranker::BucketSort,
             Ranker::CountingSort,
         ] {

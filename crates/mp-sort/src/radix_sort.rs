@@ -98,7 +98,7 @@ mod tests {
         let keys = lcg(3000, 9);
         let mut expect = keys.clone();
         expect.sort_unstable();
-        for engine in [Engine::Serial, Engine::Spinetree, Engine::Blocked] {
+        for engine in [Engine::Serial, Engine::Spinetree, Engine::Chunked] {
             assert_eq!(mp_radix_sort(&keys, 8, engine), expect, "{engine:?}");
         }
     }
@@ -200,7 +200,7 @@ mod pair_tests {
         };
         let keys: Vec<u64> = (0..2000).map(|_| step()).collect();
         let payloads: Vec<usize> = (0..2000).collect();
-        let got = mp_radix_sort_pairs(&keys, &payloads, 8, Engine::Blocked);
+        let got = mp_radix_sort_pairs(&keys, &payloads, 8, Engine::Chunked);
         let mut expect: Vec<(u64, usize)> =
             keys.iter().copied().zip(payloads.iter().copied()).collect();
         expect.sort_by_key(|&(k, _)| k); // stable

@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn ranks_match_positions_in_stable_sort() {
         let keys = lcg_keys(1000, 50, 7);
-        for engine in [Engine::Serial, Engine::Spinetree, Engine::Blocked] {
+        for engine in [Engine::Serial, Engine::Spinetree, Engine::Chunked] {
             let ranks = rank_keys(&keys, 50, engine).unwrap();
             // Oracle: stable argsort.
             let mut idx: Vec<usize> = (0..keys.len()).collect();

@@ -59,7 +59,7 @@ mod tests {
         );
         let x = vec![1.0, 2.0, 3.0];
         let expect = dense_reference(&coo, &x);
-        for engine in [Engine::Serial, Engine::Spinetree, Engine::Blocked] {
+        for engine in [Engine::Serial, Engine::Spinetree, Engine::Chunked] {
             let y = mp_spmv(&coo, &x, engine);
             assert!(approx_eq(&y, &expect, 1e-12), "{engine:?}: {y:?}");
         }

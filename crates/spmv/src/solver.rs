@@ -265,7 +265,7 @@ mod tests {
             Box::new(JdRoute(JaggedDiagonal::from_coo(&a))),
             Box::new(MpRoute {
                 coo: a.clone(),
-                engine: Engine::Blocked,
+                engine: Engine::Chunked,
             }),
         ];
         for route in routes {

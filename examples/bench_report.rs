@@ -196,9 +196,6 @@ fn run_engine(
         EngineKind::Spinetree => multiprefix::spinetree::engine::try_multiprefix_spinetree_ctx(
             values, labels, m, Plus, policy, ctx,
         ),
-        EngineKind::Blocked => {
-            multiprefix::blocked::try_multiprefix_blocked_ctx(values, labels, m, Plus, policy, ctx)
-        }
         EngineKind::Chunked => {
             multiprefix::chunked::try_multiprefix_chunked_cfg_ctx(values, labels, m, Plus, cfg, ctx)
         }
@@ -244,7 +241,6 @@ fn engine_name(kind: EngineKind) -> &'static str {
     match kind {
         EngineKind::Atomic => "atomic",
         EngineKind::Chunked => "chunked",
-        EngineKind::Blocked => "blocked",
         EngineKind::Spinetree => "spinetree",
         EngineKind::Serial => "serial",
         EngineKind::Sharded => "shard",
@@ -1172,7 +1168,6 @@ fn main() {
     let engines = [
         EngineKind::Serial,
         EngineKind::Spinetree,
-        EngineKind::Blocked,
         EngineKind::Chunked,
         EngineKind::Atomic,
         EngineKind::Sharded,

@@ -26,7 +26,7 @@ fn main() {
 
     // Checked: every engine reports the same serial-order trip index.
     let checked = ExecConfig::default().overflow(OverflowPolicy::Checked);
-    for engine in [Engine::Serial, Engine::Spinetree, Engine::Blocked] {
+    for engine in [Engine::Serial, Engine::Spinetree, Engine::Chunked] {
         let err = try_multiprefix(&values, &labels, 2, Plus, engine, checked).unwrap_err();
         println!("checked  {engine:>9?}:      {err}");
     }
@@ -61,9 +61,9 @@ fn main() {
     let n = 1000usize;
     let vals: Vec<i64> = (0..n as i64).collect();
     let labs: Vec<usize> = (0..n).map(|i| i % 7).collect();
-    let out = multiprefix_verified(&vals, &labs, 7, Plus, Engine::Blocked).unwrap();
+    let out = multiprefix_verified(&vals, &labs, 7, Plus, Engine::Chunked).unwrap();
     println!(
-        "verified blocked run:     reductions[0] = {}",
+        "verified chunked run:     reductions[0] = {}",
         out.reductions[0]
     );
 

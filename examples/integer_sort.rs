@@ -28,14 +28,14 @@ fn main() {
     let mut last_ranks = Vec::new();
     for it in 0..ITERATIONS {
         perturb_keys(&mut keys, it, MAX_KEY);
-        last_ranks = rank_keys(&keys, MAX_KEY, Engine::Blocked).unwrap();
+        last_ranks = rank_keys(&keys, MAX_KEY, Engine::Chunked).unwrap();
     }
     let elapsed = t.elapsed();
     assert!(
         full_verify(&keys, &last_ranks),
         "NAS full verification failed"
     );
-    println!("{ITERATIONS} ranking iterations (Engine::Blocked): {elapsed:?} — full_verify OK");
+    println!("{ITERATIONS} ranking iterations (Engine::Chunked): {elapsed:?} — full_verify OK");
 
     // Agreement across the independent implementations.
     assert_eq!(last_ranks, bucket_ranks(&keys, MAX_KEY));

@@ -35,7 +35,7 @@ fn main() {
         Box::new(JdRoute(JaggedDiagonal::from_coo(&a))),
         Box::new(MpRoute {
             coo: a.clone(),
-            engine: Engine::Blocked,
+            engine: Engine::Chunked,
         }),
         Box::new(PreparedMpRoute(PreparedMpSpmv::new(&a))),
     ];

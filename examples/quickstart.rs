@@ -31,7 +31,7 @@ fn main() {
     println!("multireduce-MIN reductions: {mn:?}\n");
 
     // All engines agree; pick explicitly when you care.
-    for engine in [Engine::Serial, Engine::Spinetree, Engine::Blocked] {
+    for engine in [Engine::Serial, Engine::Spinetree, Engine::Chunked] {
         let o = multiprefix(&values, &labels, m, Plus, engine).unwrap();
         assert_eq!(o.sums, out.sums);
         println!("{engine:?} engine agrees");
@@ -42,9 +42,9 @@ fn main() {
     let big_values = vec![1i64; n];
     let big_labels: Vec<usize> = (0..n).map(|i| i % 1024).collect();
     let t = std::time::Instant::now();
-    let big = multiprefix(&big_values, &big_labels, 1024, Plus, Engine::Blocked).unwrap();
+    let big = multiprefix(&big_values, &big_labels, 1024, Plus, Engine::Chunked).unwrap();
     println!(
-        "\n1M elements over 1024 labels via Engine::Blocked: {:?} (reduction[0] = {})",
+        "\n1M elements over 1024 labels via Engine::Chunked: {:?} (reduction[0] = {})",
         t.elapsed(),
         big.reductions[0]
     );

@@ -39,7 +39,7 @@ fn main() {
     );
 
     let t = Instant::now();
-    let y_mp = mp_spmv(&coo, &x, Engine::Blocked);
+    let y_mp = mp_spmv(&coo, &x, Engine::Chunked);
     println!("MP    (products + multireduce): {:?}", t.elapsed());
 
     let reference = dense_reference(&coo, &x);
@@ -68,7 +68,7 @@ fn main() {
     let x: Vec<f64> = (0..circuit.order)
         .map(|i| (i as f64 * 0.001).cos())
         .collect();
-    let y = mp_spmv(&circuit, &x, Engine::Blocked);
+    let y = mp_spmv(&circuit, &x, Engine::Chunked);
     assert!(approx_eq(&y, &dense_reference(&circuit, &x), 1e-9));
     println!("multiprefix route is indifferent to the row-length pathology — results verified");
 }

@@ -9,8 +9,8 @@
 //! (`tests/`).
 //!
 //! * [`multiprefix`] — the operation itself: serial, spinetree (the
-//!   paper's `O(√n)`-step CRCW-ARB algorithm), blocked-rayon and atomic
-//!   engines, plus the derived primitives (segmented scans, fetch-and-op,
+//!   paper's `O(√n)`-step CRCW-ARB algorithm), the chunked
+//!   local/combine/apply engine and the atomic engine, plus the derived primitives (segmented scans, fetch-and-op,
 //!   histogram, plain scans);
 //! * [`pram`] — a synchronous PRAM simulator that checks the paper's
 //!   step/work/EREW claims and the CRCW-PLUS simulation theorem;

@@ -25,7 +25,7 @@ const SWEEP: u64 = 256;
 const ENGINES: [Engine; 4] = [
     Engine::Serial,
     Engine::Spinetree,
-    Engine::Blocked,
+    Engine::Chunked,
     Engine::Auto,
 ];
 

@@ -194,7 +194,7 @@ fn soak_full_matrix() {
         total_err += err;
         let (ok, err) = soak_round(
             seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            vec![EngineKind::Blocked, EngineKind::Spinetree],
+            vec![EngineKind::Chunked, EngineKind::Spinetree],
         );
         total_ok += ok;
         total_err += err;

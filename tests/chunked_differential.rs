@@ -4,17 +4,21 @@
 //! a chunked decomposition is most likely to get wrong (empty input, one
 //! element, every element on one label, `m ≫ n` sparse label spaces) and
 //! the non-commutative operators the combine scan's chunk ordering exists
-//! to protect.
+//! to protect. The label-indexed chunk tables are reused across calls, so
+//! one workspace is also driven through call sequences that change `m`,
+//! flip between label-indexed and probed tables, and survive an injected
+//! local-phase panic.
 
 use multiprefix::chunked::{
     multiprefix_chunked_with_parts, multireduce_chunked, try_multiprefix_chunked,
-    try_multiprefix_chunked_ctx, ChunkedPlan,
+    try_multiprefix_chunked_ctx, try_multiprefix_chunked_ws_ctx, ChunkedPlan, ChunkedWorkspace,
 };
-use multiprefix::op::{FirstLast, Max, Min, Plus};
-use multiprefix::resilience::{CancelToken, RunContext};
+use multiprefix::op::{FirstLast, Max, Min, Plus, TryCombineOp};
+use multiprefix::resilience::{CancelToken, ChaosPlan, EngineKind, RunContext};
 use multiprefix::serial::{multiprefix_serial, multireduce_serial, try_multiprefix_serial};
-use multiprefix::{MpError, OverflowPolicy};
+use multiprefix::{Element, ExecConfig, MpError, OverflowPolicy};
 use proptest::prelude::*;
+use std::ops::Range;
 
 const POLICIES: [OverflowPolicy; 3] = [
     OverflowPolicy::Wrap,
@@ -22,11 +26,22 @@ const POLICIES: [OverflowPolicy; 3] = [
     OverflowPolicy::Saturating,
 ];
 
+/// A draw from `usual` three times in four, and from `huge` otherwise.
+fn mostly(usual: Range<usize>, huge: Range<usize>) -> impl Strategy<Value = usize> {
+    (0u8..4, usual, huge).prop_map(|(k, usual, huge)| if k == 0 { huge } else { usual })
+}
+
+/// Label-space sizes: small and mid-sized ones that keep the chunk tables
+/// label-indexed, plus `m ≫ n` ones that force the probed tables.
+fn label_space() -> impl Strategy<Value = usize> {
+    mostly(1..4096, 50_000..200_000)
+}
+
 /// Arbitrary problems with the degenerate shapes weighted in: tiny n
-/// (including 0 and 1), all-same-label runs, and `m` up to 64× larger
-/// than `n`.
+/// (including 0 and 1), all-same-label runs, and `m` up to hundreds of
+/// times larger than `n`.
 fn problem() -> impl Strategy<Value = (Vec<i64>, Vec<usize>, usize)> {
-    (1usize..4096).prop_flat_map(|m| {
+    label_space().prop_flat_map(|m| {
         // One draw in four collapses to label 0 so all-same-label runs and
         // long single-label prefixes are sampled often.
         let label = any::<u32>().prop_map(move |x| {
@@ -44,6 +59,72 @@ fn problem() -> impl Strategy<Value = (Vec<i64>, Vec<usize>, usize)> {
             },
         )
     })
+}
+
+/// One call of a workspace-reuse sequence: `(n, m, seed, panic)`. The
+/// lengths span one to four 4096-element chunks on four workers, and `m`
+/// moves between label-indexed and probed tables from call to call;
+/// `panic` injects a chaos panic into the first local-phase worker.
+fn call_sequence() -> impl Strategy<Value = Vec<(usize, usize, u64, bool)>> {
+    let m = (0u8..3, 1usize..8, 8usize..5_000, 70_000usize..250_000)
+        .prop_map(|(k, tiny, mid, huge)| [tiny, mid, huge][k as usize]);
+    let call = (
+        0usize..14_000,
+        m,
+        any::<u64>(),
+        (0u8..5).prop_map(|k| k == 0),
+    );
+    proptest::collection::vec(call, 1..6)
+}
+
+fn lcg(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 17
+}
+
+/// Run `calls` through one shared workspace and require every successful
+/// call to be bit-identical to serial, and every injected panic to surface
+/// as `EnginePanicked` without poisoning the calls after it.
+fn assert_reused_workspace_matches_serial<T, O>(
+    calls: &[(usize, usize, u64, bool)],
+    op: O,
+    value: impl Fn(u64) -> T,
+) where
+    T: Element + PartialEq + std::fmt::Debug,
+    O: TryCombineOp<T> + Copy,
+{
+    let mut ws = ChunkedWorkspace::new();
+    let cfg = ExecConfig::default().threads(4);
+    for (call, &(n, m, seed, panic)) in calls.iter().enumerate() {
+        let mut state = seed;
+        let values: Vec<T> = (0..n).map(|_| value(lcg(&mut state))).collect();
+        // Clustered labels so chunks share some labels and miss others.
+        let labels: Vec<usize> = (0..n)
+            .map(|i| (lcg(&mut state) as usize % 64 + i / 97) % m)
+            .collect();
+        let mut ctx = RunContext::new();
+        if panic {
+            let chaos = ChaosPlan::seeded(seed)
+                .worker_panic_ppm(1_000_000)
+                .only(EngineKind::Chunked)
+                .only_worker(0)
+                .arm();
+            ctx = ctx.with_chaos(chaos);
+        }
+        let got = try_multiprefix_chunked_ws_ctx(&values, &labels, m, op, cfg, &mut ws, &ctx);
+        if panic && n > 0 {
+            assert_eq!(
+                got,
+                Err(MpError::EnginePanicked),
+                "call {call}: n={n} m={m}"
+            );
+        } else {
+            let expect = multiprefix_serial(&values, &labels, m, op);
+            assert_eq!(got, Ok(Some(expect)), "call {call}: n={n} m={m}");
+        }
+    }
 }
 
 proptest! {
@@ -86,13 +167,23 @@ proptest! {
 
     #[test]
     fn noncommutative_operator_survives_chunking(
-        n in 0usize..260, m in 1usize..9, parts in 1usize..12
+        n in 0usize..260,
+        m in mostly(1..9, 50_000..200_000),
+        parts in 1usize..12,
     ) {
         let values: Vec<(i32, i32)> = (0..n as i32).map(|i| (i, i * 31 % 97)).collect();
         let labels: Vec<usize> = (0..n).map(|i| (i * 7 + i / 5) % m).collect();
         let expect = multiprefix_serial(&values, &labels, m, FirstLast);
         let got = multiprefix_chunked_with_parts(&values, &labels, m, FirstLast, parts);
         prop_assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn reused_workspace_matches_serial(calls in call_sequence()) {
+        assert_reused_workspace_matches_serial(&calls, Plus, |x| x as i64 - (1 << 46));
+        // FirstLast is not commutative: a stale or misordered table entry
+        // changes the answer.
+        assert_reused_workspace_matches_serial(&calls, FirstLast, |x| (x as i32, (x >> 20) as i32));
     }
 
     #[test]

@@ -16,7 +16,7 @@ fn group_by_then_rank_by_group_size() {
     let raw: Vec<u32> = (0..5000).map(|i| (i * i % 37) as u32).collect();
     let (labels, distinct) = compress_keys(&raw);
     let ones = vec![1i64; raw.len()];
-    let out = multiprefix(&ones, &labels, distinct.len(), Plus, Engine::Blocked).unwrap();
+    let out = multiprefix(&ones, &labels, distinct.len(), Plus, Engine::Chunked).unwrap();
     // Reductions = per-key counts; verify against a direct count.
     for (j, key) in distinct.iter().enumerate() {
         let direct = raw.iter().filter(|&&r| r == *key).count() as i64;
@@ -57,7 +57,7 @@ fn running_argmax_window_analysis() {
 fn split_then_pack_composes_with_inclusive_scan() {
     let values: Vec<i64> = (0..1000).map(|i| i % 10).collect();
     let parities: Vec<usize> = values.iter().map(|&v| (v % 2) as usize).collect();
-    let (split, offsets) = split_stable(&values, &parities, 2, Engine::Blocked).unwrap();
+    let (split, offsets) = split_stable(&values, &parities, 2, Engine::Chunked).unwrap();
     // All evens precede all odds, each stable.
     assert!(split[..offsets[1]].iter().all(|v| v % 2 == 0));
     assert!(split[offsets[1]..].iter().all(|v| v % 2 == 1));
@@ -77,7 +77,7 @@ fn split_then_pack_composes_with_inclusive_scan() {
 fn stream_against_keyed_oneshot() {
     let raw: Vec<u16> = (0..20_000).map(|i| ((i * 31) % 97) as u16).collect();
     let values: Vec<i64> = (0..20_000).map(|i| (i % 13) as i64).collect();
-    let oneshot = multiprefix_by_key(&values, &raw, Plus, Engine::Blocked).unwrap();
+    let oneshot = multiprefix_by_key(&values, &raw, Plus, Engine::Chunked).unwrap();
 
     let (labels, distinct) = compress_keys(&raw);
     let mut stream = MultiprefixStream::new(distinct.len(), Plus, Engine::Serial);

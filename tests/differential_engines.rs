@@ -14,7 +14,7 @@ use multiprefix::{
 };
 use proptest::prelude::*;
 
-const PAR_ENGINES: [Engine; 3] = [Engine::Spinetree, Engine::Blocked, Engine::Auto];
+const PAR_ENGINES: [Engine; 3] = [Engine::Spinetree, Engine::Chunked, Engine::Auto];
 
 const POLICIES: [OverflowPolicy; 3] = [
     OverflowPolicy::Wrap,

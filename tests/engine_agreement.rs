@@ -26,7 +26,7 @@ proptest! {
     #[test]
     fn engines_agree_plus((values, labels, m) in problem()) {
         let reference = multiprefix_serial(&values, &labels, m, Plus);
-        for engine in [Engine::Spinetree, Engine::Blocked, Engine::Auto] {
+        for engine in [Engine::Spinetree, Engine::Chunked, Engine::Auto] {
             let got = multiprefix(&values, &labels, m, Plus, engine).unwrap();
             prop_assert_eq!(&got.sums, &reference.sums);
             prop_assert_eq!(&got.reductions, &reference.reductions);
@@ -41,7 +41,7 @@ proptest! {
         macro_rules! check {
             ($op:expr) => {{
                 let reference = multiprefix_serial(&values, &labels, m, $op);
-                for engine in [Engine::Spinetree, Engine::Blocked] {
+                for engine in [Engine::Spinetree, Engine::Chunked] {
                     let got = multiprefix(&values, &labels, m, $op, engine).unwrap();
                     prop_assert_eq!(&got.sums, &reference.sums);
                     prop_assert_eq!(&got.reductions, &reference.reductions);
@@ -57,7 +57,7 @@ proptest! {
     fn noncommutative_order_preserved(labels in proptest::collection::vec(0usize..5, 0..200)) {
         let values: Vec<(i32, i32)> = (0..labels.len() as i32).map(|i| (i, i)).collect();
         let reference = multiprefix_serial(&values, &labels, 5, FirstLast);
-        for engine in [Engine::Spinetree, Engine::Blocked] {
+        for engine in [Engine::Spinetree, Engine::Chunked] {
             let got = multiprefix(&values, &labels, 5, FirstLast, engine).unwrap();
             prop_assert_eq!(&got.sums, &reference.sums);
             prop_assert_eq!(&got.reductions, &reference.reductions);
@@ -84,7 +84,7 @@ proptest! {
     #[test]
     fn multireduce_agrees_everywhere((values, labels, m) in problem()) {
         let reference = multireduce_serial(&values, &labels, m, Plus);
-        for engine in [Engine::Spinetree, Engine::Blocked, Engine::Auto] {
+        for engine in [Engine::Spinetree, Engine::Chunked, Engine::Auto] {
             prop_assert_eq!(
                 multireduce(&values, &labels, m, Plus, engine).unwrap(),
                 reference.clone()

@@ -13,7 +13,7 @@ use multiprefix::{
 const ENGINES: [Engine; 4] = [
     Engine::Serial,
     Engine::Spinetree,
-    Engine::Blocked,
+    Engine::Chunked,
     Engine::Auto,
 ];
 

@@ -15,7 +15,7 @@ fn every_engine_rejects_out_of_range_labels() {
     for engine in [
         Engine::Serial,
         Engine::Spinetree,
-        Engine::Blocked,
+        Engine::Chunked,
         Engine::Auto,
     ] {
         let err = multiprefix(&[1i64, 2, 3], &[0, 5, 1], 3, Plus, engine).unwrap_err();
@@ -36,7 +36,7 @@ fn every_engine_rejects_length_mismatch() {
     for engine in [
         Engine::Serial,
         Engine::Spinetree,
-        Engine::Blocked,
+        Engine::Chunked,
         Engine::Auto,
     ] {
         let err = multireduce(&[1i64, 2], &[0], 1, Plus, engine).unwrap_err();
@@ -59,7 +59,7 @@ fn m_zero_with_elements_is_an_error_not_a_panic() {
 
 #[test]
 fn m_zero_without_elements_is_fine() {
-    let out = multiprefix::<i64, _>(&[], &[], 0, Plus, Engine::Blocked).unwrap();
+    let out = multiprefix::<i64, _>(&[], &[], 0, Plus, Engine::Chunked).unwrap();
     assert!(out.sums.is_empty());
     assert!(out.reductions.is_empty());
 }
@@ -79,7 +79,7 @@ fn wrapping_overflow_is_defined_behavior() {
     let labels = [0usize, 0, 0];
     let reference = multiprefix(&values, &labels, 1, Plus, Engine::Serial).unwrap();
     assert_eq!(reference.sums[2], i64::MAX.wrapping_add(1));
-    for engine in [Engine::Spinetree, Engine::Blocked] {
+    for engine in [Engine::Spinetree, Engine::Chunked] {
         assert_eq!(
             multiprefix(&values, &labels, 1, Plus, engine).unwrap(),
             reference,

@@ -12,14 +12,14 @@ use multiprefix::{
 const ENGINES: [Engine; 4] = [
     Engine::Serial,
     Engine::Spinetree,
-    Engine::Blocked,
+    Engine::Chunked,
     Engine::Auto,
 ];
 
 /// A problem whose serial evaluation of bucket 1 overflows exactly at
 /// element 61: bucket 1 carries zeros until `i64::MAX` lands at 57 (clean
 /// combine), then `+1` at 61 trips. The other buckets stay busy with ones,
-/// and n is big enough that Spinetree and Blocked take their real paths.
+/// and n is big enough that Spinetree and Chunked take their real paths.
 fn overflowing_problem() -> (Vec<i64>, Vec<usize>, usize) {
     let n = 100;
     let labels: Vec<usize> = (0..n).map(|i| i % 4).collect();
@@ -111,7 +111,7 @@ fn multireduce_checked_reports_the_serial_trip_point() {
         &labels,
         1,
         Plus,
-        Engine::Blocked,
+        Engine::Chunked,
         ExecConfig::default(),
     )
     .unwrap();
@@ -144,7 +144,7 @@ impl TryCombineOp<i64> for PanicOn999 {
 }
 
 #[test]
-fn blocked_engine_contains_operator_panics() {
+fn chunked_engine_contains_operator_panics() {
     let mut values = vec![1i64; 300];
     values[123] = 999;
     let labels = vec![0usize; 300];
@@ -153,7 +153,7 @@ fn blocked_engine_contains_operator_panics() {
         &labels,
         1,
         PanicOn999,
-        Engine::Blocked,
+        Engine::Chunked,
         ExecConfig::default(),
     )
     .unwrap_err();
@@ -165,7 +165,7 @@ fn blocked_engine_contains_operator_panics() {
         &[0, 0],
         1,
         PanicOn999,
-        Engine::Blocked,
+        Engine::Chunked,
         ExecConfig::default(),
     )
     .unwrap();

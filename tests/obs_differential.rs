@@ -43,7 +43,6 @@ fn every_engine_is_bit_identical_with_and_without_recorder() {
         for kind in [
             EngineKind::Serial,
             EngineKind::Spinetree,
-            EngineKind::Blocked,
             EngineKind::Chunked,
             EngineKind::Atomic,
             EngineKind::Sharded,
@@ -68,14 +67,6 @@ fn every_engine_is_bit_identical_with_and_without_recorder() {
                         ctx,
                     )
                 }
-                EngineKind::Blocked => multiprefix::blocked::try_multiprefix_blocked_ctx(
-                    &values,
-                    &labels,
-                    m,
-                    Plus,
-                    OverflowPolicy::Wrap,
-                    ctx,
-                ),
                 EngineKind::Chunked => multiprefix::chunked::try_multiprefix_chunked_ctx(
                     &values,
                     &labels,

@@ -15,7 +15,7 @@ fn figure_11_three_ways() {
     let mut rng = NasRng::with_seed(42);
     let keys = generate_keys(900, 64, &mut rng);
 
-    let host = rank_keys(&keys, 64, Engine::Blocked).unwrap();
+    let host = rank_keys(&keys, 64, Engine::Chunked).unwrap();
     let oracle = counting_ranks(&keys, 64);
     assert_eq!(host, oracle);
 

@@ -3,7 +3,7 @@
 //! with property tests.
 
 use multiprefix::atomic::multireduce_atomic;
-use multiprefix::blocked::multiprefix_blocked_with_chunk;
+use multiprefix::chunked::multiprefix_chunked_with_parts;
 use multiprefix::op::{Max, Plus};
 use multiprefix::oracle::{check_output, multiprefix_definitional};
 use multiprefix::serial::multireduce_serial;
@@ -38,14 +38,14 @@ proptest! {
     }
 
     #[test]
-    fn chunked_blocked_matches_definitional(
+    fn chunked_matches_definitional(
         m in 1usize..8,
         raw in proptest::collection::vec((any::<i8>(), 0usize..8), 0..200),
-        chunk in 1usize..64,
+        parts in 1usize..64,
     ) {
         let labels: Vec<usize> = raw.iter().map(|&(_, l)| l % m).collect();
         let values: Vec<i64> = raw.iter().map(|&(v, _)| v as i64).collect();
-        let got = multiprefix_blocked_with_chunk(&values, &labels, m, Plus, chunk);
+        let got = multiprefix_chunked_with_parts(&values, &labels, m, Plus, parts);
         let expect = multiprefix_definitional(&values, &labels, m, Plus);
         prop_assert_eq!(got, expect);
     }

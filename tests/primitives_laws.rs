@@ -19,7 +19,7 @@ proptest! {
         let values: Vec<i64> = raw.iter().map(|&(v, _)| v as i64).collect();
         let flags: Vec<bool> = raw.iter().map(|&(_, f)| f).collect();
         let expect = segmented_exclusive_scan_serial(&values, &flags, Plus);
-        for engine in [Engine::Serial, Engine::Spinetree, Engine::Blocked] {
+        for engine in [Engine::Serial, Engine::Spinetree, Engine::Chunked] {
             let got = segmented_exclusive_scan(&values, &flags, Plus, engine).unwrap();
             prop_assert_eq!(&got.sums, &expect);
         }
@@ -45,7 +45,7 @@ proptest! {
         let addresses: Vec<usize> = reqs.iter().map(|&(a, _)| a % mem.len()).collect();
         let increments: Vec<i64> = reqs.iter().map(|&(_, v)| v).collect();
         let expect = fetch_and_op_serial(&mem, &addresses, &increments, Plus);
-        for engine in [Engine::Serial, Engine::Spinetree, Engine::Blocked] {
+        for engine in [Engine::Serial, Engine::Spinetree, Engine::Chunked] {
             let got = fetch_and_op(&mem, &addresses, &increments, Plus, engine).unwrap();
             prop_assert_eq!(&got.fetched, &expect.fetched);
             prop_assert_eq!(&got.memory, &expect.memory);
@@ -55,7 +55,7 @@ proptest! {
     #[test]
     fn histogram_counts(keys in proptest::collection::vec(0usize..32, 0..400)) {
         let expect = histogram_serial(&keys, 32);
-        for engine in [Engine::Serial, Engine::Spinetree, Engine::Blocked] {
+        for engine in [Engine::Serial, Engine::Spinetree, Engine::Chunked] {
             prop_assert_eq!(histogram(&keys, 32, engine).unwrap(), expect.clone());
         }
         let total: u64 = expect.iter().sum();

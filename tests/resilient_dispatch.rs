@@ -79,7 +79,7 @@ fn wedged_primary_engine_still_serves_via_fallback() {
         .dispatch(&values, &labels, 11, Plus, &opts)
         .unwrap();
     assert_eq!(out.output, expect);
-    assert_eq!(out.engine, EngineKind::Blocked, "must degrade, not die");
+    assert_eq!(out.engine, EngineKind::Spinetree, "must degrade, not die");
     assert!(out.fallbacks >= 1);
     assert!(chaos.panics_injected() > 0, "the fault must actually fire");
 }
@@ -88,7 +88,7 @@ fn wedged_primary_engine_still_serves_via_fallback() {
 fn transient_alloc_failures_retry_then_fall_back() {
     // Injected allocation failures are transient: the chunked engine is
     // retried up to max_attempts, then the chain falls through to the
-    // blocked engine, which serves the canonical answer.
+    // spinetree engine, which serves the canonical answer.
     let cfg = DispatcherConfig {
         retry: fast_retry(),
         ..DispatcherConfig::default()
@@ -110,11 +110,11 @@ fn transient_alloc_failures_retry_then_fall_back() {
         .dispatch(&values, &labels, 7, Plus, &opts)
         .unwrap();
     assert_eq!(out.output, expect);
-    assert_eq!(out.engine, EngineKind::Blocked);
+    assert_eq!(out.engine, EngineKind::Spinetree);
     let max = dispatcher.config().retry.max_attempts;
     assert!(
         out.attempts > max,
-        "expected {max} exhausted chunked attempts plus a blocked success, got {}",
+        "expected {max} exhausted chunked attempts plus a spinetree success, got {}",
         out.attempts
     );
     assert!(chaos.alloc_fails_injected() >= max as usize);
@@ -123,7 +123,7 @@ fn transient_alloc_failures_retry_then_fall_back() {
 #[test]
 fn breaker_trips_open_and_the_chain_keeps_serving() {
     let cfg = DispatcherConfig {
-        chain: vec![EngineKind::Blocked, EngineKind::Serial],
+        chain: vec![EngineKind::Chunked, EngineKind::Serial],
         retry: RetryPolicy {
             max_attempts: 1,
             ..fast_retry()
@@ -140,7 +140,7 @@ fn breaker_trips_open_and_the_chain_keeps_serving() {
 
     let chaos = ChaosPlan::seeded(3)
         .panic_ppm(1_000_000)
-        .only(EngineKind::Blocked)
+        .only(EngineKind::Chunked)
         .arm();
     let opts = DispatchOpts {
         chaos: Some(chaos),
@@ -157,13 +157,13 @@ fn breaker_trips_open_and_the_chain_keeps_serving() {
         assert_eq!(out.engine, EngineKind::Serial, "request {i}");
     }
     assert_eq!(
-        dispatcher.circuit_state(EngineKind::Blocked),
+        dispatcher.circuit_state(EngineKind::Chunked),
         CircuitState::Open,
         "two consecutive panics must trip the breaker"
     );
 
     // With the breaker open the wedged engine is not even attempted: one
-    // attempt total (serial), one fallback (the skipped blocked entry) —
+    // attempt total (serial), one fallback (the skipped chunked entry) —
     // even without any chaos armed.
     let out = dispatcher
         .dispatch(&values, &labels, 5, Plus, &DispatchOpts::default())
@@ -181,7 +181,7 @@ fn breaker_trips_open_and_the_chain_keeps_serving() {
 #[test]
 fn breaker_recovers_through_a_half_open_probe() {
     let cfg = DispatcherConfig {
-        chain: vec![EngineKind::Blocked, EngineKind::Serial],
+        chain: vec![EngineKind::Chunked, EngineKind::Serial],
         retry: RetryPolicy {
             max_attempts: 1,
             ..fast_retry()
@@ -199,7 +199,7 @@ fn breaker_recovers_through_a_half_open_probe() {
     // One chaos-panicked request trips the threshold-1 breaker.
     let chaos = ChaosPlan::seeded(9)
         .panic_ppm(1_000_000)
-        .only(EngineKind::Blocked)
+        .only(EngineKind::Chunked)
         .arm();
     let opts = DispatchOpts {
         chaos: Some(chaos),
@@ -210,12 +210,12 @@ fn breaker_recovers_through_a_half_open_probe() {
         .unwrap();
     assert_eq!(out.engine, EngineKind::Serial);
     assert_eq!(
-        dispatcher.circuit_state(EngineKind::Blocked),
+        dispatcher.circuit_state(EngineKind::Chunked),
         CircuitState::Open
     );
 
     // After the cooldown a fault-free request is admitted as the half-open
-    // probe; its success re-closes the breaker and blocked serves again.
+    // probe; its success re-closes the breaker and chunked serves again.
     std::thread::sleep(Duration::from_millis(30));
     let out = dispatcher
         .dispatch(&values, &labels, 3, Plus, &DispatchOpts::default())
@@ -223,11 +223,11 @@ fn breaker_recovers_through_a_half_open_probe() {
     assert_eq!(out.output, expect);
     assert_eq!(
         out.engine,
-        EngineKind::Blocked,
+        EngineKind::Chunked,
         "probe must rejoin the chain"
     );
     assert_eq!(
-        dispatcher.circuit_state(EngineKind::Blocked),
+        dispatcher.circuit_state(EngineKind::Chunked),
         CircuitState::Closed
     );
 }
@@ -270,7 +270,7 @@ fn pre_cancelled_request_short_circuits_the_whole_chain() {
         .unwrap();
     assert_eq!(out.output, oracle(&values, &labels, 5));
     assert_eq!(
-        dispatcher.circuit_state(EngineKind::Blocked),
+        dispatcher.circuit_state(EngineKind::Chunked),
         CircuitState::Closed
     );
 }
@@ -395,7 +395,7 @@ fn chunk_worker_panic_falls_back_to_the_next_engine() {
         .dispatch(&values, &labels, 31, Plus, &opts)
         .unwrap();
     assert_eq!(out.output, expect);
-    assert_eq!(out.engine, EngineKind::Blocked, "must degrade, not die");
+    assert_eq!(out.engine, EngineKind::Spinetree, "must degrade, not die");
     assert!(
         chaos.chunk_panics_injected() > 0,
         "the chunk-worker fault must actually fire"
@@ -437,7 +437,7 @@ fn chunk_worker_faults_stay_scoped_to_the_chunked_engine() {
 
     let chaos = ChaosPlan::seeded(19)
         .worker_panic_ppm(1_000_000)
-        .only(EngineKind::Blocked)
+        .only(EngineKind::Spinetree)
         .arm();
     let opts = DispatchOpts {
         chaos: Some(chaos.clone()),
@@ -465,7 +465,7 @@ fn invalid_input_errors_bypass_retry_and_fallback() {
         MpError::LabelOutOfRange { label: 7, m: 3, .. }
     ));
     assert_eq!(
-        dispatcher.circuit_state(EngineKind::Blocked),
+        dispatcher.circuit_state(EngineKind::Chunked),
         CircuitState::Closed,
         "input errors must not count against engine health"
     );

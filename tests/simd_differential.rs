@@ -12,7 +12,6 @@
 //! dispatch. A divergence can therefore only come from the kernels
 //! themselves.
 
-use multiprefix::blocked::{try_multiprefix_blocked_cfg_ctx, try_multireduce_blocked_cfg_ctx};
 use multiprefix::chunked::{try_multiprefix_chunked_cfg_ctx, try_multireduce_chunked_cfg_ctx};
 use multiprefix::op::{Max, Min, Mult, Plus, Xor};
 use multiprefix::resilience::RunContext;
@@ -31,9 +30,8 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 7
 }
 
-/// Run one (engine × api) grid of the problem under `cfg` and under
-/// `cfg.force_scalar(true)` and require bit-identical results everywhere:
-/// chunked prefix, blocked prefix, chunked reduce, blocked reduce.
+/// Run the chunked engine's prefix and reduce entry points under `cfg` and
+/// under `cfg.force_scalar(true)` and require bit-identical results.
 fn assert_simd_matches_scalar<T, O>(
     values: &[T],
     labels: &[usize],
@@ -51,17 +49,9 @@ fn assert_simd_matches_scalar<T, O>(
     let slow = try_multiprefix_chunked_cfg_ctx(values, labels, m, op, scalar, &ctx).unwrap();
     assert_eq!(fast, slow, "chunked prefix n={} m={m}", values.len());
 
-    let fast = try_multiprefix_blocked_cfg_ctx(values, labels, m, op, cfg, &ctx).unwrap();
-    let slow = try_multiprefix_blocked_cfg_ctx(values, labels, m, op, scalar, &ctx).unwrap();
-    assert_eq!(fast, slow, "blocked prefix n={} m={m}", values.len());
-
     let fast = try_multireduce_chunked_cfg_ctx(values, labels, m, op, cfg, &ctx).unwrap();
     let slow = try_multireduce_chunked_cfg_ctx(values, labels, m, op, scalar, &ctx).unwrap();
     assert_eq!(fast, slow, "chunked reduce n={} m={m}", values.len());
-
-    let fast = try_multireduce_blocked_cfg_ctx(values, labels, m, op, cfg, &ctx).unwrap();
-    let slow = try_multireduce_blocked_cfg_ctx(values, labels, m, op, scalar, &ctx).unwrap();
-    assert_eq!(fast, slow, "blocked reduce n={} m={m}", values.len());
 }
 
 /// The single-label fast-path matrix: every kerneled operator × width ×

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 fn nas_workload_end_to_end() {
     let mut rng = NasRng::standard();
     let keys = generate_keys(50_000, MAX_KEY, &mut rng);
-    for engine in [Engine::Serial, Engine::Spinetree, Engine::Blocked] {
+    for engine in [Engine::Serial, Engine::Spinetree, Engine::Chunked] {
         let ranks = rank_keys(&keys, MAX_KEY, engine).unwrap();
         assert!(full_verify(&keys, &ranks), "{engine:?}");
         assert_eq!(ranks, bucket_ranks(&keys, MAX_KEY), "{engine:?}");
@@ -27,10 +27,10 @@ fn sorted_keys_agree_across_all_sorts() {
     let keys = generate_keys(20_000, 1 << 12, &mut rng);
     let keys64: Vec<u64> = keys.iter().map(|&k| k as u64).collect();
 
-    let via_mp = mp_sort(&keys, 1 << 12, Engine::Blocked).unwrap();
+    let via_mp = mp_sort(&keys, 1 << 12, Engine::Chunked).unwrap();
     let via_bucket = bucket_sort(&keys, 1 << 12);
     let via_radix: Vec<usize> = radix_sort(&keys64, 8).iter().map(|&k| k as usize).collect();
-    let via_mp_radix: Vec<usize> = mp_radix_sort(&keys64, 6, Engine::Blocked)
+    let via_mp_radix: Vec<usize> = mp_radix_sort(&keys64, 6, Engine::Chunked)
         .iter()
         .map(|&k| k as usize)
         .collect();
@@ -48,7 +48,7 @@ fn pair_sorts_are_stable_and_identical() {
     let mut rng = NasRng::with_seed(3);
     let keys = generate_keys(5_000, 64, &mut rng);
     let payloads: Vec<usize> = (0..keys.len()).collect();
-    let a = mp_sort_pairs(&keys, &payloads, 64, Engine::Blocked).unwrap();
+    let a = mp_sort_pairs(&keys, &payloads, 64, Engine::Chunked).unwrap();
     let b = counting_sort_pairs(&keys, &payloads, 64);
     assert_eq!(
         a, b,

@@ -17,7 +17,7 @@ fn check_all_routes(coo: &CooMatrix, x: &[f64]) {
     );
     let jd = JaggedDiagonal::from_coo(coo);
     assert!(approx_eq(&jd.spmv(x), &reference, 1e-9), "JD");
-    for engine in [Engine::Serial, Engine::Spinetree, Engine::Blocked] {
+    for engine in [Engine::Serial, Engine::Spinetree, Engine::Chunked] {
         assert!(
             approx_eq(&mp_spmv(coo, x, engine), &reference, 1e-9),
             "MP {engine:?}"

@@ -5,6 +5,10 @@
 //! allocator), while a pool with the cap disabled
 //! (`with_high_water(n, usize::MAX)`) demonstrably keeps it: the control
 //! that proves the measurement would catch a pinning regression.
+//!
+//! The counter is process-wide, so both legs run one after the other in a
+//! single `#[test]`: a concurrently running test's allocations would
+//! otherwise land in the other leg's deltas.
 
 use multiprefix::op::Plus;
 use multiprefix::resilience::RunContext;
@@ -61,7 +65,9 @@ fn problem(n: usize, m: usize) -> (Vec<i64>, Vec<usize>) {
 }
 
 /// Run one pooled request of shape (n, m) against `pool` and check it
-/// against the serial oracle.
+/// against the serial oracle. Four workers on every host, so the
+/// workspace holds three label-indexed chunk tables (the first chunk
+/// accumulates into the output) whatever the machine's core count.
 fn pooled_request(pool: &WorkspacePool<i64>, n: usize, m: usize) {
     let (values, labels) = problem(n, m);
     let expect = multiprefix_serial(&values, &labels, m, Plus);
@@ -71,7 +77,7 @@ fn pooled_request(pool: &WorkspacePool<i64>, n: usize, m: usize) {
         &labels,
         m,
         Plus,
-        ExecConfig::default(),
+        ExecConfig::default().threads(4),
         &mut ws,
         &RunContext::new(),
     )
@@ -81,13 +87,20 @@ fn pooled_request(pool: &WorkspacePool<i64>, n: usize, m: usize) {
 }
 
 /// Huge enough that the workspace's m-sized tables alone blow a 1 MiB
-/// high-water budget; `n = m` keeps the tables in direct (m-sized) mode.
+/// high-water budget; `n = m` keeps the tables in direct (label-indexed,
+/// m-sized) mode: 12 bytes per label each (an `i64` value and a `u32`
+/// epoch mark), about 18 MiB for the three tables.
 const HUGE: usize = 512 * 1024;
 /// Small steady-state shape whose workspace stays well under the budget.
 const SMALL: usize = 4 * 1024;
 
 #[test]
 fn oversized_workspace_is_released_not_pinned() {
+    capped_pool_releases_the_huge_workspace();
+    uncapped_pool_demonstrably_pins_the_workspace();
+}
+
+fn capped_pool_releases_the_huge_workspace() {
     let pool: WorkspacePool<i64> = WorkspacePool::with_high_water(2, 1024 * 1024);
 
     // Steady state: a small workspace is pooled for reuse.
@@ -96,7 +109,7 @@ fn oversized_workspace_is_released_not_pinned() {
 
     // One huge request: it checks out the warm workspace, grows it past
     // the budget, and the pool must *drop* it on return — leaving the
-    // pool empty rather than pinning 25 MiB of chunk tables.
+    // pool empty rather than pinning megabytes of chunk tables.
     let before = LIVE_LARGE_BYTES.load(Ordering::Relaxed);
     pooled_request(&pool, HUGE, HUGE);
     let after = LIVE_LARGE_BYTES.load(Ordering::Relaxed);
@@ -107,7 +120,7 @@ fn oversized_workspace_is_released_not_pinned() {
     );
     // Everything the huge request allocated (inputs, outputs, workspace)
     // is dead again; allow slack for incidental retained growth far below
-    // the workspace's own footprint (~3 × HUGE × 8 bytes).
+    // the workspace's own footprint (~3 × HUGE × 12 bytes).
     let leaked = after - before;
     assert!(
         leaked < (HUGE * 8) as isize / 4,
@@ -122,7 +135,6 @@ fn oversized_workspace_is_released_not_pinned() {
 /// Control: with the cap disabled the huge workspace *is* pooled and its
 /// tables stay live — proving the measurement above would catch a
 /// regression that stopped shrinking on return.
-#[test]
 fn uncapped_pool_demonstrably_pins_the_workspace() {
     let pool: WorkspacePool<i64> = WorkspacePool::with_high_water(2, usize::MAX);
 
@@ -132,10 +144,11 @@ fn uncapped_pool_demonstrably_pins_the_workspace() {
 
     assert_eq!(pool.idle(), 1, "uncapped pool must retain the workspace");
     let pinned = after - before;
-    // The workspace's direct-mode tables are at least one m-sized value
-    // array: its live footprint must still be visible after the request.
+    // Three label-indexed tables, each an m-sized value array plus an
+    // m-sized mark array: their live footprint must still be visible after
+    // the request.
     assert!(
-        pinned >= (HUGE * 8) as isize / 2,
+        pinned >= (3 * HUGE * 12) as isize,
         "expected the uncapped pool to pin the grown workspace, saw {pinned} bytes"
     );
 }
