@@ -1,15 +1,12 @@
 //! The public front door: validated multiprefix / multireduce with engine
 //! selection.
 
-use crate::chunked::{
-    multiprefix_chunked, multireduce_chunked, try_multiprefix_chunked_cfg_ctx,
-    try_multireduce_chunked_cfg_ctx,
-};
+use crate::chunked::{self, try_multiprefix_chunked_cfg_ctx, try_multireduce_chunked_cfg_ctx};
 use crate::error::MpError;
 use crate::exec::{estimate_engine_mem, ExecConfig};
 use crate::op::{CombineOp, TryCombineOp};
 use crate::oracle::verify_output;
-use crate::problem::{validate_slices, Element, MultiprefixOutput};
+use crate::problem::{validate_lengths, validate_slices, Element, MultiprefixOutput};
 use crate::resilience::RunContext;
 use crate::serial::{
     multiprefix_serial, multireduce_serial, try_multiprefix_serial_ctx, try_multireduce_serial_ctx,
@@ -28,7 +25,10 @@ use crate::spinetree::{
 /// because it constrains the element type.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Pick automatically: serial below a size threshold, chunked above.
+    /// The chunked engine on one chunk, at every size: on the hosts
+    /// measured so far a split across threads loses to one chunk (DESIGN
+    /// §8, "The chunk count"). An explicit [`ExecConfig::threads`] splits
+    /// the call into that many chunks, as for [`Engine::Chunked`].
     #[default]
     Auto,
     /// The paper's Figure 2 reference loop.
@@ -42,13 +42,10 @@ pub enum Engine {
     Chunked,
 }
 
-/// Below this element count `Engine::Auto` stays serial: the parallel
-/// engines' fixed costs (thread wake-ups, table allocation) dominate.
-pub const AUTO_SERIAL_THRESHOLD: usize = 16 * 1024;
-
 /// Compute the multiprefix of `values` under `labels` with `m` buckets.
 ///
-/// Validates the inputs (`values.len() == labels.len()`, all labels `< m`)
+/// Validates the inputs (`values.len() == labels.len()`, all labels `< m`;
+/// the error is the one [`crate::validate`] returns, whatever the engine)
 /// and dispatches to the chosen [`Engine`].
 ///
 /// ```
@@ -64,13 +61,13 @@ pub fn multiprefix<T: Element, O: CombineOp<T>>(
     op: O,
     engine: Engine,
 ) -> Result<MultiprefixOutput<T>, MpError> {
-    validate_slices(values, labels, m)?;
-    Ok(match resolve(engine, values.len()) {
-        Engine::Serial => multiprefix_serial(values, labels, m, op),
-        Engine::Spinetree => multiprefix_spinetree(values, labels, m, op),
-        Engine::Chunked => multiprefix_chunked(values, labels, m, op),
-        Engine::Auto => unreachable!("resolve() never returns Auto"),
-    })
+    validate_input(values, labels, m, engine)?;
+    match engine {
+        Engine::Auto => chunked::prefix(values, labels, m, op, auto_config(ExecConfig::default())),
+        Engine::Chunked => chunked::prefix(values, labels, m, op, ExecConfig::default()),
+        Engine::Serial => Ok(multiprefix_serial(values, labels, m, op)),
+        Engine::Spinetree => Ok(multiprefix_spinetree(values, labels, m, op)),
+    }
 }
 
 /// Compute only the per-label reductions (§4.2's cheaper multireduce).
@@ -81,26 +78,72 @@ pub fn multireduce<T: Element, O: CombineOp<T>>(
     op: O,
     engine: Engine,
 ) -> Result<Vec<T>, MpError> {
-    validate_slices(values, labels, m)?;
-    Ok(match resolve(engine, values.len()) {
-        Engine::Serial => multireduce_serial(values, labels, m, op),
-        Engine::Spinetree => multireduce_spinetree(values, labels, m, op),
-        Engine::Chunked => multireduce_chunked(values, labels, m, op),
-        Engine::Auto => unreachable!("resolve() never returns Auto"),
-    })
+    validate_input(values, labels, m, engine)?;
+    match engine {
+        Engine::Auto => chunked::reduce(values, labels, m, op, auto_config(ExecConfig::default())),
+        Engine::Chunked => chunked::reduce(values, labels, m, op, ExecConfig::default()),
+        Engine::Serial => Ok(multireduce_serial(values, labels, m, op)),
+        Engine::Spinetree => Ok(multireduce_spinetree(values, labels, m, op)),
+    }
 }
 
-fn resolve(engine: Engine, n: usize) -> Engine {
-    match engine {
-        Engine::Auto => {
-            if n < AUTO_SERIAL_THRESHOLD {
-                Engine::Serial
-            } else {
-                Engine::Chunked
-            }
-        }
-        other => other,
+/// The chunked engine's config for [`Engine::Auto`]: one chunk, unless
+/// the caller set [`ExecConfig::threads`].
+fn auto_config(config: ExecConfig) -> ExecConfig {
+    ExecConfig {
+        threads: config.threads.or(Some(1)),
+        ..config
     }
+}
+
+/// The up-front input check. The chunked engine checks each label where
+/// its local loop indexes its table, so for it only the lengths are
+/// checked here — unless `m == 1`, where its vector kernels never read a
+/// label. The serial and spinetree engines get the full scan.
+fn validate_input<T>(
+    values: &[T],
+    labels: &[usize],
+    m: usize,
+    engine: Engine,
+) -> Result<(), MpError> {
+    if matches!(engine, Engine::Auto | Engine::Chunked) && m != 1 {
+        validate_lengths(values.len(), labels.len())
+    } else {
+        validate_slices(values, labels, m)
+    }
+}
+
+/// [`validate_input`] plus the config's checks. A request that breaks a
+/// budget *and* has a bad label reports the label, as when every engine
+/// scanned its labels first.
+fn admit<T>(
+    values: &[T],
+    labels: &[usize],
+    m: usize,
+    engine: Engine,
+    config: ExecConfig,
+) -> Result<(), MpError> {
+    config.validate_for(std::mem::size_of::<T>())?;
+    validate_input(values, labels, m, engine)?;
+    config
+        .check_buckets(m)
+        .and_then(|()| {
+            config.check_mem(estimate_engine_mem(
+                values.len(),
+                m,
+                std::mem::size_of::<T>(),
+            ))
+        })
+        .map_err(|budget| input_error_first(values, labels, m, budget))
+}
+
+/// `err`, unless the input has a bad label: then [`validate_slices`]'s
+/// error. The chunked engine checks labels only as far as its loop gets,
+/// and a cancel, an expired deadline, an injected fault or a failed
+/// allocation can stop it before it reaches the bad one; every other
+/// engine would have reported the label.
+fn input_error_first<T>(values: &[T], labels: &[usize], m: usize, err: MpError) -> MpError {
+    validate_slices(values, labels, m).err().unwrap_or(err)
 }
 
 /// Hardened multiprefix: [`multiprefix`] under an explicit [`ExecConfig`].
@@ -169,23 +212,20 @@ pub fn try_multiprefix_ctx<T: Element, O: TryCombineOp<T>>(
     config: ExecConfig,
     ctx: &RunContext,
 ) -> Result<MultiprefixOutput<T>, MpError> {
-    config.validate_for(std::mem::size_of::<T>())?;
-    validate_slices(values, labels, m)?;
-    config.check_buckets(m)?;
-    config.check_mem(estimate_engine_mem(
-        values.len(),
-        m,
-        std::mem::size_of::<T>(),
-    ))?;
-    let tripped = match resolve(engine, values.len()) {
-        Engine::Serial => {
-            return try_multiprefix_serial_ctx(values, labels, m, op, config.overflow, ctx)
-        }
+    admit(values, labels, m, engine, config)?;
+    let run_chunked = |config| {
+        try_multiprefix_chunked_cfg_ctx(values, labels, m, op, config, ctx)
+            .map_err(|err| input_error_first(values, labels, m, err))
+    };
+    let tripped = match engine {
+        Engine::Auto => run_chunked(auto_config(config))?,
+        Engine::Chunked => run_chunked(config)?,
         Engine::Spinetree => {
             try_multiprefix_spinetree_ctx(values, labels, m, op, config.overflow, ctx)?
         }
-        Engine::Chunked => try_multiprefix_chunked_cfg_ctx(values, labels, m, op, config, ctx)?,
-        Engine::Auto => unreachable!("resolve() never returns Auto"),
+        Engine::Serial => {
+            return try_multiprefix_serial_ctx(values, labels, m, op, config.overflow, ctx)
+        }
     };
     match tripped {
         Some(out) => Ok(out),
@@ -228,26 +268,25 @@ pub fn try_multireduce_ctx<T: Element, O: TryCombineOp<T>>(
     config: ExecConfig,
     ctx: &RunContext,
 ) -> Result<Vec<T>, MpError> {
-    config.validate_for(std::mem::size_of::<T>())?;
-    validate_slices(values, labels, m)?;
-    config.check_buckets(m)?;
-    config.check_mem(estimate_engine_mem(
-        values.len(),
-        m,
-        std::mem::size_of::<T>(),
-    ))?;
-    if config.overflow.needs_checking() {
-        return try_multireduce_serial_ctx(values, labels, m, op, config.overflow, ctx);
-    }
-    let clean = match resolve(engine, values.len()) {
-        Engine::Serial => {
-            return try_multireduce_serial_ctx(values, labels, m, op, config.overflow, ctx)
-        }
+    let engine = if config.overflow.needs_checking() {
+        Engine::Serial
+    } else {
+        engine
+    };
+    admit(values, labels, m, engine, config)?;
+    let run_chunked = |config| {
+        try_multireduce_chunked_cfg_ctx(values, labels, m, op, config, ctx)
+            .map_err(|err| input_error_first(values, labels, m, err))
+    };
+    let clean = match engine {
+        Engine::Auto => run_chunked(auto_config(config))?,
+        Engine::Chunked => run_chunked(config)?,
         Engine::Spinetree => {
             try_multireduce_spinetree_ctx(values, labels, m, op, config.overflow, ctx)?
         }
-        Engine::Chunked => try_multireduce_chunked_cfg_ctx(values, labels, m, op, config, ctx)?,
-        Engine::Auto => unreachable!("resolve() never returns Auto"),
+        Engine::Serial => {
+            return try_multireduce_serial_ctx(values, labels, m, op, config.overflow, ctx)
+        }
     };
     match clean {
         Some(red) => Ok(red),
@@ -262,7 +301,7 @@ pub fn try_multireduce_ctx<T: Element, O: TryCombineOp<T>>(
 /// error — surfaces as [`MpError::VerificationFailed`] instead of silently
 /// wrong data. Costs one extra `O(n + m)` serial pass.
 ///
-/// When the selected engine resolves to `Serial` the check still runs (two
+/// When the selected engine is `Serial` the check still runs (two
 /// independent serial evaluations): this mode's contract is "the returned
 /// output was reproduced twice", not "the engine was parallel".
 pub fn multiprefix_verified<T: Element + PartialEq, O: CombineOp<T>>(
@@ -312,18 +351,19 @@ mod tests {
     }
 
     #[test]
-    fn auto_threshold_behavior() {
-        // Below and above the threshold both give correct results (the
-        // dispatch itself is an implementation detail; correctness isn't).
-        let small: Vec<i64> = vec![1; 100];
-        let labels_small = vec![0usize; 100];
-        let out = multiprefix(&small, &labels_small, 1, Plus, Engine::Auto).unwrap();
-        assert_eq!(out.reductions, vec![100]);
-
-        let big: Vec<i64> = vec![1; AUTO_SERIAL_THRESHOLD + 1];
-        let labels_big = vec![0usize; AUTO_SERIAL_THRESHOLD + 1];
-        let out = multiprefix(&big, &labels_big, 1, Plus, Engine::Auto).unwrap();
-        assert_eq!(out.reductions, vec![(AUTO_SERIAL_THRESHOLD + 1) as i64]);
+    fn auto_is_exact_at_every_size() {
+        // One chunk and, with an explicit thread count, several: the
+        // chunk count is an implementation detail; the answer is not.
+        for n in [100usize, 20_000] {
+            let values: Vec<i64> = (0..n as i64).collect();
+            let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
+            let expect = multiprefix_serial(&values, &labels, 3, Plus);
+            let out = multiprefix(&values, &labels, 3, Plus, Engine::Auto).unwrap();
+            assert_eq!(out, expect, "n={n}");
+            let cfg = ExecConfig::default().threads(4);
+            let out = try_multiprefix(&values, &labels, 3, Plus, Engine::Auto, cfg).unwrap();
+            assert_eq!(out, expect, "n={n} threads=4");
+        }
     }
 
     #[test]

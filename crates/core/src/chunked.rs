@@ -39,6 +39,13 @@
 //! obs phase spans (`engine.chunked.phase.{local,combine,apply}`), and
 //! chaos worker faults in the local phase. [`ChunkedPlan`] amortizes the
 //! label-structure discovery across repeated runs over the same labels.
+//!
+//! The local loop checks each label against `m` where it indexes its
+//! table, so a bad label comes back as [`MpError::LabelOutOfRange`] at its
+//! index in the whole vector and [`crate::api`] needs no separate
+//! validation pass (except for `m == 1`, whose vector kernels never read a
+//! label). [`crate::Engine::Auto`] runs this engine on one chunk (DESIGN
+//! §8, "The chunk count").
 
 use crate::error::MpError;
 use crate::exec::{try_filled_vec, CheckGuard, ExecConfig, OverflowPolicy, TryEngineResult};
@@ -575,12 +582,10 @@ enum Table<'a, T> {
 
 /// The local phase over one chunk. `worker` indexes the chunk for chaos
 /// injection.
-#[allow(clippy::too_many_arguments)]
 fn local_pass<T: Element, C: Comb<T>>(
     table: Table<'_, T>,
     sums: Option<&mut [T]>,
-    values: &[T],
-    labels: &[usize],
+    input: Input<'_, T>,
     comb: C,
     fast: Option<&'static Kernels<T>>,
     ctx: &RunContext,
@@ -594,27 +599,34 @@ fn local_pass<T: Element, C: Comb<T>>(
     }
     // One monomorphic loop per table layout: no per-element mode branch.
     match table {
-        Table::Output(vals) => fold(vals, |l| (l, false), sums, values, labels, comb, fast, ctx),
-        Table::Space(ChunkSpace { map, vals }) if map.direct => fold(
-            vals,
-            |l| map.locate_direct(l),
-            sums,
-            values,
-            labels,
-            comb,
-            fast,
-            ctx,
-        ),
-        Table::Space(ChunkSpace { map, vals }) => fold(
-            vals,
-            |l| map.locate_probed(l),
-            sums,
-            values,
-            labels,
-            comb,
-            fast,
-            ctx,
-        ),
+        Table::Output(vals) => fold(vals, |l| (l, false), sums, input, comb, fast, ctx),
+        Table::Space(ChunkSpace { map, vals }) if map.direct => {
+            fold(vals, |l| map.locate_direct(l), sums, input, comb, fast, ctx)
+        }
+        Table::Space(ChunkSpace { map, vals }) => {
+            fold(vals, |l| map.locate_probed(l), sums, input, comb, fast, ctx)
+        }
+    }
+}
+
+/// One chunk's input: its values and labels, the label bound `m`, and the
+/// chunk's first element index in the whole vector.
+#[derive(Clone, Copy)]
+struct Input<'a, T> {
+    values: &'a [T],
+    labels: &'a [usize],
+    m: usize,
+    base: usize,
+}
+
+/// The error for `label` at chunk-local index `i`, reported at its index
+/// in the whole vector.
+#[cold]
+fn bad_label<T>(input: &Input<'_, T>, i: usize, label: usize) -> MpError {
+    MpError::LabelOutOfRange {
+        index: input.base + i,
+        label,
+        m: input.m,
     }
 }
 
@@ -623,18 +635,25 @@ fn local_pass<T: Element, C: Comb<T>>(
 /// reduce-only run (`sums` is `None`), only the per-label totals.
 /// `locate` maps a label to its `vals` index and reports a first touch,
 /// whose stale entry is read as the identity.
-#[allow(clippy::too_many_arguments)]
+///
+/// The scalar loops check `label < m` where they index the table, so a bad
+/// label is an [`MpError::LabelOutOfRange`] at its global index, not an
+/// out-of-bounds panic, and callers need no separate validation pass. The
+/// single-label kernels never read a label: with `m == 1` the caller
+/// validates.
 #[inline(always)]
 fn fold<T: Element, C: Comb<T>>(
     vals: &mut [T],
     mut locate: impl FnMut(usize) -> (usize, bool),
     sums: Option<&mut [T]>,
-    values: &[T],
-    labels: &[usize],
+    input: Input<'_, T>,
     comb: C,
     fast: Option<&'static Kernels<T>>,
     ctx: &RunContext,
 ) -> Result<(), MpError> {
+    let Input {
+        values, labels, m, ..
+    } = input;
     let id = comb.identity();
     // Single-label fast path (`fast` is only `Some` when `m == 1`, so
     // every label is 0): the whole chunk is one exclusive scan (or
@@ -664,6 +683,9 @@ fn fold<T: Element, C: Comb<T>>(
         Some(sums) => {
             for (i, ((si, &v), &l)) in sums.iter_mut().zip(values).zip(labels).enumerate() {
                 ctx.checkpoint_every(i)?;
+                if l >= m {
+                    return Err(bad_label(&input, i, l));
+                }
                 let (s, fresh) = locate(l);
                 let acc = if fresh { id } else { vals[s] };
                 *si = acc;
@@ -673,6 +695,9 @@ fn fold<T: Element, C: Comb<T>>(
         None => {
             for (i, (&v, &l)) in values.iter().zip(labels).enumerate() {
                 ctx.checkpoint_every(i)?;
+                if l >= m {
+                    return Err(bad_label(&input, i, l));
+                }
                 let (s, fresh) = locate(l);
                 let acc = if fresh { id } else { vals[s] };
                 vals[s] = comb.combine(acc, v);
@@ -794,8 +819,14 @@ pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
         .zip(sums.chunks_mut(chunk_len))
         .zip(values.chunks(chunk_len).zip(labels.chunks(chunk_len)))
         .collect();
-    run_chunks(items, |idx, ((table, s), (v, l))| {
-        local_pass(table, Some(s), v, l, comb, fast, ctx, idx)
+    run_chunks(items, |idx, ((table, s), (values, labels))| {
+        let input = Input {
+            values,
+            labels,
+            m,
+            base: idx * chunk_len,
+        };
+        local_pass(table, Some(s), input, comb, fast, ctx, idx)
     })?;
     drop(local_span);
 
@@ -860,8 +891,14 @@ fn run_reduce<T: Element, C: Comb<T>>(
     let items: Vec<_> = tables
         .zip(values.chunks(chunk_len).zip(labels.chunks(chunk_len)))
         .collect();
-    run_chunks(items, |idx, (table, (v, l))| {
-        local_pass(table, None, v, l, comb, fast, ctx, idx)
+    run_chunks(items, |idx, (table, (values, labels))| {
+        let input = Input {
+            values,
+            labels,
+            m,
+            base: idx * chunk_len,
+        };
+        local_pass(table, None, input, comb, fast, ctx, idx)
     })?;
     drop(local_span);
     ctx.checkpoint()?;
@@ -874,6 +911,50 @@ fn run_reduce<T: Element, C: Comb<T>>(
 /// the machine's available parallelism.
 fn default_parts(n: usize, cfg: ExecConfig) -> usize {
     chunk_count(n, cfg.effective_threads())
+}
+
+/// The chunked run behind [`crate::api::multiprefix`]: the plain combine
+/// on `cfg`'s worker count, with out-of-range labels reported as errors
+/// (for `m != 1`; see [`fold`]).
+pub(crate) fn prefix<T: Element, O: CombineOp<T>>(
+    values: &[T],
+    labels: &[usize],
+    m: usize,
+    op: O,
+    cfg: ExecConfig,
+) -> Result<MultiprefixOutput<T>, MpError> {
+    let parts = default_parts(values.len(), cfg);
+    let mut ws = ChunkedWorkspace::new();
+    run_prefix(
+        values,
+        labels,
+        m,
+        PlainComb(op),
+        parts,
+        &mut ws,
+        &RunContext::new(),
+    )
+}
+
+/// [`prefix`] for [`crate::api::multireduce`].
+pub(crate) fn reduce<T: Element, O: CombineOp<T>>(
+    values: &[T],
+    labels: &[usize],
+    m: usize,
+    op: O,
+    cfg: ExecConfig,
+) -> Result<Vec<T>, MpError> {
+    let parts = default_parts(values.len(), cfg);
+    let mut ws = ChunkedWorkspace::new();
+    run_reduce(
+        values,
+        labels,
+        m,
+        PlainComb(op),
+        parts,
+        &mut ws,
+        &RunContext::new(),
+    )
 }
 
 /// Chunked multiprefix with the default thread count (available
@@ -937,17 +1018,8 @@ pub fn multireduce_chunked<T: Element, O: CombineOp<T>>(
     m: usize,
     op: O,
 ) -> Vec<T> {
-    let mut ws = ChunkedWorkspace::new();
-    run_reduce(
-        values,
-        labels,
-        m,
-        PlainComb(op),
-        default_parts(values.len(), ExecConfig::default()),
-        &mut ws,
-        &RunContext::new(),
-    )
-    .expect("chunked engine failed on the plain (infallible) path")
+    reduce(values, labels, m, op, ExecConfig::default())
+        .expect("chunked engine failed on the plain (infallible) path")
 }
 
 /// Hardened chunked multiprefix (see [`crate::exec`] for the contract):
@@ -955,6 +1027,12 @@ pub fn multireduce_chunked<T: Element, O: CombineOp<T>>(
 /// [`OverflowPolicy`] (a trip yields `Ok(None)` and the caller replays the
 /// serial engine), and panic containment for the whole engine body
 /// including its scoped workers.
+///
+/// A label `>= m` is reported as [`MpError::LabelOutOfRange`] with its
+/// index in the whole vector — except when `m == 1`, where the vector
+/// kernels never read a label: there every label must be `0`, as
+/// [`crate::api::try_multiprefix`] checks before it calls the engine.
+/// The same holds for every `try_*` entry below.
 pub fn try_multiprefix_chunked<T: Element, O: TryCombineOp<T>>(
     values: &[T],
     labels: &[usize],

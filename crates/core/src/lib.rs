@@ -24,7 +24,7 @@
 //! |---|---|---|
 //! | [`Engine::Serial`] | [`serial`] | the paper's Figure 2 bucket loop — the reference semantics |
 //! | [`Engine::Spinetree`] | [`spinetree`] | the paper's `O(√n)`-step CRCW-ARB algorithm, executed as the paper did on the CRAY Y-MP: one vector loop per parallel step |
-//! | [`Engine::Chunked`] | [`chunked`] | the two-level local/combine/apply engine: label-indexed chunk tables (probed maps when `m ≫ n`), O(distinct) per-chunk reset, scoped worker threads, reusable pooled workspaces — the default above [`api::AUTO_SERIAL_THRESHOLD`] |
+//! | [`Engine::Chunked`] | [`chunked`] | the two-level local/combine/apply engine: label-indexed chunk tables (probed maps when `m ≫ n`), O(distinct) per-chunk reset, scoped worker threads, reusable pooled workspaces — what [`Engine::Auto`] runs, on one chunk |
 //! | [`Engine::AtomicSpinetree`] | [`atomic`] | a genuinely concurrent spinetree build for `i64`/`Plus`: the overwrite-and-test races are resolved by relaxed atomic stores, a faithful CRCW-ARB realization |
 //!
 //! All engines produce results identical to [`serial::multiprefix_serial`]

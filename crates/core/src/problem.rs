@@ -27,8 +27,11 @@ pub struct MultiprefixOutput<T> {
 /// Validate a multiprefix problem instance.
 ///
 /// Checks that `values` and `labels` have equal length and that every label
-/// lies in `[0, m)`. Every public entry point calls this before dispatching
-/// to an engine, so engines themselves may index without bounds anxiety.
+/// lies in `[0, m)`, reporting the first offending index. The public API
+/// returns exactly this error for every engine: the serial and spinetree
+/// engines run after this scan, while the chunked engine checks each label
+/// in its own local loop (and is scanned first only when `m == 1`, where its
+/// vector kernels never read a label).
 ///
 /// ```
 /// use multiprefix::problem::validate;
@@ -36,16 +39,19 @@ pub struct MultiprefixOutput<T> {
 /// assert!(validate(&2, &[0usize, 5], 2).is_err());
 /// ```
 pub fn validate(n_values: &usize, labels: &[usize], m: usize) -> Result<(), MpError> {
-    if *n_values != labels.len() {
-        return Err(MpError::LengthMismatch {
-            values: *n_values,
-            labels: labels.len(),
-        });
-    }
+    validate_lengths(*n_values, labels.len())?;
     for (index, &label) in labels.iter().enumerate() {
         if label >= m {
             return Err(MpError::LabelOutOfRange { index, label, m });
         }
+    }
+    Ok(())
+}
+
+/// The length half of [`validate`]: one label per value.
+pub(crate) fn validate_lengths(values: usize, labels: usize) -> Result<(), MpError> {
+    if values != labels {
+        return Err(MpError::LengthMismatch { values, labels });
     }
     Ok(())
 }

@@ -53,6 +53,11 @@
 //! serial time on the same host), so the check is immune to absolute machine
 //! speed. Any engine whose ratio regresses by more than 25% versus the
 //! committed baseline fails the process with a non-zero exit.
+//!
+//! The `auto` section times what callers get by default:
+//! `multiprefix(…, Engine::Auto)` through the public API (validation
+//! included), paired with the serial Figure 2 loop at the same sizes.
+//! `--gate` holds its `auto_vs_serial` ratios to the same 25% tolerance.
 
 use multiprefix::chunked::multiprefix_chunked_with_parts;
 use multiprefix::obs::{phase_key, MemoryRecorder, Phase};
@@ -63,7 +68,8 @@ use multiprefix::spinetree::build::ArbPolicy;
 use multiprefix::spinetree::engine::multiprefix_spinetree_instrumented;
 use multiprefix::spinetree::layout::{choose_row_len_skewed, Layout};
 use multiprefix::{
-    try_multiprefix_socket_ctx, EngineKind, ExecConfig, NetConfig, OverflowPolicy, ShardConfig,
+    multiprefix, try_multiprefix_socket_ctx, Engine, EngineKind, ExecConfig, NetConfig,
+    OverflowPolicy, ShardConfig,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -388,10 +394,48 @@ fn measure_simd_point(n: usize, checksum: &mut i64) -> (f64, u64, u64) {
     (ratios[ratios.len() / 2], simd_min, scalar_min)
 }
 
-/// Line-scan a committed report for its `simd_vs_scalar` points (the
-/// one-line rows under the `"simd"` section; see `main`'s writer).
-fn parse_simd_points(text: &str) -> Vec<(usize, f64)> {
+/// `Engine::Auto` against the serial reference, paired as in
+/// [`measure_paired_ratio`]: the public `multiprefix(…, Engine::Auto)`, as
+/// any caller runs it, against `multiprefix_serial`. Returns the median
+/// ratio and each side's minimum wall time.
+fn measure_auto_point(n: usize, checksum: &mut i64) -> (f64, u64, u64) {
+    let m = (n / 16).max(1);
+    let values = vec![1i64; n];
+    let labels = lcg_labels(n, m, 42);
+    let mut time = |engine: Option<Engine>| -> u64 {
+        let started = Instant::now();
+        let out = match engine {
+            Some(engine) => multiprefix(&values, &labels, m, Plus, engine)
+                .expect("auto bench workload must not fail"),
+            None => multiprefix::serial::multiprefix_serial(&values, &labels, m, Plus),
+        };
+        let ns = started.elapsed().as_nanos().max(1) as u64;
+        *checksum = checksum.wrapping_add(out.reductions[0]);
+        ns
+    };
+    // Warm up both sides (first-touch faults).
+    time(None);
+    time(Some(Engine::Auto));
+    let trials = gate_trials(n);
+    let mut ratios = Vec::with_capacity(trials);
+    let (mut auto_min, mut serial_min) = (u64::MAX, u64::MAX);
+    for _ in 0..trials {
+        let serial_ns = time(None);
+        let auto_ns = time(Some(Engine::Auto));
+        serial_min = serial_min.min(serial_ns);
+        auto_min = auto_min.min(auto_ns);
+        ratios.push(auto_ns as f64 / serial_ns as f64);
+    }
+    ratios.sort_by(|a, b| a.total_cmp(b));
+    (ratios[ratios.len() / 2], auto_min, serial_min)
+}
+
+/// Line-scan a committed report for the one-line `{"size": …}` points
+/// carrying `key` (`simd_vs_scalar` under `"simd"`, `auto_vs_serial`
+/// under `"auto"`; see `main`'s writer).
+fn parse_points(text: &str, key: &str) -> Vec<(usize, f64)> {
     let mut out = Vec::new();
+    let marker = format!("\"{key}\": ");
     for line in text.lines() {
         let t = line.trim();
         let Some(rest) = t.strip_prefix("{\"size\": ") else {
@@ -400,7 +444,7 @@ fn parse_simd_points(text: &str) -> Vec<(usize, f64)> {
         let Some((size, tail)) = rest.split_once(',') else {
             continue;
         };
-        let Some(ratio) = tail.split("\"simd_vs_scalar\": ").nth(1) else {
+        let Some(ratio) = tail.split(marker.as_str()).nth(1) else {
             continue;
         };
         let size = size.trim().parse::<usize>().ok();
@@ -487,7 +531,7 @@ fn run_gate(baseline_path: &str) -> ! {
     // reproduce within the same tolerance. Only meaningful when this
     // process actually resolved the AVX2 kernels — the `--kernel scalar`
     // CI leg and non-AVX2 hosts skip it (the engine rows above still ran).
-    let simd_base = parse_simd_points(&text);
+    let simd_base = parse_points(&text, "simd_vs_scalar");
     if simd_base.is_empty() {
         eprintln!("gate: baseline has no simd_vs_scalar points (pre-simd baseline)");
     } else if active_level() != SimdLevel::Avx2 {
@@ -507,6 +551,24 @@ fn run_gate(baseline_path: &str) -> ! {
             if regressed {
                 failures += 1;
             }
+        }
+    }
+    // The default path: `Engine::Auto` against serial; a ratio grown
+    // past the tolerance fails.
+    let auto_base = parse_points(&text, "auto_vs_serial");
+    if auto_base.is_empty() {
+        eprintln!("gate: baseline has no auto_vs_serial points (pre-auto baseline)");
+    }
+    for &(n, base) in &auto_base {
+        let (cur, auto_ns, serial_ns) = measure_auto_point(n, &mut checksum);
+        let regressed = cur > base * (1.0 + GATE_TOLERANCE);
+        eprintln!(
+            "gate: n={n:>8} auto_vs_serial {cur:>7.3} vs baseline {base:>7.3} \
+             (auto {auto_ns}ns, serial {serial_ns}ns) {}",
+            if regressed { "REGRESSED" } else { "ok" }
+        );
+        if regressed {
+            failures += 1;
         }
     }
     eprintln!("gate: checksum {checksum}");
@@ -1378,6 +1440,39 @@ fn main() {
             "\n"
         });
         eprintln!("  n={n}: simd_vs_scalar = {ratio:.3}");
+    }
+    json.push_str("    ]\n");
+    json.push_str("  },\n");
+
+    // What callers get by default: `Engine::Auto` through the public API,
+    // against the serial loop.
+    eprintln!("auto-vs-serial sweep ...");
+    json.push_str("  \"auto\": {\n");
+    let _ = writeln!(json, "    \"host_cpus\": {host_cpus},");
+    let _ = writeln!(
+        json,
+        "    \"workload\": \"multiprefix(.., Engine::Auto) vs multiprefix_serial, i64 Plus, \
+         m = n/16\","
+    );
+    let _ = writeln!(
+        json,
+        "    \"note\": \"median of paired per-trial auto/serial quotients; Auto runs the chunked \
+         engine on one chunk and its label check replaces the API's validation pass\","
+    );
+    json.push_str("    \"points\": [\n");
+    for (si, &n) in cfg.sizes.iter().enumerate() {
+        let (ratio, auto_ns, serial_ns) = measure_auto_point(n, &mut checksum);
+        let _ = write!(
+            json,
+            "      {{\"size\": {n}, \"serial_ns_min\": {serial_ns}, \
+             \"auto_ns_min\": {auto_ns}, \"auto_vs_serial\": {ratio:.3}}}"
+        );
+        json.push_str(if si + 1 < cfg.sizes.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
+        eprintln!("  n={n}: auto_vs_serial = {ratio:.3}");
     }
     json.push_str("    ]\n");
     json.push_str("  },\n");

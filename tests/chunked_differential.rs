@@ -8,17 +8,29 @@
 //! one workspace is also driven through call sequences that change `m`,
 //! flip between label-indexed and probed tables, and survive an injected
 //! local-phase panic.
+//!
+//! The engine checks labels inside its local loop, so a bad label must
+//! surface from every entry point as exactly the error `validate()`
+//! reports — same index, whichever chunk found it, and even when a
+//! cancel, an expired deadline or an injected fault stops the run first.
+//! And `Engine::Auto` must stay bit-identical to serial when many threads
+//! call it at once, and on floats from one call to the next.
 
 use multiprefix::chunked::{
     multiprefix_chunked_with_parts, multireduce_chunked, try_multiprefix_chunked,
-    try_multiprefix_chunked_ctx, try_multiprefix_chunked_ws_ctx, ChunkedPlan, ChunkedWorkspace,
+    try_multiprefix_chunked_cfg_ctx, try_multiprefix_chunked_ctx, try_multiprefix_chunked_ws_ctx,
+    try_multireduce_chunked_cfg_ctx, ChunkedPlan, ChunkedWorkspace, MIN_CHUNK_LEN,
 };
 use multiprefix::op::{FirstLast, Max, Min, Plus, TryCombineOp};
 use multiprefix::resilience::{CancelToken, ChaosPlan, EngineKind, RunContext};
 use multiprefix::serial::{multiprefix_serial, multireduce_serial, try_multiprefix_serial};
-use multiprefix::{Element, ExecConfig, MpError, OverflowPolicy};
+use multiprefix::{
+    multiprefix, multireduce, try_multiprefix, try_multiprefix_ctx, try_multireduce,
+    try_multireduce_ctx, validate, Element, Engine, ExecConfig, MpError, OverflowPolicy,
+};
 use proptest::prelude::*;
 use std::ops::Range;
+use std::time::Duration;
 
 const POLICIES: [OverflowPolicy; 3] = [
     OverflowPolicy::Wrap,
@@ -76,6 +88,44 @@ fn call_sequence() -> impl Strategy<Value = Vec<(usize, usize, u64, bool)>> {
     );
     proptest::collection::vec(call, 1..6)
 }
+
+/// A problem with out-of-range labels, and a thread count in `1..=8`. Bad
+/// labels (`m`, `m + 3` or `usize::MAX`) sit at the first or last element
+/// or on either side of a chunk boundary of the split on that many threads
+/// (one chunk per `MIN_CHUNK_LEN` elements, rounded up, at most one per
+/// thread). `m` is 0, 1, small, or large enough (`m ≫ n`) to force the
+/// probed chunk tables.
+fn bad_label_problem() -> impl Strategy<Value = (Vec<i64>, Vec<usize>, usize, usize)> {
+    let m = (0u8..4, 2usize..300, 200_000usize..2_000_000)
+        .prop_map(|(k, small, huge)| [0, 1, small, huge][k as usize]);
+    let n = mostly(1..64, MIN_CHUNK_LEN..40_000);
+    (n, m, 1usize..9, any::<u64>()).prop_map(|(n, m, parts, seed)| {
+        let mut state = seed;
+        let values = (0..n).map(|_| lcg(&mut state) as i64).collect();
+        let mut labels: Vec<usize> = (0..n)
+            .map(|_| lcg(&mut state) as usize % m.max(1))
+            .collect();
+        let chunks = parts.min(n.div_ceil(MIN_CHUNK_LEN));
+        let len = n.div_ceil(chunks);
+        let mut sites = vec![0, n - 1];
+        sites.extend((1..chunks).flat_map(|k| [k * len - 1, k * len]));
+        // At least one bad label, usually several.
+        let first = lcg(&mut state) as usize % sites.len();
+        for (k, &i) in sites.iter().enumerate() {
+            if k == first || lcg(&mut state).is_multiple_of(3) {
+                labels[i] = [m, m + 3, usize::MAX][lcg(&mut state) as usize % 3];
+            }
+        }
+        (values, labels, m, parts)
+    })
+}
+
+const ENGINES: [Engine; 4] = [
+    Engine::Auto,
+    Engine::Serial,
+    Engine::Spinetree,
+    Engine::Chunked,
+];
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -197,6 +247,197 @@ proptest! {
             plan.run(&values, Plus),
             multiprefix_serial(&values, &labels, m, Plus)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn every_entry_reports_the_validate_error((values, labels, m, parts) in bad_label_problem()) {
+        let expect = validate(&values.len(), &labels, m).err();
+        prop_assert!(expect.is_some(), "the draw plants a bad label");
+        for engine in ENGINES {
+            prop_assert_eq!(multiprefix(&values, &labels, m, Plus, engine).err(), expect.clone(), "{:?}", engine);
+            prop_assert_eq!(multireduce(&values, &labels, m, Plus, engine).err(), expect.clone(), "{:?}", engine);
+            for cfg in [ExecConfig::default(), ExecConfig::default().threads(parts)] {
+                prop_assert_eq!(
+                    try_multiprefix(&values, &labels, m, Plus, engine, cfg).err(),
+                    expect.clone(),
+                    "{:?} {:?}", engine, cfg
+                );
+                prop_assert_eq!(
+                    try_multireduce(&values, &labels, m, Plus, engine, cfg).err(),
+                    expect.clone(),
+                    "{:?} {:?}", engine, cfg
+                );
+            }
+        }
+        // A run stopped before its loop reaches the bad label still reports
+        // the label, as the engines that scan first do.
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let chaos = ChaosPlan::seeded(parts as u64)
+            .worker_panic_ppm(1_000_000)
+            .only(EngineKind::Chunked)
+            .arm();
+        let stopped = [
+            ("cancelled", RunContext::new().with_cancel(&cancel)),
+            ("expired", RunContext::new().with_timeout(Duration::ZERO)),
+            ("worker panic", RunContext::new().with_chaos(chaos)),
+        ];
+        for engine in ENGINES {
+            for (why, ctx) in &stopped {
+                for cfg in [ExecConfig::default(), ExecConfig::default().threads(parts)] {
+                    prop_assert_eq!(
+                        try_multiprefix_ctx(&values, &labels, m, Plus, engine, cfg, ctx).err(),
+                        expect.clone(),
+                        "{:?} {} {:?}", engine, why, cfg
+                    );
+                    prop_assert_eq!(
+                        try_multireduce_ctx(&values, &labels, m, Plus, engine, cfg, ctx).err(),
+                        expect.clone(),
+                        "{:?} {} {:?}", engine, why, cfg
+                    );
+                }
+            }
+        }
+        // The engine's own entries check labels too, except with m == 1
+        // (a documented precondition: the vector kernels never read one).
+        if m != 1 {
+            let cfg = ExecConfig::default().threads(parts);
+            let ctx = RunContext::new();
+            let mut ws = ChunkedWorkspace::new();
+            prop_assert_eq!(
+                try_multiprefix_chunked(&values, &labels, m, Plus, OverflowPolicy::Wrap).err(),
+                expect.clone()
+            );
+            prop_assert_eq!(
+                try_multiprefix_chunked_cfg_ctx(&values, &labels, m, Plus, cfg, &ctx).err(),
+                expect.clone()
+            );
+            prop_assert_eq!(
+                try_multiprefix_chunked_ws_ctx(&values, &labels, m, Plus, cfg, &mut ws, &ctx).err(),
+                expect.clone()
+            );
+            prop_assert_eq!(
+                try_multireduce_chunked_cfg_ctx(&values, &labels, m, Plus, cfg, &ctx).err(),
+                expect
+            );
+        }
+    }
+}
+
+/// The entries that used to panic on a bad label (and report the
+/// contained panic as `EnginePanicked`) now name it, at its global index.
+#[test]
+fn direct_entries_name_the_bad_label() {
+    let n = 20_000;
+    for m in [7usize, 1_000_000] {
+        for index in [5usize, 15_000] {
+            let values = vec![1i64; n];
+            let mut labels: Vec<usize> = (0..n).map(|i| i % m).collect();
+            labels[index] = m + 3;
+            let expect = Err(MpError::LabelOutOfRange {
+                index,
+                label: m + 3,
+                m,
+            });
+            let got = try_multiprefix_chunked(&values, &labels, m, Plus, OverflowPolicy::Wrap);
+            assert_eq!(got, expect, "m={m} index={index}");
+            let cfg = ExecConfig::default().threads(4);
+            let got =
+                try_multireduce_chunked_cfg_ctx(&values, &labels, m, Plus, cfg, &RunContext::new());
+            assert_eq!(got, expect.map(|_| None), "m={m} index={index}");
+        }
+    }
+}
+
+/// Eight threads call `Engine::Auto` at once over mixed sizes — from empty
+/// to several `MIN_CHUNK_LEN` chunks, one label to `m ≫ n` — through the
+/// plain and hardened entries: every answer is serial's.
+#[test]
+fn auto_storm_matches_serial() {
+    let shapes: Vec<(Vec<i64>, Vec<usize>, usize)> = [
+        (0usize, 3usize),
+        (100, 1),
+        (5_000, 17),
+        (9_000, 1),
+        (20_000, 600),
+        (33_000, 200_000),
+    ]
+    .iter()
+    .map(|&(n, m)| {
+        let mut state = (n * 31 + m) as u64;
+        let values = (0..n).map(|_| lcg(&mut state) as i64).collect();
+        let labels = (0..n).map(|_| lcg(&mut state) as usize % m).collect();
+        (values, labels, m)
+    })
+    .collect();
+    let expect: Vec<_> = shapes
+        .iter()
+        .map(|(v, l, m)| multiprefix_serial(v, l, *m, Plus))
+        .collect();
+    let start = std::sync::Barrier::new(8);
+    std::thread::scope(|scope| {
+        for t in 0..8 {
+            let (shapes, expect, start) = (&shapes, &expect, &start);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..10 {
+                    for k in 0..shapes.len() {
+                        let i = (k + t + round) % shapes.len();
+                        let (values, labels, m) = &shapes[i];
+                        let out = multiprefix(values, labels, *m, Plus, Engine::Auto).unwrap();
+                        assert_eq!(out, expect[i], "thread {t} shape {i}");
+                        let red = multireduce(values, labels, *m, Plus, Engine::Auto).unwrap();
+                        assert_eq!(red, expect[i].reductions, "thread {t} shape {i}");
+                        let cfg = ExecConfig::default();
+                        let out = try_multiprefix(values, labels, *m, Plus, Engine::Auto, cfg);
+                        assert_eq!(out.as_ref(), Ok(&expect[i]), "thread {t} shape {i}");
+                    }
+                }
+            });
+        }
+    });
+}
+
+/// `Engine::Auto` on floats gives the same bits on every call, and serial's:
+/// it runs one chunk, which combines in serial order. A split adds each
+/// chunk's offset after its local prefix, which rounds differently — the
+/// data is chosen so that it does.
+#[test]
+fn auto_on_floats_is_bit_stable() {
+    let (n, m) = (50_000, 7);
+    let mut state = 0x5eed;
+    let values: Vec<f64> = (0..n)
+        .map(|i| (lcg(&mut state) >> 11) as f64 * [1e-24, 1e-16, 1e-8][i % 3])
+        .collect();
+    let labels: Vec<usize> = (0..n).map(|_| lcg(&mut state) as usize % m).collect();
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let serial = multiprefix_serial(&values, &labels, m, Plus);
+    let (sums, reductions) = (bits(&serial.sums), bits(&serial.reductions));
+    let split = multiprefix_chunked_with_parts(&values, &labels, m, Plus, 4);
+    assert_ne!(
+        bits(&split.sums),
+        sums,
+        "the data must be rounding-sensitive"
+    );
+    for call in 0..70 {
+        let out = multiprefix(&values, &labels, m, Plus, Engine::Auto).unwrap();
+        assert_eq!(bits(&out.sums), sums, "call {call}");
+        assert_eq!(bits(&out.reductions), reductions, "call {call}");
+        let red = multireduce(&values, &labels, m, Plus, Engine::Auto).unwrap();
+        assert_eq!(bits(&red), reductions, "call {call}");
+        let out = try_multiprefix(
+            &values,
+            &labels,
+            m,
+            Plus,
+            Engine::Auto,
+            ExecConfig::default(),
+        );
+        assert_eq!(bits(&out.unwrap().sums), sums, "call {call}");
     }
 }
 
