@@ -48,13 +48,16 @@
 //! §8, "The chunk count").
 
 use crate::error::MpError;
-use crate::exec::{try_filled_vec, CheckGuard, ExecConfig, OverflowPolicy, TryEngineResult};
+use crate::exec::{
+    try_filled_vec, try_with_capacity, CheckGuard, ExecConfig, OverflowPolicy, TryEngineResult,
+};
 use crate::obs::{phase_key, Phase};
 use crate::op::{CombineOp, TryCombineOp};
-use crate::problem::{validate, Element, MultiprefixOutput};
+use crate::problem::{validate, validate_lengths, Element, MultiprefixOutput};
 use crate::resilience::{EngineKind, RunContext, CHECK_STRIDE};
 use crate::shard::exscan::{exscan_parts, SlicePart, SummaryPart};
 use crate::simd::{Kernel, Kernels};
+use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -91,8 +94,10 @@ pub(crate) trait Comb<T: Element>: Copy + Send + Sync {
     fn allow_f32(&self) -> bool {
         false
     }
-    /// `len` copies of the identity: fallible ([`try_filled_vec`]) on the
-    /// hardened path.
+    /// `len` copies of the identity — the `m`-sized reduction vector and
+    /// the plan's per-chunk summaries; the element output is written once
+    /// into uninitialized capacity instead ([`run_prefix`]). Fallible
+    /// ([`try_filled_vec`]) on the hardened path.
     fn identity_vec(&self, len: usize) -> Result<Vec<T>, MpError> {
         try_filled_vec(self.identity(), len)
     }
@@ -123,9 +128,10 @@ impl<T: Element, O: CombineOp<T>> Comb<T> for PlainComb<O> {
         O::KERNEL
     }
     /// The plain path cannot fail anyway, so it allocates with `vec!`,
-    /// which hands an all-zero identity to `calloc`: fresh zero pages
-    /// instead of a fill pass over the whole output before the local
-    /// phase writes it again.
+    /// which hands an all-zero identity to `calloc`. That now serves only
+    /// the `m`-sized tables: when `m ≫ n`, most reduction slots belong to
+    /// labels the run never touches, and fresh zero pages leave those
+    /// pages unwritten where a fill pass would write every one.
     fn identity_vec(&self, len: usize) -> Result<Vec<T>, MpError> {
         Ok(vec![self.0.identity(); len])
     }
@@ -383,8 +389,10 @@ impl<T: Element> SummaryPart<T> for ChunkSpace<T> {
 /// chunk after the first (whose table is the reduction vector itself). A
 /// fresh (default) workspace works for any call; reusing one across calls
 /// retains the grown buffers, so a warm workspace performs **zero large
-/// allocations** per run (the output vectors themselves are the only
-/// O(n)/O(m) allocations left).
+/// allocations** per run. The outputs are the only O(n)/O(m) allocations
+/// left: `sums` is reserved uninitialized and each slot written once by
+/// the local pass, and `reductions` is the identity-filled table the first
+/// chunk accumulates into.
 ///
 /// Not thread-safe by itself — one workspace serves one call at a time; use
 /// a [`WorkspacePool`] to share warm workspaces across service workers.
@@ -584,7 +592,7 @@ enum Table<'a, T> {
 /// injection.
 fn local_pass<T: Element, C: Comb<T>>(
     table: Table<'_, T>,
-    sums: Option<&mut [T]>,
+    sums: Option<&mut [MaybeUninit<T>]>,
     input: Input<'_, T>,
     comb: C,
     fast: Option<&'static Kernels<T>>,
@@ -636,6 +644,11 @@ fn bad_label<T>(input: &Input<'_, T>, i: usize, label: usize) -> MpError {
 /// `locate` maps a label to its `vals` index and reports a first touch,
 /// whose stale entry is read as the identity.
 ///
+/// `sums` may be uninitialized and must be as long as `values` and
+/// `labels`: an `Ok` return means every slot of it was written, once.
+/// Every loop here walks [`CHECK_STRIDE`]-element blocks and polls `ctx`
+/// once at each block start, the indices where `checkpoint_every` fires.
+///
 /// The scalar loops check `label < m` where they index the table, so a bad
 /// label is an [`MpError::LabelOutOfRange`] at its global index, not an
 /// out-of-bounds panic, and callers need no separate validation pass. The
@@ -645,7 +658,7 @@ fn bad_label<T>(input: &Input<'_, T>, i: usize, label: usize) -> MpError {
 fn fold<T: Element, C: Comb<T>>(
     vals: &mut [T],
     mut locate: impl FnMut(usize) -> (usize, bool),
-    sums: Option<&mut [T]>,
+    sums: Option<&mut [MaybeUninit<T>]>,
     input: Input<'_, T>,
     comb: C,
     fast: Option<&'static Kernels<T>>,
@@ -657,50 +670,63 @@ fn fold<T: Element, C: Comb<T>>(
     let id = comb.identity();
     // Single-label fast path (`fast` is only `Some` when `m == 1`, so
     // every label is 0): the whole chunk is one exclusive scan (or
-    // reduction) with the bucket value as carry. Block-strided so the
-    // cancellation fuse is polled at exactly the same indices as the scalar
-    // loops below.
+    // reduction) with the bucket value as carry.
     if let Some(tbl) = fast {
         if !values.is_empty() {
             let (s, fresh) = locate(0);
             let mut acc = if fresh { id } else { vals[s] };
-            let mut sums = sums;
-            let mut i = 0usize;
-            while i < values.len() {
-                ctx.checkpoint_every(i)?;
-                let end = (i + CHECK_STRIDE).min(values.len());
-                acc = match sums.as_deref_mut() {
-                    Some(out) => (tbl.excl_scan_into)(&values[i..end], &mut out[i..end], acc),
-                    None => (tbl.reduce)(acc, &values[i..end]),
-                };
-                i = end;
+            match sums {
+                Some(sums) => {
+                    let blocks = sums
+                        .chunks_mut(CHECK_STRIDE)
+                        .zip(values.chunks(CHECK_STRIDE));
+                    for (out, values) in blocks {
+                        ctx.checkpoint()?;
+                        acc = (tbl.excl_scan_into)(values, out, acc);
+                    }
+                }
+                None => {
+                    for values in values.chunks(CHECK_STRIDE) {
+                        ctx.checkpoint()?;
+                        acc = (tbl.reduce)(acc, values);
+                    }
+                }
             }
             vals[s] = acc;
         }
         return Ok(());
     }
+    let inputs = values.chunks(CHECK_STRIDE).zip(labels.chunks(CHECK_STRIDE));
     match sums {
         Some(sums) => {
-            for (i, ((si, &v), &l)) in sums.iter_mut().zip(values).zip(labels).enumerate() {
-                ctx.checkpoint_every(i)?;
-                if l >= m {
-                    return Err(bad_label(&input, i, l));
+            for (b, (sums, (values, labels))) in
+                sums.chunks_mut(CHECK_STRIDE).zip(inputs).enumerate()
+            {
+                ctx.checkpoint()?;
+                let base = b * CHECK_STRIDE;
+                for (i, ((si, &v), &l)) in sums.iter_mut().zip(values).zip(labels).enumerate() {
+                    if l >= m {
+                        return Err(bad_label(&input, base + i, l));
+                    }
+                    let (s, fresh) = locate(l);
+                    let acc = if fresh { id } else { vals[s] };
+                    si.write(acc);
+                    vals[s] = comb.combine(acc, v);
                 }
-                let (s, fresh) = locate(l);
-                let acc = if fresh { id } else { vals[s] };
-                *si = acc;
-                vals[s] = comb.combine(acc, v);
             }
         }
         None => {
-            for (i, (&v, &l)) in values.iter().zip(labels).enumerate() {
-                ctx.checkpoint_every(i)?;
-                if l >= m {
-                    return Err(bad_label(&input, i, l));
+            for (b, (values, labels)) in inputs.enumerate() {
+                ctx.checkpoint()?;
+                let base = b * CHECK_STRIDE;
+                for (i, (&v, &l)) in values.iter().zip(labels).enumerate() {
+                    if l >= m {
+                        return Err(bad_label(&input, base + i, l));
+                    }
+                    let (s, fresh) = locate(l);
+                    let acc = if fresh { id } else { vals[s] };
+                    vals[s] = comb.combine(acc, v);
                 }
-                let (s, fresh) = locate(l);
-                let acc = if fresh { id } else { vals[s] };
-                vals[s] = comb.combine(acc, v);
             }
         }
     }
@@ -708,7 +734,7 @@ fn fold<T: Element, C: Comb<T>>(
 }
 
 /// The apply phase over (a piece of) one chunk: prepend the chunk's
-/// per-label offsets.
+/// per-label offsets, polling `ctx` once per [`CHECK_STRIDE`] block.
 fn apply_pass<T: Element, C: Comb<T>>(
     space: &ChunkSpace<T>,
     sums: &mut [T],
@@ -722,25 +748,29 @@ fn apply_pass<T: Element, C: Comb<T>>(
     if let Some(tbl) = fast {
         if !sums.is_empty() {
             let acc = vals[map.slot(0)];
-            let mut i = 0usize;
-            while i < sums.len() {
-                ctx.checkpoint_every(i)?;
-                let end = (i + CHECK_STRIDE).min(sums.len());
-                (tbl.combine_broadcast)(acc, &mut sums[i..end]);
-                i = end;
+            for block in sums.chunks_mut(CHECK_STRIDE) {
+                ctx.checkpoint()?;
+                (tbl.combine_broadcast)(acc, block);
             }
         }
         return Ok(());
     }
+    let blocks = sums
+        .chunks_mut(CHECK_STRIDE)
+        .zip(labels.chunks(CHECK_STRIDE));
     if map.direct {
-        for (i, (si, &l)) in sums.iter_mut().zip(labels).enumerate() {
-            ctx.checkpoint_every(i)?;
-            *si = comb.combine(vals[l], *si);
+        for (sums, labels) in blocks {
+            ctx.checkpoint()?;
+            for (si, &l) in sums.iter_mut().zip(labels) {
+                *si = comb.combine(vals[l], *si);
+            }
         }
     } else {
-        for (i, (si, &l)) in sums.iter_mut().zip(labels).enumerate() {
-            ctx.checkpoint_every(i)?;
-            *si = comb.combine(vals[map.slot(l)], *si);
+        for (sums, labels) in blocks {
+            ctx.checkpoint()?;
+            for (si, &l) in sums.iter_mut().zip(labels) {
+                *si = comb.combine(vals[map.slot(l)], *si);
+            }
         }
     }
     Ok(())
@@ -778,6 +808,11 @@ where
 /// The engine core: all three phases, generic over the combine wrapper.
 /// `pub(crate)` so the sharded supervisor can degrade to single-node
 /// chunked execution without re-wrapping the public API.
+///
+/// `sums` is reserved uninitialized and the local pass writes each slot
+/// once, so unequal `values`/`labels` lengths are rejected first
+/// ([`MpError::LengthMismatch`]): a short `labels` would end a chunk's loop
+/// before its last slot.
 pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
     values: &[T],
     labels: &[usize],
@@ -787,6 +822,7 @@ pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
     ws: &mut ChunkedWorkspace<T>,
     ctx: &RunContext,
 ) -> Result<MultiprefixOutput<T>, MpError> {
+    validate_lengths(values.len(), labels.len())?;
     ctx.checkpoint()?;
     let n = values.len();
     let mut reductions = comb.identity_vec(m)?;
@@ -796,7 +832,7 @@ pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
             reductions,
         });
     }
-    let mut sums = comb.identity_vec(n)?;
+    let mut sums = try_with_capacity(n)?;
     let fast = single_label_kernels(m, comb);
     if let Some(rec) = ctx.recorder() {
         rec.event(
@@ -816,7 +852,7 @@ pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
     let tables = std::iter::once(Table::Output(&mut reductions[..]))
         .chain(spaces.iter_mut().map(Table::Space));
     let items: Vec<_> = tables
-        .zip(sums.chunks_mut(chunk_len))
+        .zip(sums.spare_capacity_mut()[..n].chunks_mut(chunk_len))
         .zip(values.chunks(chunk_len).zip(labels.chunks(chunk_len)))
         .collect();
     run_chunks(items, |idx, ((table, s), (values, labels))| {
@@ -828,6 +864,13 @@ pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
         };
         local_pass(table, Some(s), input, comb, fast, ctx, idx)
     })?;
+    // SAFETY: `sums` has capacity `n`, and its first `n` slots were cut
+    // into one piece per chunk, each as long as that chunk of `values` and
+    // of `labels` (equal lengths, checked above). A local pass that
+    // returns `Ok` has written every slot of its piece, and `run_chunks`
+    // returns `Ok` only when every chunk's pass did. An `Err` or a panic
+    // leaves this function above, with `sums` still at length 0.
+    unsafe { sums.set_len(n) };
     drop(local_span);
 
     // Phase 2 — combine: the shared exscan-over-summaries primitive
@@ -877,6 +920,7 @@ fn run_reduce<T: Element, C: Comb<T>>(
     ws: &mut ChunkedWorkspace<T>,
     ctx: &RunContext,
 ) -> Result<Vec<T>, MpError> {
+    validate_lengths(values.len(), labels.len())?;
     ctx.checkpoint()?;
     let n = values.len();
     let mut reductions = comb.identity_vec(m)?;
@@ -905,6 +949,13 @@ fn run_reduce<T: Element, C: Comb<T>>(
     let _span = ctx.phase_span(Phase::Combine);
     exscan_parts(spaces, &mut reductions, comb, ctx)?;
     Ok(reductions)
+}
+
+/// The plain entries' result: an engine error there is a broken
+/// precondition (unequal lengths, a label `>= m`), raised as a panic whose
+/// message names it.
+fn expect_plain<R>(result: Result<R, MpError>) -> R {
+    result.unwrap_or_else(|e| panic!("chunked engine: {e}"))
 }
 
 /// The default worker count: [`ExecConfig::threads`] when set, otherwise
@@ -960,6 +1011,12 @@ pub(crate) fn reduce<T: Element, O: CombineOp<T>>(
 /// Chunked multiprefix with the default thread count (available
 /// parallelism). Preconditions as elsewhere (validated by
 /// [`crate::api::multiprefix`]): equal lengths, labels `< m`.
+///
+/// # Panics
+///
+/// If `values` and `labels` differ in length (the message names both
+/// lengths), or, for `m != 1`, on a label `>= m`. The same holds for every
+/// plain entry below.
 pub fn multiprefix_chunked<T: Element, O: CombineOp<T>>(
     values: &[T],
     labels: &[usize],
@@ -999,7 +1056,7 @@ pub fn multiprefix_chunked_with_parts<T: Element, O: CombineOp<T>>(
     parts: usize,
 ) -> MultiprefixOutput<T> {
     let mut ws = ChunkedWorkspace::new();
-    run_prefix(
+    expect_plain(run_prefix(
         values,
         labels,
         m,
@@ -1007,8 +1064,7 @@ pub fn multiprefix_chunked_with_parts<T: Element, O: CombineOp<T>>(
         parts,
         &mut ws,
         &RunContext::new(),
-    )
-    .expect("chunked engine failed on the plain (infallible) path")
+    ))
 }
 
 /// Chunked multireduce: per-label reductions only.
@@ -1018,8 +1074,7 @@ pub fn multireduce_chunked<T: Element, O: CombineOp<T>>(
     m: usize,
     op: O,
 ) -> Vec<T> {
-    reduce(values, labels, m, op, ExecConfig::default())
-        .expect("chunked engine failed on the plain (infallible) path")
+    expect_plain(reduce(values, labels, m, op, ExecConfig::default()))
 }
 
 /// Hardened chunked multiprefix (see [`crate::exec`] for the contract):
@@ -1028,7 +1083,8 @@ pub fn multireduce_chunked<T: Element, O: CombineOp<T>>(
 /// serial engine), and panic containment for the whole engine body
 /// including its scoped workers.
 ///
-/// A label `>= m` is reported as [`MpError::LabelOutOfRange`] with its
+/// Unequal `values`/`labels` lengths are [`MpError::LengthMismatch`]. A
+/// label `>= m` is reported as [`MpError::LabelOutOfRange`] with its
 /// index in the whole vector — except when `m == 1`, where the vector
 /// kernels never read a label: there every label must be `0`, as
 /// [`crate::api::try_multiprefix`] checks before it calls the engine.
@@ -1235,12 +1291,7 @@ impl ChunkedPlan {
         let chunks = chunk_count(n, threads);
         let chunk_len = if n == 0 { 1 } else { n.div_ceil(chunks) };
         let chunks = if n == 0 { 0 } else { n.div_ceil(chunk_len) };
-        let mut elem_slot = Vec::new();
-        elem_slot
-            .try_reserve_exact(n)
-            .map_err(|_| MpError::AllocationFailed {
-                bytes: n.saturating_mul(4),
-            })?;
+        let mut elem_slot = try_with_capacity(n)?;
         let mut touched = Vec::new();
         let mut touched_off = Vec::with_capacity(chunks + 1);
         touched_off.push(0);
@@ -1294,8 +1345,7 @@ impl ChunkedPlan {
     /// Run the plan over `values` (`values.len()` must equal
     /// [`ChunkedPlan::len`]).
     pub fn run<T: Element, O: CombineOp<T>>(&self, values: &[T], op: O) -> MultiprefixOutput<T> {
-        self.run_core(values, PlainComb(op), &RunContext::new())
-            .expect("chunked plan failed on the plain (infallible) path")
+        expect_plain(self.run_core(values, PlainComb(op), &RunContext::new()))
     }
 
     /// Hardened planned run (policy trip → `Ok(None)`, caller replays
@@ -1350,19 +1400,20 @@ impl ChunkedPlan {
                 reductions: comb.identity_vec(self.m)?,
             });
         }
-        let mut sums = comb.identity_vec(self.n)?;
+        let mut sums = try_with_capacity(self.n)?;
         // Per-chunk summaries, sized to each chunk's distinct-label count.
         let mut chunk_vals: Vec<Vec<T>> = Vec::with_capacity(self.chunks);
         for c in 0..self.chunks {
             chunk_vals.push(comb.identity_vec(self.touched_off[c + 1] - self.touched_off[c])?);
         }
 
-        // Local: pure slot-indexed passes, no hashing.
+        // Local: pure slot-indexed passes, no hashing, each writing every
+        // slot of its piece of `sums` once.
         {
             let _span = ctx.phase_span(Phase::Local);
             let items: Vec<_> = chunk_vals
                 .iter_mut()
-                .zip(sums.chunks_mut(self.chunk_len))
+                .zip(sums.spare_capacity_mut()[..self.n].chunks_mut(self.chunk_len))
                 .zip(
                     values
                         .chunks(self.chunk_len)
@@ -1373,14 +1424,27 @@ impl ChunkedPlan {
                 if let Some(chaos) = ctx.chaos() {
                     chaos.inject_chunk_worker(idx, ctx.deadline());
                 }
-                for (i, ((si, &vi), &slot)) in s.iter_mut().zip(v).zip(slots).enumerate() {
-                    ctx.checkpoint_every(i)?;
-                    let slot = slot as usize;
-                    *si = vals[slot];
-                    vals[slot] = comb.combine(vals[slot], vi);
+                let blocks = s
+                    .chunks_mut(CHECK_STRIDE)
+                    .zip(v.chunks(CHECK_STRIDE).zip(slots.chunks(CHECK_STRIDE)));
+                for (s, (v, slots)) in blocks {
+                    ctx.checkpoint()?;
+                    for ((si, &vi), &slot) in s.iter_mut().zip(v).zip(slots) {
+                        let slot = slot as usize;
+                        si.write(vals[slot]);
+                        vals[slot] = comb.combine(vals[slot], vi);
+                    }
                 }
                 Ok(())
             })?;
+            // SAFETY: `sums` has capacity `n`, and its first `n` slots were
+            // cut into one piece per chunk, each as long as that chunk of
+            // `values` (length `n`, asserted above) and of `elem_slot`
+            // (built with `n` entries). A chunk's loop that returns `Ok`
+            // has written every slot of its piece, and `run_chunks` returns
+            // `Ok` only when every chunk's did. An `Err` or a panic leaves
+            // this function above, with `sums` still at length 0.
+            unsafe { sums.set_len(self.n) };
         }
 
         // Combine: the shared exscan primitive over (touched-slice, value)
@@ -1410,9 +1474,12 @@ impl ChunkedPlan {
                 .zip(self.elem_slot.chunks(self.chunk_len))
                 .collect();
             run_chunks(items, |_, ((vals, s), slots)| {
-                for (i, (si, &slot)) in s.iter_mut().zip(slots).enumerate() {
-                    ctx.checkpoint_every(i)?;
-                    *si = comb.combine(vals[slot as usize], *si);
+                let blocks = s.chunks_mut(CHECK_STRIDE).zip(slots.chunks(CHECK_STRIDE));
+                for (s, slots) in blocks {
+                    ctx.checkpoint()?;
+                    for (si, &slot) in s.iter_mut().zip(slots) {
+                        *si = comb.combine(vals[slot as usize], *si);
+                    }
                 }
                 Ok(())
             })?;
@@ -1603,6 +1670,93 @@ mod tests {
             multiprefix_chunked_with_parts(&values, &labels, m, Plus, 5),
             multiprefix_serial(&values, &labels, m, Plus)
         );
+    }
+
+    /// Miri target: the write-once outputs on an input a little over one
+    /// `CHECK_STRIDE` block, so the block loops cross an edge. One chunk
+    /// and two to four forced parts; label-indexed, probed and `m == 1`
+    /// tables; through `run_prefix` (plain and hardened) and through
+    /// `ChunkedPlan`. Every `Ok` output is read back and compared with
+    /// serial, where Miri reports any slot the local pass never wrote; the
+    /// error exits (a bad label in the last chunk, a cancel at the second
+    /// block, a chaos worker panic) return their typed errors.
+    #[test]
+    fn write_once_outputs_cross_block_edges_for_miri() {
+        use crate::resilience::{CancelToken, ChaosPlan};
+        // The hardened core on exactly `parts` chunks, panics contained as
+        // in the `try_*` entries.
+        fn hardened(
+            values: &[i64],
+            labels: &[usize],
+            m: usize,
+            parts: usize,
+            ctx: &RunContext,
+        ) -> Result<MultiprefixOutput<i64>, MpError> {
+            let tripped = AtomicBool::new(false);
+            let guard = CheckGuard::new(Plus, OverflowPolicy::Wrap, &tripped);
+            let mut ws = ChunkedWorkspace::new();
+            catch_unwind(AssertUnwindSafe(|| {
+                run_prefix(values, labels, m, guard, parts, &mut ws, ctx)
+            }))
+            .unwrap_or(Err(MpError::EnginePanicked))
+        }
+        // Polls: entry, block 0, block 1 — the third poll is the second
+        // block of a one-chunk run, and inside the local phase on any split.
+        let cancel_at_second_block =
+            || RunContext::new().with_cancel(&CancelToken::cancel_after(2));
+        let worker_panic = |worker| {
+            let chaos = ChaosPlan::seeded(7)
+                .worker_panic_ppm(1_000_000)
+                .only(EngineKind::Chunked)
+                .only_worker(worker)
+                .arm();
+            RunContext::new().with_chaos(chaos)
+        };
+        let n = CHECK_STRIDE + 5;
+        let values: Vec<i64> = (0..n as i64).map(|i| i % 9 - 4).collect();
+        // m == 1 runs the vector kernels, 7 the label-indexed tables and
+        // 50 000 (≫ n) the probed ones.
+        for m in [1usize, 7, 50_000] {
+            let labels: Vec<usize> = (0..n).map(|i| (i * 31_337) % m).collect();
+            let expect = multiprefix_serial(&values, &labels, m, Plus);
+            for parts in 1..=4 {
+                let why = format!("m={m} parts={parts}");
+                let plain = multiprefix_chunked_with_parts(&values, &labels, m, Plus, parts);
+                assert_eq!(plain, expect, "{why}");
+                let got = hardened(&values, &labels, m, parts, &RunContext::new());
+                assert_eq!(got.as_ref(), Ok(&expect), "{why}");
+                let got = hardened(&values, &labels, m, parts, &cancel_at_second_block());
+                assert_eq!(got, Err(MpError::Cancelled), "{why}");
+                let got = hardened(&values, &labels, m, parts, &worker_panic(parts - 1));
+                assert_eq!(got, Err(MpError::EnginePanicked), "{why}");
+                if m != 1 {
+                    let mut bad = labels.clone();
+                    bad[n - 1] = m + 3;
+                    let got = hardened(&values, &bad, m, parts, &RunContext::new());
+                    let label = m + 3;
+                    let index = n - 1;
+                    let want = MpError::LabelOutOfRange { index, label, m };
+                    assert_eq!(got, Err(want), "{why}");
+                }
+            }
+            // A plan splits into at most one chunk per `MIN_CHUNK_LEN`
+            // elements: one or two here.
+            for threads in 1..=2 {
+                let why = format!("m={m} plan threads={threads}");
+                let plan = ChunkedPlan::with_threads(&labels, m, threads).unwrap();
+                assert_eq!(plan.chunks(), threads, "{why}");
+                assert_eq!(plan.run(&values, Plus), expect, "{why}");
+                let run =
+                    |ctx: &RunContext| plan.try_run_ctx(&values, Plus, OverflowPolicy::Wrap, ctx);
+                assert_eq!(
+                    run(&cancel_at_second_block()),
+                    Err(MpError::Cancelled),
+                    "{why}"
+                );
+                let got = run(&worker_panic(threads - 1));
+                assert_eq!(got, Err(MpError::EnginePanicked), "{why}");
+            }
+        }
     }
 
     #[test]

@@ -349,12 +349,21 @@ impl<'a, O: Copy> CheckGuard<'a, O> {
 /// refuses. The engines use this for every block whose size depends on
 /// caller input (`n + m` pivot temporaries, per-chunk tables).
 pub fn try_filled_vec<T: Element>(fill: T, len: usize) -> Result<Vec<T>, MpError> {
-    let mut v: Vec<T> = Vec::new();
+    let mut v = try_with_capacity(len)?;
+    v.resize(len, fill);
+    Ok(v)
+}
+
+/// An empty vector with room for exactly `len` elements, failing with
+/// [`MpError::AllocationFailed`] instead of aborting when the allocator
+/// refuses: the output buffer an engine then writes once, element by
+/// element.
+pub(crate) fn try_with_capacity<T>(len: usize) -> Result<Vec<T>, MpError> {
+    let mut v = Vec::new();
     v.try_reserve_exact(len)
         .map_err(|_| MpError::AllocationFailed {
             bytes: len.saturating_mul(std::mem::size_of::<T>()),
         })?;
-    v.resize(len, fill);
     Ok(v)
 }
 

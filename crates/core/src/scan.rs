@@ -72,9 +72,11 @@ pub fn exclusive_scan_partition<T: Element, O: CombineOp<T>>(values: &[T], op: O
     // Serial scan over the P totals.
     let (offsets, grand_total) = exclusive_scan_serial(&totals, op);
 
-    // Sweep 2: re-scan each partition from its offset.
-    let mut out = vec![op.identity(); n];
-    out.par_chunks_mut(part_len)
+    // Sweep 2: re-scan each partition from its offset, writing each output
+    // slot once into uninitialized capacity.
+    let mut out = Vec::with_capacity(n);
+    out.spare_capacity_mut()[..n]
+        .par_chunks_mut(part_len)
         .zip(values.par_chunks(part_len))
         .zip(offsets.par_iter())
         .for_each(|((o, v), &offset)| {
@@ -84,10 +86,15 @@ pub fn exclusive_scan_partition<T: Element, O: CombineOp<T>>(values: &[T], op: O
             }
             let mut acc = offset;
             for (oi, &vi) in o.iter_mut().zip(v) {
-                *oi = acc;
+                oi.write(acc);
                 acc = op.combine(acc, vi);
             }
         });
+    // SAFETY: the partitions of `spare[..n]` and of `values` have equal
+    // lengths, and each partition's scan writes every slot of its piece;
+    // `for_each` returns only once every partition has (a panicking
+    // operator unwinds past this line, dropping `out` at length 0).
+    unsafe { out.set_len(n) };
     (out, grand_total)
 }
 
@@ -157,6 +164,29 @@ mod tests {
         let (b, tb) = exclusive_scan_partition(&values, FirstLast);
         assert_eq!(a, b);
         assert_eq!(ta, tb);
+    }
+
+    /// Miri target (the CI `miri` filter matches `scan`): every length up to
+    /// partitions of three elements, on the kernel path (`Plus`) and the
+    /// scalar path (`FirstLast`), so each partition's write-once output is
+    /// read back and compared.
+    #[test]
+    fn partition_writes_every_slot_small() {
+        let partitions = rayon::current_num_threads().max(1) * 4;
+        for n in 0..=2 * partitions + 3 {
+            let values: Vec<i64> = (0..n as i64).map(|i| i * 7 % 11 - 5).collect();
+            assert_eq!(
+                exclusive_scan_partition(&values, Plus),
+                exclusive_scan_serial(&values, Plus),
+                "n={n}"
+            );
+            let pairs: Vec<(i32, i32)> = (0..n as i32).map(|i| (i, -i)).collect();
+            assert_eq!(
+                exclusive_scan_partition(&pairs, FirstLast),
+                exclusive_scan_serial(&pairs, FirstLast),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use super::ScalarFamily;
 use core::arch::x86_64::*;
+use std::mem::MaybeUninit;
 
 /// The vector half of a kernel family: 256-bit lane operations over the
 /// family's element type. Everything is carried as `__m256i`; `f32`
@@ -266,7 +267,7 @@ unsafe fn scan_group<F: VecFamily>(v: __m256i, id: __m256i) -> __m256i {
 #[target_feature(enable = "avx2")]
 unsafe fn excl_scan_into_v<F: VecFamily>(
     values: &[F::Elem],
-    out: &mut [F::Elem],
+    out: &mut [MaybeUninit<F::Elem>],
     carry: F::Elem,
 ) -> F::Elem {
     debug_assert_eq!(values.len(), out.len());
@@ -285,7 +286,7 @@ unsafe fn excl_scan_into_v<F: VecFamily>(
     let mut acc = F::last(c);
     while i < n {
         let v = *values.get_unchecked(i);
-        *out.get_unchecked_mut(i) = acc;
+        out.get_unchecked_mut(i).write(acc);
         acc = F::op(acc, v);
         i += 1;
     }
@@ -389,9 +390,11 @@ unsafe fn reduce_v<F: VecFamily>(init: F::Elem, xs: &[F::Elem]) -> F::Elem {
 
 pub(crate) fn excl_scan_into<F: VecFamily>(
     values: &[F::Elem],
-    out: &mut [F::Elem],
+    out: &mut [MaybeUninit<F::Elem>],
     carry: F::Elem,
 ) -> F::Elem {
+    // `excl_scan_into_v` stores `values.len()` elements through `out`'s pointer.
+    assert_eq!(values.len(), out.len(), "excl_scan_into: slice lengths");
     unsafe { excl_scan_into_v::<F>(values, out, carry) }
 }
 

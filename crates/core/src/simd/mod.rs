@@ -51,6 +51,7 @@ pub use crate::op::Kernel;
 
 use crate::problem::Element;
 use std::any::TypeId;
+use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
 /// The kernel implementation level a process runs at (resolved once, see
@@ -155,8 +156,11 @@ pub struct Kernels<T: Element> {
     /// Exclusive scan of `values` into `out` (`out[i] = carry ⊕
     /// values[0] ⊕ … ⊕ values[i-1]`, so `out[0] == carry`); returns the
     /// outgoing carry `carry ⊕ fold(values)`. Slices must be equal
-    /// length.
-    pub excl_scan_into: fn(&[T], &mut [T], T) -> T,
+    /// length. `out` may be uninitialized (e.g. a `Vec`'s
+    /// `spare_capacity_mut`): every slot is written exactly once and none
+    /// is read, so an engine's output is written in this one pass, with
+    /// no identity fill before it.
+    pub excl_scan_into: fn(&[T], &mut [MaybeUninit<T>], T) -> T,
     /// Exclusive scan in place; returns the outgoing carry.
     pub excl_scan_inplace: fn(&mut [T], T) -> T,
     /// Inclusive scan in place (`x[i] = carry ⊕ x[0] ⊕ … ⊕ x[i]`);
@@ -312,6 +316,23 @@ mod tests {
         (out, acc)
     }
 
+    /// `excl_scan_into` run into a fresh vector's uninitialized capacity,
+    /// as the engines call it.
+    fn scan_into_vec<T: Element>(
+        scan: fn(&[T], &mut [MaybeUninit<T>], T) -> T,
+        values: &[T],
+        carry: T,
+    ) -> (Vec<T>, T) {
+        let n = values.len();
+        let mut out = Vec::with_capacity(n);
+        let carry = scan(values, &mut out.spare_capacity_mut()[..n], carry);
+        // SAFETY: `excl_scan_into` writes each of the `n` slots it is
+        // handed (the kernels' contract); Miri reports any it skips once
+        // the caller reads the vector.
+        unsafe { out.set_len(n) };
+        (out, carry)
+    }
+
     fn lcg(seed: &mut u64) -> u64 {
         *seed = seed
             .wrapping_mul(6364136223846793005)
@@ -330,8 +351,7 @@ mod tests {
             let carry = mk(lcg(&mut seed));
             let (want, want_carry) = excl_oracle::<F>(&values, carry);
 
-            let mut out = vec![F::identity(); n];
-            let got_carry = (table.excl_scan_into)(&values, &mut out, carry);
+            let (out, got_carry) = scan_into_vec(table.excl_scan_into, &values, carry);
             assert_eq!(out, want, "excl_scan_into n={n}");
             assert_eq!(got_carry, want_carry, "excl_scan_into carry n={n}");
 
@@ -429,11 +449,41 @@ mod tests {
         let values = vec![u64::MAX - 3, 7, u64::MAX, 1, 2, u64::MAX - 1, 5, 9, 11];
         let (want, want_carry) = excl_oracle::<AddU64>(&values, 12345);
         if let Some(table) = kernels::<u64>(Kernel::Add, false) {
-            let mut out = vec![0u64; values.len()];
-            let carry = (table.excl_scan_into)(&values, &mut out, 12345);
+            let (out, carry) = scan_into_vec(table.excl_scan_into, &values, 12345);
             assert_eq!(out, want);
             assert_eq!(carry, want_carry);
         }
+    }
+
+    /// The portable scan fills uninitialized capacity of every length from
+    /// 0 to two 256-bit lane groups plus one — every four-wide unroll and
+    /// remainder split, and every AVX2 group and tail split for that
+    /// width — and equals the scalar fold. Under Miri, a slot it left
+    /// unwritten is reported when the result is compared.
+    #[test]
+    fn portable_scan_into_fills_uninit_capacity() {
+        fn check<F: ScalarFamily>(mk: impl Fn(u64) -> F::Elem)
+        where
+            F::Elem: PartialEq + std::fmt::Debug,
+        {
+            let lanes = 32 / std::mem::size_of::<F::Elem>();
+            let mut seed = 0x5CA7;
+            for n in 0..=2 * lanes + 1 {
+                let values: Vec<F::Elem> = (0..n).map(|_| mk(lcg(&mut seed))).collect();
+                let carry = mk(lcg(&mut seed));
+                assert_eq!(
+                    scan_into_vec(portable::excl_scan_into::<F>, &values, carry),
+                    excl_oracle::<F>(&values, carry),
+                    "n={n}"
+                );
+            }
+        }
+        check::<AddI64>(|r| r as i64);
+        check::<AddU32>(|r| r as u32);
+        check::<XorU64>(|r| r);
+        check::<MaxI32>(|r| r as i32);
+        check::<MinU64>(|r| r);
+        check::<AddF32>(|r| (r % 1024) as f32 - 512.0);
     }
 
     #[test]

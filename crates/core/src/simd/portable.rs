@@ -10,10 +10,11 @@
 //! load/store traffic (the carry chain itself is inherently serial).
 
 use super::ScalarFamily;
+use std::mem::MaybeUninit;
 
 pub(crate) fn excl_scan_into<F: ScalarFamily>(
     values: &[F::Elem],
-    out: &mut [F::Elem],
+    out: &mut [MaybeUninit<F::Elem>],
     carry: F::Elem,
 ) -> F::Elem {
     debug_assert_eq!(values.len(), out.len());
@@ -21,17 +22,17 @@ pub(crate) fn excl_scan_into<F: ScalarFamily>(
     let mut vs = values.chunks_exact(4);
     let mut os = out.chunks_exact_mut(4);
     for (v, o) in (&mut vs).zip(&mut os) {
-        o[0] = acc;
+        o[0].write(acc);
         acc = F::op(acc, v[0]);
-        o[1] = acc;
+        o[1].write(acc);
         acc = F::op(acc, v[1]);
-        o[2] = acc;
+        o[2].write(acc);
         acc = F::op(acc, v[2]);
-        o[3] = acc;
+        o[3].write(acc);
         acc = F::op(acc, v[3]);
     }
     for (&v, o) in vs.remainder().iter().zip(os.into_remainder()) {
-        *o = acc;
+        o.write(acc);
         acc = F::op(acc, v);
     }
     acc

@@ -13,13 +13,17 @@
 //! surface from every entry point as exactly the error `validate()`
 //! reports — same index, whichever chunk found it, and even when a
 //! cancel, an expired deadline or an injected fault stops the run first.
+//! Unequal `values`/`labels` lengths must too: the engine writes each
+//! output slot once, and a short `labels` would leave slots unwritten.
 //! And `Engine::Auto` must stay bit-identical to serial when many threads
 //! call it at once, and on floats from one call to the next.
 
 use multiprefix::chunked::{
-    multiprefix_chunked_with_parts, multireduce_chunked, try_multiprefix_chunked,
-    try_multiprefix_chunked_cfg_ctx, try_multiprefix_chunked_ctx, try_multiprefix_chunked_ws_ctx,
-    try_multireduce_chunked_cfg_ctx, ChunkedPlan, ChunkedWorkspace, MIN_CHUNK_LEN,
+    multiprefix_chunked, multiprefix_chunked_with_parts, multiprefix_chunked_with_threads,
+    multireduce_chunked, try_multiprefix_chunked, try_multiprefix_chunked_cfg_ctx,
+    try_multiprefix_chunked_ctx, try_multiprefix_chunked_ws_ctx, try_multireduce_chunked,
+    try_multireduce_chunked_cfg_ctx, try_multireduce_chunked_ws_ctx, ChunkedPlan, ChunkedWorkspace,
+    MIN_CHUNK_LEN,
 };
 use multiprefix::op::{FirstLast, Max, Min, Plus, TryCombineOp};
 use multiprefix::resilience::{CancelToken, ChaosPlan, EngineKind, RunContext};
@@ -30,6 +34,7 @@ use multiprefix::{
 };
 use proptest::prelude::*;
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 const POLICIES: [OverflowPolicy; 3] = [
@@ -89,17 +94,21 @@ fn call_sequence() -> impl Strategy<Value = Vec<(usize, usize, u64, bool)>> {
     proptest::collection::vec(call, 1..6)
 }
 
+/// Bucket counts for the error draws: 0, 1, small, or large enough
+/// (`m ≫ n`) to force the probed chunk tables.
+fn error_bucket_count() -> impl Strategy<Value = usize> {
+    (0u8..4, 2usize..300, 200_000usize..2_000_000)
+        .prop_map(|(k, small, huge)| [0, 1, small, huge][k as usize])
+}
+
 /// A problem with out-of-range labels, and a thread count in `1..=8`. Bad
 /// labels (`m`, `m + 3` or `usize::MAX`) sit at the first or last element
 /// or on either side of a chunk boundary of the split on that many threads
 /// (one chunk per `MIN_CHUNK_LEN` elements, rounded up, at most one per
-/// thread). `m` is 0, 1, small, or large enough (`m ≫ n`) to force the
-/// probed chunk tables.
+/// thread).
 fn bad_label_problem() -> impl Strategy<Value = (Vec<i64>, Vec<usize>, usize, usize)> {
-    let m = (0u8..4, 2usize..300, 200_000usize..2_000_000)
-        .prop_map(|(k, small, huge)| [0, 1, small, huge][k as usize]);
     let n = mostly(1..64, MIN_CHUNK_LEN..40_000);
-    (n, m, 1usize..9, any::<u64>()).prop_map(|(n, m, parts, seed)| {
+    (n, error_bucket_count(), 1usize..9, any::<u64>()).prop_map(|(n, m, parts, seed)| {
         let mut state = seed;
         let values = (0..n).map(|_| lcg(&mut state) as i64).collect();
         let mut labels: Vec<usize> = (0..n)
@@ -117,6 +126,40 @@ fn bad_label_problem() -> impl Strategy<Value = (Vec<i64>, Vec<usize>, usize, us
             }
         }
         (values, labels, m, parts)
+    })
+}
+
+/// A problem whose `labels` is shorter or longer than `values` (either way
+/// round, by 1 to 63), and a thread count in `1..=4`.
+fn mismatched_problem() -> impl Strategy<Value = (Vec<i64>, Vec<usize>, usize, usize)> {
+    let n = mostly(0..64, MIN_CHUNK_LEN..40_000);
+    let lengths = (n, 1usize..64, any::<bool>()).prop_map(|(n, extra, short_labels)| {
+        if short_labels {
+            (n + extra, n)
+        } else {
+            (n, n + extra)
+        }
+    });
+    (lengths, error_bucket_count(), 1usize..5, any::<u64>()).prop_map(
+        |((n_values, n_labels), m, parts, seed)| {
+            let mut state = seed;
+            let values = (0..n_values).map(|_| lcg(&mut state) as i64).collect();
+            let labels = (0..n_labels)
+                .map(|_| lcg(&mut state) as usize % m.max(1))
+                .collect();
+            (values, labels, m, parts)
+        },
+    )
+}
+
+/// One error draw in three has unequal lengths; the rest plant bad labels.
+fn invalid_problem() -> impl Strategy<Value = (Vec<i64>, Vec<usize>, usize, usize)> {
+    (0u8..3, bad_label_problem(), mismatched_problem()).prop_map(|(k, bad_label, mismatched)| {
+        if k == 0 {
+            mismatched
+        } else {
+            bad_label
+        }
     })
 }
 
@@ -251,12 +294,12 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn every_entry_reports_the_validate_error((values, labels, m, parts) in bad_label_problem()) {
+    fn every_entry_reports_the_validate_error((values, labels, m, parts) in invalid_problem()) {
         let expect = validate(&values.len(), &labels, m).err();
-        prop_assert!(expect.is_some(), "the draw plants a bad label");
+        prop_assert!(expect.is_some(), "the draw is invalid");
         for engine in ENGINES {
             prop_assert_eq!(multiprefix(&values, &labels, m, Plus, engine).err(), expect.clone(), "{:?}", engine);
             prop_assert_eq!(multireduce(&values, &labels, m, Plus, engine).err(), expect.clone(), "{:?}", engine);
@@ -302,14 +345,20 @@ proptest! {
                 }
             }
         }
-        // The engine's own entries check labels too, except with m == 1
-        // (a documented precondition: the vector kernels never read one).
-        if m != 1 {
+        // The engine's own entries check lengths, and labels too except
+        // with m == 1 (a documented precondition: the vector kernels never
+        // read one).
+        if m != 1 || values.len() != labels.len() {
             let cfg = ExecConfig::default().threads(parts);
             let ctx = RunContext::new();
             let mut ws = ChunkedWorkspace::new();
+            let wrap = OverflowPolicy::Wrap;
             prop_assert_eq!(
-                try_multiprefix_chunked(&values, &labels, m, Plus, OverflowPolicy::Wrap).err(),
+                try_multiprefix_chunked(&values, &labels, m, Plus, wrap).err(),
+                expect.clone()
+            );
+            prop_assert_eq!(
+                try_multiprefix_chunked_ctx(&values, &labels, m, Plus, wrap, &ctx).err(),
                 expect.clone()
             );
             prop_assert_eq!(
@@ -321,7 +370,15 @@ proptest! {
                 expect.clone()
             );
             prop_assert_eq!(
+                try_multireduce_chunked(&values, &labels, m, Plus, wrap).err(),
+                expect.clone()
+            );
+            prop_assert_eq!(
                 try_multireduce_chunked_cfg_ctx(&values, &labels, m, Plus, cfg, &ctx).err(),
+                expect.clone()
+            );
+            prop_assert_eq!(
+                try_multireduce_chunked_ws_ctx(&values, &labels, m, Plus, cfg, &mut ws, &ctx).err(),
                 expect
             );
         }
@@ -349,6 +406,63 @@ fn direct_entries_name_the_bad_label() {
             let got =
                 try_multireduce_chunked_cfg_ctx(&values, &labels, m, Plus, cfg, &RunContext::new());
             assert_eq!(got, expect.map(|_| None), "m={m} index={index}");
+        }
+    }
+}
+
+/// Unequal lengths, either way round: the hardened direct entries return
+/// `LengthMismatch`, and the plain ones panic with a message that names
+/// both lengths. (They used to answer from the shorter prefix: sums
+/// `[0, 0, 0, 0, 0]` and reductions `[1, 2]` for the first pair here.)
+#[test]
+fn direct_entries_reject_unequal_lengths() {
+    let pairs: [(Vec<i64>, Vec<usize>); 2] = [
+        (vec![1, 2, 3, 4, 5], vec![0, 1]),
+        (vec![1, 2], vec![0, 1, 0, 1, 1]),
+    ];
+    for (values, labels) in &pairs {
+        let want = MpError::LengthMismatch {
+            values: values.len(),
+            labels: labels.len(),
+        };
+        let wrap = OverflowPolicy::Wrap;
+        let got = try_multiprefix_chunked(values, labels, 2, Plus, wrap);
+        assert_eq!(got, Err(want.clone()));
+        let got = try_multireduce_chunked(values, labels, 2, Plus, wrap);
+        assert_eq!(got, Err(want.clone()));
+        for parts in 1..=4 {
+            let cfg = ExecConfig::default().threads(parts);
+            let (ctx, mut ws) = (RunContext::new(), ChunkedWorkspace::new());
+            let got = try_multiprefix_chunked_ws_ctx(values, labels, 2, Plus, cfg, &mut ws, &ctx);
+            assert_eq!(got, Err(want.clone()), "parts {parts}");
+            let got = try_multireduce_chunked_ws_ctx(values, labels, 2, Plus, cfg, &mut ws, &ctx);
+            assert_eq!(got, Err(want.clone()), "parts {parts}");
+            let plain: [(&str, &dyn Fn()); 4] = [
+                ("with_parts", &|| {
+                    drop(multiprefix_chunked_with_parts(
+                        values, labels, 2, Plus, parts,
+                    ))
+                }),
+                ("with_threads", &|| {
+                    drop(multiprefix_chunked_with_threads(
+                        values, labels, 2, Plus, parts,
+                    ))
+                }),
+                ("default", &|| {
+                    drop(multiprefix_chunked(values, labels, 2, Plus))
+                }),
+                ("reduce", &|| {
+                    drop(multireduce_chunked(values, labels, 2, Plus))
+                }),
+            ];
+            for (entry, run) in plain {
+                let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("must panic");
+                let message = payload.downcast_ref::<String>().expect("formatted message");
+                assert!(
+                    message.contains(&want.to_string()),
+                    "{entry}, parts {parts}: {message}"
+                );
+            }
         }
     }
 }
