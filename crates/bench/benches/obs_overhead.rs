@@ -12,7 +12,7 @@ use multiprefix::obs::MemoryRecorder;
 use multiprefix::op::Plus;
 use multiprefix::spinetree::engine::try_multiprefix_spinetree_ctx;
 use multiprefix::{
-    DispatchOpts, Dispatcher, DispatcherConfig, EngineKind, OverflowPolicy, Recorder, RunContext,
+    DispatchOpts, Dispatcher, DispatcherConfig, Engine, OverflowPolicy, Recorder, RunContext,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,7 +39,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
     let rec = MemoryRecorder::shared();
     let observed = RunContext::new()
-        .for_engine(EngineKind::Spinetree)
+        .for_engine(Engine::Spinetree)
         .with_recorder(Arc::clone(&rec) as Arc<dyn Recorder>);
     group.bench_function("spinetree_with_recorder", |b| {
         b.iter(|| {
@@ -55,7 +55,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     });
 
     let dispatcher = Dispatcher::new(DispatcherConfig {
-        chain: vec![EngineKind::Spinetree],
+        chain: vec![Engine::Spinetree],
         ..DispatcherConfig::default()
     })
     .unwrap()

@@ -1,12 +1,15 @@
 //! The public front door: validated multiprefix / multireduce with engine
-//! selection.
+//! selection, and the engine tables the
+//! [`crate::resilience::Dispatcher`] runs its attempts through.
 
-use crate::chunked::{self, try_multiprefix_chunked_cfg_ctx, try_multireduce_chunked_cfg_ctx};
+use crate::chunked::{
+    self, try_multiprefix_chunked_ws_ctx, try_multireduce_chunked_ws_ctx, ChunkedWorkspace,
+};
 use crate::error::MpError;
-use crate::exec::{estimate_engine_mem, ExecConfig};
+use crate::exec::{estimate_engine_mem, ExecConfig, TryEngineResult};
 use crate::op::{CombineOp, TryCombineOp};
 use crate::oracle::verify_output;
-use crate::problem::{validate_lengths, validate_slices, Element, MultiprefixOutput};
+use crate::problem::{validate_slices, Element, MultiprefixOutput};
 use crate::resilience::RunContext;
 use crate::serial::{
     multiprefix_serial, multireduce_serial, try_multiprefix_serial_ctx, try_multireduce_serial_ctx,
@@ -16,30 +19,73 @@ use crate::spinetree::{
     try_multireduce_spinetree_ctx,
 };
 
-/// Which implementation executes the operation.
+/// Which implementation executes the operation: the one engine selector
+/// of the plain and hardened API, the [`crate::resilience::Dispatcher`]'s
+/// fallback chain, chaos targeting and the instrument keys.
 ///
 /// All engines compute identical results; they differ in execution
-/// strategy. See the module docs of [`crate::serial`], [`crate::spinetree`]
-/// and [`crate::chunked`]. (The `i64`-only concurrent engine lives in
-/// [`crate::atomic`] and is invoked directly, not through this enum,
-/// because it constrains the element type.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// strategy. See the module docs of [`crate::serial`], [`crate::spinetree`],
+/// [`crate::chunked`], [`crate::atomic`] and [`crate::shard`].
+/// [`Engine::Atomic`] and [`Engine::Sharded`] need what only a dispatcher
+/// has — an `i64` entry and a shard supervisor — so the API calls report
+/// [`MpError::Unavailable`] for them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// The chunked engine on one chunk, at every size: on the hosts
-    /// measured so far a split across threads loses to one chunk (DESIGN
-    /// §8, "The chunk count"). An explicit [`ExecConfig::threads`] splits
-    /// the call into that many chunks, as for [`Engine::Chunked`].
+    /// The library's pick. It runs, reports and is keyed as
+    /// [`Engine::Chunked`].
     #[default]
     Auto,
-    /// The paper's Figure 2 reference loop.
+    /// The paper's Figure 2 reference loop — the engine of last resort: no
+    /// parallel runtime, no auxiliary structures.
     Serial,
     /// The paper's `O(√n)`-step spinetree algorithm (vector-simulation
     /// execution: one loop per parallel step).
     Spinetree,
-    /// The two-level local/combine/apply engine with label-indexed (or,
-    /// for `m ≫ n`, probed) chunk tables and reusable workspaces
-    /// ([`crate::chunked`]).
+    /// The two-level local/combine/apply engine ([`crate::chunked`]), on
+    /// one chunk unless [`ExecConfig::threads`] is set.
     Chunked,
+    /// The concurrent CRCW-ARB engine ([`crate::atomic`]): `i64` and
+    /// commutative operators only, so only the dispatcher's `i64` entries
+    /// run it.
+    Atomic,
+    /// The fault-tolerant sharded engine ([`crate::shard`]), run only by a
+    /// dispatcher with [`crate::resilience::DispatcherConfig::shard`] set,
+    /// and only for prefixes.
+    Sharded,
+}
+
+impl Engine {
+    /// Every engine that runs ([`Engine::Auto`] runs as
+    /// [`Engine::Chunked`]).
+    pub const ALL: [Engine; 5] = [
+        Engine::Atomic,
+        Engine::Sharded,
+        Engine::Chunked,
+        Engine::Spinetree,
+        Engine::Serial,
+    ];
+
+    /// The engine that runs: [`Engine::Chunked`] for [`Engine::Auto`],
+    /// the engine itself otherwise.
+    pub fn resolve(self) -> Engine {
+        match self {
+            Engine::Auto => Engine::Chunked,
+            engine => engine,
+        }
+    }
+}
+
+impl std::fmt::Display for Engine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Engine::Auto => "auto",
+            Engine::Serial => "serial",
+            Engine::Spinetree => "spinetree",
+            Engine::Chunked => "chunked",
+            Engine::Atomic => "atomic",
+            Engine::Sharded => "shard",
+        })
+    }
 }
 
 /// Compute the multiprefix of `values` under `labels` with `m` buckets.
@@ -61,12 +107,12 @@ pub fn multiprefix<T: Element, O: CombineOp<T>>(
     op: O,
     engine: Engine,
 ) -> Result<MultiprefixOutput<T>, MpError> {
-    validate_input(values, labels, m, engine)?;
+    scan_labels(engine, values, labels, m)?;
     match engine {
-        Engine::Auto => chunked::prefix(values, labels, m, op, auto_config(ExecConfig::default())),
-        Engine::Chunked => chunked::prefix(values, labels, m, op, ExecConfig::default()),
+        Engine::Auto | Engine::Chunked => chunked::prefix(values, labels, m, op),
         Engine::Serial => Ok(multiprefix_serial(values, labels, m, op)),
         Engine::Spinetree => Ok(multiprefix_spinetree(values, labels, m, op)),
+        Engine::Atomic | Engine::Sharded => Err(MpError::Unavailable),
     }
 }
 
@@ -78,72 +124,25 @@ pub fn multireduce<T: Element, O: CombineOp<T>>(
     op: O,
     engine: Engine,
 ) -> Result<Vec<T>, MpError> {
-    validate_input(values, labels, m, engine)?;
+    scan_labels(engine, values, labels, m)?;
     match engine {
-        Engine::Auto => chunked::reduce(values, labels, m, op, auto_config(ExecConfig::default())),
-        Engine::Chunked => chunked::reduce(values, labels, m, op, ExecConfig::default()),
+        Engine::Auto | Engine::Chunked => chunked::reduce(values, labels, m, op),
         Engine::Serial => Ok(multireduce_serial(values, labels, m, op)),
         Engine::Spinetree => Ok(multireduce_spinetree(values, labels, m, op)),
+        Engine::Atomic | Engine::Sharded => Err(MpError::Unavailable),
     }
 }
 
-/// The chunked engine's config for [`Engine::Auto`]: one chunk, unless
-/// the caller set [`ExecConfig::threads`].
-fn auto_config(config: ExecConfig) -> ExecConfig {
-    ExecConfig {
-        threads: config.threads.or(Some(1)),
-        ..config
-    }
-}
-
-/// The up-front input check. The chunked engine checks each label where
-/// its local loop indexes its table, so for it only the lengths are
-/// checked here — unless `m == 1`, where its vector kernels never read a
-/// label. The serial and spinetree engines get the full scan.
-fn validate_input<T>(
-    values: &[T],
-    labels: &[usize],
-    m: usize,
-    engine: Engine,
-) -> Result<(), MpError> {
-    if matches!(engine, Engine::Auto | Engine::Chunked) && m != 1 {
-        validate_lengths(values.len(), labels.len())
+/// The label scan `engine` needs before it runs. The chunked engine needs
+/// none: it checks lengths first and each label where its local loop
+/// indexes its table — except with `m == 1`, where its vector kernels
+/// never read a label. Every other engine gets the full scan.
+fn scan_labels<T>(engine: Engine, values: &[T], labels: &[usize], m: usize) -> Result<(), MpError> {
+    if engine.resolve() == Engine::Chunked && m != 1 {
+        Ok(())
     } else {
         validate_slices(values, labels, m)
     }
-}
-
-/// [`validate_input`] plus the config's checks. A request that breaks a
-/// budget *and* has a bad label reports the label, as when every engine
-/// scanned its labels first.
-fn admit<T>(
-    values: &[T],
-    labels: &[usize],
-    m: usize,
-    engine: Engine,
-    config: ExecConfig,
-) -> Result<(), MpError> {
-    config.validate_for(std::mem::size_of::<T>())?;
-    validate_input(values, labels, m, engine)?;
-    config
-        .check_buckets(m)
-        .and_then(|()| {
-            config.check_mem(estimate_engine_mem(
-                values.len(),
-                m,
-                std::mem::size_of::<T>(),
-            ))
-        })
-        .map_err(|budget| input_error_first(values, labels, m, budget))
-}
-
-/// `err`, unless the input has a bad label: then [`validate_slices`]'s
-/// error. The chunked engine checks labels only as far as its loop gets,
-/// and a cancel, an expired deadline, an injected fault or a failed
-/// allocation can stop it before it reaches the bad one; every other
-/// engine would have reported the label.
-fn input_error_first<T>(values: &[T], labels: &[usize], m: usize, err: MpError) -> MpError {
-    validate_slices(values, labels, m).err().unwrap_or(err)
 }
 
 /// Hardened multiprefix: [`multiprefix`] under an explicit [`ExecConfig`].
@@ -151,8 +150,8 @@ fn input_error_first<T>(values: &[T], labels: &[usize], m: usize, err: MpError) 
 /// On top of the plain API's validation this enforces the config's resource
 /// budgets *before any allocation*, allocates the large engine blocks
 /// fallibly, contains operator panics in the chunked engine, and applies
-/// the configured [`OverflowPolicy`]. See [`crate::exec`] for the full
-/// contract; the essentials:
+/// the configured [`crate::exec::OverflowPolicy`]. See [`crate::exec`] for
+/// the full contract; the essentials:
 ///
 /// * all engines return **bit-identical results** — and, under
 ///   [`crate::exec::OverflowPolicy::Checked`], the **same**
@@ -212,28 +211,9 @@ pub fn try_multiprefix_ctx<T: Element, O: TryCombineOp<T>>(
     config: ExecConfig,
     ctx: &RunContext,
 ) -> Result<MultiprefixOutput<T>, MpError> {
-    admit(values, labels, m, engine, config)?;
-    let run_chunked = |config| {
-        try_multiprefix_chunked_cfg_ctx(values, labels, m, op, config, ctx)
-            .map_err(|err| input_error_first(values, labels, m, err))
-    };
-    let tripped = match engine {
-        Engine::Auto => run_chunked(auto_config(config))?,
-        Engine::Chunked => run_chunked(config)?,
-        Engine::Spinetree => {
-            try_multiprefix_spinetree_ctx(values, labels, m, op, config.overflow, ctx)?
-        }
-        Engine::Serial => {
-            return try_multiprefix_serial_ctx(values, labels, m, op, config.overflow, ctx)
-        }
-    };
-    match tripped {
-        Some(out) => Ok(out),
-        // A checked combine tripped: the engine's grouping overflowed
-        // somewhere, so the canonical (serial-order) answer — a result or
-        // the first-overflow index — comes from one serial replay.
-        None => try_multiprefix_serial_ctx(values, labels, m, op, config.overflow, ctx),
-    }
+    let call = Call::new(values, labels, m, op, config);
+    call.admit()?;
+    call.prefix(engine, None, ctx)
 }
 
 /// Hardened multireduce: [`multireduce`] under an [`ExecConfig`].
@@ -268,29 +248,149 @@ pub fn try_multireduce_ctx<T: Element, O: TryCombineOp<T>>(
     config: ExecConfig,
     ctx: &RunContext,
 ) -> Result<Vec<T>, MpError> {
-    let engine = if config.overflow.needs_checking() {
-        Engine::Serial
-    } else {
-        engine
-    };
-    admit(values, labels, m, engine, config)?;
-    let run_chunked = |config| {
-        try_multireduce_chunked_cfg_ctx(values, labels, m, op, config, ctx)
-            .map_err(|err| input_error_first(values, labels, m, err))
-    };
-    let clean = match engine {
-        Engine::Auto => run_chunked(auto_config(config))?,
-        Engine::Chunked => run_chunked(config)?,
-        Engine::Spinetree => {
-            try_multireduce_spinetree_ctx(values, labels, m, op, config.overflow, ctx)?
+    let call = Call::new(values, labels, m, op, config);
+    call.admit()?;
+    call.reduce(engine, None, ctx)
+}
+
+/// One hardened request as the engine tables take it. The
+/// [`RunContext`] is passed per run: the dispatcher builds one per attempt.
+#[derive(Clone, Copy)]
+pub(crate) struct Call<'a, T, O> {
+    pub(crate) values: &'a [T],
+    pub(crate) labels: &'a [usize],
+    pub(crate) m: usize,
+    pub(crate) op: O,
+    pub(crate) config: ExecConfig,
+}
+
+impl<'a, T: Element, O: TryCombineOp<T>> Call<'a, T, O> {
+    pub(crate) fn new(v: &'a [T], l: &'a [usize], m: usize, op: O, config: ExecConfig) -> Self {
+        Call {
+            values: v,
+            labels: l,
+            m,
+            op,
+            config,
         }
-        Engine::Serial => {
-            return try_multireduce_serial_ctx(values, labels, m, op, config.overflow, ctx)
+    }
+
+    /// The checks no engine makes: the config's own, then its budgets. A
+    /// request that breaks a budget *and* has a bad input reports the
+    /// input ([`Self::input_error_first`]).
+    pub(crate) fn admit(self) -> Result<(), MpError> {
+        let (config, size) = (self.config, std::mem::size_of::<T>());
+        config.validate_for(size)?;
+        config
+            .check_buckets(self.m)
+            .and_then(|()| config.check_mem(estimate_engine_mem(self.values.len(), self.m, size)))
+            .map_err(|budget| self.input_error_first(budget))
+    }
+
+    /// `err`, unless the input is invalid: then [`validate_slices`]'s
+    /// error. The chunked engine checks labels only as far as its loop
+    /// gets, and a cancel, an expired deadline, an injected fault or a
+    /// failed allocation can stop it before it reaches the bad one; every
+    /// other engine would have reported the label.
+    pub(crate) fn input_error_first(self, err: MpError) -> MpError {
+        validate_slices(self.values, self.labels, self.m)
+            .err()
+            .unwrap_or(err)
+    }
+
+    /// The prefix table, shared by [`try_multiprefix_ctx`] and every
+    /// dispatcher entry: `engine`'s hardened call, run through
+    /// [`Self::run_prefix`]. [`Engine::Atomic`] and [`Engine::Sharded`]
+    /// are the dispatcher's own arms; here they are
+    /// [`MpError::Unavailable`].
+    pub(crate) fn prefix(
+        self,
+        engine: Engine,
+        ws: Option<&mut ChunkedWorkspace<T>>,
+        ctx: &RunContext,
+    ) -> Result<MultiprefixOutput<T>, MpError> {
+        let (v, l, m, op, cfg) = (self.values, self.labels, self.m, self.op, self.config);
+        self.run_prefix(engine, ctx, || match engine {
+            Engine::Auto | Engine::Chunked => {
+                let mut fresh = ChunkedWorkspace::new();
+                try_multiprefix_chunked_ws_ctx(v, l, m, op, cfg, ws.unwrap_or(&mut fresh), ctx)
+            }
+            Engine::Spinetree => try_multiprefix_spinetree_ctx(v, l, m, op, cfg.overflow, ctx),
+            Engine::Serial => try_multiprefix_serial_ctx(v, l, m, op, cfg.overflow, ctx).map(Some),
+            Engine::Atomic | Engine::Sharded => Err(MpError::Unavailable),
+        })
+    }
+
+    /// The reduce table: [`Self::prefix`] for reductions, run through
+    /// [`Self::run_reduce`].
+    pub(crate) fn reduce(
+        self,
+        engine: Engine,
+        ws: Option<&mut ChunkedWorkspace<T>>,
+        ctx: &RunContext,
+    ) -> Result<Vec<T>, MpError> {
+        let (v, l, m, op, cfg) = (self.values, self.labels, self.m, self.op, self.config);
+        self.run_reduce(engine, ctx, || match engine {
+            Engine::Auto | Engine::Chunked => {
+                let mut fresh = ChunkedWorkspace::new();
+                try_multireduce_chunked_ws_ctx(v, l, m, op, cfg, ws.unwrap_or(&mut fresh), ctx)
+            }
+            Engine::Spinetree => try_multireduce_spinetree_ctx(v, l, m, op, cfg.overflow, ctx),
+            Engine::Serial => try_multireduce_serial_ctx(v, l, m, op, cfg.overflow, ctx).map(Some),
+            Engine::Atomic | Engine::Sharded => Err(MpError::Unavailable),
+        })
+    }
+
+    /// `engine`'s hardened `run`, made canonical:
+    ///
+    /// * the labels are scanned first unless the engine checks them itself;
+    /// * when a checked combine trips, the engine's grouping overflowed
+    ///   somewhere, so the canonical answer — a result or the
+    ///   first-overflow index — comes from one serial replay under `ctx`;
+    /// * any error on an invalid input is [`crate::validate`]'s
+    ///   ([`Self::input_error_first`]), so the dispatcher never charges a
+    ///   bad request to an engine's breaker.
+    pub(crate) fn run_prefix(
+        self,
+        engine: Engine,
+        ctx: &RunContext,
+        run: impl FnOnce() -> TryEngineResult<MultiprefixOutput<T>>,
+    ) -> Result<MultiprefixOutput<T>, MpError> {
+        let (v, l, m, op, cfg) = (self.values, self.labels, self.m, self.op, self.config);
+        self.canonical(engine, run, || {
+            try_multiprefix_serial_ctx(v, l, m, op, cfg.overflow, ctx)
+        })
+    }
+
+    /// [`Self::run_prefix`] for reductions. Under a checking policy the
+    /// reduction always runs serially (see [`try_multireduce`]), whatever
+    /// `engine` is.
+    pub(crate) fn run_reduce(
+        self,
+        engine: Engine,
+        ctx: &RunContext,
+        run: impl FnOnce() -> TryEngineResult<Vec<T>>,
+    ) -> Result<Vec<T>, MpError> {
+        let (v, l, m, op, cfg) = (self.values, self.labels, self.m, self.op, self.config);
+        let serial = || try_multireduce_serial_ctx(v, l, m, op, cfg.overflow, ctx);
+        if cfg.overflow.needs_checking() {
+            self.canonical(Engine::Serial, || serial().map(Some), serial)
+        } else {
+            self.canonical(engine, run, serial)
         }
-    };
-    match clean {
-        Some(red) => Ok(red),
-        None => try_multireduce_serial_ctx(values, labels, m, op, config.overflow, ctx),
+    }
+
+    fn canonical<R>(
+        self,
+        engine: Engine,
+        run: impl FnOnce() -> TryEngineResult<R>,
+        replay: impl FnOnce() -> Result<R, MpError>,
+    ) -> Result<R, MpError> {
+        let checked = || {
+            scan_labels(engine, self.values, self.labels, self.m)?;
+            run()?.map_or_else(replay, Ok)
+        };
+        checked().map_err(|err| self.input_error_first(err))
     }
 }
 
@@ -348,6 +448,22 @@ mod tests {
             let err = multiprefix(&[1i64, 2], &[0], 2, Plus, engine).unwrap_err();
             assert!(matches!(err, MpError::LengthMismatch { .. }), "{engine:?}");
         }
+    }
+
+    #[test]
+    fn dispatcher_only_engines_are_unavailable_here() {
+        // Atomic and Sharded need an `i64` entry and a shard supervisor; a
+        // bad input still reports `validate()`'s error first.
+        let cfg = ExecConfig::default();
+        for engine in [Engine::Atomic, Engine::Sharded] {
+            let unavailable = Err(MpError::Unavailable);
+            assert_eq!(multiprefix(&[1i64], &[0], 1, Plus, engine), unavailable);
+            let reduced = try_multireduce(&[1i64], &[0], 1, Plus, engine, cfg);
+            assert_eq!(reduced, Err(MpError::Unavailable));
+            let err = try_multiprefix(&[1i64], &[3], 2, Plus, engine, cfg).unwrap_err();
+            assert!(matches!(err, MpError::LabelOutOfRange { .. }), "{engine}");
+        }
+        assert_eq!(Engine::Auto.resolve(), Engine::Chunked);
     }
 
     #[test]

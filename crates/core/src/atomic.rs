@@ -23,6 +23,7 @@
 //! (`Plus`, `Max`, `Min`, `And`, `Or`) — the price of lock-free child
 //! accumulation.
 
+use crate::api::{Call, Engine};
 use crate::error::MpError;
 use crate::exec::{CheckGuard, ExecConfig, OverflowPolicy, TryEngineResult};
 use crate::obs::Phase;
@@ -356,9 +357,9 @@ pub fn try_multiprefix_atomic_ctx<O: AtomicCombine + TryCombineOp<i64>>(
 /// [`crate::try_multiprefix`] applied: validates inputs, and when a checked
 /// combine trips, replays the serial engine under `policy` so the result —
 /// `Ok`, or [`MpError::ArithmeticOverflow`] with the serial-order index —
-/// is identical to every other engine's. The atomic engine sits outside
-/// [`crate::Engine`] (it constrains the element type to `i64`), so it gets
-/// its own canonical entry point instead of a dispatch arm.
+/// is identical to every other engine's. The API's generic entries cannot
+/// run [`crate::Engine::Atomic`] (it constrains the element type to
+/// `i64`), so this is its canonical entry outside a dispatcher.
 pub fn multiprefix_atomic_hardened<O: AtomicCombine + TryCombineOp<i64>>(
     values: &[i64],
     labels: &[usize],
@@ -380,11 +381,10 @@ pub fn multiprefix_atomic_hardened_ctx<O: AtomicCombine + TryCombineOp<i64>>(
     policy: OverflowPolicy,
     ctx: &RunContext,
 ) -> Result<MultiprefixOutput<i64>, MpError> {
-    crate::problem::validate_slices(values, labels, m)?;
-    match try_multiprefix_atomic_ctx(values, labels, m, op, policy, ctx)? {
-        Some(out) => Ok(out),
-        None => crate::serial::try_multiprefix_serial_ctx(values, labels, m, op, policy, ctx),
-    }
+    let cfg = ExecConfig::default().overflow(policy);
+    Call::new(values, labels, m, op, cfg).run_prefix(Engine::Atomic, ctx, || {
+        try_multiprefix_atomic_ctx(values, labels, m, op, policy, ctx)
+    })
 }
 
 /// Hardened concurrent multireduce: fallible bucket allocation plus checked

@@ -34,7 +34,7 @@
 //!
 //! The hardened entry points (`try_*`) thread the full execution contract
 //! through all three phases: [`crate::exec::OverflowPolicy`] trip-and-replay
-//! via [`CheckGuard`], [`RunContext`] cancellation/deadline checkpoints at
+//! via `CheckGuard`, [`RunContext`] cancellation/deadline checkpoints at
 //! phase boundaries and every [`crate::resilience::CHECK_STRIDE`] elements,
 //! obs phase spans (`engine.chunked.phase.{local,combine,apply}`), and
 //! chaos worker faults in the local phase. [`ChunkedPlan`] amortizes the
@@ -44,9 +44,11 @@
 //! table, so a bad label comes back as [`MpError::LabelOutOfRange`] at its
 //! index in the whole vector and [`crate::api`] needs no separate
 //! validation pass (except for `m == 1`, whose vector kernels never read a
-//! label). [`crate::Engine::Auto`] runs this engine on one chunk (DESIGN
-//! §8, "The chunk count").
+//! label). Every [`ExecConfig`] entry — [`crate::Engine::Auto`], the
+//! dispatcher and the service among them — runs one chunk unless
+//! [`ExecConfig::threads`] is set (DESIGN §8, "The chunk count").
 
+use crate::api::Engine;
 use crate::error::MpError;
 use crate::exec::{
     try_filled_vec, try_with_capacity, CheckGuard, ExecConfig, OverflowPolicy, TryEngineResult,
@@ -54,7 +56,7 @@ use crate::exec::{
 use crate::obs::{phase_key, Phase};
 use crate::op::{CombineOp, TryCombineOp};
 use crate::problem::{validate, validate_lengths, Element, MultiprefixOutput};
-use crate::resilience::{EngineKind, RunContext, CHECK_STRIDE};
+use crate::resilience::{RunContext, CHECK_STRIDE};
 use crate::shard::exscan::{exscan_parts, SlicePart, SummaryPart};
 use crate::simd::{Kernel, Kernels};
 use std::mem::MaybeUninit;
@@ -836,7 +838,7 @@ pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
     let fast = single_label_kernels(m, comb);
     if let Some(rec) = ctx.recorder() {
         rec.event(
-            phase_key(EngineKind::Chunked, Phase::Local),
+            phase_key(Engine::Chunked, Phase::Local),
             if fast.is_some() {
                 "kernel=simd"
             } else {
@@ -958,33 +960,23 @@ fn expect_plain<R>(result: Result<R, MpError>) -> R {
     result.unwrap_or_else(|e| panic!("chunked engine: {e}"))
 }
 
-/// The default worker count: [`ExecConfig::threads`] when set, otherwise
-/// the machine's available parallelism.
+/// The chunk count of every [`ExecConfig`] entry: one chunk, unless
+/// [`ExecConfig::threads`] is set (DESIGN §8, "The chunk count").
 fn default_parts(n: usize, cfg: ExecConfig) -> usize {
-    chunk_count(n, cfg.effective_threads())
+    chunk_count(n, cfg.threads.unwrap_or(1))
 }
 
 /// The chunked run behind [`crate::api::multiprefix`]: the plain combine
-/// on `cfg`'s worker count, with out-of-range labels reported as errors
-/// (for `m != 1`; see [`fold`]).
+/// on one chunk (the [`ExecConfig`] rule), with out-of-range labels
+/// reported as errors (for `m != 1`; see [`fold`]).
 pub(crate) fn prefix<T: Element, O: CombineOp<T>>(
     values: &[T],
     labels: &[usize],
     m: usize,
     op: O,
-    cfg: ExecConfig,
 ) -> Result<MultiprefixOutput<T>, MpError> {
-    let parts = default_parts(values.len(), cfg);
-    let mut ws = ChunkedWorkspace::new();
-    run_prefix(
-        values,
-        labels,
-        m,
-        PlainComb(op),
-        parts,
-        &mut ws,
-        &RunContext::new(),
-    )
+    let (mut ws, ctx) = (ChunkedWorkspace::new(), RunContext::new());
+    run_prefix(values, labels, m, PlainComb(op), 1, &mut ws, &ctx)
 }
 
 /// [`prefix`] for [`crate::api::multireduce`].
@@ -993,19 +985,9 @@ pub(crate) fn reduce<T: Element, O: CombineOp<T>>(
     labels: &[usize],
     m: usize,
     op: O,
-    cfg: ExecConfig,
 ) -> Result<Vec<T>, MpError> {
-    let parts = default_parts(values.len(), cfg);
-    let mut ws = ChunkedWorkspace::new();
-    run_reduce(
-        values,
-        labels,
-        m,
-        PlainComb(op),
-        parts,
-        &mut ws,
-        &RunContext::new(),
-    )
+    let (mut ws, ctx) = (ChunkedWorkspace::new(), RunContext::new());
+    run_reduce(values, labels, m, PlainComb(op), 1, &mut ws, &ctx)
 }
 
 /// Chunked multiprefix with the default thread count (available
@@ -1067,14 +1049,15 @@ pub fn multiprefix_chunked_with_parts<T: Element, O: CombineOp<T>>(
     ))
 }
 
-/// Chunked multireduce: per-label reductions only.
+/// Chunked multireduce: per-label reductions only, on one chunk, as
+/// [`crate::multireduce`] runs it.
 pub fn multireduce_chunked<T: Element, O: CombineOp<T>>(
     values: &[T],
     labels: &[usize],
     m: usize,
     op: O,
 ) -> Vec<T> {
-    expect_plain(reduce(values, labels, m, op, ExecConfig::default()))
+    expect_plain(reduce(values, labels, m, op))
 }
 
 /// Hardened chunked multiprefix (see [`crate::exec`] for the contract):
@@ -1122,9 +1105,9 @@ pub fn try_multiprefix_chunked_ctx<T: Element, O: TryCombineOp<T>>(
     )
 }
 
-/// [`try_multiprefix_chunked_ctx`] taking the policy *and* thread count
-/// from an [`ExecConfig`] — the form the dispatcher and [`crate::api`]
-/// call.
+/// [`try_multiprefix_chunked_ctx`] taking the policy *and* chunk count
+/// from an [`ExecConfig`]: one chunk unless [`ExecConfig::threads`] is
+/// set.
 pub fn try_multiprefix_chunked_cfg_ctx<T: Element, O: TryCombineOp<T>>(
     values: &[T],
     labels: &[usize],
@@ -1209,7 +1192,7 @@ pub fn try_multireduce_chunked_ctx<T: Element, O: TryCombineOp<T>>(
     )
 }
 
-/// [`try_multireduce_chunked_ctx`] with policy and threads from an
+/// [`try_multireduce_chunked_ctx`] with policy and chunk count from an
 /// [`ExecConfig`].
 pub fn try_multireduce_chunked_cfg_ctx<T: Element, O: TryCombineOp<T>>(
     values: &[T],
@@ -1576,10 +1559,12 @@ mod tests {
     #[test]
     fn multireduce_agrees() {
         let (values, labels) = mixed_input(40_000, 1000);
-        assert_eq!(
-            multireduce_chunked(&values, &labels, 1000, Plus),
-            multireduce_serial(&values, &labels, 1000, Plus)
-        );
+        let expect = multireduce_serial(&values, &labels, 1000, Plus);
+        assert_eq!(multireduce_chunked(&values, &labels, 1000, Plus), expect);
+        let cfg = ExecConfig::default().threads(4);
+        let split =
+            try_multireduce_chunked_cfg_ctx(&values, &labels, 1000, Plus, cfg, &RunContext::new());
+        assert_eq!(split, Ok(Some(expect)));
     }
 
     #[test]
@@ -1615,16 +1600,18 @@ mod tests {
         let mut values = vec![1i64; 10_000];
         values[5_000] = i64::MAX;
         let labels = vec![0usize; 10_000];
-        let got = try_multiprefix_chunked_ctx(
-            &values,
-            &labels,
-            1,
-            Plus,
-            OverflowPolicy::Checked,
-            &RunContext::new(),
-        )
-        .unwrap();
-        assert!(got.is_none(), "checked overflow must trip");
+        for threads in [1, 2] {
+            let cfg = ExecConfig::default()
+                .overflow(OverflowPolicy::Checked)
+                .threads(threads);
+            let got =
+                try_multiprefix_chunked_cfg_ctx(&values, &labels, 1, Plus, cfg, &RunContext::new());
+            assert_eq!(
+                got,
+                Ok(None),
+                "checked overflow must trip on {threads} chunk(s)"
+            );
+        }
         // Wrap never trips.
         let got = try_multiprefix_chunked(&values, &labels, 1, Plus, OverflowPolicy::Wrap)
             .unwrap()
@@ -1638,8 +1625,8 @@ mod tests {
         let (values, labels) = mixed_input(20_000, 31);
         for k in [0u64, 1, 2, 3, 5, 8, 13] {
             let ctx = RunContext::new().with_cancel(&CancelToken::cancel_after(k));
-            let got =
-                try_multiprefix_chunked_ctx(&values, &labels, 31, Plus, OverflowPolicy::Wrap, &ctx);
+            let cfg = ExecConfig::default().threads(4);
+            let got = try_multiprefix_chunked_cfg_ctx(&values, &labels, 31, Plus, cfg, &ctx);
             match got {
                 Err(MpError::Cancelled) => {}
                 Ok(Some(out)) => {
@@ -1707,7 +1694,7 @@ mod tests {
         let worker_panic = |worker| {
             let chaos = ChaosPlan::seeded(7)
                 .worker_panic_ppm(1_000_000)
-                .only(EngineKind::Chunked)
+                .only(Engine::Chunked)
                 .only_worker(worker)
                 .arm();
             RunContext::new().with_chaos(chaos)

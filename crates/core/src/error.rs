@@ -87,7 +87,9 @@ pub enum MpError {
     },
     /// Every engine in a [`crate::resilience::Dispatcher`] fallback chain
     /// was skipped (circuit open, or unsupported for the element type) —
-    /// nothing even attempted the request.
+    /// nothing even attempted the request. The API calls also return it
+    /// for [`crate::Engine::Atomic`] and [`crate::Engine::Sharded`], which
+    /// only a dispatcher runs.
     Unavailable,
     /// A [`crate::service::Service`] refused or shed a request because its
     /// bounded submission queue was full. Reported both to a submitter that

@@ -97,12 +97,12 @@ pub struct ExecConfig {
     /// unlimited), checked against [`estimate_engine_mem`] before any
     /// allocation happens.
     pub max_mem_bytes: Option<usize>,
-    /// Worker-thread count for the parallel engines (`None` = the machine's
-    /// available parallelism). The `chunked` engine spawns exactly this
-    /// many scoped workers; the `atomic` engine runs inside a scoped rayon
-    /// pool of this size instead of the global pool — so embeddings (like
-    /// the [`crate::service::Service`] worker pool) can cap per-request
-    /// parallelism and avoid oversubscribing the machine.
+    /// Worker-thread count for the parallel engines: the `chunked` engine
+    /// splits the call into this many chunks, and the `atomic` engine runs
+    /// in a scoped rayon pool of this size. `None` means one chunk for the
+    /// chunked engine (DESIGN §8, "The chunk count": a split has not paid
+    /// on any host measured so far) and the available parallelism for the
+    /// atomic engine.
     pub threads: Option<usize>,
     /// Pin this run to the scalar inner loops even when the operator is a
     /// recognized SIMD kernel ([`crate::op::CombineOp::KERNEL`]) and the

@@ -1,7 +1,7 @@
 //! Deterministic fetch-and-op via multiprefix.
 //!
-//! §1 of the paper: "[Multiprefix] provides the functionality of the
-//! fetch-and-op primitive of the NYU Ultracomputer [GLR81]. While the
+//! §1 of the paper: "\[Multiprefix\] provides the functionality of the
+//! fetch-and-op primitive of the NYU Ultracomputer \[GLR81\]. While the
 //! fetch-and-op primitive is non-deterministic in its evaluation order, the
 //! multiprefix operator ensures that results are computed in vector index
 //! order."

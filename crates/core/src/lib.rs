@@ -25,7 +25,11 @@
 //! | [`Engine::Serial`] | [`serial`] | the paper's Figure 2 bucket loop — the reference semantics |
 //! | [`Engine::Spinetree`] | [`spinetree`] | the paper's `O(√n)`-step CRCW-ARB algorithm, executed as the paper did on the CRAY Y-MP: one vector loop per parallel step |
 //! | [`Engine::Chunked`] | [`chunked`] | the two-level local/combine/apply engine: label-indexed chunk tables (probed maps when `m ≫ n`), O(distinct) per-chunk reset, scoped worker threads, reusable pooled workspaces — what [`Engine::Auto`] runs, on one chunk |
-//! | [`Engine::AtomicSpinetree`] | [`atomic`] | a genuinely concurrent spinetree build for `i64`/`Plus`: the overwrite-and-test races are resolved by relaxed atomic stores, a faithful CRCW-ARB realization |
+//! | [`Engine::Atomic`] | [`atomic`] | a genuinely concurrent spinetree build for `i64`/`Plus`: the overwrite-and-test races are resolved by relaxed atomic stores, a faithful CRCW-ARB realization |
+//! | [`Engine::Sharded`] | [`shard`] | the chunked phases distributed across supervised shard workers, with shard-loss recovery |
+//!
+//! The atomic and sharded engines run through a [`Dispatcher`]: they need
+//! an `i64` entry and a shard supervisor.
 //!
 //! All engines produce results identical to [`serial::multiprefix_serial`]
 //! (bit-for-bit for integer types). Under them sits [`simd`]: runtime-
@@ -61,8 +65,9 @@
 //! ## Resilient dispatch
 //!
 //! [`resilience`] turns the engine ladder into a runtime: a [`Dispatcher`]
-//! runs requests through a fallback chain (by default chunked → spinetree
-//! → serial) with deadlines, cooperative cancellation ([`CancelToken`],
+//! runs requests through a fallback chain (by default chunked → serial:
+//! the engine [`Engine::Auto`] runs, then the Figure 2 loop) with
+//! deadlines, cooperative cancellation ([`CancelToken`],
 //! polled at engine phase boundaries and every few thousand loop
 //! iterations), retry with jittered backoff for transient failures, and a
 //! per-engine circuit breaker. A seeded chaos harness

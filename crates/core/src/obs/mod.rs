@@ -44,12 +44,12 @@ mod record;
 pub use hist::{bucket_bounds, bucket_index, HistogramSnapshot, LatencyHistogram, NUM_BUCKETS};
 pub use record::{MemoryRecorder, ObsEvent, ObsSnapshot, Recorder};
 
-use crate::resilience::EngineKind;
+use crate::api::Engine;
 use std::time::Instant;
 
 /// An algorithm phase, named after the paper's §4 cost breakdown.
 ///
-/// The spinetree engines ([`EngineKind::Spinetree`], [`EngineKind::Atomic`])
+/// The spinetree engines ([`Engine::Spinetree`], [`Engine::Atomic`])
 /// run `Init → Spinetree → Rowsums → Spinesums → Multisums`; the chunked
 /// engine's three passes are `Local → Combine → Apply`; the
 /// serial engine is the single `Figure2` bucket loop. The sharded engine
@@ -107,69 +107,80 @@ impl Phase {
     /// `Recover` appears in the sharded taxonomy but only records samples
     /// when shard loss actually occurs; report consumers must tolerate a
     /// zero-sample phase.
-    pub fn for_engine(engine: EngineKind) -> &'static [Phase] {
+    pub fn for_engine(engine: Engine) -> &'static [Phase] {
         match engine {
-            EngineKind::Spinetree | EngineKind::Atomic => &[
+            Engine::Spinetree | Engine::Atomic => &[
                 Phase::Init,
                 Phase::Spinetree,
                 Phase::Rowsums,
                 Phase::Spinesums,
                 Phase::Multisums,
             ],
-            EngineKind::Chunked => &[Phase::Local, Phase::Combine, Phase::Apply],
-            EngineKind::Sharded => &[Phase::Local, Phase::Exscan, Phase::Recover, Phase::Apply],
-            EngineKind::Serial => &[Phase::Figure2],
+            Engine::Auto | Engine::Chunked => &[Phase::Local, Phase::Combine, Phase::Apply],
+            Engine::Sharded => &[Phase::Local, Phase::Exscan, Phase::Recover, Phase::Apply],
+            Engine::Serial => &[Phase::Figure2],
         }
     }
 }
 
 /// The histogram key for one engine phase, e.g.
-/// `engine.spinetree.phase.rowsums`.
+/// `engine.spinetree.phase.rowsums`; [`Engine::Auto`] is keyed as the
+/// chunked engine it runs.
 ///
 /// Returns a `&'static str` (no allocation) for every valid
 /// (engine, phase) pair; pairs outside [`Phase::for_engine`] still get a
 /// stable key so ad-hoc instrumentation cannot panic.
-pub fn phase_key(engine: EngineKind, phase: Phase) -> &'static str {
+pub fn phase_key(engine: Engine, phase: Phase) -> &'static str {
     macro_rules! keys {
-        ($($eng:ident / $engname:literal => [$($ph:ident / $phname:literal),+ $(,)?]),+ $(,)?) => {
-            match (engine, phase) {
-                $($((EngineKind::$eng, Phase::$ph) =>
-                    concat!("engine.", $engname, ".phase.", $phname),)+)+
+        ($($eng:ident / $en:literal),+; $phases:tt) => {
+            match engine {
+                $(Engine::$eng => keys!(@phase $en $phases),)+
+                Engine::Auto => phase_key(Engine::Chunked, phase),
+            }
+        };
+        (@phase $en:literal [$($ph:ident / $pn:literal),+]) => {
+            match phase {
+                $(Phase::$ph => concat!("engine.", $en, ".phase.", $pn),)+
             }
         };
     }
-    keys! {
-        Atomic / "atomic" => [
+    keys!(
+        Atomic / "atomic", Sharded / "shard", Chunked / "chunked", Spinetree / "spinetree",
+        Serial / "serial";
+        [
             Init / "init", Spinetree / "spinetree", Rowsums / "rowsums",
-            Spinesums / "spinesums", Multisums / "multisums",
-            Local / "local", Combine / "combine", Apply / "apply", Figure2 / "figure2",
-            Exscan / "exscan", Recover / "recover",
-        ],
-        Sharded / "shard" => [
-            Init / "init", Spinetree / "spinetree", Rowsums / "rowsums",
-            Spinesums / "spinesums", Multisums / "multisums",
-            Local / "local", Combine / "combine", Apply / "apply", Figure2 / "figure2",
-            Exscan / "exscan", Recover / "recover",
-        ],
-        Chunked / "chunked" => [
-            Init / "init", Spinetree / "spinetree", Rowsums / "rowsums",
-            Spinesums / "spinesums", Multisums / "multisums",
-            Local / "local", Combine / "combine", Apply / "apply", Figure2 / "figure2",
-            Exscan / "exscan", Recover / "recover",
-        ],
-        Spinetree / "spinetree" => [
-            Init / "init", Spinetree / "spinetree", Rowsums / "rowsums",
-            Spinesums / "spinesums", Multisums / "multisums",
-            Local / "local", Combine / "combine", Apply / "apply", Figure2 / "figure2",
-            Exscan / "exscan", Recover / "recover",
-        ],
-        Serial / "serial" => [
-            Init / "init", Spinetree / "spinetree", Rowsums / "rowsums",
-            Spinesums / "spinesums", Multisums / "multisums",
-            Local / "local", Combine / "combine", Apply / "apply", Figure2 / "figure2",
-            Exscan / "exscan", Recover / "recover",
-        ],
+            Spinesums / "spinesums", Multisums / "multisums", Local / "local",
+            Combine / "combine", Apply / "apply", Figure2 / "figure2", Exscan / "exscan",
+            Recover / "recover"
+        ]
+    )
+}
+
+/// The dispatcher's static (allocation-free) instrument keys for one
+/// engine: `[attempt latency histogram, attempts counter, retries counter,
+/// breaker event stream]`. [`Engine::Auto`] is keyed as the chunked engine
+/// it runs.
+pub(crate) fn dispatch_keys(engine: Engine) -> [&'static str; 4] {
+    macro_rules! keys {
+        ($($eng:ident / $en:literal),+) => {
+            match engine {
+                $(Engine::$eng => [
+                    concat!("dispatch.", $en, ".attempt_ns"),
+                    concat!("dispatch.", $en, ".attempts"),
+                    concat!("dispatch.", $en, ".retries"),
+                    concat!("dispatch.breaker.", $en),
+                ],)+
+                Engine::Auto => dispatch_keys(Engine::Chunked),
+            }
+        };
     }
+    keys!(
+        Atomic / "atomic",
+        Sharded / "shard",
+        Chunked / "chunked",
+        Spinetree / "spinetree",
+        Serial / "serial"
+    )
 }
 
 /// A drop guard that times a region into the histogram `name`.
@@ -219,7 +230,7 @@ mod tests {
     #[test]
     fn phase_keys_are_static_and_distinct_per_engine() {
         let mut seen = std::collections::HashSet::new();
-        for engine in EngineKind::ALL {
+        for engine in Engine::ALL {
             for &phase in Phase::for_engine(engine) {
                 let key = phase_key(engine, phase);
                 assert!(key.starts_with("engine."), "{key}");
@@ -229,7 +240,7 @@ mod tests {
         }
         // Off-taxonomy pairs still resolve without panicking.
         assert_eq!(
-            phase_key(EngineKind::Serial, Phase::Rowsums),
+            phase_key(Engine::Serial, Phase::Rowsums),
             "engine.serial.phase.rowsums"
         );
     }

@@ -33,9 +33,9 @@
 //! draws, but every draw comes from the same deterministic stream — no OS
 //! entropy anywhere).
 
+use crate::api::Engine;
 use crate::error::MpError;
 use crate::resilience::ctx::Deadline;
-use crate::resilience::dispatcher::EngineKind;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -58,7 +58,7 @@ pub struct ChaosPlan {
     /// Restrict injection to one engine (`None` faults every engine). Lets
     /// a test wedge the primary of a fallback chain while its fallbacks
     /// stay healthy.
-    pub only: Option<EngineKind>,
+    pub only: Option<Engine>,
     /// Probability a **worker checkpoint** (drawn by a
     /// [`crate::service::Service`] pool worker between dequeuing a batch
     /// and executing it) panics, killing the worker thread itself — the
@@ -185,9 +185,10 @@ impl ChaosPlan {
         self
     }
 
-    /// Restrict injection to `engine`.
-    pub fn only(mut self, engine: EngineKind) -> Self {
-        self.only = Some(engine);
+    /// Restrict injection to `engine` ([`Engine::Auto`] targets the
+    /// chunked engine it runs).
+    pub fn only(mut self, engine: Engine) -> Self {
+        self.only = Some(engine.resolve());
         self
     }
 
@@ -531,7 +532,7 @@ impl ChaosState {
     /// (clamped to `deadline`), or (usually) do nothing.
     pub(crate) fn inject(
         &self,
-        engine: Option<EngineKind>,
+        engine: Option<Engine>,
         deadline: Option<Deadline>,
     ) -> Result<(), MpError> {
         if let Some(only) = self.plan.only {
@@ -592,14 +593,14 @@ impl ChaosState {
 
     /// One **chunk-worker** draw on behalf of the chunked engine's local
     /// worker `worker`. Fires only for a plan explicitly scoped to the
-    /// chunked engine (`only(EngineKind::Chunked)`); every other plan burns
+    /// chunked engine (`only(Engine::Chunked)`); every other plan burns
     /// **no draw**, keeping the engine-checkpoint sequence and the service
     /// pool's worker-panic accounting (which equates its own panics with
     /// `worker_panics_injected()`) untouched. A fired panic unwinds through
     /// the scope join into the engine's `catch_unwind` and surfaces as
     /// [`MpError::EnginePanicked`] — the dispatcher's retry/fallback path.
     pub(crate) fn inject_chunk_worker(&self, worker: usize, deadline: Option<Deadline>) {
-        if self.plan.only != Some(EngineKind::Chunked) {
+        if self.plan.only != Some(Engine::Chunked) {
             return;
         }
         if self.plan.worker_panic_ppm == 0 && self.plan.worker_stall_ppm == 0 {
@@ -840,11 +841,11 @@ mod tests {
     fn targeted_plan_spares_other_engines() {
         let state = ChaosPlan::seeded(5)
             .alloc_fail_ppm(1_000_000)
-            .only(EngineKind::Chunked)
+            .only(Engine::Chunked)
             .arm();
-        assert!(state.inject(Some(EngineKind::Serial), None).is_ok());
+        assert!(state.inject(Some(Engine::Serial), None).is_ok());
         assert!(state.inject(None, None).is_ok());
-        assert!(state.inject(Some(EngineKind::Chunked), None).is_err());
+        assert!(state.inject(Some(Engine::Chunked), None).is_err());
         assert_eq!(state.faults_injected(), 1);
     }
 

@@ -18,10 +18,10 @@
 //! An empty context's checkpoint is three `None` tests; the plain
 //! (non-`try`) engines never checkpoint at all.
 
+use crate::api::Engine;
 use crate::error::MpError;
 use crate::obs::{phase_key, Phase, Recorder, Span};
 use crate::resilience::chaos::ChaosState;
-use crate::resilience::dispatcher::EngineKind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -219,7 +219,7 @@ pub struct RunContext {
     deadline: Option<Deadline>,
     cancel: Option<CancelToken>,
     chaos: Option<Arc<ChaosState>>,
-    engine: Option<EngineKind>,
+    engine: Option<Engine>,
     recorder: Option<Arc<dyn Recorder>>,
 }
 
@@ -254,9 +254,10 @@ impl RunContext {
 
     /// Tag the context with the engine about to run it, so a targeted
     /// [`crate::resilience::ChaosPlan`] can fault one engine and spare the
-    /// rest. The dispatcher sets this per attempt.
-    pub fn for_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = Some(engine);
+    /// rest. The dispatcher sets this per attempt. [`Engine::Auto`] is
+    /// tagged as the chunked engine it runs.
+    pub fn for_engine(mut self, engine: Engine) -> Self {
+        self.engine = Some(engine.resolve());
         self
     }
 

@@ -7,8 +7,9 @@
 //! is slow, wedged or failing, another can serve the identical request. A
 //! [`Dispatcher`] packages that:
 //!
-//! * a configurable **fallback chain** of [`EngineKind`]s, tried in order
-//!   (default `Chunked → Spinetree → Serial`);
+//! * a configurable **fallback chain** of [`Engine`]s, tried in order
+//!   (default `Chunked → Serial`: the engine `Engine::Auto` runs, then the
+//!   Figure 2 loop);
 //! * per-attempt and per-request **deadlines** and a caller-supplied
 //!   [`crate::resilience::CancelToken`], threaded into every engine via
 //!   [`crate::resilience::RunContext`] checkpoints;
@@ -20,116 +21,44 @@
 //!   that trips a repeatedly failing engine out of the chain and probes it
 //!   back in after a cooldown.
 //!
+//! Each attempt runs through the same engine tables as
+//! [`crate::try_multiprefix_ctx`] and [`crate::try_multireduce_ctx`], so
+//! an engine does here exactly what it does there; the dispatcher adds
+//! only its own `Atomic` (`i64`) and `Sharded` arms.
+//!
 //! Every successful dispatch returns the canonical result — bit-identical
 //! to the serial (Figure 2) oracle under the configured
 //! [`crate::exec::OverflowPolicy`] — no matter which engine served it; a
-//! failed dispatch returns a typed [`MpError`]. Wrong answers and hangs are
-//! not in the outcome space: engines are checkpoint-bounded and the
-//! dispatcher contains their panics.
+//! failed dispatch returns a typed [`MpError`], and on an invalid input
+//! that error is [`crate::validate`]'s. Wrong answers and hangs are not in
+//! the outcome space: engines are checkpoint-bounded and the dispatcher
+//! contains their panics.
 
+use crate::api::{Call, Engine};
 use crate::atomic::{
     try_multiprefix_atomic_cfg_ctx, try_multireduce_atomic_cfg_ctx, AtomicCombine,
 };
-use crate::chunked::{
-    try_multiprefix_chunked_cfg_ctx, try_multiprefix_chunked_ws_ctx,
-    try_multireduce_chunked_cfg_ctx, try_multireduce_chunked_ws_ctx, ChunkedWorkspace,
-};
+use crate::chunked::ChunkedWorkspace;
 use crate::error::MpError;
-use crate::exec::{estimate_engine_mem, ExecConfig, TryEngineResult};
-use crate::obs::Recorder;
+use crate::exec::{ExecConfig, TryEngineResult};
+use crate::obs::{dispatch_keys, Recorder};
 use crate::op::TryCombineOp;
-use crate::problem::{validate_slices, Element, MultiprefixOutput};
+use crate::problem::{Element, MultiprefixOutput};
 use crate::resilience::chaos::ChaosState;
 use crate::resilience::ctx::{CancelToken, Deadline, RunContext};
 use crate::resilience::health::{BreakerConfig, CircuitState, EngineHealth};
-use crate::serial::{try_multiprefix_serial_ctx, try_multireduce_serial_ctx};
 use crate::shard::{ShardConfig, ShardSupervisor};
-use crate::spinetree::{try_multiprefix_spinetree_ctx, try_multireduce_spinetree_ctx};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The engines a [`Dispatcher`] chain can name.
-///
-/// Unlike [`crate::Engine`] (the plain API's selector), this includes the
-/// `i64`-only atomic engine: the dispatcher knows per-call whether the
-/// element type supports it and silently skips it (counting a fallback)
-/// when it does not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// The genuinely concurrent CRCW-ARB engine ([`crate::atomic`];
-    /// `i64` + commutative operators only).
-    Atomic,
-    /// The fault-tolerant sharded engine ([`crate::shard`]): chunked phases
-    /// distributed across supervised shard workers with shard-loss
-    /// recovery. Opt-in: skipped unless [`DispatcherConfig::shard`] is set.
-    Sharded,
-    /// The two-level local/combine/apply engine with reusable chunk
-    /// tables ([`crate::chunked`]) — the default primary.
-    Chunked,
-    /// The paper's `O(√n)`-step spinetree engine ([`crate::spinetree`]).
-    Spinetree,
-    /// The Figure 2 reference loop ([`crate::serial`]) — the engine of last
-    /// resort: no parallel runtime, no auxiliary structures.
-    Serial,
-}
+/// The engine selector under its former dispatcher name. [`Engine`] is
+/// the one engine enum; the alias stays only because the end-to-end
+/// benchmark package imports it, like [`crate::blocked`].
+pub type EngineKind = Engine;
 
-impl EngineKind {
-    /// All engine kinds, in default-chain preference order.
-    pub const ALL: [EngineKind; 5] = [
-        EngineKind::Atomic,
-        EngineKind::Sharded,
-        EngineKind::Chunked,
-        EngineKind::Spinetree,
-        EngineKind::Serial,
-    ];
-
-    fn index(self) -> usize {
-        match self {
-            EngineKind::Atomic => 0,
-            EngineKind::Sharded => 1,
-            EngineKind::Chunked => 2,
-            EngineKind::Spinetree => 3,
-            EngineKind::Serial => 4,
-        }
-    }
-
-    /// Static (allocation-free) instrument keys for this engine:
-    /// `(attempt latency histogram, attempts counter, retries counter,
-    /// breaker event stream)`.
-    fn obs_keys(self) -> (&'static str, &'static str, &'static str, &'static str) {
-        macro_rules! keys {
-            ($name:literal) => {
-                (
-                    concat!("dispatch.", $name, ".attempt_ns"),
-                    concat!("dispatch.", $name, ".attempts"),
-                    concat!("dispatch.", $name, ".retries"),
-                    concat!("dispatch.breaker.", $name),
-                )
-            };
-        }
-        match self {
-            EngineKind::Atomic => keys!("atomic"),
-            EngineKind::Sharded => keys!("shard"),
-            EngineKind::Chunked => keys!("chunked"),
-            EngineKind::Spinetree => keys!("spinetree"),
-            EngineKind::Serial => keys!("serial"),
-        }
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            EngineKind::Atomic => "atomic",
-            EngineKind::Sharded => "shard",
-            EngineKind::Chunked => "chunked",
-            EngineKind::Spinetree => "spinetree",
-            EngineKind::Serial => "serial",
-        };
-        f.write_str(name)
-    }
-}
+/// The `i64` entries' atomic-engine call, which the generic entries lack.
+type AtomicCall<'a, R> = Option<&'a dyn Fn(&RunContext) -> TryEngineResult<R>>;
 
 /// Retry discipline for transient failures within one engine of the chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,12 +85,15 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Full dispatcher configuration.
+/// Full dispatcher configuration. The default chain is chunked → serial.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatcherConfig {
     /// Engines to try, in order. The first healthy, admitted, type-capable
-    /// engine serves the request; later entries are fallbacks.
-    pub chain: Vec<EngineKind>,
+    /// engine serves the request; later entries are fallbacks. The default
+    /// is `[Chunked, Serial]`: the chunked engine on one chunk, as
+    /// [`Engine::Auto`] runs it, then the Figure 2 loop. Spinetree, atomic
+    /// and sharded entries run only when named here.
+    pub chain: Vec<Engine>,
     /// Hardened-execution config (overflow policy, budgets) applied to
     /// every attempt.
     pub exec: ExecConfig,
@@ -176,9 +108,9 @@ pub struct DispatcherConfig {
     pub breaker: BreakerConfig,
     /// Opt-in sharded execution: when set, the dispatcher owns a
     /// [`ShardSupervisor`] (so per-shard breaker state persists across
-    /// requests) and [`EngineKind::Sharded`] chain entries participate.
+    /// requests) and [`Engine::Sharded`] chain entries participate.
     /// When `None` (the default) sharded entries are skipped as
-    /// unsupported, exactly like [`EngineKind::Atomic`] for non-`i64`
+    /// unsupported, exactly like [`Engine::Atomic`] for non-`i64`
     /// dispatches.
     pub shard: Option<ShardConfig>,
 }
@@ -186,11 +118,7 @@ pub struct DispatcherConfig {
 impl Default for DispatcherConfig {
     fn default() -> Self {
         DispatcherConfig {
-            chain: vec![
-                EngineKind::Chunked,
-                EngineKind::Spinetree,
-                EngineKind::Serial,
-            ],
+            chain: vec![Engine::Chunked, Engine::Serial],
             exec: ExecConfig::default(),
             attempt_timeout: None,
             request_timeout: None,
@@ -223,8 +151,9 @@ pub struct DispatchOpts {
 pub struct DispatchOutcome<R> {
     /// The canonical result (identical to the serial oracle's).
     pub output: R,
-    /// The engine that served the request.
-    pub engine: EngineKind,
+    /// The engine that served the request ([`Engine::Chunked`] for an
+    /// [`Engine::Auto`] chain entry).
+    pub engine: Engine,
     /// Engine attempts actually executed (≥ 1).
     pub attempts: u32,
     /// Chain entries skipped or exhausted before the serving engine
@@ -245,6 +174,11 @@ fn transition_name(before: CircuitState, after: CircuitState) -> &'static str {
         (HalfOpen, Open) => "half_open->open",
         (Closed, Closed) | (Open, Open) | (HalfOpen, HalfOpen) => "no-op",
     }
+}
+
+/// The earlier of two optional deadlines.
+fn earliest(a: Option<Deadline>, b: Option<Deadline>) -> Option<Deadline> {
+    a.into_iter().chain(b).min()
 }
 
 /// Deterministic xorshift64* stream for backoff jitter — no OS entropy, so
@@ -282,7 +216,9 @@ impl JitterRng {
 #[derive(Debug)]
 pub struct Dispatcher {
     cfg: DispatcherConfig,
-    health: [EngineHealth; 5],
+    /// One breaker per engine, indexed by `Engine as usize`; `Auto`'s slot
+    /// stays unused, since `Auto` runs as `Chunked`.
+    health: [EngineHealth; 6],
     recorder: Option<Arc<dyn Recorder>>,
     /// The sharded engine's orchestrator, present iff
     /// [`DispatcherConfig::shard`] is set. Owned here so shard breaker
@@ -307,7 +243,7 @@ impl Dispatcher {
         // Element-size-independent config checks; the per-call validation
         // re-runs with the real element size.
         cfg.exec.validate_for(1)?;
-        let health = EngineKind::ALL.map(|_| EngineHealth::new(cfg.breaker));
+        let health = std::array::from_fn(|_| EngineHealth::new(cfg.breaker));
         let shard = cfg.shard.map(ShardSupervisor::new);
         Ok(Dispatcher {
             cfg,
@@ -342,7 +278,7 @@ impl Dispatcher {
     }
 
     /// The circuit-breaker state of one engine.
-    pub fn circuit_state(&self, kind: EngineKind) -> CircuitState {
+    pub fn circuit_state(&self, kind: Engine) -> CircuitState {
         self.health_of(kind).state()
     }
 
@@ -353,11 +289,11 @@ impl Dispatcher {
         self.shard.as_ref()
     }
 
-    fn health_of(&self, kind: EngineKind) -> &EngineHealth {
-        &self.health[kind.index()]
+    fn health_of(&self, kind: Engine) -> &EngineHealth {
+        &self.health[kind.resolve() as usize]
     }
 
-    /// Dispatch a multiprefix over any [`Element`] type. [`EngineKind::Atomic`]
+    /// Dispatch a multiprefix over any [`Element`] type. [`Engine::Atomic`]
     /// entries in the chain are skipped (the atomic engine is `i64`-only —
     /// use [`Self::dispatch_i64`] to include it).
     pub fn dispatch<T: Element, O: TryCombineOp<T>>(
@@ -368,10 +304,11 @@ impl Dispatcher {
         op: O,
         opts: &DispatchOpts,
     ) -> Result<DispatchOutcome<MultiprefixOutput<T>>, MpError> {
-        self.dispatch_inner(values, labels, m, op, opts, None)
+        let call = Call::new(values, labels, m, op, self.cfg.exec);
+        self.prefix_chain(call, opts, None, None)
     }
 
-    /// [`Self::dispatch`] running any [`EngineKind::Chunked`] attempt in
+    /// [`Self::dispatch`] running any [`Engine::Chunked`] attempt in
     /// the caller's [`ChunkedWorkspace`] instead of fresh scratch — the
     /// zero-steady-state-allocation path a [`crate::service::Service`] uses
     /// with its workspace pool. Other engines in the chain are unaffected.
@@ -384,70 +321,13 @@ impl Dispatcher {
         opts: &DispatchOpts,
         ws: &mut ChunkedWorkspace<T>,
     ) -> Result<DispatchOutcome<MultiprefixOutput<T>>, MpError> {
-        self.dispatch_inner(values, labels, m, op, opts, Some(ws))
-    }
-
-    fn dispatch_inner<T: Element, O: TryCombineOp<T>>(
-        &self,
-        values: &[T],
-        labels: &[usize],
-        m: usize,
-        op: O,
-        opts: &DispatchOpts,
-        ws: Option<&mut ChunkedWorkspace<T>>,
-    ) -> Result<DispatchOutcome<MultiprefixOutput<T>>, MpError> {
-        self.validate_request::<T>(values, labels, m)?;
-        let policy = self.cfg.exec.overflow;
-        let exec = self.cfg.exec;
-        // RefCell, not &mut, because `drive` takes a Fn it may call once per
-        // attempt; a retried attempt re-borrows after the previous borrow
-        // (even one dropped mid-unwind) has ended.
-        let ws_cell = ws.map(std::cell::RefCell::new);
-        self.drive(
-            opts,
-            |kind| {
-                kind != EngineKind::Atomic && (kind != EngineKind::Sharded || self.shard.is_some())
-            },
-            |kind, ctx| {
-                let tried: TryEngineResult<MultiprefixOutput<T>> = match kind {
-                    EngineKind::Serial => {
-                        return try_multiprefix_serial_ctx(values, labels, m, op, policy, ctx)
-                    }
-                    EngineKind::Spinetree => {
-                        try_multiprefix_spinetree_ctx(values, labels, m, op, policy, ctx)
-                    }
-                    EngineKind::Chunked => match &ws_cell {
-                        Some(cell) => {
-                            let mut ws = cell.borrow_mut();
-                            try_multiprefix_chunked_ws_ctx(
-                                values, labels, m, op, exec, &mut ws, ctx,
-                            )
-                        }
-                        None => try_multiprefix_chunked_cfg_ctx(values, labels, m, op, exec, ctx),
-                    },
-                    EngineKind::Sharded => match &self.shard {
-                        Some(sup) => sup.try_multiprefix(values, labels, m, op, exec, ctx),
-                        None => unreachable!(
-                            "invariant: Sharded is filtered out of dispatch when unconfigured"
-                        ),
-                    },
-                    EngineKind::Atomic => unreachable!(
-                        "invariant: Atomic is filtered out of generic dispatch by `supports`"
-                    ),
-                };
-                match tried? {
-                    Some(out) => Ok(out),
-                    // A checked combine tripped: canonicalize via serial
-                    // replay under the same policy and context.
-                    None => try_multiprefix_serial_ctx(values, labels, m, op, policy, ctx),
-                }
-            },
-        )
+        let call = Call::new(values, labels, m, op, self.cfg.exec);
+        self.prefix_chain(call, opts, Some(ws), None)
     }
 
     /// [`Self::dispatch`] for `i64` with a commutative [`AtomicCombine`]
     /// operator — the one combination the concurrent atomic engine
-    /// supports, so [`EngineKind::Atomic`] chain entries participate.
+    /// supports, so [`Engine::Atomic`] chain entries participate.
     pub fn dispatch_i64<O: AtomicCombine + TryCombineOp<i64>>(
         &self,
         values: &[i64],
@@ -456,39 +336,11 @@ impl Dispatcher {
         op: O,
         opts: &DispatchOpts,
     ) -> Result<DispatchOutcome<MultiprefixOutput<i64>>, MpError> {
-        self.validate_request::<i64>(values, labels, m)?;
-        let policy = self.cfg.exec.overflow;
-        let exec = self.cfg.exec;
-        self.drive(
-            opts,
-            |kind| kind != EngineKind::Sharded || self.shard.is_some(),
-            |kind, ctx| {
-                let tried: TryEngineResult<MultiprefixOutput<i64>> = match kind {
-                    EngineKind::Serial => {
-                        return try_multiprefix_serial_ctx(values, labels, m, op, policy, ctx)
-                    }
-                    EngineKind::Spinetree => {
-                        try_multiprefix_spinetree_ctx(values, labels, m, op, policy, ctx)
-                    }
-                    EngineKind::Chunked => {
-                        try_multiprefix_chunked_cfg_ctx(values, labels, m, op, exec, ctx)
-                    }
-                    EngineKind::Sharded => match &self.shard {
-                        Some(sup) => sup.try_multiprefix(values, labels, m, op, exec, ctx),
-                        None => unreachable!(
-                            "invariant: Sharded is filtered out of dispatch when unconfigured"
-                        ),
-                    },
-                    EngineKind::Atomic => {
-                        try_multiprefix_atomic_cfg_ctx(values, labels, m, op, exec, ctx)
-                    }
-                };
-                match tried? {
-                    Some(out) => Ok(out),
-                    None => try_multiprefix_serial_ctx(values, labels, m, op, policy, ctx),
-                }
-            },
-        )
+        let call = Call::new(values, labels, m, op, self.cfg.exec);
+        let atomic = |ctx: &RunContext| {
+            try_multiprefix_atomic_cfg_ctx(values, labels, m, op, call.config, ctx)
+        };
+        self.prefix_chain(call, opts, None, Some(&atomic))
     }
 
     /// Dispatch a multireduce (per-label reductions only). As with
@@ -503,10 +355,11 @@ impl Dispatcher {
         op: O,
         opts: &DispatchOpts,
     ) -> Result<DispatchOutcome<Vec<T>>, MpError> {
-        self.dispatch_reduce_inner(values, labels, m, op, opts, None)
+        let call = Call::new(values, labels, m, op, self.cfg.exec);
+        self.reduce_chain(call, opts, None, None)
     }
 
-    /// [`Self::dispatch_reduce`] running [`EngineKind::Chunked`] attempts
+    /// [`Self::dispatch_reduce`] running [`Engine::Chunked`] attempts
     /// in the caller's [`ChunkedWorkspace`] (see [`Self::dispatch_pooled`]).
     pub fn dispatch_reduce_pooled<T: Element, O: TryCombineOp<T>>(
         &self,
@@ -517,64 +370,12 @@ impl Dispatcher {
         opts: &DispatchOpts,
         ws: &mut ChunkedWorkspace<T>,
     ) -> Result<DispatchOutcome<Vec<T>>, MpError> {
-        self.dispatch_reduce_inner(values, labels, m, op, opts, Some(ws))
-    }
-
-    fn dispatch_reduce_inner<T: Element, O: TryCombineOp<T>>(
-        &self,
-        values: &[T],
-        labels: &[usize],
-        m: usize,
-        op: O,
-        opts: &DispatchOpts,
-        ws: Option<&mut ChunkedWorkspace<T>>,
-    ) -> Result<DispatchOutcome<Vec<T>>, MpError> {
-        self.validate_request::<T>(values, labels, m)?;
-        let policy = self.cfg.exec.overflow;
-        let exec = self.cfg.exec;
-        let checking = policy.needs_checking();
-        let ws_cell = ws.map(std::cell::RefCell::new);
-        // Reduce dispatches have no sharded path (the sharded engine's
-        // value is distributing the three-phase prefix; a reduce is served
-        // fine by the single-node engines), so Sharded is skipped like any
-        // other unsupported kind.
-        self.drive(
-            opts,
-            |kind| kind != EngineKind::Atomic && kind != EngineKind::Sharded,
-            |kind, ctx| {
-                let tried: TryEngineResult<Vec<T>> = match kind {
-                    _ if checking => {
-                        return try_multireduce_serial_ctx(values, labels, m, op, policy, ctx)
-                    }
-                    EngineKind::Serial => {
-                        return try_multireduce_serial_ctx(values, labels, m, op, policy, ctx)
-                    }
-                    EngineKind::Spinetree => {
-                        try_multireduce_spinetree_ctx(values, labels, m, op, policy, ctx)
-                    }
-                    EngineKind::Chunked => match &ws_cell {
-                        Some(cell) => {
-                            let mut ws = cell.borrow_mut();
-                            try_multireduce_chunked_ws_ctx(
-                                values, labels, m, op, exec, &mut ws, ctx,
-                            )
-                        }
-                        None => try_multireduce_chunked_cfg_ctx(values, labels, m, op, exec, ctx),
-                    },
-                    EngineKind::Atomic | EngineKind::Sharded => unreachable!(
-                        "invariant: Atomic and Sharded are filtered out of reduce dispatch by `supports`"
-                    ),
-                };
-                match tried? {
-                    Some(red) => Ok(red),
-                    None => try_multireduce_serial_ctx(values, labels, m, op, policy, ctx),
-                }
-            },
-        )
+        let call = Call::new(values, labels, m, op, self.cfg.exec);
+        self.reduce_chain(call, opts, Some(ws), None)
     }
 
     /// [`Self::dispatch_reduce`] for `i64` with an [`AtomicCombine`]
-    /// operator, including [`EngineKind::Atomic`] chain entries.
+    /// operator, including [`Engine::Atomic`] chain entries.
     pub fn dispatch_reduce_i64<O: AtomicCombine + TryCombineOp<i64>>(
         &self,
         values: &[i64],
@@ -583,54 +384,70 @@ impl Dispatcher {
         op: O,
         opts: &DispatchOpts,
     ) -> Result<DispatchOutcome<Vec<i64>>, MpError> {
-        self.validate_request::<i64>(values, labels, m)?;
-        let policy = self.cfg.exec.overflow;
-        let exec = self.cfg.exec;
-        let checking = policy.needs_checking();
-        self.drive(
-            opts,
-            |kind| kind != EngineKind::Sharded,
-            |kind, ctx| {
-                let tried: TryEngineResult<Vec<i64>> = match kind {
-                    _ if checking => {
-                        return try_multireduce_serial_ctx(values, labels, m, op, policy, ctx)
-                    }
-                    EngineKind::Serial => {
-                        return try_multireduce_serial_ctx(values, labels, m, op, policy, ctx)
-                    }
-                    EngineKind::Spinetree => {
-                        try_multireduce_spinetree_ctx(values, labels, m, op, policy, ctx)
-                    }
-                    EngineKind::Chunked => {
-                        try_multireduce_chunked_cfg_ctx(values, labels, m, op, exec, ctx)
-                    }
-                    EngineKind::Sharded => unreachable!(
-                        "invariant: Sharded is filtered out of reduce dispatch by `supports`"
-                    ),
-                    EngineKind::Atomic => {
-                        try_multireduce_atomic_cfg_ctx(values, labels, m, op, exec, ctx)
-                    }
-                };
-                match tried? {
-                    Some(red) => Ok(red),
-                    None => try_multireduce_serial_ctx(values, labels, m, op, policy, ctx),
-                }
-            },
-        )
+        let call = Call::new(values, labels, m, op, self.cfg.exec);
+        let atomic = |ctx: &RunContext| {
+            try_multireduce_atomic_cfg_ctx(values, labels, m, op, call.config, ctx)
+        };
+        self.reduce_chain(call, opts, None, Some(&atomic))
     }
 
-    /// Input validation and budget checks, once per request (these are
-    /// permanent failures — they say nothing about engine health and bypass
-    /// the chain entirely).
-    fn validate_request<T>(&self, values: &[T], labels: &[usize], m: usize) -> Result<(), MpError> {
-        validate_slices(values, labels, m)?;
-        self.cfg.exec.validate_for(std::mem::size_of::<T>())?;
-        self.cfg.exec.check_buckets(m)?;
-        self.cfg.exec.check_mem(estimate_engine_mem(
-            values.len(),
-            m,
-            std::mem::size_of::<T>(),
-        ))
+    /// Every prefix flavor: the shared prefix table, plus the dispatcher's
+    /// own atomic (`i64` entries only) and sharded (when configured) arms.
+    /// The request's checks are the API's: [`Call::admit`] up front, then
+    /// each engine's own label check, and [`crate::validate`]'s error for
+    /// any failure of an invalid input — also one that ends the dispatch
+    /// before any engine runs.
+    fn prefix_chain<T: Element, O: TryCombineOp<T>>(
+        &self,
+        call: Call<'_, T, O>,
+        opts: &DispatchOpts,
+        mut ws: Option<&mut ChunkedWorkspace<T>>,
+        atomic: AtomicCall<'_, MultiprefixOutput<T>>,
+    ) -> Result<DispatchOutcome<MultiprefixOutput<T>>, MpError> {
+        call.admit()?;
+        self.drive(
+            opts,
+            |kind| match kind {
+                Engine::Atomic => atomic.is_some(),
+                Engine::Sharded => self.shard.is_some(),
+                _ => true,
+            },
+            |kind, ctx| match (kind, atomic, &self.shard) {
+                (Engine::Atomic, Some(atomic), _) => call.run_prefix(kind, ctx, || atomic(ctx)),
+                (Engine::Sharded, _, Some(sup)) => call.run_prefix(kind, ctx, || {
+                    sup.try_multiprefix(call.values, call.labels, call.m, call.op, call.config, ctx)
+                }),
+                _ => call.prefix(kind, ws.as_deref_mut(), ctx),
+            },
+        )
+        .map_err(|err| call.input_error_first(err))
+    }
+
+    /// Every reduce flavor, as [`Self::prefix_chain`]. Reduce dispatches
+    /// have no sharded path (the sharded engine's value is distributing the
+    /// three-phase prefix; a reduce is served fine by the single-node
+    /// engines), so `Sharded` is skipped like any other unsupported engine.
+    fn reduce_chain<T: Element, O: TryCombineOp<T>>(
+        &self,
+        call: Call<'_, T, O>,
+        opts: &DispatchOpts,
+        mut ws: Option<&mut ChunkedWorkspace<T>>,
+        atomic: AtomicCall<'_, Vec<T>>,
+    ) -> Result<DispatchOutcome<Vec<T>>, MpError> {
+        call.admit()?;
+        self.drive(
+            opts,
+            |kind| match kind {
+                Engine::Atomic => atomic.is_some(),
+                Engine::Sharded => false,
+                _ => true,
+            },
+            |kind, ctx| match (kind, atomic) {
+                (Engine::Atomic, Some(atomic)) => call.run_reduce(kind, ctx, || atomic(ctx)),
+                _ => call.reduce(kind, ws.as_deref_mut(), ctx),
+            },
+        )
+        .map_err(|err| call.input_error_first(err))
     }
 
     /// The attempt loop shared by every dispatch flavor: walk the chain,
@@ -639,55 +456,32 @@ impl Dispatcher {
     fn drive<R>(
         &self,
         opts: &DispatchOpts,
-        supports: impl Fn(EngineKind) -> bool,
-        run: impl Fn(EngineKind, &RunContext) -> Result<R, MpError>,
+        supports: impl Fn(Engine) -> bool,
+        mut run: impl FnMut(Engine, &RunContext) -> Result<R, MpError>,
     ) -> Result<DispatchOutcome<R>, MpError> {
-        let mut request_deadline = self.cfg.request_timeout.map(Deadline::after);
-        if let Some(d) = opts.deadline {
-            request_deadline = Some(match request_deadline {
-                Some(r) => r.min(d),
-                None => d,
-            });
-        }
+        let request_deadline =
+            earliest(self.cfg.request_timeout.map(Deadline::after), opts.deadline);
         let rec = self.recorder.as_deref();
-        if let Some(rec) = rec {
-            rec.counter("dispatch.requests", 1);
-        }
+        let count = |key: &str| {
+            if let Some(rec) = rec {
+                rec.counter(key, 1);
+            }
+        };
+        count("dispatch.requests");
         let mut jitter = JitterRng::new(self.cfg.retry.jitter_seed);
         let mut attempts = 0u32;
-        let mut fallbacks = 0u32;
         let mut last_transient: Option<MpError> = None;
 
-        'chain: for &kind in &self.cfg.chain {
-            let (attempt_ns_key, attempts_key, retries_key, breaker_key) = kind.obs_keys();
-            // Breaker transitions (closed->open, open->half_open, ...) are
-            // reported as events by diffing the state around each breaker
-            // interaction — the breaker itself stays recorder-free.
-            let breaker_event = |before: CircuitState| {
-                if let Some(rec) = rec {
-                    let after = self.health_of(kind).state();
-                    if after != before {
-                        rec.event(breaker_key, transition_name(before, after));
-                    }
-                }
-            };
-            let pre_admit = match rec {
-                Some(_) => self.health_of(kind).state(),
-                None => CircuitState::Closed,
-            };
-            if !supports(kind) || !self.health_of(kind).admit() {
-                breaker_event(pre_admit);
-                fallbacks += 1;
-                if let Some(rec) = rec {
-                    rec.counter("dispatch.fallbacks", 1);
-                }
-                continue;
-            }
-            breaker_event(pre_admit);
-            let mut backoff = self.cfg.retry.base_backoff;
-            for attempt in 0..self.cfg.retry.max_attempts {
-                if let Some(d) = request_deadline {
-                    if d.expired() {
+        // Every entry before the serving one was skipped or failed out, so
+        // the serving entry's index is the fallback count.
+        for (fallbacks, &entry) in self.cfg.chain.iter().enumerate() {
+            // `Auto` runs, reports and is keyed as the chunked engine.
+            let kind = entry.resolve();
+            let [attempt_ns_key, attempts_key, retries_key, _] = dispatch_keys(kind);
+            if supports(kind) && self.breaker(kind, EngineHealth::admit) {
+                let mut backoff = self.cfg.retry.base_backoff;
+                for attempt in 0..self.cfg.retry.max_attempts {
+                    if request_deadline.is_some_and(|d| d.expired()) {
                         // The *request* deadline has passed: whatever
                         // transient error preceded it, the caller's budget
                         // is what actually ended the dispatch — report it
@@ -695,90 +489,91 @@ impl Dispatcher {
                         // `expired`, not as the last engine's failure).
                         return Err(MpError::DeadlineExceeded);
                     }
-                }
-                attempts += 1;
-                if let Some(rec) = rec {
-                    rec.counter(attempts_key, 1);
+                    attempts += 1;
+                    count(attempts_key);
                     if attempt > 0 {
-                        rec.counter(retries_key, 1);
+                        count(retries_key);
                     }
-                }
-                let ctx = self.attempt_ctx(kind, request_deadline, opts);
-                // Contain panics from *any* engine (and from chaos
-                // injection): AssertUnwindSafe is sound because `run`
-                // captures only shared references to the inputs and every
-                // partially built output dies inside the closure.
-                let started = rec.map(|_| Instant::now());
-                let result = catch_unwind(AssertUnwindSafe(|| run(kind, &ctx)))
-                    .unwrap_or(Err(MpError::EnginePanicked));
-                if let (Some(rec), Some(started)) = (rec, started) {
-                    let nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                    rec.duration_ns(attempt_ns_key, nanos);
-                }
-                match result {
-                    Ok(output) => {
-                        let before = match rec {
-                            Some(_) => self.health_of(kind).state(),
-                            None => CircuitState::Closed,
-                        };
-                        self.health_of(kind).on_success();
-                        breaker_event(before);
-                        return Ok(DispatchOutcome {
-                            output,
-                            engine: kind,
-                            attempts,
-                            fallbacks,
-                        });
+                    let ctx = self.attempt_ctx(kind, request_deadline, opts);
+                    // Contain panics from *any* engine (and from chaos
+                    // injection): AssertUnwindSafe is sound because `run`
+                    // captures only shared references to the inputs (and
+                    // the workspace, which every run re-validates) and
+                    // every partially built output dies inside the closure.
+                    let started = rec.map(|_| Instant::now());
+                    let result = catch_unwind(AssertUnwindSafe(|| run(kind, &ctx)))
+                        .unwrap_or(Err(MpError::EnginePanicked));
+                    if let (Some(rec), Some(started)) = (rec, started) {
+                        let nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                        rec.duration_ns(attempt_ns_key, nanos);
                     }
-                    // Explicit user intent: stop the whole dispatch, no
-                    // fallback, no breaker bookkeeping.
-                    Err(MpError::Cancelled) => return Err(MpError::Cancelled),
-                    Err(err) if err.is_transient() => {
-                        let before = match rec {
-                            Some(_) => self.health_of(kind).state(),
-                            None => CircuitState::Closed,
-                        };
-                        self.health_of(kind).on_failure();
-                        breaker_event(before);
-                        let blew_deadline = matches!(err, MpError::DeadlineExceeded);
-                        last_transient = Some(err);
-                        if blew_deadline {
-                            // The same engine under the same budget would
-                            // likely blow it again — move down the chain.
-                            fallbacks += 1;
-                            if let Some(rec) = rec {
-                                rec.counter("dispatch.fallbacks", 1);
-                            }
-                            continue 'chain;
+                    match result {
+                        Ok(output) => {
+                            self.breaker(kind, EngineHealth::on_success);
+                            return Ok(DispatchOutcome {
+                                output,
+                                engine: kind,
+                                attempts,
+                                fallbacks: fallbacks as u32,
+                            });
                         }
-                        if attempt + 1 < self.cfg.retry.max_attempts {
-                            self.backoff_sleep(backoff, &mut jitter, request_deadline);
-                            if let Some(rec) = rec {
-                                rec.counter("dispatch.backoff_sleeps", 1);
+                        // Explicit user intent: stop the whole dispatch, no
+                        // fallback, no breaker bookkeeping.
+                        Err(MpError::Cancelled) => return Err(MpError::Cancelled),
+                        Err(err) if err.is_transient() => {
+                            self.breaker(kind, EngineHealth::on_failure);
+                            let blew_deadline = matches!(err, MpError::DeadlineExceeded);
+                            last_transient = Some(err);
+                            if blew_deadline {
+                                // The same engine under the same budget
+                                // would likely blow it again — move down
+                                // the chain.
+                                break;
                             }
-                            // Saturating: a huge `base_backoff` (or enough
-                            // doublings) must clamp to `max_backoff`, not
-                            // panic in `Duration` multiplication.
-                            backoff = backoff.saturating_mul(2).min(self.cfg.retry.max_backoff);
+                            if attempt + 1 < self.cfg.retry.max_attempts {
+                                self.backoff_sleep(backoff, &mut jitter, request_deadline);
+                                count("dispatch.backoff_sleeps");
+                                // Saturating: a huge `base_backoff` (or
+                                // enough doublings) must clamp to
+                                // `max_backoff`, not panic in `Duration`
+                                // multiplication.
+                                backoff = backoff.saturating_mul(2).min(self.cfg.retry.max_backoff);
+                            }
                         }
+                        // Permanent: validation, overflow, budget,
+                        // verification failures are properties of the
+                        // request, not the engine — no retry, no fallback.
+                        Err(permanent) => return Err(permanent),
                     }
-                    // Permanent: validation, overflow, budget, verification
-                    // failures are properties of the request, not the
-                    // engine — no retry, no fallback.
-                    Err(permanent) => return Err(permanent),
                 }
             }
-            fallbacks += 1;
-            if let Some(rec) = rec {
-                rec.counter("dispatch.fallbacks", 1);
-            }
+            // Unsupported, breaker open, or failed out: the next entry.
+            count("dispatch.fallbacks");
         }
         Err(last_transient.unwrap_or(MpError::Unavailable))
     }
 
+    /// Apply `update` to `kind`'s breaker. With a recorder installed, a
+    /// state transition (`closed->open`, `open->half_open`, ...) is
+    /// reported as a `dispatch.breaker.<kind>` event by diffing the state
+    /// around the update — the breaker itself stays recorder-free.
+    fn breaker<R>(&self, kind: Engine, update: impl FnOnce(&EngineHealth) -> R) -> R {
+        let health = self.health_of(kind);
+        let Some(rec) = self.recorder.as_deref() else {
+            return update(health);
+        };
+        let before = health.state();
+        let out = update(health);
+        let after = health.state();
+        if after != before {
+            rec.event(dispatch_keys(kind)[3], transition_name(before, after));
+        }
+        out
+    }
+
     fn attempt_ctx(
         &self,
-        kind: EngineKind,
+        kind: Engine,
         request_deadline: Option<Deadline>,
         opts: &DispatchOpts,
     ) -> RunContext {
@@ -786,15 +581,8 @@ impl Dispatcher {
         if let Some(rec) = &self.recorder {
             ctx = ctx.with_recorder(Arc::clone(rec));
         }
-        let mut deadline = request_deadline;
-        if let Some(budget) = self.cfg.attempt_timeout {
-            let attempt_deadline = Deadline::after(budget);
-            deadline = Some(match deadline {
-                Some(d) => d.min(attempt_deadline),
-                None => attempt_deadline,
-            });
-        }
-        if let Some(d) = deadline {
+        let attempt_deadline = self.cfg.attempt_timeout.map(Deadline::after);
+        if let Some(d) = earliest(request_deadline, attempt_deadline) {
             ctx = ctx.with_deadline(d);
         }
         if let Some(cancel) = &opts.cancel {
@@ -851,9 +639,28 @@ mod tests {
             outcome.output,
             multiprefix_serial(&values, &labels, 11, Plus)
         );
-        assert_eq!(outcome.engine, EngineKind::Chunked);
+        assert_eq!(outcome.engine, Engine::Chunked);
         assert_eq!(outcome.attempts, 1);
         assert_eq!(outcome.fallbacks, 0);
+    }
+
+    #[test]
+    fn auto_entry_runs_reports_and_is_keyed_as_chunked() {
+        let (values, labels) = problem(3000, 11);
+        let rec = crate::obs::MemoryRecorder::shared();
+        let cfg = DispatcherConfig {
+            chain: vec![Engine::Auto],
+            ..Default::default()
+        };
+        let d = Dispatcher::new(cfg)
+            .unwrap()
+            .with_recorder(rec.clone() as Arc<dyn Recorder>);
+        let outcome = d
+            .dispatch(&values, &labels, 11, Plus, &DispatchOpts::default())
+            .unwrap();
+        assert_eq!(outcome.engine, Engine::Chunked);
+        assert_eq!(rec.counter_value("dispatch.chunked.attempts"), 1);
+        assert!(rec.histogram("engine.chunked.phase.local").is_some());
     }
 
     #[test]
@@ -873,7 +680,7 @@ mod tests {
                     &mut ws,
                 )
                 .unwrap();
-            assert_eq!(outcome.engine, EngineKind::Chunked);
+            assert_eq!(outcome.engine, Engine::Chunked);
             assert_eq!(outcome.output, expect);
         }
         let reduce = d
@@ -886,7 +693,7 @@ mod tests {
                 &mut ws,
             )
             .unwrap();
-        assert_eq!(reduce.engine, EngineKind::Chunked);
+        assert_eq!(reduce.engine, Engine::Chunked);
         assert_eq!(
             reduce.output,
             crate::serial::multireduce_serial(&values, &labels, 11, Plus)
@@ -897,14 +704,14 @@ mod tests {
     fn i64_chain_with_atomic_primary() {
         let (values, labels) = problem(2000, 7);
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Atomic, EngineKind::Serial],
+            chain: vec![Engine::Atomic, Engine::Serial],
             ..Default::default()
         };
         let d = Dispatcher::new(cfg).unwrap();
         let outcome = d
             .dispatch_i64(&values, &labels, 7, Plus, &DispatchOpts::default())
             .unwrap();
-        assert_eq!(outcome.engine, EngineKind::Atomic);
+        assert_eq!(outcome.engine, Engine::Atomic);
         assert_eq!(
             outcome.output,
             multiprefix_serial(&values, &labels, 7, Plus)
@@ -913,7 +720,7 @@ mod tests {
         let generic = d
             .dispatch(&values, &labels, 7, Plus, &DispatchOpts::default())
             .unwrap();
-        assert_eq!(generic.engine, EngineKind::Serial);
+        assert_eq!(generic.engine, Engine::Serial);
         assert_eq!(generic.fallbacks, 1);
     }
 
@@ -922,7 +729,7 @@ mod tests {
         let (values, labels) = problem(1500, 5);
         let expect = multiprefix_serial(&values, &labels, 5, Plus);
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Chunked, EngineKind::Serial],
+            chain: vec![Engine::Chunked, Engine::Serial],
             ..Default::default()
         };
         let d = Dispatcher::new(cfg).unwrap();
@@ -930,7 +737,7 @@ mod tests {
         // is untouched.
         let chaos = ChaosPlan::seeded(11)
             .alloc_fail_ppm(1_000_000)
-            .only(EngineKind::Chunked)
+            .only(Engine::Chunked)
             .arm();
         let opts = DispatchOpts {
             chaos: Some(chaos),
@@ -938,14 +745,14 @@ mod tests {
         };
         let outcome = d.dispatch(&values, &labels, 5, Plus, &opts).unwrap();
         assert_eq!(outcome.output, expect);
-        assert_eq!(outcome.engine, EngineKind::Serial);
+        assert_eq!(outcome.engine, Engine::Serial);
         assert_eq!(outcome.attempts, 4, "3 chunked attempts + 1 serial");
         assert_eq!(outcome.fallbacks, 1);
         // Three consecutive failures tripped the chunked breaker open...
-        assert_eq!(d.circuit_state(EngineKind::Chunked), CircuitState::Open);
+        assert_eq!(d.circuit_state(Engine::Chunked), CircuitState::Open);
         // ...so the next request skips it without burning attempts.
         let outcome = d.dispatch(&values, &labels, 5, Plus, &opts).unwrap();
-        assert_eq!(outcome.engine, EngineKind::Serial);
+        assert_eq!(outcome.engine, Engine::Serial);
         assert_eq!(outcome.attempts, 1);
     }
 
@@ -956,7 +763,7 @@ mod tests {
             .dispatch(&[1i64], &[2], 2, Plus, &DispatchOpts::default())
             .unwrap_err();
         assert!(matches!(err, MpError::LabelOutOfRange { .. }));
-        assert_eq!(d.circuit_state(EngineKind::Chunked), CircuitState::Closed);
+        assert_eq!(d.circuit_state(Engine::Chunked), CircuitState::Closed);
     }
 
     #[test]
@@ -1019,7 +826,7 @@ mod tests {
         let outcome = d.dispatch(&values, &labels, 5, Plus, &opts);
         assert_eq!(outcome.unwrap_err(), MpError::DeadlineExceeded);
         // No attempt was charged to any engine's breaker.
-        assert_eq!(d.circuit_state(EngineKind::Chunked), CircuitState::Closed);
+        assert_eq!(d.circuit_state(Engine::Chunked), CircuitState::Closed);
     }
 
     #[test]
@@ -1056,7 +863,7 @@ mod tests {
     fn exhausted_chain_reports_last_transient() {
         let (values, labels) = problem(800, 3);
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Chunked],
+            chain: vec![Engine::Chunked],
             ..Default::default()
         };
         let d = Dispatcher::new(cfg).unwrap();
@@ -1075,7 +882,7 @@ mod tests {
     fn type_incapable_chain_is_unavailable() {
         // Atomic-only chain + a non-i64 dispatch: nothing can serve.
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Atomic],
+            chain: vec![Engine::Atomic],
             ..Default::default()
         };
         let d = Dispatcher::new(cfg).unwrap();
@@ -1092,7 +899,7 @@ mod tests {
         // sleep must respect the request deadline, not block for years).
         let (values, labels) = problem(400, 3);
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Serial],
+            chain: vec![Engine::Serial],
             retry: RetryPolicy {
                 max_attempts: 3,
                 base_backoff: Duration::MAX,
@@ -1124,7 +931,7 @@ mod tests {
         // the dispatch — not the incidental error that preceded it.
         let (values, labels) = problem(400, 3);
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Chunked],
+            chain: vec![Engine::Chunked],
             retry: RetryPolicy {
                 max_attempts: 2,
                 base_backoff: Duration::from_millis(20),
@@ -1149,7 +956,7 @@ mod tests {
         let (values, labels) = problem(1500, 5);
         let rec = crate::obs::MemoryRecorder::shared();
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Chunked, EngineKind::Serial],
+            chain: vec![Engine::Chunked, Engine::Serial],
             ..Default::default()
         };
         let d = Dispatcher::new(cfg)
@@ -1157,14 +964,14 @@ mod tests {
             .with_recorder(rec.clone() as Arc<dyn Recorder>);
         let chaos = ChaosPlan::seeded(11)
             .alloc_fail_ppm(1_000_000)
-            .only(EngineKind::Chunked)
+            .only(Engine::Chunked)
             .arm();
         let opts = DispatchOpts {
             chaos: Some(chaos),
             ..Default::default()
         };
         let outcome = d.dispatch(&values, &labels, 5, Plus, &opts).unwrap();
-        assert_eq!(outcome.engine, EngineKind::Serial);
+        assert_eq!(outcome.engine, Engine::Serial);
 
         assert_eq!(rec.counter_value("dispatch.requests"), 1);
         assert_eq!(rec.counter_value("dispatch.chunked.attempts"), 3);
@@ -1202,7 +1009,7 @@ mod tests {
     fn sharded_primary_serves_when_configured() {
         let (values, labels) = problem(3000, 11);
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Sharded, EngineKind::Serial],
+            chain: vec![Engine::Sharded, Engine::Serial],
             shard: Some(crate::shard::ShardConfig::default().shards(3)),
             ..Default::default()
         };
@@ -1210,7 +1017,7 @@ mod tests {
         let outcome = d
             .dispatch(&values, &labels, 11, Plus, &DispatchOpts::default())
             .unwrap();
-        assert_eq!(outcome.engine, EngineKind::Sharded);
+        assert_eq!(outcome.engine, Engine::Sharded);
         assert_eq!(
             outcome.output,
             multiprefix_serial(&values, &labels, 11, Plus)
@@ -1220,14 +1027,14 @@ mod tests {
         let reduce = d
             .dispatch_reduce(&values, &labels, 11, Plus, &DispatchOpts::default())
             .unwrap();
-        assert_eq!(reduce.engine, EngineKind::Serial);
+        assert_eq!(reduce.engine, Engine::Serial);
     }
 
     #[test]
     fn unconfigured_sharded_entry_is_skipped_as_fallback() {
         let (values, labels) = problem(800, 5);
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Sharded, EngineKind::Serial],
+            chain: vec![Engine::Sharded, Engine::Serial],
             ..Default::default()
         };
         let d = Dispatcher::new(cfg).unwrap();
@@ -1235,7 +1042,7 @@ mod tests {
         let outcome = d
             .dispatch(&values, &labels, 5, Plus, &DispatchOpts::default())
             .unwrap();
-        assert_eq!(outcome.engine, EngineKind::Serial);
+        assert_eq!(outcome.engine, Engine::Serial);
         assert_eq!(outcome.fallbacks, 1);
     }
 
@@ -1243,7 +1050,7 @@ mod tests {
     fn sharded_dispatch_survives_injected_shard_loss() {
         let (values, labels) = problem(2000, 7);
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Sharded, EngineKind::Serial],
+            chain: vec![Engine::Sharded, Engine::Serial],
             shard: Some(
                 crate::shard::ShardConfig::default()
                     .shards(3)
@@ -1261,7 +1068,7 @@ mod tests {
             ..Default::default()
         };
         let outcome = d.dispatch(&values, &labels, 7, Plus, &opts).unwrap();
-        assert_eq!(outcome.engine, EngineKind::Sharded);
+        assert_eq!(outcome.engine, Engine::Sharded);
         assert_eq!(
             outcome.output,
             multiprefix_serial(&values, &labels, 7, Plus)

@@ -11,7 +11,7 @@
 //!   cancellation are honored promptly and an interrupted run returns a
 //!   typed error with **no partial output** (the output buffers are owned
 //!   by the run and dropped on the early exit);
-//! * [`Dispatcher`] ([`dispatcher`]) — a fallback chain of [`EngineKind`]s
+//! * [`Dispatcher`] ([`dispatcher`]) — a fallback chain of [`crate::Engine`]s
 //!   with per-attempt deadlines, retry with jittered exponential backoff
 //!   for transient failures, and per-engine circuit breakers
 //!   ([`EngineHealth`], [`health`]);

@@ -6,7 +6,7 @@
 //! direct implementations the applications use:
 //!
 //! * serial inclusive/exclusive scans (the references);
-//! * the **partition method** of Hockney & Jesshope [HJ88], which the paper
+//! * the **partition method** of Hockney & Jesshope \[HJ88\], which the paper
 //!   uses for the bucket-cumulation step of its NAS sort (§5.1.1: "we
 //!   resorted to the traditional 'partition method' for solving this part
 //!   of the problem") — here with rayon supplying the per-partition

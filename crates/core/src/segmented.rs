@@ -1,7 +1,7 @@
 //! Segmented scans via multiprefix.
 //!
 //! §1 of the paper: "Multiprefix also provides the functionality of the
-//! segmented-scans [Ble90] … A segmented-scan is simulated by distributing
+//! segmented-scans \[Ble90\] … A segmented-scan is simulated by distributing
 //! the same label to each element in a segment and then executing the
 //! multiprefix operation."
 //!

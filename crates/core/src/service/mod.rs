@@ -310,7 +310,7 @@ pub struct ServiceMetrics {
     /// Replacement workers spawned by supervision.
     pub respawns: u64,
     /// Batches a worker took from a non-home ingress shard (work stealing;
-    /// see [`ServiceConfig::ingress_shards`]).
+    /// see the `ingress_shards` field of [`ServiceConfig`]).
     pub steals: u64,
 }
 
@@ -544,7 +544,8 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
         self.shared.ingress.depth()
     }
 
-    /// Ingress shard count in effect ([`ServiceConfig::ingress_shards`]).
+    /// Ingress shard count in effect (the `ingress_shards` field of
+    /// [`ServiceConfig`], or its default).
     pub fn ingress_shards(&self) -> usize {
         self.shared.ingress.shard_count()
     }

@@ -6,7 +6,7 @@
 //! 1. **local** — each worker runs the local phase over its contiguous
 //!    span, producing a [`ShardSummary`] (touched labels in first-touch
 //!    order + per-label span totals);
-//! 2. **exscan** — the supervisor runs [`exscan::exscan_parts`] (the same
+//! 2. **exscan** — the supervisor runs `exscan::exscan_parts` (the same
 //!    primitive the single-node chunked engine uses for its combine phase)
 //!    over the summaries in span order, turning each summary into its
 //!    exclusive per-label offsets and yielding the global reductions;

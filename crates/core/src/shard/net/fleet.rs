@@ -647,7 +647,7 @@ impl<T: Element + WireValue> Keeper<T> {
 /// framed onto per-shard connections, up-messages arrive via the reader
 /// threads' shared queue. The worker-side trait methods are unreachable
 /// by construction (workers hold a
-/// [`WorkerSocket`](super::worker::WorkerSocket) instead).
+/// `WorkerSocket` instead).
 pub struct SocketTransport<T> {
     shared: Arc<Shared>,
     up_rx: Mutex<Receiver<UpMsg<T>>>,

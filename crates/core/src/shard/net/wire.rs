@@ -166,7 +166,7 @@ pub(crate) fn get_str(input: &mut &[u8]) -> Result<String, NetError> {
 /// A value that can cross the socket: fixed-size little-endian encoding
 /// plus a registry tag naming the element type, so a worker *process*
 /// can pick the right monomorphization from the
-/// [`Job`](crate::shard::net::codec::Ctrl::Job) frame.
+/// `Job` frame ([`JobHeader`](crate::shard::net::codec::JobHeader)).
 ///
 /// This is deliberately **not** part of [`Element`](crate::problem::Element)
 /// (which is blanket-implemented for every `Copy` type): serialization is

@@ -37,11 +37,11 @@
 //! [`active_level`] detects the best level once per process (cached in a
 //! `OnceLock`): `MP_FORCE_SCALAR=1` pins [`SimdLevel::Scalar`], Miri runs
 //! the portable kernels ([`SimdLevel::Portable`]), and an x86-64 host
-//! with AVX2 gets [`SimdLevel::Avx2`]. [`ExecConfig::force_scalar`]
-//! (crate::ExecConfig::force_scalar) pins a *single run* to scalar
-//! without touching the process-wide level — that is what the
-//! differential suite and the `bench_report --kernel` arm use to hold
-//! both paths side by side in one process.
+//! with AVX2 gets [`SimdLevel::Avx2`].
+//! [`ExecConfig::force_scalar`](crate::ExecConfig::force_scalar) pins a
+//! *single run* to scalar without touching the process-wide level — that
+//! is what the differential suite and the `bench_report --kernel` arm use
+//! to hold both paths side by side in one process.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;

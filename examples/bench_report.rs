@@ -58,6 +58,11 @@
 //! `multiprefix(…, Engine::Auto)` through the public API (validation
 //! included), paired with the serial Figure 2 loop at the same sizes.
 //! `--gate` holds its `auto_vs_serial` ratios to the same 25% tolerance.
+//!
+//! The `dispatch` section pairs the default [`Dispatcher`] with
+//! `try_multiprefix(…, Engine::Auto, …)`: the dispatcher runs what `Auto`
+//! runs, so `--gate` fails a `dispatch_vs_auto` ratio above 1.10 at
+//! n ≥ 10⁵ (the n = 10⁴ point is recorded, not gated).
 
 use multiprefix::chunked::multiprefix_chunked_with_parts;
 use multiprefix::obs::{phase_key, MemoryRecorder, Phase};
@@ -68,8 +73,8 @@ use multiprefix::spinetree::build::ArbPolicy;
 use multiprefix::spinetree::engine::multiprefix_spinetree_instrumented;
 use multiprefix::spinetree::layout::{choose_row_len_skewed, Layout};
 use multiprefix::{
-    multiprefix, try_multiprefix_socket_ctx, Engine, EngineKind, ExecConfig, NetConfig,
-    OverflowPolicy, ShardConfig,
+    multiprefix, try_multiprefix, try_multiprefix_socket_ctx, DispatchOpts, Dispatcher,
+    DispatcherConfig, Engine, ExecConfig, NetConfig, OverflowPolicy, ShardConfig,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -185,30 +190,24 @@ fn gate_trials(n: usize) -> usize {
 
 /// One engine iteration under `ctx`; returns the reduction checksum so the
 /// work cannot be optimized away.
-fn run_engine(
-    kind: EngineKind,
-    values: &[i64],
-    labels: &[usize],
-    m: usize,
-    ctx: &RunContext,
-) -> i64 {
+fn run_engine(kind: Engine, values: &[i64], labels: &[usize], m: usize, ctx: &RunContext) -> i64 {
     let policy = OverflowPolicy::Wrap;
     let cfg = ExecConfig::default().threads(BENCH_THREADS);
     let out = match kind {
-        EngineKind::Serial => {
+        Engine::Serial => {
             multiprefix::serial::try_multiprefix_serial_ctx(values, labels, m, Plus, policy, ctx)
                 .map(Some)
         }
-        EngineKind::Spinetree => multiprefix::spinetree::engine::try_multiprefix_spinetree_ctx(
+        Engine::Spinetree => multiprefix::spinetree::engine::try_multiprefix_spinetree_ctx(
             values, labels, m, Plus, policy, ctx,
         ),
-        EngineKind::Chunked => {
+        Engine::Auto | Engine::Chunked => {
             multiprefix::chunked::try_multiprefix_chunked_cfg_ctx(values, labels, m, Plus, cfg, ctx)
         }
-        EngineKind::Atomic => {
+        Engine::Atomic => {
             multiprefix::atomic::try_multiprefix_atomic_cfg_ctx(values, labels, m, Plus, cfg, ctx)
         }
-        EngineKind::Sharded => {
+        Engine::Sharded => {
             let shard_cfg = ShardConfig::default().shards(BENCH_THREADS);
             match shard_transport() {
                 ShardTransport::Channel => multiprefix::shard::try_multiprefix_sharded_ctx(
@@ -243,20 +242,8 @@ fn run_engine(
     out.reductions.iter().copied().fold(0i64, i64::wrapping_add)
 }
 
-fn engine_name(kind: EngineKind) -> &'static str {
-    match kind {
-        EngineKind::Atomic => "atomic",
-        EngineKind::Chunked => "chunked",
-        EngineKind::Spinetree => "spinetree",
-        EngineKind::Serial => "serial",
-        EngineKind::Sharded => "shard",
-    }
-}
-
-fn engine_from_name(name: &str) -> Option<EngineKind> {
-    EngineKind::ALL
-        .into_iter()
-        .find(|&k| engine_name(k) == name)
+fn engine_from_name(name: &str) -> Option<Engine> {
+    Engine::ALL.into_iter().find(|k| k.to_string() == name)
 }
 
 fn json_num(v: Option<u64>) -> String {
@@ -327,20 +314,19 @@ fn parse_engine_times(text: &str) -> Vec<BaselineRow> {
 /// trials is returned — pairing cancels sustained load, the median
 /// discards the per-trial outliers pairing can't (a context switch landing
 /// inside exactly one of the two timed runs).
-fn measure_paired_ratio(kind: EngineKind, n: usize, checksum: &mut i64) -> f64 {
+fn measure_paired_ratio(kind: Engine, n: usize, checksum: &mut i64) -> f64 {
     let m = (n / 16).max(1);
     let values = vec![1i64; n];
     let labels = lcg_labels(n, m, 42);
     let ctx = RunContext::new();
     // Warm up both sides (first-touch faults, thread spawn-up).
-    *checksum = checksum.wrapping_add(run_engine(EngineKind::Serial, &values, &labels, m, &ctx));
+    *checksum = checksum.wrapping_add(run_engine(Engine::Serial, &values, &labels, m, &ctx));
     *checksum = checksum.wrapping_add(run_engine(kind, &values, &labels, m, &ctx));
     let trials = gate_trials(n);
     let mut ratios = Vec::with_capacity(trials);
     for _ in 0..trials {
         let started = Instant::now();
-        *checksum =
-            checksum.wrapping_add(run_engine(EngineKind::Serial, &values, &labels, m, &ctx));
+        *checksum = checksum.wrapping_add(run_engine(Engine::Serial, &values, &labels, m, &ctx));
         let serial_ns = started.elapsed().as_nanos().max(1) as f64;
         let started = Instant::now();
         *checksum = checksum.wrapping_add(run_engine(kind, &values, &labels, m, &ctx));
@@ -394,45 +380,100 @@ fn measure_simd_point(n: usize, checksum: &mut i64) -> (f64, u64, u64) {
     (ratios[ratios.len() / 2], simd_min, scalar_min)
 }
 
-/// `Engine::Auto` against the serial reference, paired as in
-/// [`measure_paired_ratio`]: the public `multiprefix(…, Engine::Auto)`, as
-/// any caller runs it, against `multiprefix_serial`. Returns the median
-/// ratio and each side's minimum wall time.
+/// The paired loop behind the `auto` and `dispatch` sections: `time(false)`
+/// times the reference and `time(true)` the measured call, back to back in
+/// each of [`gate_trials`] trials after one warm-up of each, as in
+/// [`measure_paired_ratio`]. Returns the median per-trial quotient
+/// (measured / reference) and each side's minimum wall time, measured
+/// first.
+fn paired_median(n: usize, mut time: impl FnMut(bool) -> u64) -> (f64, u64, u64) {
+    // Warm up both sides (first-touch faults).
+    time(false);
+    time(true);
+    let trials = gate_trials(n);
+    let mut ratios = Vec::with_capacity(trials);
+    let (mut probe_min, mut base_min) = (u64::MAX, u64::MAX);
+    for _ in 0..trials {
+        let base_ns = time(false);
+        let probe_ns = time(true);
+        base_min = base_min.min(base_ns);
+        probe_min = probe_min.min(probe_ns);
+        ratios.push(probe_ns as f64 / base_ns as f64);
+    }
+    ratios.sort_by(|a, b| a.total_cmp(b));
+    (ratios[ratios.len() / 2], probe_min, base_min)
+}
+
+/// `Engine::Auto` against the serial reference: the public
+/// `multiprefix(…, Engine::Auto)`, as any caller runs it, against
+/// `multiprefix_serial` ([`paired_median`]). Returns the median ratio and
+/// each side's minimum wall time.
 fn measure_auto_point(n: usize, checksum: &mut i64) -> (f64, u64, u64) {
     let m = (n / 16).max(1);
     let values = vec![1i64; n];
     let labels = lcg_labels(n, m, 42);
-    let mut time = |engine: Option<Engine>| -> u64 {
+    paired_median(n, |auto| {
         let started = Instant::now();
-        let out = match engine {
-            Some(engine) => multiprefix(&values, &labels, m, Plus, engine)
-                .expect("auto bench workload must not fail"),
-            None => multiprefix::serial::multiprefix_serial(&values, &labels, m, Plus),
+        let out = if auto {
+            multiprefix(&values, &labels, m, Plus, Engine::Auto)
+                .expect("auto bench workload must not fail")
+        } else {
+            multiprefix::serial::multiprefix_serial(&values, &labels, m, Plus)
         };
         let ns = started.elapsed().as_nanos().max(1) as u64;
         *checksum = checksum.wrapping_add(out.reductions[0]);
         ns
-    };
-    // Warm up both sides (first-touch faults).
-    time(None);
-    time(Some(Engine::Auto));
-    let trials = gate_trials(n);
-    let mut ratios = Vec::with_capacity(trials);
-    let (mut auto_min, mut serial_min) = (u64::MAX, u64::MAX);
-    for _ in 0..trials {
-        let serial_ns = time(None);
-        let auto_ns = time(Some(Engine::Auto));
-        serial_min = serial_min.min(serial_ns);
-        auto_min = auto_min.min(auto_ns);
-        ratios.push(auto_ns as f64 / serial_ns as f64);
-    }
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    (ratios[ratios.len() / 2], auto_min, serial_min)
+    })
+}
+
+/// `--gate` holds the `dispatch_vs_auto` ratio at or below this bound: the
+/// dispatcher runs what `Engine::Auto` runs, so only its own bookkeeping
+/// may separate them.
+const DISPATCH_BOUND: f64 = 1.10;
+
+/// The smallest size whose `dispatch_vs_auto` ratio `--gate` checks. Below
+/// it the dispatcher's fixed per-request cost is a visible share of a
+/// call, so the ratio is recorded but not gated.
+const DISPATCH_GATE_MIN_N: usize = 100_000;
+
+/// The default dispatcher against `Engine::Auto`, both hardened:
+/// `Dispatcher::dispatch` under `DispatcherConfig::default()` against
+/// `try_multiprefix(…, Engine::Auto, ExecConfig::default())`
+/// ([`paired_median`]). Returns the median ratio and each side's minimum
+/// wall time.
+fn measure_dispatch_point(n: usize, checksum: &mut i64) -> (f64, u64, u64) {
+    let m = (n / 16).max(1);
+    let values = vec![1i64; n];
+    let labels = lcg_labels(n, m, 42);
+    let dispatcher = Dispatcher::new(DispatcherConfig::default()).expect("default dispatcher");
+    let opts = DispatchOpts::default();
+    paired_median(n, |dispatch| {
+        let started = Instant::now();
+        let out = if dispatch {
+            dispatcher
+                .dispatch(&values, &labels, m, Plus, &opts)
+                .map(|outcome| outcome.output)
+        } else {
+            try_multiprefix(
+                &values,
+                &labels,
+                m,
+                Plus,
+                Engine::Auto,
+                ExecConfig::default(),
+            )
+        }
+        .expect("dispatch bench workload must not fail");
+        let ns = started.elapsed().as_nanos().max(1) as u64;
+        *checksum = checksum.wrapping_add(out.reductions[0]);
+        ns
+    })
 }
 
 /// Line-scan a committed report for the one-line `{"size": …}` points
 /// carrying `key` (`simd_vs_scalar` under `"simd"`, `auto_vs_serial`
-/// under `"auto"`; see `main`'s writer).
+/// under `"auto"`, `dispatch_vs_auto` under `"dispatch"`; see `main`'s
+/// writer).
 fn parse_points(text: &str, key: &str) -> Vec<(usize, f64)> {
     let mut out = Vec::new();
     let marker = format!("\"{key}\": ");
@@ -495,7 +536,7 @@ fn run_gate(baseline_path: &str) -> ! {
         let m = (max_n / 16).max(1);
         let values = vec![1i64; max_n];
         let labels = lcg_labels(max_n, m, 42);
-        for kind in EngineKind::ALL {
+        for kind in Engine::ALL {
             checksum = checksum.wrapping_add(run_engine(kind, &values, &labels, m, &ctx));
         }
     }
@@ -571,9 +612,30 @@ fn run_gate(baseline_path: &str) -> ! {
             failures += 1;
         }
     }
+    // The dispatcher runs what `Auto` runs: at the gated sizes its ratio
+    // must stay within the absolute bound, whatever the baseline recorded.
+    let dispatch_base = parse_points(&text, "dispatch_vs_auto");
+    if dispatch_base.is_empty() {
+        eprintln!("gate: baseline has no dispatch_vs_auto points (pre-dispatch baseline)");
+    }
+    for &(n, _) in &dispatch_base {
+        let (cur, dispatch_ns, auto_ns) = measure_dispatch_point(n, &mut checksum);
+        let verdict = if n < DISPATCH_GATE_MIN_N {
+            "recorded, not gated"
+        } else if cur > DISPATCH_BOUND {
+            failures += 1;
+            "REGRESSED"
+        } else {
+            "ok"
+        };
+        eprintln!(
+            "gate: n={n:>8} dispatch_vs_auto {cur:>7.3} vs bound {DISPATCH_BOUND:>7.3} \
+             (dispatch {dispatch_ns}ns, auto {auto_ns}ns) {verdict}"
+        );
+    }
     eprintln!("gate: checksum {checksum}");
     if failures > 0 {
-        eprintln!("gate: FAILED — {failures} engine/size point(s) regressed >25%");
+        eprintln!("gate: FAILED — {failures} engine/size point(s) past their bound");
         std::process::exit(1);
     }
     eprintln!("gate: passed");
@@ -1228,11 +1290,11 @@ fn main() {
         .to_string();
 
     let engines = [
-        EngineKind::Serial,
-        EngineKind::Spinetree,
-        EngineKind::Chunked,
-        EngineKind::Atomic,
-        EngineKind::Sharded,
+        Engine::Serial,
+        Engine::Spinetree,
+        Engine::Chunked,
+        Engine::Atomic,
+        Engine::Sharded,
     ];
 
     let mut json = String::new();
@@ -1247,9 +1309,9 @@ fn main() {
 
     let mut checksum = 0i64;
     for (ei, &kind) in engines.iter().enumerate() {
-        eprintln!("engine {} ...", engine_name(kind));
+        eprintln!("engine {kind} ...");
         let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"engine\": \"{}\",", engine_name(kind));
+        let _ = writeln!(json, "      \"engine\": \"{kind}\",");
         json.push_str("      \"sizes\": [\n");
         for (si, &n) in cfg.sizes.iter().enumerate() {
             let m = (n / 16).max(1);
@@ -1286,7 +1348,7 @@ fn main() {
             // Paired serial-normalized ratio for the regression gate:
             // measured with the engine and the serial reference timed
             // back-to-back so host load cancels out of the quotient.
-            if kind != EngineKind::Serial {
+            if kind != Engine::Serial {
                 let ratio = measure_paired_ratio(kind, n, &mut checksum);
                 let _ = writeln!(json, "          \"serial_ratio_min\": {ratio:.4},");
             }
@@ -1473,6 +1535,40 @@ fn main() {
             "\n"
         });
         eprintln!("  n={n}: auto_vs_serial = {ratio:.3}");
+    }
+    json.push_str("    ]\n");
+    json.push_str("  },\n");
+
+    // The dispatcher's default chain against `Engine::Auto`: both run the
+    // chunked engine on one chunk, so the ratio is the dispatcher's own
+    // cost.
+    eprintln!("dispatch-vs-auto sweep ...");
+    json.push_str("  \"dispatch\": {\n");
+    let _ = writeln!(json, "    \"host_cpus\": {host_cpus},");
+    let _ = writeln!(
+        json,
+        "    \"workload\": \"Dispatcher::dispatch (DispatcherConfig::default()) vs \
+         try_multiprefix(.., Engine::Auto, ExecConfig::default()), i64 Plus, m = n/16\","
+    );
+    let _ = writeln!(
+        json,
+        "    \"note\": \"median of paired per-trial dispatch/auto quotients; --gate fails a \
+         ratio above {DISPATCH_BOUND} at n >= {DISPATCH_GATE_MIN_N}\","
+    );
+    json.push_str("    \"points\": [\n");
+    for (si, &n) in cfg.sizes.iter().enumerate() {
+        let (ratio, dispatch_ns, auto_ns) = measure_dispatch_point(n, &mut checksum);
+        let _ = write!(
+            json,
+            "      {{\"size\": {n}, \"auto_ns_min\": {auto_ns}, \
+             \"dispatch_ns_min\": {dispatch_ns}, \"dispatch_vs_auto\": {ratio:.3}}}"
+        );
+        json.push_str(if si + 1 < cfg.sizes.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
+        eprintln!("  n={n}: dispatch_vs_auto = {ratio:.3}");
     }
     json.push_str("    ]\n");
     json.push_str("  },\n");

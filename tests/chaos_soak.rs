@@ -9,9 +9,9 @@
 
 use multiprefix::op::Plus;
 use multiprefix::resilience::{
-    BreakerConfig, ChaosPlan, DispatchOpts, Dispatcher, DispatcherConfig, EngineKind, RetryPolicy,
+    BreakerConfig, ChaosPlan, DispatchOpts, Dispatcher, DispatcherConfig, RetryPolicy,
 };
-use multiprefix::{multiprefix, Engine, MpError, MultiprefixOutput};
+use multiprefix::{multiprefix, Engine, ExecConfig, MpError, MultiprefixOutput};
 use std::time::Duration;
 
 /// Deterministic request shapes: sizes and bucket counts chosen to cross
@@ -57,7 +57,7 @@ fn soak_retry() -> RetryPolicy {
 
 /// Run every shape through a dispatcher armed with a mixed fault plan and
 /// assert the all-or-typed-error contract. Returns (ok, err) counts.
-fn soak_round(seed: u64, chain: Vec<EngineKind>) -> (usize, usize) {
+fn soak_round(seed: u64, chain: Vec<Engine>) -> (usize, usize) {
     let cfg = DispatcherConfig {
         chain,
         retry: soak_retry(),
@@ -67,6 +67,9 @@ fn soak_round(seed: u64, chain: Vec<EngineKind>) -> (usize, usize) {
             failure_threshold: u32::MAX,
             cooldown: Duration::ZERO,
         },
+        // Two threads split the 4 097-element shape into two chunks, so
+        // faults land in the combine and apply phases too.
+        exec: ExecConfig::default().threads(2),
         ..DispatcherConfig::default()
     };
     let dispatcher = Dispatcher::new(cfg).unwrap();
@@ -128,7 +131,7 @@ fn soak_round(seed: u64, chain: Vec<EngineKind>) -> (usize, usize) {
 fn soak_smoke_mixed_faults() {
     let mut total_ok = 0;
     for seed in 0..3u64 {
-        let (ok, _err) = soak_round(seed, EngineKind::ALL.to_vec());
+        let (ok, _err) = soak_round(seed, Engine::ALL.to_vec());
         total_ok += ok;
     }
     // The chain ends in serial, and the fault rates are low enough that the
@@ -146,7 +149,7 @@ fn soak_outcomes_replay_deterministically() {
     // the property that makes a failing soak seed replayable.
     let run = |seed: u64| -> Vec<String> {
         let cfg = DispatcherConfig {
-            chain: vec![EngineKind::Serial],
+            chain: vec![Engine::Serial],
             retry: soak_retry(),
             breaker: BreakerConfig {
                 failure_threshold: u32::MAX,
@@ -189,12 +192,12 @@ fn soak_full_matrix() {
     let mut total_ok = 0;
     let mut total_err = 0;
     for seed in 0..24u64 {
-        let (ok, err) = soak_round(seed, EngineKind::ALL.to_vec());
+        let (ok, err) = soak_round(seed, Engine::ALL.to_vec());
         total_ok += ok;
         total_err += err;
         let (ok, err) = soak_round(
             seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            vec![EngineKind::Chunked, EngineKind::Spinetree],
+            vec![Engine::Chunked, Engine::Spinetree],
         );
         total_ok += ok;
         total_err += err;

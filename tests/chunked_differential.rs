@@ -26,8 +26,12 @@ use multiprefix::chunked::{
     MIN_CHUNK_LEN,
 };
 use multiprefix::op::{FirstLast, Max, Min, Plus, TryCombineOp};
-use multiprefix::resilience::{CancelToken, ChaosPlan, EngineKind, RunContext};
+use multiprefix::resilience::{
+    CancelToken, ChaosPlan, CircuitState, Deadline, DispatchOpts, Dispatcher, DispatcherConfig,
+    RunContext,
+};
 use multiprefix::serial::{multiprefix_serial, multireduce_serial, try_multiprefix_serial};
+use multiprefix::service::{Reply, Request, Service, ServiceConfig};
 use multiprefix::{
     multiprefix, multireduce, try_multiprefix, try_multiprefix_ctx, try_multireduce,
     try_multireduce_ctx, validate, Element, Engine, ExecConfig, MpError, OverflowPolicy,
@@ -201,7 +205,7 @@ fn assert_reused_workspace_matches_serial<T, O>(
         if panic {
             let chaos = ChaosPlan::seeded(seed)
                 .worker_panic_ppm(1_000_000)
-                .only(EngineKind::Chunked)
+                .only(Engine::Chunked)
                 .only_worker(0)
                 .arm();
             ctx = ctx.with_chaos(chaos);
@@ -322,7 +326,7 @@ proptest! {
         cancel.cancel();
         let chaos = ChaosPlan::seeded(parts as u64)
             .worker_panic_ppm(1_000_000)
-            .only(EngineKind::Chunked)
+            .only(Engine::Chunked)
             .arm();
         let stopped = [
             ("cancelled", RunContext::new().with_cancel(&cancel)),
@@ -344,6 +348,38 @@ proptest! {
                     );
                 }
             }
+        }
+        // The dispatcher's six entries report it too, under the default
+        // config and the same stops, and charge no engine's breaker for it:
+        // they run the same engine table, with no label scan of their own.
+        let dispatcher = Dispatcher::new(DispatcherConfig::default()).unwrap();
+        let chaos = ChaosPlan::seeded(parts as u64)
+            .worker_panic_ppm(1_000_000)
+            .only(Engine::Chunked)
+            .arm();
+        let none = DispatchOpts::default;
+        let stops = [
+            ("default", DispatchOpts::default()),
+            ("cancelled", DispatchOpts { cancel: Some(cancel.clone()), ..none() }),
+            ("expired", DispatchOpts { deadline: Some(Deadline::after(Duration::ZERO)), ..none() }),
+            ("worker panic", DispatchOpts { chaos: Some(chaos), ..none() }),
+        ];
+        let (d, v, l, mut ws) = (&dispatcher, &values[..], &labels[..], ChunkedWorkspace::new());
+        for (why, opts) in &stops {
+            let errors = [
+                ("dispatch", d.dispatch(v, l, m, Plus, opts).err()),
+                ("dispatch_pooled", d.dispatch_pooled(v, l, m, Plus, opts, &mut ws).err()),
+                ("dispatch_i64", d.dispatch_i64(v, l, m, Plus, opts).err()),
+                ("dispatch_reduce", d.dispatch_reduce(v, l, m, Plus, opts).err()),
+                ("reduce_pooled", d.dispatch_reduce_pooled(v, l, m, Plus, opts, &mut ws).err()),
+                ("dispatch_reduce_i64", d.dispatch_reduce_i64(v, l, m, Plus, opts).err()),
+            ];
+            for (entry, err) in errors {
+                prop_assert_eq!(err, expect.clone(), "{} {}", entry, why);
+            }
+        }
+        for engine in Engine::ALL {
+            prop_assert_eq!(dispatcher.circuit_state(engine), CircuitState::Closed, "{}", engine);
         }
         // The engine's own entries check lengths, and labels too except
         // with m == 1 (a documented precondition: the vector kernels never
@@ -519,7 +555,9 @@ fn auto_storm_matches_serial() {
 /// `Engine::Auto` on floats gives the same bits on every call, and serial's:
 /// it runs one chunk, which combines in serial order. A split adds each
 /// chunk's offset after its local prefix, which rounds differently — the
-/// data is chosen so that it does.
+/// data is chosen so that it does. The default dispatcher and the default
+/// service run what `Auto` runs, so their answers are serial's bits too,
+/// also when the chunked engine fails and the serial fallback serves.
 #[test]
 fn auto_on_floats_is_bit_stable() {
     let (n, m) = (50_000, 7);
@@ -553,6 +591,40 @@ fn auto_on_floats_is_bit_stable() {
         );
         assert_eq!(bits(&out.unwrap().sums), sums, "call {call}");
     }
+    let dispatcher = Dispatcher::new(DispatcherConfig::default()).unwrap();
+    let wedged = DispatchOpts {
+        chaos: Some(
+            ChaosPlan::seeded(3)
+                .alloc_fail_ppm(1_000_000)
+                .only(Engine::Chunked)
+                .arm(),
+        ),
+        ..DispatchOpts::default()
+    };
+    for (opts, served) in [
+        (DispatchOpts::default(), Engine::Chunked),
+        (wedged, Engine::Serial),
+    ] {
+        let out = dispatcher
+            .dispatch(&values, &labels, m, Plus, &opts)
+            .unwrap();
+        assert_eq!(out.engine, served);
+        assert_eq!(bits(&out.output.sums), sums, "dispatch via {served}");
+        assert_eq!(
+            bits(&out.output.reductions),
+            reductions,
+            "dispatch via {served}"
+        );
+    }
+    let service = Service::new(Plus, ServiceConfig::default()).unwrap();
+    let ticket = service
+        .submit(Request::multiprefix(values, labels, m))
+        .unwrap();
+    let Reply::Prefix(out) = ticket.wait().unwrap() else {
+        panic!("a multiprefix request gets a prefix reply");
+    };
+    assert_eq!(bits(&out.sums), sums, "service");
+    assert_eq!(bits(&out.reductions), reductions, "service");
 }
 
 /// Deterministic pins for the shapes the strategies above only sample, so

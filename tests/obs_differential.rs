@@ -7,7 +7,7 @@ use multiprefix::obs::MemoryRecorder;
 use multiprefix::op::Plus;
 use multiprefix::resilience::RunContext;
 use multiprefix::{
-    DispatchOpts, Dispatcher, DispatcherConfig, EngineKind, ExecConfig, OverflowPolicy, Recorder,
+    DispatchOpts, Dispatcher, DispatcherConfig, Engine, ExecConfig, OverflowPolicy, Recorder,
 };
 use std::sync::Arc;
 
@@ -24,7 +24,7 @@ fn lcg(n: usize, m: usize, seed: u64) -> (Vec<i64>, Vec<usize>) {
     (values, labels)
 }
 
-fn instrumented_ctx(kind: EngineKind) -> (RunContext, Arc<MemoryRecorder>) {
+fn instrumented_ctx(kind: Engine) -> (RunContext, Arc<MemoryRecorder>) {
     let rec = MemoryRecorder::shared();
     let ctx = RunContext::new()
         .for_engine(kind)
@@ -41,14 +41,14 @@ fn every_engine_is_bit_identical_with_and_without_recorder() {
     for &(n, m) in SHAPES {
         let (values, labels) = lcg(n, m, 11);
         for kind in [
-            EngineKind::Serial,
-            EngineKind::Spinetree,
-            EngineKind::Chunked,
-            EngineKind::Atomic,
-            EngineKind::Sharded,
+            Engine::Serial,
+            Engine::Spinetree,
+            Engine::Chunked,
+            Engine::Atomic,
+            Engine::Sharded,
         ] {
             let run = |ctx: &RunContext| match kind {
-                EngineKind::Serial => multiprefix::serial::try_multiprefix_serial_ctx(
+                Engine::Serial => multiprefix::serial::try_multiprefix_serial_ctx(
                     &values,
                     &labels,
                     m,
@@ -57,17 +57,26 @@ fn every_engine_is_bit_identical_with_and_without_recorder() {
                     ctx,
                 )
                 .map(Some),
-                EngineKind::Spinetree => {
-                    multiprefix::spinetree::engine::try_multiprefix_spinetree_ctx(
+                Engine::Spinetree => multiprefix::spinetree::engine::try_multiprefix_spinetree_ctx(
+                    &values,
+                    &labels,
+                    m,
+                    Plus,
+                    OverflowPolicy::Wrap,
+                    ctx,
+                ),
+                // Four threads split the two larger shapes into chunks.
+                Engine::Auto | Engine::Chunked => {
+                    multiprefix::chunked::try_multiprefix_chunked_cfg_ctx(
                         &values,
                         &labels,
                         m,
                         Plus,
-                        OverflowPolicy::Wrap,
+                        ExecConfig::default().threads(4),
                         ctx,
                     )
                 }
-                EngineKind::Chunked => multiprefix::chunked::try_multiprefix_chunked_ctx(
+                Engine::Atomic => multiprefix::atomic::try_multiprefix_atomic_ctx(
                     &values,
                     &labels,
                     m,
@@ -75,15 +84,7 @@ fn every_engine_is_bit_identical_with_and_without_recorder() {
                     OverflowPolicy::Wrap,
                     ctx,
                 ),
-                EngineKind::Atomic => multiprefix::atomic::try_multiprefix_atomic_ctx(
-                    &values,
-                    &labels,
-                    m,
-                    Plus,
-                    OverflowPolicy::Wrap,
-                    ctx,
-                ),
-                EngineKind::Sharded => multiprefix::shard::try_multiprefix_sharded_ctx(
+                Engine::Sharded => multiprefix::shard::try_multiprefix_sharded_ctx(
                     &values,
                     &labels,
                     m,

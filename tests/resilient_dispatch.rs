@@ -7,7 +7,7 @@
 use multiprefix::op::Plus;
 use multiprefix::resilience::{
     BreakerConfig, CancelToken, ChaosPlan, CircuitState, DispatchOpts, Dispatcher,
-    DispatcherConfig, EngineKind, RetryPolicy,
+    DispatcherConfig, RetryPolicy,
 };
 use multiprefix::{multiprefix, Engine, ExecConfig, MpError, MultiprefixOutput};
 use std::time::Duration;
@@ -20,6 +20,15 @@ fn problem(n: usize, m: usize) -> (Vec<i64>, Vec<usize>) {
 
 fn oracle(values: &[i64], labels: &[usize], m: usize) -> MultiprefixOutput<i64> {
     multiprefix(values, labels, m, Plus, Engine::Serial).unwrap()
+}
+
+/// The default dispatcher with its chunked engine split four ways: the
+/// default runs one chunk, which leaves the scoped chunk workers idle.
+fn four_chunks() -> DispatcherConfig {
+    DispatcherConfig {
+        exec: ExecConfig::default().threads(4),
+        ..DispatcherConfig::default()
+    }
 }
 
 /// Zero-sleep retry so fault-heavy tests don't spend wall-clock in backoff.
@@ -42,7 +51,7 @@ fn default_dispatcher_matches_the_serial_oracle() {
             .dispatch(&values, &labels, m, Plus, &DispatchOpts::default())
             .unwrap();
         assert_eq!(out.output, expect, "n={n} m={m}");
-        assert_eq!(out.engine, EngineKind::Chunked);
+        assert_eq!(out.engine, Engine::Chunked);
         assert_eq!(out.attempts, 1);
         assert_eq!(out.fallbacks, 0);
 
@@ -57,7 +66,8 @@ fn default_dispatcher_matches_the_serial_oracle() {
 fn wedged_primary_engine_still_serves_via_fallback() {
     // Panic every chaos checkpoint inside the chunked engine only: the
     // primary is completely wedged, yet the dispatcher must answer — from
-    // the next engine in the chain, with the canonical result.
+    // the next engine in the default chain, the serial loop, with the
+    // canonical result.
     let cfg = DispatcherConfig {
         retry: fast_retry(),
         ..DispatcherConfig::default()
@@ -68,7 +78,7 @@ fn wedged_primary_engine_still_serves_via_fallback() {
 
     let chaos = ChaosPlan::seeded(42)
         .panic_ppm(1_000_000)
-        .only(EngineKind::Chunked)
+        .only(Engine::Chunked)
         .arm();
     let opts = DispatchOpts {
         chaos: Some(chaos.clone()),
@@ -79,7 +89,7 @@ fn wedged_primary_engine_still_serves_via_fallback() {
         .dispatch(&values, &labels, 11, Plus, &opts)
         .unwrap();
     assert_eq!(out.output, expect);
-    assert_eq!(out.engine, EngineKind::Spinetree, "must degrade, not die");
+    assert_eq!(out.engine, Engine::Serial, "must degrade, not die");
     assert!(out.fallbacks >= 1);
     assert!(chaos.panics_injected() > 0, "the fault must actually fire");
 }
@@ -88,7 +98,7 @@ fn wedged_primary_engine_still_serves_via_fallback() {
 fn transient_alloc_failures_retry_then_fall_back() {
     // Injected allocation failures are transient: the chunked engine is
     // retried up to max_attempts, then the chain falls through to the
-    // spinetree engine, which serves the canonical answer.
+    // serial engine, which serves the canonical answer.
     let cfg = DispatcherConfig {
         retry: fast_retry(),
         ..DispatcherConfig::default()
@@ -99,7 +109,7 @@ fn transient_alloc_failures_retry_then_fall_back() {
 
     let chaos = ChaosPlan::seeded(7)
         .alloc_fail_ppm(1_000_000)
-        .only(EngineKind::Chunked)
+        .only(Engine::Chunked)
         .arm();
     let opts = DispatchOpts {
         chaos: Some(chaos.clone()),
@@ -110,11 +120,11 @@ fn transient_alloc_failures_retry_then_fall_back() {
         .dispatch(&values, &labels, 7, Plus, &opts)
         .unwrap();
     assert_eq!(out.output, expect);
-    assert_eq!(out.engine, EngineKind::Spinetree);
+    assert_eq!(out.engine, Engine::Serial);
     let max = dispatcher.config().retry.max_attempts;
     assert!(
         out.attempts > max,
-        "expected {max} exhausted chunked attempts plus a spinetree success, got {}",
+        "expected {max} exhausted chunked attempts plus a serial success, got {}",
         out.attempts
     );
     assert!(chaos.alloc_fails_injected() >= max as usize);
@@ -123,7 +133,7 @@ fn transient_alloc_failures_retry_then_fall_back() {
 #[test]
 fn breaker_trips_open_and_the_chain_keeps_serving() {
     let cfg = DispatcherConfig {
-        chain: vec![EngineKind::Chunked, EngineKind::Serial],
+        chain: vec![Engine::Chunked, Engine::Serial],
         retry: RetryPolicy {
             max_attempts: 1,
             ..fast_retry()
@@ -140,7 +150,7 @@ fn breaker_trips_open_and_the_chain_keeps_serving() {
 
     let chaos = ChaosPlan::seeded(3)
         .panic_ppm(1_000_000)
-        .only(EngineKind::Chunked)
+        .only(Engine::Chunked)
         .arm();
     let opts = DispatchOpts {
         chaos: Some(chaos),
@@ -154,10 +164,10 @@ fn breaker_trips_open_and_the_chain_keeps_serving() {
             .dispatch(&values, &labels, 5, Plus, &opts)
             .unwrap();
         assert_eq!(out.output, expect, "request {i}");
-        assert_eq!(out.engine, EngineKind::Serial, "request {i}");
+        assert_eq!(out.engine, Engine::Serial, "request {i}");
     }
     assert_eq!(
-        dispatcher.circuit_state(EngineKind::Chunked),
+        dispatcher.circuit_state(Engine::Chunked),
         CircuitState::Open,
         "two consecutive panics must trip the breaker"
     );
@@ -169,11 +179,11 @@ fn breaker_trips_open_and_the_chain_keeps_serving() {
         .dispatch(&values, &labels, 5, Plus, &DispatchOpts::default())
         .unwrap();
     assert_eq!(out.output, expect);
-    assert_eq!(out.engine, EngineKind::Serial);
+    assert_eq!(out.engine, Engine::Serial);
     assert_eq!(out.attempts, 1);
     assert_eq!(out.fallbacks, 1);
     assert_eq!(
-        dispatcher.circuit_state(EngineKind::Serial),
+        dispatcher.circuit_state(Engine::Serial),
         CircuitState::Closed
     );
 }
@@ -181,7 +191,7 @@ fn breaker_trips_open_and_the_chain_keeps_serving() {
 #[test]
 fn breaker_recovers_through_a_half_open_probe() {
     let cfg = DispatcherConfig {
-        chain: vec![EngineKind::Chunked, EngineKind::Serial],
+        chain: vec![Engine::Chunked, Engine::Serial],
         retry: RetryPolicy {
             max_attempts: 1,
             ..fast_retry()
@@ -199,7 +209,7 @@ fn breaker_recovers_through_a_half_open_probe() {
     // One chaos-panicked request trips the threshold-1 breaker.
     let chaos = ChaosPlan::seeded(9)
         .panic_ppm(1_000_000)
-        .only(EngineKind::Chunked)
+        .only(Engine::Chunked)
         .arm();
     let opts = DispatchOpts {
         chaos: Some(chaos),
@@ -208,9 +218,9 @@ fn breaker_recovers_through_a_half_open_probe() {
     let out = dispatcher
         .dispatch(&values, &labels, 3, Plus, &opts)
         .unwrap();
-    assert_eq!(out.engine, EngineKind::Serial);
+    assert_eq!(out.engine, Engine::Serial);
     assert_eq!(
-        dispatcher.circuit_state(EngineKind::Chunked),
+        dispatcher.circuit_state(Engine::Chunked),
         CircuitState::Open
     );
 
@@ -221,13 +231,9 @@ fn breaker_recovers_through_a_half_open_probe() {
         .dispatch(&values, &labels, 3, Plus, &DispatchOpts::default())
         .unwrap();
     assert_eq!(out.output, expect);
+    assert_eq!(out.engine, Engine::Chunked, "probe must rejoin the chain");
     assert_eq!(
-        out.engine,
-        EngineKind::Chunked,
-        "probe must rejoin the chain"
-    );
-    assert_eq!(
-        dispatcher.circuit_state(EngineKind::Chunked),
+        dispatcher.circuit_state(Engine::Chunked),
         CircuitState::Closed
     );
 }
@@ -270,7 +276,7 @@ fn pre_cancelled_request_short_circuits_the_whole_chain() {
         .unwrap();
     assert_eq!(out.output, oracle(&values, &labels, 5));
     assert_eq!(
-        dispatcher.circuit_state(EngineKind::Chunked),
+        dispatcher.circuit_state(Engine::Chunked),
         CircuitState::Closed
     );
 }
@@ -337,7 +343,7 @@ fn degenerate_configurations_are_rejected_at_construction() {
 #[test]
 fn atomic_chain_entry_is_skipped_for_unsupported_element_types() {
     let cfg = DispatcherConfig {
-        chain: vec![EngineKind::Atomic, EngineKind::Serial],
+        chain: vec![Engine::Atomic, Engine::Serial],
         ..DispatcherConfig::default()
     };
     let dispatcher = Dispatcher::new(cfg).unwrap();
@@ -351,7 +357,7 @@ fn atomic_chain_entry_is_skipped_for_unsupported_element_types() {
         .dispatch(&values, &labels, 9, Plus, &DispatchOpts::default())
         .unwrap();
     assert_eq!(out.output, expect);
-    assert_eq!(out.engine, EngineKind::Serial);
+    assert_eq!(out.engine, Engine::Serial);
     assert_eq!(out.fallbacks, 1);
 
     // The i64 entry points can, and the same dispatcher serves them from
@@ -362,12 +368,12 @@ fn atomic_chain_entry_is_skipped_for_unsupported_element_types() {
         .dispatch_i64(&values, &labels, 9, Plus, &DispatchOpts::default())
         .unwrap();
     assert_eq!(out.output, expect);
-    assert_eq!(out.engine, EngineKind::Atomic);
+    assert_eq!(out.engine, Engine::Atomic);
     let red = dispatcher
         .dispatch_reduce_i64(&values, &labels, 9, Plus, &DispatchOpts::default())
         .unwrap();
     assert_eq!(red.output, expect.reductions);
-    assert_eq!(red.engine, EngineKind::Atomic);
+    assert_eq!(red.engine, Engine::Atomic);
 }
 
 #[test]
@@ -377,7 +383,7 @@ fn chunk_worker_panic_falls_back_to_the_next_engine() {
     // EnginePanicked) and the chain must keep serving the oracle answer.
     let cfg = DispatcherConfig {
         retry: fast_retry(),
-        ..DispatcherConfig::default()
+        ..four_chunks()
     };
     let dispatcher = Dispatcher::new(cfg).unwrap();
     let (values, labels) = problem(20_000, 31);
@@ -385,7 +391,7 @@ fn chunk_worker_panic_falls_back_to_the_next_engine() {
 
     let chaos = ChaosPlan::seeded(13)
         .worker_panic_ppm(1_000_000)
-        .only(EngineKind::Chunked)
+        .only(Engine::Chunked)
         .arm();
     let opts = DispatchOpts {
         chaos: Some(chaos.clone()),
@@ -395,7 +401,7 @@ fn chunk_worker_panic_falls_back_to_the_next_engine() {
         .dispatch(&values, &labels, 31, Plus, &opts)
         .unwrap();
     assert_eq!(out.output, expect);
-    assert_eq!(out.engine, EngineKind::Spinetree, "must degrade, not die");
+    assert_eq!(out.engine, Engine::Serial, "must degrade, not die");
     assert!(
         chaos.chunk_panics_injected() > 0,
         "the chunk-worker fault must actually fire"
@@ -406,13 +412,13 @@ fn chunk_worker_panic_falls_back_to_the_next_engine() {
 fn chunk_worker_stalls_delay_but_do_not_corrupt() {
     // Stall faults slow the local pass down without failing it: the
     // chunked engine must still win the dispatch with the exact answer.
-    let dispatcher = Dispatcher::new(DispatcherConfig::default()).unwrap();
+    let dispatcher = Dispatcher::new(four_chunks()).unwrap();
     let (values, labels) = problem(20_000, 31);
     let expect = oracle(&values, &labels, 31);
 
     let chaos = ChaosPlan::seeded(17)
         .worker_stall_ppm(1_000_000)
-        .only(EngineKind::Chunked)
+        .only(Engine::Chunked)
         .arm();
     let opts = DispatchOpts {
         chaos: Some(chaos.clone()),
@@ -422,7 +428,7 @@ fn chunk_worker_stalls_delay_but_do_not_corrupt() {
         .dispatch(&values, &labels, 31, Plus, &opts)
         .unwrap();
     assert_eq!(out.output, expect);
-    assert_eq!(out.engine, EngineKind::Chunked);
+    assert_eq!(out.engine, Engine::Chunked);
     assert!(chaos.chunk_stalls_injected() > 0);
 }
 
@@ -431,13 +437,13 @@ fn chunk_worker_faults_stay_scoped_to_the_chunked_engine() {
     // The same worker-fault plan scoped to another engine must never draw
     // inside chunk workers — otherwise chaos plans aimed at the service
     // pool would non-deterministically leak into engine internals.
-    let dispatcher = Dispatcher::new(DispatcherConfig::default()).unwrap();
+    let dispatcher = Dispatcher::new(four_chunks()).unwrap();
     let (values, labels) = problem(20_000, 31);
     let expect = oracle(&values, &labels, 31);
 
     let chaos = ChaosPlan::seeded(19)
         .worker_panic_ppm(1_000_000)
-        .only(EngineKind::Spinetree)
+        .only(Engine::Spinetree)
         .arm();
     let opts = DispatchOpts {
         chaos: Some(chaos.clone()),
@@ -447,7 +453,7 @@ fn chunk_worker_faults_stay_scoped_to_the_chunked_engine() {
         .dispatch(&values, &labels, 31, Plus, &opts)
         .unwrap();
     assert_eq!(out.output, expect);
-    assert_eq!(out.engine, EngineKind::Chunked);
+    assert_eq!(out.engine, Engine::Chunked);
     assert_eq!(chaos.chunk_panics_injected(), 0);
     assert_eq!(chaos.chunk_stalls_injected(), 0);
 }
@@ -465,7 +471,7 @@ fn invalid_input_errors_bypass_retry_and_fallback() {
         MpError::LabelOutOfRange { label: 7, m: 3, .. }
     ));
     assert_eq!(
-        dispatcher.circuit_state(EngineKind::Chunked),
+        dispatcher.circuit_state(Engine::Chunked),
         CircuitState::Closed,
         "input errors must not count against engine health"
     );

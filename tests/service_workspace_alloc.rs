@@ -13,8 +13,10 @@
 //! workspace pool stopped recycling.
 
 use multiprefix::op::Plus;
+use multiprefix::resilience::DispatcherConfig;
 use multiprefix::serial::multiprefix_serial;
 use multiprefix::service::{Reply, Request, Service, ServiceConfig};
+use multiprefix::ExecConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -63,13 +65,18 @@ fn problem(n: usize, m: usize) -> (Vec<i64>, Vec<usize>) {
 fn steady_state_requests_allocate_only_their_own_buffers() {
     // One worker keeps the execution path deterministic; n = m puts the
     // chunk tables in direct (m-sized) mode, the worst case for a pool
-    // that fails to recycle.
+    // that fails to recycle. A one-chunk run has no chunk tables, so the
+    // dispatcher splits each request four ways.
     let n = 32 * 1024;
     let m = n;
     let service = Service::new(
         Plus,
         ServiceConfig {
             workers: Some(1),
+            dispatcher: DispatcherConfig {
+                exec: ExecConfig::default().threads(4),
+                ..DispatcherConfig::default()
+            },
             ..ServiceConfig::default()
         },
     )

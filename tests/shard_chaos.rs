@@ -17,8 +17,7 @@
 
 use multiprefix::op::Plus;
 use multiprefix::resilience::{
-    BreakerConfig, ChaosPlan, ChaosState, DispatchOpts, Dispatcher, DispatcherConfig, EngineKind,
-    RunContext,
+    BreakerConfig, ChaosPlan, ChaosState, DispatchOpts, Dispatcher, DispatcherConfig, RunContext,
 };
 use multiprefix::{
     multiprefix, Engine, ExecConfig, MpError, MultiprefixOutput, ShardConfig, ShardSupervisor,
@@ -215,8 +214,10 @@ fn total_shard_loss_without_fallback_fails_closed() {
 #[test]
 fn dispatcher_with_sharded_front_survives_shard_chaos() {
     let cfg = DispatcherConfig {
-        chain: vec![EngineKind::Sharded, EngineKind::Chunked, EngineKind::Serial],
+        chain: vec![Engine::Sharded, Engine::Chunked, Engine::Serial],
         shard: Some(fast_cfg()),
+        // The chunked fallback splits the 4 097-element shape in two.
+        exec: ExecConfig::default().threads(2),
         breaker: BreakerConfig {
             failure_threshold: u32::MAX,
             cooldown: Duration::ZERO,

@@ -112,14 +112,17 @@ fn wrap_boundary_straddles_type_max() {
 }
 
 /// A large odd length exercises many full AVX2 blocks, several checkpoint
-/// strides, and a ragged remainder at once.
+/// strides, and a ragged remainder at once — on one chunk, and split four
+/// ways so the apply phase's carry broadcast runs too.
 #[test]
 fn large_odd_length_u64_add() {
     let n = 1_000_003usize;
     let mut seed = 0xFEED;
     let values: Vec<u64> = (0..n).map(|_| lcg(&mut seed)).collect();
     let labels = vec![0usize; n];
-    assert_simd_matches_scalar(&values, &labels, 1, Plus, ExecConfig::default());
+    for cfg in [ExecConfig::default(), ExecConfig::default().threads(4)] {
+        assert_simd_matches_scalar(&values, &labels, 1, Plus, cfg);
+    }
 }
 
 /// `f32` addition is opt-in ([`ExecConfig::simd_f32`]) because vector
