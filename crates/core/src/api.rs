@@ -387,7 +387,12 @@ impl<'a, T: Element, O: TryCombineOp<T>> Call<'a, T, O> {
         replay: impl FnOnce() -> Result<R, MpError>,
     ) -> Result<R, MpError> {
         let checked = || {
-            scan_labels(engine, self.values, self.labels, self.m)?;
+            // The shard supervisor scans the labels before it distributes.
+            // Where no supervisor runs, `Sharded` is `Unavailable`, and
+            // `input_error_first` reports a bad input in its place.
+            if engine != Engine::Sharded {
+                scan_labels(engine, self.values, self.labels, self.m)?;
+            }
             run()?.map_or_else(replay, Ok)
         };
         checked().map_err(|err| self.input_error_first(err))

@@ -573,7 +573,10 @@ pub(crate) fn use_direct(tables: usize, n: usize, m: usize) -> bool {
 /// local scan and the apply prepend degenerate to plain prefix operations
 /// the simd kernels implement bit-exactly. Multi-bucket tables stay scalar
 /// (see DESIGN §12).
-fn single_label_kernels<T: Element, C: Comb<T>>(m: usize, comb: C) -> Option<&'static Kernels<T>> {
+pub(crate) fn single_label_kernels<T: Element, C: Comb<T>>(
+    m: usize,
+    comb: C,
+) -> Option<&'static Kernels<T>> {
     if m == 1 {
         comb_kernels::<T, C>(comb)
     } else {
@@ -607,26 +610,42 @@ fn local_pass<T: Element, C: Comb<T>>(
     if let Some(chaos) = ctx.chaos() {
         chaos.inject_chunk_worker(worker, ctx.deadline());
     }
-    // One monomorphic loop per table layout: no per-element mode branch.
     match table {
         Table::Output(vals) => fold(vals, |l| (l, false), sums, input, comb, fast, ctx),
-        Table::Space(ChunkSpace { map, vals }) if map.direct => {
-            fold(vals, |l| map.locate_direct(l), sums, input, comb, fast, ctx)
-        }
-        Table::Space(ChunkSpace { map, vals }) => {
-            fold(vals, |l| map.locate_probed(l), sums, input, comb, fast, ctx)
-        }
+        Table::Space(space) => fold_space(space, sums, input, comb, fast, ctx),
     }
 }
 
-/// One chunk's input: its values and labels, the label bound `m`, and the
-/// chunk's first element index in the whole vector.
+/// The local loop over one span into its own table: [`fold`]'s direct or
+/// probed arm, by the table's layout — one monomorphic loop per layout, no
+/// per-element mode branch. The later chunks of a chunked run and the
+/// shard workers' `Scan` and `Apply` tasks all run it; a table seeded with
+/// per-label offsets before the call makes `sums` the span's final prefix
+/// sums.
+pub(crate) fn fold_space<T: Element, C: Comb<T>>(
+    space: &mut ChunkSpace<T>,
+    sums: Option<&mut [MaybeUninit<T>]>,
+    input: Input<'_, T>,
+    comb: C,
+    fast: Option<&'static Kernels<T>>,
+    ctx: &RunContext,
+) -> Result<(), MpError> {
+    let ChunkSpace { map, vals } = space;
+    if map.direct {
+        fold(vals, |l| map.locate_direct(l), sums, input, comb, fast, ctx)
+    } else {
+        fold(vals, |l| map.locate_probed(l), sums, input, comb, fast, ctx)
+    }
+}
+
+/// One span's input: its values and labels, the label bound `m`, and the
+/// span's first element index in the whole vector.
 #[derive(Clone, Copy)]
-struct Input<'a, T> {
-    values: &'a [T],
-    labels: &'a [usize],
-    m: usize,
-    base: usize,
+pub(crate) struct Input<'a, T> {
+    pub(crate) values: &'a [T],
+    pub(crate) labels: &'a [usize],
+    pub(crate) m: usize,
+    pub(crate) base: usize,
 }
 
 /// The error for `label` at chunk-local index `i`, reported at its index

@@ -3,15 +3,21 @@
 //! The chunked engine's three phases, distributed across shard workers
 //! behind a message [`Transport`], with shard-loss recovery:
 //!
-//! 1. **local** — each worker runs the local phase over its contiguous
-//!    span, producing a [`ShardSummary`] (touched labels in first-touch
-//!    order + per-label span totals);
+//! 1. **local** — each worker's `Scan` task runs the chunked engine's
+//!    local loop over its contiguous span, producing a [`ShardSummary`]
+//!    (touched labels in first-touch order + per-label span totals);
 //! 2. **exscan** — the supervisor runs `exscan::exscan_parts` (the same
 //!    primitive the single-node chunked engine uses for its combine phase)
 //!    over the summaries in span order, turning each summary into its
 //!    exclusive per-label offsets and yielding the global reductions;
-//! 3. **apply** — each worker replays its span with the offsets, producing
-//!    the span's final prefix sums.
+//! 3. **apply** — each worker's `Apply` task runs the same loop over its
+//!    span from a table seeded with the offsets, writing the span's final
+//!    prefix sums once into uninitialized capacity; the supervisor
+//!    appends the parts in span order.
+//!
+//! The channel transport and the socket transport ([`net`]) share one run
+//! path: validation, the empty input, the span layout and the degrade are
+//! written once, and only the distributed attempt differs.
 //!
 //! ## Why losses are recoverable
 //!
@@ -53,9 +59,12 @@ pub mod transport;
 pub use exscan::{exscan_over_summaries, ShardSummary};
 pub use transport::{ChannelTransport, DownMsg, RecvOutcome, ShardSpan, Transport, UpMsg};
 
-use crate::chunked::{run_prefix, use_direct, ChunkSpace, ChunkedWorkspace, Comb, PlainComb};
+use crate::chunked::{
+    fold_space, run_prefix, single_label_kernels, use_direct, ChunkSpace, ChunkedWorkspace, Comb,
+    Input, PlainComb,
+};
 use crate::error::MpError;
-use crate::exec::{try_filled_vec, CheckGuard, ExecConfig, TryEngineResult};
+use crate::exec::{try_filled_vec, try_with_capacity, CheckGuard, ExecConfig, TryEngineResult};
 use crate::obs::Phase;
 use crate::op::{CombineOp, TryCombineOp};
 use crate::problem::{validate_slices, Element, MultiprefixOutput};
@@ -281,7 +290,7 @@ impl ShardSupervisor {
         m: usize,
         op: O,
     ) -> MultiprefixOutput<T> {
-        self.run_sharded(values, labels, m, PlainComb(op), &RunContext::new())
+        self.run_channel(values, labels, m, PlainComb(op), &RunContext::new())
             .expect("sharded multiprefix failed")
     }
 
@@ -302,7 +311,7 @@ impl ShardSupervisor {
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let tripped = AtomicBool::new(false);
             let guard = CheckGuard::new(op, cfg.overflow, &tripped);
-            let out = self.run_sharded(values, labels, m, guard, ctx)?;
+            let out = self.run_channel(values, labels, m, guard, ctx)?;
             if tripped.load(Ordering::Relaxed) {
                 Ok(None)
             } else {
@@ -316,8 +325,10 @@ impl ShardSupervisor {
         caught.unwrap_or(Err(MpError::EnginePanicked))
     }
 
-    /// Validate, distribute across shard workers, and degrade to
-    /// single-node chunked execution when recovery is exhausted.
+    /// The run path of both transports: validate, lay out the spans, make
+    /// the transport's `distributed` attempt over `min(shards, n)` workers,
+    /// and degrade to single-node chunked execution when its recovery is
+    /// exhausted.
     fn run_sharded<T: Element, C: Comb<T>>(
         &self,
         values: &[T],
@@ -325,19 +336,30 @@ impl ShardSupervisor {
         m: usize,
         comb: C,
         ctx: &RunContext,
+        distributed: impl FnOnce(usize, &[ShardSpan]) -> Result<MultiprefixOutput<T>, MpError>,
     ) -> Result<MultiprefixOutput<T>, MpError> {
         ctx.checkpoint()?;
         // Up-front validation matters more here than in the single-node
         // engines: a bad label inside a worker would read as a shard crash
         // and be pointlessly retried on every surviving worker.
         validate_slices(values, labels, m)?;
-        if values.is_empty() {
+        let n = values.len();
+        if n == 0 {
             return Ok(MultiprefixOutput {
                 sums: Vec::new(),
                 reductions: try_filled_vec(comb.identity(), m)?,
             });
         }
-        match self.run_distributed(values, labels, m, comb, ctx) {
+        let nshards = self.cfg.shards.min(n);
+        let span_len = n.div_ceil(nshards);
+        let spans: Vec<ShardSpan> = (0..n.div_ceil(span_len))
+            .map(|i| ShardSpan {
+                index: i,
+                start: i * span_len,
+                end: ((i + 1) * span_len).min(n),
+            })
+            .collect();
+        match distributed(nshards, &spans) {
             Err(MpError::Unavailable) if self.cfg.fallback_single_node => {
                 self.degraded.fetch_add(1, Ordering::Relaxed);
                 if let Some(rec) = ctx.recorder() {
@@ -351,9 +373,10 @@ impl ShardSupervisor {
         }
     }
 
-    /// One distributed attempt: spawn the worker fleet, supervise the two
-    /// worker phases around the supervisor-local exscan, and join.
-    fn run_distributed<T: Element, C: Comb<T>>(
+    /// [`Self::run_sharded`] over the in-process channel transport: its
+    /// attempt spawns the worker fleet as scoped threads, supervises the
+    /// two worker phases around the supervisor-local exscan, and joins.
+    fn run_channel<T: Element, C: Comb<T>>(
         &self,
         values: &[T],
         labels: &[usize],
@@ -361,32 +384,23 @@ impl ShardSupervisor {
         comb: C,
         ctx: &RunContext,
     ) -> Result<MultiprefixOutput<T>, MpError> {
-        let n = values.len();
-        let nshards = self.cfg.shards.min(n);
-        let span_len = n.div_ceil(nshards);
-        let nspans = n.div_ceil(span_len);
-        let spans: Vec<ShardSpan> = (0..nspans)
-            .map(|i| ShardSpan {
-                index: i,
-                start: i * span_len,
-                end: ((i + 1) * span_len).min(n),
+        self.run_sharded(values, labels, m, comb, ctx, |nshards, spans| {
+            let transport: ChannelTransport<T> = ChannelTransport::new(nshards, ctx.chaos_arc());
+            std::thread::scope(|scope| {
+                for shard in 0..nshards {
+                    let t = &transport;
+                    let hb = self.cfg.heartbeat_interval;
+                    scope.spawn(move || worker_loop(t, shard, values, labels, m, comb, hb, ctx));
+                }
+                // Dropped on every exit from this closure — Ok, Err, or
+                // unwind — so the workers always see Shutdown and the
+                // scope's implicit join is bounded.
+                let _guard = ShutdownGuard {
+                    transport: &transport,
+                    _elements: PhantomData,
+                };
+                self.supervise(&transport, spans, values.len(), m, comb, ctx)
             })
-            .collect();
-        let transport: ChannelTransport<T> = ChannelTransport::new(nshards, ctx.chaos_arc());
-        std::thread::scope(|scope| {
-            for shard in 0..nshards {
-                let t = &transport;
-                let hb = self.cfg.heartbeat_interval;
-                scope.spawn(move || worker_loop(t, shard, values, labels, m, comb, hb, ctx));
-            }
-            // Dropped on every exit from this closure — Ok, Err, or unwind
-            // — so the workers always see Shutdown and the scope's implicit
-            // join is bounded.
-            let _guard = ShutdownGuard {
-                transport: &transport,
-                _elements: PhantomData,
-            };
-            self.supervise(&transport, &spans, n, m, comb, ctx)
         })
     }
 
@@ -462,10 +476,12 @@ impl ShardSupervisor {
                 },
             )?
         };
-        let mut sums = try_filled_vec(comb.identity(), n)?;
-        for (i, reply) in apply_replies.into_iter().enumerate() {
+        // The spans tile `0..n` in order and `drive_phase` accepts only a
+        // part as long as its span, so appending writes each slot once.
+        let mut sums = try_with_capacity(n)?;
+        for reply in apply_replies {
             match reply {
-                Payload::Sums(part) => sums[spans[i].start..spans[i].end].copy_from_slice(&part),
+                Payload::Sums(part) => sums.extend_from_slice(&part),
                 Payload::Summary { .. } => unreachable!("apply phase only accepts sums"),
             }
         }
@@ -584,11 +600,13 @@ impl ShardSupervisor {
                         last_seen[shard] = Instant::now();
                         live[shard] = true;
                     }
+                    // The part's length is checked against the supervisor's
+                    // own span, not the one the reply names.
                     let i = span.index;
                     if want_sums
                         && i < results.len()
                         && results[i].is_none()
-                        && sums.len() == span.len()
+                        && sums.len() == spans[i].len()
                     {
                         results[i] = Some(Payload::Sums(sums));
                         assigned[i] = None;
@@ -718,6 +736,12 @@ impl<T: Element, Tr: Transport<T>> Drop for ShutdownGuard<'_, T, Tr> {
 /// recomputes them deterministically (duplicates are bit-identical),
 /// beacons a heartbeat when idle, and converts any panic or checkpoint
 /// failure into a [`UpMsg::Crashed`] exit instead of a hang.
+///
+/// Both tasks run the chunked engine's local loop ([`fold_space`]) over
+/// the span, in a table laid out as a one-table chunked run's: a `Scan`
+/// reduces the span into the table and ships its touched labels and
+/// totals; an `Apply` seeds the table with the span's exscanned offsets,
+/// so the loop's output is the span's final prefix sums, written once.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<T: Element, C: Comb<T>, Tr: Transport<T>>(
     transport: &Tr,
@@ -729,44 +753,65 @@ fn worker_loop<T: Element, C: Comb<T>, Tr: Transport<T>>(
     heartbeat: Duration,
     ctx: &RunContext,
 ) {
+    let fast = single_label_kernels(m, comb);
     let mut space = ChunkSpace::default();
     let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), MpError> {
         loop {
-            match transport.recv_down(shard, heartbeat) {
+            let (task, span, offsets) = match transport.recv_down(shard, heartbeat) {
                 RecvOutcome::Msg(DownMsg::Shutdown) | RecvOutcome::Disconnected => return Ok(()),
-                RecvOutcome::TimedOut => transport.send_up(UpMsg::Heartbeat { shard }),
-                RecvOutcome::Msg(DownMsg::Scan { task, span }) => {
-                    if let Some(chaos) = ctx.chaos() {
-                        chaos.inject_shard_worker(shard, ctx.deadline());
-                    }
-                    let (touched, totals) =
-                        scan_span(&mut space, values, labels, span, m, comb, ctx)?;
-                    transport.send_up(UpMsg::Summary {
-                        shard,
-                        task,
-                        span,
-                        touched,
-                        totals,
-                    });
+                RecvOutcome::TimedOut => {
+                    transport.send_up(UpMsg::Heartbeat { shard });
+                    continue;
                 }
+                RecvOutcome::Msg(DownMsg::Scan { task, span }) => (task, span, None),
                 RecvOutcome::Msg(DownMsg::Apply {
                     task,
                     span,
                     offsets,
-                }) => {
-                    if let Some(chaos) = ctx.chaos() {
-                        chaos.inject_shard_worker(shard, ctx.deadline());
-                    }
-                    let sums =
-                        apply_span(&mut space, values, labels, span, m, &offsets, comb, ctx)?;
-                    transport.send_up(UpMsg::Applied {
-                        shard,
-                        task,
-                        span,
-                        sums,
-                    });
-                }
+                }) => (task, span, Some(offsets)),
+            };
+            if let Some(chaos) = ctx.chaos() {
+                chaos.inject_shard_worker(shard, ctx.deadline());
             }
+            let input = Input {
+                values: &values[span.start..span.end],
+                labels: &labels[span.start..span.end],
+                m,
+                base: span.start,
+            };
+            let len = input.values.len();
+            space.begin_use(m, len.min(m), use_direct(1, len, m), comb.identity())?;
+            let Some(offsets) = offsets else {
+                fold_space(&mut space, None, input, comb, fast, ctx)?;
+                let (touched, totals) = space.take_summary();
+                transport.send_up(UpMsg::Summary {
+                    shard,
+                    task,
+                    span,
+                    touched,
+                    totals,
+                });
+                continue;
+            };
+            for &(label, offset) in &offsets {
+                let slot = space.slot_or_insert(label, offset);
+                space.vals[slot] = offset;
+            }
+            let mut sums = try_with_capacity(len)?;
+            let out = &mut sums.spare_capacity_mut()[..len];
+            fold_space(&mut space, Some(out), input, comb, fast, ctx)?;
+            // SAFETY: `sums` has capacity `len`, and `out` is its first
+            // `len` slots, as long as the span's `values` and `labels`
+            // (both cut from `span.start..span.end`). `fold_space` returned
+            // `Ok`, so it wrote every slot of `out`; an `Err` or a panic
+            // leaves above with `sums` still at length 0.
+            unsafe { sums.set_len(len) };
+            transport.send_up(UpMsg::Applied {
+                shard,
+                task,
+                span,
+                sums,
+            });
         }
     }));
     match outcome {
@@ -776,57 +821,6 @@ fn worker_loop<T: Element, C: Comb<T>, Tr: Transport<T>>(
         // supervisor's own checkpoint reports the user-facing error.
         Ok(Err(_)) | Err(_) => transport.send_up(UpMsg::Crashed { shard }),
     }
-}
-
-/// The local phase over one span: serial multiprefix into a compact
-/// touched-label table. Pure function of the span (given `comb`).
-fn scan_span<T: Element, C: Comb<T>>(
-    space: &mut ChunkSpace<T>,
-    values: &[T],
-    labels: &[usize],
-    span: ShardSpan,
-    m: usize,
-    comb: C,
-    ctx: &RunContext,
-) -> Result<(Vec<usize>, Vec<T>), MpError> {
-    let len = span.len();
-    space.begin_use(m, len.min(m), use_direct(1, len, m), comb.identity())?;
-    for (i, idx) in (span.start..span.end).enumerate() {
-        ctx.checkpoint_every(i)?;
-        let slot = space.slot_or_insert(labels[idx], comb.identity());
-        space.vals[slot] = comb.combine(space.vals[slot], values[idx]);
-    }
-    Ok(space.take_summary())
-}
-
-/// The apply phase over one span: preload the exscanned offsets, then
-/// replay the span accumulating each element's exclusive prefix. Pure
-/// function of span + offsets.
-#[allow(clippy::too_many_arguments)]
-fn apply_span<T: Element, C: Comb<T>>(
-    space: &mut ChunkSpace<T>,
-    values: &[T],
-    labels: &[usize],
-    span: ShardSpan,
-    m: usize,
-    offsets: &[(usize, T)],
-    comb: C,
-    ctx: &RunContext,
-) -> Result<Vec<T>, MpError> {
-    let len = span.len();
-    space.begin_use(m, len.min(m), use_direct(1, len, m), comb.identity())?;
-    for &(label, offset) in offsets {
-        let slot = space.slot_or_insert(label, comb.identity());
-        space.vals[slot] = offset;
-    }
-    let mut sums = try_filled_vec(comb.identity(), len)?;
-    for (i, idx) in (span.start..span.end).enumerate() {
-        ctx.checkpoint_every(i)?;
-        let slot = space.slot_or_insert(labels[idx], comb.identity());
-        sums[i] = space.vals[slot];
-        space.vals[slot] = comb.combine(space.vals[slot], values[idx]);
-    }
-    Ok(sums)
 }
 
 /// Sharded multiprefix over an in-process worker fleet with default
@@ -1074,6 +1068,86 @@ mod tests {
         assert_eq!(out, oracle(&values, &labels, 4));
         assert!(rec.counter_value(COUNTER_SHARD_LOST) >= 1);
         assert!(rec.counter_value(COUNTER_REQUEUED) >= 1);
+    }
+
+    /// Miri target (the CI job runs the `shard` unit tests): an `Apply`
+    /// task writes its span's sums once into uninitialized capacity. A
+    /// channel worker serves spans through the single-label kernels
+    /// (`m == 1`), a label-indexed table and a probed one (`m` ≫ the
+    /// span), one of them a little over one `CHECK_STRIDE` block long and
+    /// starting past 0. Every slot of each reply is read back against the
+    /// serial oracle, where Miri reports any slot the loop skipped; a
+    /// cancel at the second block ends the task with a crash notice.
+    #[test]
+    fn apply_tasks_write_every_slot_for_miri() {
+        use crate::resilience::{CancelToken, CHECK_STRIDE};
+        // One `Apply` task on a fresh worker, seeded with the span's
+        // exclusive offsets: its sums, or `None` when the worker crashed.
+        fn apply(
+            values: &[i64],
+            labels: &[usize],
+            m: usize,
+            span: ShardSpan,
+            ctx: &RunContext,
+        ) -> Option<Vec<i64>> {
+            let before = oracle(&values[..span.start], &labels[..span.start], m).reductions;
+            let mut seen = vec![false; m];
+            let offsets = labels[span.start..span.end]
+                .iter()
+                .filter(|&&l| !std::mem::replace(&mut seen[l], true))
+                .map(|&l| (l, before[l]))
+                .collect();
+            let transport = ChannelTransport::new(1, None);
+            std::thread::scope(|scope| {
+                let (t, hb) = (&transport, Duration::from_secs(60));
+                scope.spawn(move || worker_loop(t, 0, values, labels, m, PlainComb(Plus), hb, ctx));
+                let _guard = ShutdownGuard {
+                    transport: t,
+                    _elements: PhantomData,
+                };
+                t.send_down(
+                    0,
+                    DownMsg::Apply {
+                        task: 1,
+                        span,
+                        offsets,
+                    },
+                );
+                loop {
+                    match t.recv_up(hb) {
+                        RecvOutcome::Msg(UpMsg::Applied { sums, .. }) => return Some(sums),
+                        RecvOutcome::Msg(UpMsg::Heartbeat { .. }) => {}
+                        _ => return None,
+                    }
+                }
+            })
+        }
+        let n = CHECK_STRIDE + 9;
+        let values: Vec<i64> = (0..n as i64).map(|i| i % 9 - 4).collect();
+        for m in [1usize, 7, 50_000] {
+            let labels: Vec<usize> = (0..n).map(|i| (i * 31_337) % m).collect();
+            let expect = oracle(&values, &labels, m).sums;
+            for (start, end) in [(0, 3), (3, n)] {
+                let span = ShardSpan {
+                    index: 0,
+                    start,
+                    end,
+                };
+                let got = apply(&values, &labels, m, span, &RunContext::new());
+                assert_eq!(got.as_deref(), Some(&expect[start..end]), "m={m} {span:?}");
+            }
+            let span = ShardSpan {
+                index: 0,
+                start: 3,
+                end: n,
+            };
+            let ctx = RunContext::new().with_cancel(&CancelToken::cancel_after(1));
+            assert_eq!(
+                apply(&values, &labels, m, span, &ctx),
+                None,
+                "m={m} cancelled"
+            );
+        }
     }
 
     #[test]

@@ -31,17 +31,14 @@ use super::conn::{Conn, NetStream};
 use super::wire::{wire_tag_of, NetError, WireOp, WireValue};
 use super::worker::{run_inproc_worker, ENV_ADDR, ENV_INDEX, ENV_WORKER};
 use super::DEFAULT_NAK_BUDGET;
-use crate::chunked::{run_prefix, ChunkedWorkspace, PlainComb};
+use crate::chunked::PlainComb;
 use crate::error::MpError;
-use crate::exec::try_filled_vec;
-use crate::obs::{Phase, Recorder};
+use crate::obs::Recorder;
 use crate::op::CombineOp;
-use crate::problem::{validate_slices, Element, MultiprefixOutput};
+use crate::problem::{Element, MultiprefixOutput};
 use crate::resilience::{ChaosState, Deadline, RunContext};
 use crate::shard::transport::{DownMsg, RecvOutcome, ShardSpan, Transport, UpMsg};
-use crate::shard::{
-    ShardConfig, ShardSupervisor, ShutdownGuard, COUNTER_DEGRADED, COUNTER_RECONNECTS,
-};
+use crate::shard::{ShardConfig, ShardSupervisor, ShutdownGuard, COUNTER_RECONNECTS};
 use std::fmt;
 use std::marker::PhantomData;
 use std::net::TcpListener;
@@ -876,7 +873,9 @@ impl ShardSupervisor {
         O: CombineOp<T> + WireOp,
     {
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            self.run_socket_sharded(values, labels, m, op, net, ctx)
+            self.run_sharded(values, labels, m, PlainComb(op), ctx, |nshards, spans| {
+                self.run_socket_distributed(values, labels, m, op, net, nshards, spans, ctx)
+            })
         }));
         // AssertUnwindSafe is sound for the same reason as the channel
         // path: partial outputs die inside the closure and supervisor
@@ -884,46 +883,10 @@ impl ShardSupervisor {
         caught.unwrap_or(Err(MpError::EnginePanicked))
     }
 
-    fn run_socket_sharded<T, O>(
-        &self,
-        values: &[T],
-        labels: &[usize],
-        m: usize,
-        op: O,
-        net: &NetConfig,
-        ctx: &RunContext,
-    ) -> Result<MultiprefixOutput<T>, MpError>
-    where
-        T: Element + WireValue,
-        O: CombineOp<T> + WireOp,
-    {
-        ctx.checkpoint()?;
-        validate_slices(values, labels, m)?;
-        if values.is_empty() {
-            return Ok(MultiprefixOutput {
-                sums: Vec::new(),
-                reductions: try_filled_vec(op.identity(), m)?,
-            });
-        }
-        match self.run_socket_distributed(values, labels, m, op, net, ctx) {
-            Err(MpError::Unavailable) if self.config().fallback_single_node => {
-                self.note_degraded(ctx);
-                let _span = ctx.phase_span(Phase::Recover);
-                let mut ws = ChunkedWorkspace::new();
-                run_prefix(
-                    values,
-                    labels,
-                    m,
-                    PlainComb(op),
-                    self.config().shards,
-                    &mut ws,
-                    ctx,
-                )
-            }
-            other => other,
-        }
-    }
-
+    /// The socket transport's distributed attempt: launch `nshards`
+    /// workers, establish the fabric, and supervise the two worker phases
+    /// over `spans`.
+    #[allow(clippy::too_many_arguments)]
     fn run_socket_distributed<T, O>(
         &self,
         values: &[T],
@@ -931,6 +894,8 @@ impl ShardSupervisor {
         m: usize,
         op: O,
         net: &NetConfig,
+        nshards: usize,
+        spans: &[ShardSpan],
         ctx: &RunContext,
     ) -> Result<MultiprefixOutput<T>, MpError>
     where
@@ -938,18 +903,6 @@ impl ShardSupervisor {
         O: CombineOp<T> + WireOp,
     {
         let cfg = *self.config();
-        let n = values.len();
-        let nshards = cfg.shards.min(n);
-        let span_len = n.div_ceil(nshards);
-        let nspans = n.div_ceil(span_len);
-        let spans: Vec<ShardSpan> = (0..nspans)
-            .map(|i| ShardSpan {
-                index: i,
-                start: i * span_len,
-                end: ((i + 1) * span_len).min(n),
-            })
-            .collect();
-
         let launcher: Arc<dyn WorkerLauncher> = match &net.fleet {
             FleetMode::InProc => Arc::new(InProcLauncher {
                 values: Arc::new(values.to_vec()),
@@ -996,7 +949,7 @@ impl ShardSupervisor {
                 transport: &transport,
                 _elements: PhantomData,
             };
-            self.supervise(&transport, &spans, n, m, PlainComb(op), ctx)
+            self.supervise(&transport, spans, values.len(), m, PlainComb(op), ctx)
         };
         // Fold the transport's reconnect tally into the supervisor's
         // cross-run counter (recorder emission happened live, in the
@@ -1004,13 +957,6 @@ impl ShardSupervisor {
         self.reconnects
             .fetch_add(transport.reconnects(), Ordering::Relaxed);
         result
-    }
-
-    fn note_degraded(&self, ctx: &RunContext) {
-        self.degraded.fetch_add(1, Ordering::Relaxed);
-        if let Some(rec) = ctx.recorder() {
-            rec.counter(COUNTER_DEGRADED, 1);
-        }
     }
 }
 

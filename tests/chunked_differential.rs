@@ -35,6 +35,7 @@ use multiprefix::service::{Reply, Request, Service, ServiceConfig};
 use multiprefix::{
     multiprefix, multireduce, try_multiprefix, try_multiprefix_ctx, try_multireduce,
     try_multireduce_ctx, validate, Element, Engine, ExecConfig, MpError, OverflowPolicy,
+    ShardConfig,
 };
 use proptest::prelude::*;
 use std::ops::Range;
@@ -167,11 +168,12 @@ fn invalid_problem() -> impl Strategy<Value = (Vec<i64>, Vec<usize>, usize, usiz
     })
 }
 
-const ENGINES: [Engine; 4] = [
+const ENGINES: [Engine; 5] = [
     Engine::Auto,
     Engine::Serial,
     Engine::Spinetree,
     Engine::Chunked,
+    Engine::Sharded,
 ];
 
 fn lcg(state: &mut u64) -> u64 {
@@ -352,7 +354,7 @@ proptest! {
         // The dispatcher's six entries report it too, under the default
         // config and the same stops, and charge no engine's breaker for it:
         // they run the same engine table, with no label scan of their own.
-        let dispatcher = Dispatcher::new(DispatcherConfig::default()).unwrap();
+        // So does a sharded front, whose one label scan is its supervisor's.
         let chaos = ChaosPlan::seeded(parts as u64)
             .worker_panic_ppm(1_000_000)
             .only(Engine::Chunked)
@@ -364,22 +366,34 @@ proptest! {
             ("expired", DispatchOpts { deadline: Some(Deadline::after(Duration::ZERO)), ..none() }),
             ("worker panic", DispatchOpts { chaos: Some(chaos), ..none() }),
         ];
-        let (d, v, l, mut ws) = (&dispatcher, &values[..], &labels[..], ChunkedWorkspace::new());
-        for (why, opts) in &stops {
-            let errors = [
-                ("dispatch", d.dispatch(v, l, m, Plus, opts).err()),
-                ("dispatch_pooled", d.dispatch_pooled(v, l, m, Plus, opts, &mut ws).err()),
-                ("dispatch_i64", d.dispatch_i64(v, l, m, Plus, opts).err()),
-                ("dispatch_reduce", d.dispatch_reduce(v, l, m, Plus, opts).err()),
-                ("reduce_pooled", d.dispatch_reduce_pooled(v, l, m, Plus, opts, &mut ws).err()),
-                ("dispatch_reduce_i64", d.dispatch_reduce_i64(v, l, m, Plus, opts).err()),
-            ];
-            for (entry, err) in errors {
-                prop_assert_eq!(err, expect.clone(), "{} {}", entry, why);
+        let sharded = DispatcherConfig {
+            chain: vec![Engine::Sharded, Engine::Serial],
+            shard: Some(ShardConfig::default()),
+            ..DispatcherConfig::default()
+        };
+        for config in [DispatcherConfig::default(), sharded] {
+            let front = config.chain[0];
+            let dispatcher = Dispatcher::new(config).unwrap();
+            let (d, v, l, mut ws) = (&dispatcher, &values[..], &labels[..], ChunkedWorkspace::new());
+            for (why, opts) in &stops {
+                let errors = [
+                    ("dispatch", d.dispatch(v, l, m, Plus, opts).err()),
+                    ("dispatch_pooled", d.dispatch_pooled(v, l, m, Plus, opts, &mut ws).err()),
+                    ("dispatch_i64", d.dispatch_i64(v, l, m, Plus, opts).err()),
+                    ("dispatch_reduce", d.dispatch_reduce(v, l, m, Plus, opts).err()),
+                    ("reduce_pooled", d.dispatch_reduce_pooled(v, l, m, Plus, opts, &mut ws).err()),
+                    ("dispatch_reduce_i64", d.dispatch_reduce_i64(v, l, m, Plus, opts).err()),
+                ];
+                for (entry, err) in errors {
+                    prop_assert_eq!(err, expect.clone(), "{} {} {}", front, entry, why);
+                }
             }
-        }
-        for engine in Engine::ALL {
-            prop_assert_eq!(dispatcher.circuit_state(engine), CircuitState::Closed, "{}", engine);
+            for engine in Engine::ALL {
+                prop_assert_eq!(dispatcher.circuit_state(engine), CircuitState::Closed, "{} {}", front, engine);
+            }
+            if let Some(sup) = dispatcher.shard_supervisor() {
+                prop_assert_eq!(sup.shards_lost(), 0, "a bad input reached a shard worker");
+            }
         }
         // The engine's own entries check lengths, and labels too except
         // with m == 1 (a documented precondition: the vector kernels never

@@ -4,14 +4,17 @@
 //! summaries through [`exscan_over_summaries`] must reproduce the serial
 //! reference bit for bit — and must keep doing so when a summary is
 //! "lost" and recomputed from its span, the replay the shard recovery
-//! protocol leans on.
+//! protocol leans on. The whole sharded engine, over the channel and
+//! Unix-domain-socket transports, is held to the same references on the
+//! table layouts and block edges its workers' local loop reaches.
 
-use multiprefix::op::{CombineOp, FirstLast, Plus};
-use multiprefix::resilience::RunContext;
+use multiprefix::op::{CombineOp, FirstLast, Plus, TryCombineOp};
+use multiprefix::resilience::{RunContext, CHECK_STRIDE};
 use multiprefix::serial::multiprefix_serial;
+use multiprefix::shard::net::{try_multiprefix_socket_ctx, NetConfig, WireOp, WireValue};
 use multiprefix::shard::try_multiprefix_sharded_ctx;
 use multiprefix::{
-    exscan_over_summaries, ExecConfig, MultiprefixOutput, ShardConfig, ShardSummary,
+    exscan_over_summaries, Element, ExecConfig, MultiprefixOutput, ShardConfig, ShardSummary,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -191,23 +194,154 @@ proptest! {
     }
 
     /// End-to-end differential: the full sharded engine (workers, exscan,
-    /// apply) against the serial reference across shard counts.
+    /// apply) against its references across shard counts, over the channel
+    /// transport ([`check_all_ops`]).
     #[test]
-    fn sharded_engine_matches_serial((values, labels, m) in problem(), shards in 1usize..6) {
-        let expect = multiprefix_serial(&values, &labels, m, Plus);
-        let got = try_multiprefix_sharded_ctx(
-            &values,
-            &labels,
-            m,
-            Plus,
-            ExecConfig::default(),
-            &ShardConfig::default().shards(shards),
-            &RunContext::new(),
-        )
-        .unwrap()
-        .expect("Wrap never trips");
-        prop_assert_eq!(got, expect);
+    fn sharded_engine_matches_serial((values, labels, m) in shard_problem(), shards in 1usize..6) {
+        check_all_ops(&values, &labels, m, shards, false)?;
     }
+}
+
+/// The same differential over Unix-domain sockets too, on a fixed handful
+/// of the generator's shapes: a single label across block edges, a few
+/// labels on ragged spans, and a label space far beyond any span.
+#[test]
+fn sharded_engine_matches_serial_over_uds() {
+    let shapes = [
+        (2 * CHECK_STRIDE + 3, 1, 2),
+        (CHECK_STRIDE + 17, 1, 3),
+        (3 * CHECK_STRIDE - 5, 7, 4),
+        (5_001, 600_000, 3),
+        (1, 5, 4),
+    ];
+    for (n, m, shards) in shapes {
+        let values: Vec<i64> = (0..n as i64).map(|i| (i * 7_919) % 2_001 - 1_000).collect();
+        let labels: Vec<usize> = (0..n).map(|i| (i * 104_729 + i / 3) % m).collect();
+        check_all_ops(&values, &labels, m, shards, true).unwrap();
+    }
+}
+
+/// Shapes for the sharded engine: one label (the single-label kernels,
+/// where an `Apply` task's carry is its seeded offset), up to 63 labels
+/// (label-indexed tables), or a label space far beyond any span (probed
+/// tables); lengths up to three `CHECK_STRIDE` blocks, so most spans end
+/// inside a block.
+fn shard_problem() -> impl Strategy<Value = (Vec<i64>, Vec<usize>, usize)> {
+    let m =
+        (0u8..3, 2usize..64, 100_000usize..1_000_000).prop_map(|(kind, few, many)| match kind {
+            0 => 1,
+            1 => few,
+            _ => many,
+        });
+    (m, 0usize..3 * CHECK_STRIDE).prop_flat_map(|(m, n)| {
+        let label = any::<u32>().prop_map(move |x| {
+            let x = x as usize;
+            if x.is_multiple_of(4) {
+                0
+            } else {
+                x % m
+            }
+        });
+        proptest::collection::vec((any::<i32>().prop_map(i64::from), label), n).prop_map(
+            move |pairs| {
+                let (values, labels): (Vec<i64>, Vec<usize>) = pairs.into_iter().unzip();
+                (values, labels, m)
+            },
+        )
+    })
+}
+
+/// The sharded engine on `values` and operands derived from them:
+///
+/// * i64 `Plus` and the non-commutative `FirstLast` must equal
+///   `multiprefix_serial` bit for bit;
+/// * so must f64 `Plus` on whole numbers, whose sums are exact (f64 has no
+///   vector kernel, so `m == 1` runs the scalar loop);
+/// * f64 `Plus` on values whose sums round cannot: the engine folds each
+///   span from the identity and combines the span totals, a grouping
+///   serial does not share. There it must equal that grouping's
+///   reference ([`span_grouped`]) bit for bit.
+fn check_all_ops(
+    values: &[i64],
+    labels: &[usize],
+    m: usize,
+    shards: usize,
+    uds: bool,
+) -> Result<(), TestCaseError> {
+    let run = (shards, uds);
+    let expect = multiprefix_serial(values, labels, m, Plus);
+    sharded_matches(values, labels, m, Plus, expect, run, |v| *v)?;
+    let whole: Vec<f64> = values.iter().map(|&v| v as f64).collect();
+    let expect = multiprefix_serial(&whole, labels, m, Plus);
+    sharded_matches(&whole, labels, m, Plus, expect, run, |v| v.to_bits())?;
+    let rounding: Vec<f64> = values.iter().map(|&v| v as f64 * 1e-3).collect();
+    let expect = span_grouped(&rounding, labels, m, Plus, shards);
+    sharded_matches(&rounding, labels, m, Plus, expect, run, |v| v.to_bits())?;
+    let pairs: Vec<(i32, i32)> = values
+        .iter()
+        .map(|&v| (v as i32, v as i32 ^ 0x55))
+        .collect();
+    let expect = multiprefix_serial(&pairs, labels, m, FirstLast);
+    sharded_matches(&pairs, labels, m, FirstLast, expect, run, |v| *v)
+}
+
+/// What the sharded engine computes on `shards` spans: each span's totals
+/// folded from the identity, exscanned in span order, then each span
+/// replayed from its offsets.
+fn span_grouped<T, O>(
+    values: &[T],
+    labels: &[usize],
+    m: usize,
+    op: O,
+    shards: usize,
+) -> MultiprefixOutput<T>
+where
+    T: Element,
+    O: CombineOp<T>,
+{
+    let bounds = span_bounds(values.len(), shards);
+    let mut summaries: Vec<_> = bounds
+        .iter()
+        .enumerate()
+        .map(|(k, &(s, e))| span_summary(k, &values[s..e], &labels[s..e], op))
+        .collect();
+    let reductions = exscan_over_summaries(&mut summaries, m, op).unwrap();
+    reconstruct(values, labels, &bounds, &summaries, reductions, op)
+}
+
+/// The sharded engine over the channel transport, and over UDS when `uds`
+/// is set, must each equal `expect` bit for bit (`bits` maps an element to
+/// comparable bits).
+fn sharded_matches<T, O, K>(
+    values: &[T],
+    labels: &[usize],
+    m: usize,
+    op: O,
+    expect: MultiprefixOutput<T>,
+    (shards, uds): (usize, bool),
+    bits: impl Fn(&T) -> K,
+) -> Result<(), TestCaseError>
+where
+    T: Element + WireValue,
+    O: TryCombineOp<T> + WireOp,
+    K: PartialEq + std::fmt::Debug,
+{
+    let key = |out: MultiprefixOutput<T>| {
+        let bits = |v: &[T]| v.iter().map(&bits).collect::<Vec<K>>();
+        (bits(&out.sums), bits(&out.reductions))
+    };
+    let expect = key(expect);
+    let (cfg, ctx) = (ShardConfig::default().shards(shards), RunContext::new());
+    let channel =
+        try_multiprefix_sharded_ctx(values, labels, m, op, ExecConfig::default(), &cfg, &ctx)
+            .unwrap()
+            .expect("Wrap never trips");
+    prop_assert_eq!(key(channel), expect, "channel, {} shards", shards);
+    if uds {
+        let got = try_multiprefix_socket_ctx(values, labels, m, op, &cfg, &NetConfig::uds(), &ctx);
+        prop_assert_eq!(key(got.unwrap()), expect, "uds, {} shards", shards);
+    }
+    Ok(())
 }
 
 /// A duplicate shard index must be rejected up front, not silently
