@@ -2,9 +2,7 @@
 //! selection, and the engine tables the
 //! [`crate::resilience::Dispatcher`] runs its attempts through.
 
-use crate::chunked::{
-    self, try_multiprefix_chunked_ws_ctx, try_multireduce_chunked_ws_ctx, ChunkedWorkspace,
-};
+use crate::chunked::{self, try_multiprefix_chunked_cfg_ctx, try_multireduce_chunked_cfg_ctx};
 use crate::error::MpError;
 use crate::exec::{estimate_engine_mem, ExecConfig, TryEngineResult};
 use crate::op::{CombineOp, TryCombineOp};
@@ -23,9 +21,11 @@ use crate::spinetree::{
 /// of the plain and hardened API, the [`crate::resilience::Dispatcher`]'s
 /// fallback chain, chaos targeting and the instrument keys.
 ///
-/// All engines compute identical results; they differ in execution
-/// strategy. See the module docs of [`crate::serial`], [`crate::spinetree`],
-/// [`crate::chunked`], [`crate::atomic`] and [`crate::shard`].
+/// All engines compute the same operation; they differ in execution
+/// strategy, and on floats in how they group the combines (see
+/// [`try_multiprefix`] for the bit-level contract). See the module docs
+/// of [`crate::serial`], [`crate::spinetree`], [`crate::chunked`],
+/// [`crate::atomic`] and [`crate::shard`].
 /// [`Engine::Atomic`] and [`Engine::Sharded`] need what only a dispatcher
 /// has — an `i64` entry and a shard supervisor — so the API calls report
 /// [`MpError::Unavailable`] for them.
@@ -153,10 +153,19 @@ fn scan_labels<T>(engine: Engine, values: &[T], labels: &[usize], m: usize) -> R
 /// the configured [`crate::exec::OverflowPolicy`]. See [`crate::exec`] for
 /// the full contract; the essentials:
 ///
-/// * all engines return **bit-identical results** — and, under
+/// * on integer operators (and any other exactly associative one, such
+///   as [`crate::op::FirstLast`] over integers) every engine returns
+///   **serial's bits** — and, under
 ///   [`crate::exec::OverflowPolicy::Checked`], the **same**
 ///   [`MpError::ArithmeticOverflow`] with the same serial-order index —
 ///   for the same input;
+/// * on floats only [`Engine::Serial`] and the chunked engine on one
+///   chunk — every [`ExecConfig`] entry, [`Engine::Auto`] among them,
+///   unless [`ExecConfig::threads`] is set or the opt-in
+///   [`ExecConfig::simd_f32`] kernel runs — combine in serial order and
+///   return serial's bits. A split chunked run, [`Engine::Spinetree`] and
+///   the sharded engine group the combines their own way, so a float sum
+///   that rounds can come out different;
 /// * `Checked`/`Saturating` semantics are defined by serial (Figure 2)
 ///   evaluation order. A parallel engine whose checked run trips re-derives
 ///   the canonical answer with one serial replay; untripped runs are
@@ -213,7 +222,7 @@ pub fn try_multiprefix_ctx<T: Element, O: TryCombineOp<T>>(
 ) -> Result<MultiprefixOutput<T>, MpError> {
     let call = Call::new(values, labels, m, op, config);
     call.admit()?;
-    call.prefix(engine, None, ctx)
+    call.prefix(engine, ctx)
 }
 
 /// Hardened multireduce: [`multireduce`] under an [`ExecConfig`].
@@ -250,7 +259,7 @@ pub fn try_multireduce_ctx<T: Element, O: TryCombineOp<T>>(
 ) -> Result<Vec<T>, MpError> {
     let call = Call::new(values, labels, m, op, config);
     call.admit()?;
-    call.reduce(engine, None, ctx)
+    call.reduce(engine, ctx)
 }
 
 /// One hardened request as the engine tables take it. The
@@ -306,14 +315,12 @@ impl<'a, T: Element, O: TryCombineOp<T>> Call<'a, T, O> {
     pub(crate) fn prefix(
         self,
         engine: Engine,
-        ws: Option<&mut ChunkedWorkspace<T>>,
         ctx: &RunContext,
     ) -> Result<MultiprefixOutput<T>, MpError> {
         let (v, l, m, op, cfg) = (self.values, self.labels, self.m, self.op, self.config);
         self.run_prefix(engine, ctx, || match engine {
             Engine::Auto | Engine::Chunked => {
-                let mut fresh = ChunkedWorkspace::new();
-                try_multiprefix_chunked_ws_ctx(v, l, m, op, cfg, ws.unwrap_or(&mut fresh), ctx)
+                try_multiprefix_chunked_cfg_ctx(v, l, m, op, cfg, ctx)
             }
             Engine::Spinetree => try_multiprefix_spinetree_ctx(v, l, m, op, cfg.overflow, ctx),
             Engine::Serial => try_multiprefix_serial_ctx(v, l, m, op, cfg.overflow, ctx).map(Some),
@@ -323,17 +330,11 @@ impl<'a, T: Element, O: TryCombineOp<T>> Call<'a, T, O> {
 
     /// The reduce table: [`Self::prefix`] for reductions, run through
     /// [`Self::run_reduce`].
-    pub(crate) fn reduce(
-        self,
-        engine: Engine,
-        ws: Option<&mut ChunkedWorkspace<T>>,
-        ctx: &RunContext,
-    ) -> Result<Vec<T>, MpError> {
+    pub(crate) fn reduce(self, engine: Engine, ctx: &RunContext) -> Result<Vec<T>, MpError> {
         let (v, l, m, op, cfg) = (self.values, self.labels, self.m, self.op, self.config);
         self.run_reduce(engine, ctx, || match engine {
             Engine::Auto | Engine::Chunked => {
-                let mut fresh = ChunkedWorkspace::new();
-                try_multireduce_chunked_ws_ctx(v, l, m, op, cfg, ws.unwrap_or(&mut fresh), ctx)
+                try_multireduce_chunked_cfg_ctx(v, l, m, op, cfg, ctx)
             }
             Engine::Spinetree => try_multireduce_spinetree_ctx(v, l, m, op, cfg.overflow, ctx),
             Engine::Serial => try_multireduce_serial_ctx(v, l, m, op, cfg.overflow, ctx).map(Some),

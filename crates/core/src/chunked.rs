@@ -1,5 +1,5 @@
 //! The two-level local/combine/apply engine: work-efficient parallel
-//! multiprefix with per-chunk bucket tables and reusable workspaces.
+//! multiprefix with per-chunk bucket tables.
 //!
 //! This is the multicore instance of the paper's §4 two-level decomposition.
 //! There, the element vector is laid out as rows of length `p ≈ 0.749√n`;
@@ -27,10 +27,10 @@
 //! probed hash map when the label space dwarfs the data. There is no
 //! cross-thread `fetch_add` traffic (unlike [`crate::atomic`]): every cache
 //! line is written by exactly one worker until the (tiny) combine phase.
-//! Tables are **reusable**: a [`ChunkedWorkspace`] carries the epoch-marked
-//! tables and touched lists across calls, and a [`WorkspacePool`] lets a
-//! [`crate::service::Service`] hand each request a warm workspace so
-//! steady-state traffic does zero large allocations.
+//! Each run **owns its tables**: a split run allocates one per chunk after
+//! the first, and a one-chunk run none, since its table is the reduction
+//! vector — the paper's `O(n + m)` space. Reuse is per shard task: a
+//! [`crate::shard`] worker keeps one epoch-marked table across its tasks.
 //!
 //! The hardened entry points (`try_*`) thread the full execution contract
 //! through all three phases: [`crate::exec::OverflowPolicy`] trip-and-replay
@@ -62,7 +62,6 @@ use crate::simd::{Kernel, Kernels};
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// Minimum chunk length before the engine stops splitting: below this the
 /// per-thread spawn cost outweighs the parallelism and the chunk count
@@ -256,10 +255,11 @@ impl LabelMap {
 /// Two layouts, chosen per run:
 ///
 /// * **direct** — `vals` is indexed by label (`m` entries), and
-///   `mark[label] == epoch` says the entry belongs to the current run.
+///   `mark[label] == epoch` says the entry belongs to the current use.
 ///   Bumping the epoch invalidates every stale entry without touching
 ///   memory, so a reused table resets in `O(1)` and the `m`-sized arrays are
-///   written once, when first grown to a given `m`, not per call. An element
+///   written once, when first grown to a given `m`, not per use: a shard
+///   worker reuses one space across its `Scan` and `Apply` tasks. An element
 ///   costs one mark test and one `vals[label]` access, like Figure 2's
 ///   bucket loop;
 /// * **probed** — an open-addressed, linear-probe map from label to a
@@ -268,9 +268,9 @@ impl LabelMap {
 ///   is slot-indexed, parallel to the touched list. Used when `m` is large
 ///   relative to `n` and the direct arrays would dwarf the data.
 ///
-/// Either way the per-call work is `O(elements + distinct)`, never `O(m)`,
+/// Either way the per-use work is `O(elements + distinct)`, never `O(m)`,
 /// and a first touch reads the identity instead of the (stale) entry, so
-/// `vals` is never cleared between runs.
+/// `vals` is never cleared between uses.
 pub struct ChunkSpace<T> {
     map: LabelMap,
     pub(crate) vals: Vec<T>,
@@ -368,17 +368,6 @@ impl<T: Element> ChunkSpace<T> {
         };
         (touched, vals)
     }
-
-    /// Bytes retained by the grown map/value buffers (capacity, not
-    /// length): the quantity the pool's high-water check budgets.
-    fn retained_bytes(&self) -> usize {
-        let map = &self.map;
-        map.mark.capacity() * std::mem::size_of::<u32>()
-            + map.keys.capacity() * std::mem::size_of::<usize>()
-            + map.slots.capacity() * std::mem::size_of::<u32>()
-            + map.touched.capacity() * std::mem::size_of::<usize>()
-            + self.vals.capacity() * std::mem::size_of::<T>()
-    }
 }
 
 impl<T: Element> SummaryPart<T> for ChunkSpace<T> {
@@ -387,180 +376,27 @@ impl<T: Element> SummaryPart<T> for ChunkSpace<T> {
     }
 }
 
-/// Reusable scratch state for the chunked engine: one label table per
-/// chunk after the first (whose table is the reduction vector itself). A
-/// fresh (default) workspace works for any call; reusing one across calls
-/// retains the grown buffers, so a warm workspace performs **zero large
-/// allocations** per run. The outputs are the only O(n)/O(m) allocations
-/// left: `sums` is reserved uninitialized and each slot written once by
-/// the local pass, and `reductions` is the identity-filled table the first
-/// chunk accumulates into.
-///
-/// Not thread-safe by itself — one workspace serves one call at a time; use
-/// a [`WorkspacePool`] to share warm workspaces across service workers.
-pub struct ChunkedWorkspace<T> {
-    spaces: Vec<ChunkSpace<T>>,
-}
-
-impl<T> Default for ChunkedWorkspace<T> {
-    fn default() -> Self {
-        ChunkedWorkspace { spaces: Vec::new() }
-    }
-}
-
-impl<T> std::fmt::Debug for ChunkedWorkspace<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChunkedWorkspace")
-            .field("chunks", &self.spaces.len())
-            .finish()
-    }
-}
-
-impl<T: Element> ChunkedWorkspace<T> {
-    /// A fresh, empty workspace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Split `n > 0` elements into at most `parts` chunks and prepare a
-    /// table for every chunk after the first (fallible allocation surfaces
-    /// here, before any thread spawns). Returns the chunk length and those
-    /// tables.
-    fn begin_chunks(
-        &mut self,
-        n: usize,
-        m: usize,
-        parts: usize,
-        identity: T,
-    ) -> Result<(usize, &mut [ChunkSpace<T>]), MpError> {
-        let chunk_len = n.div_ceil(parts.clamp(1, n));
-        let tables = n.div_ceil(chunk_len) - 1;
-        let direct = use_direct(tables, n, m);
-        if self.spaces.len() < tables {
-            self.spaces.resize_with(tables, ChunkSpace::default);
-        }
-        let spaces = &mut self.spaces[..tables];
-        for space in spaces.iter_mut() {
+/// Split `n > 0` elements into at most `parts` chunks and prepare a table
+/// for every chunk after the first (fallible allocation surfaces here,
+/// before any thread spawns). Returns the chunk length and those tables,
+/// which the run owns: a one-chunk run gets none.
+fn begin_chunks<T: Element>(
+    n: usize,
+    m: usize,
+    parts: usize,
+    identity: T,
+) -> Result<(usize, Vec<ChunkSpace<T>>), MpError> {
+    let chunk_len = n.div_ceil(parts.clamp(1, n));
+    let tables = n.div_ceil(chunk_len) - 1;
+    let direct = use_direct(tables, n, m);
+    let spaces = (0..tables)
+        .map(|_| {
+            let mut space = ChunkSpace::default();
             space.begin_use(m, chunk_len.min(m), direct, identity)?;
-        }
-        Ok((chunk_len, spaces))
-    }
-
-    /// Bytes retained across all grown scratch buffers.
-    pub fn retained_bytes(&self) -> usize {
-        self.spaces.iter().map(ChunkSpace::retained_bytes).sum()
-    }
-}
-
-/// Default per-workspace retention budget for a [`WorkspacePool`]
-/// (bytes). A workspace returning with more grown scratch than this is
-/// discarded instead of retained, so one huge request cannot pin its
-/// oversized buffers in the pool forever.
-pub const DEFAULT_HIGH_WATER_BYTES: usize = 64 << 20;
-
-/// A bounded pool of warm [`ChunkedWorkspace`]s.
-///
-/// [`WorkspacePool::checkout`] pops a warm workspace (or creates a cold one
-/// when the pool is empty — checkout never blocks); dropping the returned
-/// [`PooledWorkspace`] puts it back, up to `max_idle` retained workspaces.
-/// The [`crate::service::Service`] keeps one pool sized to its worker
-/// count, so steady-state traffic recycles the same scratch buffers
-/// forever.
-///
-/// Retention is budgeted: a workspace whose grown buffers exceed the
-/// pool's high-water mark ([`DEFAULT_HIGH_WATER_BYTES`] unless set via
-/// [`WorkspacePool::with_high_water`]) is dropped on return rather than
-/// pooled, releasing its memory.
-pub struct WorkspacePool<T> {
-    free: Mutex<Vec<ChunkedWorkspace<T>>>,
-    max_idle: usize,
-    high_water_bytes: usize,
-}
-
-impl<T> std::fmt::Debug for WorkspacePool<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let idle = self.free.lock().map(|v| v.len()).unwrap_or(0);
-        f.debug_struct("WorkspacePool")
-            .field("idle", &idle)
-            .field("max_idle", &self.max_idle)
-            .field("high_water_bytes", &self.high_water_bytes)
-            .finish()
-    }
-}
-
-impl<T: Element> WorkspacePool<T> {
-    /// A pool retaining at most `max_idle` idle workspaces, each within the
-    /// default high-water budget.
-    pub fn new(max_idle: usize) -> Self {
-        Self::with_high_water(max_idle, DEFAULT_HIGH_WATER_BYTES)
-    }
-
-    /// [`WorkspacePool::new`] with an explicit per-workspace retention
-    /// budget in bytes (`usize::MAX` disables the cap).
-    pub fn with_high_water(max_idle: usize, high_water_bytes: usize) -> Self {
-        WorkspacePool {
-            free: Mutex::new(Vec::new()),
-            max_idle,
-            high_water_bytes,
-        }
-    }
-
-    /// Check out a workspace (warm if one is idle, cold otherwise). The
-    /// guard returns it on drop.
-    pub fn checkout(&self) -> PooledWorkspace<'_, T> {
-        let ws = self
-            .free
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_default();
-        PooledWorkspace {
-            pool: self,
-            ws: Some(ws),
-        }
-    }
-
-    /// Idle workspaces currently retained.
-    pub fn idle(&self) -> usize {
-        self.free.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-}
-
-/// A checked-out workspace; derefs to [`ChunkedWorkspace`] and returns to
-/// its [`WorkspacePool`] on drop (discarded if the pool is already at its
-/// idle cap).
-pub struct PooledWorkspace<'a, T: Element> {
-    pool: &'a WorkspacePool<T>,
-    ws: Option<ChunkedWorkspace<T>>,
-}
-
-impl<T: Element> std::ops::Deref for PooledWorkspace<'_, T> {
-    type Target = ChunkedWorkspace<T>;
-    fn deref(&self) -> &ChunkedWorkspace<T> {
-        self.ws.as_ref().expect("workspace present until drop")
-    }
-}
-
-impl<T: Element> std::ops::DerefMut for PooledWorkspace<'_, T> {
-    fn deref_mut(&mut self) -> &mut ChunkedWorkspace<T> {
-        self.ws.as_mut().expect("workspace present until drop")
-    }
-}
-
-impl<T: Element> Drop for PooledWorkspace<'_, T> {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            // Shrink-on-return: a workspace grown past the high-water mark
-            // (one huge request) is released, not pinned in the pool.
-            if ws.retained_bytes() > self.pool.high_water_bytes {
-                return;
-            }
-            let mut free = self.pool.free.lock().unwrap_or_else(|e| e.into_inner());
-            if free.len() < self.pool.max_idle {
-                free.push(ws);
-            }
-        }
-    }
+            Ok(space)
+        })
+        .collect::<Result<_, MpError>>()?;
+    Ok((chunk_len, spaces))
 }
 
 /// Direct (label-indexed) tables are admitted while `tables` `m`-sized
@@ -587,7 +423,7 @@ pub(crate) fn single_label_kernels<T: Element, C: Comb<T>>(
 /// One chunk's local-phase table. The first chunk accumulates straight into
 /// the reduction vector: its totals seed the combine scan and its offsets
 /// are all the identity, so it needs no marks, no touched list and no apply
-/// pass. Every later chunk gets a workspace [`ChunkSpace`].
+/// pass. Every later chunk gets its own [`ChunkSpace`].
 enum Table<'a, T> {
     Output(&'a mut [T]),
     Space(&'a mut ChunkSpace<T>),
@@ -840,7 +676,6 @@ pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
     m: usize,
     comb: C,
     parts: usize,
-    ws: &mut ChunkedWorkspace<T>,
     ctx: &RunContext,
 ) -> Result<MultiprefixOutput<T>, MpError> {
     validate_lengths(values.len(), labels.len())?;
@@ -869,7 +704,7 @@ pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
     // Phase 1 — local: each chunk runs its serial multiprefix on its own
     // thread.
     let local_span = ctx.phase_span(Phase::Local);
-    let (chunk_len, spaces) = ws.begin_chunks(n, m, parts, comb.identity())?;
+    let (chunk_len, mut spaces) = begin_chunks(n, m, parts, comb.identity())?;
     let tables = std::iter::once(Table::Output(&mut reductions[..]))
         .chain(spaces.iter_mut().map(Table::Space));
     let items: Vec<_> = tables
@@ -901,7 +736,7 @@ pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
     ctx.checkpoint()?;
     {
         let _span = ctx.phase_span(Phase::Combine);
-        exscan_parts(spaces, &mut reductions, comb, ctx)?;
+        exscan_parts(&mut spaces, &mut reductions, comb, ctx)?;
     }
 
     // Phase 3 — apply: prepend each later chunk's offsets in one linear
@@ -938,7 +773,6 @@ fn run_reduce<T: Element, C: Comb<T>>(
     m: usize,
     comb: C,
     parts: usize,
-    ws: &mut ChunkedWorkspace<T>,
     ctx: &RunContext,
 ) -> Result<Vec<T>, MpError> {
     validate_lengths(values.len(), labels.len())?;
@@ -950,7 +784,7 @@ fn run_reduce<T: Element, C: Comb<T>>(
     }
     let fast = single_label_kernels(m, comb);
     let local_span = ctx.phase_span(Phase::Local);
-    let (chunk_len, spaces) = ws.begin_chunks(n, m, parts, comb.identity())?;
+    let (chunk_len, mut spaces) = begin_chunks(n, m, parts, comb.identity())?;
     let tables = std::iter::once(Table::Output(&mut reductions[..]))
         .chain(spaces.iter_mut().map(Table::Space));
     let items: Vec<_> = tables
@@ -968,7 +802,7 @@ fn run_reduce<T: Element, C: Comb<T>>(
     drop(local_span);
     ctx.checkpoint()?;
     let _span = ctx.phase_span(Phase::Combine);
-    exscan_parts(spaces, &mut reductions, comb, ctx)?;
+    exscan_parts(&mut spaces, &mut reductions, comb, ctx)?;
     Ok(reductions)
 }
 
@@ -994,8 +828,7 @@ pub(crate) fn prefix<T: Element, O: CombineOp<T>>(
     m: usize,
     op: O,
 ) -> Result<MultiprefixOutput<T>, MpError> {
-    let (mut ws, ctx) = (ChunkedWorkspace::new(), RunContext::new());
-    run_prefix(values, labels, m, PlainComb(op), 1, &mut ws, &ctx)
+    run_prefix(values, labels, m, PlainComb(op), 1, &RunContext::new())
 }
 
 /// [`prefix`] for [`crate::api::multireduce`].
@@ -1005,8 +838,7 @@ pub(crate) fn reduce<T: Element, O: CombineOp<T>>(
     m: usize,
     op: O,
 ) -> Result<Vec<T>, MpError> {
-    let (mut ws, ctx) = (ChunkedWorkspace::new(), RunContext::new());
-    run_reduce(values, labels, m, PlainComb(op), 1, &mut ws, &ctx)
+    run_reduce(values, labels, m, PlainComb(op), 1, &RunContext::new())
 }
 
 /// Chunked multiprefix with the default thread count (available
@@ -1056,14 +888,12 @@ pub fn multiprefix_chunked_with_parts<T: Element, O: CombineOp<T>>(
     op: O,
     parts: usize,
 ) -> MultiprefixOutput<T> {
-    let mut ws = ChunkedWorkspace::new();
     expect_plain(run_prefix(
         values,
         labels,
         m,
         PlainComb(op),
         parts,
-        &mut ws,
         &RunContext::new(),
     ))
 }
@@ -1135,24 +965,6 @@ pub fn try_multiprefix_chunked_cfg_ctx<T: Element, O: TryCombineOp<T>>(
     cfg: ExecConfig,
     ctx: &RunContext,
 ) -> TryEngineResult<MultiprefixOutput<T>> {
-    let mut ws = ChunkedWorkspace::new();
-    try_multiprefix_chunked_ws_ctx(values, labels, m, op, cfg, &mut ws, ctx)
-}
-
-/// [`try_multiprefix_chunked_cfg_ctx`] running in a caller-supplied
-/// [`ChunkedWorkspace`] — the zero-allocation steady-state entry the
-/// [`crate::service::Service`] uses via its [`WorkspacePool`]. The
-/// workspace may be cold, warm, or abandoned by a previous panicked run;
-/// every run re-validates it.
-pub fn try_multiprefix_chunked_ws_ctx<T: Element, O: TryCombineOp<T>>(
-    values: &[T],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    cfg: ExecConfig,
-    ws: &mut ChunkedWorkspace<T>,
-    ctx: &RunContext,
-) -> TryEngineResult<MultiprefixOutput<T>> {
     let caught = catch_unwind(AssertUnwindSafe(|| {
         let tripped = AtomicBool::new(false);
         let guard = CheckGuard::new(op, cfg.overflow, &tripped)
@@ -1163,7 +975,6 @@ pub fn try_multiprefix_chunked_ws_ctx<T: Element, O: TryCombineOp<T>>(
             m,
             guard,
             default_parts(values.len(), cfg),
-            ws,
             ctx,
         )?;
         if tripped.load(Ordering::Relaxed) {
@@ -1172,9 +983,8 @@ pub fn try_multiprefix_chunked_ws_ctx<T: Element, O: TryCombineOp<T>>(
             Ok(Some(out))
         }
     }));
-    // AssertUnwindSafe is sound: on panic the partially-built output dies
-    // inside the closure, and the workspace (which the caller can observe)
-    // is re-validated wholesale by the next run's `begin_use`.
+    // AssertUnwindSafe is sound: on panic the partially-built output and
+    // the run's chunk tables die inside the closure.
     caught.unwrap_or(Err(MpError::EnginePanicked))
 }
 
@@ -1221,20 +1031,6 @@ pub fn try_multireduce_chunked_cfg_ctx<T: Element, O: TryCombineOp<T>>(
     cfg: ExecConfig,
     ctx: &RunContext,
 ) -> TryEngineResult<Vec<T>> {
-    let mut ws = ChunkedWorkspace::new();
-    try_multireduce_chunked_ws_ctx(values, labels, m, op, cfg, &mut ws, ctx)
-}
-
-/// [`try_multireduce_chunked_cfg_ctx`] in a caller-supplied workspace.
-pub fn try_multireduce_chunked_ws_ctx<T: Element, O: TryCombineOp<T>>(
-    values: &[T],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    cfg: ExecConfig,
-    ws: &mut ChunkedWorkspace<T>,
-    ctx: &RunContext,
-) -> TryEngineResult<Vec<T>> {
     let caught = catch_unwind(AssertUnwindSafe(|| {
         let tripped = AtomicBool::new(false);
         let guard = CheckGuard::new(op, cfg.overflow, &tripped)
@@ -1245,7 +1041,6 @@ pub fn try_multireduce_chunked_ws_ctx<T: Element, O: TryCombineOp<T>>(
             m,
             guard,
             default_parts(values.len(), cfg),
-            ws,
             ctx,
         )?;
         if tripped.load(Ordering::Relaxed) {
@@ -1587,19 +1382,17 @@ mod tests {
     }
 
     #[test]
-    fn workspace_reuse_is_bit_identical() {
-        // One workspace across shapes that flip direct/probed modes and
-        // chunk counts: results must match a fresh run every time.
-        let mut ws = ChunkedWorkspace::new();
+    fn split_runs_in_both_table_modes_are_bit_identical() {
+        // Shapes that flip between label-indexed and probed tables and
+        // change the chunk count, each split four ways: serial's answer.
         for &(n, m) in &[(10_000usize, 16usize), (257, 100_000), (20_000, 3), (0, 5)] {
             let (values, labels) = mixed_input(n, m);
-            let got = try_multiprefix_chunked_ws_ctx(
+            let got = try_multiprefix_chunked_cfg_ctx(
                 &values,
                 &labels,
                 m,
                 Plus,
                 ExecConfig::default().threads(4),
-                &mut ws,
                 &RunContext::new(),
             )
             .unwrap()
@@ -1700,9 +1493,8 @@ mod tests {
         ) -> Result<MultiprefixOutput<i64>, MpError> {
             let tripped = AtomicBool::new(false);
             let guard = CheckGuard::new(Plus, OverflowPolicy::Wrap, &tripped);
-            let mut ws = ChunkedWorkspace::new();
             catch_unwind(AssertUnwindSafe(|| {
-                run_prefix(values, labels, m, guard, parts, &mut ws, ctx)
+                run_prefix(values, labels, m, guard, parts, ctx)
             }))
             .unwrap_or(Err(MpError::EnginePanicked))
         }
@@ -1799,26 +1591,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_recycles_up_to_cap() {
-        let pool: WorkspacePool<i64> = WorkspacePool::new(1);
-        assert_eq!(pool.idle(), 0);
-        {
-            let _a = pool.checkout();
-            let _b = pool.checkout();
-            // Both out: pool empty.
-            assert_eq!(pool.idle(), 0);
-        }
-        // Cap is 1: one returned, one discarded.
-        assert_eq!(pool.idle(), 1);
-        {
-            let _a = pool.checkout();
-            assert_eq!(pool.idle(), 0);
-        }
-        assert_eq!(pool.idle(), 1);
-    }
-
-    #[test]
-    fn panicked_workspace_is_healed_on_reuse() {
+    fn operator_panic_is_contained() {
         #[derive(Clone, Copy)]
         struct PanicAfter(i64);
         impl CombineOp<i64> for PanicAfter {
@@ -1841,31 +1614,15 @@ mod tests {
         }
         let values = vec![1i64; 9_000];
         let labels: Vec<usize> = (0..9_000).map(|i| i % 13).collect();
-        let mut ws = ChunkedWorkspace::new();
         let cfg = ExecConfig::default().threads(3);
-        let err = try_multiprefix_chunked_ws_ctx(
+        let got = try_multiprefix_chunked_cfg_ctx(
             &values,
             &labels,
             13,
             PanicAfter(10),
             cfg,
-            &mut ws,
             &RunContext::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err, MpError::EnginePanicked);
-        // Same workspace, sane operator: correct output.
-        let got = try_multiprefix_chunked_ws_ctx(
-            &values,
-            &labels,
-            13,
-            Plus,
-            cfg,
-            &mut ws,
-            &RunContext::new(),
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(got, multiprefix_serial(&values, &labels, 13, Plus));
+        );
+        assert_eq!(got, Err(MpError::EnginePanicked));
     }
 }

@@ -24,7 +24,7 @@
 //! |---|---|---|
 //! | [`Engine::Serial`] | [`serial`] | the paper's Figure 2 bucket loop — the reference semantics |
 //! | [`Engine::Spinetree`] | [`spinetree`] | the paper's `O(√n)`-step CRCW-ARB algorithm, executed as the paper did on the CRAY Y-MP: one vector loop per parallel step |
-//! | [`Engine::Chunked`] | [`chunked`] | the two-level local/combine/apply engine: label-indexed chunk tables (probed maps when `m ≫ n`), O(distinct) per-chunk reset, scoped worker threads, reusable pooled workspaces — what [`Engine::Auto`] runs, on one chunk |
+//! | [`Engine::Chunked`] | [`chunked`] | the two-level local/combine/apply engine: label-indexed chunk tables that each run owns (probed maps when `m ≫ n`), scoped worker threads — what [`Engine::Auto`] runs, on one chunk |
 //! | [`Engine::Atomic`] | [`atomic`] | a genuinely concurrent spinetree build for `i64`/`Plus`: the overwrite-and-test races are resolved by relaxed atomic stores, a faithful CRCW-ARB realization |
 //! | [`Engine::Sharded`] | [`shard`] | the chunked phases distributed across supervised shard workers, with shard-loss recovery |
 //!
@@ -163,7 +163,7 @@ pub use api::{
     multiprefix, multiprefix_inclusive, multiprefix_verified, multireduce, try_multiprefix,
     try_multiprefix_ctx, try_multireduce, try_multireduce_ctx, Engine,
 };
-pub use chunked::{ChunkedPlan, ChunkedWorkspace, WorkspacePool};
+pub use chunked::ChunkedPlan;
 pub use error::MpError;
 pub use exec::{ExecConfig, OverflowPolicy};
 pub use obs::{MemoryRecorder, ObsSnapshot, Recorder};

@@ -26,19 +26,22 @@
 //! an engine does here exactly what it does there; the dispatcher adds
 //! only its own `Atomic` (`i64`) and `Sharded` arms.
 //!
-//! Every successful dispatch returns the canonical result — bit-identical
-//! to the serial (Figure 2) oracle under the configured
-//! [`crate::exec::OverflowPolicy`] — no matter which engine served it; a
-//! failed dispatch returns a typed [`MpError`], and on an invalid input
-//! that error is [`crate::validate`]'s. Wrong answers and hangs are not in
-//! the outcome space: engines are checkpoint-bounded and the dispatcher
-//! contains their panics.
+//! Every successful dispatch returns the canonical result: on integer
+//! operators, bit-identical to the serial (Figure 2) oracle under the
+//! configured [`crate::exec::OverflowPolicy`] no matter which engine
+//! served it. On floats the bits are serial's when the serving engine
+//! combines in serial order — the default chain's `Chunked` on one chunk,
+//! or `Serial` — and otherwise that engine's grouping's (see
+//! [`crate::try_multiprefix`]). A failed dispatch returns a typed
+//! [`MpError`], and on an invalid input that error is
+//! [`crate::validate`]'s. Wrong answers and hangs are not in the outcome
+//! space: engines are checkpoint-bounded and the dispatcher contains their
+//! panics.
 
 use crate::api::{Call, Engine};
 use crate::atomic::{
     try_multiprefix_atomic_cfg_ctx, try_multireduce_atomic_cfg_ctx, AtomicCombine,
 };
-use crate::chunked::ChunkedWorkspace;
 use crate::error::MpError;
 use crate::exec::{ExecConfig, TryEngineResult};
 use crate::obs::{dispatch_keys, Recorder};
@@ -149,7 +152,9 @@ pub struct DispatchOpts {
 /// A successful dispatch: the result plus how it was obtained.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatchOutcome<R> {
-    /// The canonical result (identical to the serial oracle's).
+    /// The canonical result: the serial oracle's bits on integer operators
+    /// and, on floats, whenever the serving engine combines in serial
+    /// order (see [`crate::try_multiprefix`]).
     pub output: R,
     /// The engine that served the request ([`Engine::Chunked`] for an
     /// [`Engine::Auto`] chain entry).
@@ -305,24 +310,7 @@ impl Dispatcher {
         opts: &DispatchOpts,
     ) -> Result<DispatchOutcome<MultiprefixOutput<T>>, MpError> {
         let call = Call::new(values, labels, m, op, self.cfg.exec);
-        self.prefix_chain(call, opts, None, None)
-    }
-
-    /// [`Self::dispatch`] running any [`Engine::Chunked`] attempt in
-    /// the caller's [`ChunkedWorkspace`] instead of fresh scratch — the
-    /// zero-steady-state-allocation path a [`crate::service::Service`] uses
-    /// with its workspace pool. Other engines in the chain are unaffected.
-    pub fn dispatch_pooled<T: Element, O: TryCombineOp<T>>(
-        &self,
-        values: &[T],
-        labels: &[usize],
-        m: usize,
-        op: O,
-        opts: &DispatchOpts,
-        ws: &mut ChunkedWorkspace<T>,
-    ) -> Result<DispatchOutcome<MultiprefixOutput<T>>, MpError> {
-        let call = Call::new(values, labels, m, op, self.cfg.exec);
-        self.prefix_chain(call, opts, Some(ws), None)
+        self.prefix_chain(call, opts, None)
     }
 
     /// [`Self::dispatch`] for `i64` with a commutative [`AtomicCombine`]
@@ -340,7 +328,7 @@ impl Dispatcher {
         let atomic = |ctx: &RunContext| {
             try_multiprefix_atomic_cfg_ctx(values, labels, m, op, call.config, ctx)
         };
-        self.prefix_chain(call, opts, None, Some(&atomic))
+        self.prefix_chain(call, opts, Some(&atomic))
     }
 
     /// Dispatch a multireduce (per-label reductions only). As with
@@ -356,22 +344,7 @@ impl Dispatcher {
         opts: &DispatchOpts,
     ) -> Result<DispatchOutcome<Vec<T>>, MpError> {
         let call = Call::new(values, labels, m, op, self.cfg.exec);
-        self.reduce_chain(call, opts, None, None)
-    }
-
-    /// [`Self::dispatch_reduce`] running [`Engine::Chunked`] attempts
-    /// in the caller's [`ChunkedWorkspace`] (see [`Self::dispatch_pooled`]).
-    pub fn dispatch_reduce_pooled<T: Element, O: TryCombineOp<T>>(
-        &self,
-        values: &[T],
-        labels: &[usize],
-        m: usize,
-        op: O,
-        opts: &DispatchOpts,
-        ws: &mut ChunkedWorkspace<T>,
-    ) -> Result<DispatchOutcome<Vec<T>>, MpError> {
-        let call = Call::new(values, labels, m, op, self.cfg.exec);
-        self.reduce_chain(call, opts, Some(ws), None)
+        self.reduce_chain(call, opts, None)
     }
 
     /// [`Self::dispatch_reduce`] for `i64` with an [`AtomicCombine`]
@@ -388,7 +361,7 @@ impl Dispatcher {
         let atomic = |ctx: &RunContext| {
             try_multireduce_atomic_cfg_ctx(values, labels, m, op, call.config, ctx)
         };
-        self.reduce_chain(call, opts, None, Some(&atomic))
+        self.reduce_chain(call, opts, Some(&atomic))
     }
 
     /// Every prefix flavor: the shared prefix table, plus the dispatcher's
@@ -401,7 +374,6 @@ impl Dispatcher {
         &self,
         call: Call<'_, T, O>,
         opts: &DispatchOpts,
-        mut ws: Option<&mut ChunkedWorkspace<T>>,
         atomic: AtomicCall<'_, MultiprefixOutput<T>>,
     ) -> Result<DispatchOutcome<MultiprefixOutput<T>>, MpError> {
         call.admit()?;
@@ -417,7 +389,7 @@ impl Dispatcher {
                 (Engine::Sharded, _, Some(sup)) => call.run_prefix(kind, ctx, || {
                     sup.try_multiprefix(call.values, call.labels, call.m, call.op, call.config, ctx)
                 }),
-                _ => call.prefix(kind, ws.as_deref_mut(), ctx),
+                _ => call.prefix(kind, ctx),
             },
         )
         .map_err(|err| call.input_error_first(err))
@@ -431,7 +403,6 @@ impl Dispatcher {
         &self,
         call: Call<'_, T, O>,
         opts: &DispatchOpts,
-        mut ws: Option<&mut ChunkedWorkspace<T>>,
         atomic: AtomicCall<'_, Vec<T>>,
     ) -> Result<DispatchOutcome<Vec<T>>, MpError> {
         call.admit()?;
@@ -444,7 +415,7 @@ impl Dispatcher {
             },
             |kind, ctx| match (kind, atomic) {
                 (Engine::Atomic, Some(atomic)) => call.run_reduce(kind, ctx, || atomic(ctx)),
-                _ => call.reduce(kind, ws.as_deref_mut(), ctx),
+                _ => call.reduce(kind, ctx),
             },
         )
         .map_err(|err| call.input_error_first(err))
@@ -457,7 +428,7 @@ impl Dispatcher {
         &self,
         opts: &DispatchOpts,
         supports: impl Fn(Engine) -> bool,
-        mut run: impl FnMut(Engine, &RunContext) -> Result<R, MpError>,
+        run: impl Fn(Engine, &RunContext) -> Result<R, MpError>,
     ) -> Result<DispatchOutcome<R>, MpError> {
         let request_deadline =
             earliest(self.cfg.request_timeout.map(Deadline::after), opts.deadline);
@@ -497,8 +468,7 @@ impl Dispatcher {
                     let ctx = self.attempt_ctx(kind, request_deadline, opts);
                     // Contain panics from *any* engine (and from chaos
                     // injection): AssertUnwindSafe is sound because `run`
-                    // captures only shared references to the inputs (and
-                    // the workspace, which every run re-validates) and
+                    // captures only shared references to the inputs and
                     // every partially built output dies inside the closure.
                     let started = rec.map(|_| Instant::now());
                     let result = catch_unwind(AssertUnwindSafe(|| run(kind, &ctx)))
@@ -661,43 +631,6 @@ mod tests {
         assert_eq!(outcome.engine, Engine::Chunked);
         assert_eq!(rec.counter_value("dispatch.chunked.attempts"), 1);
         assert!(rec.histogram("engine.chunked.phase.local").is_some());
-    }
-
-    #[test]
-    fn pooled_dispatch_reuses_workspace_and_matches_oracle() {
-        let (values, labels) = problem(3000, 11);
-        let expect = multiprefix_serial(&values, &labels, 11, Plus);
-        let d = Dispatcher::new(DispatcherConfig::default()).unwrap();
-        let mut ws = ChunkedWorkspace::new();
-        for _ in 0..3 {
-            let outcome = d
-                .dispatch_pooled(
-                    &values,
-                    &labels,
-                    11,
-                    Plus,
-                    &DispatchOpts::default(),
-                    &mut ws,
-                )
-                .unwrap();
-            assert_eq!(outcome.engine, Engine::Chunked);
-            assert_eq!(outcome.output, expect);
-        }
-        let reduce = d
-            .dispatch_reduce_pooled(
-                &values,
-                &labels,
-                11,
-                Plus,
-                &DispatchOpts::default(),
-                &mut ws,
-            )
-            .unwrap();
-        assert_eq!(reduce.engine, Engine::Chunked);
-        assert_eq!(
-            reduce.output,
-            crate::serial::multireduce_serial(&values, &labels, 11, Plus)
-        );
     }
 
     #[test]

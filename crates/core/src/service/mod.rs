@@ -48,7 +48,6 @@ pub use coalesce::CoalesceConfig;
 pub use queue::{Priority, Reply, Request, Ticket};
 pub use session_api::SessionId;
 
-use crate::chunked::WorkspacePool;
 use crate::error::MpError;
 use crate::obs::Recorder;
 use crate::op::TryCombineOp;
@@ -384,12 +383,10 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
             recorder: cfg.recorder.clone(),
             ..ServiceStats::default()
         };
-        let workers = cfg.workers();
         let shared = Arc::new(Shared {
             ingress: Ingress::new(cfg.ingress_shards(), cfg.queue_capacity()),
             handles: Mutex::new(Vec::new()),
             dispatcher,
-            workspaces: WorkspacePool::new(workers),
             op,
             cfg,
             stats,

@@ -20,7 +20,6 @@
 //! dequeue and execution, *after* [`InFlight`] takes ownership: an injected
 //! worker panic therefore exercises exactly the teardown path above.
 
-use crate::chunked::WorkspacePool;
 use crate::error::MpError;
 use crate::op::TryCombineOp;
 use crate::problem::Element;
@@ -46,10 +45,6 @@ pub(crate) struct Shared<T: Element, O> {
     /// Join handles of every worker ever spawned (replacements included).
     pub(crate) handles: Mutex<Vec<JoinHandle<()>>>,
     pub(crate) dispatcher: Dispatcher,
-    /// Reusable chunked-engine workspaces, one per worker in steady state:
-    /// a request served by the chunked primary allocates nothing large
-    /// after warm-up (pinned by the `service_workspace_alloc` test).
-    pub(crate) workspaces: WorkspacePool<T>,
     pub(crate) op: O,
     pub(crate) cfg: ServiceConfig,
     pub(crate) stats: ServiceStats,
@@ -250,15 +245,14 @@ where
             chaos: shared.cfg.chaos.clone(),
         };
         let r = &entry.request;
-        let mut ws = shared.workspaces.checkout();
         match r.kind {
             JobKind::Prefix => shared
                 .dispatcher
-                .dispatch_pooled(&r.values, &r.labels, r.m, shared.op, &opts, &mut ws)
+                .dispatch(&r.values, &r.labels, r.m, shared.op, &opts)
                 .map(|o| Reply::Prefix(o.output)),
             JobKind::Reduce => shared
                 .dispatcher
-                .dispatch_reduce_pooled(&r.values, &r.labels, r.m, shared.op, &opts, &mut ws)
+                .dispatch_reduce(&r.values, &r.labels, r.m, shared.op, &opts)
                 .map(|o| Reply::Reduce(o.output)),
         }
     };
@@ -288,10 +282,9 @@ where
             deadline: members.iter().filter_map(|r| r.deadline).min(),
             chaos: shared.cfg.chaos.clone(),
         };
-        let mut ws = shared.workspaces.checkout();
         shared
             .dispatcher
-            .dispatch_pooled(&values, &labels, layout.m, shared.op, &opts, &mut ws)
+            .dispatch(&values, &labels, layout.m, shared.op, &opts)
             .map(|o| split(&members, &o.output, &layout))
     };
     match replies {

@@ -60,8 +60,7 @@ pub use exscan::{exscan_over_summaries, ShardSummary};
 pub use transport::{ChannelTransport, DownMsg, RecvOutcome, ShardSpan, Transport, UpMsg};
 
 use crate::chunked::{
-    fold_space, run_prefix, single_label_kernels, use_direct, ChunkSpace, ChunkedWorkspace, Comb,
-    Input, PlainComb,
+    fold_space, run_prefix, single_label_kernels, use_direct, ChunkSpace, Comb, Input, PlainComb,
 };
 use crate::error::MpError;
 use crate::exec::{try_filled_vec, try_with_capacity, CheckGuard, ExecConfig, TryEngineResult};
@@ -296,7 +295,7 @@ impl ShardSupervisor {
 
     /// Hardened sharded multiprefix under an [`ExecConfig`] overflow
     /// policy and a [`RunContext`]. Same contract as
-    /// [`crate::chunked::try_multiprefix_chunked_ws_ctx`]: `Ok(None)`
+    /// [`crate::chunked::try_multiprefix_chunked_cfg_ctx`]: `Ok(None)`
     /// means a checked combine tripped and the caller must canonicalize
     /// with a serial replay.
     pub fn try_multiprefix<T: Element, O: TryCombineOp<T>>(
@@ -366,8 +365,7 @@ impl ShardSupervisor {
                     rec.counter(COUNTER_DEGRADED, 1);
                 }
                 let _span = ctx.phase_span(Phase::Recover);
-                let mut ws = ChunkedWorkspace::new();
-                run_prefix(values, labels, m, comb, self.cfg.shards, &mut ws, ctx)
+                run_prefix(values, labels, m, comb, self.cfg.shards, ctx)
             }
             other => other,
         }

@@ -68,7 +68,7 @@ pub struct CostBook {
     /// JD setup, per matrix row (the row-population sort).
     pub jd_setup_per_row: f64,
     /// The element-product loop of the MP route (Figure 12's first pardo:
-    /// gather vector[col], multiply, store).
+    /// gather vector\[col\], multiply, store).
     pub product: LoopParams,
     /// The reduction-extraction vector add of the multireduce (§4.2:
     /// "slightly more than 1 clock tick per element" over the buckets).

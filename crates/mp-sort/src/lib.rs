@@ -3,7 +3,7 @@
 //! # mp-sort — integer sorting via multiprefix (§5.1 of the paper)
 //!
 //! "An algorithm for integer sorting using multiprefix was first described
-//! by Ranade [RBJ88]. The algorithm computes a rank value for each key
+//! by Ranade \[RBJ88\]. The algorithm computes a rank value for each key
 //! that gives its position in the final sorted order" (Figure 11).
 //! Because multiprefix computes prefix sums in vector order, the ranking
 //! — and hence the sort — is **stable**.

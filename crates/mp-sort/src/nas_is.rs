@@ -2,7 +2,7 @@
 //!
 //! "The NAS parallel benchmark suite is a collection of 8 test problems
 //! … The 'Integer Sorting' benchmark requires the sorting of 8 million
-//! 19-bit integers" [BBS91]. The reference inputs are generated, not
+//! 19-bit integers" \[BBS91\]. The reference inputs are generated, not
 //! shipped: the suite's linear-congruential generator
 //! (`x ← 5^13 · x mod 2^46`, seed 314159265) produces uniform deviates,
 //! and each key is the average of four of them scaled to `[0, 2^19)` —

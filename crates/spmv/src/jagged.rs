@@ -1,4 +1,4 @@
-//! Jagged Diagonal storage (Saad [Saa89]) and multiply.
+//! Jagged Diagonal storage (Saad \[Saa89\]) and multiply.
 //!
 //! "The Jagged Diagonal (JD) format requires that the matrix is reordered
 //! so that the rows appear in decreasing order of population count. …

@@ -10,7 +10,7 @@
 //!   matrix-vector multiply operation to vectorize completely over each
 //!   row. However, for very sparse matrices, the row lengths can become
 //!   quite short";
-//! * [`jagged`] — the **Jagged Diagonal** format [Saa89]: rows reordered
+//! * [`jagged`] — the **Jagged Diagonal** format \[Saa89\]: rows reordered
 //!   by decreasing population, elements regrouped into jagged diagonals;
 //!   "trades off a large preprocessing time for enhanced vectorization";
 //! * [`mp_spmv`] — **multiprefix** (Figure 12): elementwise products, then

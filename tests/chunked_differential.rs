@@ -4,10 +4,9 @@
 //! a chunked decomposition is most likely to get wrong (empty input, one
 //! element, every element on one label, `m ≫ n` sparse label spaces) and
 //! the non-commutative operators the combine scan's chunk ordering exists
-//! to protect. The label-indexed chunk tables are reused across calls, so
-//! one workspace is also driven through call sequences that change `m`,
-//! flip between label-indexed and probed tables, and survive an injected
-//! local-phase panic.
+//! to protect. Each run owns its chunk tables, so call sequences that
+//! change `m`, flip between label-indexed and probed tables, and inject a
+//! local-phase panic must leave every later call serial's answer.
 //!
 //! The engine checks labels inside its local loop, so a bad label must
 //! surface from every entry point as exactly the error `validate()`
@@ -21,9 +20,8 @@
 use multiprefix::chunked::{
     multiprefix_chunked, multiprefix_chunked_with_parts, multiprefix_chunked_with_threads,
     multireduce_chunked, try_multiprefix_chunked, try_multiprefix_chunked_cfg_ctx,
-    try_multiprefix_chunked_ctx, try_multiprefix_chunked_ws_ctx, try_multireduce_chunked,
-    try_multireduce_chunked_cfg_ctx, try_multireduce_chunked_ws_ctx, ChunkedPlan, ChunkedWorkspace,
-    MIN_CHUNK_LEN,
+    try_multiprefix_chunked_ctx, try_multireduce_chunked, try_multireduce_chunked_cfg_ctx,
+    ChunkedPlan, MIN_CHUNK_LEN,
 };
 use multiprefix::op::{FirstLast, Max, Min, Plus, TryCombineOp};
 use multiprefix::resilience::{
@@ -83,7 +81,7 @@ fn problem() -> impl Strategy<Value = (Vec<i64>, Vec<usize>, usize)> {
     })
 }
 
-/// One call of a workspace-reuse sequence: `(n, m, seed, panic)`. The
+/// One call of a sequence: `(n, m, seed, panic)`. The
 /// lengths span one to four 4096-element chunks on four workers, and `m`
 /// moves between label-indexed and probed tables from call to call;
 /// `panic` injects a chaos panic into the first local-phase worker.
@@ -183,10 +181,10 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 17
 }
 
-/// Run `calls` through one shared workspace and require every successful
-/// call to be bit-identical to serial, and every injected panic to surface
-/// as `EnginePanicked` without poisoning the calls after it.
-fn assert_reused_workspace_matches_serial<T, O>(
+/// Run `calls` one after another, each split four ways, and require every
+/// successful call to be bit-identical to serial, and every injected panic
+/// to surface as `EnginePanicked` without poisoning the calls after it.
+fn assert_call_sequence_matches_serial<T, O>(
     calls: &[(usize, usize, u64, bool)],
     op: O,
     value: impl Fn(u64) -> T,
@@ -194,7 +192,6 @@ fn assert_reused_workspace_matches_serial<T, O>(
     T: Element + PartialEq + std::fmt::Debug,
     O: TryCombineOp<T> + Copy,
 {
-    let mut ws = ChunkedWorkspace::new();
     let cfg = ExecConfig::default().threads(4);
     for (call, &(n, m, seed, panic)) in calls.iter().enumerate() {
         let mut state = seed;
@@ -212,7 +209,7 @@ fn assert_reused_workspace_matches_serial<T, O>(
                 .arm();
             ctx = ctx.with_chaos(chaos);
         }
-        let got = try_multiprefix_chunked_ws_ctx(&values, &labels, m, op, cfg, &mut ws, &ctx);
+        let got = try_multiprefix_chunked_cfg_ctx(&values, &labels, m, op, cfg, &ctx);
         if panic && n > 0 {
             assert_eq!(
                 got,
@@ -277,12 +274,14 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
+    /// Every call of a sequence runs on its own tables, so an injected
+    /// panic leaves nothing behind that a later call could read.
     #[test]
     fn reused_workspace_matches_serial(calls in call_sequence()) {
-        assert_reused_workspace_matches_serial(&calls, Plus, |x| x as i64 - (1 << 46));
+        assert_call_sequence_matches_serial(&calls, Plus, |x| x as i64 - (1 << 46));
         // FirstLast is not commutative: a stale or misordered table entry
         // changes the answer.
-        assert_reused_workspace_matches_serial(&calls, FirstLast, |x| (x as i32, (x >> 20) as i32));
+        assert_call_sequence_matches_serial(&calls, FirstLast, |x| (x as i32, (x >> 20) as i32));
     }
 
     #[test]
@@ -351,7 +350,7 @@ proptest! {
                 }
             }
         }
-        // The dispatcher's six entries report it too, under the default
+        // The dispatcher's four entries report it too, under the default
         // config and the same stops, and charge no engine's breaker for it:
         // they run the same engine table, with no label scan of their own.
         // So does a sharded front, whose one label scan is its supervisor's.
@@ -374,14 +373,12 @@ proptest! {
         for config in [DispatcherConfig::default(), sharded] {
             let front = config.chain[0];
             let dispatcher = Dispatcher::new(config).unwrap();
-            let (d, v, l, mut ws) = (&dispatcher, &values[..], &labels[..], ChunkedWorkspace::new());
+            let (d, v, l) = (&dispatcher, &values[..], &labels[..]);
             for (why, opts) in &stops {
                 let errors = [
                     ("dispatch", d.dispatch(v, l, m, Plus, opts).err()),
-                    ("dispatch_pooled", d.dispatch_pooled(v, l, m, Plus, opts, &mut ws).err()),
                     ("dispatch_i64", d.dispatch_i64(v, l, m, Plus, opts).err()),
                     ("dispatch_reduce", d.dispatch_reduce(v, l, m, Plus, opts).err()),
-                    ("reduce_pooled", d.dispatch_reduce_pooled(v, l, m, Plus, opts, &mut ws).err()),
                     ("dispatch_reduce_i64", d.dispatch_reduce_i64(v, l, m, Plus, opts).err()),
                 ];
                 for (entry, err) in errors {
@@ -401,7 +398,6 @@ proptest! {
         if m != 1 || values.len() != labels.len() {
             let cfg = ExecConfig::default().threads(parts);
             let ctx = RunContext::new();
-            let mut ws = ChunkedWorkspace::new();
             let wrap = OverflowPolicy::Wrap;
             prop_assert_eq!(
                 try_multiprefix_chunked(&values, &labels, m, Plus, wrap).err(),
@@ -416,19 +412,11 @@ proptest! {
                 expect.clone()
             );
             prop_assert_eq!(
-                try_multiprefix_chunked_ws_ctx(&values, &labels, m, Plus, cfg, &mut ws, &ctx).err(),
-                expect.clone()
-            );
-            prop_assert_eq!(
                 try_multireduce_chunked(&values, &labels, m, Plus, wrap).err(),
                 expect.clone()
             );
             prop_assert_eq!(
                 try_multireduce_chunked_cfg_ctx(&values, &labels, m, Plus, cfg, &ctx).err(),
-                expect.clone()
-            );
-            prop_assert_eq!(
-                try_multireduce_chunked_ws_ctx(&values, &labels, m, Plus, cfg, &mut ws, &ctx).err(),
                 expect
             );
         }
@@ -482,10 +470,10 @@ fn direct_entries_reject_unequal_lengths() {
         assert_eq!(got, Err(want.clone()));
         for parts in 1..=4 {
             let cfg = ExecConfig::default().threads(parts);
-            let (ctx, mut ws) = (RunContext::new(), ChunkedWorkspace::new());
-            let got = try_multiprefix_chunked_ws_ctx(values, labels, 2, Plus, cfg, &mut ws, &ctx);
+            let ctx = RunContext::new();
+            let got = try_multiprefix_chunked_cfg_ctx(values, labels, 2, Plus, cfg, &ctx);
             assert_eq!(got, Err(want.clone()), "parts {parts}");
-            let got = try_multireduce_chunked_ws_ctx(values, labels, 2, Plus, cfg, &mut ws, &ctx);
+            let got = try_multireduce_chunked_cfg_ctx(values, labels, 2, Plus, cfg, &ctx);
             assert_eq!(got, Err(want.clone()), "parts {parts}");
             let plain: [(&str, &dyn Fn()); 4] = [
                 ("with_parts", &|| {

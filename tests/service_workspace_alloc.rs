@@ -1,29 +1,27 @@
-//! Steady-state allocation pin for the service layer's workspace pooling:
-//! once warm, a request served by the chunked primary performs **no large
-//! allocations beyond its own buffers** — the engine's chunk tables come
-//! from the [`multiprefix::WorkspacePool`] and are reused across requests.
+//! Steady-state allocation pin for the service's default path: once warm,
+//! a request served by the chunked primary performs **no large
+//! allocations beyond its own buffers**. The default dispatcher runs the
+//! chunked engine on one chunk, whose only table is the reduction vector
+//! it returns, so the run allocates no chunk table at all.
 //!
 //! A counting global allocator tallies every allocation at or above a
 //! threshold chosen so the interesting buffers (request values/labels,
-//! output sums/reductions, the engine's m-sized label maps) all count
-//! while incidental small allocations (queue nodes, join handles, strings)
-//! do not. After warm-up, the per-request large-allocation budget is
-//! exactly four: the two input vectors this test builds and the two output
-//! vectors the engine must hand back. Anything above that means the
-//! workspace pool stopped recycling.
+//! output sums/reductions, any m-sized label map) all count while
+//! incidental small allocations (queue nodes, join handles, strings) do
+//! not. After warm-up, the per-request large-allocation budget is exactly
+//! four: the two input vectors this test builds and the two output vectors
+//! the engine must hand back. Anything above that means the default path
+//! started allocating scratch of its own.
 
 use multiprefix::op::Plus;
-use multiprefix::resilience::DispatcherConfig;
 use multiprefix::serial::multiprefix_serial;
 use multiprefix::service::{Reply, Request, Service, ServiceConfig};
-use multiprefix::ExecConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Allocations of at least this many bytes are counted. The engine's
-/// per-label maps for `m = 32768` are 128 KiB+ each; the request/output
-/// vectors are 256 KiB each; typical bookkeeping allocations are far
-/// below 64 KiB.
+/// Allocations of at least this many bytes are counted. An m-sized label
+/// map for `m = 32768` is 128 KiB+; the request/output vectors are
+/// 256 KiB each; typical bookkeeping allocations are far below 64 KiB.
 const LARGE: usize = 64 * 1024;
 
 static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
@@ -63,28 +61,22 @@ fn problem(n: usize, m: usize) -> (Vec<i64>, Vec<usize>) {
 
 #[test]
 fn steady_state_requests_allocate_only_their_own_buffers() {
-    // One worker keeps the execution path deterministic; n = m puts the
-    // chunk tables in direct (m-sized) mode, the worst case for a pool
-    // that fails to recycle. A one-chunk run has no chunk tables, so the
-    // dispatcher splits each request four ways.
+    // One worker keeps the execution path deterministic; n = m would put
+    // any chunk table in direct (m-sized) mode, large enough to count.
     let n = 32 * 1024;
     let m = n;
     let service = Service::new(
         Plus,
         ServiceConfig {
             workers: Some(1),
-            dispatcher: DispatcherConfig {
-                exec: ExecConfig::default().threads(4),
-                ..DispatcherConfig::default()
-            },
             ..ServiceConfig::default()
         },
     )
     .expect("service starts");
 
-    // Warm-up: first requests populate the pooled workspace (and any
-    // queue/stack capacity the service lazily grows). Correctness is
-    // checked against the serial oracle here, outside the counted window.
+    // Warm-up: first requests grow any queue/stack capacity the service
+    // lazily grows. Correctness is checked against the serial oracle here,
+    // outside the counted window.
     for _ in 0..4 {
         let (values, labels) = problem(n, m);
         let expect = multiprefix_serial(&values, &labels, m, Plus);
@@ -112,7 +104,7 @@ fn steady_state_requests_allocate_only_their_own_buffers() {
     assert_eq!(
         delta,
         4 * ROUNDS,
-        "workspace pool stopped recycling: {delta} large allocations over {ROUNDS} requests"
+        "the default path allocated scratch: {delta} large allocations over {ROUNDS} requests"
     );
     drop(service);
 }

@@ -1,19 +1,20 @@
-//! High-water retention pin for [`WorkspacePool`]: one huge request must
-//! not permanently pin megabytes of chunk tables in the pool. A workspace
-//! grown past the pool's high-water budget is *released* on return (and
-//! its memory actually freed — measured with a counting global
-//! allocator), while a pool with the cap disabled
-//! (`with_high_water(n, usize::MAX)`) demonstrably keeps it: the control
-//! that proves the measurement would catch a pinning regression.
+//! Retention pin for the chunked engine's split tables: a service whose
+//! dispatcher splits every request (`ExecConfig::threads`) allocates its
+//! chunk tables per run, so one huge request must leave none of them live
+//! once it has been answered — its memory is actually freed, as measured
+//! with a counting global allocator. A control holds the huge reply and
+//! sees its buffers, which proves the measurement would catch tables kept
+//! past the run.
 //!
-//! The counter is process-wide, so both legs run one after the other in a
-//! single `#[test]`: a concurrently running test's allocations would
-//! otherwise land in the other leg's deltas.
+//! The counter is process-wide, so everything runs in a single `#[test]`:
+//! a concurrently running test's allocations would otherwise land in its
+//! deltas.
 
 use multiprefix::op::Plus;
-use multiprefix::resilience::RunContext;
+use multiprefix::resilience::DispatcherConfig;
 use multiprefix::serial::multiprefix_serial;
-use multiprefix::{chunked, ExecConfig, WorkspacePool};
+use multiprefix::service::{Reply, Request, Service, ServiceConfig};
+use multiprefix::{ExecConfig, MultiprefixOutput};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 
@@ -64,91 +65,68 @@ fn problem(n: usize, m: usize) -> (Vec<i64>, Vec<usize>) {
     (values, labels)
 }
 
-/// Run one pooled request of shape (n, m) against `pool` and check it
-/// against the serial oracle. Four workers on every host, so the
-/// workspace holds three label-indexed chunk tables (the first chunk
-/// accumulates into the output) whatever the machine's core count.
-fn pooled_request(pool: &WorkspacePool<i64>, n: usize, m: usize) {
+/// Serve one request of shape (n, m), check it against the serial oracle
+/// and hand back the reply.
+fn request(service: &Service<i64, Plus>, n: usize, m: usize) -> MultiprefixOutput<i64> {
     let (values, labels) = problem(n, m);
     let expect = multiprefix_serial(&values, &labels, m, Plus);
-    let mut ws = pool.checkout();
-    let got = chunked::try_multiprefix_chunked_ws_ctx(
-        &values,
-        &labels,
-        m,
-        Plus,
-        ExecConfig::default().threads(4),
-        &mut ws,
-        &RunContext::new(),
-    )
-    .expect("chunked run failed")
-    .expect("Wrap never trips");
-    assert_eq!(got, expect);
+    let ticket = service.submit(Request::multiprefix(values, labels, m));
+    match ticket.expect("admitted").take().expect("served") {
+        Reply::Prefix(out) => {
+            assert_eq!(out, expect);
+            out
+        }
+        other => panic!("unexpected reply {other:?}"),
+    }
 }
 
-/// Huge enough that the workspace's m-sized tables alone blow a 1 MiB
-/// high-water budget; `n = m` keeps the tables in direct (label-indexed,
-/// m-sized) mode: 12 bytes per label each (an `i64` value and a `u32`
-/// epoch mark), about 18 MiB for the three tables.
+/// Huge enough that the split run's m-sized tables are megabytes; `n = m`
+/// keeps them in direct (label-indexed, m-sized) mode: 12 bytes per label
+/// each (an `i64` value and a `u32` epoch mark), about 18 MiB for the three
+/// tables of a four-way split (the first chunk accumulates into the
+/// output).
 const HUGE: usize = 512 * 1024;
-/// Small steady-state shape whose workspace stays well under the budget.
+/// Small shape, one chunk (below `MIN_CHUNK_LEN` per worker), no tables.
 const SMALL: usize = 4 * 1024;
 
 #[test]
 fn oversized_workspace_is_released_not_pinned() {
-    capped_pool_releases_the_huge_workspace();
-    uncapped_pool_demonstrably_pins_the_workspace();
-}
+    // One worker serves requests in order, and four-way splits on every
+    // host give the huge request its three chunk tables.
+    let service = Service::new(
+        Plus,
+        ServiceConfig {
+            workers: Some(1),
+            dispatcher: DispatcherConfig {
+                exec: ExecConfig::default().threads(4),
+                ..DispatcherConfig::default()
+            },
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("service starts");
+    drop(request(&service, SMALL, SMALL));
 
-fn capped_pool_releases_the_huge_workspace() {
-    let pool: WorkspacePool<i64> = WorkspacePool::with_high_water(2, 1024 * 1024);
-
-    // Steady state: a small workspace is pooled for reuse.
-    pooled_request(&pool, SMALL, SMALL);
-    assert_eq!(pool.idle(), 1, "small workspace must be retained");
-
-    // One huge request: it checks out the warm workspace, grows it past
-    // the budget, and the pool must *drop* it on return — leaving the
-    // pool empty rather than pinning megabytes of chunk tables.
     let before = LIVE_LARGE_BYTES.load(Ordering::Relaxed);
-    pooled_request(&pool, HUGE, HUGE);
-    let after = LIVE_LARGE_BYTES.load(Ordering::Relaxed);
-    assert_eq!(
-        pool.idle(),
-        0,
-        "oversized workspace must be discarded on return, not pooled"
+    let huge = request(&service, HUGE, HUGE);
+    // Control: the held reply's sums and reductions are visible.
+    let held = LIVE_LARGE_BYTES.load(Ordering::Relaxed) - before;
+    assert!(
+        held >= (2 * HUGE * 8) as isize,
+        "the counter must see the held reply, saw {held} bytes"
     );
-    // Everything the huge request allocated (inputs, outputs, workspace)
-    // is dead again; allow slack for incidental retained growth far below
-    // the workspace's own footprint (~3 × HUGE × 12 bytes).
-    let leaked = after - before;
+    drop(huge);
+    // The single worker answers this only after it has finished the huge
+    // request's batch and dropped the request with it.
+    drop(request(&service, SMALL, SMALL));
+
+    // Everything the huge request allocated (inputs, outputs, chunk
+    // tables) is dead again; allow slack for incidental retained growth
+    // far below the tables' own footprint (~3 × HUGE × 12 bytes).
+    let leaked = LIVE_LARGE_BYTES.load(Ordering::Relaxed) - before;
     assert!(
         leaked < (HUGE * 8) as isize / 4,
         "huge request pinned {leaked} bytes past its lifetime"
     );
-
-    // The retained small workspace still serves warm requests.
-    pooled_request(&pool, SMALL, SMALL);
-    assert_eq!(pool.idle(), 1);
-}
-
-/// Control: with the cap disabled the huge workspace *is* pooled and its
-/// tables stay live — proving the measurement above would catch a
-/// regression that stopped shrinking on return.
-fn uncapped_pool_demonstrably_pins_the_workspace() {
-    let pool: WorkspacePool<i64> = WorkspacePool::with_high_water(2, usize::MAX);
-
-    let before = LIVE_LARGE_BYTES.load(Ordering::Relaxed);
-    pooled_request(&pool, HUGE, HUGE);
-    let after = LIVE_LARGE_BYTES.load(Ordering::Relaxed);
-
-    assert_eq!(pool.idle(), 1, "uncapped pool must retain the workspace");
-    let pinned = after - before;
-    // Three label-indexed tables, each an m-sized value array plus an
-    // m-sized mark array: their live footprint must still be visible after
-    // the request.
-    assert!(
-        pinned >= (3 * HUGE * 12) as isize,
-        "expected the uncapped pool to pin the grown workspace, saw {pinned} bytes"
-    );
+    drop(service);
 }
