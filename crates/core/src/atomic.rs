@@ -22,13 +22,19 @@
 //! Restricted to `i64` with a commutative [`AtomicCombine`] operator
 //! (`Plus`, `Max`, `Min`, `And`, `Or`) — the price of lock-free child
 //! accumulation.
+//!
+//! The engine has one four-phase body and one reduce body. The plain
+//! entries run them with the plain operator; the hardened ones with a trip
+//! guard, a trip flag under a checking policy, and the caller's
+//! [`RunContext`].
 
 use crate::api::{Call, Engine};
+use crate::chunked::{expect_plain, Comb, PlainComb};
 use crate::error::MpError;
-use crate::exec::{CheckGuard, ExecConfig, OverflowPolicy, TryEngineResult};
+use crate::exec::{try_with_capacity, CheckGuard, ExecConfig, OverflowPolicy, TryEngineResult};
 use crate::obs::Phase;
 use crate::op::{And, CombineOp, Max, Min, Or, Plus, TryCombineOp};
-use crate::problem::MultiprefixOutput;
+use crate::problem::{validate_lengths, MultiprefixOutput};
 use crate::resilience::RunContext;
 use crate::spinetree::layout::Layout;
 use rayon::prelude::*;
@@ -108,52 +114,93 @@ impl AtomicCombine for Or {
 
 /// Concurrent spinetree multiprefix over `i64`.
 ///
-/// Preconditions: `values.len() == labels.len()`, labels `< m` (validated
-/// by [`crate::api::multiprefix`]'s callers; debug-asserted here).
+/// The plain entry does not check labels: a label `>= m` is a broken
+/// precondition, with an unspecified result or an out-of-bounds panic.
+/// [`multiprefix_atomic_hardened`] checks them and reports
+/// [`MpError::LabelOutOfRange`].
+///
+/// # Panics
+///
+/// If `values` and `labels` differ in length, or an allocation fails: the
+/// message names the engine and the [`MpError`].
 pub fn multiprefix_atomic<O: AtomicCombine>(
     values: &[i64],
     labels: &[usize],
     m: usize,
     op: O,
 ) -> MultiprefixOutput<i64> {
-    debug_assert_eq!(values.len(), labels.len());
-    let layout = Layout::square(values.len(), m);
-    multiprefix_atomic_with(values, labels, op, &layout)
+    let ctx = RunContext::new();
+    let run = run_prefix(values, labels, m, op, PlainComb(op), None, &ctx);
+    expect_plain(Engine::Atomic, run)
 }
 
-/// [`multiprefix_atomic`] with an explicit layout.
-pub fn multiprefix_atomic_with<O: AtomicCombine>(
+/// Concurrent multireduce: one lock-free parallel sweep — every element
+/// fetch-combines straight into its bucket. This is the Connection
+/// Machine's *combining send* (§1) realized with atomics; no spinetree is
+/// needed because only the reductions are wanted and ⊕ is commutative.
+/// Labels are not checked, as in [`multiprefix_atomic`].
+///
+/// # Panics
+///
+/// As [`multiprefix_atomic`]: on unequal lengths or a failed allocation.
+pub fn multireduce_atomic<O: AtomicCombine>(
     values: &[i64],
     labels: &[usize],
+    m: usize,
     op: O,
-    layout: &Layout,
-) -> MultiprefixOutput<i64> {
-    let n = layout.n;
-    let m = layout.m;
-    let slots = layout.slots();
-    let id = op.identity();
+) -> Vec<i64> {
+    let run = run_reduce(values, labels, m, op, None, &RunContext::new());
+    expect_plain(Engine::Atomic, run)
+}
 
-    // INIT — one (parallel) step clears the temporaries and aims every
-    // element's pointer at its bucket, every bucket at itself.
-    let spine: Vec<AtomicUsize> = (0..slots)
-        .into_par_iter()
-        .map(|s| AtomicUsize::new(if s < m { s } else { labels[s - m] }))
-        .collect();
-    let rowsum: Vec<AtomicI64> = (0..slots)
-        .into_par_iter()
-        .map(|_| AtomicI64::new(id))
-        .collect();
-    let spinesum: Vec<AtomicI64> = (0..slots)
-        .into_par_iter()
-        .map(|_| AtomicI64::new(id))
-        .collect();
-    let has_child: Vec<AtomicBool> = (0..slots)
-        .into_par_iter()
-        .map(|_| AtomicBool::new(false))
-        .collect();
+/// Fallibly allocate a `len`-vector of non-`Clone` cells (atomics), built
+/// per index. Sequential init; the capacity is what can actually fail.
+fn try_cell_vec<C>(len: usize, make: impl Fn(usize) -> C) -> Result<Vec<C>, MpError> {
+    let mut v: Vec<C> = try_with_capacity(len)?;
+    v.extend((0..len).map(make));
+    Ok(v)
+}
+
+/// The four phases, for the plain and the hardened entries. `comb` is the
+/// ⊕ of the sweep-ordered phases (SPINESUMS, the reductions, MULTISUMS);
+/// `tripped`, when set, is a checking run's trip flag, and ROWSUMS then
+/// commits through [`AtomicCombine::fetch_combine_checked`]. The context
+/// is polled at every phase boundary and between the `O(√n)` row/column
+/// steps of the swept phases — never inside a racing parallel closure, so
+/// a cancelled run stops at a step barrier and drops its cell blocks.
+fn run_prefix<O: AtomicCombine, C: Comb<i64>>(
+    values: &[i64],
+    labels: &[usize],
+    m: usize,
+    op: O,
+    comb: C,
+    tripped: Option<&AtomicBool>,
+    ctx: &RunContext,
+) -> Result<MultiprefixOutput<i64>, MpError> {
+    validate_lengths(values.len(), labels.len())?;
+    ctx.checkpoint()?;
+    let layout = Layout::square(values.len(), m);
+    let n = layout.n;
+    let slots = layout.slots();
+    let id = comb.identity();
+
+    // INIT — one step clears the temporaries, the output included, and
+    // aims every element's pointer at its bucket, every bucket at itself.
+    let init_span = ctx.phase_span(Phase::Init);
+    let spine = try_cell_vec(slots, |s| {
+        AtomicUsize::new(if s < m { s } else { labels[s - m] })
+    })?;
+    let rowsum = try_cell_vec(slots, |_| AtomicI64::new(id))?;
+    let spinesum = try_cell_vec(slots, |_| AtomicI64::new(id))?;
+    let has_child = try_cell_vec(slots, |_| AtomicBool::new(false))?;
+    let multi = try_cell_vec(n, |_| AtomicI64::new(id))?;
+    drop(init_span);
 
     // Phase 1 — SPINETREE, rows top to bottom; gather then racing scatter.
+    // Pointer writes only: nothing to check.
+    let spinetree_span = ctx.phase_span(Phase::Spinetree);
     for r in layout.rows_top_down() {
+        ctx.checkpoint()?;
         let range = layout.row_elements(r);
         range.clone().into_par_iter().for_each(|i| {
             // Concurrent READ of the bucket pointer: every same-label
@@ -168,147 +215,25 @@ pub fn multiprefix_atomic_with<O: AtomicCombine>(
             spine[labels[i]].store(m + i, Relaxed);
         });
     }
+    drop(spinetree_span);
 
     // Phase 2 — ROWSUMS. ⊕ is commutative here, so children may combine
     // into their parents in any order: a single parallel sweep of all
     // elements with lock-free RMWs replaces the column discipline.
-    (0..n).into_par_iter().for_each(|i| {
-        let parent = spine[m + i].load(Relaxed);
-        op.fetch_combine(&rowsum[parent], values[i]);
-        has_child[parent].store(true, Relaxed);
-    });
-
-    // Phase 3 — SPINESUMS, rows bottom to top. Corollary 2: at most one
-    // spine child per parent, so the store is exclusive within the step.
-    for r in layout.rows_bottom_up() {
-        layout.row_elements(r).into_par_iter().for_each(|i| {
-            let slot = m + i;
-            if has_child[slot].load(Relaxed) {
-                let parent = spine[slot].load(Relaxed);
-                let v = op.combine(spinesum[slot].load(Relaxed), rowsum[slot].load(Relaxed));
-                spinesum[parent].store(v, Relaxed);
-            }
-        });
-    }
-
-    // Reductions (§4.2) — available before MULTISUMS.
-    let reductions: Vec<i64> = (0..m)
-        .into_par_iter()
-        .map(|b| op.combine(spinesum[b].load(Relaxed), rowsum[b].load(Relaxed)))
-        .collect();
-
-    // Phase 4 — MULTISUMS, columns left to right. Theorem 1 + Corollary 1:
-    // within one column no two elements share a parent, so the read-modify-
-    // write below is exclusive within the step; the inter-column barrier is
-    // the end of each par_iter.
-    let multi: Vec<AtomicI64> = (0..n).into_par_iter().map(|_| AtomicI64::new(id)).collect();
-    for c in layout.cols_left_right() {
-        let col: Vec<usize> = layout.col_elements(c).collect();
-        col.into_par_iter().for_each(|i| {
-            let parent = spine[m + i].load(Relaxed);
-            let prefix = spinesum[parent].load(Relaxed);
-            multi[i].store(prefix, Relaxed);
-            spinesum[parent].store(op.combine(prefix, values[i]), Relaxed);
-        });
-    }
-
-    let sums = multi.into_iter().map(AtomicI64::into_inner).collect();
-    MultiprefixOutput { sums, reductions }
-}
-
-/// Fallibly allocate a `len`-vector of non-`Clone` cells (atomics), built
-/// per index. Sequential init; the capacity is what can actually fail.
-fn try_cell_vec<C>(len: usize, make: impl Fn(usize) -> C) -> Result<Vec<C>, MpError> {
-    let mut v: Vec<C> = Vec::new();
-    v.try_reserve_exact(len)
-        .map_err(|_| MpError::AllocationFailed {
-            bytes: len.saturating_mul(std::mem::size_of::<C>()),
-        })?;
-    v.extend((0..len).map(make));
-    Ok(v)
-}
-
-/// Hardened concurrent spinetree multiprefix (see [`crate::exec`] for the
-/// `Ok(None)` trip contract): the atomic cell blocks are allocated
-/// fallibly, ROWSUMS uses [`AtomicCombine::fetch_combine_checked`], and the
-/// sweep-ordered phases route ⊕ through a trip guard. MULTISUMS commits the
-/// literal serial step `prefix_i ⊕ value_i` for every element, so an
-/// untripped run certifies the serial evaluation is overflow-free.
-pub fn try_multiprefix_atomic<O: AtomicCombine + TryCombineOp<i64>>(
-    values: &[i64],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    policy: OverflowPolicy,
-) -> TryEngineResult<MultiprefixOutput<i64>> {
-    try_multiprefix_atomic_ctx(values, labels, m, op, policy, &RunContext::new())
-}
-
-/// [`try_multiprefix_atomic`] under a [`RunContext`]: the context is polled
-/// at every phase boundary and between the `O(√n)` row/column steps of the
-/// swept phases — never inside a racing parallel closure, so a cancelled
-/// run stops at a step barrier and simply drops its private cell blocks.
-pub fn try_multiprefix_atomic_ctx<O: AtomicCombine + TryCombineOp<i64>>(
-    values: &[i64],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    policy: OverflowPolicy,
-    ctx: &RunContext,
-) -> TryEngineResult<MultiprefixOutput<i64>> {
-    debug_assert_eq!(values.len(), labels.len());
-    ctx.checkpoint()?;
-    let layout = Layout::square(values.len(), m);
-    let n = layout.n;
-    let slots = layout.slots();
-    let id = op.identity();
-    let tripped = AtomicBool::new(false);
-    let guard = CheckGuard::new(op, policy, &tripped);
-    let checking = policy.needs_checking();
-
-    let init_span = ctx.phase_span(Phase::Init);
-    let spine = try_cell_vec(slots, |s| {
-        AtomicUsize::new(if s < m { s } else { labels[s - m] })
-    })?;
-    let rowsum = try_cell_vec(slots, |_| AtomicI64::new(id))?;
-    let spinesum = try_cell_vec(slots, |_| AtomicI64::new(id))?;
-    let has_child = try_cell_vec(slots, |_| AtomicBool::new(false))?;
-    let multi = try_cell_vec(n, |_| AtomicI64::new(id))?;
-    drop(init_span);
-
-    // Phase 1 — SPINETREE (identical to the plain engine: pointer writes
-    // only, nothing to check).
-    let spinetree_span = ctx.phase_span(Phase::Spinetree);
-    for r in layout.rows_top_down() {
-        ctx.checkpoint()?;
-        let range = layout.row_elements(r);
-        range.clone().into_par_iter().for_each(|i| {
-            let parent = spine[labels[i]].load(Relaxed);
-            spine[m + i].store(parent, Relaxed);
-        });
-        range.into_par_iter().for_each(|i| {
-            spine[labels[i]].store(m + i, Relaxed);
-        });
-    }
-
-    drop(spinetree_span);
-
-    // Phase 2 — ROWSUMS with checked RMWs when a checking policy is active.
     ctx.checkpoint()?;
     let rowsums_span = ctx.phase_span(Phase::Rowsums);
     (0..n).into_par_iter().for_each(|i| {
         let parent = spine[m + i].load(Relaxed);
-        if checking {
-            op.fetch_combine_checked(&rowsum[parent], values[i], &tripped);
-        } else {
-            op.fetch_combine(&rowsum[parent], values[i]);
+        match tripped {
+            Some(flag) => op.fetch_combine_checked(&rowsum[parent], values[i], flag),
+            None => op.fetch_combine(&rowsum[parent], values[i]),
         }
         has_child[parent].store(true, Relaxed);
     });
-
     drop(rowsums_span);
 
-    // Phase 3 — SPINESUMS.
+    // Phase 3 — SPINESUMS, rows bottom to top. Corollary 2: at most one
+    // spine child per parent, so the store is exclusive within the step.
     let spinesums_span = ctx.phase_span(Phase::Spinesums);
     for r in layout.rows_bottom_up() {
         ctx.checkpoint()?;
@@ -316,24 +241,25 @@ pub fn try_multiprefix_atomic_ctx<O: AtomicCombine + TryCombineOp<i64>>(
             let slot = m + i;
             if has_child[slot].load(Relaxed) {
                 let parent = spine[slot].load(Relaxed);
-                let v = guard.combine(spinesum[slot].load(Relaxed), rowsum[slot].load(Relaxed));
+                let v = comb.combine(spinesum[slot].load(Relaxed), rowsum[slot].load(Relaxed));
                 spinesum[parent].store(v, Relaxed);
             }
         });
     }
 
+    // Reductions (§4.2) — available before MULTISUMS.
     ctx.checkpoint()?;
-    let mut reductions: Vec<i64> = Vec::new();
+    let mut reductions = try_with_capacity(m)?;
     reductions
-        .try_reserve_exact(m)
-        .map_err(|_| MpError::AllocationFailed {
-            bytes: m.saturating_mul(std::mem::size_of::<i64>()),
-        })?;
-    reductions
-        .extend((0..m).map(|b| guard.combine(spinesum[b].load(Relaxed), rowsum[b].load(Relaxed))));
+        .extend((0..m).map(|b| comb.combine(spinesum[b].load(Relaxed), rowsum[b].load(Relaxed))));
     drop(spinesums_span);
 
-    // Phase 4 — MULTISUMS.
+    // Phase 4 — MULTISUMS, columns left to right. Theorem 1 + Corollary 1:
+    // within one column no two elements share a parent, so the read-modify-
+    // write below is exclusive within the step; the inter-column barrier is
+    // the end of each par_iter. Every element commits the literal serial
+    // step `prefix_i ⊕ value_i`, so an untripped checking run certifies the
+    // serial evaluation is overflow-free.
     let _multisums_span = ctx.phase_span(Phase::Multisums);
     for c in layout.cols_left_right() {
         ctx.checkpoint()?;
@@ -342,19 +268,71 @@ pub fn try_multiprefix_atomic_ctx<O: AtomicCombine + TryCombineOp<i64>>(
             let parent = spine[m + i].load(Relaxed);
             let prefix = spinesum[parent].load(Relaxed);
             multi[i].store(prefix, Relaxed);
-            spinesum[parent].store(guard.combine(prefix, values[i]), Relaxed);
+            spinesum[parent].store(comb.combine(prefix, values[i]), Relaxed);
         });
     }
 
-    if tripped.load(Relaxed) {
-        return Ok(None);
-    }
     let sums = multi.into_iter().map(AtomicI64::into_inner).collect();
-    Ok(Some(MultiprefixOutput { sums, reductions }))
+    Ok(MultiprefixOutput { sums, reductions })
 }
 
-/// [`try_multiprefix_atomic`] with the canonical serial-order semantics of
-/// [`crate::try_multiprefix`] applied: validates inputs, and when a checked
+/// The combining send, for the plain and the hardened entries: `tripped`,
+/// when set, is a checking run's trip flag, and every RMW then goes
+/// through [`AtomicCombine::fetch_combine_checked`]. The context is polled
+/// before and after the sweep, which is one lock-free parallel step and
+/// not interruptible mid-flight.
+fn run_reduce<O: AtomicCombine>(
+    values: &[i64],
+    labels: &[usize],
+    m: usize,
+    op: O,
+    tripped: Option<&AtomicBool>,
+    ctx: &RunContext,
+) -> Result<Vec<i64>, MpError> {
+    validate_lengths(values.len(), labels.len())?;
+    ctx.checkpoint()?;
+    let buckets = try_cell_vec(m, |_| AtomicI64::new(op.identity()))?;
+    values
+        .par_iter()
+        .zip(labels.par_iter())
+        .for_each(|(&v, &l)| match tripped {
+            Some(flag) => op.fetch_combine_checked(&buckets[l], v, flag),
+            None => op.fetch_combine(&buckets[l], v),
+        });
+    ctx.checkpoint()?;
+    Ok(buckets.into_iter().map(AtomicI64::into_inner).collect())
+}
+
+/// Hardened concurrent spinetree multiprefix (see [`crate::exec`] for the
+/// `Ok(None)` trip contract) under a [`RunContext`]: unequal lengths are
+/// [`MpError::LengthMismatch`], the atomic cell blocks are allocated
+/// fallibly, and under a checking policy ROWSUMS uses
+/// [`AtomicCombine::fetch_combine_checked`] and the sweep-ordered phases
+/// route ⊕ through a trip guard. Labels are not checked; see
+/// [`multiprefix_atomic_hardened`].
+///
+/// The context is polled at every phase boundary and between the `O(√n)`
+/// row/column steps of the swept phases — never inside a racing parallel
+/// closure, so a cancelled run stops at a step barrier and simply drops its
+/// private cell blocks.
+pub fn try_multiprefix_atomic_ctx<O: AtomicCombine + TryCombineOp<i64>>(
+    values: &[i64],
+    labels: &[usize],
+    m: usize,
+    op: O,
+    policy: OverflowPolicy,
+    ctx: &RunContext,
+) -> TryEngineResult<MultiprefixOutput<i64>> {
+    let tripped = AtomicBool::new(false);
+    let guard = CheckGuard::new(op, policy, &tripped);
+    let flag = policy.needs_checking().then_some(&tripped);
+    let out = run_prefix(values, labels, m, op, guard, flag, ctx)?;
+    Ok((!tripped.load(Relaxed)).then_some(out))
+}
+
+/// [`try_multiprefix_atomic_ctx`] with the canonical serial-order
+/// semantics of [`crate::try_multiprefix`] applied: validates inputs (the
+/// labels included), and when a checked
 /// combine trips, replays the serial engine under `policy` so the result —
 /// `Ok`, or [`MpError::ArithmeticOverflow`] with the serial-order index —
 /// is identical to every other engine's. The API's generic entries cannot
@@ -385,21 +363,6 @@ pub fn multiprefix_atomic_hardened_ctx<O: AtomicCombine + TryCombineOp<i64>>(
     Call::new(values, labels, m, op, cfg).run_prefix(Engine::Atomic, ctx, || {
         try_multiprefix_atomic_ctx(values, labels, m, op, policy, ctx)
     })
-}
-
-/// Hardened concurrent multireduce: fallible bucket allocation plus checked
-/// RMWs. Note that even an untripped checked run certifies only "no
-/// overflow under *this* combining order" — reduce-only engines never
-/// observe the per-element serial steps, so [`crate::try_multireduce`]
-/// canonicalizes checking policies through the serial engine instead.
-pub fn try_multireduce_atomic<O: AtomicCombine + TryCombineOp<i64>>(
-    values: &[i64],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    policy: OverflowPolicy,
-) -> TryEngineResult<Vec<i64>> {
-    try_multireduce_atomic_ctx(values, labels, m, op, policy, &RunContext::new())
 }
 
 /// Run `f` on a scoped rayon pool of `cfg.threads` workers when that field
@@ -456,9 +419,12 @@ pub fn try_multireduce_atomic_cfg_ctx<O: AtomicCombine + TryCombineOp<i64>>(
     })
 }
 
-/// [`try_multireduce_atomic`] under a [`RunContext`], polled before and
-/// after the single combining sweep (the sweep itself is one lock-free
-/// parallel step and is not interruptible mid-flight).
+/// Hardened concurrent multireduce under a [`RunContext`]: fallible bucket
+/// allocation plus checked RMWs, polled before and after the single
+/// combining sweep. Note that even an untripped checked run certifies only
+/// "no overflow under *this* combining order" — reduce-only engines never
+/// observe the per-element serial steps, so [`crate::try_multireduce`]
+/// canonicalizes checking policies through the serial engine instead.
 pub fn try_multireduce_atomic_ctx<O: AtomicCombine + TryCombineOp<i64>>(
     values: &[i64],
     labels: &[usize],
@@ -467,28 +433,10 @@ pub fn try_multireduce_atomic_ctx<O: AtomicCombine + TryCombineOp<i64>>(
     policy: OverflowPolicy,
     ctx: &RunContext,
 ) -> TryEngineResult<Vec<i64>> {
-    debug_assert_eq!(values.len(), labels.len());
-    ctx.checkpoint()?;
     let tripped = AtomicBool::new(false);
-    let checking = policy.needs_checking();
-    let buckets = try_cell_vec(m, |_| AtomicI64::new(op.identity()))?;
-    values
-        .par_iter()
-        .zip(labels.par_iter())
-        .for_each(|(&v, &l)| {
-            if checking {
-                op.fetch_combine_checked(&buckets[l], v, &tripped);
-            } else {
-                op.fetch_combine(&buckets[l], v);
-            }
-        });
-    ctx.checkpoint()?;
-    if tripped.load(Relaxed) {
-        return Ok(None);
-    }
-    Ok(Some(
-        buckets.into_iter().map(AtomicI64::into_inner).collect(),
-    ))
+    let flag = policy.needs_checking().then_some(&tripped);
+    let red = run_reduce(values, labels, m, op, flag, ctx)?;
+    Ok((!tripped.load(Relaxed)).then_some(red))
 }
 
 #[cfg(test)]
@@ -582,27 +530,6 @@ mod tests {
         assert!(got.sums.is_empty());
         assert_eq!(got.reductions, vec![0, 0]);
     }
-}
-
-/// Concurrent multireduce: one lock-free parallel sweep — every element
-/// fetch-combines straight into its bucket. This is the Connection
-/// Machine's *combining send* (§1) realized with atomics; no spinetree is
-/// needed because only the reductions are wanted and ⊕ is commutative.
-pub fn multireduce_atomic<O: AtomicCombine>(
-    values: &[i64],
-    labels: &[usize],
-    m: usize,
-    op: O,
-) -> Vec<i64> {
-    debug_assert_eq!(values.len(), labels.len());
-    let buckets: Vec<AtomicI64> = (0..m).map(|_| AtomicI64::new(op.identity())).collect();
-    values
-        .par_iter()
-        .zip(labels.par_iter())
-        .for_each(|(&v, &l)| {
-            op.fetch_combine(&buckets[l], v);
-        });
-    buckets.into_iter().map(AtomicI64::into_inner).collect()
 }
 
 #[cfg(test)]

@@ -37,8 +37,7 @@
 //! via `CheckGuard`, [`RunContext`] cancellation/deadline checkpoints at
 //! phase boundaries and every [`crate::resilience::CHECK_STRIDE`] elements,
 //! obs phase spans (`engine.chunked.phase.{local,combine,apply}`), and
-//! chaos worker faults in the local phase. [`ChunkedPlan`] amortizes the
-//! label-structure discovery across repeated runs over the same labels.
+//! chaos worker faults in the local phase.
 //!
 //! The local loop checks each label against `m` where it indexes its
 //! table, so a bad label comes back as [`MpError::LabelOutOfRange`] at its
@@ -55,9 +54,9 @@ use crate::exec::{
 };
 use crate::obs::{phase_key, Phase};
 use crate::op::{CombineOp, TryCombineOp};
-use crate::problem::{validate, validate_lengths, Element, MultiprefixOutput};
+use crate::problem::{validate_lengths, Element, MultiprefixOutput};
 use crate::resilience::{RunContext, CHECK_STRIDE};
-use crate::shard::exscan::{exscan_parts, SlicePart, SummaryPart};
+use crate::shard::exscan::{exscan_parts, SummaryPart};
 use crate::simd::{Kernel, Kernels};
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -75,10 +74,11 @@ fn chunk_count(n: usize, threads: usize) -> usize {
     threads.max(1).min(n.div_ceil(MIN_CHUNK_LEN)).max(1)
 }
 
-/// The combine abstraction the engine core is generic over: the plain
+/// The combine abstraction the engine cores are generic over — this
+/// engine's, the spinetree's phases and the atomic engine's: the plain
 /// operator on the infallible path, a [`CheckGuard`] on the hardened path.
-/// Keeping the core monomorphic over this avoids duplicating the three
-/// phases for the plain/try split.
+/// Keeping each core monomorphic over this avoids duplicating its phases
+/// for the plain/try split.
 pub(crate) trait Comb<T: Element>: Copy + Send + Sync {
     fn identity(&self) -> T;
     fn combine(&self, a: T, b: T) -> T;
@@ -95,10 +95,10 @@ pub(crate) trait Comb<T: Element>: Copy + Send + Sync {
     fn allow_f32(&self) -> bool {
         false
     }
-    /// `len` copies of the identity — the `m`-sized reduction vector and
-    /// the plan's per-chunk summaries; the element output is written once
-    /// into uninitialized capacity instead ([`run_prefix`]). Fallible
-    /// ([`try_filled_vec`]) on the hardened path.
+    /// `len` copies of the identity — the `m`-sized reduction vector here,
+    /// and the spinetree's pivot blocks; this engine writes its element
+    /// output once into uninitialized capacity instead ([`run_prefix`]).
+    /// Fallible ([`try_filled_vec`]) on the hardened path.
     fn identity_vec(&self, len: usize) -> Result<Vec<T>, MpError> {
         try_filled_vec(self.identity(), len)
     }
@@ -128,11 +128,12 @@ impl<T: Element, O: CombineOp<T>> Comb<T> for PlainComb<O> {
     fn kernel(&self) -> Option<Kernel> {
         O::KERNEL
     }
-    /// The plain path cannot fail anyway, so it allocates with `vec!`,
-    /// which hands an all-zero identity to `calloc`. That now serves only
-    /// the `m`-sized tables: when `m ≫ n`, most reduction slots belong to
+    /// The plain path allocates with `vec!`, which hands an all-zero
+    /// identity to `calloc`: when `m ≫ n`, most reduction slots belong to
     /// labels the run never touches, and fresh zero pages leave those
-    /// pages unwritten where a fill pass would write every one.
+    /// pages unwritten where a fill pass would write every one (the same
+    /// holds for the spinetree's pivot blocks). An allocation it cannot
+    /// make aborts, as `vec!` does.
     fn identity_vec(&self, len: usize) -> Result<Vec<T>, MpError> {
         Ok(vec![self.0.identity(); len])
     }
@@ -806,11 +807,11 @@ fn run_reduce<T: Element, C: Comb<T>>(
     Ok(reductions)
 }
 
-/// The plain entries' result: an engine error there is a broken
-/// precondition (unequal lengths, a label `>= m`), raised as a panic whose
-/// message names it.
-fn expect_plain<R>(result: Result<R, MpError>) -> R {
-    result.unwrap_or_else(|e| panic!("chunked engine: {e}"))
+/// A plain entry's result: an engine error there is a broken precondition
+/// (unequal lengths, a label `>= m`) or a failed allocation, raised as a
+/// panic whose message names the engine and the error.
+pub(crate) fn expect_plain<R>(engine: Engine, result: Result<R, MpError>) -> R {
+    result.unwrap_or_else(|e| panic!("{engine} engine: {e}"))
 }
 
 /// The chunk count of every [`ExecConfig`] entry: one chunk, unless
@@ -888,14 +889,10 @@ pub fn multiprefix_chunked_with_parts<T: Element, O: CombineOp<T>>(
     op: O,
     parts: usize,
 ) -> MultiprefixOutput<T> {
-    expect_plain(run_prefix(
-        values,
-        labels,
-        m,
-        PlainComb(op),
-        parts,
-        &RunContext::new(),
-    ))
+    expect_plain(
+        Engine::Chunked,
+        run_prefix(values, labels, m, PlainComb(op), parts, &RunContext::new()),
+    )
 }
 
 /// Chunked multireduce: per-label reductions only, on one chunk, as
@@ -906,7 +903,7 @@ pub fn multireduce_chunked<T: Element, O: CombineOp<T>>(
     m: usize,
     op: O,
 ) -> Vec<T> {
-    expect_plain(reduce(values, labels, m, op))
+    expect_plain(Engine::Chunked, reduce(values, labels, m, op))
 }
 
 /// Hardened chunked multiprefix (see [`crate::exec`] for the contract):
@@ -1050,239 +1047,6 @@ pub fn try_multireduce_chunked_cfg_ctx<T: Element, O: TryCombineOp<T>>(
         }
     }));
     caught.unwrap_or(Err(MpError::EnginePanicked))
-}
-
-/// A prepared chunked plan: the label structure — chunk boundaries, each
-/// element's compact slot, each chunk's touched-label list — discovered
-/// once and reused across runs over different value vectors (the paper's
-/// "many multiprefixes over one index pattern" amortization, cf.
-/// [`crate::spinetree::PreparedMultiprefix`]).
-///
-/// A planned run skips all label hashing in the local and apply phases:
-/// both become pure array passes over precomputed slots.
-#[derive(Debug, Clone)]
-pub struct ChunkedPlan {
-    n: usize,
-    m: usize,
-    chunk_len: usize,
-    chunks: usize,
-    /// Per-element slot in its chunk's compact table.
-    elem_slot: Vec<u32>,
-    /// Concatenated per-chunk touched-label lists, first-touch order.
-    touched: Vec<usize>,
-    /// `touched[touched_off[c]..touched_off[c + 1]]` is chunk `c`'s list.
-    touched_off: Vec<usize>,
-}
-
-impl ChunkedPlan {
-    /// Build a plan for `labels` over `m` buckets with the default thread
-    /// count. Validates every label (`< m`).
-    pub fn new(labels: &[usize], m: usize) -> Result<Self, MpError> {
-        Self::with_threads(labels, m, ExecConfig::default().effective_threads())
-    }
-
-    /// [`ChunkedPlan::new`] for an explicit worker count.
-    pub fn with_threads(labels: &[usize], m: usize, threads: usize) -> Result<Self, MpError> {
-        validate(&labels.len(), labels, m)?;
-        let n = labels.len();
-        let chunks = chunk_count(n, threads);
-        let chunk_len = if n == 0 { 1 } else { n.div_ceil(chunks) };
-        let chunks = if n == 0 { 0 } else { n.div_ceil(chunk_len) };
-        let mut elem_slot = try_with_capacity(n)?;
-        let mut touched = Vec::new();
-        let mut touched_off = Vec::with_capacity(chunks + 1);
-        touched_off.push(0);
-        // () values: a probed ChunkSpace reused purely as a label map to
-        // compact, first-touch-order slots.
-        let mut space = ChunkSpace::<()>::default();
-        for chunk in labels.chunks(chunk_len.max(1)) {
-            space.begin_use(m, chunk.len().min(m), false, ())?;
-            for &l in chunk {
-                elem_slot.push(space.slot_or_insert(l, ()) as u32);
-            }
-            touched.extend_from_slice(&space.map.touched);
-            touched_off.push(touched.len());
-        }
-        Ok(ChunkedPlan {
-            n,
-            m,
-            chunk_len: chunk_len.max(1),
-            chunks,
-            elem_slot,
-            touched,
-            touched_off,
-        })
-    }
-
-    /// Elements the plan was built for.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the plan covers zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The bucket count `m`.
-    pub fn buckets(&self) -> usize {
-        self.m
-    }
-
-    /// The number of chunks the plan splits the vector into.
-    pub fn chunks(&self) -> usize {
-        self.chunks
-    }
-
-    /// Total distinct labels summed over chunks (the combine-phase work).
-    pub fn total_touched(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// Run the plan over `values` (`values.len()` must equal
-    /// [`ChunkedPlan::len`]).
-    pub fn run<T: Element, O: CombineOp<T>>(&self, values: &[T], op: O) -> MultiprefixOutput<T> {
-        expect_plain(self.run_core(values, PlainComb(op), &RunContext::new()))
-    }
-
-    /// Hardened planned run (policy trip → `Ok(None)`, caller replays
-    /// serially).
-    pub fn try_run<T: Element, O: TryCombineOp<T>>(
-        &self,
-        values: &[T],
-        op: O,
-        policy: OverflowPolicy,
-    ) -> TryEngineResult<MultiprefixOutput<T>> {
-        self.try_run_ctx(values, op, policy, &RunContext::new())
-    }
-
-    /// [`ChunkedPlan::try_run`] under a [`RunContext`].
-    pub fn try_run_ctx<T: Element, O: TryCombineOp<T>>(
-        &self,
-        values: &[T],
-        op: O,
-        policy: OverflowPolicy,
-        ctx: &RunContext,
-    ) -> TryEngineResult<MultiprefixOutput<T>> {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let tripped = AtomicBool::new(false);
-            let guard = CheckGuard::new(op, policy, &tripped);
-            let out = self.run_core(values, guard, ctx)?;
-            if tripped.load(Ordering::Relaxed) {
-                Ok(None)
-            } else {
-                Ok(Some(out))
-            }
-        }));
-        caught.unwrap_or(Err(MpError::EnginePanicked))
-    }
-
-    fn run_core<T: Element, C: Comb<T>>(
-        &self,
-        values: &[T],
-        comb: C,
-        ctx: &RunContext,
-    ) -> Result<MultiprefixOutput<T>, MpError> {
-        assert_eq!(
-            values.len(),
-            self.n,
-            "plan built for {} elements, run over {}",
-            self.n,
-            values.len()
-        );
-        ctx.checkpoint()?;
-        if self.n == 0 {
-            return Ok(MultiprefixOutput {
-                sums: Vec::new(),
-                reductions: comb.identity_vec(self.m)?,
-            });
-        }
-        let mut sums = try_with_capacity(self.n)?;
-        // Per-chunk summaries, sized to each chunk's distinct-label count.
-        let mut chunk_vals: Vec<Vec<T>> = Vec::with_capacity(self.chunks);
-        for c in 0..self.chunks {
-            chunk_vals.push(comb.identity_vec(self.touched_off[c + 1] - self.touched_off[c])?);
-        }
-
-        // Local: pure slot-indexed passes, no hashing, each writing every
-        // slot of its piece of `sums` once.
-        {
-            let _span = ctx.phase_span(Phase::Local);
-            let items: Vec<_> = chunk_vals
-                .iter_mut()
-                .zip(sums.spare_capacity_mut()[..self.n].chunks_mut(self.chunk_len))
-                .zip(
-                    values
-                        .chunks(self.chunk_len)
-                        .zip(self.elem_slot.chunks(self.chunk_len)),
-                )
-                .collect();
-            run_chunks(items, |idx, ((vals, s), (v, slots))| {
-                if let Some(chaos) = ctx.chaos() {
-                    chaos.inject_chunk_worker(idx, ctx.deadline());
-                }
-                let blocks = s
-                    .chunks_mut(CHECK_STRIDE)
-                    .zip(v.chunks(CHECK_STRIDE).zip(slots.chunks(CHECK_STRIDE)));
-                for (s, (v, slots)) in blocks {
-                    ctx.checkpoint()?;
-                    for ((si, &vi), &slot) in s.iter_mut().zip(v).zip(slots) {
-                        let slot = slot as usize;
-                        si.write(vals[slot]);
-                        vals[slot] = comb.combine(vals[slot], vi);
-                    }
-                }
-                Ok(())
-            })?;
-            // SAFETY: `sums` has capacity `n`, and its first `n` slots were
-            // cut into one piece per chunk, each as long as that chunk of
-            // `values` (length `n`, asserted above) and of `elem_slot`
-            // (built with `n` entries). A chunk's loop that returns `Ok`
-            // has written every slot of its piece, and `run_chunks` returns
-            // `Ok` only when every chunk's did. An `Err` or a panic leaves
-            // this function above, with `sums` still at length 0.
-            unsafe { sums.set_len(self.n) };
-        }
-
-        // Combine: the shared exscan primitive over (touched-slice, value)
-        // part views of the plan's precomputed label lists.
-        ctx.checkpoint()?;
-        let mut reductions = comb.identity_vec(self.m)?;
-        {
-            let _span = ctx.phase_span(Phase::Combine);
-            let mut parts: Vec<SlicePart<'_, T>> = chunk_vals
-                .iter_mut()
-                .enumerate()
-                .map(|(c, vals)| SlicePart {
-                    touched: &self.touched[self.touched_off[c]..self.touched_off[c + 1]],
-                    vals,
-                })
-                .collect();
-            exscan_parts(&mut parts, &mut reductions, comb, ctx)?;
-        }
-
-        // Apply.
-        ctx.checkpoint()?;
-        {
-            let _span = ctx.phase_span(Phase::Apply);
-            let items: Vec<_> = chunk_vals
-                .iter()
-                .zip(sums.chunks_mut(self.chunk_len))
-                .zip(self.elem_slot.chunks(self.chunk_len))
-                .collect();
-            run_chunks(items, |_, ((vals, s), slots)| {
-                let blocks = s.chunks_mut(CHECK_STRIDE).zip(slots.chunks(CHECK_STRIDE));
-                for (s, slots) in blocks {
-                    ctx.checkpoint()?;
-                    for (si, &slot) in s.iter_mut().zip(slots) {
-                        *si = comb.combine(vals[slot as usize], *si);
-                    }
-                }
-                Ok(())
-            })?;
-        }
-        Ok(MultiprefixOutput { sums, reductions })
-    }
 }
 
 #[cfg(test)]
@@ -1474,11 +1238,11 @@ mod tests {
     /// Miri target: the write-once outputs on an input a little over one
     /// `CHECK_STRIDE` block, so the block loops cross an edge. One chunk
     /// and two to four forced parts; label-indexed, probed and `m == 1`
-    /// tables; through `run_prefix` (plain and hardened) and through
-    /// `ChunkedPlan`. Every `Ok` output is read back and compared with
-    /// serial, where Miri reports any slot the local pass never wrote; the
-    /// error exits (a bad label in the last chunk, a cancel at the second
-    /// block, a chaos worker panic) return their typed errors.
+    /// tables; through `run_prefix`, plain and hardened. Every `Ok` output
+    /// is read back and compared with serial, where Miri reports any slot
+    /// the local pass never wrote; the error exits (a bad label in the last
+    /// chunk, a cancel at the second block, a chaos worker panic) return
+    /// their typed errors.
     #[test]
     fn write_once_outputs_cross_block_edges_for_miri() {
         use crate::resilience::{CancelToken, ChaosPlan};
@@ -1537,57 +1301,7 @@ mod tests {
                     assert_eq!(got, Err(want), "{why}");
                 }
             }
-            // A plan splits into at most one chunk per `MIN_CHUNK_LEN`
-            // elements: one or two here.
-            for threads in 1..=2 {
-                let why = format!("m={m} plan threads={threads}");
-                let plan = ChunkedPlan::with_threads(&labels, m, threads).unwrap();
-                assert_eq!(plan.chunks(), threads, "{why}");
-                assert_eq!(plan.run(&values, Plus), expect, "{why}");
-                let run =
-                    |ctx: &RunContext| plan.try_run_ctx(&values, Plus, OverflowPolicy::Wrap, ctx);
-                assert_eq!(
-                    run(&cancel_at_second_block()),
-                    Err(MpError::Cancelled),
-                    "{why}"
-                );
-                let got = run(&worker_panic(threads - 1));
-                assert_eq!(got, Err(MpError::EnginePanicked), "{why}");
-            }
         }
-    }
-
-    #[test]
-    fn plan_matches_adhoc_and_reruns() {
-        let (values, labels) = mixed_input(25_000, 53);
-        let plan = ChunkedPlan::with_threads(&labels, 53, 4).unwrap();
-        assert_eq!(plan.len(), 25_000);
-        assert!(plan.chunks() >= 1);
-        let expect = multiprefix_serial(&values, &labels, 53, Plus);
-        assert_eq!(plan.run(&values, Plus), expect);
-        // Rerun over different values, same labels.
-        let values2: Vec<i64> = values.iter().map(|v| v * 3 - 1).collect();
-        assert_eq!(
-            plan.run(&values2, Plus),
-            multiprefix_serial(&values2, &labels, 53, Plus)
-        );
-        // Hardened planned run agrees too.
-        let got = plan
-            .try_run(&values, Plus, OverflowPolicy::Wrap)
-            .unwrap()
-            .unwrap();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn plan_rejects_bad_labels_and_wrong_len() {
-        assert!(matches!(
-            ChunkedPlan::new(&[0, 5], 3),
-            Err(MpError::LabelOutOfRange { .. })
-        ));
-        let plan = ChunkedPlan::new(&[0, 1], 2).unwrap();
-        let caught = catch_unwind(AssertUnwindSafe(|| plan.run(&[1i64], Plus)));
-        assert!(caught.is_err(), "length mismatch must be rejected");
     }
 
     #[test]

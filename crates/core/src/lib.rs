@@ -31,13 +31,21 @@
 //! The atomic and sharded engines run through a [`Dispatcher`]: they need
 //! an `i64` entry and a shard supervisor.
 //!
-//! All engines produce results identical to [`serial::multiprefix_serial`]
-//! (bit-for-bit for integer types). Under them sits [`simd`]: runtime-
-//! dispatched AVX2 scan/broadcast/reduce kernels (portable fallback
-//! elsewhere) that the chunked engine's single-label fast paths, the
-//! [`scan`] partition sweeps, and the session store's bulk Fenwick
-//! rebuild call through — engaged only for operators with an exact
-//! machine counterpart, so results stay bit-identical.
+//! On integer operators (and any other exactly associative one, such as
+//! [`op::FirstLast`] over integers) every engine returns the bits of
+//! [`serial::multiprefix_serial`]. On floats only [`Engine::Serial`] and
+//! the chunked engine on one chunk — every [`ExecConfig`] entry,
+//! [`Engine::Auto`] among them, unless [`ExecConfig::threads`] is set or
+//! the opt-in [`ExecConfig::simd_f32`] kernel runs — combine in serial
+//! order and return serial's bits; a split chunked run, the spinetree and
+//! the sharded engine group the combines their own way, so a float sum
+//! that rounds can come out different (see [`try_multiprefix`]). Under
+//! the engines sits [`simd`]: runtime-dispatched AVX2
+//! scan/broadcast/reduce kernels (portable fallback elsewhere) that the
+//! chunked engine's single-label fast paths, the [`scan`] partition
+//! sweeps, and the session store's bulk Fenwick rebuild call through —
+//! engaged by default only for operators with an exact machine
+//! counterpart, so those results stay bit-identical.
 //!
 //! ## Quick start
 //!
@@ -163,7 +171,6 @@ pub use api::{
     multiprefix, multiprefix_inclusive, multiprefix_verified, multireduce, try_multiprefix,
     try_multiprefix_ctx, try_multireduce, try_multireduce_ctx, Engine,
 };
-pub use chunked::ChunkedPlan;
 pub use error::MpError;
 pub use exec::{ExecConfig, OverflowPolicy};
 pub use obs::{MemoryRecorder, ObsSnapshot, Recorder};

@@ -11,6 +11,10 @@
 //! recovery story leans on — it is *replayable*: summaries are pure
 //! functions of their span, so a lost part can be recomputed anywhere and
 //! re-scanned with a bit-identical result.
+//!
+//! Two kinds of part go through the one core (`SummaryPart`): a chunked
+//! run's later chunk tables ([`crate::chunked::ChunkSpace`], label-indexed
+//! or probed) and the shard workers' [`ShardSummary`]s.
 
 use crate::chunked::{Comb, PlainComb};
 use crate::error::MpError;
@@ -26,19 +30,6 @@ pub(crate) trait SummaryPart<T> {
     /// is indexed by label (a direct chunk table) rather than parallel to
     /// the touched list.
     fn summary(&mut self) -> (&[usize], &mut [T], bool);
-}
-
-/// A borrowed part view over a plan's precomputed touched slice and a
-/// chunk-summary value vector ([`crate::chunked::ChunkedPlan`]).
-pub(crate) struct SlicePart<'a, T> {
-    pub(crate) touched: &'a [usize],
-    pub(crate) vals: &'a mut [T],
-}
-
-impl<T: Element> SummaryPart<T> for SlicePart<'_, T> {
-    fn summary(&mut self) -> (&[usize], &mut [T], bool) {
-        (self.touched, self.vals, false)
-    }
 }
 
 /// The exscan core: exclusive scan per touched label across `parts` in

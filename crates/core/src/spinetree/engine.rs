@@ -1,15 +1,21 @@
 //! The assembled four-phase spinetree engine, with step/work instrumentation.
+//!
+//! Every one-shot entry runs `run`: SPINETREE, then the one `sweep` of
+//! INIT and phases 2–4 that [`super::PreparedMultiprefix`] also runs over
+//! its stored spinetree. The plain entries run it with the plain
+//! operator and an empty context; the hardened ones with a trip guard and
+//! the caller's context.
 
-use super::build::{build_spinetree, build_spinetree_ctx, ArbPolicy};
+use super::build::{build_spinetree_ctx, ArbPolicy};
 use super::layout::Layout;
-use super::phases::{
-    bucket_reductions, bucket_reductions_guarded, multisums, multisums_guarded, rowsums,
-    rowsums_guarded, spinesums, spinesums_guarded,
-};
-use crate::exec::{try_filled_vec, CheckGuard, OverflowPolicy, TryEngineResult};
+use super::phases::sweep;
+use crate::api::Engine;
+use crate::chunked::{expect_plain, Comb, PlainComb};
+use crate::error::MpError;
+use crate::exec::{CheckGuard, OverflowPolicy, TryEngineResult};
 use crate::obs::Phase;
 use crate::op::{CombineOp, TryCombineOp};
-use crate::problem::{Element, MultiprefixOutput};
+use crate::problem::{validate_lengths, Element, MultiprefixOutput};
 use crate::resilience::RunContext;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -49,11 +55,37 @@ impl<T> SpinetreeRun<T> {
     }
 }
 
+/// The one-shot run: lengths checked, SPINETREE, then [`sweep`]. Without
+/// `want_sums` it is the §4.2 multireduce, which stops before MULTISUMS.
+fn run<T: Element, C: Comb<T>>(
+    values: &[T],
+    labels: &[usize],
+    layout: &Layout,
+    policy: ArbPolicy,
+    comb: C,
+    want_sums: bool,
+    ctx: &RunContext,
+) -> Result<MultiprefixOutput<T>, MpError> {
+    validate_lengths(values.len(), labels.len())?;
+    debug_assert_eq!(values.len(), layout.n);
+    ctx.checkpoint()?;
+    let spine = {
+        let _span = ctx.phase_span(Phase::Spinetree);
+        build_spinetree_ctx(labels, layout, policy, ctx)?
+    };
+    sweep(values, &spine, layout, comb, want_sums, ctx)
+}
+
 /// Run the paper's multiprefix algorithm with an explicit layout and
 /// arbitration policy, returning full instrumentation.
 ///
-/// Preconditions (checked by [`crate::api::multiprefix`], debug-asserted
-/// here): `values.len() == labels.len() == layout.n`, labels `< layout.m`.
+/// Preconditions (checked by [`crate::api::multiprefix`]):
+/// `values.len() == labels.len() == layout.n`, labels `< layout.m`.
+///
+/// # Panics
+///
+/// If `values` and `labels` differ in length, or an allocation fails: the
+/// message names the engine and the [`MpError`].
 pub fn multiprefix_spinetree_instrumented<T: Element, O: CombineOp<T>>(
     values: &[T],
     labels: &[usize],
@@ -61,69 +93,39 @@ pub fn multiprefix_spinetree_instrumented<T: Element, O: CombineOp<T>>(
     layout: Layout,
     policy: ArbPolicy,
 ) -> SpinetreeRun<T> {
-    debug_assert_eq!(values.len(), labels.len());
-    debug_assert_eq!(values.len(), layout.n);
-    let slots = layout.slots();
+    let ctx = RunContext::new();
+    let output = run(values, labels, &layout, policy, PlainComb(op), true, &ctx);
+    let output = expect_plain(Engine::Spinetree, output);
+    // INIT is one step over every slot; each later phase touches every
+    // element once, SPINETREE and SPINESUMS in row steps, ROWSUMS and
+    // MULTISUMS in column steps.
     let n = layout.n;
-
-    // INIT (Figure 3): one parallel step clears all temporaries. (We follow
-    // §4's "modified initialization": buckets are cleared directly, which
-    // costs O(m) work but is faster in practice whenever m ≤ n.)
-    let mut rowsum = vec![op.identity(); slots];
-    let mut spinesum = vec![op.identity(); slots];
-    let mut has_child = vec![false; slots];
+    let rows = PhaseStats {
+        steps: layout.n_rows,
+        work: n,
+    };
+    let cols = PhaseStats {
+        steps: layout.cols_left_right().len(),
+        work: n,
+    };
     let init = PhaseStats {
         steps: 1,
-        work: slots,
+        work: layout.slots(),
     };
-
-    // Phase 1: SPINETREE (rows, top to bottom).
-    let spine = build_spinetree(labels, &layout, policy);
-    let spinetree = PhaseStats {
-        steps: layout.n_rows,
-        work: n,
-    };
-
-    // Phase 2: ROWSUMS (columns, left to right).
-    rowsums(values, &spine, &layout, op, &mut rowsum, &mut has_child);
-    let rowsums_stats = PhaseStats {
-        steps: layout.cols_left_right().len(),
-        work: n,
-    };
-
-    // Phase 3: SPINESUMS (rows, bottom to top).
-    spinesums(&spine, &layout, op, &rowsum, &has_child, &mut spinesum);
-    let spinesums_stats = PhaseStats {
-        steps: layout.n_rows,
-        work: n,
-    };
-
-    // The reductions are already available here — §4.2's multireduce exit.
-    let reductions = bucket_reductions(&layout, op, &rowsum, &spinesum);
-
-    // Phase 4: MULTISUMS (columns, left to right).
-    let mut sums = vec![op.identity(); n];
-    multisums(values, &spine, &layout, op, &mut spinesum, &mut sums);
-    let multisums_stats = PhaseStats {
-        steps: layout.cols_left_right().len(),
-        work: n,
-    };
-
     SpinetreeRun {
-        output: MultiprefixOutput { sums, reductions },
+        output,
         layout,
-        phases: [
-            init,
-            spinetree,
-            rowsums_stats,
-            spinesums_stats,
-            multisums_stats,
-        ],
+        phases: [init, rows, cols, rows, cols],
     }
 }
 
 /// Run the spinetree multiprefix with default geometry (near-`√n` rows) and
 /// `LastWins` arbitration.
+///
+/// # Panics
+///
+/// As [`multiprefix_spinetree_instrumented`]: on unequal lengths or a
+/// failed allocation.
 pub fn multiprefix_spinetree<T: Element, O: CombineOp<T>>(
     values: &[T],
     labels: &[usize],
@@ -137,6 +139,11 @@ pub fn multiprefix_spinetree<T: Element, O: CombineOp<T>>(
 /// The multireduce operation (§4.2): per-label reductions only, skipping
 /// MULTISUMS. "Compared to the PREFIXSUM phase, which requires almost 7
 /// clock ticks per element, this is a substantial savings in time."
+///
+/// # Panics
+///
+/// As [`multiprefix_spinetree_instrumented`]: on unequal lengths or a
+/// failed allocation.
 pub fn multireduce_spinetree<T: Element, O: CombineOp<T>>(
     values: &[T],
     labels: &[usize],
@@ -144,35 +151,22 @@ pub fn multireduce_spinetree<T: Element, O: CombineOp<T>>(
     op: O,
 ) -> Vec<T> {
     let layout = Layout::square(values.len(), m);
-    let slots = layout.slots();
-    let mut rowsum = vec![op.identity(); slots];
-    let mut spinesum = vec![op.identity(); slots];
-    let mut has_child = vec![false; slots];
-    let spine = build_spinetree(labels, &layout, ArbPolicy::LastWins);
-    rowsums(values, &spine, &layout, op, &mut rowsum, &mut has_child);
-    spinesums(&spine, &layout, op, &rowsum, &has_child, &mut spinesum);
-    bucket_reductions(&layout, op, &rowsum, &spinesum)
+    let policy = ArbPolicy::LastWins;
+    let ctx = RunContext::new();
+    let out = run(values, labels, &layout, policy, PlainComb(op), false, &ctx);
+    expect_plain(Engine::Spinetree, out).reductions
 }
 
-/// Hardened spinetree multiprefix (see [`crate::exec`] for the contract):
-/// the four `n + m` pivot-block temporaries are allocated fallibly via
-/// [`Layout::try_pivot_block`], and under a checking [`OverflowPolicy`]
-/// every ⊕ runs through a trip guard. MULTISUMS performs the literal serial
+/// Hardened spinetree multiprefix (see [`crate::exec`] for the contract)
+/// under a [`RunContext`]. Unequal lengths are
+/// [`MpError::LengthMismatch`]; the `n + m` pivot-block temporaries are
+/// allocated fallibly, and under a checking [`OverflowPolicy`] every ⊕
+/// runs through a trip guard. MULTISUMS performs the literal serial
 /// combine `prefix_i ⊕ value_i` for every element, so a clean (untripped)
 /// run certifies that the serial evaluation cannot overflow either.
-pub fn try_multiprefix_spinetree<T: Element, O: TryCombineOp<T>>(
-    values: &[T],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    policy: OverflowPolicy,
-) -> TryEngineResult<MultiprefixOutput<T>> {
-    try_multiprefix_spinetree_ctx(values, labels, m, op, policy, &RunContext::new())
-}
-
-/// [`try_multiprefix_spinetree`] under a [`RunContext`]: the context is
-/// polled at every phase boundary, after every SPINETREE row, and every
-/// [`crate::resilience::CHECK_STRIDE`] elements inside the
+///
+/// The context is polled at every phase boundary, after every SPINETREE
+/// row, and every [`crate::resilience::CHECK_STRIDE`] elements inside the
 /// ROWSUMS/SPINESUMS/MULTISUMS sweeps, so deadlines and cancellation
 /// interrupt the run promptly and no partial output escapes.
 pub fn try_multiprefix_spinetree_ctx<T: Element, O: TryCombineOp<T>>(
@@ -183,85 +177,11 @@ pub fn try_multiprefix_spinetree_ctx<T: Element, O: TryCombineOp<T>>(
     policy: OverflowPolicy,
     ctx: &RunContext,
 ) -> TryEngineResult<MultiprefixOutput<T>> {
-    debug_assert_eq!(values.len(), labels.len());
-    ctx.checkpoint()?;
-    let layout = Layout::square(values.len(), m);
-    let tripped = AtomicBool::new(false);
-    let guard = CheckGuard::new(op, policy, &tripped);
-
-    let (mut rowsum, mut spinesum, mut has_child, mut sums) = {
-        let _span = ctx.phase_span(Phase::Init);
-        (
-            layout.try_pivot_block(op.identity())?,
-            layout.try_pivot_block(op.identity())?,
-            layout.try_pivot_block(false)?,
-            try_filled_vec(op.identity(), layout.n)?,
-        )
-    };
-
-    let spine = {
-        let _span = ctx.phase_span(Phase::Spinetree);
-        build_spinetree_ctx(labels, &layout, ArbPolicy::LastWins, ctx)?
-    };
-    {
-        let _span = ctx.phase_span(Phase::Rowsums);
-        rowsums_guarded(
-            values,
-            &spine,
-            &layout,
-            guard,
-            &mut rowsum,
-            &mut has_child,
-            ctx,
-        )?;
-    }
-    let reductions = {
-        let _span = ctx.phase_span(Phase::Spinesums);
-        spinesums_guarded(
-            &spine,
-            &layout,
-            guard,
-            &rowsum,
-            &has_child,
-            &mut spinesum,
-            ctx,
-        )?;
-        bucket_reductions_guarded(&layout, guard, &rowsum, &spinesum, ctx)?
-    };
-    {
-        let _span = ctx.phase_span(Phase::Multisums);
-        multisums_guarded(
-            values,
-            &spine,
-            &layout,
-            guard,
-            &mut spinesum,
-            &mut sums,
-            ctx,
-        )?;
-    }
-
-    if tripped.load(Ordering::Relaxed) {
-        Ok(None)
-    } else {
-        Ok(Some(MultiprefixOutput { sums, reductions }))
-    }
+    run_guarded(values, labels, m, op, policy, true, ctx)
 }
 
-/// Hardened spinetree multireduce. Same contract as
-/// [`try_multiprefix_spinetree`].
-pub fn try_multireduce_spinetree<T: Element, O: TryCombineOp<T>>(
-    values: &[T],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    policy: OverflowPolicy,
-) -> TryEngineResult<Vec<T>> {
-    try_multireduce_spinetree_ctx(values, labels, m, op, policy, &RunContext::new())
-}
-
-/// [`try_multireduce_spinetree`] under a [`RunContext`] (see
-/// [`try_multiprefix_spinetree_ctx`] for the checkpoint contract).
+/// Hardened spinetree multireduce, under the contract of
+/// [`try_multiprefix_spinetree_ctx`].
 pub fn try_multireduce_spinetree_ctx<T: Element, O: TryCombineOp<T>>(
     values: &[T],
     labels: &[usize],
@@ -270,42 +190,27 @@ pub fn try_multireduce_spinetree_ctx<T: Element, O: TryCombineOp<T>>(
     policy: OverflowPolicy,
     ctx: &RunContext,
 ) -> TryEngineResult<Vec<T>> {
-    debug_assert_eq!(values.len(), labels.len());
-    ctx.checkpoint()?;
+    let out = run_guarded(values, labels, m, op, policy, false, ctx)?;
+    Ok(out.map(|out| out.reductions))
+}
+
+/// [`run`] through a trip guard: `Ok(None)` when a checked combine
+/// tripped.
+fn run_guarded<T: Element, O: TryCombineOp<T>>(
+    values: &[T],
+    labels: &[usize],
+    m: usize,
+    op: O,
+    policy: OverflowPolicy,
+    want_sums: bool,
+    ctx: &RunContext,
+) -> TryEngineResult<MultiprefixOutput<T>> {
     let layout = Layout::square(values.len(), m);
+    let arb = ArbPolicy::LastWins;
     let tripped = AtomicBool::new(false);
     let guard = CheckGuard::new(op, policy, &tripped);
-
-    let mut rowsum = layout.try_pivot_block(op.identity())?;
-    let mut spinesum = layout.try_pivot_block(op.identity())?;
-    let mut has_child = layout.try_pivot_block(false)?;
-
-    let spine = build_spinetree_ctx(labels, &layout, ArbPolicy::LastWins, ctx)?;
-    rowsums_guarded(
-        values,
-        &spine,
-        &layout,
-        guard,
-        &mut rowsum,
-        &mut has_child,
-        ctx,
-    )?;
-    spinesums_guarded(
-        &spine,
-        &layout,
-        guard,
-        &rowsum,
-        &has_child,
-        &mut spinesum,
-        ctx,
-    )?;
-    let reductions = bucket_reductions_guarded(&layout, guard, &rowsum, &spinesum, ctx)?;
-
-    if tripped.load(Ordering::Relaxed) {
-        Ok(None)
-    } else {
-        Ok(Some(reductions))
-    }
+    let out = run(values, labels, &layout, arb, guard, want_sums, ctx)?;
+    Ok((!tripped.load(Ordering::Relaxed)).then_some(out))
 }
 
 #[cfg(test)]

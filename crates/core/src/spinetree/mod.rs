@@ -25,6 +25,14 @@
 //! Step complexity `S = O(√n)` (each phase is one sweep), work `W = O(n)`,
 //! space `O(n + m)` — work efficient.
 //!
+//! Each phase has one body, and one pipeline runs them: every entry —
+//! plain or hardened, multiprefix or multireduce (§4.2, which stops before
+//! MULTISUMS), one-shot ([`engine`]) or over a stored spinetree
+//! ([`PreparedMultiprefix`], §5.2.1) — builds or reuses the spinetree and
+//! then runs phases 2–4 through the same sweep. The hardened entries differ
+//! only in the combine they pass (a trip guard under a checking overflow
+//! policy) and the [`crate::resilience::RunContext`] the sweep polls.
+//!
 //! ## Fidelity notes
 //!
 //! * Memory is laid out exactly as the CRAY implementation (§4, Figure 8):
@@ -58,8 +66,7 @@ pub mod validate;
 pub use build::{build_spinetree, ArbPolicy};
 pub use engine::{
     multiprefix_spinetree, multiprefix_spinetree_instrumented, multireduce_spinetree,
-    try_multiprefix_spinetree, try_multiprefix_spinetree_ctx, try_multireduce_spinetree,
-    try_multireduce_spinetree_ctx, PhaseStats, SpinetreeRun,
+    try_multiprefix_spinetree_ctx, try_multireduce_spinetree_ctx, PhaseStats, SpinetreeRun,
 };
 pub use layout::Layout;
 pub use prepared::PreparedMultiprefix;

@@ -1,5 +1,8 @@
 //! The three EREW phases that run over a built spinetree: ROWSUMS,
-//! SPINESUMS and MULTISUMS, plus the §4.2 multireduce shortcut.
+//! SPINESUMS and MULTISUMS, plus the §4.2 multireduce shortcut, and
+//! `sweep`, which runs them in that order. Every spinetree entry — plain
+//! or hardened, one-shot or over a stored spinetree
+//! ([`super::PreparedMultiprefix`]) — runs the one body of each phase.
 //!
 //! Theorems 1–2 of the paper (checked in [`super::validate`]) guarantee
 //! that within any single column-parallel or row-parallel step of these
@@ -7,12 +10,23 @@
 //! loops below are written as sequential sweeps (the vector-simulation
 //! style of §4), every inner loop body could execute concurrently with
 //! exclusive reads and writes.
+//!
+//! Each body is generic over the engine's combine: the plain operator, or
+//! a guard that latches a trip flag on overflow under a checking
+//! [`crate::exec::OverflowPolicy`]. Each polls the run's [`RunContext`] at
+//! entry and every [`crate::resilience::CHECK_STRIDE`] elements, so a
+//! deadline or a cancellation interrupts even a single long sweep. The
+//! public phase functions run the body with the plain operator and an
+//! empty context.
 
 use super::layout::Layout;
+use crate::api::Engine;
+use crate::chunked::{expect_plain, Comb, PlainComb};
 use crate::error::MpError;
-use crate::exec::CheckGuard;
-use crate::op::{CombineOp, TryCombineOp};
-use crate::problem::Element;
+use crate::exec::try_with_capacity;
+use crate::obs::Phase;
+use crate::op::CombineOp;
+use crate::problem::{Element, MultiprefixOutput};
 use crate::resilience::RunContext;
 
 /// ROWSUMS (§2.2, Figure 4): sweep the **columns** left to right; every
@@ -37,17 +51,44 @@ pub fn rowsums<T: Element, O: CombineOp<T>>(
     rowsum: &mut [T],
     has_child: &mut [bool],
 ) {
+    let ctx = RunContext::new();
+    let run = rowsums_with(
+        values,
+        spine,
+        layout,
+        PlainComb(op),
+        rowsum,
+        has_child,
+        &ctx,
+    );
+    expect_plain(Engine::Spinetree, run)
+}
+
+fn rowsums_with<T: Element, C: Comb<T>>(
+    values: &[T],
+    spine: &[usize],
+    layout: &Layout,
+    comb: C,
+    rowsum: &mut [T],
+    has_child: &mut [bool],
+    ctx: &RunContext,
+) -> Result<(), MpError> {
     debug_assert_eq!(values.len(), layout.n);
     debug_assert_eq!(spine.len(), layout.slots());
     debug_assert_eq!(rowsum.len(), layout.slots());
+    ctx.checkpoint()?;
     let m = layout.m;
+    let mut done = 0usize;
     for c in layout.cols_left_right() {
         for i in layout.col_elements(c) {
+            ctx.checkpoint_every(done)?;
+            done += 1;
             let parent = spine[m + i];
-            rowsum[parent] = op.combine(rowsum[parent], values[i]);
+            rowsum[parent] = comb.combine(rowsum[parent], values[i]);
             has_child[parent] = true;
         }
     }
+    Ok(())
 }
 
 /// SPINESUMS (§2.2, Figure 4): sweep the **rows** bottom to top; every spine
@@ -72,19 +113,46 @@ pub fn spinesums<T: Element, O: CombineOp<T>>(
     has_child: &[bool],
     spinesum: &mut [T],
 ) {
+    let ctx = RunContext::new();
+    let run = spinesums_with(
+        spine,
+        layout,
+        PlainComb(op),
+        rowsum,
+        has_child,
+        spinesum,
+        &ctx,
+    );
+    expect_plain(Engine::Spinetree, run)
+}
+
+fn spinesums_with<T: Element, C: Comb<T>>(
+    spine: &[usize],
+    layout: &Layout,
+    comb: C,
+    rowsum: &[T],
+    has_child: &[bool],
+    spinesum: &mut [T],
+    ctx: &RunContext,
+) -> Result<(), MpError> {
+    ctx.checkpoint()?;
     let m = layout.m;
+    // Rows bottom to top visit the elements in vector order, so `i` counts
+    // the elements done.
     for r in layout.rows_bottom_up() {
         for i in layout.row_elements(r) {
+            ctx.checkpoint_every(i)?;
             let slot = m + i;
             if has_child[slot] {
                 let parent = spine[slot];
                 // Corollary 2: `parent` has exactly one spine child, so this
                 // write is exclusive; ⊕-order is (earlier rows) ⊕ (this
                 // element's children's row).
-                spinesum[parent] = op.combine(spinesum[slot], rowsum[slot]);
+                spinesum[parent] = comb.combine(spinesum[slot], rowsum[slot]);
             }
         }
     }
+    Ok(())
 }
 
 /// MULTISUMS (called PREFIXSUM in §4.1): sweep the **columns** left to
@@ -107,101 +175,16 @@ pub fn multisums<T: Element, O: CombineOp<T>>(
     spinesum: &mut [T],
     multi: &mut [T],
 ) {
-    debug_assert_eq!(multi.len(), layout.n);
-    let m = layout.m;
-    for c in layout.cols_left_right() {
-        for i in layout.col_elements(c) {
-            let parent = spine[m + i];
-            multi[i] = spinesum[parent];
-            spinesum[parent] = op.combine(spinesum[parent], values[i]);
-        }
-    }
+    let ctx = RunContext::new();
+    let run = multisums_with(values, spine, layout, PlainComb(op), spinesum, multi, &ctx);
+    expect_plain(Engine::Spinetree, run)
 }
 
-/// Extract the per-label reductions after [`spinesums`] (§4.2): for each
-/// bucket, `reduction = spinesum ⊕ rowsum` — the sums of all lower rows
-/// followed by the top occupied row. "On the CRAY, this is a simple
-/// addition of two vectors"; it is the basis of the cheap **multireduce**
-/// operation, which skips MULTISUMS entirely.
-pub fn bucket_reductions<T: Element, O: CombineOp<T>>(
-    layout: &Layout,
-    op: O,
-    rowsum: &[T],
-    spinesum: &[T],
-) -> Vec<T> {
-    (0..layout.m)
-        .map(|b| op.combine(spinesum[b], rowsum[b]))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Guarded variants for the hardened engine ([`crate::exec`]): identical
-// sweeps with every ⊕ routed through a [`CheckGuard`], which latches a trip
-// flag on overflow under a checking policy, and with the run's
-// [`RunContext`] polled at phase entry and every
-// [`crate::resilience::CHECK_STRIDE`] elements so deadlines/cancellation
-// interrupt even a single long sweep. Kept as separate functions so the
-// plain engine's hot loops stay monomorphized without the guard branch.
-
-/// [`rowsums`] with guarded combines and context checkpoints.
-pub(crate) fn rowsums_guarded<T: Element, O: TryCombineOp<T>>(
+fn multisums_with<T: Element, C: Comb<T>>(
     values: &[T],
     spine: &[usize],
     layout: &Layout,
-    guard: CheckGuard<'_, O>,
-    rowsum: &mut [T],
-    has_child: &mut [bool],
-    ctx: &RunContext,
-) -> Result<(), MpError> {
-    debug_assert_eq!(values.len(), layout.n);
-    ctx.checkpoint()?;
-    let m = layout.m;
-    let mut done = 0usize;
-    for c in layout.cols_left_right() {
-        for i in layout.col_elements(c) {
-            ctx.checkpoint_every(done)?;
-            done += 1;
-            let parent = spine[m + i];
-            rowsum[parent] = guard.combine(rowsum[parent], values[i]);
-            has_child[parent] = true;
-        }
-    }
-    Ok(())
-}
-
-/// [`spinesums`] with guarded combines and context checkpoints.
-pub(crate) fn spinesums_guarded<T: Element, O: TryCombineOp<T>>(
-    spine: &[usize],
-    layout: &Layout,
-    guard: CheckGuard<'_, O>,
-    rowsum: &[T],
-    has_child: &[bool],
-    spinesum: &mut [T],
-    ctx: &RunContext,
-) -> Result<(), MpError> {
-    ctx.checkpoint()?;
-    let m = layout.m;
-    let mut done = 0usize;
-    for r in layout.rows_bottom_up() {
-        for i in layout.row_elements(r) {
-            ctx.checkpoint_every(done)?;
-            done += 1;
-            let slot = m + i;
-            if has_child[slot] {
-                let parent = spine[slot];
-                spinesum[parent] = guard.combine(spinesum[slot], rowsum[slot]);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// [`multisums`] with guarded combines and context checkpoints.
-pub(crate) fn multisums_guarded<T: Element, O: TryCombineOp<T>>(
-    values: &[T],
-    spine: &[usize],
-    layout: &Layout,
-    guard: CheckGuard<'_, O>,
+    comb: C,
     spinesum: &mut [T],
     multi: &mut [T],
     ctx: &RunContext,
@@ -216,27 +199,91 @@ pub(crate) fn multisums_guarded<T: Element, O: TryCombineOp<T>>(
             done += 1;
             let parent = spine[m + i];
             multi[i] = spinesum[parent];
-            spinesum[parent] = guard.combine(spinesum[parent], values[i]);
+            spinesum[parent] = comb.combine(spinesum[parent], values[i]);
         }
     }
     Ok(())
 }
 
-/// [`bucket_reductions`] with guarded combines and context checkpoints.
-pub(crate) fn bucket_reductions_guarded<T: Element, O: TryCombineOp<T>>(
+/// Extract the per-label reductions after [`spinesums`] (§4.2): for each
+/// bucket, `reduction = spinesum ⊕ rowsum` — the sums of all lower rows
+/// followed by the top occupied row. "On the CRAY, this is a simple
+/// addition of two vectors"; it is the basis of the cheap **multireduce**
+/// operation, which skips MULTISUMS entirely.
+pub fn bucket_reductions<T: Element, O: CombineOp<T>>(
     layout: &Layout,
-    guard: CheckGuard<'_, O>,
+    op: O,
+    rowsum: &[T],
+    spinesum: &[T],
+) -> Vec<T> {
+    let ctx = RunContext::new();
+    let run = reductions_with(layout, PlainComb(op), rowsum, spinesum, &ctx);
+    expect_plain(Engine::Spinetree, run)
+}
+
+fn reductions_with<T: Element, C: Comb<T>>(
+    layout: &Layout,
+    comb: C,
     rowsum: &[T],
     spinesum: &[T],
     ctx: &RunContext,
 ) -> Result<Vec<T>, MpError> {
     ctx.checkpoint()?;
-    let mut out = crate::exec::try_filled_vec(guard.identity(), layout.m)?;
-    for (b, slot) in out.iter_mut().enumerate() {
+    let mut out = try_with_capacity(layout.m)?;
+    for b in 0..layout.m {
         ctx.checkpoint_every(b)?;
-        *slot = guard.combine(spinesum[b], rowsum[b]);
+        out.push(comb.combine(spinesum[b], rowsum[b]));
     }
     Ok(out)
+}
+
+/// INIT and phases 2–4 over a built spinetree, each under its phase span:
+/// ROWSUMS, then SPINESUMS with the §4.2 reductions, then MULTISUMS when
+/// `want_sums`. A multireduce stops before MULTISUMS and returns empty
+/// `sums`.
+pub(crate) fn sweep<T: Element, C: Comb<T>>(
+    values: &[T],
+    spine: &[usize],
+    layout: &Layout,
+    comb: C,
+    want_sums: bool,
+    ctx: &RunContext,
+) -> Result<MultiprefixOutput<T>, MpError> {
+    // INIT (Figure 3): one parallel step clears every temporary the run
+    // holds, the output included. As in §4's "modified initialization",
+    // the buckets are cleared directly: `O(m)` work, but faster in practice
+    // whenever `m ≤ n`.
+    let (mut rowsum, mut spinesum, mut has_child, mut sums) = {
+        let _span = ctx.phase_span(Phase::Init);
+        (
+            comb.identity_vec(layout.slots())?,
+            comb.identity_vec(layout.slots())?,
+            layout.try_pivot_block(false)?,
+            comb.identity_vec(if want_sums { layout.n } else { 0 })?,
+        )
+    };
+    {
+        let _span = ctx.phase_span(Phase::Rowsums);
+        rowsums_with(
+            values,
+            spine,
+            layout,
+            comb,
+            &mut rowsum,
+            &mut has_child,
+            ctx,
+        )?;
+    }
+    let reductions = {
+        let _span = ctx.phase_span(Phase::Spinesums);
+        spinesums_with(spine, layout, comb, &rowsum, &has_child, &mut spinesum, ctx)?;
+        reductions_with(layout, comb, &rowsum, &spinesum, ctx)?
+    };
+    if want_sums {
+        let _span = ctx.phase_span(Phase::Multisums);
+        multisums_with(values, spine, layout, comb, &mut spinesum, &mut sums, ctx)?;
+    }
+    Ok(MultiprefixOutput { sums, reductions })
 }
 
 #[cfg(test)]

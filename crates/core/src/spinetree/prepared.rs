@@ -8,19 +8,18 @@
 //! **labels**, not the values — so for a fixed labeling it can be built
 //! once and replayed against any value vector (and any operator). This
 //! module packages that: [`PreparedMultiprefix::new`] builds and validates
-//! the structure; [`PreparedMultiprefix::run`] executes ROWSUMS,
-//! SPINESUMS and MULTISUMS against fresh values.
+//! the structure; every run executes the one-shot engine's `sweep` (INIT,
+//! ROWSUMS, SPINESUMS and MULTISUMS) against fresh values.
 
 use super::build::{build_spinetree, ArbPolicy};
 use super::layout::Layout;
-use super::phases::{
-    bucket_reductions, bucket_reductions_guarded, multisums, multisums_guarded, rowsums,
-    rowsums_guarded, spinesums, spinesums_guarded,
-};
+use super::phases::sweep;
+use crate::api::Engine;
+use crate::chunked::{expect_plain, Comb, PlainComb};
 use crate::error::MpError;
-use crate::exec::{try_filled_vec, CheckGuard, OverflowPolicy};
+use crate::exec::{CheckGuard, OverflowPolicy};
 use crate::op::{CombineOp, TryCombineOp};
-use crate::problem::{validate, Element, MultiprefixOutput};
+use crate::problem::{validate, validate_lengths, Element, MultiprefixOutput};
 use crate::resilience::RunContext;
 use std::sync::atomic::AtomicBool;
 
@@ -74,70 +73,21 @@ impl PreparedMultiprefix {
     /// path for callers that construct the value vector from the same
     /// source as the labels (e.g. the SpMV kernel, where both derive from
     /// one matrix); use [`Self::try_run`] when the length is
-    /// caller-supplied data.
+    /// caller-supplied data. Also panics, naming the [`MpError`], if an
+    /// allocation fails.
     pub fn run<T: Element, O: CombineOp<T>>(&self, values: &[T], op: O) -> MultiprefixOutput<T> {
         assert_eq!(values.len(), self.layout.n, "value vector length mismatch");
-        let slots = self.layout.slots();
-        let mut rowsum = vec![op.identity(); slots];
-        let mut spinesum = vec![op.identity(); slots];
-        let mut has_child = vec![false; slots];
-        rowsums(
-            values,
-            &self.spine,
-            &self.layout,
-            op,
-            &mut rowsum,
-            &mut has_child,
-        );
-        spinesums(
-            &self.spine,
-            &self.layout,
-            op,
-            &rowsum,
-            &has_child,
-            &mut spinesum,
-        );
-        let reductions = bucket_reductions(&self.layout, op, &rowsum, &spinesum);
-        let mut sums = vec![op.identity(); self.layout.n];
-        multisums(
-            values,
-            &self.spine,
-            &self.layout,
-            op,
-            &mut spinesum,
-            &mut sums,
-        );
-        MultiprefixOutput { sums, reductions }
+        expect_plain(Engine::Spinetree, self.try_run(values, op))
     }
 
     /// Run a multireduce over `values` (§4.2: skip MULTISUMS).
     ///
     /// # Panics
-    /// Panics on `values.len() != self.len()`; see [`Self::run`] and use
-    /// [`Self::try_run_reduce`] for untrusted lengths.
+    /// As [`Self::run`]; use [`Self::try_run_reduce`] for untrusted
+    /// lengths.
     pub fn run_reduce<T: Element, O: CombineOp<T>>(&self, values: &[T], op: O) -> Vec<T> {
         assert_eq!(values.len(), self.layout.n, "value vector length mismatch");
-        let slots = self.layout.slots();
-        let mut rowsum = vec![op.identity(); slots];
-        let mut spinesum = vec![op.identity(); slots];
-        let mut has_child = vec![false; slots];
-        rowsums(
-            values,
-            &self.spine,
-            &self.layout,
-            op,
-            &mut rowsum,
-            &mut has_child,
-        );
-        spinesums(
-            &self.spine,
-            &self.layout,
-            op,
-            &rowsum,
-            &has_child,
-            &mut spinesum,
-        );
-        bucket_reductions(&self.layout, op, &rowsum, &spinesum)
+        expect_plain(Engine::Spinetree, self.try_run_reduce(values, op))
     }
 
     /// [`Self::run`] for caller-supplied lengths: reports
@@ -147,13 +97,7 @@ impl PreparedMultiprefix {
         values: &[T],
         op: O,
     ) -> Result<MultiprefixOutput<T>, MpError> {
-        if values.len() != self.layout.n {
-            return Err(MpError::LengthMismatch {
-                values: values.len(),
-                labels: self.layout.n,
-            });
-        }
-        Ok(self.run(values, op))
+        self.run_with(values, PlainComb(op), true, &RunContext::new())
     }
 
     /// [`Self::run_reduce`] for caller-supplied lengths: reports
@@ -163,13 +107,8 @@ impl PreparedMultiprefix {
         values: &[T],
         op: O,
     ) -> Result<Vec<T>, MpError> {
-        if values.len() != self.layout.n {
-            return Err(MpError::LengthMismatch {
-                values: values.len(),
-                labels: self.layout.n,
-            });
-        }
-        Ok(self.run_reduce(values, op))
+        let out = self.run_with(values, PlainComb(op), false, &RunContext::new())?;
+        Ok(out.reductions)
     }
 
     /// [`Self::try_run`] under a [`RunContext`]: the phase temporaries are
@@ -183,50 +122,10 @@ impl PreparedMultiprefix {
         op: O,
         ctx: &RunContext,
     ) -> Result<MultiprefixOutput<T>, MpError> {
-        if values.len() != self.layout.n {
-            return Err(MpError::LengthMismatch {
-                values: values.len(),
-                labels: self.layout.n,
-            });
-        }
-        ctx.checkpoint()?;
-        // Wrap never trips the guard, so the guarded phases compute exactly
-        // what the plain phases do — the guard is only the ctx plumbing.
+        // A `Wrap` guard never trips: it only makes INIT's blocks fallible.
         let tripped = AtomicBool::new(false);
         let guard = CheckGuard::new(op, OverflowPolicy::Wrap, &tripped);
-        let mut rowsum = self.layout.try_pivot_block(op.identity())?;
-        let mut spinesum = self.layout.try_pivot_block(op.identity())?;
-        let mut has_child = self.layout.try_pivot_block(false)?;
-        let mut sums = try_filled_vec(op.identity(), self.layout.n)?;
-        rowsums_guarded(
-            values,
-            &self.spine,
-            &self.layout,
-            guard,
-            &mut rowsum,
-            &mut has_child,
-            ctx,
-        )?;
-        spinesums_guarded(
-            &self.spine,
-            &self.layout,
-            guard,
-            &rowsum,
-            &has_child,
-            &mut spinesum,
-            ctx,
-        )?;
-        let reductions = bucket_reductions_guarded(&self.layout, guard, &rowsum, &spinesum, ctx)?;
-        multisums_guarded(
-            values,
-            &self.spine,
-            &self.layout,
-            guard,
-            &mut spinesum,
-            &mut sums,
-            ctx,
-        )?;
-        Ok(MultiprefixOutput { sums, reductions })
+        self.run_with(values, guard, true, ctx)
     }
 
     /// [`Self::try_run_reduce`] under a [`RunContext`]; see
@@ -237,37 +136,23 @@ impl PreparedMultiprefix {
         op: O,
         ctx: &RunContext,
     ) -> Result<Vec<T>, MpError> {
-        if values.len() != self.layout.n {
-            return Err(MpError::LengthMismatch {
-                values: values.len(),
-                labels: self.layout.n,
-            });
-        }
-        ctx.checkpoint()?;
         let tripped = AtomicBool::new(false);
         let guard = CheckGuard::new(op, OverflowPolicy::Wrap, &tripped);
-        let mut rowsum = self.layout.try_pivot_block(op.identity())?;
-        let mut spinesum = self.layout.try_pivot_block(op.identity())?;
-        let mut has_child = self.layout.try_pivot_block(false)?;
-        rowsums_guarded(
-            values,
-            &self.spine,
-            &self.layout,
-            guard,
-            &mut rowsum,
-            &mut has_child,
-            ctx,
-        )?;
-        spinesums_guarded(
-            &self.spine,
-            &self.layout,
-            guard,
-            &rowsum,
-            &has_child,
-            &mut spinesum,
-            ctx,
-        )?;
-        bucket_reductions_guarded(&self.layout, guard, &rowsum, &spinesum, ctx)
+        Ok(self.run_with(values, guard, false, ctx)?.reductions)
+    }
+
+    /// Every run: lengths checked, then [`sweep`] over the stored
+    /// spinetree.
+    fn run_with<T: Element, C: Comb<T>>(
+        &self,
+        values: &[T],
+        comb: C,
+        want_sums: bool,
+        ctx: &RunContext,
+    ) -> Result<MultiprefixOutput<T>, MpError> {
+        validate_lengths(values.len(), self.layout.n)?;
+        ctx.checkpoint()?;
+        sweep(values, &self.spine, &self.layout, comb, want_sums, ctx)
     }
 }
 

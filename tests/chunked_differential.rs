@@ -17,11 +17,14 @@
 //! And `Engine::Auto` must stay bit-identical to serial when many threads
 //! call it at once, and on floats from one call to the next.
 
+use multiprefix::atomic::{
+    multiprefix_atomic, multireduce_atomic, try_multiprefix_atomic_ctx, try_multireduce_atomic_ctx,
+};
 use multiprefix::chunked::{
     multiprefix_chunked, multiprefix_chunked_with_parts, multiprefix_chunked_with_threads,
     multireduce_chunked, try_multiprefix_chunked, try_multiprefix_chunked_cfg_ctx,
     try_multiprefix_chunked_ctx, try_multireduce_chunked, try_multireduce_chunked_cfg_ctx,
-    ChunkedPlan, MIN_CHUNK_LEN,
+    MIN_CHUNK_LEN,
 };
 use multiprefix::op::{FirstLast, Max, Min, Plus, TryCombineOp};
 use multiprefix::resilience::{
@@ -30,6 +33,10 @@ use multiprefix::resilience::{
 };
 use multiprefix::serial::{multiprefix_serial, multireduce_serial, try_multiprefix_serial};
 use multiprefix::service::{Reply, Request, Service, ServiceConfig};
+use multiprefix::spinetree::{
+    multiprefix_spinetree, multireduce_spinetree, try_multiprefix_spinetree_ctx,
+    try_multireduce_spinetree_ctx,
+};
 use multiprefix::{
     multiprefix, multireduce, try_multiprefix, try_multiprefix_ctx, try_multireduce,
     try_multireduce_ctx, validate, Element, Engine, ExecConfig, MpError, OverflowPolicy,
@@ -284,16 +291,13 @@ proptest! {
         assert_call_sequence_matches_serial(&calls, FirstLast, |x| (x as i32, (x >> 20) as i32));
     }
 
+    /// The chunked multireduce is serial's. (The name predates the
+    /// deletion of the reusable chunked plan this also used to run.)
     #[test]
     fn multireduce_and_plan_agree((values, labels, m) in problem()) {
         prop_assert_eq!(
             multireduce_chunked(&values, &labels, m, Plus),
             multireduce_serial(&values, &labels, m, Plus)
-        );
-        let plan = ChunkedPlan::new(&labels, m).expect("valid labels");
-        prop_assert_eq!(
-            plan.run(&values, Plus),
-            multiprefix_serial(&values, &labels, m, Plus)
         );
     }
 }
@@ -448,10 +452,13 @@ fn direct_entries_name_the_bad_label() {
     }
 }
 
-/// Unequal lengths, either way round: the hardened direct entries return
-/// `LengthMismatch`, and the plain ones panic with a message that names
-/// both lengths. (They used to answer from the shorter prefix: sums
-/// `[0, 0, 0, 0, 0]` and reductions `[1, 2]` for the first pair here.)
+/// Unequal lengths, either way round, through the direct entries of the
+/// chunked engine and of the spinetree and atomic engines: the hardened
+/// ones return `LengthMismatch`, and the plain ones panic with a message
+/// that names both lengths. (They used to answer from the shorter prefix —
+/// chunked sums `[0, 0, 0, 0, 0]` and reductions `[1, 2]` for the first
+/// pair here — or, in the spinetree and atomic prefix entries, panic on an
+/// out-of-bounds index.)
 #[test]
 fn direct_entries_reject_unequal_lengths() {
     let pairs: [(Vec<i64>, Vec<usize>); 2] = [
@@ -462,6 +469,11 @@ fn direct_entries_reject_unequal_lengths() {
         let want = MpError::LengthMismatch {
             values: values.len(),
             labels: labels.len(),
+        };
+        let panics_naming_want = |entry: &str, run: &dyn Fn()| {
+            let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("must panic");
+            let message = payload.downcast_ref::<String>().expect("formatted message");
+            assert!(message.contains(&want.to_string()), "{entry}: {message}");
         };
         let wrap = OverflowPolicy::Wrap;
         let got = try_multiprefix_chunked(values, labels, 2, Plus, wrap);
@@ -494,13 +506,34 @@ fn direct_entries_reject_unequal_lengths() {
                 }),
             ];
             for (entry, run) in plain {
-                let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("must panic");
-                let message = payload.downcast_ref::<String>().expect("formatted message");
-                assert!(
-                    message.contains(&want.to_string()),
-                    "{entry}, parts {parts}: {message}"
-                );
+                panics_naming_want(&format!("{entry}, parts {parts}"), run);
             }
+        }
+        let ctx = RunContext::new();
+        let got = try_multiprefix_spinetree_ctx(values, labels, 2, Plus, wrap, &ctx);
+        assert_eq!(got, Err(want.clone()), "spinetree");
+        let got = try_multireduce_spinetree_ctx(values, labels, 2, Plus, wrap, &ctx);
+        assert_eq!(got, Err(want.clone()), "spinetree reduce");
+        let got = try_multiprefix_atomic_ctx(values, labels, 2, Plus, wrap, &ctx);
+        assert_eq!(got, Err(want.clone()), "atomic");
+        let got = try_multireduce_atomic_ctx(values, labels, 2, Plus, wrap, &ctx);
+        assert_eq!(got, Err(want.clone()), "atomic reduce");
+        let plain: [(&str, &dyn Fn()); 4] = [
+            ("spinetree", &|| {
+                drop(multiprefix_spinetree(values, labels, 2, Plus))
+            }),
+            ("spinetree reduce", &|| {
+                drop(multireduce_spinetree(values, labels, 2, Plus))
+            }),
+            ("atomic", &|| {
+                drop(multiprefix_atomic(values, labels, 2, Plus))
+            }),
+            ("atomic reduce", &|| {
+                drop(multireduce_atomic(values, labels, 2, Plus))
+            }),
+        ];
+        for (entry, run) in plain {
+            panics_naming_want(entry, run);
         }
     }
 }

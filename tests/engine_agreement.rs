@@ -1,13 +1,23 @@
 //! Property tests: every engine computes the same multiprefix, for any
-//! input, operator, geometry and arbitration.
+//! input, operator, geometry and arbitration — and every entry of the
+//! spinetree and atomic engines (plain, hardened, one-shot or over a
+//! prepared spinetree) sees the same draws.
 
-use multiprefix::atomic::multiprefix_atomic;
-use multiprefix::op::{FirstLast, Max, Min, Mult, Plus};
+use multiprefix::atomic::{
+    multiprefix_atomic, multiprefix_atomic_hardened, multireduce_atomic,
+    try_multiprefix_atomic_ctx, try_multireduce_atomic_ctx,
+};
+use multiprefix::op::{FirstLast, Max, Min, Mult, Plus, TryCombineOp};
+use multiprefix::resilience::RunContext;
 use multiprefix::serial::{multiprefix_serial, multireduce_serial};
 use multiprefix::spinetree::build::ArbPolicy;
 use multiprefix::spinetree::engine::multiprefix_spinetree_instrumented;
 use multiprefix::spinetree::layout::Layout;
-use multiprefix::{multiprefix, multireduce, Engine};
+use multiprefix::spinetree::{
+    multireduce_spinetree, try_multiprefix_spinetree_ctx, try_multireduce_spinetree_ctx,
+    PreparedMultiprefix,
+};
+use multiprefix::{multiprefix, multireduce, Element, Engine, MultiprefixOutput, OverflowPolicy};
 use proptest::prelude::*;
 
 /// Random (values, labels, m) triples with m ≥ 1 and labels < m.
@@ -22,6 +32,40 @@ fn problem() -> impl Strategy<Value = (Vec<i64>, Vec<usize>, usize)> {
     })
 }
 
+/// Every run of a [`PreparedMultiprefix`] built for `labels` — plain,
+/// length-checked and under a context, multiprefix and multireduce — is
+/// `reference`.
+fn prepared_entries_agree<T: Element + PartialEq, O: TryCombineOp<T>>(
+    values: &[T],
+    labels: &[usize],
+    m: usize,
+    op: O,
+    reference: &MultiprefixOutput<T>,
+) -> Result<(), TestCaseError> {
+    let prepared = PreparedMultiprefix::new(labels, m).expect("valid labels");
+    let ctx = RunContext::new();
+    let prefixes = [
+        ("run", Ok(prepared.run(values, op))),
+        ("try_run", prepared.try_run(values, op)),
+        ("try_run_ctx", prepared.try_run_ctx(values, op, &ctx)),
+    ];
+    for (entry, got) in prefixes {
+        prop_assert_eq!(got, Ok(reference.clone()), "prepared {}", entry);
+    }
+    let reductions = [
+        ("run_reduce", Ok(prepared.run_reduce(values, op))),
+        ("try_run_reduce", prepared.try_run_reduce(values, op)),
+        (
+            "try_run_reduce_ctx",
+            prepared.try_run_reduce_ctx(values, op, &ctx),
+        ),
+    ];
+    for (entry, got) in reductions {
+        prop_assert_eq!(got, Ok(reference.reductions.clone()), "prepared {}", entry);
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn engines_agree_plus((values, labels, m) in problem()) {
@@ -34,6 +78,27 @@ proptest! {
         let atomic = multiprefix_atomic(&values, &labels, m, Plus);
         prop_assert_eq!(&atomic.sums, &reference.sums);
         prop_assert_eq!(&atomic.reductions, &reference.reductions);
+        let (v, l) = (&values, &labels);
+        let wrap = OverflowPolicy::Wrap;
+        let ctx = RunContext::new();
+        let prefixes = [
+            ("spinetree ctx", try_multiprefix_spinetree_ctx(v, l, m, Plus, wrap, &ctx)),
+            ("atomic ctx", try_multiprefix_atomic_ctx(v, l, m, Plus, wrap, &ctx)),
+            ("atomic hardened", multiprefix_atomic_hardened(v, l, m, Plus, wrap).map(Some)),
+        ];
+        for (entry, got) in prefixes {
+            prop_assert_eq!(got, Ok(Some(reference.clone())), "{}", entry);
+        }
+        let reductions = [
+            ("spinetree", Ok(Some(multireduce_spinetree(v, l, m, Plus)))),
+            ("spinetree ctx", try_multireduce_spinetree_ctx(v, l, m, Plus, wrap, &ctx)),
+            ("atomic", Ok(Some(multireduce_atomic(v, l, m, Plus)))),
+            ("atomic ctx", try_multireduce_atomic_ctx(v, l, m, Plus, wrap, &ctx)),
+        ];
+        for (entry, got) in reductions {
+            prop_assert_eq!(got, Ok(Some(reference.reductions.clone())), "{}", entry);
+        }
+        prepared_entries_agree(&values, &labels, m, Plus, &reference)?;
     }
 
     #[test]
@@ -62,6 +127,13 @@ proptest! {
             prop_assert_eq!(&got.sums, &reference.sums);
             prop_assert_eq!(&got.reductions, &reference.reductions);
         }
+        let wrap = OverflowPolicy::Wrap;
+        let ctx = RunContext::new();
+        let got = try_multiprefix_spinetree_ctx(&values, &labels, 5, FirstLast, wrap, &ctx);
+        prop_assert_eq!(got, Ok(Some(reference.clone())));
+        let got = try_multireduce_spinetree_ctx(&values, &labels, 5, FirstLast, wrap, &ctx);
+        prop_assert_eq!(got, Ok(Some(reference.reductions.clone())));
+        prepared_entries_agree(&values, &labels, 5, FirstLast, &reference)?;
     }
 
     #[test]
