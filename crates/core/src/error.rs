@@ -109,7 +109,10 @@ pub enum MpError {
     /// transparently replayed — its ticket resolves with this error and the
     /// caller decides whether to resubmit.
     WorkerLost {
-        /// Index of the worker that died.
+        /// Index of the worker that died; `usize::MAX` when the request
+        /// ran on the caller's thread (a small request at an idle service,
+        /// or the shutdown drain) and a panic outside the dispatcher ended
+        /// that run.
         worker: usize,
     },
     /// A session op named an element index that was never appended

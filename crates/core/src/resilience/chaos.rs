@@ -25,7 +25,9 @@
 //! `only_worker` scopes them to one worker index. A worker panic kills the
 //! worker thread itself — upstream of the dispatcher's `catch_unwind` — so
 //! it exercises supervision (respawn, `MpError::WorkerLost` resolution of
-//! the in-flight tickets) rather than engine-level containment.
+//! the in-flight tickets) rather than engine-level containment. A plan
+//! that arms either keeps every service request on the pool, so none runs
+//! on its submitter's thread.
 //!
 //! The draw stream is a single atomic xorshift state, so a fixed seed gives
 //! a reproducible fault *sequence* under sequential execution and a
@@ -63,11 +65,14 @@ pub struct ChaosPlan {
     /// [`crate::service::Service`] pool worker between dequeuing a batch
     /// and executing it) panics, killing the worker thread itself — the
     /// injection point for supervision/respawn testing. Engine checkpoints
-    /// never draw from this.
+    /// never draw from this. A nonzero value keeps every service request
+    /// on the pool: none runs on its submitter's thread, which has no
+    /// worker to kill.
     pub worker_panic_ppm: u32,
     /// Probability a worker checkpoint stalls for [`ChaosPlan::stall`]
     /// (e.g. to let a test deterministically build up queue depth behind a
-    /// slow worker).
+    /// slow worker). Like `worker_panic_ppm`, a nonzero value keeps every
+    /// service request on the pool.
     pub worker_stall_ppm: u32,
     /// Restrict **worker** injection to one worker index (`None` faults
     /// every worker). Lets a test kill one worker of a pool while the rest
@@ -513,6 +518,14 @@ impl ChaosState {
             + self.fsync_fails_injected()
     }
 
+    /// Does the plan arm pool-worker faults (`worker_panic_ppm` or
+    /// `worker_stall_ppm`)? Such a plan keeps every service request on the
+    /// pool: the faults model a worker's death or stall, and a request run
+    /// on its submitter's thread has no worker.
+    pub(crate) fn arms_worker_faults(&self) -> bool {
+        self.plan.worker_panic_ppm != 0 || self.plan.worker_stall_ppm != 0
+    }
+
     /// Sleep for the plan's stall length, clamped to the remaining budget
     /// of the active deadline: an injected stall may push a run *to* its
     /// deadline (the next checkpoint observes the expiry) but never burns
@@ -571,7 +584,7 @@ impl ChaosState {
     /// A plan with no worker faults burns no draw, so arming worker faults
     /// off leaves the engine-fault sequence of a given seed untouched.
     pub(crate) fn inject_worker(&self, worker: usize, deadline: Option<Deadline>) {
-        if self.plan.worker_panic_ppm == 0 && self.plan.worker_stall_ppm == 0 {
+        if !self.arms_worker_faults() {
             return;
         }
         if let Some(only) = self.plan.only_worker {
@@ -600,10 +613,7 @@ impl ChaosState {
     /// the scope join into the engine's `catch_unwind` and surfaces as
     /// [`MpError::EnginePanicked`] — the dispatcher's retry/fallback path.
     pub(crate) fn inject_chunk_worker(&self, worker: usize, deadline: Option<Deadline>) {
-        if self.plan.only != Some(Engine::Chunked) {
-            return;
-        }
-        if self.plan.worker_panic_ppm == 0 && self.plan.worker_stall_ppm == 0 {
+        if self.plan.only != Some(Engine::Chunked) || !self.arms_worker_faults() {
             return;
         }
         if let Some(only) = self.plan.only_worker {

@@ -53,6 +53,8 @@ pub struct CoalesceConfig {
     pub max_fused_elements: usize,
     /// Only requests with at most this many elements coalesce — larger
     /// requests already amortize the engines' fixed costs on their own.
+    /// The same bound picks the requests that may run on their submitter's
+    /// thread when the service is idle (see [`crate::service`]).
     pub max_request_elements: usize,
     /// §4.4 adaptive batch sizing (the default). Instead of the static
     /// `max_requests` limit, each dequeue derives its member/element

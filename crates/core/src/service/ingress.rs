@@ -49,6 +49,10 @@
 //! The accounting invariant is untouched by all of this: entries still
 //! carry their [`super::queue::Resolver`] and every resolution still flows
 //! through `Resolver::resolve`, the single counting point.
+//!
+//! A small request that finds the front door idle ([`Ingress::is_idle`])
+//! never enters it: the service runs it on the submitter's thread (see
+//! [`super::pool::try_run_inline`]).
 
 use crate::resilience::ctx::Deadline;
 use crate::service::coalesce::CoalesceConfig;
@@ -252,6 +256,19 @@ impl<T> Ingress<T> {
     /// Allocate the next admission sequence number.
     pub(crate) fn alloc_seq(&self) -> u64 {
         self.next_seq.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Nothing queued and at least one worker parked: the state in which
+    /// handing a request to a worker would cost a wake-up, and running it
+    /// on the submitter's thread competes with no coalescer. A few atomic
+    /// loads; a worker counts as parked from its registration in
+    /// [`Ingress::next_batch`] until it wakes.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.depth.load(Ordering::SeqCst) == 0
+            && self
+                .shards
+                .iter()
+                .any(|sh| sh.idle_workers.load(Ordering::SeqCst) > 0)
     }
 
     /// Pick the shard for `request`: dominant-label affinity when the

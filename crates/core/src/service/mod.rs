@@ -30,6 +30,16 @@
 //!   same-op requests are fused into one multiprefix call with disjoint
 //!   label ranges and split exactly afterwards (see [`CoalesceConfig`] for
 //!   why the split is bit-for-bit equal to per-request execution).
+//! * **Submitter-runs when idle** — with [`ServiceConfig::coalesce`] set, a
+//!   request within [`CoalesceConfig::max_request_elements`] that finds
+//!   nothing queued and a worker parked runs on its submitter's thread
+//!   before the submit call returns (about 1–2 µs at n ≤ 512), through the
+//!   same triage, dispatch and resolve path as the workers; its ticket is
+//!   returned already resolved. At most one request runs this way at a
+//!   time, and a chaos plan that arms worker faults disables the path.
+//!   Every other request takes the queue. This is the paper's §4.4 fixed
+//!   term again: at small `n` a hand-off to a worker (a queue push, a
+//!   worker wake-up and a ticket wake-up) costs far more than the engine.
 //!
 //! The accounting invariant that ties it together: **every admitted request
 //! resolves** — to a [`Reply`] or a typed [`MpError`] — through exactly one
@@ -56,9 +66,9 @@ use crate::resilience::chaos::ChaosState;
 use crate::resilience::ctx::{CancelToken, Deadline};
 use crate::resilience::dispatcher::{Dispatcher, DispatcherConfig};
 use ingress::{Admit, Ingress, ShedSwap};
-use pool::{run_batch, spawn_worker, Shared};
+use pool::{run_batch, spawn_worker, try_run_inline, wait_inline_idle, Shared};
 use queue::{Entry, QueuePhase};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -80,10 +90,13 @@ pub struct ServiceConfig {
     /// breakers, timeouts).
     pub dispatcher: DispatcherConfig,
     /// Enable micro-batch coalescing of small requests. Off by default.
+    /// Setting it also lets a small request that finds the service idle
+    /// run on its submitter's thread (see the module docs).
     pub coalesce: Option<CoalesceConfig>,
     /// Seeded fault injection, shared with the dispatcher layer. Worker
     /// faults ([`ChaosPlan::worker_panic_ppm`]) fire at the worker
-    /// checkpoint; engine faults fire inside engines as before.
+    /// checkpoint, and a plan that arms them keeps every request on the
+    /// pool; engine faults fire inside engines as before.
     ///
     /// [`ChaosPlan::worker_panic_ppm`]: crate::resilience::ChaosPlan::worker_panic_ppm
     pub chaos: Option<Arc<ChaosState>>,
@@ -133,6 +146,7 @@ pub(crate) struct ServiceStats {
     worker_panics: AtomicU64,
     respawns: AtomicU64,
     steals: AtomicU64,
+    inline: AtomicU64,
     /// Mirror sink: every counter movement is also forwarded here under
     /// `service.*` names, so an external observer sees the same accounting
     /// a [`ServiceMetrics`] snapshot reports.
@@ -192,6 +206,11 @@ impl ServiceStats {
     pub(crate) fn bump_admitted(&self) {
         self.admitted.fetch_add(1, Ordering::Release);
         self.mirror("service.admitted");
+    }
+
+    pub(crate) fn bump_inline(&self) {
+        self.inline.fetch_add(1, Ordering::Relaxed);
+        self.mirror("service.inline");
     }
 
     pub(crate) fn bump_rejected(&self) {
@@ -265,6 +284,7 @@ impl ServiceStats {
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             respawns: self.respawns.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
+            inline: self.inline.load(Ordering::Relaxed),
         }
     }
 }
@@ -280,7 +300,8 @@ impl ServiceStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ServiceMetrics {
-    /// Requests accepted into the queue (each owns exactly one ticket).
+    /// Requests queued, or run on the submitter's thread (each owns
+    /// exactly one ticket).
     pub admitted: u64,
     /// Submissions refused at the door (fail-fast overload, stopped
     /// service); these never got a ticket and are *not* part of the
@@ -311,6 +332,10 @@ pub struct ServiceMetrics {
     /// Batches a worker took from a non-home ingress shard (work stealing;
     /// see the `ingress_shards` field of [`ServiceConfig`]).
     pub steals: u64,
+    /// Admitted requests run on the submitter's thread because the service
+    /// was idle (see the module docs), never queued. Such a request shows
+    /// about zero queue wait in `service.queue.wait_ns`.
+    pub inline: u64,
 }
 
 impl ServiceMetrics {
@@ -391,6 +416,7 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
             cfg,
             stats,
             sessions: session_api::new_registry(),
+            inline_busy: AtomicBool::new(false),
         });
         for idx in 0..shared.cfg.workers() {
             spawn_worker(&shared, idx);
@@ -398,19 +424,26 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
         Ok(Service { shared })
     }
 
-    /// Submit without waiting: admitted immediately (possibly by shedding
-    /// lower-priority work), or refused with [`MpError::Overloaded`].
+    /// Submit without waiting for queue space: admitted immediately
+    /// (possibly by shedding lower-priority work), or refused with
+    /// [`MpError::Overloaded`]. A small request at an idle coalescing
+    /// service runs before this returns, in about 1–2 µs at n ≤ 512, and
+    /// its ticket comes back resolved (see the module docs).
     pub fn try_submit(&self, request: Request<T>) -> Result<Ticket<T>, MpError> {
         self.admit(request, AdmissionWait::FailFast)
     }
 
-    /// Submit, blocking until the queue has room (backpressure).
+    /// Submit, blocking until the queue has room (backpressure). Like
+    /// [`Service::try_submit`], a small request at an idle coalescing
+    /// service runs before this returns.
     pub fn submit(&self, request: Request<T>) -> Result<Ticket<T>, MpError> {
         self.admit(request, AdmissionWait::Block)
     }
 
     /// Submit, blocking at most `wait` for room; refused with
     /// [`MpError::Overloaded`] if the queue is still full at the deadline.
+    /// Like [`Service::try_submit`], a small request at an idle coalescing
+    /// service runs before this returns.
     pub fn submit_within(&self, request: Request<T>, wait: Duration) -> Result<Ticket<T>, MpError> {
         self.admit(request, AdmissionWait::Until(Deadline::after(wait)))
     }
@@ -436,17 +469,23 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
         let capacity = ing.capacity();
         let cancel = CancelToken::new();
         let (ticket, resolver) = queue::ticket::<T>(cancel.clone());
-        let shard = ing.route(&request);
         // The admission timestamp is read here — before any lock is taken
         // (it used to be an `Instant::now()` inside the queue critical
         // section). `Some` exactly when a recorder is installed.
-        let mut entry = Entry {
+        let entry = Entry {
             request,
             cancel,
             resolver,
             seq: ing.alloc_seq(),
             admitted_at: stats.recorder().map(|_| Instant::now()),
         };
+        // An idle service runs a small request right here: no queue push,
+        // no worker wake-up, and the ticket is resolved on return.
+        let mut entry = match try_run_inline(&self.shared, entry) {
+            Ok(()) => return Ok(ticket),
+            Err(entry) => entry,
+        };
+        let shard = ing.route(&entry.request);
         loop {
             entry = match ing.try_admit(shard, entry, || stats.bump_admitted()) {
                 Admit::Admitted { shard, shard_depth } => {
@@ -596,6 +635,9 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
                 None => break,
             }
         }
+        // A submitter that took the inline flag before the phase flipped is
+        // still resolving its request; close the books after it.
+        wait_inline_idle(&self.shared);
         // Defensive sweep: if the last worker died and its respawn failed
         // (spawn refusal under resource exhaustion), queued entries could
         // outlive the pool. Resolve them inline rather than leak tickets.
@@ -1148,6 +1190,107 @@ mod tests {
         let m = service.shutdown();
         assert_eq!(rec.gauge_value("service.queue.depth"), Some(0));
         assert_eq!(m.shed, 1);
+        assert_eq!(m.admitted, m.completed + m.errored);
+    }
+
+    /// Submit `request()` until one runs on the submitter's thread, and
+    /// return that ticket. Each attempt first waits for the front door to
+    /// go idle; a worker waking from its park timeout can still race the
+    /// check, and that attempt takes the pool.
+    fn submit_inline<O: TryCombineOp<i64>>(
+        service: &Service<i64, O>,
+        request: impl Fn() -> Request<i64>,
+    ) -> Ticket<i64> {
+        loop {
+            while !service.shared.ingress.is_idle() {
+                std::thread::yield_now();
+            }
+            let before = service.metrics().inline;
+            let ticket = service.try_submit(request()).unwrap();
+            if service.metrics().inline > before {
+                return ticket;
+            }
+            let _ = ticket.wait();
+        }
+    }
+
+    #[test]
+    fn idle_service_runs_a_small_request_on_the_submitter() {
+        let rec = crate::obs::MemoryRecorder::shared();
+        let cfg = ServiceConfig {
+            workers: Some(1),
+            queue_capacity: Some(4),
+            coalesce: Some(CoalesceConfig::default()),
+            recorder: Some(rec.clone() as Arc<dyn Recorder>),
+            ..ServiceConfig::default()
+        };
+        let service = Service::new(Plus, cfg).unwrap();
+        let values = vec![1i64, 3, 2, 1, 1];
+        let labels = vec![1usize, 0, 1, 1, 2];
+        let ticket = submit_inline(&service, || {
+            Request::multiprefix(values.clone(), labels.clone(), 3)
+        });
+        assert!(ticket.is_resolved(), "resolved before try_submit returned");
+        assert_eq!(
+            ticket.take().unwrap().into_prefix().unwrap(),
+            multiprefix_serial(&values, &labels, 3, Plus)
+        );
+        let m = service.shutdown();
+        assert_eq!(m.inline, 1);
+        assert_eq!(m.completed, m.admitted);
+        assert_eq!(rec.counter_value("service.inline"), m.inline);
+        // Same books as the pool path: queue wait is timed for every
+        // admitted request, and every request went through the dispatcher.
+        let wait = rec.histogram("service.queue.wait_ns").unwrap();
+        assert_eq!(wait.count, m.admitted);
+        assert_eq!(rec.counter_value("dispatch.requests"), m.admitted);
+    }
+
+    /// A recorder that panics when the service times a queue wait: a panic
+    /// from outside the dispatcher's `catch_unwind`.
+    #[derive(Debug)]
+    struct PanicOnQueueWait(crate::obs::MemoryRecorder);
+
+    impl Recorder for PanicOnQueueWait {
+        fn counter(&self, name: &str, delta: u64) {
+            self.0.counter(name, delta);
+        }
+        fn gauge(&self, name: &str, value: i64) {
+            self.0.gauge(name, value);
+        }
+        fn duration_ns(&self, name: &str, nanos: u64) {
+            assert_ne!(name, "service.queue.wait_ns", "recorder fault");
+            self.0.duration_ns(name, nanos);
+        }
+        fn event(&self, name: &str, detail: &str) {
+            self.0.event(name, detail);
+        }
+    }
+
+    #[test]
+    fn panic_outside_the_dispatcher_resolves_the_submitter_run_worker_lost() {
+        let cfg = ServiceConfig {
+            workers: Some(1),
+            queue_capacity: Some(4),
+            coalesce: Some(CoalesceConfig::default()),
+            recorder: Some(Arc::new(PanicOnQueueWait(Default::default()))),
+            ..ServiceConfig::default()
+        };
+        let service = Service::new(Plus, cfg).unwrap();
+        let ticket = submit_inline(&service, || {
+            Request::multireduce(vec![1i64, 2], vec![0, 0], 1)
+        });
+        assert_eq!(
+            ticket.try_result(),
+            Some(Err(MpError::WorkerLost {
+                worker: pool::INLINE_WORKER
+            }))
+        );
+        // The flag was released: the next idle request runs inline too.
+        let again = submit_inline(&service, || Request::multireduce(vec![3i64], vec![0], 1));
+        assert!(again.is_resolved());
+        let m = service.shutdown();
+        assert_eq!(m.inline, 2);
         assert_eq!(m.admitted, m.completed + m.errored);
     }
 

@@ -19,6 +19,15 @@
 //! The worker checkpoint ([`ChaosState::inject_worker`]) sits between
 //! dequeue and execution, *after* [`InFlight`] takes ownership: an injected
 //! worker panic therefore exercises exactly the teardown path above.
+//!
+//! [`run_batch`] also runs off the pool, on the caller's thread: for the
+//! shutdown path's leftover drain, and for a small request that finds the
+//! service idle ([`try_run_inline`]). There the cost of a request at
+//! n ≤ 512 is the dispatch itself, about 1–2 µs, instead of a queue push,
+//! a worker wake-up and a ticket wake-up (the paper's §4.4 fixed term).
+//! Such a run has no worker to supervise: it skips the worker checkpoint,
+//! and a panic outside the dispatcher's `catch_unwind` resolves its ticket
+//! [`MpError::WorkerLost`] through [`InFlight`] like a worker death would.
 
 use crate::error::MpError;
 use crate::op::TryCombineOp;
@@ -28,12 +37,15 @@ use crate::service::coalesce::{fuse, split};
 use crate::service::ingress::Ingress;
 use crate::service::queue::{Entry, JobKind, QueuePhase, Reply, Request};
 use crate::service::{ServiceConfig, ServiceStats};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Worker index used by the shutdown path's inline drain (which runs on the
-/// caller's thread, skips worker-level chaos, and can't meaningfully "die").
+/// Worker index of a batch run on the caller's thread — a request run on
+/// its submitter's thread, or the shutdown path's leftover drain. Such a
+/// run skips worker-level chaos and can't meaningfully "die".
 pub(crate) const INLINE_WORKER: usize = usize::MAX;
 
 /// Everything the pool's threads share.
@@ -51,6 +63,9 @@ pub(crate) struct Shared<T: Element, O> {
     /// Durable sessions opened on this service (see
     /// [`super::session_api`]). Batch traffic never touches this lock.
     pub(crate) sessions: Mutex<super::session_api::SessionRegistry<T, O>>,
+    /// Set while a request runs on its submitter's thread
+    /// ([`try_run_inline`]); at most one does at a time.
+    pub(crate) inline_busy: AtomicBool,
 }
 
 /// Spawn the worker with index `idx` (initial spawn and respawn share this).
@@ -164,19 +179,96 @@ where
     }
 }
 
-/// Execute one dequeued batch and resolve every ticket in it. `worker` is
-/// `None` on the shutdown path's inline drain (no worker chaos checkpoint).
+/// Run `entry` on the calling submitter's thread when the service is idle,
+/// and resolve its ticket before returning `Ok`. Idle means: coalescing is
+/// configured and admits the request (`max_request_elements`), the chaos
+/// plan arms no worker faults, nothing is queued, a worker is parked, and
+/// no other request runs on a submitter. Anything else hands the entry
+/// back (`Err`) for the worker path.
+///
+/// The parked-worker condition keeps the path off a saturated service,
+/// where queued arrivals fuse in the coalescer instead. The one-at-a-time
+/// flag does the same for a burst: concurrent arrivals queue behind it.
+///
+/// Shutdown: the flag is taken *before* the phase is re-checked (both
+/// `SeqCst`), and `Service::stop` flips the phase before waiting for the
+/// flag to clear ([`wait_inline_idle`]). So either this run sees the
+/// stopped phase and hands the entry back, or `stop` waits for its
+/// resolution before taking its final snapshot.
+pub(crate) fn try_run_inline<T, O>(shared: &Shared<T, O>, entry: Entry<T>) -> Result<(), Entry<T>>
+where
+    T: Element,
+    O: TryCombineOp<T>,
+{
+    let idle = shared
+        .cfg
+        .coalesce
+        .is_some_and(|cc| cc.admits(&entry.request))
+        && !shared
+            .cfg
+            .chaos
+            .as_ref()
+            .is_some_and(|chaos| chaos.arms_worker_faults())
+        && shared.ingress.is_idle();
+    if !idle
+        || shared
+            .inline_busy
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+    {
+        return Err(entry);
+    }
+    let _flag = InlineFlag(&shared.inline_busy);
+    if shared.ingress.phase() != QueuePhase::Accepting {
+        return Err(entry);
+    }
+    shared.stats.bump_admitted();
+    shared.stats.bump_inline();
+    // The dispatcher contains engine and operator panics. One from outside
+    // it (a user recorder, say) unwinds through run_batch's InFlight guard,
+    // which resolves the ticket WorkerLost; the submitter gets that
+    // resolved ticket, not the panic.
+    let _ = catch_unwind(AssertUnwindSafe(|| run_batch(shared, None, vec![entry])));
+    Ok(())
+}
+
+/// Clears [`Shared::inline_busy`] on every exit from [`try_run_inline`].
+struct InlineFlag<'a>(&'a AtomicBool);
+
+impl Drop for InlineFlag<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::SeqCst);
+    }
+}
+
+/// Wait until no request runs on a submitter's thread. `Service::stop`
+/// calls this after flipping the phase, so no new run can start.
+pub(crate) fn wait_inline_idle<T: Element, O>(shared: &Shared<T, O>) {
+    while shared.inline_busy.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+}
+
+/// Execute one batch and resolve every ticket in it. `worker` is `None`
+/// when the batch runs on the caller's thread — a submitter-run or the
+/// shutdown path's leftover drain — which has no worker chaos checkpoint.
 pub(crate) fn run_batch<T, O>(shared: &Shared<T, O>, worker: Option<usize>, batch: Vec<Entry<T>>)
 where
     T: Element,
     O: TryCombineOp<T>,
 {
+    let mut inflight = InFlight {
+        slots: batch.into_iter().map(Some).collect(),
+        worker: worker.unwrap_or(INLINE_WORKER),
+        stats: &shared.stats,
+    };
     // Queue-wait split: admitted→dequeued, measured before any chaos or
-    // execution time is charged. `admitted_at` is `Some` exactly when a
-    // recorder is installed.
+    // execution time is charged (and after InFlight owns the tickets, so
+    // a panicking recorder cannot leak one). `admitted_at` is `Some`
+    // exactly when a recorder is installed.
     if let Some(rec) = shared.stats.recorder() {
         let now = Instant::now();
-        for entry in &batch {
+        for entry in inflight.slots.iter().flatten() {
             if let Some(at) = entry.admitted_at {
                 rec.duration_ns(
                     "service.queue.wait_ns",
@@ -185,11 +277,6 @@ where
             }
         }
     }
-    let mut inflight = InFlight {
-        slots: batch.into_iter().map(Some).collect(),
-        worker: worker.unwrap_or(INLINE_WORKER),
-        stats: &shared.stats,
-    };
     // The worker checkpoint: fires *after* InFlight owns the tickets, so an
     // injected panic here unwinds through the guard and every ticket in the
     // batch resolves WorkerLost — the supervised-teardown scenario. An

@@ -247,6 +247,9 @@ impl<T> Ticket<T> {
     /// queued resolves [`MpError::Cancelled`] without executing; one already
     /// running is stopped at the next engine checkpoint; one that slips
     /// through (e.g. mid-coalesced-batch) may still resolve with its result.
+    /// A request run on its submitter's thread (an idle coalescing service;
+    /// see [`crate::service`]) is already resolved when its ticket is
+    /// returned, so cancelling it changes nothing.
     pub fn cancel(&self) {
         self.cancel.cancel();
     }

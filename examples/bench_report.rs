@@ -775,10 +775,12 @@ mod service_bench {
     /// `Mutex<QueueState>`, submitters sleeping on the queue condvar, an
     /// unconditional `space.notify_all()` per pop), measured at commit
     /// 2b15e71 with this exact cell shape (64 threads, window 8, capacity
-    /// 128, n=64, m=8, median of 3) on the same 1-CPU reference host the
-    /// committed report was generated on. Recorded here because one binary
-    /// cannot contain both ingress implementations; re-measure by checking
-    /// out that commit and running the same closed-loop driver.
+    /// 128, n=64, m=8, median of 3) on a 1-CPU reference host. Recorded
+    /// here because one binary cannot contain both ingress
+    /// implementations; re-measure by checking out that commit and running
+    /// the same closed-loop driver. A report generated on another host
+    /// (the committed one comes from a 2-vCPU host) divides across hosts
+    /// in its `ingress_vs_legacy_monitor` ratio.
     const LEGACY_MONITOR_COMMIT: &str = "2b15e71";
     const LEGACY_MONITOR_UNCOALESCED_RPS: f64 = 9_490.0;
     const LEGACY_MONITOR_STATIC16_RPS: f64 = 151_000.0;
@@ -821,7 +823,10 @@ mod service_bench {
 
     /// Drive one (config, thread-count) cell: closed-loop pipelined
     /// submitters, each keeping [`WINDOW`] requests in flight, per-request
-    /// latency taken from submit to observed resolution.
+    /// latency taken from submit to observed resolution. The cell's clock
+    /// runs from the earliest submitter's first submit to the latest one's
+    /// last reply: each submitter stamps both ends itself, so a main thread
+    /// descheduled after the barrier cannot shorten the measured time.
     pub(super) fn run_cell(cell: &Cell, total_requests: usize) -> CellResult {
         let service = Arc::new(
             Service::new(
@@ -837,7 +842,7 @@ mod service_bench {
             .expect("bench service config must be valid"),
         );
         let per_thread = (total_requests / cell.threads).max(WINDOW * 2);
-        let start = Arc::new(Barrier::new(cell.threads + 1));
+        let start = Arc::new(Barrier::new(cell.threads));
         let handles: Vec<_> = (0..cell.threads)
             .map(|tid| {
                 let service = Arc::clone(&service);
@@ -860,6 +865,7 @@ mod service_bench {
                     let mut checksum = 0i64;
                     let mut window: Vec<(Ticket<i64>, Instant)> = Vec::with_capacity(WINDOW);
                     start.wait();
+                    let began = Instant::now();
                     for _ in 0..per_thread {
                         let request =
                             Request::multireduce(values.clone(), labels.clone(), SERVICE_M);
@@ -879,20 +885,21 @@ mod service_bench {
                         latencies.push(submitted.elapsed().as_nanos() as u64);
                         checksum = checksum.wrapping_add(reply.reductions().iter().sum::<i64>());
                     }
-                    (latencies, checksum)
+                    (latencies, checksum, began, Instant::now())
                 })
             })
             .collect();
-        start.wait();
-        let started = Instant::now();
         let mut latencies = Vec::with_capacity(per_thread * cell.threads);
         let mut checksum = 0i64;
+        let mut span: Option<(Instant, Instant)> = None;
         for handle in handles {
-            let (lat, sum) = handle.join().expect("bench submitter panicked");
+            let (lat, sum, began, ended) = handle.join().expect("bench submitter panicked");
             latencies.extend(lat);
             checksum = checksum.wrapping_add(sum);
+            span = Some(span.map_or((began, ended), |(b, e)| (b.min(began), e.max(ended))));
         }
-        let elapsed_ns = started.elapsed().as_nanos().max(1) as u64;
+        let (began, ended) = span.expect("a cell has at least one submitter");
+        let elapsed_ns = ended.duration_since(began).as_nanos().max(1) as u64;
         let shard_count = service.ingress_shards();
         let metrics = service.shutdown();
         assert_eq!(

@@ -3,17 +3,22 @@
 //! panics, every admitted request resolves — to the serial-oracle answer or
 //! a typed error — and the counters balance exactly
 //! (`admitted == completed + errored`). Plus a deterministic fusion case
-//! proving coalesced outputs are bit-identical to per-request serial runs.
+//! proving coalesced outputs are bit-identical to per-request serial runs,
+//! and the cases of a small request run on its submitter's thread when the
+//! service is idle.
 
-use multiprefix::op::Plus;
-use multiprefix::resilience::{BreakerConfig, ChaosPlan, DispatcherConfig, RetryPolicy};
+use multiprefix::obs::MemoryRecorder;
+use multiprefix::op::{CombineOp, Plus, TryCombineOp};
+use multiprefix::resilience::{
+    BreakerConfig, ChaosPlan, ChaosState, DispatcherConfig, RetryPolicy,
+};
 use multiprefix::service::{
     CoalesceConfig, Priority, Reply, Request, Service, ServiceConfig, Ticket,
 };
-use multiprefix::{multiprefix, multireduce, Engine, MpError};
+use multiprefix::{multiprefix, multireduce, Engine, MpError, Recorder};
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One submission, encoded with stub-friendly scalars:
 /// `((n, m, reduce), (interactive, deadline_code, cancel))` where
@@ -287,4 +292,220 @@ fn coalesced_outputs_match_the_serial_oracle_bit_for_bit() {
         "the stalled worker must have seen a fusable backlog: {metrics:?}"
     );
     assert!(metrics.coalesced_requests >= 2);
+}
+
+/// A coalescing service over the given operator with zero-backoff retry
+/// and a breaker that never opens.
+fn coalescing_service<O: TryCombineOp<i64> + std::fmt::Debug>(
+    op: O,
+    workers: usize,
+    chaos: Option<Arc<ChaosState>>,
+    recorder: Option<Arc<dyn Recorder>>,
+) -> Service<i64, O> {
+    Service::new(
+        op,
+        ServiceConfig {
+            workers: Some(workers),
+            queue_capacity: Some(16),
+            coalesce: Some(CoalesceConfig::default()),
+            dispatcher: DispatcherConfig {
+                retry: RetryPolicy {
+                    base_backoff: Duration::ZERO,
+                    max_backoff: Duration::ZERO,
+                    ..RetryPolicy::default()
+                },
+                breaker: BreakerConfig {
+                    failure_threshold: u32::MAX,
+                    cooldown: Duration::ZERO,
+                },
+                ..DispatcherConfig::default()
+            },
+            chaos,
+            recorder,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+/// `try_submit(request())` until one request runs on the submitter's
+/// thread, and return that ticket with the number of attempts. A fresh
+/// service's workers park a moment after `Service::new` returns, and a
+/// worker waking from its park timeout can race a submit; an attempt made
+/// then takes the pool, and its outcome goes to `judge`.
+fn submit_inline<O: TryCombineOp<i64>>(
+    service: &Service<i64, O>,
+    request: impl Fn() -> Request<i64>,
+    mut judge: impl FnMut(Result<Reply<i64>, MpError>),
+) -> (Ticket<i64>, u64) {
+    let give_up = Instant::now() + Duration::from_secs(30);
+    let mut attempts = 0;
+    loop {
+        attempts += 1;
+        let before = service.metrics().inline;
+        let ticket = service.try_submit(request()).unwrap();
+        if service.metrics().inline > before {
+            return (ticket, attempts);
+        }
+        judge(ticket.wait());
+        assert!(
+            Instant::now() < give_up,
+            "no request ever found the service idle"
+        );
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn idle_coalescing_service_answers_small_requests_before_try_submit_returns() {
+    let service = coalescing_service(Plus, 2, None, None);
+    let mut pooled = 0u64;
+    for i in 0..12u64 {
+        let n = (i as usize * 37) % 512 + 1;
+        let m = 1 + (i as usize) % 7;
+        let (values, labels) = problem(n, m, i.wrapping_mul(0x9E37_79B9) + 1);
+        let reduce = i % 2 == 1;
+        let want_prefix = multiprefix(&values, &labels, m, Plus, Engine::Serial).unwrap();
+        let want = if reduce {
+            Reply::Reduce(want_prefix.reductions)
+        } else {
+            Reply::Prefix(want_prefix)
+        };
+        let (ticket, attempts) = submit_inline(
+            &service,
+            || {
+                if reduce {
+                    Request::multireduce(values.clone(), labels.clone(), m)
+                } else {
+                    Request::multiprefix(values.clone(), labels.clone(), m)
+                }
+            },
+            |outcome| assert_eq!(outcome.as_ref(), Ok(&want)),
+        );
+        pooled += attempts - 1;
+        assert!(ticket.is_resolved(), "resolved before try_submit returned");
+        assert_eq!(ticket.take(), Ok(want));
+    }
+    let m = service.shutdown();
+    assert_eq!(m.inline, 12);
+    assert_eq!(m.admitted, 12 + pooled);
+    assert_eq!(m.completed, m.admitted);
+}
+
+#[test]
+fn expired_request_at_an_idle_service_settles_without_a_dispatch() {
+    let rec = MemoryRecorder::shared();
+    let service = coalescing_service(Plus, 2, None, Some(rec.clone() as Arc<dyn Recorder>));
+    let (ticket, attempts) = submit_inline(
+        &service,
+        || Request::multiprefix(vec![1i64, 2, 3], vec![0, 1, 0], 2).timeout(Duration::ZERO),
+        |outcome| assert_eq!(outcome, Err(MpError::DeadlineExceeded)),
+    );
+    assert_eq!(ticket.try_result(), Some(Err(MpError::DeadlineExceeded)));
+    let m = service.shutdown();
+    assert_eq!(m.inline, 1);
+    assert_eq!(m.expired, attempts);
+    assert_eq!(m.errored, m.admitted);
+    assert_eq!(
+        rec.counter_value("dispatch.requests"),
+        0,
+        "an expired request never reaches the dispatcher"
+    );
+}
+
+#[test]
+fn requests_the_submitter_path_excludes_take_the_pool() {
+    let small = || Request::multireduce(vec![5i64, 6, 7], vec![0, 1, 1], 2);
+    // Above `max_request_elements`: a small request just ran inline, so
+    // the service is idle, yet the large one is queued.
+    let service = coalescing_service(Plus, 2, None, None);
+    let _ = submit_inline(&service, small, |_| {});
+    let (values, labels) = problem(CoalesceConfig::default().max_request_elements + 1, 5, 41);
+    let inline_before = service.metrics().inline;
+    let large = service
+        .try_submit(Request::multiprefix(values.clone(), labels.clone(), 5))
+        .unwrap();
+    assert_eq!(service.metrics().inline, inline_before);
+    assert_eq!(
+        large.wait().unwrap().into_prefix().unwrap(),
+        multiprefix(&values, &labels, 5, Plus, Engine::Serial).unwrap()
+    );
+    service.shutdown();
+
+    // Eight requests in turn, each answered before the next is sent.
+    let serve_eight = |service: Service<i64, Plus>| {
+        for _ in 0..8 {
+            let reply = service.try_submit(small()).unwrap().wait().unwrap();
+            assert_eq!(reply.reductions(), &[5, 13]);
+        }
+        service.shutdown()
+    };
+
+    // No coalescing configured.
+    let plain = Service::new(
+        Plus,
+        ServiceConfig {
+            workers: Some(2),
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let m = serve_eight(plain);
+    assert_eq!((m.completed, m.inline), (8, 0));
+
+    // A chaos plan arming worker faults: a zero-length worker stall fires
+    // on every batch and changes nothing else, so each request's worker
+    // checkpoint shows it was served by the pool.
+    let chaos = ChaosPlan::seeded(3)
+        .worker_stall_ppm(1_000_000)
+        .stall(0, Duration::ZERO)
+        .arm();
+    let faulted = coalescing_service(Plus, 2, Some(chaos.clone()), None);
+    let m = serve_eight(faulted);
+    assert_eq!((m.completed, m.inline), (8, 0));
+    assert_eq!(chaos.worker_stalls_injected(), 8);
+}
+
+/// `Plus` that panics when it meets the marker value 999: a fault that
+/// belongs to the request, not to any engine.
+#[derive(Debug, Clone, Copy)]
+struct PoisonPlus;
+
+impl CombineOp<i64> for PoisonPlus {
+    const COMMUTATIVE: bool = true;
+    fn identity(&self) -> i64 {
+        0
+    }
+    fn combine(&self, a: i64, b: i64) -> i64 {
+        assert!(a != 999 && b != 999, "poison value reached the operator");
+        a + b
+    }
+}
+
+impl TryCombineOp<i64> for PoisonPlus {
+    fn checked_combine(&self, a: i64, b: i64) -> Option<i64> {
+        Some(self.combine(a, b))
+    }
+    fn saturating_combine(&self, a: i64, b: i64) -> i64 {
+        self.combine(a, b)
+    }
+}
+
+#[test]
+fn poisoned_request_on_the_submitter_gets_a_typed_error() {
+    let service = coalescing_service(PoisonPlus, 2, None, None);
+    let poisoned = || Request::multiprefix(vec![1i64, 999, 3, 4], vec![0, 1, 0, 1], 2);
+    let typed = |outcome: Result<Reply<i64>, MpError>| {
+        let err = outcome.expect_err("a poisoned request cannot succeed");
+        assert!(is_typed_service_error(&err), "untyped error: {err:?}");
+    };
+    let (ticket, _) = submit_inline(&service, poisoned, typed);
+    typed(
+        ticket
+            .try_result()
+            .expect("resolved before try_submit returned"),
+    );
+    let m = service.shutdown();
+    assert_eq!(m.inline, 1);
+    assert_eq!(m.errored, m.admitted);
 }

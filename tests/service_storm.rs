@@ -15,7 +15,7 @@ use multiprefix::service::{
     CoalesceConfig, Priority, Reply, Request, Service, ServiceConfig, Ticket,
 };
 use multiprefix::{multiprefix, Engine, MpError, MultiprefixOutput};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// Request shapes crossing the engines' block/row boundaries.
@@ -264,6 +264,84 @@ fn storm_with_coalescing_stays_oracle_exact() {
         metrics.coalesced_batches > 0,
         "no batch ever fused: {metrics:?}"
     );
+}
+
+#[test]
+fn submitters_racing_shutdown_and_abort_leave_balanced_books() {
+    // Small requests at an idle coalescing service run on their submitters'
+    // threads. An engine stall at every checkpoint stretches each run, so
+    // shutdown()/abort() lands while submitters are mid-run: the snapshot
+    // either returns must still balance, and count every ticket handed out.
+    const SUBMITTERS: usize = 8;
+    let (values, labels) = problem(64, 8, 0x5EED);
+    let expect = multiprefix(&values, &labels, 8, Plus, Engine::Serial).unwrap();
+    for round in 0..16 {
+        let graceful = round % 2 == 0;
+        let chaos = ChaosPlan::seeded(round as u64)
+            .stall(1_000_000, Duration::from_micros(300))
+            .arm();
+        let service = storm_service(chaos, true);
+        let start = Arc::new(Barrier::new(SUBMITTERS + 1));
+        let handles: Vec<_> = (0..SUBMITTERS)
+            .map(|_| {
+                let service = Arc::clone(&service);
+                let start = Arc::clone(&start);
+                let (values, labels) = (values.clone(), labels.clone());
+                std::thread::spawn(move || {
+                    let mut tickets = Vec::new();
+                    start.wait();
+                    loop {
+                        let request = Request::multiprefix(values.clone(), labels.clone(), 8);
+                        match service.try_submit(request) {
+                            Ok(ticket) => tickets.push(ticket),
+                            Err(MpError::Overloaded { .. }) => std::thread::yield_now(),
+                            Err(MpError::Unavailable) => return tickets,
+                            Err(other) => panic!("unexpected try_submit error: {other:?}"),
+                        }
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        let give_up = std::time::Instant::now() + Duration::from_secs(30);
+        while service.metrics().inline == 0 {
+            assert!(
+                std::time::Instant::now() < give_up,
+                "no request ran on a submitter"
+            );
+            std::thread::yield_now();
+        }
+        let snapshot = if graceful {
+            service.shutdown()
+        } else {
+            service.abort()
+        };
+        assert_eq!(
+            snapshot.admitted,
+            snapshot.completed + snapshot.errored,
+            "round {round}: {snapshot:?}"
+        );
+        let mut handed_out = 0u64;
+        for handle in handles {
+            for ticket in handle.join().unwrap() {
+                handed_out += 1;
+                match ticket
+                    .try_result()
+                    .expect("resolved by the time stop returns")
+                {
+                    Ok(reply) => assert_eq!(reply.into_prefix().unwrap(), expect),
+                    Err(err) => assert!(is_typed_service_error(&err), "untyped: {err:?}"),
+                }
+            }
+        }
+        // Submitters kept racing after the snapshot; none was admitted.
+        let after = service.metrics();
+        assert_eq!(
+            (snapshot.admitted, after.admitted, after.resolved()),
+            (handed_out, handed_out, handed_out),
+            "round {round}: {snapshot:?}"
+        );
+    }
 }
 
 #[test]
