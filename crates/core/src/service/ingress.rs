@@ -52,7 +52,11 @@
 //!
 //! A small request that finds the front door idle ([`Ingress::is_idle`])
 //! never enters it: the service runs it on the submitter's thread (see
-//! [`super::pool::try_run_inline`]).
+//! [`super::pool::try_run_inline`]). The workers this module parks and
+//! wakes exist only once the first queued admission has started the pool
+//! ([`super::pool::start_pool`]); before that, every shard's
+//! `idle_workers` counter reads 0 and the front door counts as idle
+//! whenever nothing is queued.
 
 use crate::resilience::ctx::Deadline;
 use crate::service::coalesce::CoalesceConfig;
@@ -258,17 +262,19 @@ impl<T> Ingress<T> {
         self.next_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Nothing queued and at least one worker parked: the state in which
-    /// handing a request to a worker would cost a wake-up, and running it
-    /// on the submitter's thread competes with no coalescer. A few atomic
-    /// loads; a worker counts as parked from its registration in
-    /// [`Ingress::next_batch`] until it wakes.
-    pub(crate) fn is_idle(&self) -> bool {
+    /// Nothing queued, and either the pool has not started
+    /// (`pool_started` false) or at least one worker is parked: the state
+    /// in which handing a request to a worker would cost a thread start or
+    /// a wake-up, and running it on the submitter's thread competes with no
+    /// coalescer. A few atomic loads; a worker counts as parked from its
+    /// registration in [`Ingress::next_batch`] until it wakes.
+    pub(crate) fn is_idle(&self, pool_started: bool) -> bool {
         self.depth.load(Ordering::SeqCst) == 0
-            && self
-                .shards
-                .iter()
-                .any(|sh| sh.idle_workers.load(Ordering::SeqCst) > 0)
+            && (!pool_started
+                || self
+                    .shards
+                    .iter()
+                    .any(|sh| sh.idle_workers.load(Ordering::SeqCst) > 0))
     }
 
     /// Pick the shard for `request`: dominant-label affinity when the

@@ -21,7 +21,8 @@
 //! * **Worker supervision** — a worker that panics (including injected
 //!   [`ChaosPlan`](crate::resilience::ChaosPlan) worker faults) resolves
 //!   its in-flight tickets [`MpError::WorkerLost`] and is respawned;
-//!   queued requests survive the death untouched.
+//!   queued requests survive the death untouched. The pool starts on the
+//!   first request that enters the queue, not in [`Service::new`].
 //! * **Deadline propagation** — a request's deadline covers queue wait and
 //!   execution: expired requests are failed cheaply before any engine runs,
 //!   and the residue is enforced inside the engines via
@@ -32,9 +33,11 @@
 //!   why the split is bit-for-bit equal to per-request execution).
 //! * **Submitter-runs when idle** — with [`ServiceConfig::coalesce`] set, a
 //!   request within [`CoalesceConfig::max_request_elements`] that finds
-//!   nothing queued and a worker parked runs on its submitter's thread
-//!   before the submit call returns (about 1–2 µs at n ≤ 512), through the
-//!   same triage, dispatch and resolve path as the workers; its ticket is
+//!   nothing queued, and either no worker started or one parked, runs on
+//!   its submitter's thread before the submit call returns (about 1–2 µs
+//!   back to back at n ≤ 512; a 7 µs `try_submit` p50, recorder on, when
+//!   requests of n = 64 arrive 4 000 times a second), through the same
+//!   triage, dispatch and resolve path as the workers; its ticket is
 //!   returned already resolved. At most one request runs this way at a
 //!   time, and a chaos plan that arms worker faults disables the path.
 //!   Every other request takes the queue. This is the paper's §4.4 fixed
@@ -66,7 +69,7 @@ use crate::resilience::chaos::ChaosState;
 use crate::resilience::ctx::{CancelToken, Deadline};
 use crate::resilience::dispatcher::{Dispatcher, DispatcherConfig};
 use ingress::{Admit, Ingress, ShedSwap};
-use pool::{run_batch, spawn_worker, try_run_inline, wait_inline_idle, Shared};
+use pool::{run_batch, start_pool, try_run_inline, wait_inline_idle, Shared};
 use queue::{Entry, QueuePhase};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -75,7 +78,10 @@ use std::time::{Duration, Instant};
 /// Configuration for a [`Service`].
 #[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
-    /// Worker threads executing requests. Default 4.
+    /// Worker threads executing requests. Default 4. A cap reached on
+    /// first need: the first request that enters the queue spawns all of
+    /// them, and a service whose requests all run on their submitters'
+    /// threads spawns none ([`ServiceMetrics::workers_started`]).
     pub workers: Option<usize>,
     /// Bound on queued (admitted but not yet executing) requests. Default
     /// 64. Submissions beyond it shed lower-priority work or exert
@@ -147,6 +153,7 @@ pub(crate) struct ServiceStats {
     respawns: AtomicU64,
     steals: AtomicU64,
     inline: AtomicU64,
+    workers_started: AtomicU64,
     /// Mirror sink: every counter movement is also forwarded here under
     /// `service.*` names, so an external observer sees the same accounting
     /// a [`ServiceMetrics`] snapshot reports.
@@ -211,6 +218,13 @@ impl ServiceStats {
     pub(crate) fn bump_inline(&self) {
         self.inline.fetch_add(1, Ordering::Relaxed);
         self.mirror("service.inline");
+    }
+
+    pub(crate) fn bump_workers_started(&self, spawned: u64) {
+        self.workers_started.fetch_add(spawned, Ordering::Relaxed);
+        if let Some(rec) = &self.recorder {
+            rec.counter("service.workers_started", spawned);
+        }
     }
 
     pub(crate) fn bump_rejected(&self) {
@@ -285,6 +299,7 @@ impl ServiceStats {
             respawns: self.respawns.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
             inline: self.inline.load(Ordering::Relaxed),
+            workers_started: self.workers_started.load(Ordering::Relaxed),
         }
     }
 }
@@ -336,6 +351,10 @@ pub struct ServiceMetrics {
     /// was idle (see the module docs), never queued. Such a request shows
     /// about zero queue wait in `service.queue.wait_ns`.
     pub inline: u64,
+    /// Worker threads spawned when the first queued request started the
+    /// pool: 0 until then, at most `workers` after. Replacements for dead
+    /// workers count in `respawns` instead.
+    pub workers_started: u64,
 }
 
 impl ServiceMetrics {
@@ -355,7 +374,8 @@ enum AdmissionWait {
 
 /// A concurrent multiprefix/multireduce service: supervised workers over a
 /// shared [`Dispatcher`], behind a bounded
-/// two-priority queue.
+/// two-priority queue. The workers start with the first request that
+/// enters the queue.
 ///
 /// ```
 /// use multiprefix::op::Plus;
@@ -375,8 +395,10 @@ pub struct Service<T: Element, O: TryCombineOp<T>> {
 }
 
 impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
-    /// Start the service: validate the configuration, build the dispatcher,
-    /// spawn the workers.
+    /// Start the service: validate the configuration and build the
+    /// dispatcher. No thread is spawned here; the first request that enters
+    /// the queue starts the workers (see the `workers` field of
+    /// [`ServiceConfig`]).
     pub fn new(op: O, cfg: ServiceConfig) -> Result<Self, MpError> {
         if cfg.workers() == 0 {
             return Err(MpError::InvalidConfig {
@@ -411,6 +433,8 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
         let shared = Arc::new(Shared {
             ingress: Ingress::new(cfg.ingress_shards(), cfg.queue_capacity()),
             handles: Mutex::new(Vec::new()),
+            started: AtomicBool::new(false),
+            start_lock: Mutex::new(()),
             dispatcher,
             op,
             cfg,
@@ -418,17 +442,14 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
             sessions: session_api::new_registry(),
             inline_busy: AtomicBool::new(false),
         });
-        for idx in 0..shared.cfg.workers() {
-            spawn_worker(&shared, idx);
-        }
         Ok(Service { shared })
     }
 
     /// Submit without waiting for queue space: admitted immediately
     /// (possibly by shedding lower-priority work), or refused with
     /// [`MpError::Overloaded`]. A small request at an idle coalescing
-    /// service runs before this returns, in about 1–2 µs at n ≤ 512, and
-    /// its ticket comes back resolved (see the module docs).
+    /// service runs before this returns, in about 1–2 µs back to back at
+    /// n ≤ 512, and its ticket comes back resolved (see the module docs).
     pub fn try_submit(&self, request: Request<T>) -> Result<Ticket<T>, MpError> {
         self.admit(request, AdmissionWait::FailFast)
     }
@@ -489,6 +510,7 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
         loop {
             entry = match ing.try_admit(shard, entry, || stats.bump_admitted()) {
                 Admit::Admitted { shard, shard_depth } => {
+                    start_pool(&self.shared);
                     self.emit_depth_gauges(shard, shard_depth);
                     return Ok(ticket);
                 }
@@ -508,6 +530,7 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
                             victim_shard,
                             victim_shard_depth,
                         } => {
+                            start_pool(&self.shared);
                             // The depth is read at resolution time — not a
                             // value captured before the scan — so every
                             // victim of a multi-eviction sequence sees the
@@ -618,6 +641,15 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
             }
         }
         ing.wake_all();
+        // A pool start in progress finishes pushing its handles before this
+        // lock is ours; one that has not begun will see the stopped phase
+        // and spawn nothing (see `pool::start_pool`).
+        drop(
+            self.shared
+                .start_lock
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         // Join the whole worker lineage. A replacement pushes its handle
         // before its predecessor's thread exits, so looping until the vec
         // is empty catches every respawn generation.
@@ -1045,6 +1077,8 @@ mod tests {
         assert_eq!(rec.counter_value("service.admitted"), m.admitted);
         assert_eq!(rec.counter_value("service.completed"), m.completed);
         assert_eq!(rec.counter_value("service.errored"), m.errored);
+        assert_eq!(rec.counter_value("service.workers_started"), 2);
+        assert_eq!(m.workers_started, 2);
         // Every request flowed through the (instrumented) dispatcher.
         assert_eq!(rec.counter_value("dispatch.requests"), m.admitted);
         // Queue-wait was timed for every admitted request; execution for
@@ -1194,15 +1228,16 @@ mod tests {
     }
 
     /// Submit `request()` until one runs on the submitter's thread, and
-    /// return that ticket. Each attempt first waits for the front door to
-    /// go idle; a worker waking from its park timeout can still race the
-    /// check, and that attempt takes the pool.
+    /// return that ticket. Each attempt first waits for the idle rule to
+    /// hold. Before the pool starts the first attempt runs inline; after,
+    /// a worker waking from its park timeout can still race the check, and
+    /// that attempt takes the pool.
     fn submit_inline<O: TryCombineOp<i64>>(
         service: &Service<i64, O>,
         request: impl Fn() -> Request<i64>,
     ) -> Ticket<i64> {
         loop {
-            while !service.shared.ingress.is_idle() {
+            while !service.shared.is_idle() {
                 std::thread::yield_now();
             }
             let before = service.metrics().inline;
@@ -1244,6 +1279,137 @@ mod tests {
         let wait = rec.histogram("service.queue.wait_ns").unwrap();
         assert_eq!(wait.count, m.admitted);
         assert_eq!(rec.counter_value("dispatch.requests"), m.admitted);
+    }
+
+    fn coalescing_cfg(rec: &Arc<crate::obs::MemoryRecorder>) -> ServiceConfig {
+        ServiceConfig {
+            coalesce: Some(CoalesceConfig::default()),
+            recorder: Some(rec.clone() as Arc<dyn Recorder>),
+            ..ServiceConfig::default()
+        }
+    }
+
+    #[test]
+    fn sequential_small_requests_never_start_the_pool() {
+        // The default service plus coalescing, fed one n = 64, m = 8
+        // request at a time.
+        let rec = crate::obs::MemoryRecorder::shared();
+        let service = Service::new(Plus, coalescing_cfg(&rec)).unwrap();
+        for i in 0..32i64 {
+            let values: Vec<i64> = (0..64).map(|j| (i * j) % 17 - 8).collect();
+            let labels: Vec<usize> = (0..64).map(|j| (j * 7 + i as usize) % 8).collect();
+            let ticket = service
+                .try_submit(Request::multiprefix(values.clone(), labels.clone(), 8))
+                .unwrap();
+            assert!(ticket.is_resolved(), "request {i} queued");
+            assert_eq!(
+                ticket.take().unwrap().into_prefix().unwrap(),
+                multiprefix_serial(&values, &labels, 8, Plus)
+            );
+        }
+        assert!(service.shared.handles.lock().unwrap().is_empty());
+        let m = service.shutdown();
+        assert_eq!((m.workers_started, m.inline, m.admitted), (0, 32, 32));
+        assert_eq!(m.completed, m.admitted);
+        assert_eq!(rec.counter_value("service.workers_started"), 0);
+    }
+
+    #[test]
+    fn stopping_a_service_whose_pool_never_started_balances_the_books() {
+        let values = vec![1i64, 3, 2, 1];
+        let labels = vec![0usize, 1, 1, 0];
+        let want = multiprefix_serial(&values, &labels, 2, Plus);
+        let request = || Request::multiprefix(values.clone(), labels.clone(), 2);
+        for how in ["shutdown", "abort", "drop"] {
+            let rec = crate::obs::MemoryRecorder::shared();
+            let service = Service::new(Plus, coalescing_cfg(&rec)).unwrap();
+            let inline = service.try_submit(request()).unwrap();
+            assert_eq!(inline.take().unwrap().into_prefix().unwrap(), want);
+            // A start whose every spawn was refused: the next request is
+            // queued, and no worker will ever take it.
+            service.shared.started.store(true, Ordering::SeqCst);
+            let queued = service.try_submit(request()).unwrap();
+            assert_eq!(service.queue_depth(), 1, "{how}");
+            match how {
+                "shutdown" => {
+                    service.shutdown();
+                }
+                "abort" => {
+                    service.abort();
+                }
+                _ => drop(service),
+            }
+            // The graceful drain runs it; abort (drop's policy) cancels it.
+            let outcome = queued.try_result().expect("resolved by the stop");
+            match how {
+                "shutdown" => assert_eq!(outcome.unwrap().into_prefix().unwrap(), want),
+                _ => assert_eq!(outcome, Err(MpError::Cancelled), "{how}"),
+            }
+            // The recorder mirrors the final books, also for a drop.
+            let admitted = rec.counter_value("service.admitted");
+            assert_eq!(admitted, 2, "{how}");
+            assert_eq!(
+                admitted,
+                rec.counter_value("service.completed") + rec.counter_value("service.errored"),
+                "{how}"
+            );
+            assert_eq!(rec.counter_value("service.workers_started"), 0, "{how}");
+        }
+    }
+
+    #[test]
+    fn each_request_the_submitter_path_excludes_starts_the_pool_once() {
+        let small = (vec![5i64, 6, 7], vec![0usize, 1, 1]);
+        let n = CoalesceConfig::default().max_request_elements + 1;
+        let large: (Vec<i64>, Vec<usize>) =
+            ((0..n as i64).collect(), (0..n).map(|i| i % 3).collect());
+        // A zero-length worker stall arms worker faults and changes nothing
+        // else.
+        let stall = ChaosPlan::seeded(29)
+            .worker_stall_ppm(1_000_000)
+            .stall(0, Duration::ZERO)
+            .arm();
+        let cases = [
+            ("no coalescing", None, None, &small),
+            (
+                "above max_request_elements",
+                Some(CoalesceConfig::default()),
+                None,
+                &large,
+            ),
+            (
+                "worker-fault chaos",
+                Some(CoalesceConfig::default()),
+                Some(stall),
+                &small,
+            ),
+        ];
+        for (case, coalesce, chaos, (values, labels)) in cases {
+            let cfg = ServiceConfig {
+                workers: Some(3),
+                coalesce,
+                chaos,
+                ..ServiceConfig::default()
+            };
+            let service = Service::new(Plus, cfg).unwrap();
+            assert_eq!(service.metrics().workers_started, 0, "{case}");
+            for _ in 0..3 {
+                let ticket = service
+                    .try_submit(Request::multiprefix(values.clone(), labels.clone(), 3))
+                    .unwrap();
+                assert_eq!(
+                    ticket.take().unwrap().into_prefix().unwrap(),
+                    multiprefix_serial(values, labels, 3, Plus),
+                    "{case}"
+                );
+            }
+            let m = service.shutdown();
+            assert_eq!(
+                (m.workers_started, m.inline, m.respawns),
+                (3, 0, 0),
+                "{case}"
+            );
+        }
     }
 
     /// A recorder that panics when the service times a queue wait: a panic

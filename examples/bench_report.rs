@@ -34,7 +34,10 @@
 //! req/s and queue-wait p99 versus offered load (1/8/32/64 pipelined
 //! submitter threads) over the sharded ingress, against the single-mutex
 //! baseline (`ingress_shards = 1`) and across coalescing modes (adaptive /
-//! static sweep / off), written to `BENCH_service.json`. Its `--gate`
+//! static sweep / off), written to `BENCH_service.json`. Each row also
+//! records which path served it: `inline` counts requests run on their
+//! submitters' threads, `workers_started` the pool threads the first
+//! queued request spawned (0 when none queued). Its `--gate`
 //! compares *ratios between cells measured back-to-back on the same host*
 //! (sharded/single throughput per thread count, adaptive/best-static) so
 //! the check is immune to absolute machine speed; any ratio regressing
@@ -803,6 +806,10 @@ mod service_bench {
         pub p99_ns: u64,
         pub steals: u64,
         pub coalesced_requests: u64,
+        /// Requests run on their submitters' threads: which path served
+        /// the cell.
+        pub inline: u64,
+        pub workers_started: u64,
     }
 
     fn adaptive() -> Option<CoalesceConfig> {
@@ -924,6 +931,8 @@ mod service_bench {
             p99_ns: pct(0.99),
             steals: metrics.steals,
             coalesced_requests: metrics.coalesced_requests,
+            inline: metrics.inline,
+            workers_started: metrics.workers_started,
         }
     }
 
@@ -998,7 +1007,8 @@ mod service_bench {
             "    {{\"config\": \"{}\", \"shards\": {}, \"threads\": {}, \
              \"requests\": {}, \"elapsed_ns\": {}, \"req_per_s\": {:.1}, \
              \"wait_p50_ns\": {}, \"wait_p95_ns\": {}, \"wait_p99_ns\": {}, \
-             \"steals\": {}, \"coalesced_requests\": {}}}",
+             \"steals\": {}, \"coalesced_requests\": {}, \"inline\": {}, \
+             \"workers_started\": {}}}",
             cell.config,
             r.shard_count,
             cell.threads,
@@ -1010,6 +1020,8 @@ mod service_bench {
             json_num(Some(r.p99_ns)),
             r.steals,
             r.coalesced_requests,
+            r.inline,
+            r.workers_started,
         );
         json.push_str(if last { "\n" } else { ",\n" });
     }

@@ -329,10 +329,11 @@ fn coalescing_service<O: TryCombineOp<i64> + std::fmt::Debug>(
 }
 
 /// `try_submit(request())` until one request runs on the submitter's
-/// thread, and return that ticket with the number of attempts. A fresh
-/// service's workers park a moment after `Service::new` returns, and a
-/// worker waking from its park timeout can race a submit; an attempt made
-/// then takes the pool, and its outcome goes to `judge`.
+/// thread, and return that ticket with the number of attempts. Until the
+/// first queued request starts the pool, the first attempt runs inline.
+/// Once the pool has started, a worker waking from its park timeout can
+/// race a submit; an attempt made then takes the pool, and its outcome
+/// goes to `judge`.
 fn submit_inline<O: TryCombineOp<i64>>(
     service: &Service<i64, O>,
     request: impl Fn() -> Request<i64>,

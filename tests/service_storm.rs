@@ -12,7 +12,7 @@ use multiprefix::resilience::{
     BreakerConfig, ChaosPlan, ChaosState, DispatcherConfig, RetryPolicy,
 };
 use multiprefix::service::{
-    CoalesceConfig, Priority, Reply, Request, Service, ServiceConfig, Ticket,
+    CoalesceConfig, Priority, Reply, Request, Service, ServiceConfig, ServiceMetrics, Ticket,
 };
 use multiprefix::{multiprefix, Engine, MpError, MultiprefixOutput};
 use std::sync::{Arc, Barrier};
@@ -340,6 +340,121 @@ fn submitters_racing_shutdown_and_abort_leave_balanced_books() {
             (snapshot.admitted, after.admitted, after.resolved()),
             (handed_out, handed_out, handed_out),
             "round {round}: {snapshot:?}"
+        );
+    }
+}
+
+/// Every counter but `rejected`: a submitter refused after a stop returned
+/// still moves that one.
+fn settled(m: &ServiceMetrics) -> [u64; 14] {
+    [
+        m.admitted,
+        m.completed,
+        m.errored,
+        m.shed,
+        m.cancelled,
+        m.expired,
+        m.worker_lost,
+        m.coalesced_batches,
+        m.coalesced_requests,
+        m.worker_panics,
+        m.respawns,
+        m.steals,
+        m.inline,
+        m.workers_started,
+    ]
+}
+
+#[test]
+fn queued_requests_racing_stop_at_an_unstarted_pool_leave_no_worker_behind() {
+    // Without coalescing every request queues, and the first one admitted
+    // starts the pool. The stop lands 0–15 µs after that admission shows
+    // in the metrics, spread across the window in which the start is
+    // still spawning: the start must hand every worker to stop's join or
+    // spawn none. A worker that outlived the stop would move the books
+    // after the snapshot stop returned.
+    const SUBMITTERS: usize = 2;
+    let (values, labels) = problem(64, 8, 0x57A27);
+    let expect = multiprefix(&values, &labels, 8, Plus, Engine::Serial).unwrap();
+    for round in 0..128 {
+        let graceful = round % 2 == 0;
+        let service = Arc::new(
+            Service::new(
+                Plus,
+                ServiceConfig {
+                    workers: Some(4),
+                    queue_capacity: Some(32),
+                    dispatcher: storm_dispatcher(),
+                    ..ServiceConfig::default()
+                },
+            )
+            .unwrap(),
+        );
+        let start = Arc::new(Barrier::new(SUBMITTERS + 1));
+        let handles: Vec<_> = (0..SUBMITTERS)
+            .map(|_| {
+                let service = Arc::clone(&service);
+                let start = Arc::clone(&start);
+                let (values, labels) = (values.clone(), labels.clone());
+                std::thread::spawn(move || {
+                    let mut tickets = Vec::new();
+                    start.wait();
+                    loop {
+                        let request = Request::multiprefix(values.clone(), labels.clone(), 8);
+                        match service.try_submit(request) {
+                            Ok(ticket) => tickets.push(ticket),
+                            Err(MpError::Overloaded { .. }) => std::thread::yield_now(),
+                            Err(MpError::Unavailable) => return tickets,
+                            Err(other) => panic!("unexpected try_submit error: {other:?}"),
+                        }
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        let give_up = std::time::Instant::now() + Duration::from_secs(30);
+        while service.metrics().admitted == 0 {
+            assert!(
+                std::time::Instant::now() < give_up,
+                "no request was admitted"
+            );
+            std::hint::spin_loop();
+        }
+        let seen = std::time::Instant::now();
+        let lag = Duration::from_micros(round % 16);
+        while seen.elapsed() < lag {
+            std::hint::spin_loop();
+        }
+        let snapshot = if graceful {
+            service.shutdown()
+        } else {
+            service.abort()
+        };
+        assert_eq!(
+            snapshot.admitted,
+            snapshot.completed + snapshot.errored,
+            "round {round}: {snapshot:?}"
+        );
+        assert!(snapshot.workers_started <= 4, "round {round}: {snapshot:?}");
+        let mut handed_out = 0u64;
+        for handle in handles {
+            for ticket in handle.join().unwrap() {
+                handed_out += 1;
+                match ticket
+                    .try_result()
+                    .expect("resolved by the time stop returns")
+                {
+                    Ok(reply) => assert_eq!(reply.into_prefix().unwrap(), expect),
+                    Err(err) => assert!(is_typed_service_error(&err), "untyped: {err:?}"),
+                }
+            }
+        }
+        assert_eq!(snapshot.admitted, handed_out, "round {round}: {snapshot:?}");
+        let after = service.metrics();
+        assert_eq!(
+            settled(&after),
+            settled(&snapshot),
+            "round {round}: the books moved after stop returned: {snapshot:?} then {after:?}"
         );
     }
 }
