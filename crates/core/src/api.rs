@@ -349,8 +349,8 @@ impl<'a, T: Element, O: TryCombineOp<T>> Call<'a, T, O> {
     ///   somewhere, so the canonical answer — a result or the
     ///   first-overflow index — comes from one serial replay under `ctx`;
     /// * any error on an invalid input is [`crate::validate`]'s
-    ///   ([`Self::input_error_first`]), so the dispatcher never charges a
-    ///   bad request to an engine's breaker.
+    ///   ([`Self::input_error_first`]), so the dispatcher returns a bad
+    ///   request's error at once instead of trying the next entry.
     pub(crate) fn run_prefix(
         self,
         engine: Engine,

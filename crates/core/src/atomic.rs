@@ -368,7 +368,7 @@ pub fn multiprefix_atomic_hardened_ctx<O: AtomicCombine + TryCombineOp<i64>>(
 /// Run `f` on a scoped rayon pool of `cfg.threads` workers when that field
 /// is set; on the global pool otherwise. A pool-construction failure (the
 /// OS refusing threads) is transient [`MpError::Unavailable`] — the
-/// dispatcher retries or falls back.
+/// dispatcher falls back to the next chain entry.
 fn with_thread_scope<R>(
     cfg: ExecConfig,
     f: impl FnOnce() -> TryEngineResult<R> + Send,

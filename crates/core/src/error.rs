@@ -85,11 +85,14 @@ pub enum MpError {
         /// What is wrong with the configuration.
         what: &'static str,
     },
-    /// Every engine in a [`crate::resilience::Dispatcher`] fallback chain
-    /// was skipped (circuit open, or unsupported for the element type) —
-    /// nothing even attempted the request. The API calls also return it
-    /// for [`crate::Engine::Atomic`] and [`crate::Engine::Sharded`], which
-    /// only a dispatcher runs.
+    /// Nothing could take the request: every engine in a
+    /// [`crate::resilience::Dispatcher`] fallback chain was unsupported for
+    /// it (the atomic engine for a non-`i64` element, an unconfigured
+    /// sharded entry), a [`crate::shard::ShardSupervisor`] had no live
+    /// shard left, a session's storage breaker was open, or the service
+    /// was stopped. The API calls also return it for
+    /// [`crate::Engine::Atomic`] and [`crate::Engine::Sharded`], which only
+    /// a dispatcher runs.
     Unavailable,
     /// A [`crate::service::Service`] refused or shed a request because its
     /// bounded submission queue was full. Reported both to a submitter that
@@ -157,14 +160,17 @@ pub enum MpError {
 
 impl MpError {
     /// Is this failure **transient** — a property of the moment (resource
-    /// pressure, a wedged engine, a dead worker) that a retry at a later
-    /// time or on another engine could plausibly clear?
+    /// pressure, a wedged engine, a dead worker) that another engine, or
+    /// the caller at a later time, could plausibly clear?
     ///
-    /// The [`crate::resilience::Dispatcher`] retries transient failures
-    /// (with backoff) and falls down its engine chain; permanent failures —
-    /// properties of the *request* (validation, overflow, budgets,
-    /// configuration) — are returned immediately. [`MpError::Cancelled`] is
-    /// classified permanent: it is explicit caller intent, not a fault.
+    /// The [`crate::resilience::Dispatcher`] moves a transient failure on
+    /// to the next engine in its chain, running each entry once; permanent
+    /// failures — properties of the *request* (validation, overflow,
+    /// budgets, configuration) — are returned immediately. A panic in the
+    /// request's own operator is transient here too (the dispatcher cannot
+    /// tell it from an engine fault), so it costs one run per chain entry.
+    /// [`MpError::Cancelled`] is classified permanent: it is explicit
+    /// caller intent, not a fault.
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
@@ -359,7 +365,7 @@ mod tests {
 
     /// Every variant is classified, deliberately: a new variant added
     /// without updating this table (and [`MpError::is_transient`]) fails
-    /// here, not silently in the dispatcher's retry loop.
+    /// here, not silently in the dispatcher's fallback loop.
     #[test]
     fn classification_covers_every_variant() {
         let table: [(MpError, bool); 12] = [
@@ -397,7 +403,7 @@ mod tests {
                 false,
             ),
             (MpError::DeadlineExceeded, true),
-            // Cancellation is explicit caller intent — never retried.
+            // Cancellation is explicit caller intent — never falls through.
             (MpError::Cancelled, false),
             (MpError::InvalidConfig { what: "x" }, false),
             (MpError::Unavailable, true),

@@ -75,10 +75,13 @@
 //! [`resilience`] turns the engine ladder into a runtime: a [`Dispatcher`]
 //! runs requests through a fallback chain (by default chunked → serial:
 //! the engine [`Engine::Auto`] runs, then the Figure 2 loop) with
-//! deadlines, cooperative cancellation ([`CancelToken`],
+//! deadlines and cooperative cancellation ([`CancelToken`],
 //! polled at engine phase boundaries and every few thousand loop
-//! iterations), retry with jittered backoff for transient failures, and a
-//! per-engine circuit breaker. A seeded chaos harness
+//! iterations). Each entry runs at most once per request: a failed
+//! allocation, a panic or a blown attempt deadline moves on to the next
+//! entry, and nothing carries over to the next request, so a request whose
+//! own operator panics gets [`MpError::EnginePanicked`] and harms no other
+//! request. A seeded chaos harness
 //! ([`resilience::ChaosPlan`]) injects panics, allocation failures and
 //! stalls to prove the guarantee: every request returns the serial-oracle
 //! answer or a typed error — never a hang, wrong answer, or abort.
@@ -104,8 +107,8 @@
 //! (counters, gauges, lock-free latency histograms with p50/p95/p99
 //! snapshots, discrete events) threaded through the engines (per-phase
 //! timings matching the paper's SPINETREE/ROWSUMS/SPINESUMS/MULTISUMS
-//! breakdown), the [`Dispatcher`] (attempt latency, retry and breaker
-//! activity) and the [`service::Service`] (queue depth, queue-wait vs.
+//! breakdown), the [`Dispatcher`] (attempt latency, attempts and
+//! fallbacks) and the [`service::Service`] (queue depth, queue-wait vs.
 //! execution split). Install a [`obs::MemoryRecorder`] and export the
 //! snapshot as JSON or text; with no recorder installed, instrumentation
 //! reduces to one branch per site and reads no clocks.
@@ -127,7 +130,7 @@
 //! closed with [`MpError::CorruptStore`]. The
 //! [`service::Service`] session API (`open_session` / `session_append` /
 //! `session_query` / …) routes these stores through the dispatcher's
-//! deadline and breaker discipline.
+//! request deadline and a per-session storage breaker.
 //!
 //! ## Derived primitives
 //!

@@ -31,8 +31,8 @@
 //! | scope | instruments |
 //! |---|---|
 //! | `engine.<kind>.phase.<phase>` | histogram: per-phase wall time |
-//! | `dispatch.<kind>` | `attempt_ns` histogram, `attempts`, `retries`, `backoff_sleeps` counters |
-//! | `dispatch` | `requests`, `fallbacks` counters; `breaker.<kind>` transition events |
+//! | `dispatch.<kind>` | `attempt_ns` histogram, `attempts` counter (one per chain entry run) |
+//! | `dispatch` | `requests`, `fallbacks` counters |
 //! | `service.queue` | `depth` gauge, `wait_ns` histogram |
 //! | `service.exec` | `exec_ns` histogram |
 //! | `service` | `admitted`, `completed`, `shed`, `expired`, `cancelled`, `worker_lost`, `failed` counters (mirrors [`ServiceMetrics`](crate::service::ServiceMetrics)) |
@@ -157,18 +157,15 @@ pub fn phase_key(engine: Engine, phase: Phase) -> &'static str {
 }
 
 /// The dispatcher's static (allocation-free) instrument keys for one
-/// engine: `[attempt latency histogram, attempts counter, retries counter,
-/// breaker event stream]`. [`Engine::Auto`] is keyed as the chunked engine
-/// it runs.
-pub(crate) fn dispatch_keys(engine: Engine) -> [&'static str; 4] {
+/// engine: `[attempt latency histogram, attempts counter]`.
+/// [`Engine::Auto`] is keyed as the chunked engine it runs.
+pub(crate) fn dispatch_keys(engine: Engine) -> [&'static str; 2] {
     macro_rules! keys {
         ($($eng:ident / $en:literal),+) => {
             match engine {
                 $(Engine::$eng => [
                     concat!("dispatch.", $en, ".attempt_ns"),
                     concat!("dispatch.", $en, ".attempts"),
-                    concat!("dispatch.", $en, ".retries"),
-                    concat!("dispatch.breaker.", $en),
                 ],)+
                 Engine::Auto => dispatch_keys(Engine::Chunked),
             }

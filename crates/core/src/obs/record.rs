@@ -28,7 +28,7 @@ pub trait Recorder: Send + Sync + fmt::Debug {
     /// Record one latency/duration sample for histogram `name`.
     fn duration_ns(&self, name: &str, nanos: u64);
 
-    /// Record a discrete event (e.g. a circuit-breaker state transition).
+    /// Record a discrete event (e.g. the chunked engine's kernel choice).
     fn event(&self, name: &str, detail: &str);
 }
 
@@ -40,9 +40,9 @@ const EVENT_CAP: usize = 1024;
 /// One recorded [`Recorder::event`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsEvent {
-    /// Event stream name (e.g. `breaker.chunked`).
+    /// Event stream name (e.g. `engine.chunked.phase.local`).
     pub name: String,
-    /// Event payload (e.g. `closed->open`).
+    /// Event payload (e.g. `kernel=simd`).
     pub detail: String,
 }
 

@@ -14,7 +14,7 @@
 //!   containment of the chunked engine and of the dispatcher;
 //! * **fail an allocation** (`alloc_fail_ppm`) — returns
 //!   [`MpError::AllocationFailed`] (with `bytes = 0`, marking it injected),
-//!   exercising the retry path;
+//!   exercising the fallback path;
 //! * **stall** (`stall_ppm`) — sleeps for [`ChaosPlan::stall`], exercising
 //!   deadlines (the checkpoint *after* a stall observes the expired
 //!   deadline).
@@ -611,7 +611,7 @@ impl ChaosState {
     /// pool's worker-panic accounting (which equates its own panics with
     /// `worker_panics_injected()`) untouched. A fired panic unwinds through
     /// the scope join into the engine's `catch_unwind` and surfaces as
-    /// [`MpError::EnginePanicked`] — the dispatcher's retry/fallback path.
+    /// [`MpError::EnginePanicked`] — the dispatcher's fallback path.
     pub(crate) fn inject_chunk_worker(&self, worker: usize, deadline: Option<Deadline>) {
         if self.plan.only != Some(Engine::Chunked) || !self.arms_worker_faults() {
             return;

@@ -1,5 +1,4 @@
-//! The resilient dispatcher: fallback chains, retries with jittered
-//! backoff, and per-engine circuit breakers over the hardened engines.
+//! The resilient dispatcher: a fallback chain over the hardened engines.
 //!
 //! The paper's central observation — serial, spinetree and
 //! chunked/vectorized implementations compute the *same* operation — is
@@ -13,13 +12,17 @@
 //! * per-attempt and per-request **deadlines** and a caller-supplied
 //!   [`crate::resilience::CancelToken`], threaded into every engine via
 //!   [`crate::resilience::RunContext`] checkpoints;
-//! * **retry with jittered exponential backoff** for *transient* failures
-//!   ([`MpError::AllocationFailed`], [`MpError::EnginePanicked`], injected
-//!   chaos faults) — permanent errors (validation, overflow, budgets)
-//!   return immediately;
-//! * a per-engine **circuit breaker** ([`crate::resilience::EngineHealth`])
-//!   that trips a repeatedly failing engine out of the chain and probes it
-//!   back in after a cooldown.
+//! * **one run per chain entry**: a transient failure
+//!   ([`MpError::AllocationFailed`], [`MpError::EnginePanicked`], a blown
+//!   attempt deadline) moves on to the next entry; a permanent error
+//!   (validation, overflow, budgets) or [`MpError::Cancelled`] returns at
+//!   once. The engines are deterministic, so a second run on the same
+//!   engine could change only the outcome of a failed allocation or an
+//!   injected chaos fault, and the next entry covers both.
+//!
+//! The dispatcher keeps no state across requests: a request whose own
+//! operator panics gets [`MpError::EnginePanicked`] after one run per
+//! entry, and no other request notices.
 //!
 //! Each attempt runs through the same engine tables as
 //! [`crate::try_multiprefix_ctx`] and [`crate::try_multireduce_ctx`], so
@@ -49,7 +52,6 @@ use crate::op::TryCombineOp;
 use crate::problem::{Element, MultiprefixOutput};
 use crate::resilience::chaos::ChaosState;
 use crate::resilience::ctx::{CancelToken, Deadline, RunContext};
-use crate::resilience::health::{BreakerConfig, CircuitState, EngineHealth};
 use crate::shard::{ShardConfig, ShardSupervisor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -63,57 +65,34 @@ pub type EngineKind = Engine;
 /// The `i64` entries' atomic-engine call, which the generic entries lack.
 type AtomicCall<'a, R> = Option<&'a dyn Fn(&RunContext) -> TryEngineResult<R>>;
 
-/// Retry discipline for transient failures within one engine of the chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Attempts per engine (including the first); must be at least 1.
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per retry.
-    pub base_backoff: Duration,
-    /// Ceiling on the (pre-jitter) backoff.
-    pub max_backoff: Duration,
-    /// Seed of the deterministic jitter stream (each sleep lands uniformly
-    /// in `[backoff/2, backoff]`). Fixed seed ⇒ reproducible schedules.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-            jitter_seed: 0x5EED,
-        }
-    }
-}
-
 /// Full dispatcher configuration. The default chain is chunked → serial.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatcherConfig {
-    /// Engines to try, in order. The first healthy, admitted, type-capable
-    /// engine serves the request; later entries are fallbacks. The default
-    /// is `[Chunked, Serial]`: the chunked engine on one chunk, as
-    /// [`Engine::Auto`] runs it, then the Figure 2 loop. Spinetree, atomic
-    /// and sharded entries run only when named here.
+    /// Engines to try, in order; later entries are fallbacks. Handles an
+    /// engine that cannot take the element type (skipped) or that fails
+    /// (the next entry runs). The default is `[Chunked, Serial]`: the
+    /// chunked engine on one chunk, as [`Engine::Auto`] runs it, then the
+    /// Figure 2 loop. Spinetree, atomic and sharded entries run only when
+    /// named here.
     pub chain: Vec<Engine>,
     /// Hardened-execution config (overflow policy, budgets) applied to
     /// every attempt.
     pub exec: ExecConfig,
-    /// Wall-clock budget for a single engine attempt (`None` = unbounded).
+    /// Wall-clock budget for one engine attempt (`None` = unbounded).
+    /// Handles a slow engine: an attempt that blows it falls through to the
+    /// next entry. Spinetree, for one, took 10× serial's time at n = 10⁶ in
+    /// the committed `BENCH_multiprefix.json`.
     pub attempt_timeout: Option<Duration>,
-    /// Wall-clock budget for the whole dispatch — all engines, retries and
-    /// backoff sleeps included (`None` = unbounded).
+    /// Wall-clock budget for the whole dispatch, every chain entry included
+    /// (`None` = unbounded). Handles the caller's budget: once it is spent
+    /// the dispatch returns [`MpError::DeadlineExceeded`] before another
+    /// entry runs.
     pub request_timeout: Option<Duration>,
-    /// Retry discipline per engine.
-    pub retry: RetryPolicy,
-    /// Circuit-breaker tuning, shared by all engines in the chain.
-    pub breaker: BreakerConfig,
     /// Opt-in sharded execution: when set, the dispatcher owns a
-    /// [`ShardSupervisor`] (so per-shard breaker state persists across
-    /// requests) and [`Engine::Sharded`] chain entries participate.
-    /// When `None` (the default) sharded entries are skipped as
-    /// unsupported, exactly like [`Engine::Atomic`] for non-`i64`
+    /// [`ShardSupervisor`], whose per-shard breakers handle a lost shard
+    /// worker across requests, and [`Engine::Sharded`] chain entries
+    /// participate. When `None` (the default) sharded entries are skipped
+    /// as unsupported, exactly like [`Engine::Atomic`] for non-`i64`
     /// dispatches.
     pub shard: Option<ShardConfig>,
 }
@@ -125,8 +104,6 @@ impl Default for DispatcherConfig {
             exec: ExecConfig::default(),
             attempt_timeout: None,
             request_timeout: None,
-            retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
             shard: None,
         }
     }
@@ -159,50 +136,15 @@ pub struct DispatchOutcome<R> {
     /// The engine that served the request ([`Engine::Chunked`] for an
     /// [`Engine::Auto`] chain entry).
     pub engine: Engine,
-    /// Engine attempts actually executed (≥ 1).
+    /// Engine attempts actually executed (≥ 1): one per chain entry run.
     pub attempts: u32,
-    /// Chain entries skipped or exhausted before the serving engine
-    /// (unsupported type, open breaker, or failed out).
+    /// Chain entries skipped or failed out before the serving engine.
     pub fallbacks: u32,
-}
-
-/// The `before->after` label of a circuit-breaker transition, as recorded
-/// in `dispatch.breaker.<kind>` event streams.
-fn transition_name(before: CircuitState, after: CircuitState) -> &'static str {
-    use CircuitState::{Closed, HalfOpen, Open};
-    match (before, after) {
-        (Closed, Open) => "closed->open",
-        (Closed, HalfOpen) => "closed->half_open",
-        (Open, Closed) => "open->closed",
-        (Open, HalfOpen) => "open->half_open",
-        (HalfOpen, Closed) => "half_open->closed",
-        (HalfOpen, Open) => "half_open->open",
-        (Closed, Closed) | (Open, Open) | (HalfOpen, HalfOpen) => "no-op",
-    }
 }
 
 /// The earlier of two optional deadlines.
 fn earliest(a: Option<Deadline>, b: Option<Deadline>) -> Option<Deadline> {
     a.into_iter().chain(b).min()
-}
-
-/// Deterministic xorshift64* stream for backoff jitter — no OS entropy, so
-/// a fixed [`RetryPolicy::jitter_seed`] reproduces the schedule exactly.
-struct JitterRng(u64);
-
-impl JitterRng {
-    fn new(seed: u64) -> Self {
-        JitterRng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
 }
 
 /// The resilient dispatch runtime. See the module docs for the model.
@@ -221,9 +163,6 @@ impl JitterRng {
 #[derive(Debug)]
 pub struct Dispatcher {
     cfg: DispatcherConfig,
-    /// One breaker per engine, indexed by `Engine as usize`; `Auto`'s slot
-    /// stays unused, since `Auto` runs as `Chunked`.
-    health: [EngineHealth; 6],
     recorder: Option<Arc<dyn Recorder>>,
     /// The sharded engine's orchestrator, present iff
     /// [`DispatcherConfig::shard`] is set. Owned here so shard breaker
@@ -240,19 +179,12 @@ impl Dispatcher {
                 what: "fallback chain is empty",
             });
         }
-        if cfg.retry.max_attempts == 0 {
-            return Err(MpError::InvalidConfig {
-                what: "retry max_attempts is zero",
-            });
-        }
         // Element-size-independent config checks; the per-call validation
         // re-runs with the real element size.
         cfg.exec.validate_for(1)?;
-        let health = std::array::from_fn(|_| EngineHealth::new(cfg.breaker));
         let shard = cfg.shard.map(ShardSupervisor::new);
         Ok(Dispatcher {
             cfg,
-            health,
             recorder: None,
             shard,
         })
@@ -260,13 +192,11 @@ impl Dispatcher {
 
     /// Install an observability [`Recorder`] (see [`crate::obs`]). Per
     /// engine, the dispatcher records an attempt-latency histogram
-    /// (`dispatch.<kind>.attempt_ns`), attempt and retry counters, and
-    /// circuit-breaker state transitions as events
-    /// (`dispatch.breaker.<kind>`: `closed->open` etc.); per request, the
-    /// `dispatch.requests` / `dispatch.fallbacks` counters. The recorder is
-    /// also threaded into each attempt's [`RunContext`], so engines time
-    /// their phases into it. With no recorder — the default — none of this
-    /// costs anything.
+    /// (`dispatch.<kind>.attempt_ns`) and an attempt counter
+    /// (`dispatch.<kind>.attempts`); per request, the `dispatch.requests` /
+    /// `dispatch.fallbacks` counters. The recorder is also threaded into
+    /// each attempt's [`RunContext`], so engines time their phases into it.
+    /// With no recorder — the default — none of this costs anything.
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = Some(recorder);
         self
@@ -282,22 +212,12 @@ impl Dispatcher {
         &self.cfg
     }
 
-    /// The circuit-breaker state of one engine.
-    pub fn circuit_state(&self, kind: Engine) -> CircuitState {
-        self.health_of(kind).state()
-    }
-
     /// The sharded engine's supervisor, when [`DispatcherConfig::shard`] is
     /// configured — exposes shard-loss/requeue/degradation counters and
     /// per-shard breaker states.
     pub fn shard_supervisor(&self) -> Option<&ShardSupervisor> {
         self.shard.as_ref()
     }
-
-    fn health_of(&self, kind: Engine) -> &EngineHealth {
-        &self.health[kind.resolve() as usize]
-    }
-
     /// Dispatch a multiprefix over any [`Element`] type. [`Engine::Atomic`]
     /// entries in the chain are skipped (the atomic engine is `i64`-only —
     /// use [`Self::dispatch_i64`] to include it).
@@ -422,8 +342,7 @@ impl Dispatcher {
     }
 
     /// The attempt loop shared by every dispatch flavor: walk the chain,
-    /// retry transient failures with jittered backoff, honor breakers and
-    /// deadlines, contain panics.
+    /// run each supported entry once, honor the deadlines, contain panics.
     fn drive<R>(
         &self,
         opts: &DispatchOpts,
@@ -439,7 +358,6 @@ impl Dispatcher {
             }
         };
         count("dispatch.requests");
-        let mut jitter = JitterRng::new(self.cfg.retry.jitter_seed);
         let mut attempts = 0u32;
         let mut last_transient: Option<MpError> = None;
 
@@ -448,97 +366,50 @@ impl Dispatcher {
         for (fallbacks, &entry) in self.cfg.chain.iter().enumerate() {
             // `Auto` runs, reports and is keyed as the chunked engine.
             let kind = entry.resolve();
-            let [attempt_ns_key, attempts_key, retries_key, _] = dispatch_keys(kind);
-            if supports(kind) && self.breaker(kind, EngineHealth::admit) {
-                let mut backoff = self.cfg.retry.base_backoff;
-                for attempt in 0..self.cfg.retry.max_attempts {
-                    if request_deadline.is_some_and(|d| d.expired()) {
-                        // The *request* deadline has passed: whatever
-                        // transient error preceded it, the caller's budget
-                        // is what actually ended the dispatch — report it
-                        // as such (and let the service count it as
-                        // `expired`, not as the last engine's failure).
-                        return Err(MpError::DeadlineExceeded);
+            if supports(kind) {
+                if request_deadline.is_some_and(|d| d.expired()) {
+                    // The caller's budget, not the failure before it, ended
+                    // the dispatch: report it as such (and let the service
+                    // count it as `expired`).
+                    return Err(MpError::DeadlineExceeded);
+                }
+                let [attempt_ns_key, attempts_key] = dispatch_keys(kind);
+                attempts += 1;
+                count(attempts_key);
+                let ctx = self.attempt_ctx(kind, request_deadline, opts);
+                // Contain panics from *any* engine (and from chaos
+                // injection): AssertUnwindSafe is sound because `run`
+                // captures only shared references to the inputs and every
+                // partially built output dies inside the closure.
+                let started = rec.map(|_| Instant::now());
+                let result = catch_unwind(AssertUnwindSafe(|| run(kind, &ctx)))
+                    .unwrap_or(Err(MpError::EnginePanicked));
+                if let (Some(rec), Some(started)) = (rec, started) {
+                    let nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                    rec.duration_ns(attempt_ns_key, nanos);
+                }
+                match result {
+                    Ok(output) => {
+                        return Ok(DispatchOutcome {
+                            output,
+                            engine: kind,
+                            attempts,
+                            fallbacks: fallbacks as u32,
+                        })
                     }
-                    attempts += 1;
-                    count(attempts_key);
-                    if attempt > 0 {
-                        count(retries_key);
-                    }
-                    let ctx = self.attempt_ctx(kind, request_deadline, opts);
-                    // Contain panics from *any* engine (and from chaos
-                    // injection): AssertUnwindSafe is sound because `run`
-                    // captures only shared references to the inputs and
-                    // every partially built output dies inside the closure.
-                    let started = rec.map(|_| Instant::now());
-                    let result = catch_unwind(AssertUnwindSafe(|| run(kind, &ctx)))
-                        .unwrap_or(Err(MpError::EnginePanicked));
-                    if let (Some(rec), Some(started)) = (rec, started) {
-                        let nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                        rec.duration_ns(attempt_ns_key, nanos);
-                    }
-                    match result {
-                        Ok(output) => {
-                            self.breaker(kind, EngineHealth::on_success);
-                            return Ok(DispatchOutcome {
-                                output,
-                                engine: kind,
-                                attempts,
-                                fallbacks: fallbacks as u32,
-                            });
-                        }
-                        // Explicit user intent: stop the whole dispatch, no
-                        // fallback, no breaker bookkeeping.
-                        Err(MpError::Cancelled) => return Err(MpError::Cancelled),
-                        Err(err) if err.is_transient() => {
-                            self.breaker(kind, EngineHealth::on_failure);
-                            let blew_deadline = matches!(err, MpError::DeadlineExceeded);
-                            last_transient = Some(err);
-                            if blew_deadline {
-                                // The same engine under the same budget
-                                // would likely blow it again — move down
-                                // the chain.
-                                break;
-                            }
-                            if attempt + 1 < self.cfg.retry.max_attempts {
-                                self.backoff_sleep(backoff, &mut jitter, request_deadline);
-                                count("dispatch.backoff_sleeps");
-                                // Saturating: a huge `base_backoff` (or
-                                // enough doublings) must clamp to
-                                // `max_backoff`, not panic in `Duration`
-                                // multiplication.
-                                backoff = backoff.saturating_mul(2).min(self.cfg.retry.max_backoff);
-                            }
-                        }
-                        // Permanent: validation, overflow, budget,
-                        // verification failures are properties of the
-                        // request, not the engine — no retry, no fallback.
-                        Err(permanent) => return Err(permanent),
-                    }
+                    // A failed allocation, a panic or a blown attempt
+                    // deadline: the next entry gets its one run.
+                    Err(err) if err.is_transient() => last_transient = Some(err),
+                    // Permanent errors are properties of the request
+                    // (validation, overflow, budget), and `Cancelled` is the
+                    // caller's intent: no entry can change either.
+                    Err(err) => return Err(err),
                 }
             }
-            // Unsupported, breaker open, or failed out: the next entry.
+            // Unsupported or failed out: the next entry.
             count("dispatch.fallbacks");
         }
         Err(last_transient.unwrap_or(MpError::Unavailable))
-    }
-
-    /// Apply `update` to `kind`'s breaker. With a recorder installed, a
-    /// state transition (`closed->open`, `open->half_open`, ...) is
-    /// reported as a `dispatch.breaker.<kind>` event by diffing the state
-    /// around the update — the breaker itself stays recorder-free.
-    fn breaker<R>(&self, kind: Engine, update: impl FnOnce(&EngineHealth) -> R) -> R {
-        let health = self.health_of(kind);
-        let Some(rec) = self.recorder.as_deref() else {
-            return update(health);
-        };
-        let before = health.state();
-        let out = update(health);
-        let after = health.state();
-        if after != before {
-            rec.event(dispatch_keys(kind)[3], transition_name(before, after));
-        }
-        out
     }
 
     fn attempt_ctx(
@@ -562,26 +433,6 @@ impl Dispatcher {
             ctx = ctx.with_chaos(Arc::clone(chaos));
         }
         ctx
-    }
-
-    /// Sleep for a jittered backoff, clipped so the sleep itself cannot
-    /// blow the request deadline.
-    fn backoff_sleep(
-        &self,
-        backoff: Duration,
-        jitter: &mut JitterRng,
-        request_deadline: Option<Deadline>,
-    ) {
-        let nanos = backoff.as_nanos().min(u64::MAX as u128) as u64;
-        let half = nanos / 2;
-        let jittered = Duration::from_nanos(half + jitter.next() % (half + 1));
-        let capped = match request_deadline {
-            Some(d) => jittered.min(d.remaining()),
-            None => jittered,
-        };
-        if !capped.is_zero() {
-            std::thread::sleep(capped);
-        }
     }
 }
 
@@ -658,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn wedged_primary_falls_back_and_trips_breaker() {
+    fn wedged_primary_falls_back_after_one_attempt() {
         let (values, labels) = problem(1500, 5);
         let expect = multiprefix_serial(&values, &labels, 5, Plus);
         let cfg = DispatcherConfig {
@@ -676,27 +527,29 @@ mod tests {
             chaos: Some(chaos),
             ..Default::default()
         };
-        let outcome = d.dispatch(&values, &labels, 5, Plus, &opts).unwrap();
-        assert_eq!(outcome.output, expect);
-        assert_eq!(outcome.engine, Engine::Serial);
-        assert_eq!(outcome.attempts, 4, "3 chunked attempts + 1 serial");
-        assert_eq!(outcome.fallbacks, 1);
-        // Three consecutive failures tripped the chunked breaker open...
-        assert_eq!(d.circuit_state(Engine::Chunked), CircuitState::Open);
-        // ...so the next request skips it without burning attempts.
-        let outcome = d.dispatch(&values, &labels, 5, Plus, &opts).unwrap();
-        assert_eq!(outcome.engine, Engine::Serial);
-        assert_eq!(outcome.attempts, 1);
+        // Each request runs each entry once; the dispatcher keeps no state
+        // between them, so the second request tries chunked again.
+        for _ in 0..2 {
+            let outcome = d.dispatch(&values, &labels, 5, Plus, &opts).unwrap();
+            assert_eq!(outcome.output, expect);
+            assert_eq!(outcome.engine, Engine::Serial);
+            assert_eq!(outcome.attempts, 2, "1 chunked attempt + 1 serial");
+            assert_eq!(outcome.fallbacks, 1);
+        }
     }
 
     #[test]
     fn permanent_errors_bypass_the_chain() {
-        let d = Dispatcher::new(DispatcherConfig::default()).unwrap();
+        let rec = crate::obs::MemoryRecorder::shared();
+        let d = Dispatcher::new(DispatcherConfig::default())
+            .unwrap()
+            .with_recorder(rec.clone() as Arc<dyn Recorder>);
         let err = d
             .dispatch(&[1i64], &[2], 2, Plus, &DispatchOpts::default())
             .unwrap_err();
         assert!(matches!(err, MpError::LabelOutOfRange { .. }));
-        assert_eq!(d.circuit_state(Engine::Chunked), CircuitState::Closed);
+        assert_eq!(rec.counter_value("dispatch.chunked.attempts"), 1);
+        assert_eq!(rec.counter_value("dispatch.serial.attempts"), 0);
     }
 
     #[test]
@@ -709,19 +562,6 @@ mod tests {
             Dispatcher::new(empty).unwrap_err(),
             MpError::InvalidConfig {
                 what: "fallback chain is empty"
-            }
-        );
-        let zero_retry = DispatcherConfig {
-            retry: RetryPolicy {
-                max_attempts: 0,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        assert_eq!(
-            Dispatcher::new(zero_retry).unwrap_err(),
-            MpError::InvalidConfig {
-                what: "retry max_attempts is zero"
             }
         );
         let zero_buckets = DispatcherConfig {
@@ -751,15 +591,17 @@ mod tests {
     #[test]
     fn expired_request_deadline_rejected_before_any_engine_runs() {
         let (values, labels) = problem(2000, 5);
-        let d = Dispatcher::new(DispatcherConfig::default()).unwrap();
+        let rec = crate::obs::MemoryRecorder::shared();
+        let d = Dispatcher::new(DispatcherConfig::default())
+            .unwrap()
+            .with_recorder(rec.clone() as Arc<dyn Recorder>);
         let opts = DispatchOpts {
             deadline: Some(Deadline::at(std::time::Instant::now())),
             ..Default::default()
         };
         let outcome = d.dispatch(&values, &labels, 5, Plus, &opts);
         assert_eq!(outcome.unwrap_err(), MpError::DeadlineExceeded);
-        // No attempt was charged to any engine's breaker.
-        assert_eq!(d.circuit_state(Engine::Chunked), CircuitState::Closed);
+        assert_eq!(rec.counter_value("dispatch.chunked.attempts"), 0);
     }
 
     #[test]
@@ -826,66 +668,37 @@ mod tests {
     }
 
     #[test]
-    fn huge_base_backoff_saturates_instead_of_panicking() {
-        // Regression: `backoff * 2` overflows `Duration` for extreme
-        // `base_backoff`; the doubling must saturate (and the clamped
-        // sleep must respect the request deadline, not block for years).
+    fn expired_deadline_reported_as_deadline_not_last_transient() {
+        // Regression: a request whose deadline expires during a failed
+        // entry must settle `DeadlineExceeded` — the caller's budget ended
+        // the dispatch — before the next entry runs.
         let (values, labels) = problem(400, 3);
-        let cfg = DispatcherConfig {
-            chain: vec![Engine::Serial],
-            retry: RetryPolicy {
-                max_attempts: 3,
-                base_backoff: Duration::MAX,
-                max_backoff: Duration::MAX,
-                jitter_seed: 7,
-            },
-            request_timeout: Some(Duration::from_millis(50)),
-            ..Default::default()
-        };
-        let d = Dispatcher::new(cfg).unwrap();
-        let chaos = ChaosPlan::seeded(3).alloc_fail_ppm(1_000_000).arm();
+        let rec = crate::obs::MemoryRecorder::shared();
+        let d = Dispatcher::new(DispatcherConfig::default())
+            .unwrap()
+            .with_recorder(rec.clone() as Arc<dyn Recorder>);
+        // The chunked engine's first checkpoint stalls, clamped to the
+        // request's deadline; its next checkpoint sees the deadline spent.
+        let chaos = ChaosPlan::seeded(5)
+            .stall(1_000_000, Duration::from_secs(60))
+            .only(Engine::Chunked)
+            .arm();
         let opts = DispatchOpts {
-            chaos: Some(chaos),
+            chaos: Some(chaos.clone()),
+            deadline: Some(Deadline::after(Duration::from_millis(100))),
             ..Default::default()
         };
         let started = Instant::now();
         let err = d.dispatch(&values, &labels, 3, Plus, &opts).unwrap_err();
         assert_eq!(err, MpError::DeadlineExceeded);
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "backoff sleep must be clamped to the deadline budget"
-        );
+        assert!(started.elapsed() < Duration::from_secs(30), "stall clamped");
+        assert_eq!(chaos.stalls_injected(), 1);
+        assert_eq!(rec.counter_value("dispatch.chunked.attempts"), 1);
+        assert_eq!(rec.counter_value("dispatch.serial.attempts"), 0);
     }
 
     #[test]
-    fn expired_deadline_reported_as_deadline_not_last_transient() {
-        // Regression: a request whose deadline expires after a transient
-        // failure must settle `DeadlineExceeded` — the caller's budget ended
-        // the dispatch — not the incidental error that preceded it.
-        let (values, labels) = problem(400, 3);
-        let cfg = DispatcherConfig {
-            chain: vec![Engine::Chunked],
-            retry: RetryPolicy {
-                max_attempts: 2,
-                base_backoff: Duration::from_millis(20),
-                max_backoff: Duration::from_millis(20),
-                jitter_seed: 9,
-            },
-            ..Default::default()
-        };
-        let d = Dispatcher::new(cfg).unwrap();
-        let chaos = ChaosPlan::seeded(5).alloc_fail_ppm(1_000_000).arm();
-        let opts = DispatchOpts {
-            chaos: Some(chaos),
-            deadline: Some(Deadline::after(Duration::from_millis(10))),
-            ..Default::default()
-        };
-        let err = d.dispatch(&values, &labels, 3, Plus, &opts).unwrap_err();
-        assert_eq!(err, MpError::DeadlineExceeded);
-    }
-
-    #[test]
-    fn recorder_sees_attempts_retries_and_breaker_transitions() {
+    fn recorder_sees_attempts_and_fallbacks() {
         let (values, labels) = problem(1500, 5);
         let rec = crate::obs::MemoryRecorder::shared();
         let cfg = DispatcherConfig {
@@ -907,15 +720,13 @@ mod tests {
         assert_eq!(outcome.engine, Engine::Serial);
 
         assert_eq!(rec.counter_value("dispatch.requests"), 1);
-        assert_eq!(rec.counter_value("dispatch.chunked.attempts"), 3);
-        assert_eq!(rec.counter_value("dispatch.chunked.retries"), 2);
-        assert_eq!(rec.counter_value("dispatch.backoff_sleeps"), 2);
+        assert_eq!(rec.counter_value("dispatch.chunked.attempts"), 1);
         assert_eq!(rec.counter_value("dispatch.serial.attempts"), 1);
         assert_eq!(rec.counter_value("dispatch.fallbacks"), 1);
         // Attempt latency was histogrammed for both engines.
         assert_eq!(
             rec.histogram("dispatch.chunked.attempt_ns").unwrap().count,
-            3
+            1
         );
         assert_eq!(
             rec.histogram("dispatch.serial.attempt_ns").unwrap().count,
@@ -926,15 +737,6 @@ mod tests {
         assert_eq!(
             rec.histogram("engine.serial.phase.figure2").unwrap().count,
             1
-        );
-        // Three consecutive chunked failures → breaker closed->open event.
-        let snap = rec.snapshot();
-        assert!(
-            snap.events
-                .iter()
-                .any(|e| e.name == "dispatch.breaker.chunked" && e.detail == "closed->open"),
-            "events: {:?}",
-            snap.events
         );
     }
 
@@ -1009,6 +811,27 @@ mod tests {
         let sup = d.shard_supervisor().unwrap();
         assert!(sup.shards_lost() >= 1);
         assert!(sup.requeues() >= 1);
+    }
+
+    #[test]
+    fn serial_reduce_records_its_figure2_span() {
+        let (values, labels) = problem(2500, 9);
+        let rec = crate::obs::MemoryRecorder::shared();
+        let cfg = DispatcherConfig {
+            chain: vec![Engine::Serial],
+            ..Default::default()
+        };
+        let d = Dispatcher::new(cfg)
+            .unwrap()
+            .with_recorder(rec.clone() as Arc<dyn Recorder>);
+        let outcome = d
+            .dispatch_reduce(&values, &labels, 9, Plus, &DispatchOpts::default())
+            .unwrap();
+        assert_eq!(outcome.engine, Engine::Serial);
+        assert_eq!(
+            rec.histogram("engine.serial.phase.figure2").unwrap().count,
+            1
+        );
     }
 
     #[test]

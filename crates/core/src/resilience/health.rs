@@ -1,10 +1,16 @@
-//! Per-engine health tracking: a small circuit breaker.
+//! Health tracking for a fault from outside the request: a small circuit
+//! breaker.
 //!
-//! Each engine in a [`crate::resilience::Dispatcher`] fallback chain gets an
-//! [`EngineHealth`]. Repeated failures trip the breaker **open** and the
-//! dispatcher stops routing requests to that engine; after a cooldown the
-//! breaker admits one **half-open** probe, and the probe's outcome decides
-//! whether the engine rejoins the chain or trips again. The state machine:
+//! An [`EngineHealth`] guards a resource whose failures outlive the request
+//! that saw them: the [`crate::shard::ShardSupervisor`] keeps one per shard
+//! (a lost shard worker), and a [`crate::service::Service`] session keeps
+//! one over its storage (a failing disk). Repeated failures trip the
+//! breaker **open** and its owner stops routing work to that resource;
+//! after a cooldown the breaker admits one **half-open** probe, and the
+//! probe's outcome decides whether the resource rejoins or trips again.
+//! The [`crate::resilience::Dispatcher`] keeps none: the engines are
+//! deterministic, so an engine failure there belongs to its request. The
+//! state machine:
 //!
 //! ```text
 //!               failure × threshold                 cooldown elapses
@@ -14,14 +20,15 @@
 //!     └──────────────────────────────────┴───────────────────────◀──────┘
 //! ```
 //!
-//! Only dispatcher-level *transient* failures (allocation failures, engine
-//! panics, deadline blowouts) count against an engine; input-validation
-//! errors say nothing about engine health and are never recorded.
+//! Only *transient* failures ([`crate::MpError::is_transient`]: a lost
+//! worker, a refused write or fsync) count against the resource;
+//! input-validation errors say nothing about its health and are never
+//! recorded.
 
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for one engine's circuit breaker.
+/// Tuning knobs for one circuit breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Consecutive transient failures that trip the breaker open.
@@ -40,7 +47,7 @@ impl Default for BreakerConfig {
     }
 }
 
-/// The externally observable state of one engine's breaker.
+/// The externally observable state of one breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CircuitState {
     /// Healthy: requests flow normally.
@@ -69,8 +76,9 @@ enum State {
     },
 }
 
-/// One engine's circuit breaker. Interior-mutable and thread-safe; the
-/// dispatcher holds one per engine kind.
+/// One circuit breaker. Interior-mutable and thread-safe; the shard
+/// supervisor holds one per shard and a service session one over its
+/// storage.
 #[derive(Debug)]
 pub struct EngineHealth {
     cfg: BreakerConfig,

@@ -12,9 +12,14 @@
 //!   typed error with **no partial output** (the output buffers are owned
 //!   by the run and dropped on the early exit);
 //! * [`Dispatcher`] ([`dispatcher`]) — a fallback chain of [`crate::Engine`]s
-//!   with per-attempt deadlines, retry with jittered exponential backoff
-//!   for transient failures, and per-engine circuit breakers
-//!   ([`EngineHealth`], [`health`]);
+//!   with per-attempt and per-request deadlines, running each entry at
+//!   most once per request: a failed allocation, a panic or a blown
+//!   attempt deadline moves on to the next entry, and nothing carries
+//!   over to the next request;
+//! * [`EngineHealth`] ([`health`]) — a circuit breaker for a fault from
+//!   outside the request: the [`crate::shard::ShardSupervisor`] keeps one
+//!   per shard (a lost worker), and a service session keeps one over its
+//!   storage (a failing disk);
 //! * [`ChaosPlan`] ([`chaos`]) — seeded fault injection (panics, allocation
 //!   failures, stalls) at those same checkpoints, extending the `pram`
 //!   crate's arbitration-fault harness to the production engines; the soak
@@ -22,8 +27,8 @@
 //!   the serial-oracle answer or a typed error.
 //!
 //! The semantic guarantee throughout: *which* engine serves a request never
-//! changes *what* it answers. Fallback and retry are invisible in the
-//! output — only in [`DispatchOutcome`]'s bookkeeping.
+//! changes *what* it answers. Fallback is invisible in the output — only in
+//! [`DispatchOutcome`]'s bookkeeping.
 //!
 //! [`crate::service`] builds the concurrent front door on top of this
 //! module: a supervised worker pool feeds submissions through a
@@ -38,7 +43,5 @@ pub mod health;
 
 pub use chaos::{ChaosPlan, ChaosState};
 pub use ctx::{CancelToken, Deadline, RunContext, CHECK_STRIDE};
-pub use dispatcher::{
-    DispatchOpts, DispatchOutcome, Dispatcher, DispatcherConfig, EngineKind, RetryPolicy,
-};
+pub use dispatcher::{DispatchOpts, DispatchOutcome, Dispatcher, DispatcherConfig, EngineKind};
 pub use health::{BreakerConfig, CircuitState, EngineHealth};

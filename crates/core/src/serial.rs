@@ -155,6 +155,7 @@ pub fn try_multireduce_serial_ctx<T: Element, O: TryCombineOp<T>>(
 ) -> Result<Vec<T>, MpError> {
     debug_assert_eq!(values.len(), labels.len());
     ctx.checkpoint()?;
+    let _span = ctx.phase_span(crate::obs::Phase::Figure2);
     let mut buckets = try_filled_vec(op.identity(), m)?;
     for (i, (&value, &label)) in values.iter().zip(labels).enumerate() {
         debug_assert!(label < m);

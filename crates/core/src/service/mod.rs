@@ -4,8 +4,8 @@
 //!
 //! A [`Service`] accepts concurrent multiprefix/multireduce submissions
 //! from any number of threads and executes them on a pool of supervised
-//! workers, each request flowing through the dispatcher's fallback chain,
-//! retry policy and circuit breakers. The layer adds the *service-level*
+//! workers, each request flowing through the dispatcher's fallback chain
+//! and deadlines. The layer adds the *service-level*
 //! guarantees the dispatcher alone cannot give:
 //!
 //! * **Bounded queue + backpressure** — the submission queue holds at most
@@ -92,8 +92,9 @@ pub struct ServiceConfig {
     /// worker's steal scan stays short. `Some(1)` reproduces the old
     /// single-mutex front door exactly (the benchmark baseline).
     pub ingress_shards: Option<usize>,
-    /// The dispatcher every worker executes through (fallback chain, retry,
-    /// breakers, timeouts).
+    /// The dispatcher every request executes through (fallback chain,
+    /// timeouts). One dispatcher serves every worker and keeps no state
+    /// between requests, so a request whose operator panics fails alone.
     pub dispatcher: DispatcherConfig,
     /// Enable micro-batch coalescing of small requests. Off by default.
     /// Setting it also lets a small request that finds the service idle
@@ -108,7 +109,7 @@ pub struct ServiceConfig {
     pub chaos: Option<Arc<ChaosState>>,
     /// Metrics/tracing sink, threaded through every layer: the service
     /// mirrors its counters under `service.*` and times queue wait vs
-    /// execution, the dispatcher reports attempts/retries/breaker events,
+    /// execution, the dispatcher reports attempts and fallbacks,
     /// and the engines report per-phase timings. `None` (the default) is
     /// the zero-overhead path — no clock reads, no instrument lookups.
     pub recorder: Option<Arc<dyn Recorder>>,

@@ -1,5 +1,5 @@
 //! The [`Service`] session API: durable streaming sessions routed
-//! through the service's deadline and circuit-breaker discipline.
+//! through the service's deadline check and a storage circuit breaker.
 //!
 //! A [`Service`] built over an invertible operator can host any number of
 //! [`DurableSession`] stores alongside its batch traffic:
@@ -10,9 +10,9 @@
 //! [`Service::session_snapshot`]) operate on it, and
 //! [`Service::session_close`] seals and unregisters it.
 //!
-//! Each session carries its own **storage breaker** (the same
-//! [`BreakerConfig`](crate::resilience::BreakerConfig) the dispatcher
-//! uses for engines): consecutive storage failures open it, and while it
+//! Each session carries its own **storage breaker** (an
+//! [`EngineHealth`] with the default
+//! [`BreakerConfig`]): consecutive storage failures open it, and while it
 //! is open every storage-touching call fails fast with
 //! [`MpError::Unavailable`] instead of hammering a sick disk — queries,
 //! which touch only memory, keep being served, and
@@ -31,7 +31,7 @@ use crate::error::MpError;
 use crate::op::{InvertibleOp, TryCombineOp};
 use crate::problem::Element;
 use crate::resilience::ctx::Deadline;
-use crate::resilience::health::EngineHealth;
+use crate::resilience::health::{BreakerConfig, EngineHealth};
 use crate::session::{DurableSession, RecoveryReport, SessionOptions};
 use crate::shard::net::wire::WireValue;
 use std::collections::HashMap;
@@ -112,7 +112,7 @@ where
             id,
             SessionSlot {
                 store,
-                health: EngineHealth::new(self.shared.cfg.dispatcher.breaker),
+                health: EngineHealth::new(BreakerConfig::default()),
             },
         );
         if let Some(rec) = self.shared.stats.recorder() {
@@ -286,7 +286,7 @@ where
 mod tests {
     use super::*;
     use crate::op::Plus;
-    use crate::resilience::{BreakerConfig, ChaosPlan, CircuitState};
+    use crate::resilience::{ChaosPlan, CircuitState};
     use crate::service::ServiceConfig;
     use std::path::PathBuf;
 
@@ -351,21 +351,7 @@ mod tests {
     #[test]
     fn storage_breaker_opens_and_spares_queries() {
         let dir = tmpdir("breaker");
-        let svc = Service::<i64, Plus>::new(
-            Plus,
-            ServiceConfig {
-                workers: Some(1),
-                dispatcher: crate::resilience::DispatcherConfig {
-                    breaker: BreakerConfig {
-                        failure_threshold: 2,
-                        ..BreakerConfig::default()
-                    },
-                    ..Default::default()
-                },
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
+        let svc = service();
         // Open clean, get some durable state, then arm 100% fsync faults.
         let sid = svc
             .open_session(&dir, 4, SessionOptions::default())
@@ -379,19 +365,18 @@ mod tests {
             ..SessionOptions::default()
         };
         let sid = svc.open_session(&dir, 4, opts).unwrap();
-        // Two consecutive storage failures trip the breaker…
-        assert!(matches!(
-            svc.session_append(sid, 1, 1),
-            Err(MpError::Storage { .. })
-        ));
-        assert!(matches!(
-            svc.session_append(sid, 1, 2),
-            Err(MpError::Storage { .. })
-        ));
+        // Three consecutive storage failures (the default threshold) trip
+        // the breaker…
+        for value in 1..=3 {
+            assert!(matches!(
+                svc.session_append(sid, 1, value),
+                Err(MpError::Storage { .. })
+            ));
+        }
         assert_eq!(svc.session_breaker_state(sid).unwrap(), CircuitState::Open);
         // …after which storage calls fail fast without touching the disk…
         assert!(matches!(
-            svc.session_append(sid, 1, 3),
+            svc.session_append(sid, 1, 4),
             Err(MpError::Unavailable)
         ));
         // …while memory-only queries keep being served.

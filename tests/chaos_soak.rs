@@ -8,9 +8,7 @@
 //! default suite.
 
 use multiprefix::op::Plus;
-use multiprefix::resilience::{
-    BreakerConfig, ChaosPlan, DispatchOpts, Dispatcher, DispatcherConfig, RetryPolicy,
-};
+use multiprefix::resilience::{ChaosPlan, DispatchOpts, Dispatcher, DispatcherConfig};
 use multiprefix::{multiprefix, Engine, ExecConfig, MpError, MultiprefixOutput};
 use std::time::Duration;
 
@@ -46,27 +44,11 @@ fn is_typed_resilience_error(err: &MpError) -> bool {
     )
 }
 
-/// Zero-backoff retry: the soak spends its wall-clock in engines, not sleeps.
-fn soak_retry() -> RetryPolicy {
-    RetryPolicy {
-        base_backoff: Duration::ZERO,
-        max_backoff: Duration::ZERO,
-        ..RetryPolicy::default()
-    }
-}
-
 /// Run every shape through a dispatcher armed with a mixed fault plan and
 /// assert the all-or-typed-error contract. Returns (ok, err) counts.
 fn soak_round(seed: u64, chain: Vec<Engine>) -> (usize, usize) {
     let cfg = DispatcherConfig {
         chain,
-        retry: soak_retry(),
-        breaker: BreakerConfig {
-            // Let engines keep getting traffic all round: the breaker's own
-            // behavior has dedicated tests; the soak wants fault coverage.
-            failure_threshold: u32::MAX,
-            cooldown: Duration::ZERO,
-        },
         // Two threads split the 4 097-element shape into two chunks, so
         // faults land in the combine and apply phases too.
         exec: ExecConfig::default().threads(2),
@@ -150,11 +132,6 @@ fn soak_outcomes_replay_deterministically() {
     let run = |seed: u64| -> Vec<String> {
         let cfg = DispatcherConfig {
             chain: vec![Engine::Serial],
-            retry: soak_retry(),
-            breaker: BreakerConfig {
-                failure_threshold: u32::MAX,
-                cooldown: Duration::ZERO,
-            },
             ..DispatcherConfig::default()
         };
         let dispatcher = Dispatcher::new(cfg).unwrap();

@@ -28,8 +28,7 @@ use multiprefix::chunked::{
 };
 use multiprefix::op::{FirstLast, Max, Min, Plus, TryCombineOp};
 use multiprefix::resilience::{
-    CancelToken, ChaosPlan, CircuitState, Deadline, DispatchOpts, Dispatcher, DispatcherConfig,
-    RunContext,
+    CancelToken, ChaosPlan, Deadline, DispatchOpts, Dispatcher, DispatcherConfig, RunContext,
 };
 use multiprefix::serial::{multiprefix_serial, multireduce_serial, try_multiprefix_serial};
 use multiprefix::service::{Reply, Request, Service, ServiceConfig};
@@ -355,8 +354,8 @@ proptest! {
             }
         }
         // The dispatcher's four entries report it too, under the default
-        // config and the same stops, and charge no engine's breaker for it:
-        // they run the same engine table, with no label scan of their own.
+        // config and the same stops: they run the same engine table, with
+        // no label scan of their own.
         // So does a sharded front, whose one label scan is its supervisor's.
         let chaos = ChaosPlan::seeded(parts as u64)
             .worker_panic_ppm(1_000_000)
@@ -389,9 +388,11 @@ proptest! {
                     prop_assert_eq!(err, expect.clone(), "{} {} {}", front, entry, why);
                 }
             }
-            for engine in Engine::ALL {
-                prop_assert_eq!(dispatcher.circuit_state(engine), CircuitState::Closed, "{} {}", front, engine);
-            }
+            // A valid request right after is served by the chain's first
+            // engine on its first attempt.
+            let fresh = d.dispatch(&[3i64, 4], &[0, 0], 1, Plus, &none()).unwrap();
+            prop_assert_eq!((fresh.engine, fresh.attempts), (front, 1), "{}", front);
+            prop_assert_eq!(fresh.output.sums, vec![0, 3]);
             if let Some(sup) = dispatcher.shard_supervisor() {
                 prop_assert_eq!(sup.shards_lost(), 0, "a bad input reached a shard worker");
             }

@@ -1,14 +1,11 @@
 //! Integration tests for the resilient dispatch runtime, driven entirely
 //! through the public crate surface: fallback chains that keep serving when
-//! the primary engine is wedged, retry-then-fall-back on transient faults,
-//! circuit breakers that trip and recover, typed deadline/cancellation
-//! errors, and config validation at construction time.
+//! the primary engine is wedged, one run per chain entry on transient
+//! faults, typed deadline/cancellation errors, and config validation at
+//! construction time.
 
 use multiprefix::op::Plus;
-use multiprefix::resilience::{
-    BreakerConfig, CancelToken, ChaosPlan, CircuitState, DispatchOpts, Dispatcher,
-    DispatcherConfig, RetryPolicy,
-};
+use multiprefix::resilience::{CancelToken, ChaosPlan, DispatchOpts, Dispatcher, DispatcherConfig};
 use multiprefix::{multiprefix, Engine, ExecConfig, MpError, MultiprefixOutput};
 use std::time::Duration;
 
@@ -31,13 +28,17 @@ fn four_chunks() -> DispatcherConfig {
     }
 }
 
-/// Zero-sleep retry so fault-heavy tests don't spend wall-clock in backoff.
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        base_backoff: Duration::ZERO,
-        max_backoff: Duration::ZERO,
-        ..RetryPolicy::default()
-    }
+/// A valid request right after another must be served by the chain's
+/// first engine on its first attempt: nothing the earlier request did
+/// carries over.
+fn assert_fresh(dispatcher: &Dispatcher) {
+    let (values, labels) = problem(300, 7);
+    let out = dispatcher
+        .dispatch(&values, &labels, 7, Plus, &DispatchOpts::default())
+        .unwrap();
+    assert_eq!(out.output, oracle(&values, &labels, 7));
+    assert_eq!(out.engine, dispatcher.config().chain[0].resolve());
+    assert_eq!((out.attempts, out.fallbacks), (1, 0));
 }
 
 #[test]
@@ -68,11 +69,7 @@ fn wedged_primary_engine_still_serves_via_fallback() {
     // primary is completely wedged, yet the dispatcher must answer — from
     // the next engine in the default chain, the serial loop, with the
     // canonical result.
-    let cfg = DispatcherConfig {
-        retry: fast_retry(),
-        ..DispatcherConfig::default()
-    };
-    let dispatcher = Dispatcher::new(cfg).unwrap();
+    let dispatcher = Dispatcher::new(DispatcherConfig::default()).unwrap();
     let (values, labels) = problem(1_500, 11);
     let expect = oracle(&values, &labels, 11);
 
@@ -92,18 +89,15 @@ fn wedged_primary_engine_still_serves_via_fallback() {
     assert_eq!(out.engine, Engine::Serial, "must degrade, not die");
     assert!(out.fallbacks >= 1);
     assert!(chaos.panics_injected() > 0, "the fault must actually fire");
+    assert_fresh(&dispatcher);
 }
 
 #[test]
-fn transient_alloc_failures_retry_then_fall_back() {
-    // Injected allocation failures are transient: the chunked engine is
-    // retried up to max_attempts, then the chain falls through to the
-    // serial engine, which serves the canonical answer.
-    let cfg = DispatcherConfig {
-        retry: fast_retry(),
-        ..DispatcherConfig::default()
-    };
-    let dispatcher = Dispatcher::new(cfg).unwrap();
+fn transient_alloc_failure_falls_through_after_one_attempt() {
+    // An injected allocation failure is transient: the chunked engine gets
+    // its one run, then the chain falls through to the serial engine, which
+    // serves the canonical answer. Nothing is retried on the same engine.
+    let dispatcher = Dispatcher::new(DispatcherConfig::default()).unwrap();
     let (values, labels) = problem(800, 7);
     let expect = oracle(&values, &labels, 7);
 
@@ -121,128 +115,15 @@ fn transient_alloc_failures_retry_then_fall_back() {
         .unwrap();
     assert_eq!(out.output, expect);
     assert_eq!(out.engine, Engine::Serial);
-    let max = dispatcher.config().retry.max_attempts;
-    assert!(
-        out.attempts > max,
-        "expected {max} exhausted chunked attempts plus a serial success, got {}",
-        out.attempts
-    );
-    assert!(chaos.alloc_fails_injected() >= max as usize);
-}
-
-#[test]
-fn breaker_trips_open_and_the_chain_keeps_serving() {
-    let cfg = DispatcherConfig {
-        chain: vec![Engine::Chunked, Engine::Serial],
-        retry: RetryPolicy {
-            max_attempts: 1,
-            ..fast_retry()
-        },
-        breaker: BreakerConfig {
-            failure_threshold: 2,
-            cooldown: Duration::from_secs(600),
-        },
-        ..DispatcherConfig::default()
-    };
-    let dispatcher = Dispatcher::new(cfg).unwrap();
-    let (values, labels) = problem(600, 5);
-    let expect = oracle(&values, &labels, 5);
-
-    let chaos = ChaosPlan::seeded(3)
-        .panic_ppm(1_000_000)
-        .only(Engine::Chunked)
-        .arm();
-    let opts = DispatchOpts {
-        chaos: Some(chaos),
-        ..DispatchOpts::default()
-    };
-
-    // Two failing requests reach the threshold; each is still answered by
-    // the serial fallback.
-    for i in 0..2 {
-        let out = dispatcher
-            .dispatch(&values, &labels, 5, Plus, &opts)
-            .unwrap();
-        assert_eq!(out.output, expect, "request {i}");
-        assert_eq!(out.engine, Engine::Serial, "request {i}");
-    }
-    assert_eq!(
-        dispatcher.circuit_state(Engine::Chunked),
-        CircuitState::Open,
-        "two consecutive panics must trip the breaker"
-    );
-
-    // With the breaker open the wedged engine is not even attempted: one
-    // attempt total (serial), one fallback (the skipped chunked entry) —
-    // even without any chaos armed.
-    let out = dispatcher
-        .dispatch(&values, &labels, 5, Plus, &DispatchOpts::default())
-        .unwrap();
-    assert_eq!(out.output, expect);
-    assert_eq!(out.engine, Engine::Serial);
-    assert_eq!(out.attempts, 1);
-    assert_eq!(out.fallbacks, 1);
-    assert_eq!(
-        dispatcher.circuit_state(Engine::Serial),
-        CircuitState::Closed
-    );
-}
-
-#[test]
-fn breaker_recovers_through_a_half_open_probe() {
-    let cfg = DispatcherConfig {
-        chain: vec![Engine::Chunked, Engine::Serial],
-        retry: RetryPolicy {
-            max_attempts: 1,
-            ..fast_retry()
-        },
-        breaker: BreakerConfig {
-            failure_threshold: 1,
-            cooldown: Duration::from_millis(20),
-        },
-        ..DispatcherConfig::default()
-    };
-    let dispatcher = Dispatcher::new(cfg).unwrap();
-    let (values, labels) = problem(400, 3);
-    let expect = oracle(&values, &labels, 3);
-
-    // One chaos-panicked request trips the threshold-1 breaker.
-    let chaos = ChaosPlan::seeded(9)
-        .panic_ppm(1_000_000)
-        .only(Engine::Chunked)
-        .arm();
-    let opts = DispatchOpts {
-        chaos: Some(chaos),
-        ..DispatchOpts::default()
-    };
-    let out = dispatcher
-        .dispatch(&values, &labels, 3, Plus, &opts)
-        .unwrap();
-    assert_eq!(out.engine, Engine::Serial);
-    assert_eq!(
-        dispatcher.circuit_state(Engine::Chunked),
-        CircuitState::Open
-    );
-
-    // After the cooldown a fault-free request is admitted as the half-open
-    // probe; its success re-closes the breaker and chunked serves again.
-    std::thread::sleep(Duration::from_millis(30));
-    let out = dispatcher
-        .dispatch(&values, &labels, 3, Plus, &DispatchOpts::default())
-        .unwrap();
-    assert_eq!(out.output, expect);
-    assert_eq!(out.engine, Engine::Chunked, "probe must rejoin the chain");
-    assert_eq!(
-        dispatcher.circuit_state(Engine::Chunked),
-        CircuitState::Closed
-    );
+    assert_eq!((out.attempts, out.fallbacks), (2, 1));
+    assert_eq!(chaos.alloc_fails_injected(), 1);
+    assert_fresh(&dispatcher);
 }
 
 #[test]
 fn expired_request_deadline_is_a_typed_error() {
     let cfg = DispatcherConfig {
         request_timeout: Some(Duration::ZERO),
-        retry: fast_retry(),
         ..DispatcherConfig::default()
     };
     let dispatcher = Dispatcher::new(cfg).unwrap();
@@ -269,16 +150,9 @@ fn pre_cancelled_request_short_circuits_the_whole_chain() {
         .unwrap_err();
     assert_eq!(err, MpError::Cancelled, "cancellation must not fall back");
 
-    // The dispatcher itself is unharmed: the next request succeeds and the
-    // primary engine's breaker never counted the cancellation as a failure.
-    let out = dispatcher
-        .dispatch(&values, &labels, 5, Plus, &DispatchOpts::default())
-        .unwrap();
-    assert_eq!(out.output, oracle(&values, &labels, 5));
-    assert_eq!(
-        dispatcher.circuit_state(Engine::Chunked),
-        CircuitState::Closed
-    );
+    // The dispatcher itself is unharmed: the next request is served by the
+    // primary engine on its first attempt.
+    assert_fresh(&dispatcher);
 }
 
 #[test]
@@ -315,18 +189,6 @@ fn degenerate_configurations_are_rejected_at_construction() {
     };
     assert!(matches!(
         Dispatcher::new(empty),
-        Err(MpError::InvalidConfig { .. })
-    ));
-
-    let no_attempts = DispatcherConfig {
-        retry: RetryPolicy {
-            max_attempts: 0,
-            ..RetryPolicy::default()
-        },
-        ..DispatcherConfig::default()
-    };
-    assert!(matches!(
-        Dispatcher::new(no_attempts),
         Err(MpError::InvalidConfig { .. })
     ));
 
@@ -381,11 +243,7 @@ fn chunk_worker_panic_falls_back_to_the_next_engine() {
     // Worker-fault chaos scoped to the chunked engine kills its local-pass
     // workers; the panic must be contained (resume_unwind → catch_unwind →
     // EnginePanicked) and the chain must keep serving the oracle answer.
-    let cfg = DispatcherConfig {
-        retry: fast_retry(),
-        ..four_chunks()
-    };
-    let dispatcher = Dispatcher::new(cfg).unwrap();
+    let dispatcher = Dispatcher::new(four_chunks()).unwrap();
     let (values, labels) = problem(20_000, 31);
     let expect = oracle(&values, &labels, 31);
 
@@ -461,7 +319,8 @@ fn chunk_worker_faults_stay_scoped_to_the_chunked_engine() {
 #[test]
 fn invalid_input_errors_bypass_retry_and_fallback() {
     // A label out of range is a permanent, input-shaped error: no engine
-    // can fix it, so the dispatcher reports it without burning the chain.
+    // can fix it, so the dispatcher reports it without trying the next
+    // entry.
     let dispatcher = Dispatcher::new(DispatcherConfig::default()).unwrap();
     let err = dispatcher
         .dispatch(&[1i64, 2], &[0, 7], 3, Plus, &DispatchOpts::default())
@@ -470,9 +329,5 @@ fn invalid_input_errors_bypass_retry_and_fallback() {
         err,
         MpError::LabelOutOfRange { label: 7, m: 3, .. }
     ));
-    assert_eq!(
-        dispatcher.circuit_state(Engine::Chunked),
-        CircuitState::Closed,
-        "input errors must not count against engine health"
-    );
+    assert_fresh(&dispatcher);
 }

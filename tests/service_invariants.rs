@@ -4,14 +4,13 @@
 //! a typed error — and the counters balance exactly
 //! (`admitted == completed + errored`). Plus a deterministic fusion case
 //! proving coalesced outputs are bit-identical to per-request serial runs,
-//! and the cases of a small request run on its submitter's thread when the
-//! service is idle.
+//! the cases of a small request run on its submitter's thread when the
+//! service is idle, and a request whose own operator panics, which must
+//! fail alone.
 
 use multiprefix::obs::MemoryRecorder;
 use multiprefix::op::{CombineOp, Plus, TryCombineOp};
-use multiprefix::resilience::{
-    BreakerConfig, ChaosPlan, ChaosState, DispatcherConfig, RetryPolicy,
-};
+use multiprefix::resilience::{ChaosPlan, ChaosState, DispatchOpts, Dispatcher, DispatcherConfig};
 use multiprefix::service::{
     CoalesceConfig, Priority, Reply, Request, Service, ServiceConfig, Ticket,
 };
@@ -81,18 +80,7 @@ fn run_case(raw: &[RawSpec], seed: u64, worker_chaos: bool) {
                 queue_capacity: Some(8),
                 ingress_shards: None,
                 coalesce: Some(CoalesceConfig::default()),
-                dispatcher: DispatcherConfig {
-                    retry: RetryPolicy {
-                        base_backoff: Duration::ZERO,
-                        max_backoff: Duration::ZERO,
-                        ..RetryPolicy::default()
-                    },
-                    breaker: BreakerConfig {
-                        failure_threshold: u32::MAX,
-                        cooldown: Duration::ZERO,
-                    },
-                    ..DispatcherConfig::default()
-                },
+                dispatcher: DispatcherConfig::default(),
                 chaos: Some(chaos),
                 recorder: None,
             },
@@ -294,8 +282,8 @@ fn coalesced_outputs_match_the_serial_oracle_bit_for_bit() {
     assert!(metrics.coalesced_requests >= 2);
 }
 
-/// A coalescing service over the given operator with zero-backoff retry
-/// and a breaker that never opens.
+/// A coalescing service over the given operator and the default
+/// dispatcher.
 fn coalescing_service<O: TryCombineOp<i64> + std::fmt::Debug>(
     op: O,
     workers: usize,
@@ -308,18 +296,6 @@ fn coalescing_service<O: TryCombineOp<i64> + std::fmt::Debug>(
             workers: Some(workers),
             queue_capacity: Some(16),
             coalesce: Some(CoalesceConfig::default()),
-            dispatcher: DispatcherConfig {
-                retry: RetryPolicy {
-                    base_backoff: Duration::ZERO,
-                    max_backoff: Duration::ZERO,
-                    ..RetryPolicy::default()
-                },
-                breaker: BreakerConfig {
-                    failure_threshold: u32::MAX,
-                    cooldown: Duration::ZERO,
-                },
-                ..DispatcherConfig::default()
-            },
             chaos,
             recorder,
             ..ServiceConfig::default()
@@ -492,6 +468,13 @@ impl TryCombineOp<i64> for PoisonPlus {
     }
 }
 
+/// `problem(n, m, salt)` with the poison value in its middle element.
+fn poisoned_problem(n: usize, m: usize, salt: u64) -> (Vec<i64>, Vec<usize>) {
+    let (mut values, labels) = problem(n, m, salt);
+    values[n / 2] = 999;
+    (values, labels)
+}
+
 #[test]
 fn poisoned_request_on_the_submitter_gets_a_typed_error() {
     let service = coalescing_service(PoisonPlus, 2, None, None);
@@ -500,13 +483,117 @@ fn poisoned_request_on_the_submitter_gets_a_typed_error() {
         let err = outcome.expect_err("a poisoned request cannot succeed");
         assert!(is_typed_service_error(&err), "untyped error: {err:?}");
     };
-    let (ticket, _) = submit_inline(&service, poisoned, typed);
+    let (ticket, poisoned_attempts) = submit_inline(&service, poisoned, typed);
     typed(
         ticket
             .try_result()
             .expect("resolved before try_submit returned"),
     );
+    // The poisoned request left nothing behind: the next one is healthy
+    // and gets the oracle answer.
+    let healthy = || Request::multiprefix(vec![1i64, 2, 3, 4], vec![0, 1, 0, 1], 2);
+    let want = Reply::Prefix(
+        multiprefix(&[1i64, 2, 3, 4], &[0, 1, 0, 1], 2, Plus, Engine::Serial).unwrap(),
+    );
+    let (ticket, healthy_attempts) = submit_inline(&service, healthy, |outcome| {
+        assert_eq!(outcome.as_ref(), Ok(&want))
+    });
+    assert_eq!(ticket.take(), Ok(want));
     let m = service.shutdown();
-    assert_eq!(m.inline, 1);
-    assert_eq!(m.errored, m.admitted);
+    assert_eq!(m.inline, 2);
+    assert_eq!(m.errored, poisoned_attempts);
+    assert_eq!(m.completed, healthy_attempts);
+}
+
+#[test]
+fn poisoned_request_through_the_dispatcher_costs_one_run_per_entry() {
+    let rec = MemoryRecorder::shared();
+    let dispatcher = Dispatcher::new(DispatcherConfig::default())
+        .unwrap()
+        .with_recorder(rec.clone() as Arc<dyn Recorder>);
+    let (values, labels) = poisoned_problem(64, 5, 7);
+    let err = dispatcher
+        .dispatch(&values, &labels, 5, PoisonPlus, &DispatchOpts::default())
+        .unwrap_err();
+    assert_eq!(err, MpError::EnginePanicked);
+    assert_eq!(rec.counter_value("dispatch.chunked.attempts"), 1);
+    assert_eq!(rec.counter_value("dispatch.serial.attempts"), 1);
+
+    // The next request is healthy: the chain's first engine serves it on
+    // its first attempt.
+    let (values, labels) = problem(64, 5, 7);
+    let out = dispatcher
+        .dispatch(&values, &labels, 5, PoisonPlus, &DispatchOpts::default())
+        .unwrap();
+    assert_eq!(
+        out.output,
+        multiprefix(&values, &labels, 5, Plus, Engine::Serial).unwrap()
+    );
+    assert_eq!(out.engine, Engine::Chunked);
+    assert_eq!((out.attempts, out.fallbacks), (1, 0));
+}
+
+#[test]
+fn poisoned_request_spares_the_healthy_requests_behind_it() {
+    let (poisoned_values, poisoned_labels) = poisoned_problem(64, 8, 1);
+    let healthy: Vec<_> = (2..33u64)
+        .map(|salt| {
+            let (values, labels) = problem(64, 8, salt);
+            let want = multiprefix(&values, &labels, 8, Plus, Engine::Serial).unwrap();
+            (values, labels, Reply::Prefix(want))
+        })
+        .collect();
+    for workers in [Some(1), None] {
+        for coalesce in [true, false] {
+            let case = format!("workers {workers:?}, coalescing {coalesce}");
+            // A zero-length worker stall fires on every batch and changes
+            // nothing else; arming it keeps every request on the pool, where
+            // coalescing can fuse the poisoned request with healthy ones.
+            let chaos = ChaosPlan::seeded(5)
+                .worker_stall_ppm(1_000_000)
+                .stall(0, Duration::ZERO)
+                .arm();
+            let service = Service::new(
+                PoisonPlus,
+                ServiceConfig {
+                    workers,
+                    coalesce: coalesce.then(CoalesceConfig::default),
+                    chaos: Some(chaos),
+                    ..ServiceConfig::default()
+                },
+            )
+            .unwrap();
+            let poisoned = service
+                .submit(Request::multiprefix(
+                    poisoned_values.clone(),
+                    poisoned_labels.clone(),
+                    8,
+                ))
+                .unwrap();
+            let tickets: Vec<_> = healthy
+                .iter()
+                .map(|(values, labels, _)| {
+                    service
+                        .submit(Request::multiprefix(values.clone(), labels.clone(), 8))
+                        .unwrap()
+                })
+                .collect();
+            let err = poisoned
+                .wait()
+                .expect_err("a poisoned request cannot succeed");
+            assert!(
+                is_typed_service_error(&err),
+                "{case}: untyped error {err:?}"
+            );
+            for (i, (ticket, (_, _, want))) in tickets.into_iter().zip(&healthy).enumerate() {
+                assert_eq!(
+                    ticket.wait().as_ref(),
+                    Ok(want),
+                    "{case}: healthy request {i}"
+                );
+            }
+            let m = service.shutdown();
+            assert_eq!((m.completed, m.errored), (31, 1), "{case}: {m:?}");
+        }
+    }
 }

@@ -8,9 +8,7 @@
 //! soak job (`cargo test -- --ignored soak`).
 
 use multiprefix::op::Plus;
-use multiprefix::resilience::{
-    BreakerConfig, ChaosPlan, ChaosState, DispatcherConfig, RetryPolicy,
-};
+use multiprefix::resilience::{ChaosPlan, ChaosState, DispatcherConfig};
 use multiprefix::service::{
     CoalesceConfig, Priority, Reply, Request, Service, ServiceConfig, ServiceMetrics, Ticket,
 };
@@ -42,24 +40,6 @@ fn is_typed_service_error(err: &MpError) -> bool {
             | MpError::AllocationFailed { .. }
             | MpError::Unavailable
     )
-}
-
-/// Zero-backoff retry and a never-opening breaker: the storm spends its
-/// wall-clock in engines and queue contention, not sleeps, and every engine
-/// keeps taking traffic all storm long.
-fn storm_dispatcher() -> DispatcherConfig {
-    DispatcherConfig {
-        retry: RetryPolicy {
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            ..RetryPolicy::default()
-        },
-        breaker: BreakerConfig {
-            failure_threshold: u32::MAX,
-            cooldown: Duration::ZERO,
-        },
-        ..DispatcherConfig::default()
-    }
 }
 
 /// xorshift64* — the storm's own deterministic decision stream (distinct
@@ -203,7 +183,7 @@ fn storm_service(chaos: Arc<ChaosState>, coalesce: bool) -> Arc<Service<i64, Plu
                 workers: Some(4),
                 queue_capacity: Some(32),
                 ingress_shards: None,
-                dispatcher: storm_dispatcher(),
+                dispatcher: DispatcherConfig::default(),
                 coalesce: coalesce.then(CoalesceConfig::default),
                 chaos: Some(chaos),
                 recorder: None,
@@ -384,7 +364,6 @@ fn queued_requests_racing_stop_at_an_unstarted_pool_leave_no_worker_behind() {
                 ServiceConfig {
                     workers: Some(4),
                     queue_capacity: Some(32),
-                    dispatcher: storm_dispatcher(),
                     ..ServiceConfig::default()
                 },
             )

@@ -17,7 +17,7 @@
 
 use multiprefix::op::Plus;
 use multiprefix::resilience::{
-    BreakerConfig, ChaosPlan, ChaosState, DispatchOpts, Dispatcher, DispatcherConfig, RunContext,
+    ChaosPlan, ChaosState, DispatchOpts, Dispatcher, DispatcherConfig, RunContext,
 };
 use multiprefix::{
     multiprefix, Engine, ExecConfig, MpError, MultiprefixOutput, ShardConfig, ShardSupervisor,
@@ -218,10 +218,6 @@ fn dispatcher_with_sharded_front_survives_shard_chaos() {
         shard: Some(fast_cfg()),
         // The chunked fallback splits the 4 097-element shape in two.
         exec: ExecConfig::default().threads(2),
-        breaker: BreakerConfig {
-            failure_threshold: u32::MAX,
-            cooldown: Duration::ZERO,
-        },
         ..DispatcherConfig::default()
     };
     let dispatcher = Dispatcher::new(cfg).unwrap();
