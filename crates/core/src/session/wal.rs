@@ -466,6 +466,46 @@ mod tests {
             .collect()
     }
 
+    /// `sample_log` as bytes: the socket frame header and the on-disk
+    /// record layout, pinned so a change to either shows here.
+    #[rustfmt::skip]
+    const SAMPLE_LOG: [u8; 119] = [
+        // MPXF | seq 1 | len 25 | hcrc | pcrc | Segment { base_ops: 0, gen: 0, m: 8 }
+        0x4D, 0x50, 0x58, 0x46, 0x01, 0x00, 0x00, 0x00, 0x19, 0x00, 0x00, 0x00,
+        0xE2, 0xC7, 0x99, 0x84, 0x55, 0x6A, 0x2E, 0x27,
+        0xA0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        // MPXF | seq 2 | len 17 | hcrc | pcrc | Append { label: 3, value: 41 }
+        0x4D, 0x50, 0x58, 0x46, 0x02, 0x00, 0x00, 0x00, 0x11, 0x00, 0x00, 0x00,
+        0xEE, 0xE8, 0xA2, 0xCF, 0x63, 0x0E, 0x97, 0x15,
+        0xA1, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x29, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        // MPXF | seq 3 | len 17 | hcrc | pcrc | Update { index: 0, value: -5 }
+        0x4D, 0x50, 0x58, 0x46, 0x03, 0x00, 0x00, 0x00, 0x11, 0x00, 0x00, 0x00,
+        0x70, 0xE8, 0x08, 0x03, 0xE7, 0x96, 0xD0, 0x49,
+        0xA2, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0xFB, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+    ];
+
+    #[test]
+    fn frame_and_record_bytes_are_pinned() {
+        assert_eq!(sample_log(), SAMPLE_LOG);
+        let scan = scan_wal::<i64>(&SAMPLE_LOG);
+        assert_eq!(scan.damage, None);
+        assert_eq!(scan.records.len(), 3);
+        assert_eq!(
+            scan.records[2],
+            (
+                3,
+                WalRecord::Update {
+                    index: 0,
+                    value: -5
+                }
+            )
+        );
+    }
+
     #[test]
     fn clean_log_scans_whole() {
         let bytes = sample_log();
