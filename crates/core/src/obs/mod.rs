@@ -37,6 +37,7 @@
 //! | `service.exec` | `exec_ns` histogram |
 //! | `service` | `admitted`, `completed`, `shed`, `expired`, `cancelled`, `worker_lost`, `failed` counters (mirrors [`ServiceMetrics`](crate::service::ServiceMetrics)) |
 //! | `shard.supervisor` | `shard_lost`, `requeued`, `degraded` counters; `reconnects` counts socket-transport worker revivals (respawn + re-handshake) by the connection keeper |
+//! | `shard.net.conn_dead` | `damage`, `decode`, `closed` counters: socket connections the supervisor's reader lost outside wind-down, by cause (a frame failed a check; a verified frame failed to decode; EOF or an I/O error) |
 
 mod hist;
 mod record;

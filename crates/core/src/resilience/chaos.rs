@@ -98,10 +98,14 @@ pub struct ChaosPlan {
     pub only_shard: Option<usize>,
     /// Probability a socket-transport **data frame** has one bit flipped
     /// after its checksum is computed (the receiver must reject it with a
-    /// typed decode error and recover via NAK/resend, never deliver it).
+    /// typed error and close the connection, never deliver it; the
+    /// supervisor requeues the lost task).
     pub net_corrupt_ppm: u32,
     /// Probability a socket-transport data frame is truncated mid-write
-    /// (the receiver must resynchronize on the next frame magic).
+    /// with the stream left open (the next frame's bytes then fail the
+    /// receiver's checks and close the connection, a cut at byte 0 fails
+    /// its sequence check, and a frame nothing follows ends in a task
+    /// timeout).
     pub net_truncate_ppm: u32,
     /// Probability a socket-transport data frame's write turns into a
     /// mid-message disconnect (partial write, then both stream directions

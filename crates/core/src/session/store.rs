@@ -650,7 +650,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::Plus;
+    use crate::op::{CombineOp, Plus};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -777,6 +777,66 @@ mod tests {
         assert_eq!(s.len(), 9);
         assert!(!s.recovery_report().truncated_tail);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An element wide enough that its `Append` record (9 + 65 536
+    /// bytes) outgrows a fixed 64 KiB record cap.
+    type Wide = [i64; 8192];
+
+    #[derive(Clone, Copy)]
+    struct WidePlus;
+
+    impl CombineOp<Wide> for WidePlus {
+        const COMMUTATIVE: bool = true;
+        fn identity(&self) -> Wide {
+            [0; 8192]
+        }
+        fn combine(&self, mut a: Wide, b: Wide) -> Wide {
+            for (x, y) in a.iter_mut().zip(b) {
+                *x = x.wrapping_add(y);
+            }
+            a
+        }
+    }
+
+    impl InvertibleOp<Wide> for WidePlus {
+        fn uncombine(&self, mut a: Wide, b: Wide) -> Wide {
+            for (x, y) in a.iter_mut().zip(b) {
+                *x = x.wrapping_sub(y);
+            }
+            a
+        }
+    }
+
+    #[test]
+    fn wide_records_replay_after_reopen() {
+        let dir = tmpdir("wide");
+        // 64 KiB values are passed by value through the session, more
+        // often than a debug build's default test stack holds.
+        let run = move || {
+            let mut first = [0i64; 8192];
+            first[8191] = 5;
+            let second = [3i64; 8192];
+            {
+                let mut s = DurableSession::open(&dir, 2, WidePlus, opts()).unwrap();
+                s.append(1, first).unwrap();
+                s.append(1, second).unwrap();
+                s.close().unwrap();
+            }
+            // Both appends were acknowledged, so both must replay.
+            let s = DurableSession::<Wide, WidePlus>::open(&dir, 2, WidePlus, opts()).unwrap();
+            assert_eq!(s.len(), 2);
+            assert!(!s.recovery_report().truncated_tail);
+            assert_eq!(s.prefix_query(1).unwrap(), first);
+            assert_eq!(s.label_total(1).unwrap()[8191], 8);
+            std::fs::remove_dir_all(&dir).unwrap();
+        };
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(run)
+            .expect("spawn")
+            .join()
+            .expect("wide-record session");
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //!
 //! Every record rides the same 20-byte frame the socket transport uses
 //! ([`crate::shard::net::frame`]): `MPXF | seq | len | hcrc | pcrc |
-//! payload`, both CRCs IEEE CRC-32. The WAL reuses the *encoder*
-//! verbatim but replays with its own strict scanner instead of the
-//! stream parser: a socket peer can be NAKed into resending damaged
-//! bytes, a disk cannot — so the first record that fails any check
-//! (magic, header CRC, length cap, payload CRC, sequence continuity,
-//! payload decode) is where the log **ends**, and recovery truncates the
-//! file there. Damage never replays, and a torn final write (the
-//! classic crash signature) is indistinguishable from a clean
+//! payload`, both CRCs IEEE CRC-32. The WAL writes with the frame
+//! encoder and replays through the same strict parser as the socket
+//! reader ([`parse_frame`]), with the length cap set to the largest
+//! record the element type can encode. The first record that fails any
+//! check (magic, header CRC, length cap, payload CRC, sequence
+//! continuity, payload decode) is where the log **ends**, and recovery
+//! truncates the file there. Damage never replays, and a torn final
+//! write (the classic crash signature) is indistinguishable from a clean
 //! end-of-log — exactly the semantics a WAL needs.
 //!
 //! Record payloads are tag + little-endian fields via [`WireValue`], the
@@ -20,16 +20,12 @@
 
 use crate::error::MpError;
 use crate::resilience::chaos::{ChaosState, WalFault};
-use crate::shard::net::frame::{crc32, encode_frame, HEADER_LEN, MAGIC};
-use crate::shard::net::wire::WireValue;
+use crate::shard::net::frame::{encode_frame, parse_frame};
+use crate::shard::net::wire::{NetError, WireValue};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// Hard cap on one WAL record's payload. Records are tiny (tens of
-/// bytes); a length field beyond this is damage, not data.
-pub const WAL_MAX_RECORD: usize = 64 * 1024;
 
 /// One durable session operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,53 +152,38 @@ impl<T> WalScan<T> {
     }
 }
 
+/// The largest record payload `T` can encode: a `Segment` (tag + three
+/// `u64`s) or an `Append`/`Update` (tag + `u64` + one `T`). A length
+/// field beyond it is damage, not data.
+fn max_record_len<T: WireValue>() -> usize {
+    (1 + 3 * 8).max(1 + 8 + T::WIRE_SIZE)
+}
+
 /// Strictly scan a WAL segment: verified, in-sequence records up to the
-/// first damage. Unlike the socket transport's [`FrameBuffer`] (which
-/// resynchronizes and NAKs for a resend), damage here is **final** — the
+/// first damage, read through [`parse_frame`]. Damage is **final** — the
 /// log ends at the last whole record.
-///
-/// [`FrameBuffer`]: crate::shard::net::frame::FrameBuffer
 pub fn scan_wal<T: WireValue>(bytes: &[u8]) -> WalScan<T> {
+    let cap = max_record_len::<T>();
     let mut records = Vec::new();
     let mut offset = 0usize;
-    let mut expected = 1u32;
     let damage = loop {
         let rem = &bytes[offset..];
         if rem.is_empty() {
             break None;
         }
-        if rem.len() < HEADER_LEN {
-            break Some(WalDamage::TornTail);
+        let seq = records.len() as u32 + 1;
+        match parse_frame(rem, seq, cap) {
+            Ok(Some((payload, used))) => {
+                let Some(record) = decode_record::<T>(payload) else {
+                    break Some(WalDamage::CorruptRecord);
+                };
+                records.push((seq, record));
+                offset += used;
+            }
+            Ok(None) => break Some(WalDamage::TornTail),
+            Err(NetError::BadValue("frame sequence")) => break Some(WalDamage::SequenceGap),
+            Err(_) => break Some(WalDamage::CorruptRecord),
         }
-        if rem[..4] != MAGIC {
-            break Some(WalDamage::CorruptRecord);
-        }
-        let seq = u32::from_le_bytes(rem[4..8].try_into().unwrap());
-        let len = u32::from_le_bytes(rem[8..12].try_into().unwrap());
-        let hcrc = u32::from_le_bytes(rem[12..16].try_into().unwrap());
-        let pcrc = u32::from_le_bytes(rem[16..20].try_into().unwrap());
-        if crc32(&[&rem[4..8], &rem[8..12]]) != hcrc {
-            break Some(WalDamage::CorruptRecord);
-        }
-        if len as usize > WAL_MAX_RECORD {
-            break Some(WalDamage::CorruptRecord);
-        }
-        if rem.len() < HEADER_LEN + len as usize {
-            break Some(WalDamage::TornTail);
-        }
-        let payload = &rem[HEADER_LEN..HEADER_LEN + len as usize];
-        if crc32(&[payload]) != pcrc {
-            break Some(WalDamage::CorruptRecord);
-        }
-        if seq != expected {
-            break Some(WalDamage::SequenceGap);
-        }
-        let Some(record) = decode_record::<T>(payload) else {
-            break Some(WalDamage::CorruptRecord);
-        };
-        records.push((seq, record));
-        offset += HEADER_LEN + len as usize;
-        expected += 1;
     };
     WalScan {
         records,

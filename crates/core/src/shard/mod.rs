@@ -83,6 +83,15 @@ pub const COUNTER_DEGRADED: &str = "shard.supervisor.degraded";
 /// Recorder key for successful worker reconnect/respawns (socket
 /// transport's connection keeper).
 pub const COUNTER_RECONNECTS: &str = "shard.supervisor.reconnects";
+/// Recorder key for socket connections the supervisor's reader lost to
+/// a frame that failed a check (magic, checksum, length or sequence).
+pub const COUNTER_CONN_DEAD_DAMAGE: &str = "shard.net.conn_dead.damage";
+/// Recorder key for socket connections the supervisor's reader dropped
+/// because a verified frame failed to decode.
+pub const COUNTER_CONN_DEAD_DECODE: &str = "shard.net.conn_dead.decode";
+/// Recorder key for socket connections the supervisor's reader lost to
+/// EOF or an I/O error.
+pub const COUNTER_CONN_DEAD_CLOSED: &str = "shard.net.conn_dead.closed";
 
 /// Tuning knobs for a [`ShardSupervisor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -39,8 +39,6 @@ pub const TAG_HELLO_ACK: u8 = 17;
 pub const TAG_JOB: u8 = 18;
 /// Worker acknowledges (or refuses) the job.
 pub const TAG_JOB_ACK: u8 = 19;
-/// Go-back-N resend request; intercepted by the connection layer.
-pub const TAG_NAK: u8 = 20;
 
 fn put_span(out: &mut Vec<u8>, span: ShardSpan) {
     put_u64(out, span.index as u64);
@@ -422,25 +420,6 @@ pub fn decode_job_body<T: WireValue>(
     }
 }
 
-/// Encode a go-back-N resend request: "resend everything after
-/// `last_ok`".
-pub fn encode_nak(last_ok: u32) -> Vec<u8> {
-    let mut out = vec![TAG_NAK];
-    put_u32(&mut out, last_ok);
-    out
-}
-
-/// Decode a NAK.
-pub fn decode_nak(payload: &[u8]) -> Result<u32, NetError> {
-    let mut input = payload;
-    let tag = take(&mut input, 1)?[0];
-    if tag != TAG_NAK {
-        return Err(NetError::BadTag(tag));
-    }
-    let last_ok = get_u32(&mut input)?;
-    finish(last_ok, input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,8 +536,6 @@ mod tests {
             decode_ack(TAG_HELLO_ACK, &bytes).unwrap(),
             (false, "version".to_string())
         );
-        let bytes = encode_nak(17);
-        assert_eq!(decode_nak(&bytes).unwrap(), 17);
     }
 
     #[test]

@@ -1,32 +1,28 @@
-//! One duplex shard connection: framed writes with a retained resend
-//! ring, framed reads through the resynchronizing [`FrameBuffer`], and
-//! the go-back-N NAK protocol that stitches the two together.
+//! One duplex shard connection: framed writes, and framed reads through
+//! the fail-stop [`FrameBuffer`]. A frame that fails any check kills the
+//! connection: `Conn::recv` shuts the stream down in both directions
+//! and returns the typed cause, and the supervisor's requeue, reconnect
+//! and degrade path takes over.
 //!
 //! Byte-level chaos is injected **here**, at the frame writer — after the
 //! checksums are computed — so every fault the receiver sees is exactly
 //! the wire-damage model: flipped bits, truncated writes, mid-message
-//! disconnects, slow writers. Control frames (handshake, job shipping,
-//! NAKs) and protocol-critical messages (`Shutdown`, `Crashed`) are
-//! exempt, mirroring the in-process transport's rule: losing one of those
-//! turns injected chaos into a hang, which the fault model excludes.
+//! disconnects, slow writers. Control frames (handshake, job shipping)
+//! and protocol-critical messages (`Shutdown`, `Crashed`) are exempt,
+//! mirroring the in-process transport's rule: losing one of those turns
+//! injected chaos into a hang, which the fault model excludes.
 
-use super::codec::{decode_nak, encode_nak, TAG_NAK};
-use super::frame::{encode_frame, FrameBuffer, FrameEvent, MAX_PAYLOAD};
+use super::frame::{encode_frame, FrameBuffer, MAX_PAYLOAD};
 use super::wire::NetError;
 use crate::resilience::chaos::NetFault;
 use crate::resilience::ctx::Deadline;
 use crate::resilience::ChaosState;
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Frames retained for go-back-N resend. A NAK reaching further back
-/// than this poisons the connection (the supervisor then reconnects).
-const RESEND_RING: usize = 64;
 
 /// A stream over either fabric. Both halves of a [`Conn`] hold their own
 /// OS handle (`try_clone`), so reads and writes never contend on a lock.
@@ -116,18 +112,13 @@ impl NetStream {
 struct WriteHalf {
     stream: NetStream,
     seq: u32,
-    /// `(seq, encoded frame, exempt-from-chaos)` — identical bytes are
-    /// replayed on resend, so a resent frame is bit-for-bit the original.
-    ring: VecDeque<(u32, Vec<u8>, bool)>,
 }
 
 impl WriteHalf {
-    /// Write `frame`, possibly damaged by an armed chaos plan. Damage is
-    /// applied to a *copy*: the pristine bytes stay in the ring for the
-    /// NAK-triggered resend.
+    /// Write `frame`, possibly damaged by an armed chaos plan.
     fn write_frame(
         &mut self,
-        frame: &[u8],
+        mut frame: Vec<u8>,
         exempt: bool,
         chaos: Option<&ChaosState>,
         deadline: Option<Deadline>,
@@ -137,13 +128,12 @@ impl WriteHalf {
             _ => None,
         };
         match fault {
-            None => self.stream.write_all_bytes(frame),
+            None => self.stream.write_all_bytes(&frame),
             Some(NetFault::Corrupt) => {
                 let chaos = chaos.expect("fault implies chaos");
-                let mut damaged = frame.to_vec();
-                let bit = chaos.net_index(damaged.len() * 8);
-                damaged[bit / 8] ^= 1 << (bit % 8);
-                self.stream.write_all_bytes(&damaged)
+                let bit = chaos.net_index(frame.len() * 8);
+                frame[bit / 8] ^= 1 << (bit % 8);
+                self.stream.write_all_bytes(&frame)
             }
             Some(NetFault::Truncate) => {
                 let chaos = chaos.expect("fault implies chaos");
@@ -162,7 +152,7 @@ impl WriteHalf {
             }
             Some(NetFault::Stall) => {
                 chaos.expect("fault implies chaos").stall_sleep(deadline);
-                self.stream.write_all_bytes(frame)
+                self.stream.write_all_bytes(&frame)
             }
         }
     }
@@ -171,7 +161,6 @@ impl WriteHalf {
 struct ReadHalf {
     stream: NetStream,
     fb: FrameBuffer,
-    naks_sent: u32,
     scratch: Vec<u8>,
 }
 
@@ -183,7 +172,6 @@ pub(crate) struct Conn {
     reader: Mutex<ReadHalf>,
     chaos: Option<Arc<ChaosState>>,
     deadline: Option<Deadline>,
-    nak_budget: u32,
     dead: AtomicBool,
 }
 
@@ -192,24 +180,17 @@ impl Conn {
         stream: NetStream,
         chaos: Option<Arc<ChaosState>>,
         deadline: Option<Deadline>,
-        nak_budget: u32,
     ) -> std::io::Result<Arc<Conn>> {
         let read_stream = stream.try_clone()?;
         Ok(Arc::new(Conn {
-            writer: Mutex::new(WriteHalf {
-                stream,
-                seq: 0,
-                ring: VecDeque::with_capacity(RESEND_RING),
-            }),
+            writer: Mutex::new(WriteHalf { stream, seq: 0 }),
             reader: Mutex::new(ReadHalf {
                 stream: read_stream,
                 fb: FrameBuffer::new(),
-                naks_sent: 0,
                 scratch: vec![0u8; 16 * 1024],
             }),
             chaos,
             deadline,
-            nak_budget,
             dead: AtomicBool::new(false),
         }))
     }
@@ -247,13 +228,8 @@ impl Conn {
         }
         let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         w.seq += 1;
-        let seq = w.seq;
-        let frame = encode_frame(seq, payload);
-        if w.ring.len() == RESEND_RING {
-            w.ring.pop_front();
-        }
-        w.ring.push_back((seq, frame.clone(), exempt));
-        let res = w.write_frame(&frame, exempt, self.chaos.as_deref(), self.deadline);
+        let frame = encode_frame(w.seq, payload);
+        let res = w.write_frame(frame, exempt, self.chaos.as_deref(), self.deadline);
         drop(w);
         res.map_err(|e| {
             self.mark_dead();
@@ -261,70 +237,23 @@ impl Conn {
         })
     }
 
-    /// Go-back-N resend: replay every retained frame after `last_ok`.
-    /// Resends are *not* exempt from chaos (unless the original was), so
-    /// full-rate corruption keeps damaging them until the NAK budget
-    /// poisons the connection — the degradation path.
-    fn resend_from(&self, last_ok: u32) -> Result<(), NetError> {
-        let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let from = last_ok + 1;
-        if let Some(&(oldest, _, _)) = w.ring.front() {
-            if oldest > from {
-                // The needed frame aged out of the ring; the stream can
-                // never heal. Poison and let supervision reconnect.
-                self.mark_dead();
-                return Err(NetError::Poisoned { naks: 0 });
-            }
-        }
-        let frames: Vec<(Vec<u8>, bool)> = w
-            .ring
-            .iter()
-            .filter(|(s, _, _)| *s >= from)
-            .map(|(_, f, e)| (f.clone(), *e))
-            .collect();
-        for (frame, exempt) in frames {
-            w.write_frame(&frame, exempt, self.chaos.as_deref(), self.deadline)
-                .map_err(|e| {
-                    self.mark_dead();
-                    NetError::from(e)
-                })?;
-        }
-        Ok(())
-    }
-
     /// Receive the next verified, in-order payload. `Ok(None)` on
-    /// timeout; `Err` when the connection is closed, poisoned, or failed.
-    /// NAKs — ours (damage seen) and the peer's (resend requests) — are
-    /// handled internally.
+    /// timeout; `Err` when the connection is closed or failed. A frame
+    /// that fails a check shuts the connection down in both directions
+    /// (the peer reads EOF) and returns the check's error.
     pub(crate) fn recv(&self, timeout: Duration) -> Result<Option<Vec<u8>>, NetError> {
         let deadline = Instant::now() + timeout;
         let mut r = self.reader.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            // Drain the parser before touching the stream.
-            loop {
-                match r.fb.poll() {
-                    FrameEvent::Frame { payload, .. } => {
-                        if payload.first() == Some(&TAG_NAK) {
-                            let last_ok = decode_nak(&payload)?;
-                            self.resend_from(last_ok)?;
-                            continue;
-                        }
-                        return Ok(Some(payload));
-                    }
-                    FrameEvent::NakNeeded { last_ok, cause } => {
-                        r.naks_sent += 1;
-                        if r.naks_sent > self.nak_budget {
-                            self.mark_dead();
-                            return Err(NetError::Poisoned { naks: r.naks_sent });
-                        }
-                        // The typed cause (`BadChecksum`/`BadLength`/...)
-                        // drove the NAK; it surfaces as `Poisoned` only
-                        // if the budget runs dry.
-                        let _ = cause;
-                        self.send(&encode_nak(last_ok), true)?;
-                    }
-                    FrameEvent::Stale { .. } => {}
-                    FrameEvent::Need => break,
+            match r.fb.poll() {
+                Ok(Some(payload)) => return Ok(Some(payload)),
+                Ok(None) => {}
+                Err(e) => {
+                    self.mark_dead();
+                    // The read half is a clone of the same socket, so this
+                    // shuts the writer's direction too, without its lock.
+                    r.stream.shutdown();
+                    return Err(e);
                 }
             }
             if self.is_dead() {
@@ -342,7 +271,6 @@ impl Conn {
                 stream,
                 fb,
                 scratch,
-                ..
             } = &mut *r;
             match stream.read_some(scratch) {
                 Ok(0) => {
@@ -360,5 +288,54 @@ impl Conn {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shard::net::frame::encode_frame;
+
+    /// A `Conn` on one end of a socket pair; the other end is the raw peer.
+    fn pair() -> (Arc<Conn>, UnixStream) {
+        let (ours, peer) = UnixStream::pair().expect("socket pair");
+        let conn = Conn::new(NetStream::Unix(ours), None, None).expect("conn");
+        (conn, peer)
+    }
+
+    /// The peer's next read must be EOF: the damage is not answered with
+    /// any frame.
+    fn assert_peer_reads_eof(peer: &mut UnixStream) {
+        peer.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let mut buf = [0u8; 64];
+        assert_eq!(peer.read(&mut buf).expect("peer read"), 0);
+    }
+
+    fn assert_fail_stop(second: &[u8], cause: impl Fn(&NetError) -> bool) {
+        let (conn, mut peer) = pair();
+        peer.write_all(&encode_frame(1, b"first")).expect("write");
+        peer.write_all(second).expect("write");
+        let wait = Duration::from_secs(2);
+        assert_eq!(conn.recv(wait), Ok(Some(b"first".to_vec())));
+        let err = conn.recv(wait).expect_err("damage must end the stream");
+        assert!(cause(&err), "unexpected cause {err:?}");
+        assert!(conn.is_dead());
+        assert_peer_reads_eof(&mut peer);
+        assert_eq!(conn.recv(wait), Err(err));
+    }
+
+    #[test]
+    fn flipped_payload_bit_kills_the_connection() {
+        let mut bad = encode_frame(2, b"second");
+        let last = bad.len() - 1;
+        bad[last] ^= 0x01;
+        assert_fail_stop(&bad, |e| matches!(e, NetError::BadChecksum { seq: 2 }));
+    }
+
+    #[test]
+    fn skipped_sequence_number_kills_the_connection() {
+        let skipped = encode_frame(3, b"third");
+        assert_fail_stop(&skipped, |e| *e == NetError::BadValue("frame sequence"));
     }
 }

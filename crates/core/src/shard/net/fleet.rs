@@ -12,9 +12,10 @@
 //! * each accepted connection gets a reader thread that decodes
 //!   [`UpMsg`] frames into one shared up-queue (so `recv_up` stays a
 //!   single bounded wait, exactly like the channel fabric);
-//! * a reader observing stream death synthesizes [`UpMsg::Crashed`]
-//!   (the supervisor requeues on survivors — never an indefinite hang)
-//!   and notifies the keeper;
+//! * a reader observing stream death counts it by cause under
+//!   `shard.net.conn_dead.*`, synthesizes [`UpMsg::Crashed`] (the
+//!   supervisor requeues on survivors — never an indefinite hang) and
+//!   notifies the keeper;
 //! * the keeper respawns the worker (thread or process), re-handshakes,
 //!   re-ships the job, and announces the revived slot with a synthetic
 //!   [`UpMsg::Heartbeat`]. Reconnects are counted on the supervisor and
@@ -30,7 +31,6 @@ use super::codec::{
 use super::conn::{Conn, NetStream};
 use super::wire::{wire_tag_of, NetError, WireOp, WireValue};
 use super::worker::{run_inproc_worker, ENV_ADDR, ENV_INDEX, ENV_WORKER};
-use super::DEFAULT_NAK_BUDGET;
 use crate::chunked::PlainComb;
 use crate::error::MpError;
 use crate::obs::Recorder;
@@ -38,7 +38,10 @@ use crate::op::CombineOp;
 use crate::problem::{Element, MultiprefixOutput};
 use crate::resilience::{ChaosState, Deadline, RunContext};
 use crate::shard::transport::{DownMsg, RecvOutcome, ShardSpan, Transport, UpMsg};
-use crate::shard::{ShardConfig, ShardSupervisor, ShutdownGuard, COUNTER_RECONNECTS};
+use crate::shard::{
+    ShardConfig, ShardSupervisor, ShutdownGuard, COUNTER_CONN_DEAD_CLOSED,
+    COUNTER_CONN_DEAD_DAMAGE, COUNTER_CONN_DEAD_DECODE, COUNTER_RECONNECTS,
+};
 use std::fmt;
 use std::marker::PhantomData;
 use std::net::TcpListener;
@@ -95,9 +98,6 @@ pub struct NetConfig {
     /// How long to wait for a worker to connect and finish its
     /// handshake (initial fleet launch and each keeper respawn).
     pub accept_timeout: Duration,
-    /// Corrupt frames tolerated per connection before it is declared
-    /// poisoned and handed to the keeper.
-    pub nak_budget: u32,
     /// Extra environment for every spawned worker process.
     pub proc_env: Vec<(String, String)>,
     /// Extra per-shard environment for spawned worker processes (e.g. a
@@ -111,7 +111,6 @@ impl NetConfig {
             kind,
             fleet: FleetMode::InProc,
             accept_timeout: Duration::from_secs(3),
-            nak_budget: DEFAULT_NAK_BUDGET,
             proc_env: Vec::new(),
             shard_env: None,
         }
@@ -140,12 +139,6 @@ impl NetConfig {
         self
     }
 
-    /// Set the per-connection corrupt-frame (NAK) budget.
-    pub fn nak_budget(mut self, budget: u32) -> Self {
-        self.nak_budget = budget.max(1);
-        self
-    }
-
     /// Add an environment variable for every spawned worker process.
     pub fn proc_env(mut self, key: &str, value: &str) -> Self {
         self.proc_env.push((key.to_string(), value.to_string()));
@@ -168,7 +161,6 @@ impl fmt::Debug for NetConfig {
             .field("kind", &self.kind)
             .field("fleet", &self.fleet)
             .field("accept_timeout", &self.accept_timeout)
-            .field("nak_budget", &self.nak_budget)
             .field("proc_env", &self.proc_env)
             .field("shard_env", &self.shard_env.as_ref().map(|_| "<fn>"))
             .finish()
@@ -292,22 +284,19 @@ struct InProcLauncher<T, O> {
     op: O,
     heartbeat: Duration,
     chaos: Option<Arc<ChaosState>>,
-    nak_budget: u32,
 }
 
 impl<T: Element + WireValue, O: CombineOp<T>> WorkerLauncher for InProcLauncher<T, O> {
     fn launch(&self, shard: usize, addr: &str) -> std::io::Result<WorkerHandle> {
         let values = Arc::clone(&self.values);
         let labels = Arc::clone(&self.labels);
-        let (m, op, heartbeat, nak_budget) = (self.m, self.op, self.heartbeat, self.nak_budget);
+        let (m, op, heartbeat) = (self.m, self.op, self.heartbeat);
         let chaos = self.chaos.clone();
         let addr = addr.to_string();
         let handle = std::thread::Builder::new()
             .name(format!("shard-net-worker-{shard}"))
             .spawn(move || {
-                run_inproc_worker(
-                    shard, &addr, values, labels, m, op, heartbeat, chaos, nak_budget,
-                )
+                run_inproc_worker(shard, &addr, values, labels, m, op, heartbeat, chaos)
             })?;
         Ok(WorkerHandle::Thread(handle))
     }
@@ -356,6 +345,7 @@ struct Shared {
     closing: AtomicBool,
     reconnects: AtomicU64,
     readers: Mutex<Vec<JoinHandle<()>>>,
+    recorder: Option<Arc<dyn Recorder>>,
 }
 
 impl Shared {
@@ -405,14 +395,12 @@ fn sleep_checking(total: Duration, shared: &Shared) {
 /// `Hello` → version + slot validation → `HelloAck` → (for processes)
 /// `Job` → `JobAck`. Refused or garbled peers are dropped and the
 /// accept loop continues until `deadline`.
-#[allow(clippy::too_many_arguments)]
 fn accept_one(
     listener: &NetListener,
     deadline: Instant,
     shared: &Shared,
     chaos: Option<Arc<ChaosState>>,
     run_deadline: Option<Deadline>,
-    nak_budget: u32,
     job: Option<&[u8]>,
     expect: impl Fn(&Hello) -> Result<(), &'static str>,
 ) -> Result<(Arc<Conn>, Hello), NetError> {
@@ -424,7 +412,7 @@ fn accept_one(
             std::thread::sleep(Duration::from_millis(2));
             continue;
         };
-        let Ok(conn) = Conn::new(stream, chaos.clone(), run_deadline, nak_budget) else {
+        let Ok(conn) = Conn::new(stream, chaos.clone(), run_deadline) else {
             continue;
         };
         let wait = deadline
@@ -479,8 +467,8 @@ fn accept_one(
 }
 
 /// Spawn the reader thread for one accepted connection: decode
-/// [`UpMsg`] frames into the shared up-queue; on stream death,
-/// synthesize [`UpMsg::Crashed`] and notify the keeper.
+/// [`UpMsg`] frames into the shared up-queue; on stream death, count its
+/// cause, synthesize [`UpMsg::Crashed`] and notify the keeper.
 fn spawn_reader<T: Element + WireValue>(
     shard: usize,
     conn: Arc<Conn>,
@@ -494,7 +482,7 @@ fn spawn_reader<T: Element + WireValue>(
     let handle = std::thread::Builder::new()
         .name(format!("shard-net-reader-{shard}"))
         .spawn(move || {
-            loop {
+            let cause = loop {
                 if shared_for_thread.shutdown.load(Ordering::Acquire) {
                     return;
                 }
@@ -506,16 +494,19 @@ fn spawn_reader<T: Element + WireValue>(
                         // A checksum-verified frame we cannot decode is a
                         // protocol violation, not line noise: kill the
                         // connection rather than guess.
-                        Err(_) => break,
+                        Err(_) => break COUNTER_CONN_DEAD_DECODE,
                     },
                     Ok(None) => {}
-                    Err(_) => break,
+                    Err(NetError::Closed | NetError::Io(_)) => break COUNTER_CONN_DEAD_CLOSED,
+                    Err(_) => break COUNTER_CONN_DEAD_DAMAGE,
                 }
-            }
-            // Slam the socket so the worker side notices too (a poisoned
-            // connection is only marked dead locally).
+            };
+            // Slam the socket so the worker side notices too.
             conn.shutdown();
             if !shared_for_thread.winding_down() {
+                if let Some(rec) = &shared_for_thread.recorder {
+                    rec.counter(cause, 1);
+                }
                 let _ = up_tx.send(UpMsg::Crashed { shard });
                 let _ = keeper_tx.send(KeeperMsg::Dead(shard));
             }
@@ -538,10 +529,8 @@ struct Keeper<T: Element + WireValue> {
     max_reconnects: u32,
     backoff: Duration,
     accept_timeout: Duration,
-    nak_budget: u32,
     chaos: Option<Arc<ChaosState>>,
     run_deadline: Option<Deadline>,
-    recorder: Option<Arc<dyn Recorder>>,
     rx: Receiver<KeeperMsg>,
     keeper_tx: Sender<KeeperMsg>,
     up_tx: Sender<UpMsg<T>>,
@@ -609,7 +598,6 @@ impl<T: Element + WireValue> Keeper<T> {
                 &self.shared,
                 self.chaos.clone(),
                 self.run_deadline,
-                self.nak_budget,
                 self.job.as_deref().map(Vec::as_slice),
                 |hello| {
                     if hello.shard == shard {
@@ -621,10 +609,20 @@ impl<T: Element + WireValue> Keeper<T> {
             );
             match got {
                 Ok((conn, _hello)) => {
-                    *self.shared.conns[shard].lock().unwrap() = Some(Arc::clone(&conn));
+                    let mut slot = self.shared.conns[shard].lock().unwrap();
+                    // The transport's drop sets `shutdown` before it sweeps
+                    // the slots under their locks: a revival that lands
+                    // after the sweep must close its own connection, or
+                    // its worker never exits and the reaping join hangs.
+                    if self.shared.shutdown.load(Ordering::Acquire) {
+                        conn.shutdown();
+                        return;
+                    }
+                    *slot = Some(Arc::clone(&conn));
+                    drop(slot);
                     spawn_reader::<T>(shard, conn, &self.shared, &self.up_tx, &self.keeper_tx);
                     self.shared.reconnects.fetch_add(1, Ordering::Relaxed);
-                    if let Some(rec) = &self.recorder {
+                    if let Some(rec) = &self.shared.recorder {
                         rec.counter(COUNTER_RECONNECTS, 1);
                     }
                     // Revival beacon: drive_phase flips the slot back to
@@ -679,6 +677,7 @@ impl<T: Element + WireValue> SocketTransport<T> {
             closing: AtomicBool::new(false),
             reconnects: AtomicU64::new(0),
             readers: Mutex::new(Vec::new()),
+            recorder,
         });
         let (up_tx, up_rx) = mpsc::channel::<UpMsg<T>>();
         let (keeper_tx, keeper_rx) = mpsc::channel::<KeeperMsg>();
@@ -697,7 +696,6 @@ impl<T: Element + WireValue> SocketTransport<T> {
                 &shared,
                 chaos.clone(),
                 run_deadline,
-                net.nak_budget,
                 job.as_deref().map(Vec::as_slice),
                 |hello| {
                     if hello.shard >= nshards {
@@ -736,10 +734,8 @@ impl<T: Element + WireValue> SocketTransport<T> {
             max_reconnects,
             backoff: reconnect_backoff,
             accept_timeout: net.accept_timeout,
-            nak_budget: net.nak_budget,
             chaos,
             run_deadline,
-            recorder,
             rx: keeper_rx,
             keeper_tx: keeper_tx.clone(),
             up_tx,
@@ -911,7 +907,6 @@ impl ShardSupervisor {
                 op,
                 heartbeat: cfg.heartbeat_interval,
                 chaos: ctx.chaos_arc(),
-                nak_budget: net.nak_budget,
             }),
             FleetMode::SelfExec { args } => Arc::new(ProcLauncher {
                 args: args.clone(),
@@ -1009,6 +1004,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::MemoryRecorder;
     use crate::op::Plus;
 
     fn problem(n: usize, m: usize) -> (Vec<i64>, Vec<usize>) {
@@ -1074,7 +1070,6 @@ mod tests {
             op: Plus,
             heartbeat: Duration::from_millis(10),
             chaos: None,
-            nak_budget: 8,
         });
         let transport: SocketTransport<i64> = SocketTransport::establish(
             2,
@@ -1129,8 +1124,8 @@ mod tests {
             op: Plus,
             heartbeat: Duration::from_millis(10),
             chaos: None,
-            nak_budget: 2,
         });
+        let rec = MemoryRecorder::shared();
         let transport: SocketTransport<i64> = SocketTransport::establish(
             2,
             launcher,
@@ -1140,7 +1135,7 @@ mod tests {
             Duration::from_millis(2),
             None,
             None,
-            None,
+            Some(rec.clone()),
         )
         .expect("establish");
 
@@ -1187,7 +1182,65 @@ mod tests {
         };
         assert!(transport.reconnects() >= 1);
         drop(transport);
+        assert!(rec.counter_value(COUNTER_CONN_DEAD_CLOSED) >= 1);
+        assert_eq!(rec.counter_value(COUNTER_CONN_DEAD_DAMAGE), 0);
         assert_eq!(out, oracle(&values, &labels, 16));
+    }
+
+    /// The supervisor's reader names why its connection died: a frame
+    /// that fails a check, a verified frame that does not decode, or EOF.
+    #[test]
+    fn reader_counts_connection_deaths_by_cause() {
+        use crate::shard::net::codec::encode_up;
+        use crate::shard::net::frame::encode_frame;
+        use std::io::Write;
+        use std::os::unix::net::UnixStream;
+
+        let mut damaged = encode_frame(1, &encode_up(&UpMsg::<i64>::Heartbeat { shard: 0 }));
+        let last = damaged.len() - 1;
+        damaged[last] ^= 0x01;
+        let cases = [
+            (Some(damaged), COUNTER_CONN_DEAD_DAMAGE),
+            (Some(encode_frame(1, &[0xFF])), COUNTER_CONN_DEAD_DECODE),
+            (None, COUNTER_CONN_DEAD_CLOSED),
+        ];
+        for (bytes, cause) in cases {
+            let rec = MemoryRecorder::shared();
+            let shared = Arc::new(Shared {
+                conns: Vec::new(),
+                shutdown: AtomicBool::new(false),
+                closing: AtomicBool::new(false),
+                reconnects: AtomicU64::new(0),
+                readers: Mutex::new(Vec::new()),
+                recorder: Some(rec.clone()),
+            });
+            let (ours, mut peer) = UnixStream::pair().expect("socket pair");
+            let conn = Conn::new(NetStream::Unix(ours), None, None).expect("conn");
+            let (up_tx, up_rx) = mpsc::channel::<UpMsg<i64>>();
+            let (keeper_tx, keeper_rx) = mpsc::channel();
+            spawn_reader(0, conn, &shared, &up_tx, &keeper_tx);
+            match bytes {
+                Some(bytes) => peer.write_all(&bytes).expect("peer write"),
+                None => drop(peer),
+            }
+            let wait = Duration::from_secs(5);
+            assert_eq!(up_rx.recv_timeout(wait), Ok(UpMsg::Crashed { shard: 0 }));
+            assert!(matches!(
+                keeper_rx.recv_timeout(wait),
+                Ok(KeeperMsg::Dead(0))
+            ));
+            let handles = std::mem::take(&mut *shared.readers.lock().unwrap());
+            for handle in handles {
+                handle.join().expect("reader thread");
+            }
+            for key in [
+                COUNTER_CONN_DEAD_DAMAGE,
+                COUNTER_CONN_DEAD_DECODE,
+                COUNTER_CONN_DEAD_CLOSED,
+            ] {
+                assert_eq!(rec.counter_value(key), u64::from(key == cause), "{key}");
+            }
+        }
     }
 
     #[test]

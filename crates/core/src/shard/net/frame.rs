@@ -1,4 +1,5 @@
-//! Length-prefixed, checksummed, sequence-numbered frames.
+//! Length-prefixed, checksummed, sequence-numbered frames, read
+//! fail-stop.
 //!
 //! ```text
 //! ┌────────────┬─────────┬─────────┬──────────┬──────────┬──────────────┐
@@ -12,21 +13,22 @@
 //! The header carries its **own** checksum so a corrupted length field is
 //! rejected at once — without it, a bit flip in `len` would leave the
 //! parser waiting forever for payload bytes that never arrive, turning a
-//! detectable fault into a stall.
+//! detectable fault into a stall. The session WAL stores these same
+//! bytes on disk, so the layout is fixed.
 //!
-//! The parser ([`FrameBuffer`]) is a pure byte-stream machine with no I/O
-//! of its own, so the whole damage model — bit flips, truncation,
-//! arbitrary re-chunking — is unit-testable (and proptested in
-//! `tests/shard_codec_differential.rs`) without a socket. Damage is never
-//! delivered: a frame whose checksum fails, whose length field is
-//! implausible, or whose sequence number jumps ahead produces a
-//! [`FrameEvent::NakNeeded`], the parser resynchronizes by scanning for
-//! the next `MAGIC`, and the connection layer asks the peer to resend
-//! everything after the last good frame (go-back-N).
+//! [`parse_frame`] is the one strict parser: the socket's incremental
+//! [`FrameBuffer`] and the WAL's `scan_wal` both call it. The first
+//! check that fails — magic, header CRC, length cap, payload CRC, or a
+//! `seq` other than the next one — ends the stream: nothing after it is
+//! delivered, and no repair is attempted. A Unix-domain or loopback-TCP
+//! stream delivers its bytes intact and in order or not at all, so
+//! damage means the connection (or the disk) is broken; the shard
+//! supervisor recovers one level up, by requeueing the lost task and
+//! respawning the worker.
 
 use super::wire::NetError;
 
-/// Frame preamble: what the resync scan hunts for.
+/// Frame preamble.
 pub const MAGIC: [u8; 4] = *b"MPXF";
 /// Header bytes before the payload.
 pub const HEADER_LEN: usize = 20;
@@ -84,40 +86,51 @@ pub fn encode_frame(seq: u32, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// One step of the frame parser.
-#[derive(Debug, PartialEq, Eq)]
-pub enum FrameEvent {
-    /// The next in-sequence frame, verified and complete.
-    Frame {
-        /// Its sequence number (`== expected` at delivery).
-        seq: u32,
-        /// Its payload bytes.
-        payload: Vec<u8>,
-    },
-    /// Damage detected (checksum failure, implausible length, or a
-    /// sequence gap). The connection should send a NAK carrying
-    /// `last_ok` so the peer resends everything after it; the typed
-    /// cause is reported alongside for diagnostics and tests.
-    NakNeeded {
-        /// Last sequence number delivered in order.
-        last_ok: u32,
-        /// Why the stream broke.
-        cause: NetError,
-    },
-    /// A frame older than `expected` (a resend overshoot or an injected
-    /// duplicate) — verified but already delivered; skip it.
-    Stale {
-        /// The duplicate's sequence number.
-        seq: u32,
-    },
-    /// Not enough bytes buffered for another event.
-    Need,
+/// Check the frame at the front of `bytes`, which must carry sequence
+/// number `expected` and at most `cap` payload bytes. Returns the payload
+/// and the frame's total length, `Ok(None)` while `bytes` holds only part
+/// of the frame, or the first check that failed.
+pub fn parse_frame(
+    bytes: &[u8],
+    expected: u32,
+    cap: usize,
+) -> Result<Option<(&[u8], usize)>, NetError> {
+    if bytes.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    if bytes[..4] != MAGIC {
+        return Err(NetError::BadValue("frame magic"));
+    }
+    let field = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte field"));
+    let (seq, len, hcrc, pcrc) = (field(4), field(8), field(12), field(16));
+    if crc32(&[&bytes[4..12]]) != hcrc {
+        return Err(NetError::BadChecksum { seq });
+    }
+    if len as usize > cap {
+        return Err(NetError::BadLength {
+            len: len.into(),
+            cap: cap as u64,
+        });
+    }
+    let end = HEADER_LEN + len as usize;
+    if bytes.len() < end {
+        return Ok(None);
+    }
+    let payload = &bytes[HEADER_LEN..end];
+    if crc32(&[payload]) != pcrc {
+        return Err(NetError::BadChecksum { seq });
+    }
+    if seq != expected {
+        return Err(NetError::BadValue("frame sequence"));
+    }
+    Ok(Some((payload, end)))
 }
 
-/// Reassembles a damaged byte stream into verified, in-order frames.
-/// Pure: bytes in via [`FrameBuffer::extend`], events out via
-/// [`FrameBuffer::poll`]. Never panics and never allocates more than the
-/// buffered bytes plus one payload copy, whatever the input.
+/// The socket's incremental reader: bytes in via [`FrameBuffer::extend`],
+/// verified in-order payloads out via [`FrameBuffer::poll`]. Pure (no
+/// I/O), so the damage model is testable without a socket. Never panics
+/// and never allocates more than the buffered bytes plus one payload
+/// copy, whatever the input.
 #[derive(Debug)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -125,8 +138,6 @@ pub struct FrameBuffer {
     pos: usize,
     /// Next sequence number to deliver.
     expected: u32,
-    /// Bytes skipped hunting for `MAGIC` (diagnostics).
-    resynced: u64,
 }
 
 impl Default for FrameBuffer {
@@ -142,18 +153,7 @@ impl FrameBuffer {
             buf: Vec::new(),
             pos: 0,
             expected: 1,
-            resynced: 0,
         }
-    }
-
-    /// Last sequence number delivered in order (0 before the first).
-    pub fn last_ok(&self) -> u32 {
-        self.expected - 1
-    }
-
-    /// Bytes discarded while hunting for a frame magic.
-    pub fn resynced_bytes(&self) -> u64 {
-        self.resynced
     }
 
     /// Feed raw stream bytes.
@@ -167,140 +167,41 @@ impl FrameBuffer {
         self.buf.extend_from_slice(bytes);
     }
 
-    fn remaining(&self) -> &[u8] {
-        &self.buf[self.pos..]
+    /// The next verified, in-sequence payload; `Ok(None)` until more bytes
+    /// arrive. After an `Err` the stream is dead: every later call returns
+    /// the same error and nothing more is delivered.
+    pub fn poll(&mut self) -> Result<Option<Vec<u8>>, NetError> {
+        let Some((payload, used)) = parse_frame(&self.buf[self.pos..], self.expected, MAX_PAYLOAD)?
+        else {
+            return Ok(None);
+        };
+        let payload = payload.to_vec();
+        self.pos += used;
+        self.expected += 1;
+        Ok(Some(payload))
     }
-
-    /// Drop `n` bytes as resync garbage.
-    fn skip(&mut self, n: usize) {
-        self.pos += n;
-        self.resynced += n as u64;
-    }
-
-    /// Extract the next event. Call until it returns [`FrameEvent::Need`].
-    pub fn poll(&mut self) -> FrameEvent {
-        loop {
-            // Hunt for the magic: anything before it is resync garbage
-            // (a truncated frame's tail, or a corrupted magic byte).
-            let rem = self.remaining();
-            if rem.len() < 4 {
-                // Too short to even hold the magic; discard bytes that
-                // already cannot begin one.
-                let keep = longest_magic_prefix(rem);
-                let drop = rem.len() - keep;
-                if drop > 0 {
-                    self.skip(drop);
-                }
-                return FrameEvent::Need;
-            }
-            if rem[..4] != MAGIC {
-                match find_magic(rem) {
-                    Some(at) => self.skip(at),
-                    None => {
-                        let keep = longest_magic_prefix(rem);
-                        self.skip(rem.len() - keep);
-                        return FrameEvent::Need;
-                    }
-                }
-                continue;
-            }
-            let rem = self.remaining();
-            if rem.len() < HEADER_LEN {
-                return FrameEvent::Need;
-            }
-            let seq = u32::from_le_bytes(rem[4..8].try_into().unwrap());
-            let len = u32::from_le_bytes(rem[8..12].try_into().unwrap());
-            let hcrc = u32::from_le_bytes(rem[12..16].try_into().unwrap());
-            let pcrc = u32::from_le_bytes(rem[16..20].try_into().unwrap());
-            if crc32(&[&rem[4..8], &rem[8..12]]) != hcrc {
-                // A lying header (possibly a corrupt length) must be
-                // rejected *now* — waiting for `len` payload bytes that
-                // may never come would turn a bit flip into a stall.
-                let last_ok = self.last_ok();
-                self.skip(1);
-                return FrameEvent::NakNeeded {
-                    last_ok,
-                    cause: NetError::BadChecksum { seq },
-                };
-            }
-            if len as usize > MAX_PAYLOAD {
-                let last_ok = self.last_ok();
-                self.skip(1);
-                return FrameEvent::NakNeeded {
-                    last_ok,
-                    cause: NetError::BadLength {
-                        len: len as u64,
-                        cap: MAX_PAYLOAD as u64,
-                    },
-                };
-            }
-            if rem.len() < HEADER_LEN + len as usize {
-                // Header verified, so `len` is trustworthy: the payload
-                // really is coming (or the stream died, which the
-                // connection layer detects as EOF/timeout).
-                return FrameEvent::Need;
-            }
-            let payload = &rem[HEADER_LEN..HEADER_LEN + len as usize];
-            if crc32(&[payload]) != pcrc {
-                let last_ok = self.last_ok();
-                // The header was genuine, so skipping the whole frame is
-                // safe — no byte-by-byte rescan needed.
-                self.pos += HEADER_LEN + len as usize;
-                self.resynced += 1;
-                return FrameEvent::NakNeeded {
-                    last_ok,
-                    cause: NetError::BadChecksum { seq },
-                };
-            }
-            // Verified. Now sequence-check.
-            if seq == self.expected {
-                let payload = payload.to_vec();
-                self.pos += HEADER_LEN + len as usize;
-                self.expected += 1;
-                return FrameEvent::Frame { seq, payload };
-            }
-            if seq < self.expected {
-                self.pos += HEADER_LEN + len as usize;
-                return FrameEvent::Stale { seq };
-            }
-            // A gap: an earlier frame vanished whole (truncated away).
-            // Leave this frame unconsumed is wrong (infinite loop); drop
-            // it and let the go-back-N resend replay both.
-            let last_ok = self.last_ok();
-            self.pos += HEADER_LEN + len as usize;
-            return FrameEvent::NakNeeded {
-                last_ok,
-                cause: NetError::Truncated {
-                    need: (seq - self.expected) as usize,
-                    have: 0,
-                },
-            };
-        }
-    }
-}
-
-/// First offset in `hay` (after 0) where `MAGIC` begins, if any.
-fn find_magic(hay: &[u8]) -> Option<usize> {
-    hay.windows(4)
-        .skip(1)
-        .position(|w| w == MAGIC)
-        .map(|p| p + 1)
-}
-
-/// Length of the longest *suffix* of `hay` that is a prefix of `MAGIC`
-/// (those bytes might become a magic once more arrive, so keep them).
-fn longest_magic_prefix(hay: &[u8]) -> usize {
-    for keep in (1..=3.min(hay.len())).rev() {
-        if hay[hay.len() - keep..] == MAGIC[..keep] {
-            return keep;
-        }
-    }
-    0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Poll until `Ok(None)` or an error; the payloads delivered and the
+    /// error, if one ended the stream.
+    fn drain(fb: &mut FrameBuffer) -> (Vec<Vec<u8>>, Option<NetError>) {
+        let mut got = Vec::new();
+        loop {
+            match fb.poll() {
+                Ok(Some(payload)) => got.push(payload),
+                Ok(None) => return (got, None),
+                Err(e) => {
+                    // Fail-stop: the error sticks and nothing follows it.
+                    assert_eq!(fb.poll(), Err(e.clone()));
+                    return (got, Some(e));
+                }
+            }
+        }
+    }
 
     #[test]
     fn crc32_matches_known_vector() {
@@ -320,92 +221,70 @@ mod tests {
             let mut got = Vec::new();
             for piece in stream.chunks(chunk) {
                 fb.extend(piece);
-                loop {
-                    match fb.poll() {
-                        FrameEvent::Frame { seq, payload } => got.push((seq, payload)),
-                        FrameEvent::Need => break,
-                        other => panic!("clean stream produced {other:?}"),
-                    }
-                }
+                let (payloads, err) = drain(&mut fb);
+                assert_eq!(err, None, "clean stream, chunk={chunk}");
+                got.extend(payloads);
             }
-            assert_eq!(got.len(), 5, "chunk={chunk}");
-            for (i, (seq, payload)) in got.iter().enumerate() {
-                assert_eq!(*seq, i as u32 + 1);
-                assert_eq!(payload, format!("payload-{seq}").as_bytes());
-            }
-            assert_eq!(fb.resynced_bytes(), 0);
+            let want: Vec<Vec<u8>> = (1..=5).map(|s| format!("payload-{s}").into()).collect();
+            assert_eq!(got, want, "chunk={chunk}");
         }
     }
 
     #[test]
-    fn every_possible_bit_flip_is_rejected_then_resend_recovers() {
+    fn every_possible_bit_flip_is_rejected_and_ends_the_stream() {
         let good = encode_frame(1, b"hello");
+        let next = encode_frame(2, b"world");
         for bit in 0..good.len() * 8 {
             let mut bad = good.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
             let mut fb = FrameBuffer::new();
             fb.extend(&bad);
-            // Whatever the flipped bit hit — magic, header, payload, or
-            // a checksum — the damaged frame must never be delivered.
-            loop {
-                match fb.poll() {
-                    FrameEvent::Frame { seq, payload } => {
-                        panic!("flipped bit {bit} delivered seq {seq} {payload:?}")
-                    }
-                    FrameEvent::NakNeeded { last_ok, .. } => assert_eq!(last_ok, 0),
-                    FrameEvent::Stale { .. } => {}
-                    FrameEvent::Need => break,
-                }
-            }
-            // The "resend" then delivers exactly the original bytes.
+            fb.extend(&next);
+            let (got, err) = drain(&mut fb);
+            // Whatever the flipped bit hit — magic, header, payload, or a
+            // checksum — the frame is rejected with a typed cause, and the
+            // good frame behind it is not delivered.
+            assert!(got.is_empty(), "flipped bit {bit} delivered {got:?}");
+            assert!(
+                matches!(
+                    err,
+                    Some(NetError::BadChecksum { .. } | NetError::BadValue("frame magic"))
+                ),
+                "bit {bit}: {err:?}"
+            );
+            // Sending the original again cannot revive the stream.
             fb.extend(&good);
-            let mut delivered = false;
-            loop {
-                match fb.poll() {
-                    FrameEvent::Frame { seq: 1, payload } => {
-                        assert_eq!(payload, b"hello");
-                        delivered = true;
-                    }
-                    FrameEvent::Need => break,
-                    _ => {}
-                }
-            }
-            assert!(delivered, "resend after bit {bit} not delivered");
+            assert_eq!(drain(&mut fb), (Vec::new(), err), "bit {bit}");
         }
     }
 
     #[test]
-    fn truncated_frame_resyncs_on_next_magic_and_naks_the_gap() {
+    fn truncated_frame_fails_on_the_next_frame() {
         let f1 = encode_frame(1, b"first");
         let f2 = encode_frame(2, b"second");
+        for cut in 1..f1.len() {
+            let mut fb = FrameBuffer::new();
+            fb.extend(&f1[..cut]); // frame 1 never finishes
+            fb.extend(&f2);
+            let (got, err) = drain(&mut fb);
+            assert!(got.is_empty(), "cut={cut}: frame 2 delivered");
+            // The next frame's bytes land where the rest of frame 1
+            // should be: the magic (cut inside it) or a checksum fails.
+            assert!(
+                matches!(
+                    err,
+                    Some(NetError::BadChecksum { .. } | NetError::BadValue("frame magic"))
+                ),
+                "cut={cut}: {err:?}"
+            );
+        }
+        // A cut at byte 0 drops frame 1 whole: frame 2's `seq` fails.
         let mut fb = FrameBuffer::new();
-        fb.extend(&f1[..f1.len() - 3]); // frame 1 never finishes
         fb.extend(&f2);
-        let mut nak = false;
-        loop {
-            match fb.poll() {
-                FrameEvent::NakNeeded { last_ok: 0, .. } => nak = true,
-                FrameEvent::Frame { seq: 2, .. } => {
-                    panic!("frame 2 delivered before frame 1")
-                }
-                FrameEvent::Need => break,
-                _ => {}
-            }
-        }
-        assert!(nak, "gap must demand a NAK");
-        // Peer resends 1 and 2.
-        fb.extend(&f1);
-        fb.extend(&f2);
-        let mut got = Vec::new();
-        loop {
-            match fb.poll() {
-                FrameEvent::Frame { seq, .. } => got.push(seq),
-                FrameEvent::Need => break,
-                _ => {}
-            }
-        }
-        assert_eq!(got, vec![1, 2]);
-        assert!(fb.resynced_bytes() > 0);
+        assert_eq!(
+            drain(&mut fb),
+            (Vec::new(), Some(NetError::BadValue("frame sequence")))
+        );
     }
 
     #[test]
@@ -424,44 +303,43 @@ mod tests {
         let mut fb = FrameBuffer::new();
         fb.extend(&frame);
         match fb.poll() {
-            FrameEvent::NakNeeded {
-                cause: NetError::BadLength { .. },
-                ..
-            } => {}
+            Err(NetError::BadLength { .. }) => {}
             other => panic!("expected BadLength, got {other:?}"),
         }
     }
 
     #[test]
-    fn stale_resends_are_skipped() {
+    fn repeated_seq_is_damage() {
         let f1 = encode_frame(1, b"one");
         let f2 = encode_frame(2, b"two");
         let mut fb = FrameBuffer::new();
         fb.extend(&f1);
-        assert!(matches!(fb.poll(), FrameEvent::Frame { seq: 1, .. }));
         fb.extend(&f1); // duplicate
         fb.extend(&f2);
-        assert!(matches!(fb.poll(), FrameEvent::Stale { seq: 1 }));
-        assert!(matches!(fb.poll(), FrameEvent::Frame { seq: 2, .. }));
+        assert_eq!(
+            drain(&mut fb),
+            (
+                vec![b"one".to_vec()],
+                Some(NetError::BadValue("frame sequence"))
+            )
+        );
     }
 
     #[test]
-    fn garbage_between_frames_is_skipped_by_magic_scan() {
+    fn garbage_between_frames_is_damage() {
         let f1 = encode_frame(1, b"one");
         let f2 = encode_frame(2, b"two");
         let mut fb = FrameBuffer::new();
         fb.extend(&f1);
-        fb.extend(b"\x00\xFFgarbageMP"); // includes a magic prefix tail
+        fb.extend(b"\x00\xFFgarbageMP");
         fb.extend(&f2);
-        let mut got = Vec::new();
-        loop {
-            match fb.poll() {
-                FrameEvent::Frame { seq, .. } => got.push(seq),
-                FrameEvent::Need => break,
-                _ => {}
-            }
-        }
-        assert_eq!(got, vec![1, 2]);
+        assert_eq!(
+            drain(&mut fb),
+            (
+                vec![b"one".to_vec()],
+                Some(NetError::BadValue("frame magic"))
+            )
+        );
     }
 
     #[test]
@@ -469,9 +347,6 @@ mod tests {
         let f = encode_frame(1, b"");
         let mut fb = FrameBuffer::new();
         fb.extend(&f);
-        match fb.poll() {
-            FrameEvent::Frame { seq: 1, payload } => assert!(payload.is_empty()),
-            other => panic!("expected empty frame, got {other:?}"),
-        }
+        assert_eq!(fb.poll(), Ok(Some(Vec::new())));
     }
 }

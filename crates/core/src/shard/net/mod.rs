@@ -10,19 +10,22 @@
 //! | layer | file | job |
 //! |---|---|---|
 //! | values | `wire.rs` | [`WireValue`]/[`WireOp`]: fixed-size element encoding and the operator name registry |
-//! | frames | `frame.rs` | `MPXF` framing, CRC verification, resync, go-back-N sequencing |
-//! | messages | `codec.rs` | `DownMsg`/`UpMsg`/handshake/`Job`/NAK payload codecs |
-//! | streams | `conn.rs` | one framed connection: send/recv, NAK-driven resend ring, byte-chaos injection |
+//! | frames | `frame.rs` | `MPXF` framing and the one strict parser (magic, CRCs, length cap, sequence) the socket reader and the session WAL share |
+//! | messages | `codec.rs` | `DownMsg`/`UpMsg`/handshake/`Job` payload codecs |
+//! | streams | `conn.rs` | one framed connection: send/recv, fail-stop on a failed frame check, byte-chaos injection |
 //! | fleet | `fleet.rs` | supervisor side: listener, launchers, reader threads, the reconnecting keeper |
 //! | worker | `worker.rs` | worker side: handshake, job receipt, the self-exec process entry |
 //!
 //! ## Failure contract
 //!
-//! Every byte-level fault — bit corruption, truncation, a mid-message
-//! disconnect, a stalled writer — surfaces as either a **transparent
-//! retransmit** (checksum reject → NAK → resend), a **typed
-//! [`NetError`]** that the supervisor absorbs through its existing
-//! requeue/reconnect/degrade ladder, or a **bounded timeout**. Never a
+//! Frames are fail-stop. Every byte-level fault — bit corruption,
+//! truncation, a mid-message disconnect, a stalled writer — ends as a
+//! **dead connection** (a failed frame check shuts the stream down and
+//! surfaces as a typed [`NetError`]), a **bounded timeout**, or both;
+//! the supervisor absorbs either through its existing requeue, reconnect
+//! and degrade ladder. There is no link-level repair: the stream sockets
+//! deliver bytes intact and in order or end, and each shard task is a
+//! pure function of its span, so requeueing it is the recovery. Never a
 //! panic, never silent corruption: the chaos matrix in
 //! `tests/shard_net_chaos.rs` pins every run to the serial oracle
 //! bit-for-bit.
@@ -42,22 +45,15 @@ pub mod wire;
 pub mod worker;
 
 pub use codec::{
-    decode_ack, decode_down, decode_hello, decode_job_body, decode_job_header, decode_nak,
-    decode_up, encode_ack, encode_down, encode_hello, encode_job, encode_nak, encode_up, Hello,
-    JobHeader, WIRE_VERSION,
+    decode_ack, decode_down, decode_hello, decode_job_body, decode_job_header, decode_up,
+    encode_ack, encode_down, encode_hello, encode_job, encode_up, Hello, JobHeader, WIRE_VERSION,
 };
 pub use fleet::{
     multiprefix_socket, try_multiprefix_socket_ctx, FleetMode, NetConfig, SocketKind,
     SocketTransport,
 };
-pub use frame::{crc32, encode_frame, FrameBuffer, FrameEvent, HEADER_LEN, MAX_PAYLOAD};
+pub use frame::{crc32, encode_frame, FrameBuffer, HEADER_LEN, MAX_PAYLOAD};
 pub use wire::{wire_tag_of, NetError, WireOp, WireValue};
 pub use worker::{
     maybe_run_worker_from_env, worker_main, ENV_ADDR, ENV_DIE, ENV_INDEX, ENV_WORKER,
 };
-
-/// Default corrupt-frame (NAK) budget per connection: enough to ride
-/// out sporadic line noise, small enough that a systematically corrupt
-/// stream is declared poisoned (and handed to the reconnect keeper)
-/// quickly.
-pub const DEFAULT_NAK_BUDGET: u32 = 32;

@@ -54,12 +54,6 @@ pub enum NetError {
     BadValue(&'static str),
     /// The underlying stream failed.
     Io(std::io::ErrorKind),
-    /// The connection exhausted its NAK/resend budget and was poisoned;
-    /// no further traffic is trustworthy.
-    Poisoned {
-        /// NAKs spent before giving up.
-        naks: u32,
-    },
     /// The peer closed the stream (EOF).
     Closed,
     /// The handshake failed.
@@ -85,9 +79,6 @@ impl fmt::Display for NetError {
             NetError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             NetError::BadValue(what) => write!(f, "value failed domain check: {what}"),
             NetError::Io(kind) => write!(f, "stream I/O error: {kind:?}"),
-            NetError::Poisoned { naks } => {
-                write!(f, "connection poisoned after {naks} NAKs")
-            }
             NetError::Closed => write!(f, "peer closed the stream"),
             NetError::Handshake(what) => write!(f, "handshake failed: {what}"),
         }

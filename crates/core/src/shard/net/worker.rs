@@ -181,12 +181,11 @@ pub(crate) fn run_inproc_worker<T: Element + WireValue, O: CombineOp<T>>(
     op: O,
     heartbeat: Duration,
     chaos: Option<Arc<ChaosState>>,
-    nak_budget: u32,
 ) {
     let Ok(stream) = NetStream::connect(addr, Duration::from_secs(5)) else {
         return;
     };
-    let Ok(conn) = Conn::new(stream, chaos.clone(), None, nak_budget) else {
+    let Ok(conn) = Conn::new(stream, chaos.clone(), None) else {
         return;
     };
     if !client_handshake(&conn, shard, 0, false) {
@@ -264,7 +263,7 @@ pub fn worker_main() -> i32 {
     let Ok(stream) = NetStream::connect(&addr, Duration::from_secs(5)) else {
         return 3;
     };
-    let Ok(conn) = Conn::new(stream, None, None, super::DEFAULT_NAK_BUDGET) else {
+    let Ok(conn) = Conn::new(stream, None, None) else {
         return 3;
     };
     if !client_handshake(&conn, shard, std::process::id(), true) {

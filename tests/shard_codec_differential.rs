@@ -2,17 +2,16 @@
 //! `DownMsg`/`UpMsg` (including zero-length and `(label, offset)` apply
 //! payloads and the `(i32, i32)` pair element), every handshake payload,
 //! and every frame survives an encode → decode round trip bit-for-bit —
-//! and every damaged byte stream is either repaired losslessly or
-//! rejected with a **typed** [`NetError`], never a panic and never a
-//! silently wrong message.
+//! and every damaged byte stream delivers only the original frames
+//! before the damage, then stops with a **typed** [`NetError`]: never a
+//! panic, never a silently wrong message, and nothing after the damage.
 
 use multiprefix::shard::net::codec::{
-    decode_ack, decode_down, decode_hello, decode_job_body, decode_job_header, decode_nak,
-    decode_up, encode_ack, encode_down, encode_hello, encode_job, encode_nak, encode_up,
-    TAG_HELLO_ACK, TAG_JOB_ACK,
+    decode_ack, decode_down, decode_hello, decode_job_body, decode_job_header, decode_up,
+    encode_ack, encode_down, encode_hello, encode_job, encode_up, TAG_HELLO_ACK, TAG_JOB_ACK,
 };
 use multiprefix::shard::net::{
-    crc32, encode_frame, wire_tag_of, FrameBuffer, FrameEvent, NetError, HEADER_LEN,
+    crc32, encode_frame, wire_tag_of, FrameBuffer, NetError, HEADER_LEN,
 };
 use multiprefix::shard::{DownMsg, ShardSpan, UpMsg};
 use proptest::prelude::*;
@@ -156,7 +155,7 @@ proptest! {
         prop_assert_eq!(decode_up::<(i32, i32)>(&bytes).unwrap(), msg);
     }
 
-    /// Handshake, ack, NAK and job payloads round trip.
+    /// Handshake and ack payloads round trip.
     #[test]
     fn control_payloads_round_trip(
         shard in 0usize..1024,
@@ -164,7 +163,6 @@ proptest! {
         needs_job in any::<bool>(),
         ok in any::<bool>(),
         reason in arb_reason(),
-        last_ok in any::<u32>(),
     ) {
         let hello = decode_hello(&encode_hello(shard, pid, needs_job)).unwrap();
         prop_assert_eq!(hello.shard, shard);
@@ -177,8 +175,6 @@ proptest! {
         prop_assert_eq!(got_reason, reason.clone());
         // An ack for the wrong stage is a typed refusal, not a panic.
         prop_assert!(decode_ack(TAG_JOB_ACK, &encode_ack(TAG_HELLO_ACK, ok, &reason)).is_err());
-
-        prop_assert_eq!(decode_nak(&encode_nak(last_ok)).unwrap(), last_ok);
     }
 
     /// A `Job` frame ships the whole problem and reconstructs it exactly.
@@ -234,7 +230,6 @@ proptest! {
         let _ = decode_up::<i64>(&bytes);
         let _ = decode_hello(&bytes);
         let _ = decode_ack(TAG_HELLO_ACK, &bytes);
-        let _ = decode_nak(&bytes);
         let _ = decode_job_header(&bytes);
     }
 
@@ -253,26 +248,18 @@ proptest! {
         let mut got = Vec::new();
         for piece in stream.chunks(chunk) {
             fb.extend(piece);
-            loop {
-                match fb.poll() {
-                    FrameEvent::Frame { seq, payload } => {
-                        prop_assert_eq!(seq as usize, got.len() + 1);
-                        got.push(payload);
-                    }
-                    FrameEvent::Need => break,
-                    other => prop_assert!(false, "clean stream produced {:?}", other),
-                }
+            while let Some(payload) = fb.poll().expect("a clean stream never fails a check") {
+                got.push(payload);
             }
         }
         prop_assert_eq!(got, payloads);
-        prop_assert_eq!(fb.resynced_bytes(), 0);
     }
 
     /// **Corruption arm**: flip any single bit anywhere in a framed
-    /// stream. Every frame the parser *does* deliver must be one of the
-    /// originals, delivered in order — the damaged frame itself surfaces
-    /// as a checksum/length NAK (reject-and-resend), resync garbage, or
-    /// a truncated tail. A wrong payload must never appear.
+    /// stream. The parser delivers exactly the original frames that end
+    /// before the damaged one, in order, then stops with a typed error
+    /// (magic or checksum) — and delivers nothing after it, not even
+    /// good frames appended later. A wrong payload must never appear.
     #[test]
     fn single_bit_corruption_never_delivers_wrong_bytes(
         payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..60), 1..8),
@@ -284,38 +271,7 @@ proptest! {
         }
         let bit = (bit_ppm as u64 * (stream.len() as u64 * 8 - 1) / 1_000_000) as usize;
         stream[bit / 8] ^= 1 << (bit % 8);
-
-        let mut fb = FrameBuffer::new();
-        fb.extend(&stream);
-        let mut delivered = 0usize;
-        let mut naks = 0usize;
-        loop {
-            match fb.poll() {
-                FrameEvent::Frame { seq, payload } => {
-                    prop_assert_eq!(seq as usize, delivered + 1);
-                    prop_assert_eq!(&payload, &payloads[delivered]);
-                    delivered += 1;
-                }
-                FrameEvent::NakNeeded { last_ok, cause } => {
-                    prop_assert_eq!(last_ok as usize, delivered);
-                    // Checksum/length reject the damaged frame itself; a
-                    // sequence gap (`Truncated`) is a later frame being
-                    // dropped for the go-back-N resend.
-                    prop_assert!(matches!(
-                        cause,
-                        NetError::BadChecksum { .. }
-                            | NetError::BadLength { .. }
-                            | NetError::Truncated { .. }
-                    ));
-                    naks += 1;
-                    prop_assert!(naks <= stream.len() * 8, "NAK livelock");
-                }
-                FrameEvent::Stale { .. } => {}
-                FrameEvent::Need => break,
-            }
-        }
-        // Frames that end strictly before the damaged byte must all have
-        // been delivered; the flip can cost at most the tail after it.
+        // The damaged frame: how many frames end at or before the flip.
         let hit = bit / 8;
         let mut end = 0usize;
         let mut before = 0usize;
@@ -325,14 +281,35 @@ proptest! {
                 before += 1;
             }
         }
-        prop_assert!(delivered >= before, "lost a frame before the damaged byte");
-        prop_assert!(delivered <= payloads.len());
+
+        let mut fb = FrameBuffer::new();
+        fb.extend(&stream);
+        let mut delivered = Vec::new();
+        let err = loop {
+            match fb.poll() {
+                Ok(Some(payload)) => delivered.push(payload),
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            }
+        };
+        prop_assert_eq!(&delivered[..], &payloads[..before]);
+        prop_assert!(
+            matches!(
+                err,
+                Some(NetError::BadChecksum { .. } | NetError::BadValue("frame magic"))
+            ),
+            "a single flip must fail a check: {:?}",
+            err
+        );
+        // Fail-stop: the error sticks, whatever arrives next.
+        fb.extend(&encode_frame(before as u32 + 1, &payloads[before]));
+        prop_assert_eq!(fb.poll(), Err(err.unwrap()));
     }
 
     /// **Truncated-stream arm**: cutting a framed stream anywhere loses
     /// only the tail — every frame wholly before the cut still arrives
-    /// intact, and the parser just reports `Need` (the connection layer
-    /// turns the missing bytes into an EOF/timeout).
+    /// intact, and the parser just waits for more bytes (the connection
+    /// layer turns the missing bytes into an EOF/timeout).
     #[test]
     fn truncated_stream_keeps_verified_prefix(
         payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..60), 1..8),
@@ -349,19 +326,11 @@ proptest! {
 
         let mut fb = FrameBuffer::new();
         fb.extend(&stream[..cut]);
-        let mut delivered = 0usize;
-        loop {
-            match fb.poll() {
-                FrameEvent::Frame { seq, payload } => {
-                    prop_assert_eq!(seq as usize, delivered + 1);
-                    prop_assert_eq!(&payload, &payloads[delivered]);
-                    delivered += 1;
-                }
-                FrameEvent::Need => break,
-                other => prop_assert!(false, "truncation produced {:?}", other),
-            }
+        let mut delivered = Vec::new();
+        while let Some(payload) = fb.poll().expect("a cut stream only waits for bytes") {
+            delivered.push(payload);
         }
-        prop_assert_eq!(delivered, whole);
+        prop_assert_eq!(&delivered[..], &payloads[..whole]);
     }
 
     /// The CRC-32 is stable across split points (streaming equivalence).

@@ -1,11 +1,13 @@
 //! Seeded **byte-level** chaos matrix for the socket shard transport:
 //! {bit corruption, frame truncation, mid-message disconnect, slow-writer
 //! stall} over both Unix-domain and loopback-TCP fabrics, plus real
-//! worker **processes** SIGKILLed mid-Scan and mid-Apply. The contract
-//! under every cell mirrors `tests/shard_chaos.rs`: each run returns the
-//! bit-identical serial-oracle answer (via NAK/resend, requeue-recovery,
-//! keeper reconnect/respawn, or single-node degradation) or a clean typed
-//! [`MpError`] — never a hang, never a silently wrong answer.
+//! worker **processes** SIGKILLed mid-Scan and mid-Apply. Frames are
+//! fail-stop, so every injected fault ends in a dead connection, a task
+//! timeout, or both. The contract under every cell mirrors
+//! `tests/shard_chaos.rs`: each run returns the bit-identical
+//! serial-oracle answer (via requeue-recovery, keeper reconnect/respawn,
+//! or single-node degradation) or a clean typed [`MpError`] — never a
+//! hang, never a silently wrong answer.
 //!
 //! Worker processes are this very test binary re-executed: the
 //! [`proc_worker_entry`] test is the self-exec hook
@@ -20,7 +22,8 @@
 use multiprefix::op::Plus;
 use multiprefix::resilience::{ChaosPlan, ChaosState, RunContext};
 use multiprefix::shard::net::{NetConfig, ENV_DIE};
-use multiprefix::{MpError, MultiprefixOutput, ShardConfig, ShardSupervisor};
+use multiprefix::shard::{COUNTER_CONN_DEAD_CLOSED, COUNTER_CONN_DEAD_DECODE};
+use multiprefix::{MemoryRecorder, MpError, MultiprefixOutput, ShardConfig, ShardSupervisor};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -129,13 +132,25 @@ fn check_cell(
     chaos: Option<Arc<ChaosState>>,
     label: &str,
 ) -> bool {
-    let (values, labels) = problem(n, m, salt);
-    let expect = oracle(&values, &labels, m);
     let ctx = match chaos {
         Some(chaos) => RunContext::new().with_chaos(chaos),
         None => RunContext::new(),
     };
-    match sup.try_multiprefix_socket(&values, &labels, m, Plus, net, &ctx) {
+    check_cell_ctx(sup, net, n, m, salt, &ctx, label)
+}
+
+fn check_cell_ctx(
+    sup: &ShardSupervisor,
+    net: &NetConfig,
+    n: usize,
+    m: usize,
+    salt: u64,
+    ctx: &RunContext,
+    label: &str,
+) -> bool {
+    let (values, labels) = problem(n, m, salt);
+    let expect = oracle(&values, &labels, m);
+    match sup.try_multiprefix_socket(&values, &labels, m, Plus, net, ctx) {
         Ok(out) => {
             assert_eq!(out, expect, "{label} shape=({n},{m}): wrong answer");
             true
@@ -159,7 +174,6 @@ fn byte_chaos_matrix_matches_oracle() {
     let mut oks = 0usize;
     let mut injected = 0usize;
     for (kind, net) in [("uds", NetConfig::uds()), ("tcp", NetConfig::tcp())] {
-        let net = net.nak_budget(8);
         let sup = ShardSupervisor::new(fast_cfg());
         for (f, fault) in NET_FAULTS.iter().enumerate() {
             // One armed state per fault arm: the draw stream continues
@@ -186,21 +200,34 @@ fn byte_chaos_matrix_matches_oracle() {
     assert!(injected > 0, "the matrix never actually injected a fault");
 }
 
-/// Every data frame corrupted, both directions: the NAK budget burns
-/// out, the connection is poisoned, reconnects produce equally poisoned
-/// streams, and the supervisor must degrade to the single-node chunked
-/// engine and still return the oracle answer.
+/// Every data frame corrupted, both directions: each damaged frame kills
+/// its connection, reconnects die the same way, and the supervisor must
+/// degrade to the single-node chunked engine and still return the
+/// oracle answer.
 #[test]
 fn full_rate_corruption_degrades_to_single_node() {
     let sup = ShardSupervisor::new(fast_cfg().task_timeout(Duration::from_millis(100)));
-    let net = NetConfig::uds().nak_budget(3);
+    let net = NetConfig::uds();
     let chaos = plan_for(NetChaos::Corrupt, 77, 1_000_000);
-    let ok = check_cell(&sup, &net, 1_024, 9, 77, Some(chaos), "Corrupt@full-rate");
+    let rec = MemoryRecorder::shared();
+    let ctx = RunContext::new()
+        .with_chaos(chaos)
+        .with_recorder(rec.clone());
+    let ok = check_cell_ctx(&sup, &net, 1_024, 9, 77, &ctx, "Corrupt@full-rate");
     assert!(ok, "degraded run must still produce the oracle answer");
     assert!(
         sup.degraded_runs() > 0,
         "total corruption did not take the degradation path"
     );
+    // The damage kills each connection, but the worker's reader meets it
+    // first (the supervisor's `Scan` is each stream's first data frame),
+    // shuts the socket, and the supervisor's reader sees it close. The
+    // in-crate `reader_counts_connection_deaths_by_cause` pins `damage`.
+    assert!(
+        rec.counter_value(COUNTER_CONN_DEAD_CLOSED) >= 1,
+        "no connection death was counted"
+    );
+    assert_eq!(rec.counter_value(COUNTER_CONN_DEAD_DECODE), 0);
 }
 
 /// A worker **process** SIGKILLs itself on its first `Scan` — the
@@ -237,7 +264,7 @@ fn disconnect_storm_is_exact_or_typed_and_counts_losses() {
             .task_timeout(Duration::from_millis(100))
             .max_reconnects(16),
     );
-    let net = NetConfig::uds().nak_budget(8);
+    let net = NetConfig::uds();
     let chaos = plan_for(NetChaos::Disconnect, 4_242, 400_000);
     for round in 0..3 {
         check_cell(
@@ -338,8 +365,7 @@ fn empty_and_single_element_through_proc_workers() {
 fn shard_net_soak() {
     let shapes = [(1usize, 1usize), (513, 7), (4_097, 31), (16_384, 101)];
     let mut oks = 0usize;
-    for (kind, base) in [("uds", NetConfig::uds()), ("tcp", NetConfig::tcp())] {
-        let net = base.nak_budget(8);
+    for (kind, net) in [("uds", NetConfig::uds()), ("tcp", NetConfig::tcp())] {
         let sup = ShardSupervisor::new(fast_cfg());
         for fault in NET_FAULTS {
             for ppm in [30_000u32, 200_000, 600_000] {
