@@ -3,9 +3,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mp_bench::lcg_labels;
 use multiprefix::atomic::multiprefix_atomic;
-use multiprefix::chunked::multiprefix_chunked_with_threads;
 use multiprefix::op::Plus;
-use multiprefix::{multiprefix, Engine};
+use multiprefix::{multiprefix, try_multiprefix, Engine, ExecConfig};
 use std::time::Duration;
 
 fn bench_engines(c: &mut Criterion) {
@@ -26,8 +25,9 @@ fn bench_engines(c: &mut Criterion) {
         }
         // The ≥2×-atomic acceptance comparison runs on a pinned worker
         // count so host core count does not skew the ratio.
+        let four = ExecConfig::default().threads(4);
         group.bench_with_input(BenchmarkId::new("Chunked4", n), &n, |b, _| {
-            b.iter(|| multiprefix_chunked_with_threads(&values, &labels, m, Plus, 4));
+            b.iter(|| try_multiprefix(&values, &labels, m, Plus, Engine::Chunked, four).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("AtomicSpinetree", n), &n, |b, _| {
             b.iter(|| multiprefix_atomic(&values, &labels, m, Plus));

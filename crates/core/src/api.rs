@@ -12,7 +12,7 @@ use crate::resilience::RunContext;
 use crate::serial::{
     multiprefix_serial, multireduce_serial, try_multiprefix_serial_ctx, try_multireduce_serial_ctx,
 };
-use crate::spinetree::{
+use crate::spinetree::engine::{
     multiprefix_spinetree, multireduce_spinetree, try_multiprefix_spinetree_ctx,
     try_multireduce_spinetree_ctx,
 };
@@ -329,17 +329,25 @@ impl<'a, T: Element, O: TryCombineOp<T>> Call<'a, T, O> {
     }
 
     /// The reduce table: [`Self::prefix`] for reductions, run through
-    /// [`Self::run_reduce`].
+    /// [`Self::run_reduce`]. [`Engine::Atomic`] and [`Engine::Sharded`]
+    /// are [`MpError::Unavailable`] under every policy, as in the prefix
+    /// table: a checking policy's serial replay is not theirs to serve.
     pub(crate) fn reduce(self, engine: Engine, ctx: &RunContext) -> Result<Vec<T>, MpError> {
         let (v, l, m, op, cfg) = (self.values, self.labels, self.m, self.op, self.config);
-        self.run_reduce(engine, ctx, || match engine {
+        let run = || match engine {
             Engine::Auto | Engine::Chunked => {
                 try_multireduce_chunked_cfg_ctx(v, l, m, op, cfg, ctx)
             }
             Engine::Spinetree => try_multireduce_spinetree_ctx(v, l, m, op, cfg.overflow, ctx),
             Engine::Serial => try_multireduce_serial_ctx(v, l, m, op, cfg.overflow, ctx).map(Some),
             Engine::Atomic | Engine::Sharded => Err(MpError::Unavailable),
-        })
+        };
+        match engine {
+            Engine::Atomic | Engine::Sharded => {
+                self.canonical(engine, run, || Err(MpError::Unavailable))
+            }
+            _ => self.run_reduce(engine, ctx, run),
+        }
     }
 
     /// `engine`'s hardened `run`, made canonical:

@@ -24,9 +24,14 @@
 //! accumulation.
 //!
 //! The engine has one four-phase body and one reduce body. The plain
-//! entries run them with the plain operator; the hardened ones with a trip
-//! guard, a trip flag under a checking policy, and the caller's
-//! [`RunContext`].
+//! entries ([`multiprefix_atomic`], [`multireduce_atomic`]) run them with
+//! the plain operator; the hardened ones ([`multiprefix_atomic_hardened`],
+//! [`try_multiprefix_atomic_cfg_ctx`]) with a trip guard, a trip flag under
+//! a checking policy, and the caller's [`RunContext`]. Both bodies check
+//! the lengths up front and each label where they first read it (INIT, or
+//! the reduce sweep's bucket lookup), so a bad input is the error
+//! [`crate::validate`] reports: returned by the hardened entries, named in
+//! the panic of the plain ones.
 
 use crate::api::{Call, Engine};
 use crate::chunked::{expect_plain, Comb, PlainComb};
@@ -34,7 +39,7 @@ use crate::error::MpError;
 use crate::exec::{try_with_capacity, CheckGuard, ExecConfig, OverflowPolicy, TryEngineResult};
 use crate::obs::Phase;
 use crate::op::{And, CombineOp, Max, Min, Or, Plus, TryCombineOp};
-use crate::problem::{validate_lengths, MultiprefixOutput};
+use crate::problem::{first_bad_label, validate_lengths, MultiprefixOutput};
 use crate::resilience::RunContext;
 use crate::spinetree::layout::Layout;
 use rayon::prelude::*;
@@ -114,15 +119,11 @@ impl AtomicCombine for Or {
 
 /// Concurrent spinetree multiprefix over `i64`.
 ///
-/// The plain entry does not check labels: a label `>= m` is a broken
-/// precondition, with an unspecified result or an out-of-bounds panic.
-/// [`multiprefix_atomic_hardened`] checks them and reports
-/// [`MpError::LabelOutOfRange`].
-///
 /// # Panics
 ///
-/// If `values` and `labels` differ in length, or an allocation fails: the
-/// message names the engine and the [`MpError`].
+/// If `values` and `labels` differ in length, on a label `>= m`, or if an
+/// allocation fails: the message names the engine and the [`MpError`]
+/// (for a bad input, the one [`crate::validate`] reports).
 pub fn multiprefix_atomic<O: AtomicCombine>(
     values: &[i64],
     labels: &[usize],
@@ -138,11 +139,10 @@ pub fn multiprefix_atomic<O: AtomicCombine>(
 /// fetch-combines straight into its bucket. This is the Connection
 /// Machine's *combining send* (§1) realized with atomics; no spinetree is
 /// needed because only the reductions are wanted and ⊕ is commutative.
-/// Labels are not checked, as in [`multiprefix_atomic`].
 ///
 /// # Panics
 ///
-/// As [`multiprefix_atomic`]: on unequal lengths or a failed allocation.
+/// As [`multiprefix_atomic`].
 pub fn multireduce_atomic<O: AtomicCombine>(
     values: &[i64],
     labels: &[usize],
@@ -186,10 +186,19 @@ fn run_prefix<O: AtomicCombine, C: Comb<i64>>(
 
     // INIT — one step clears the temporaries, the output included, and
     // aims every element's pointer at its bucket, every bucket at itself.
+    // Reading each label here is also its check: a label `>= m` would aim
+    // an element at another element's slot, or past the block.
     let init_span = ctx.phase_span(Phase::Init);
-    let spine = try_cell_vec(slots, |s| {
-        AtomicUsize::new(if s < m { s } else { labels[s - m] })
-    })?;
+    let mut spine: Vec<AtomicUsize> = try_with_capacity(slots)?;
+    let mut bad = false;
+    spine.extend((0..m).map(AtomicUsize::new));
+    spine.extend(labels.iter().map(|&l| {
+        bad |= l >= m;
+        AtomicUsize::new(l)
+    }));
+    if bad {
+        return Err(first_bad_label(labels, m));
+    }
     let rowsum = try_cell_vec(slots, |_| AtomicI64::new(id))?;
     let spinesum = try_cell_vec(slots, |_| AtomicI64::new(id))?;
     let has_child = try_cell_vec(slots, |_| AtomicBool::new(false))?;
@@ -292,50 +301,29 @@ fn run_reduce<O: AtomicCombine>(
     validate_lengths(values.len(), labels.len())?;
     ctx.checkpoint()?;
     let buckets = try_cell_vec(m, |_| AtomicI64::new(op.identity()))?;
+    // The bucket lookup is the label check: a label `>= m` has none.
+    let bad = AtomicBool::new(false);
     values
         .par_iter()
         .zip(labels.par_iter())
-        .for_each(|(&v, &l)| match tripped {
-            Some(flag) => op.fetch_combine_checked(&buckets[l], v, flag),
-            None => op.fetch_combine(&buckets[l], v),
+        .for_each(|(&v, &l)| match (buckets.get(l), tripped) {
+            (Some(cell), Some(flag)) => op.fetch_combine_checked(cell, v, flag),
+            (Some(cell), None) => op.fetch_combine(cell, v),
+            (None, _) => bad.store(true, Relaxed),
         });
+    if bad.into_inner() {
+        return Err(first_bad_label(labels, m));
+    }
     ctx.checkpoint()?;
     Ok(buckets.into_iter().map(AtomicI64::into_inner).collect())
 }
 
-/// Hardened concurrent spinetree multiprefix (see [`crate::exec`] for the
-/// `Ok(None)` trip contract) under a [`RunContext`]: unequal lengths are
-/// [`MpError::LengthMismatch`], the atomic cell blocks are allocated
-/// fallibly, and under a checking policy ROWSUMS uses
-/// [`AtomicCombine::fetch_combine_checked`] and the sweep-ordered phases
-/// route ⊕ through a trip guard. Labels are not checked; see
-/// [`multiprefix_atomic_hardened`].
-///
-/// The context is polled at every phase boundary and between the `O(√n)`
-/// row/column steps of the swept phases — never inside a racing parallel
-/// closure, so a cancelled run stops at a step barrier and simply drops its
-/// private cell blocks.
-pub fn try_multiprefix_atomic_ctx<O: AtomicCombine + TryCombineOp<i64>>(
-    values: &[i64],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    policy: OverflowPolicy,
-    ctx: &RunContext,
-) -> TryEngineResult<MultiprefixOutput<i64>> {
-    let tripped = AtomicBool::new(false);
-    let guard = CheckGuard::new(op, policy, &tripped);
-    let flag = policy.needs_checking().then_some(&tripped);
-    let out = run_prefix(values, labels, m, op, guard, flag, ctx)?;
-    Ok((!tripped.load(Relaxed)).then_some(out))
-}
-
-/// [`try_multiprefix_atomic_ctx`] with the canonical serial-order
-/// semantics of [`crate::try_multiprefix`] applied: validates inputs (the
-/// labels included), and when a checked
-/// combine trips, replays the serial engine under `policy` so the result —
-/// `Ok`, or [`MpError::ArithmeticOverflow`] with the serial-order index —
-/// is identical to every other engine's. The API's generic entries cannot
+/// Hardened concurrent spinetree multiprefix with the canonical
+/// serial-order semantics of [`crate::try_multiprefix`]: validates the
+/// input (the labels included), and when a checked combine trips, replays
+/// the serial engine under `policy` so the result — `Ok`, or
+/// [`MpError::ArithmeticOverflow`] with the serial-order index — is
+/// identical to every other engine's. The API's generic entries cannot
 /// run [`crate::Engine::Atomic`] (it constrains the element type to
 /// `i64`), so this is its canonical entry outside a dispatcher.
 pub fn multiprefix_atomic_hardened<O: AtomicCombine + TryCombineOp<i64>>(
@@ -345,23 +333,65 @@ pub fn multiprefix_atomic_hardened<O: AtomicCombine + TryCombineOp<i64>>(
     op: O,
     policy: OverflowPolicy,
 ) -> Result<MultiprefixOutput<i64>, MpError> {
-    multiprefix_atomic_hardened_ctx(values, labels, m, op, policy, &RunContext::new())
+    let cfg = ExecConfig::default().overflow(policy);
+    let ctx = RunContext::new();
+    Call::new(values, labels, m, op, cfg).run_prefix(Engine::Atomic, &ctx, || {
+        try_multiprefix_atomic_cfg_ctx(values, labels, m, op, cfg, &ctx)
+    })
 }
 
-/// [`multiprefix_atomic_hardened`] under a [`RunContext`]; the serial
-/// replay after a trip runs under the same context, so a deadline covers
-/// the whole canonicalized request.
-pub fn multiprefix_atomic_hardened_ctx<O: AtomicCombine + TryCombineOp<i64>>(
+/// Hardened concurrent spinetree multiprefix (see [`crate::exec`] for the
+/// `Ok(None)` trip contract) under a [`RunContext`], with the overflow
+/// policy *and* thread count taken from an [`ExecConfig`]. Unequal lengths
+/// and a label `>= m` return the error [`crate::validate`] reports; the
+/// atomic cell blocks are allocated fallibly, and under a checking policy
+/// ROWSUMS uses [`AtomicCombine::fetch_combine_checked`] and the
+/// sweep-ordered phases route ⊕ through a trip guard. When
+/// [`ExecConfig::threads`] is set the parallel sweeps run on a scoped rayon
+/// pool of that size instead of the global pool, so embeddings can cap
+/// per-request parallelism.
+///
+/// The context is polled at every phase boundary and between the `O(√n)`
+/// row/column steps of the swept phases — never inside a racing parallel
+/// closure, so a cancelled run stops at a step barrier and simply drops its
+/// private cell blocks.
+pub fn try_multiprefix_atomic_cfg_ctx<O: AtomicCombine + TryCombineOp<i64>>(
     values: &[i64],
     labels: &[usize],
     m: usize,
     op: O,
-    policy: OverflowPolicy,
+    cfg: ExecConfig,
     ctx: &RunContext,
-) -> Result<MultiprefixOutput<i64>, MpError> {
-    let cfg = ExecConfig::default().overflow(policy);
-    Call::new(values, labels, m, op, cfg).run_prefix(Engine::Atomic, ctx, || {
-        try_multiprefix_atomic_ctx(values, labels, m, op, policy, ctx)
+) -> TryEngineResult<MultiprefixOutput<i64>> {
+    with_thread_scope(cfg, || {
+        let tripped = AtomicBool::new(false);
+        let guard = CheckGuard::new(op, cfg.overflow, &tripped);
+        let flag = cfg.overflow.needs_checking().then_some(&tripped);
+        let out = run_prefix(values, labels, m, op, guard, flag, ctx)?;
+        Ok((!tripped.load(Relaxed)).then_some(out))
+    })
+}
+
+/// Hardened concurrent multireduce under the contract of
+/// [`try_multiprefix_atomic_cfg_ctx`]: fallible bucket allocation plus
+/// checked RMWs, polled before and after the single combining sweep. Note
+/// that even an untripped checked run certifies only "no overflow under
+/// *this* combining order" — reduce-only engines never observe the
+/// per-element serial steps, so [`crate::try_multireduce`] canonicalizes
+/// checking policies through the serial engine instead.
+pub(crate) fn try_multireduce_atomic_cfg_ctx<O: AtomicCombine + TryCombineOp<i64>>(
+    values: &[i64],
+    labels: &[usize],
+    m: usize,
+    op: O,
+    cfg: ExecConfig,
+    ctx: &RunContext,
+) -> TryEngineResult<Vec<i64>> {
+    with_thread_scope(cfg, || {
+        let tripped = AtomicBool::new(false);
+        let flag = cfg.overflow.needs_checking().then_some(&tripped);
+        let red = run_reduce(values, labels, m, op, flag, ctx)?;
+        Ok((!tripped.load(Relaxed)).then_some(red))
     })
 }
 
@@ -384,59 +414,6 @@ where
             .map_err(|_| MpError::Unavailable)?
             .install(f),
     }
-}
-
-/// [`try_multiprefix_atomic_ctx`] with the overflow policy *and* thread
-/// count taken from an [`ExecConfig`]: when [`ExecConfig::threads`] is set
-/// the engine's parallel sweeps run on a scoped rayon pool of that size
-/// instead of the global pool, so embeddings can cap per-request
-/// parallelism.
-pub fn try_multiprefix_atomic_cfg_ctx<O: AtomicCombine + TryCombineOp<i64>>(
-    values: &[i64],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    cfg: ExecConfig,
-    ctx: &RunContext,
-) -> TryEngineResult<MultiprefixOutput<i64>> {
-    with_thread_scope(cfg, || {
-        try_multiprefix_atomic_ctx(values, labels, m, op, cfg.overflow, ctx)
-    })
-}
-
-/// [`try_multireduce_atomic_ctx`] with policy and threads from an
-/// [`ExecConfig`] (see [`try_multiprefix_atomic_cfg_ctx`]).
-pub fn try_multireduce_atomic_cfg_ctx<O: AtomicCombine + TryCombineOp<i64>>(
-    values: &[i64],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    cfg: ExecConfig,
-    ctx: &RunContext,
-) -> TryEngineResult<Vec<i64>> {
-    with_thread_scope(cfg, || {
-        try_multireduce_atomic_ctx(values, labels, m, op, cfg.overflow, ctx)
-    })
-}
-
-/// Hardened concurrent multireduce under a [`RunContext`]: fallible bucket
-/// allocation plus checked RMWs, polled before and after the single
-/// combining sweep. Note that even an untripped checked run certifies only
-/// "no overflow under *this* combining order" — reduce-only engines never
-/// observe the per-element serial steps, so [`crate::try_multireduce`]
-/// canonicalizes checking policies through the serial engine instead.
-pub fn try_multireduce_atomic_ctx<O: AtomicCombine + TryCombineOp<i64>>(
-    values: &[i64],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    policy: OverflowPolicy,
-    ctx: &RunContext,
-) -> TryEngineResult<Vec<i64>> {
-    let tripped = AtomicBool::new(false);
-    let flag = policy.needs_checking().then_some(&tripped);
-    let red = run_reduce(values, labels, m, op, flag, ctx)?;
-    Ok((!tripped.load(Relaxed)).then_some(red))
 }
 
 #[cfg(test)]

@@ -32,12 +32,16 @@
 //! vector — the paper's `O(n + m)` space. Reuse is per shard task: a
 //! [`crate::shard`] worker keeps one epoch-marked table across its tasks.
 //!
-//! The hardened entry points (`try_*`) thread the full execution contract
-//! through all three phases: [`crate::exec::OverflowPolicy`] trip-and-replay
-//! via `CheckGuard`, [`RunContext`] cancellation/deadline checkpoints at
-//! phase boundaries and every [`crate::resilience::CHECK_STRIDE`] elements,
-//! obs phase spans (`engine.chunked.phase.{local,combine,apply}`), and
-//! chaos worker faults in the local phase.
+//! The public entries are the plain [`multiprefix_chunked`] (one chunk per
+//! available thread) and [`multiprefix_chunked_with_parts`] (a forced
+//! split), and the hardened [`try_multiprefix_chunked_cfg_ctx`]; the API
+//! and the dispatcher run the multireduce. The hardened runs thread the
+//! full execution contract through all three phases:
+//! [`crate::exec::OverflowPolicy`] trip-and-replay via `CheckGuard`,
+//! [`RunContext`] cancellation/deadline checkpoints at phase boundaries
+//! and every [`crate::resilience::CHECK_STRIDE`] elements, obs phase spans
+//! (`engine.chunked.phase.{local,combine,apply}`), and chaos worker
+//! faults in the local phase.
 //!
 //! The local loop checks each label against `m` where it indexes its
 //! table, so a bad label comes back as [`MpError::LabelOutOfRange`] at its
@@ -49,9 +53,7 @@
 
 use crate::api::Engine;
 use crate::error::MpError;
-use crate::exec::{
-    try_filled_vec, try_with_capacity, CheckGuard, ExecConfig, OverflowPolicy, TryEngineResult,
-};
+use crate::exec::{try_filled_vec, try_with_capacity, CheckGuard, ExecConfig, TryEngineResult};
 use crate::obs::{phase_key, Phase};
 use crate::op::{CombineOp, TryCombineOp};
 use crate::problem::{validate_lengths, Element, MultiprefixOutput};
@@ -842,39 +844,24 @@ pub(crate) fn reduce<T: Element, O: CombineOp<T>>(
     run_reduce(values, labels, m, PlainComb(op), 1, &RunContext::new())
 }
 
-/// Chunked multiprefix with the default thread count (available
-/// parallelism). Preconditions as elsewhere (validated by
-/// [`crate::api::multiprefix`]): equal lengths, labels `< m`.
+/// Chunked multiprefix on one chunk per available thread
+/// ([`ExecConfig::effective_threads`], still subject to
+/// [`MIN_CHUNK_LEN`]: small inputs run as one inline chunk).
 ///
 /// # Panics
 ///
-/// If `values` and `labels` differ in length (the message names both
-/// lengths), or, for `m != 1`, on a label `>= m`. The same holds for every
-/// plain entry below.
+/// If `values` and `labels` differ in length, or, for `m != 1`, on a label
+/// `>= m` (the message names the error [`crate::validate`] reports). With
+/// `m == 1` the vector kernels never read a label, so every label must be
+/// `0`, as [`crate::api::multiprefix`] checks. The same holds for
+/// [`multiprefix_chunked_with_parts`].
 pub fn multiprefix_chunked<T: Element, O: CombineOp<T>>(
     values: &[T],
     labels: &[usize],
     m: usize,
     op: O,
 ) -> MultiprefixOutput<T> {
-    multiprefix_chunked_with_threads(
-        values,
-        labels,
-        m,
-        op,
-        ExecConfig::default().effective_threads(),
-    )
-}
-
-/// [`multiprefix_chunked`] on exactly `threads` workers (still subject to
-/// [`MIN_CHUNK_LEN`]: tiny inputs collapse to one inline chunk).
-pub fn multiprefix_chunked_with_threads<T: Element, O: CombineOp<T>>(
-    values: &[T],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    threads: usize,
-) -> MultiprefixOutput<T> {
+    let threads = ExecConfig::default().effective_threads();
     multiprefix_chunked_with_parts(values, labels, m, op, chunk_count(values.len(), threads))
 }
 
@@ -895,65 +882,24 @@ pub fn multiprefix_chunked_with_parts<T: Element, O: CombineOp<T>>(
     )
 }
 
-/// Chunked multireduce: per-label reductions only, on one chunk, as
-/// [`crate::multireduce`] runs it.
-pub fn multireduce_chunked<T: Element, O: CombineOp<T>>(
-    values: &[T],
-    labels: &[usize],
-    m: usize,
-    op: O,
-) -> Vec<T> {
-    expect_plain(Engine::Chunked, reduce(values, labels, m, op))
-}
-
-/// Hardened chunked multiprefix (see [`crate::exec`] for the contract):
-/// fallible allocation, guarded combines under a checking
-/// [`OverflowPolicy`] (a trip yields `Ok(None)` and the caller replays the
-/// serial engine), and panic containment for the whole engine body
-/// including its scoped workers.
+/// Hardened chunked multiprefix (see [`crate::exec`] for the contract)
+/// under a [`RunContext`], with the overflow policy and the chunk count
+/// from an [`ExecConfig`]: one chunk unless [`ExecConfig::threads`] is
+/// set. Fallible allocation, guarded combines under a checking
+/// [`crate::exec::OverflowPolicy`] (a trip yields `Ok(None)` and the
+/// caller replays the serial engine), and panic containment for the whole
+/// engine body including its scoped workers.
+///
+/// The context is polled at phase boundaries and every
+/// [`crate::resilience::CHECK_STRIDE`] elements (chunk-locally in the
+/// parallel phases), and its chaos stream's worker faults fire at each
+/// local-phase worker's entry.
 ///
 /// Unequal `values`/`labels` lengths are [`MpError::LengthMismatch`]. A
 /// label `>= m` is reported as [`MpError::LabelOutOfRange`] with its
 /// index in the whole vector — except when `m == 1`, where the vector
 /// kernels never read a label: there every label must be `0`, as
 /// [`crate::api::try_multiprefix`] checks before it calls the engine.
-/// The same holds for every `try_*` entry below.
-pub fn try_multiprefix_chunked<T: Element, O: TryCombineOp<T>>(
-    values: &[T],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    policy: OverflowPolicy,
-) -> TryEngineResult<MultiprefixOutput<T>> {
-    try_multiprefix_chunked_ctx(values, labels, m, op, policy, &RunContext::new())
-}
-
-/// [`try_multiprefix_chunked`] under a [`RunContext`]: the context is
-/// polled at phase boundaries and every
-/// [`crate::resilience::CHECK_STRIDE`] elements (chunk-locally in the
-/// parallel phases), and its chaos stream's worker faults fire at each
-/// local-phase worker's entry.
-pub fn try_multiprefix_chunked_ctx<T: Element, O: TryCombineOp<T>>(
-    values: &[T],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    policy: OverflowPolicy,
-    ctx: &RunContext,
-) -> TryEngineResult<MultiprefixOutput<T>> {
-    try_multiprefix_chunked_cfg_ctx(
-        values,
-        labels,
-        m,
-        op,
-        ExecConfig::default().overflow(policy),
-        ctx,
-    )
-}
-
-/// [`try_multiprefix_chunked_ctx`] taking the policy *and* chunk count
-/// from an [`ExecConfig`]: one chunk unless [`ExecConfig::threads`] is
-/// set.
 pub fn try_multiprefix_chunked_cfg_ctx<T: Element, O: TryCombineOp<T>>(
     values: &[T],
     labels: &[usize],
@@ -962,65 +908,23 @@ pub fn try_multiprefix_chunked_cfg_ctx<T: Element, O: TryCombineOp<T>>(
     cfg: ExecConfig,
     ctx: &RunContext,
 ) -> TryEngineResult<MultiprefixOutput<T>> {
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        let tripped = AtomicBool::new(false);
-        let guard = CheckGuard::new(op, cfg.overflow, &tripped)
-            .with_simd_opts(cfg.force_scalar, cfg.simd_f32);
-        let out = run_prefix(
+    guarded(op, cfg, |guard| {
+        run_prefix(
             values,
             labels,
             m,
             guard,
             default_parts(values.len(), cfg),
             ctx,
-        )?;
-        if tripped.load(Ordering::Relaxed) {
-            Ok(None)
-        } else {
-            Ok(Some(out))
-        }
-    }));
-    // AssertUnwindSafe is sound: on panic the partially-built output and
-    // the run's chunk tables die inside the closure.
-    caught.unwrap_or(Err(MpError::EnginePanicked))
+        )
+    })
 }
 
-/// Hardened chunked multireduce. Same contract as
-/// [`try_multiprefix_chunked`]; as with every parallel engine, a checking
-/// policy is canonicalized by the *caller* (dispatcher / API) replaying
-/// serially.
-pub fn try_multireduce_chunked<T: Element, O: TryCombineOp<T>>(
-    values: &[T],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    policy: OverflowPolicy,
-) -> TryEngineResult<Vec<T>> {
-    try_multireduce_chunked_ctx(values, labels, m, op, policy, &RunContext::new())
-}
-
-/// [`try_multireduce_chunked`] under a [`RunContext`].
-pub fn try_multireduce_chunked_ctx<T: Element, O: TryCombineOp<T>>(
-    values: &[T],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    policy: OverflowPolicy,
-    ctx: &RunContext,
-) -> TryEngineResult<Vec<T>> {
-    try_multireduce_chunked_cfg_ctx(
-        values,
-        labels,
-        m,
-        op,
-        ExecConfig::default().overflow(policy),
-        ctx,
-    )
-}
-
-/// [`try_multireduce_chunked_ctx`] with policy and chunk count from an
-/// [`ExecConfig`].
-pub fn try_multireduce_chunked_cfg_ctx<T: Element, O: TryCombineOp<T>>(
+/// Hardened chunked multireduce, under the contract of
+/// [`try_multiprefix_chunked_cfg_ctx`]; as with every parallel engine, a
+/// checking policy is canonicalized by the *caller* (dispatcher / API)
+/// replaying serially.
+pub(crate) fn try_multireduce_chunked_cfg_ctx<T: Element, O: TryCombineOp<T>>(
     values: &[T],
     labels: &[usize],
     m: usize,
@@ -1028,30 +932,42 @@ pub fn try_multireduce_chunked_cfg_ctx<T: Element, O: TryCombineOp<T>>(
     cfg: ExecConfig,
     ctx: &RunContext,
 ) -> TryEngineResult<Vec<T>> {
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        let tripped = AtomicBool::new(false);
-        let guard = CheckGuard::new(op, cfg.overflow, &tripped)
-            .with_simd_opts(cfg.force_scalar, cfg.simd_f32);
-        let red = run_reduce(
+    guarded(op, cfg, |guard| {
+        run_reduce(
             values,
             labels,
             m,
             guard,
             default_parts(values.len(), cfg),
             ctx,
-        )?;
-        if tripped.load(Ordering::Relaxed) {
-            Ok(None)
-        } else {
-            Ok(Some(red))
-        }
+        )
+    })
+}
+
+/// Run a hardened body through a [`CheckGuard`] under `cfg`'s policy and
+/// SIMD options: `Ok(None)` when a checked combine tripped, and
+/// [`MpError::EnginePanicked`] when the body (or a scoped worker) panicked.
+fn guarded<O: Copy, R>(
+    op: O,
+    cfg: ExecConfig,
+    body: impl FnOnce(CheckGuard<'_, O>) -> Result<R, MpError>,
+) -> TryEngineResult<R> {
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        let tripped = AtomicBool::new(false);
+        let guard = CheckGuard::new(op, cfg.overflow, &tripped)
+            .with_simd_opts(cfg.force_scalar, cfg.simd_f32);
+        let out = body(guard)?;
+        Ok((!tripped.load(Ordering::Relaxed)).then_some(out))
     }));
+    // AssertUnwindSafe is sound: on panic the partially-built output and
+    // the run's chunk tables die inside the closure.
     caught.unwrap_or(Err(MpError::EnginePanicked))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::OverflowPolicy;
     use crate::op::{FirstLast, Max, Plus};
     use crate::serial::{multiprefix_serial, multireduce_serial};
 
@@ -1074,7 +990,7 @@ mod tests {
     fn matches_serial_multi_chunk() {
         let (values, labels) = mixed_input(50_000, 97);
         assert_eq!(
-            multiprefix_chunked_with_threads(&values, &labels, 97, Plus, 7),
+            multiprefix_chunked_with_parts(&values, &labels, 97, Plus, 7),
             multiprefix_serial(&values, &labels, 97, Plus)
         );
     }
@@ -1111,7 +1027,7 @@ mod tests {
         let values: Vec<(i32, i32)> = (0..n as i32).map(|i| (i, i)).collect();
         let labels: Vec<usize> = (0..n).map(|i| i % 5).collect();
         assert_eq!(
-            multiprefix_chunked_with_threads(&values, &labels, 5, FirstLast, 6),
+            multiprefix_chunked_with_parts(&values, &labels, 5, FirstLast, 6),
             multiprefix_serial(&values, &labels, 5, FirstLast)
         );
     }
@@ -1138,7 +1054,7 @@ mod tests {
     fn multireduce_agrees() {
         let (values, labels) = mixed_input(40_000, 1000);
         let expect = multireduce_serial(&values, &labels, 1000, Plus);
-        assert_eq!(multireduce_chunked(&values, &labels, 1000, Plus), expect);
+        assert_eq!(reduce(&values, &labels, 1000, Plus), Ok(expect.clone()));
         let cfg = ExecConfig::default().threads(4);
         let split =
             try_multireduce_chunked_cfg_ctx(&values, &labels, 1000, Plus, cfg, &RunContext::new());
@@ -1189,9 +1105,11 @@ mod tests {
             );
         }
         // Wrap never trips.
-        let got = try_multiprefix_chunked(&values, &labels, 1, Plus, OverflowPolicy::Wrap)
-            .unwrap()
-            .unwrap();
+        let cfg = ExecConfig::default();
+        let got =
+            try_multiprefix_chunked_cfg_ctx(&values, &labels, 1, Plus, cfg, &RunContext::new())
+                .unwrap()
+                .unwrap();
         assert_eq!(got, multiprefix_serial(&values, &labels, 1, Plus));
     }
 

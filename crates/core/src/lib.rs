@@ -29,7 +29,12 @@
 //! | [`Engine::Sharded`] | [`shard`] | the chunked phases distributed across supervised shard workers, with shard-loss recovery |
 //!
 //! The atomic and sharded engines run through a [`Dispatcher`]: they need
-//! an `i64` entry and a shard supervisor.
+//! an `i64` entry and a shard supervisor. Each engine module keeps one
+//! plain entry, one hardened entry and what its own callers need; every
+//! other combination runs through the API or the dispatcher. Every entry
+//! checks its input as it runs: a hardened entry returns the error
+//! [`validate`] reports, a plain one panics with a message naming it
+//! (the chunked engine's own entries read no label when `m == 1`).
 //!
 //! On integer operators (and any other exactly associative one, such as
 //! [`op::FirstLast`] over integers) every engine returns the bits of

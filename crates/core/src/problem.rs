@@ -56,6 +56,22 @@ pub(crate) fn validate_lengths(values: usize, labels: usize) -> Result<(), MpErr
     Ok(())
 }
 
+/// [`validate`]'s error for `labels` known to hold a label `>= m`: the
+/// first one. For engine loops that check labels with a flag, or out of
+/// vector order, and report the bad input only once they have seen it.
+#[cold]
+pub(crate) fn first_bad_label(labels: &[usize], m: usize) -> MpError {
+    let index = labels
+        .iter()
+        .position(|&label| label >= m)
+        .expect("invariant: the caller saw a label >= m");
+    MpError::LabelOutOfRange {
+        index,
+        label: labels[index],
+        m,
+    }
+}
+
 /// Convenience wrapper over [`validate`] taking the value slice directly.
 pub fn validate_slices<T>(values: &[T], labels: &[usize], m: usize) -> Result<(), MpError> {
     validate(&values.len(), labels, m)

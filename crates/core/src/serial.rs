@@ -13,41 +13,51 @@
 //! procedures do not save the value of the bucket before incrementing it."
 //!
 //! This module is the semantic oracle for the whole crate: every parallel
-//! engine's output is tested for equality against it.
+//! engine's output is tested for equality against it. Its three entries
+//! check their input as they go — each label just before the loop indexes
+//! its bucket, the lengths after the loop — so a bad input is the error
+//! [`crate::validate`] reports: returned by the hardened entry, named in
+//! the panic of the plain ones.
 
+use crate::api::Engine;
+use crate::chunked::expect_plain;
 use crate::error::MpError;
 use crate::exec::{try_filled_vec, OverflowPolicy};
 use crate::op::{CombineOp, TryCombineOp};
-use crate::problem::{Element, MultiprefixOutput};
+use crate::problem::{validate_lengths, Element, MultiprefixOutput};
 use crate::resilience::RunContext;
 
 /// Compute the multiprefix of `values` under `labels` serially.
-///
-/// Preconditions (checked by the public API in [`crate::api`], asserted in
-/// debug builds here): `values.len() == labels.len()` and every label is
-/// `< m`.
 ///
 /// Work: `O(n + m)` — the paper's "modified initialization" (§4) clears the
 /// `m` buckets directly rather than indirectly through the elements, which
 /// in practice is faster whenever `m ≤ n` and is what `vec![identity; m]`
 /// does here.
+///
+/// # Panics
+///
+/// If `values` and `labels` differ in length, or on a label `>= m`: the
+/// message names the engine and the error [`crate::validate`] reports.
+/// The same holds for [`multireduce_serial`].
 pub fn multiprefix_serial<T: Element, O: CombineOp<T>>(
     values: &[T],
     labels: &[usize],
     m: usize,
     op: O,
 ) -> MultiprefixOutput<T> {
-    debug_assert_eq!(values.len(), labels.len());
     let mut buckets = vec![op.identity(); m];
     let mut sums = Vec::with_capacity(values.len());
     for (&value, &label) in values.iter().zip(labels) {
-        debug_assert!(label < m);
+        if label >= m {
+            expect_plain(Engine::Serial, Err(input_error(values, labels, m)))
+        }
         // SAFETY of order: the bucket currently holds the ⊕ of all earlier
         // same-label values, left-to-right; appending `value` on the right
         // keeps vector order, so non-commutative operators are handled.
         sums.push(buckets[label]);
         buckets[label] = op.combine(buckets[label], value);
     }
+    expect_plain(Engine::Serial, validate_lengths(values.len(), labels.len()));
     MultiprefixOutput {
         sums,
         reductions: buckets,
@@ -64,38 +74,44 @@ pub fn multireduce_serial<T: Element, O: CombineOp<T>>(
     m: usize,
     op: O,
 ) -> Vec<T> {
-    debug_assert_eq!(values.len(), labels.len());
     let mut buckets = vec![op.identity(); m];
     for (&value, &label) in values.iter().zip(labels) {
-        debug_assert!(label < m);
+        if label >= m {
+            expect_plain(Engine::Serial, Err(input_error(values, labels, m)))
+        }
         buckets[label] = op.combine(buckets[label], value);
     }
+    expect_plain(Engine::Serial, validate_lengths(values.len(), labels.len()));
     buckets
 }
 
+/// [`crate::validate`]'s error for an input a loop stopped on: the loops
+/// check each label just before they index the buckets, in vector order,
+/// and the lengths only after the loop (a length test ahead of it made the
+/// compiled Figure 2 loop slower), so unequal lengths take precedence here.
+#[cold]
+fn input_error<T>(values: &[T], labels: &[usize], m: usize) -> MpError {
+    let err = crate::problem::validate(&values.len(), labels, m).err();
+    err.expect("invariant: the loop stopped on an invalid input")
+}
+
 /// The hardened serial multiprefix: Figure 2 under an explicit
-/// [`OverflowPolicy`], with fallible allocation.
+/// [`OverflowPolicy`] and a [`RunContext`], with fallible allocation.
 ///
 /// This function *defines* the `Checked`/`Saturating` semantics for the
 /// whole crate (see [`crate::exec`]): under `Checked`, the reported
 /// [`MpError::ArithmeticOverflow::index`] is the position of the first
 /// element whose left-to-right bucket combine overflows, and every parallel
 /// engine canonicalizes to this result.
-pub fn try_multiprefix_serial<T: Element, O: TryCombineOp<T>>(
-    values: &[T],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    policy: OverflowPolicy,
-) -> Result<MultiprefixOutput<T>, MpError> {
-    try_multiprefix_serial_ctx(values, labels, m, op, policy, &RunContext::new())
-}
-
-/// [`try_multiprefix_serial`] under a [`RunContext`]: the Figure 2 loop
-/// additionally polls the context's deadline/cancellation (and, in tests,
-/// chaos injection) at entry and every
-/// [`crate::resilience::CHECK_STRIDE`] elements. An interrupted run returns
-/// the typed error with no partial output escaping.
+///
+/// Unequal lengths and a label `>= m` return the error
+/// [`crate::validate`] reports — unless the run stops first, at a
+/// `Checked` overflow or a context stop, as with every engine (the API
+/// reports `validate`'s error whatever stops the run). The loop polls the
+/// context's deadline/cancellation (and, in tests, chaos injection) at
+/// entry and every [`crate::resilience::CHECK_STRIDE`] elements. An
+/// interrupted run returns the typed error with no partial output
+/// escaping.
 pub fn try_multiprefix_serial_ctx<T: Element, O: TryCombineOp<T>>(
     values: &[T],
     labels: &[usize],
@@ -104,7 +120,6 @@ pub fn try_multiprefix_serial_ctx<T: Element, O: TryCombineOp<T>>(
     policy: OverflowPolicy,
     ctx: &RunContext,
 ) -> Result<MultiprefixOutput<T>, MpError> {
-    debug_assert_eq!(values.len(), labels.len());
     ctx.checkpoint()?;
     let _span = ctx.phase_span(crate::obs::Phase::Figure2);
     let mut buckets = try_filled_vec(op.identity(), m)?;
@@ -114,8 +129,10 @@ pub fn try_multiprefix_serial_ctx<T: Element, O: TryCombineOp<T>>(
             bytes: values.len().saturating_mul(std::mem::size_of::<T>()),
         })?;
     for (i, (&value, &label)) in values.iter().zip(labels).enumerate() {
-        debug_assert!(label < m);
         ctx.checkpoint_every(i)?;
+        if label >= m {
+            return Err(input_error(values, labels, m));
+        }
         sums.push(buckets[label]);
         buckets[label] = match policy {
             OverflowPolicy::Wrap => op.combine(buckets[label], value),
@@ -125,27 +142,17 @@ pub fn try_multiprefix_serial_ctx<T: Element, O: TryCombineOp<T>>(
             OverflowPolicy::Saturating => op.saturating_combine(buckets[label], value),
         };
     }
+    validate_lengths(values.len(), labels.len())?;
     Ok(MultiprefixOutput {
         sums,
         reductions: buckets,
     })
 }
 
-/// Hardened serial multireduce — the reductions of
-/// [`try_multiprefix_serial`] without the `O(n)` sums vector.
-pub fn try_multireduce_serial<T: Element, O: TryCombineOp<T>>(
-    values: &[T],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    policy: OverflowPolicy,
-) -> Result<Vec<T>, MpError> {
-    try_multireduce_serial_ctx(values, labels, m, op, policy, &RunContext::new())
-}
-
-/// [`try_multireduce_serial`] under a [`RunContext`] (see
-/// [`try_multiprefix_serial_ctx`] for the checkpoint contract).
-pub fn try_multireduce_serial_ctx<T: Element, O: TryCombineOp<T>>(
+/// The reductions of [`try_multiprefix_serial_ctx`] without the `O(n)`
+/// sums vector: the API's and the dispatcher's serial multireduce, and
+/// the replay that canonicalizes every checking multireduce.
+pub(crate) fn try_multireduce_serial_ctx<T: Element, O: TryCombineOp<T>>(
     values: &[T],
     labels: &[usize],
     m: usize,
@@ -153,13 +160,14 @@ pub fn try_multireduce_serial_ctx<T: Element, O: TryCombineOp<T>>(
     policy: OverflowPolicy,
     ctx: &RunContext,
 ) -> Result<Vec<T>, MpError> {
-    debug_assert_eq!(values.len(), labels.len());
     ctx.checkpoint()?;
     let _span = ctx.phase_span(crate::obs::Phase::Figure2);
     let mut buckets = try_filled_vec(op.identity(), m)?;
     for (i, (&value, &label)) in values.iter().zip(labels).enumerate() {
-        debug_assert!(label < m);
         ctx.checkpoint_every(i)?;
+        if label >= m {
+            return Err(input_error(values, labels, m));
+        }
         buckets[label] = match policy {
             OverflowPolicy::Wrap => op.combine(buckets[label], value),
             OverflowPolicy::Checked => op
@@ -168,6 +176,7 @@ pub fn try_multireduce_serial_ctx<T: Element, O: TryCombineOp<T>>(
             OverflowPolicy::Saturating => op.saturating_combine(buckets[label], value),
         };
     }
+    validate_lengths(values.len(), labels.len())?;
     Ok(buckets)
 }
 
@@ -175,6 +184,14 @@ pub fn try_multireduce_serial_ctx<T: Element, O: TryCombineOp<T>>(
 mod tests {
     use super::*;
     use crate::op::{FirstLast, Max, Min, Mult, Or, Plus, FIRST_LAST_IDENTITY};
+
+    fn try_prefix(
+        values: &[i64],
+        labels: &[usize],
+        policy: OverflowPolicy,
+    ) -> Result<MultiprefixOutput<i64>, MpError> {
+        try_multiprefix_serial_ctx(values, labels, 2, Plus, policy, &RunContext::new())
+    }
 
     #[test]
     fn paper_figure_1_example() {
@@ -293,8 +310,7 @@ mod tests {
         let values = [i64::MAX, 1, 5];
         let labels = [0usize, 0, 1];
         let plain = multiprefix_serial(&values, &labels, 2, Plus);
-        let hardened =
-            try_multiprefix_serial(&values, &labels, 2, Plus, OverflowPolicy::Wrap).unwrap();
+        let hardened = try_prefix(&values, &labels, OverflowPolicy::Wrap).unwrap();
         assert_eq!(plain.sums, hardened.sums);
         assert_eq!(plain.reductions, hardened.reductions);
     }
@@ -305,11 +321,11 @@ mod tests {
         // element 2 is the first combine that overflows.
         let values = [i64::MAX, 3, 1, 1];
         let labels = [0usize, 1, 0, 0];
-        let err =
-            try_multiprefix_serial(&values, &labels, 2, Plus, OverflowPolicy::Checked).unwrap_err();
+        let err = try_prefix(&values, &labels, OverflowPolicy::Checked).unwrap_err();
         assert_eq!(err, MpError::ArithmeticOverflow { index: 2 });
-        let err =
-            try_multireduce_serial(&values, &labels, 2, Plus, OverflowPolicy::Checked).unwrap_err();
+        let ctx = RunContext::new();
+        let checked = OverflowPolicy::Checked;
+        let err = try_multireduce_serial_ctx(&values, &labels, 2, Plus, checked, &ctx).unwrap_err();
         assert_eq!(err, MpError::ArithmeticOverflow { index: 2 });
     }
 
@@ -317,8 +333,7 @@ mod tests {
     fn try_serial_saturating_clamps() {
         let values = [i64::MAX, 1, i64::MIN, -1];
         let labels = [0usize, 0, 1, 1];
-        let out =
-            try_multiprefix_serial(&values, &labels, 2, Plus, OverflowPolicy::Saturating).unwrap();
+        let out = try_prefix(&values, &labels, OverflowPolicy::Saturating).unwrap();
         assert_eq!(out.sums, vec![0, i64::MAX, 0, i64::MIN]);
         assert_eq!(out.reductions, vec![i64::MAX, i64::MIN]);
     }

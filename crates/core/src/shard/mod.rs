@@ -85,12 +85,17 @@ pub const COUNTER_DEGRADED: &str = "shard.supervisor.degraded";
 pub const COUNTER_RECONNECTS: &str = "shard.supervisor.reconnects";
 /// Recorder key for socket connections the supervisor's reader lost to
 /// a frame that failed a check (magic, checksum, length or sequence).
+/// Only worker → supervisor frames count here: a damaged supervisor →
+/// worker frame fails the worker's check, the worker shuts the socket,
+/// and the supervisor counts [`COUNTER_CONN_DEAD_CLOSED`].
 pub const COUNTER_CONN_DEAD_DAMAGE: &str = "shard.net.conn_dead.damage";
 /// Recorder key for socket connections the supervisor's reader dropped
 /// because a verified frame failed to decode.
 pub const COUNTER_CONN_DEAD_DECODE: &str = "shard.net.conn_dead.decode";
 /// Recorder key for socket connections the supervisor's reader lost to
-/// EOF or an I/O error.
+/// EOF or an I/O error — a crashed or killed worker, and also a worker
+/// that failed a damaged supervisor → worker frame and shut the socket
+/// (the supervisor cannot tell the two apart).
 pub const COUNTER_CONN_DEAD_CLOSED: &str = "shard.net.conn_dead.closed";
 
 /// Tuning knobs for a [`ShardSupervisor`].

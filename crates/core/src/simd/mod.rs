@@ -25,9 +25,12 @@
 //! `Add`, `Max`, `Min`, `Xor` over 32/64-bit lanes). Those operators are
 //! associative and commutative *exactly*, so every reassociation the
 //! vector form performs is bit-identical to the scalar left fold — pinned
-//! by `tests/simd_differential.rs`. The one exception is `f32` addition,
-//! which is only available behind [`crate::ExecConfig::simd_f32`] because
-//! float addition does not reassociate exactly. Everything else —
+//! by `tests/simd_differential.rs`, and by the oracle harness
+//! (`tests/oracle`), whose lane-straddling one-label shapes run the
+//! chunked entries on the kernels against Figure 2. The one exception is
+//! `f32` addition, which is only available behind
+//! [`crate::ExecConfig::simd_f32`] because float addition does not
+//! reassociate exactly. Everything else —
 //! unrecognized operators, odd widths, checked/saturating overflow
 //! policies, sparse bucket tables — falls through to the scalar code
 //! untouched.

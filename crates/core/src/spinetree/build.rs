@@ -25,6 +25,7 @@
 
 use super::layout::Layout;
 use crate::error::MpError;
+use crate::problem::first_bad_label;
 use crate::resilience::RunContext;
 
 /// Which concurrent writer wins the bucket-pointer scatter within a row.
@@ -61,6 +62,12 @@ fn mix(seed: u64, i: u64) -> u64 {
 /// * `spine[m + i]` is the parent slot of element `i`: either its bucket
 ///   (elements of the topmost occupied row of their class) or an element
 ///   slot in the next occupied row *above*.
+///
+/// # Panics
+///
+/// On a label `>= layout.m`, with a message naming the error
+/// [`crate::validate`] reports. The same holds for
+/// [`build_spinetree_traced`].
 pub fn build_spinetree(labels: &[usize], layout: &Layout, policy: ArbPolicy) -> Vec<usize> {
     build_spinetree_traced(labels, layout, policy, |_, _| {})
 }
@@ -78,10 +85,11 @@ pub fn build_spinetree_traced(
         on_row(r, s);
         Ok(())
     });
-    match built {
-        Ok(()) => spine,
-        Err(_) => unreachable!("invariant: the infallible on_row callback never errors"),
+    // The callback never errors, so an error is a label `>= m`.
+    if let Err(e) = built {
+        panic!("spinetree build: {e}");
     }
+    spine
 }
 
 /// [`build_spinetree`] for the hardened engines: the `slots()` pointer
@@ -108,6 +116,11 @@ pub(crate) fn build_spinetree_ctx(
 /// The SPINETREE row loop shared by the plain, traced and hardened builds:
 /// initializes `spine` in place, then gathers/scatters row by row, calling
 /// `per_row(row, spine)` after each row and aborting on its error.
+///
+/// The initialization reads every label once, and that read is also its
+/// check: a label `>= m` would aim an element at another element's slot,
+/// or past the block, so it is [`crate::validate`]'s
+/// [`MpError::LabelOutOfRange`] before any row runs.
 fn build_rows(
     spine: &mut Vec<usize>,
     labels: &[usize],
@@ -120,10 +133,14 @@ fn build_rows(
     // INITIALIZATION (Figure 3): each bucket points at itself...
     spine.extend(0..m);
     // ...and each element points at its bucket.
+    let mut bad = false;
     spine.extend(labels.iter().map(|&l| {
-        debug_assert!(l < m);
+        bad |= l >= m;
         l
     }));
+    if bad {
+        return Err(first_bad_label(labels, m));
+    }
 
     // Arbitration bookkeeping for the Seeded policy: the row that last
     // stamped each bucket, and the winning key so far within that row.

@@ -2,9 +2,14 @@
 //!
 //! Every one-shot entry runs `run`: SPINETREE, then the one `sweep` of
 //! INIT and phases 2–4 that [`super::PreparedMultiprefix`] also runs over
-//! its stored spinetree. The plain entries run it with the plain
-//! operator and an empty context; the hardened ones with a trip guard and
-//! the caller's context.
+//! its stored spinetree. The plain entries ([`multiprefix_spinetree`],
+//! [`multiprefix_spinetree_instrumented`]) run it with the plain operator
+//! and an empty context; the hardened one
+//! ([`try_multiprefix_spinetree_ctx`]) with a trip guard and the caller's
+//! context. `run` checks the lengths up front and SPINETREE checks each
+//! label where it first reads it, so a bad input is the error
+//! [`crate::validate`] reports: returned by the hardened entry, named in
+//! the panic of the plain ones.
 
 use super::build::{build_spinetree_ctx, ArbPolicy};
 use super::layout::Layout;
@@ -77,15 +82,14 @@ fn run<T: Element, C: Comb<T>>(
 }
 
 /// Run the paper's multiprefix algorithm with an explicit layout and
-/// arbitration policy, returning full instrumentation.
-///
-/// Preconditions (checked by [`crate::api::multiprefix`]):
-/// `values.len() == labels.len() == layout.n`, labels `< layout.m`.
+/// arbitration policy, returning full instrumentation. `layout` must be
+/// built for `values.len()` elements.
 ///
 /// # Panics
 ///
-/// If `values` and `labels` differ in length, or an allocation fails: the
-/// message names the engine and the [`MpError`].
+/// If `values` and `labels` differ in length, on a label `>= layout.m`, or
+/// if an allocation fails: the message names the engine and the
+/// [`MpError`] (for a bad input, the one [`crate::validate`] reports).
 pub fn multiprefix_spinetree_instrumented<T: Element, O: CombineOp<T>>(
     values: &[T],
     labels: &[usize],
@@ -124,8 +128,8 @@ pub fn multiprefix_spinetree_instrumented<T: Element, O: CombineOp<T>>(
 ///
 /// # Panics
 ///
-/// As [`multiprefix_spinetree_instrumented`]: on unequal lengths or a
-/// failed allocation.
+/// As [`multiprefix_spinetree_instrumented`]: on unequal lengths, a label
+/// `>= m` or a failed allocation.
 pub fn multiprefix_spinetree<T: Element, O: CombineOp<T>>(
     values: &[T],
     labels: &[usize],
@@ -139,12 +143,9 @@ pub fn multiprefix_spinetree<T: Element, O: CombineOp<T>>(
 /// The multireduce operation (§4.2): per-label reductions only, skipping
 /// MULTISUMS. "Compared to the PREFIXSUM phase, which requires almost 7
 /// clock ticks per element, this is a substantial savings in time."
-///
-/// # Panics
-///
-/// As [`multiprefix_spinetree_instrumented`]: on unequal lengths or a
-/// failed allocation.
-pub fn multireduce_spinetree<T: Element, O: CombineOp<T>>(
+/// [`crate::multireduce`]'s spinetree run; panics as
+/// [`multiprefix_spinetree`].
+pub(crate) fn multireduce_spinetree<T: Element, O: CombineOp<T>>(
     values: &[T],
     labels: &[usize],
     m: usize,
@@ -158,8 +159,8 @@ pub fn multireduce_spinetree<T: Element, O: CombineOp<T>>(
 }
 
 /// Hardened spinetree multiprefix (see [`crate::exec`] for the contract)
-/// under a [`RunContext`]. Unequal lengths are
-/// [`MpError::LengthMismatch`]; the `n + m` pivot-block temporaries are
+/// under a [`RunContext`]. Unequal lengths and a label `>= m` return the
+/// error [`crate::validate`] reports; the `n + m` pivot-block temporaries are
 /// allocated fallibly, and under a checking [`OverflowPolicy`] every ⊕
 /// runs through a trip guard. MULTISUMS performs the literal serial
 /// combine `prefix_i ⊕ value_i` for every element, so a clean (untripped)
@@ -181,8 +182,9 @@ pub fn try_multiprefix_spinetree_ctx<T: Element, O: TryCombineOp<T>>(
 }
 
 /// Hardened spinetree multireduce, under the contract of
-/// [`try_multiprefix_spinetree_ctx`].
-pub fn try_multireduce_spinetree_ctx<T: Element, O: TryCombineOp<T>>(
+/// [`try_multiprefix_spinetree_ctx`]: the API's and the dispatcher's
+/// spinetree multireduce.
+pub(crate) fn try_multireduce_spinetree_ctx<T: Element, O: TryCombineOp<T>>(
     values: &[T],
     labels: &[usize],
     m: usize,

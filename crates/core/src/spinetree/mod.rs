@@ -65,8 +65,8 @@ pub mod validate;
 
 pub use build::{build_spinetree, ArbPolicy};
 pub use engine::{
-    multiprefix_spinetree, multiprefix_spinetree_instrumented, multireduce_spinetree,
-    try_multiprefix_spinetree_ctx, try_multireduce_spinetree_ctx, PhaseStats, SpinetreeRun,
+    multiprefix_spinetree, multiprefix_spinetree_instrumented, try_multiprefix_spinetree_ctx,
+    PhaseStats, SpinetreeRun,
 };
 pub use layout::Layout;
 pub use prepared::PreparedMultiprefix;

@@ -15,13 +15,11 @@ use super::build::{build_spinetree, ArbPolicy};
 use super::layout::Layout;
 use super::phases::sweep;
 use crate::api::Engine;
-use crate::chunked::{expect_plain, Comb, PlainComb};
+use crate::chunked::{expect_plain, PlainComb};
 use crate::error::MpError;
-use crate::exec::{CheckGuard, OverflowPolicy};
-use crate::op::{CombineOp, TryCombineOp};
+use crate::op::CombineOp;
 use crate::problem::{validate, validate_lengths, Element, MultiprefixOutput};
 use crate::resilience::RunContext;
-use std::sync::atomic::AtomicBool;
 
 /// A spinetree built for one labeling, reusable across value vectors.
 #[derive(Debug, Clone)]
@@ -32,16 +30,13 @@ pub struct PreparedMultiprefix {
 
 impl PreparedMultiprefix {
     /// Build the spinetree for `labels` over `m` buckets (the "setup" of
-    /// §5.2.1). Validates labels once; [`Self::run`] then skips the check.
+    /// §5.2.1), under `LastWins` arbitration. Validates the labels once, so
+    /// a bad label is the error [`crate::validate`] reports; every run
+    /// then checks only the length of its values.
     pub fn new(labels: &[usize], m: usize) -> Result<Self, MpError> {
-        Self::with_policy(labels, m, ArbPolicy::LastWins)
-    }
-
-    /// [`Self::new`] with an explicit arbitration policy.
-    pub fn with_policy(labels: &[usize], m: usize, policy: ArbPolicy) -> Result<Self, MpError> {
         validate(&labels.len(), labels, m)?;
         let layout = Layout::square(labels.len(), m);
-        let spine = build_spinetree(labels, &layout, policy);
+        let spine = build_spinetree(labels, &layout, ArbPolicy::LastWins);
         Ok(PreparedMultiprefix { layout, spine })
     }
 
@@ -65,94 +60,48 @@ impl PreparedMultiprefix {
         &self.layout
     }
 
-    /// Run a full multiprefix over `values` (must match [`Self::len`]).
-    /// Only the three EREW phases execute — the spinetree is reused.
+    /// Run a full multiprefix over `values` (one per label this structure
+    /// was built for) under any operator. Only the three EREW phases
+    /// execute — the spinetree is reused. This is the route the §5.2.1
+    /// SpMV kernel takes, where the values and the labels derive from one
+    /// matrix.
     ///
     /// # Panics
-    /// Panics on `values.len() != self.len()`. This is the unchecked fast
-    /// path for callers that construct the value vector from the same
-    /// source as the labels (e.g. the SpMV kernel, where both derive from
-    /// one matrix); use [`Self::try_run`] when the length is
-    /// caller-supplied data. Also panics, naming the [`MpError`], if an
-    /// allocation fails.
+    ///
+    /// If `values.len() != self.len()` ([`MpError::LengthMismatch`], the
+    /// error [`crate::validate`] reports), or if an allocation fails: the
+    /// message names the engine and the [`MpError`].
     pub fn run<T: Element, O: CombineOp<T>>(&self, values: &[T], op: O) -> MultiprefixOutput<T> {
-        assert_eq!(values.len(), self.layout.n, "value vector length mismatch");
-        expect_plain(Engine::Spinetree, self.try_run(values, op))
+        expect_plain(Engine::Spinetree, self.run_with(values, op, true))
     }
 
     /// Run a multireduce over `values` (§4.2: skip MULTISUMS).
     ///
     /// # Panics
-    /// As [`Self::run`]; use [`Self::try_run_reduce`] for untrusted
-    /// lengths.
+    ///
+    /// As [`Self::run`].
     pub fn run_reduce<T: Element, O: CombineOp<T>>(&self, values: &[T], op: O) -> Vec<T> {
-        assert_eq!(values.len(), self.layout.n, "value vector length mismatch");
-        expect_plain(Engine::Spinetree, self.try_run_reduce(values, op))
-    }
-
-    /// [`Self::run`] for caller-supplied lengths: reports
-    /// [`MpError::LengthMismatch`] instead of panicking.
-    pub fn try_run<T: Element, O: CombineOp<T>>(
-        &self,
-        values: &[T],
-        op: O,
-    ) -> Result<MultiprefixOutput<T>, MpError> {
-        self.run_with(values, PlainComb(op), true, &RunContext::new())
-    }
-
-    /// [`Self::run_reduce`] for caller-supplied lengths: reports
-    /// [`MpError::LengthMismatch`] instead of panicking.
-    pub fn try_run_reduce<T: Element, O: CombineOp<T>>(
-        &self,
-        values: &[T],
-        op: O,
-    ) -> Result<Vec<T>, MpError> {
-        let out = self.run_with(values, PlainComb(op), false, &RunContext::new())?;
-        Ok(out.reductions)
-    }
-
-    /// [`Self::try_run`] under a [`RunContext`]: the phase temporaries are
-    /// allocated fallibly and the context is polled at every phase boundary
-    /// and every [`crate::resilience::CHECK_STRIDE`] elements within the
-    /// sweeps, so a replayed structure honors deadlines and cancellation
-    /// like the one-shot engines. Results are identical to [`Self::run`].
-    pub fn try_run_ctx<T: Element, O: TryCombineOp<T>>(
-        &self,
-        values: &[T],
-        op: O,
-        ctx: &RunContext,
-    ) -> Result<MultiprefixOutput<T>, MpError> {
-        // A `Wrap` guard never trips: it only makes INIT's blocks fallible.
-        let tripped = AtomicBool::new(false);
-        let guard = CheckGuard::new(op, OverflowPolicy::Wrap, &tripped);
-        self.run_with(values, guard, true, ctx)
-    }
-
-    /// [`Self::try_run_reduce`] under a [`RunContext`]; see
-    /// [`Self::try_run_ctx`].
-    pub fn try_run_reduce_ctx<T: Element, O: TryCombineOp<T>>(
-        &self,
-        values: &[T],
-        op: O,
-        ctx: &RunContext,
-    ) -> Result<Vec<T>, MpError> {
-        let tripped = AtomicBool::new(false);
-        let guard = CheckGuard::new(op, OverflowPolicy::Wrap, &tripped);
-        Ok(self.run_with(values, guard, false, ctx)?.reductions)
+        expect_plain(Engine::Spinetree, self.run_with(values, op, false)).reductions
     }
 
     /// Every run: lengths checked, then [`sweep`] over the stored
     /// spinetree.
-    fn run_with<T: Element, C: Comb<T>>(
+    fn run_with<T: Element, O: CombineOp<T>>(
         &self,
         values: &[T],
-        comb: C,
+        op: O,
         want_sums: bool,
-        ctx: &RunContext,
     ) -> Result<MultiprefixOutput<T>, MpError> {
         validate_lengths(values.len(), self.layout.n)?;
-        ctx.checkpoint()?;
-        sweep(values, &self.spine, &self.layout, comb, want_sums, ctx)
+        let ctx = RunContext::new();
+        sweep(
+            values,
+            &self.spine,
+            &self.layout,
+            PlainComb(op),
+            want_sums,
+            &ctx,
+        )
     }
 }
 
@@ -214,35 +163,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn wrong_value_length_panics() {
+    #[should_panic(expected = "values (1) and labels (2) have different lengths")]
+    fn wrong_value_length_panics_naming_the_error() {
         let prepared = PreparedMultiprefix::new(&[0, 1], 2).unwrap();
         let _ = prepared.run(&[1i64], Plus);
     }
 
     #[test]
-    fn try_run_reports_length_mismatch() {
+    #[should_panic(expected = "values (3) and labels (2) have different lengths")]
+    fn wrong_value_length_panics_in_reduce_too() {
         let prepared = PreparedMultiprefix::new(&[0, 1], 2).unwrap();
-        assert_eq!(
-            prepared.try_run(&[1i64], Plus).unwrap_err(),
-            MpError::LengthMismatch {
-                values: 1,
-                labels: 2
-            }
-        );
-        assert_eq!(
-            prepared.try_run_reduce(&[1i64, 2, 3], Plus).unwrap_err(),
-            MpError::LengthMismatch {
-                values: 3,
-                labels: 2
-            }
-        );
-        let ok = prepared.try_run(&[4i64, 5], Plus).unwrap();
-        assert_eq!(ok.reductions, vec![4, 5]);
-        assert_eq!(
-            prepared.try_run_reduce(&[4i64, 5], Plus).unwrap(),
-            vec![4, 5]
-        );
+        let _ = prepared.run_reduce(&[1i64, 2, 3], Plus);
     }
 
     #[test]

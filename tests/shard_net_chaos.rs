@@ -174,8 +174,10 @@ fn byte_chaos_matrix_matches_oracle() {
     let mut oks = 0usize;
     let mut injected = 0usize;
     for (kind, net) in [("uds", NetConfig::uds()), ("tcp", NetConfig::tcp())] {
-        let sup = ShardSupervisor::new(fast_cfg());
         for (f, fault) in NET_FAULTS.iter().enumerate() {
+            // One supervisor per arm: shard breakers an earlier arm opened
+            // would otherwise degrade this arm's cells before any fault.
+            let sup = ShardSupervisor::new(fast_cfg());
             // One armed state per fault arm: the draw stream continues
             // across the shape cells, so later runs see fresh positions
             // of the seeded sequence instead of replaying its head.
@@ -366,9 +368,11 @@ fn shard_net_soak() {
     let shapes = [(1usize, 1usize), (513, 7), (4_097, 31), (16_384, 101)];
     let mut oks = 0usize;
     for (kind, net) in [("uds", NetConfig::uds()), ("tcp", NetConfig::tcp())] {
-        let sup = ShardSupervisor::new(fast_cfg());
         for fault in NET_FAULTS {
             for ppm in [30_000u32, 200_000, 600_000] {
+                // One supervisor per (fault, rate) arm, so no arm inherits
+                // the shard breakers another arm opened.
+                let sup = ShardSupervisor::new(fast_cfg());
                 // One armed stream per (fault, rate): continues across
                 // the seed × shape cells below.
                 let chaos = plan_for(fault, 90_000 + ppm as u64, ppm);
@@ -388,9 +392,14 @@ fn shard_net_soak() {
                         }
                     }
                 }
+                let (degraded, faults) = (sup.degraded_runs(), chaos.faults_injected());
+                eprintln!(
+                    "soak {fault:?}@{kind}:{ppm}: {degraded} of 12 cells degraded, {faults} faults"
+                );
             }
         }
-        // Combined storm: all four byte faults at once.
+        // Combined storm: all four byte faults at once, on its own supervisor.
+        let sup = ShardSupervisor::new(fast_cfg());
         for seed in 0..3u64 {
             let chaos = ChaosPlan::seeded(7_700 + seed)
                 .stall(0, Duration::from_millis(10))

@@ -12,10 +12,13 @@
 //! dispatch. A divergence can therefore only come from the kernels
 //! themselves.
 
-use multiprefix::chunked::{try_multiprefix_chunked_cfg_ctx, try_multireduce_chunked_cfg_ctx};
+mod oracle;
+
+use multiprefix::chunked::try_multiprefix_chunked_cfg_ctx;
 use multiprefix::op::{Max, Min, Mult, Plus, Xor};
 use multiprefix::resilience::RunContext;
-use multiprefix::{Element, ExecConfig, TryCombineOp};
+use multiprefix::{try_multireduce_ctx, Element, Engine, ExecConfig, TryCombineOp};
+use oracle::{Problem, Shape, ADVERSARIAL};
 use proptest::prelude::*;
 
 /// Lane widths of the AVX2 kernels: lengths bracketing these are where
@@ -49,8 +52,9 @@ fn assert_simd_matches_scalar<T, O>(
     let slow = try_multiprefix_chunked_cfg_ctx(values, labels, m, op, scalar, &ctx).unwrap();
     assert_eq!(fast, slow, "chunked prefix n={} m={m}", values.len());
 
-    let fast = try_multireduce_chunked_cfg_ctx(values, labels, m, op, cfg, &ctx).unwrap();
-    let slow = try_multireduce_chunked_cfg_ctx(values, labels, m, op, scalar, &ctx).unwrap();
+    let chunked = Engine::Chunked;
+    let fast = try_multireduce_ctx(values, labels, m, op, chunked, cfg, &ctx).unwrap();
+    let slow = try_multireduce_ctx(values, labels, m, op, chunked, scalar, &ctx).unwrap();
     assert_eq!(fast, slow, "chunked reduce n={} m={m}", values.len());
 }
 
@@ -215,25 +219,14 @@ fn partition_scans_match_serial_with_kernels() {
     }
 }
 
-/// Arbitrary problems weighted toward the fast path: one draw in two is
-/// single-label (`m == 1`); the rest have small `m` so dense tables and
-/// the multi-label fall-through both get sampled.
-fn problem() -> impl Strategy<Value = (Vec<i64>, Vec<usize>, usize)> {
-    (1usize..9, any::<bool>()).prop_flat_map(|(m, single)| {
-        let m = if single { 1 } else { m };
-        let label = any::<u32>().prop_map(move |x| x as usize % m);
-        proptest::collection::vec((any::<i64>(), label), 0..400).prop_map(move |pairs| {
-            let (values, labels): (Vec<i64>, Vec<usize>) = pairs.into_iter().unzip();
-            (values, labels, m)
-        })
-    })
-}
-
 proptest! {
+    /// The oracle harness's shapes (lane-straddling lengths, one label in
+    /// four draws) with values near the ends of `i64`.
     #[test]
-    fn simd_matches_scalar_i64_any_shape((values, labels, m) in problem()) {
-        assert_simd_matches_scalar(&values, &labels, m, Plus, ExecConfig::default());
-        assert_simd_matches_scalar(&values, &labels, m, Xor, ExecConfig::default());
+    fn simd_matches_scalar_i64_any_shape(seed: u64) {
+        let p = Problem::new(Shape::draw(seed), ADVERSARIAL);
+        assert_simd_matches_scalar(&p.values, &p.labels, p.m, Plus, ExecConfig::default());
+        assert_simd_matches_scalar(&p.values, &p.labels, p.m, Xor, ExecConfig::default());
     }
 
     #[test]
