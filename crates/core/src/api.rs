@@ -133,10 +133,12 @@ pub fn multireduce<T: Element, O: CombineOp<T>>(
     }
 }
 
-/// The label scan `engine` needs before it runs. The chunked engine needs
-/// none: it checks lengths first and each label where its local loop
-/// indexes its table — except with `m == 1`, where its vector kernels
-/// never read a label. Every other engine gets the full scan.
+/// The label scan the plain entries need before `engine` runs. The chunked
+/// engine returns a bad input's error itself — it checks lengths first and
+/// each label where its local loop indexes its table — except with
+/// `m == 1`, where its vector kernels never read a label. The serial and
+/// spinetree engines' plain entries panic on a bad input, so they get the
+/// full scan.
 fn scan_labels<T>(engine: Engine, values: &[T], labels: &[usize], m: usize) -> Result<(), MpError> {
     if engine.resolve() == Engine::Chunked && m != 1 {
         Ok(())
@@ -297,10 +299,9 @@ impl<'a, T: Element, O: TryCombineOp<T>> Call<'a, T, O> {
     }
 
     /// `err`, unless the input is invalid: then [`validate_slices`]'s
-    /// error. The chunked engine checks labels only as far as its loop
-    /// gets, and a cancel, an expired deadline, an injected fault or a
-    /// failed allocation can stop it before it reaches the bad one; every
-    /// other engine would have reported the label.
+    /// error. An engine checks labels only as far as its loop gets, and a
+    /// cancel, an expired deadline, an injected fault, a failed allocation
+    /// or a checked overflow can stop it before it reaches the bad one.
     pub(crate) fn input_error_first(self, err: MpError) -> MpError {
         validate_slices(self.values, self.labels, self.m)
             .err()
@@ -352,7 +353,10 @@ impl<'a, T: Element, O: TryCombineOp<T>> Call<'a, T, O> {
 
     /// `engine`'s hardened `run`, made canonical:
     ///
-    /// * the labels are scanned first unless the engine checks them itself;
+    /// * the labels are scanned first only for the chunked engine with
+    ///   `m == 1`, whose vector kernels never read them: every other
+    ///   hardened engine returns a bad input's error itself, and the shard
+    ///   supervisor scans the labels before it distributes;
     /// * when a checked combine trips, the engine's grouping overflowed
     ///   somewhere, so the canonical answer — a result or the
     ///   first-overflow index — comes from one serial replay under `ctx`;
@@ -396,11 +400,10 @@ impl<'a, T: Element, O: TryCombineOp<T>> Call<'a, T, O> {
         replay: impl FnOnce() -> Result<R, MpError>,
     ) -> Result<R, MpError> {
         let checked = || {
-            // The shard supervisor scans the labels before it distributes.
-            // Where no supervisor runs, `Sharded` is `Unavailable`, and
-            // `input_error_first` reports a bad input in its place.
-            if engine != Engine::Sharded {
-                scan_labels(engine, self.values, self.labels, self.m)?;
+            // Where no shard supervisor runs, `Sharded` is `Unavailable`,
+            // and `input_error_first` reports a bad input in its place.
+            if engine.resolve() == Engine::Chunked && self.m == 1 {
+                validate_slices(self.values, self.labels, self.m)?;
             }
             run()?.map_or_else(replay, Ok)
         };

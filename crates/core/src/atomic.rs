@@ -39,7 +39,7 @@ use crate::error::MpError;
 use crate::exec::{try_with_capacity, CheckGuard, ExecConfig, OverflowPolicy, TryEngineResult};
 use crate::obs::Phase;
 use crate::op::{And, CombineOp, Max, Min, Or, Plus, TryCombineOp};
-use crate::problem::{first_bad_label, validate_lengths, MultiprefixOutput};
+use crate::problem::{input_error, validate_lengths, MultiprefixOutput};
 use crate::resilience::RunContext;
 use crate::spinetree::layout::Layout;
 use rayon::prelude::*;
@@ -197,7 +197,7 @@ fn run_prefix<O: AtomicCombine, C: Comb<i64>>(
         AtomicUsize::new(l)
     }));
     if bad {
-        return Err(first_bad_label(labels, m));
+        return Err(input_error(values.len(), labels, m));
     }
     let rowsum = try_cell_vec(slots, |_| AtomicI64::new(id))?;
     let spinesum = try_cell_vec(slots, |_| AtomicI64::new(id))?;
@@ -312,7 +312,7 @@ fn run_reduce<O: AtomicCombine>(
             (None, _) => bad.store(true, Relaxed),
         });
     if bad.into_inner() {
-        return Err(first_bad_label(labels, m));
+        return Err(input_error(values.len(), labels, m));
     }
     ctx.checkpoint()?;
     Ok(buckets.into_iter().map(AtomicI64::into_inner).collect())

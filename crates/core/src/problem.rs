@@ -28,10 +28,10 @@ pub struct MultiprefixOutput<T> {
 ///
 /// Checks that `values` and `labels` have equal length and that every label
 /// lies in `[0, m)`, reporting the first offending index. The public API
-/// returns exactly this error for every engine: the serial and spinetree
-/// engines run after this scan, while the chunked engine checks each label
-/// in its own local loop (and is scanned first only when `m == 1`, where its
-/// vector kernels never read a label).
+/// returns exactly this error for every engine: its plain entries run the
+/// serial and spinetree engines after this scan, and every other engine
+/// run checks each label in its own loop (the chunked engine is scanned
+/// first only when `m == 1`, where its vector kernels never read a label).
 ///
 /// ```
 /// use multiprefix::problem::validate;
@@ -56,20 +56,13 @@ pub(crate) fn validate_lengths(values: usize, labels: usize) -> Result<(), MpErr
     Ok(())
 }
 
-/// [`validate`]'s error for `labels` known to hold a label `>= m`: the
-/// first one. For engine loops that check labels with a flag, or out of
-/// vector order, and report the bad input only once they have seen it.
+/// [`validate`]'s error for an input an engine loop stopped on. The serial,
+/// spinetree and atomic loops test each label where they first read it —
+/// some with a flag, or out of vector order — and call this only once they
+/// have seen a bad label or unequal lengths.
 #[cold]
-pub(crate) fn first_bad_label(labels: &[usize], m: usize) -> MpError {
-    let index = labels
-        .iter()
-        .position(|&label| label >= m)
-        .expect("invariant: the caller saw a label >= m");
-    MpError::LabelOutOfRange {
-        index,
-        label: labels[index],
-        m,
-    }
+pub(crate) fn input_error(n_values: usize, labels: &[usize], m: usize) -> MpError {
+    validate(&n_values, labels, m).expect_err("invariant: the loop stopped on an invalid input")
 }
 
 /// Convenience wrapper over [`validate`] taking the value slice directly.

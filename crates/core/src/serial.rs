@@ -15,7 +15,8 @@
 //! This module is the semantic oracle for the whole crate: every parallel
 //! engine's output is tested for equality against it. Its three entries
 //! check their input as they go — each label just before the loop indexes
-//! its bucket, the lengths after the loop — so a bad input is the error
+//! its bucket, the lengths after the loop (a length test ahead of it made
+//! the compiled Figure 2 loop slower) — so a bad input is the error
 //! [`crate::validate`] reports: returned by the hardened entry, named in
 //! the panic of the plain ones.
 
@@ -24,7 +25,7 @@ use crate::chunked::expect_plain;
 use crate::error::MpError;
 use crate::exec::{try_filled_vec, OverflowPolicy};
 use crate::op::{CombineOp, TryCombineOp};
-use crate::problem::{validate_lengths, Element, MultiprefixOutput};
+use crate::problem::{input_error, validate_lengths, Element, MultiprefixOutput};
 use crate::resilience::RunContext;
 
 /// Compute the multiprefix of `values` under `labels` serially.
@@ -49,7 +50,7 @@ pub fn multiprefix_serial<T: Element, O: CombineOp<T>>(
     let mut sums = Vec::with_capacity(values.len());
     for (&value, &label) in values.iter().zip(labels) {
         if label >= m {
-            expect_plain(Engine::Serial, Err(input_error(values, labels, m)))
+            expect_plain(Engine::Serial, Err(input_error(values.len(), labels, m)))
         }
         // SAFETY of order: the bucket currently holds the ⊕ of all earlier
         // same-label values, left-to-right; appending `value` on the right
@@ -77,22 +78,12 @@ pub fn multireduce_serial<T: Element, O: CombineOp<T>>(
     let mut buckets = vec![op.identity(); m];
     for (&value, &label) in values.iter().zip(labels) {
         if label >= m {
-            expect_plain(Engine::Serial, Err(input_error(values, labels, m)))
+            expect_plain(Engine::Serial, Err(input_error(values.len(), labels, m)))
         }
         buckets[label] = op.combine(buckets[label], value);
     }
     expect_plain(Engine::Serial, validate_lengths(values.len(), labels.len()));
     buckets
-}
-
-/// [`crate::validate`]'s error for an input a loop stopped on: the loops
-/// check each label just before they index the buckets, in vector order,
-/// and the lengths only after the loop (a length test ahead of it made the
-/// compiled Figure 2 loop slower), so unequal lengths take precedence here.
-#[cold]
-fn input_error<T>(values: &[T], labels: &[usize], m: usize) -> MpError {
-    let err = crate::problem::validate(&values.len(), labels, m).err();
-    err.expect("invariant: the loop stopped on an invalid input")
 }
 
 /// The hardened serial multiprefix: Figure 2 under an explicit
@@ -131,7 +122,7 @@ pub fn try_multiprefix_serial_ctx<T: Element, O: TryCombineOp<T>>(
     for (i, (&value, &label)) in values.iter().zip(labels).enumerate() {
         ctx.checkpoint_every(i)?;
         if label >= m {
-            return Err(input_error(values, labels, m));
+            return Err(input_error(values.len(), labels, m));
         }
         sums.push(buckets[label]);
         buckets[label] = match policy {
@@ -166,7 +157,7 @@ pub(crate) fn try_multireduce_serial_ctx<T: Element, O: TryCombineOp<T>>(
     for (i, (&value, &label)) in values.iter().zip(labels).enumerate() {
         ctx.checkpoint_every(i)?;
         if label >= m {
-            return Err(input_error(values, labels, m));
+            return Err(input_error(values.len(), labels, m));
         }
         buckets[label] = match policy {
             OverflowPolicy::Wrap => op.combine(buckets[label], value),

@@ -25,7 +25,7 @@
 
 use super::layout::Layout;
 use crate::error::MpError;
-use crate::problem::first_bad_label;
+use crate::problem::input_error;
 use crate::resilience::RunContext;
 
 /// Which concurrent writer wins the bucket-pointer scatter within a row.
@@ -139,7 +139,7 @@ fn build_rows(
         l
     }));
     if bad {
-        return Err(first_bad_label(labels, m));
+        return Err(input_error(layout.n, labels, m));
     }
 
     // Arbitration bookkeeping for the Seeded policy: the row that last

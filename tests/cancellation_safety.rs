@@ -8,11 +8,12 @@
 //! `(k+1)`-th, so sweeping `k` walks the cancellation point through every
 //! phase boundary and stride checkpoint an engine has.
 
+use multiprefix::atomic::try_multiprefix_atomic_cfg_ctx;
 use multiprefix::op::Plus;
-use multiprefix::resilience::{CancelToken, Deadline, DispatchOpts, Dispatcher, RunContext};
+use multiprefix::resilience::{CancelToken, RunContext};
 use multiprefix::{
-    multiprefix, try_multiprefix_ctx, try_multireduce_ctx, DispatcherConfig, Engine, ExecConfig,
-    MpError, MultiprefixOutput, OverflowPolicy,
+    multiprefix, try_multiprefix_ctx, try_multireduce_ctx, Engine, ExecConfig, MpError,
+    MultiprefixOutput, OverflowPolicy,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -38,27 +39,16 @@ fn oracle(values: &[i64], labels: &[usize], m: usize) -> MultiprefixOutput<i64> 
     multiprefix(values, labels, m, Plus, Engine::Serial).unwrap()
 }
 
-/// A context that polls `cancel`.
-fn fused(cancel: &CancelToken) -> RunContext {
-    RunContext::new().with_cancel(cancel)
-}
-
-/// The atomic engine's entry outside the API: a dispatcher whose chain is
-/// `[Atomic]`, with the request's stops in `opts`.
-fn atomic_dispatch(
+/// The atomic engine's hardened entry on the global pool: `Wrap` never
+/// trips, so a run that is not stopped answers.
+fn atomic(
     values: &[i64],
     labels: &[usize],
     m: usize,
-    opts: &DispatchOpts,
+    ctx: &RunContext,
 ) -> Result<MultiprefixOutput<i64>, MpError> {
-    let config = DispatcherConfig {
-        chain: vec![Engine::Atomic],
-        ..DispatcherConfig::default()
-    };
-    let dispatcher = Dispatcher::new(config).unwrap();
-    let out = dispatcher.dispatch_i64(values, labels, m, Plus, opts)?;
-    assert_eq!(out.engine, Engine::Atomic);
-    Ok(out.output)
+    let out = try_multiprefix_atomic_cfg_ctx(values, labels, m, Plus, ExecConfig::default(), ctx)?;
+    Ok(out.expect("Wrap never trips"))
 }
 
 /// Sweep the fuse through every checkpoint of `run`, asserting the
@@ -68,11 +58,13 @@ fn atomic_dispatch(
 fn sweep_fuse<R: PartialEq + std::fmt::Debug>(
     label: &str,
     expect: &R,
-    mut run: impl FnMut(&CancelToken) -> Result<R, MpError>,
+    mut run: impl FnMut(&RunContext) -> Result<R, MpError>,
 ) {
     let mut first_ok = None;
     for k in 0..=SWEEP {
-        match run(&CancelToken::cancel_after(k)) {
+        let cancel = CancelToken::cancel_after(k);
+        let ctx = RunContext::new().with_cancel(&cancel);
+        match run(&ctx) {
             Ok(out) => {
                 assert_eq!(&out, expect, "{label}: k={k} completed with a wrong answer");
                 first_ok.get_or_insert(k);
@@ -100,9 +92,16 @@ fn multiprefix_cancellation_is_all_or_nothing_on_every_engine() {
     let (values, labels) = problem(2_000, 13);
     let expect = oracle(&values, &labels, 13);
     for engine in ENGINES {
-        sweep_fuse(&format!("multiprefix/{engine:?}"), &expect, |cancel| {
-            let cfg = ExecConfig::default();
-            try_multiprefix_ctx(&values, &labels, 13, Plus, engine, cfg, &fused(cancel))
+        sweep_fuse(&format!("multiprefix/{engine:?}"), &expect, |ctx| {
+            try_multiprefix_ctx(
+                &values,
+                &labels,
+                13,
+                Plus,
+                engine,
+                ExecConfig::default(),
+                ctx,
+            )
         });
     }
 }
@@ -112,9 +111,16 @@ fn multireduce_cancellation_is_all_or_nothing_on_every_engine() {
     let (values, labels) = problem(1_200, 7);
     let expect = oracle(&values, &labels, 7).reductions;
     for engine in ENGINES {
-        sweep_fuse(&format!("multireduce/{engine:?}"), &expect, |cancel| {
-            let cfg = ExecConfig::default();
-            try_multireduce_ctx(&values, &labels, 7, Plus, engine, cfg, &fused(cancel))
+        sweep_fuse(&format!("multireduce/{engine:?}"), &expect, |ctx| {
+            try_multireduce_ctx(
+                &values,
+                &labels,
+                7,
+                Plus,
+                engine,
+                ExecConfig::default(),
+                ctx,
+            )
         });
     }
 }
@@ -123,12 +129,8 @@ fn multireduce_cancellation_is_all_or_nothing_on_every_engine() {
 fn atomic_engine_cancellation_is_all_or_nothing() {
     let (values, labels) = problem(1_500, 9);
     let expect = oracle(&values, &labels, 9);
-    sweep_fuse("multiprefix/atomic", &expect, |cancel| {
-        let opts = DispatchOpts {
-            cancel: Some(cancel.clone()),
-            ..DispatchOpts::default()
-        };
-        atomic_dispatch(&values, &labels, 9, &opts)
+    sweep_fuse("multiprefix/atomic", &expect, |ctx| {
+        atomic(&values, &labels, 9, ctx)
     });
 }
 
@@ -152,16 +154,8 @@ fn saturating_trip_and_replay_is_cancellation_safe() {
     )
     .unwrap();
     for engine in ENGINES {
-        sweep_fuse(&format!("saturating/{engine:?}"), &expect, |cancel| {
-            try_multiprefix_ctx(
-                &values,
-                &labels,
-                5,
-                Plus,
-                engine,
-                saturating,
-                &fused(cancel),
-            )
+        sweep_fuse(&format!("saturating/{engine:?}"), &expect, |ctx| {
+            try_multiprefix_ctx(&values, &labels, 5, Plus, engine, saturating, ctx)
         });
     }
 }
@@ -194,11 +188,8 @@ fn expired_deadline_is_a_typed_error_on_every_engine() {
         .unwrap_err();
         assert_eq!(err, MpError::DeadlineExceeded, "{engine:?}");
     }
-    let opts = DispatchOpts {
-        deadline: Some(Deadline::after(Duration::ZERO)),
-        ..DispatchOpts::default()
-    };
-    let err = atomic_dispatch(&values, &labels, 5, &opts).unwrap_err();
+    let ctx = RunContext::new().with_timeout(Duration::ZERO);
+    let err = atomic(&values, &labels, 5, &ctx).unwrap_err();
     assert_eq!(err, MpError::DeadlineExceeded, "atomic");
 }
 

@@ -14,18 +14,17 @@ use oracle::{fixed_shapes, Case, Shape, Side, ADVERSARIAL, BENIGN, POLICIES};
 use proptest::prelude::*;
 
 /// Every entry that takes a policy: the `RunContext` entries (Figure 2's,
-/// the engines' and the API's), the dispatcher's four, and the atomic
-/// engine's hardened ones.
+/// the engines' and the API's), the dispatcher's generic two and the
+/// atomic engine's canonical entry — and, on the sampled cases, the atomic
+/// engine's context entry and the dispatcher's `i64` two.
 fn policy_entries(case: &Case<i64, Plus>) {
     case.with_ctx(Side::Both, false);
     case.dispatch(Side::Both, false);
-    case.atomic(false);
-    case.atomic_dispatch(false);
-}
-
-/// The policy a case runs under: the seed picks one of the three.
-fn policy(seed: u64) -> OverflowPolicy {
-    POLICIES[(seed % 3) as usize]
+    case.atomic_hardened();
+    if case.atomic_sampled() {
+        case.atomic(false);
+        case.atomic_dispatch(false);
+    }
 }
 
 proptest! {
@@ -34,26 +33,38 @@ proptest! {
     #[test]
     fn benign_inputs_succeed_identically_under_every_policy(seed: u64) {
         let shape = Shape::draw(seed);
-        let case = Case::with_policy(shape, BENIGN, Plus, policy(seed));
-        prop_assert_eq!(&case.want, &Case::new(shape, BENIGN, Plus).want);
-        case.with_ctx(Side::Prefix, false);
-        case.dispatch(Side::Prefix, false);
+        let wrap = Case::new(shape, BENIGN, Plus).want;
+        for policy in POLICIES {
+            let case = Case::with_policy(shape, BENIGN, Plus, policy);
+            prop_assert_eq!(&case.want, &wrap);
+            case.with_ctx(Side::Prefix, false);
+            case.dispatch(Side::Prefix, false);
+            case.atomic_hardened();
+        }
     }
 
     #[test]
     fn adversarial_inputs_yield_one_canonical_result(seed: u64) {
-        let case = Case::with_policy(Shape::draw(seed), ADVERSARIAL, Plus, policy(seed));
-        case.with_ctx(Side::Prefix, false);
-        case.dispatch(Side::Prefix, false);
-        case.atomic(false);
+        let shape = Shape::draw(seed);
+        for policy in POLICIES {
+            let case = Case::with_policy(shape, ADVERSARIAL, Plus, policy);
+            case.with_ctx(Side::Prefix, false);
+            case.dispatch(Side::Prefix, false);
+            case.atomic_hardened();
+        }
     }
 
     #[test]
     fn multireduce_policies_agree_across_engines(seed: u64) {
-        let case = Case::with_policy(Shape::draw(seed), ADVERSARIAL, Plus, policy(seed));
-        case.with_ctx(Side::Reduce, false);
-        case.dispatch(Side::Reduce, false);
-        case.atomic_dispatch(false);
+        let shape = Shape::draw(seed);
+        for policy in POLICIES {
+            let case = Case::with_policy(shape, ADVERSARIAL, Plus, policy);
+            case.with_ctx(Side::Reduce, false);
+            case.dispatch(Side::Reduce, false);
+            if case.atomic_sampled() {
+                case.atomic_dispatch(false);
+            }
+        }
     }
 
     #[test]
@@ -101,10 +112,11 @@ proptest! {
 }
 
 /// The fixed shapes (every length, label-space and skew class, three
-/// `MIN_CHUNK_LEN` chunks among them) under every policy.
+/// `MIN_CHUNK_LEN` chunks among them) and 44 drawn ones, with fixed
+/// seeds, under every policy.
 #[test]
 fn deterministic_adversarial_sweep() {
-    for shape in fixed_shapes() {
+    for shape in fixed_shapes().into_iter().chain((0..44).map(Shape::draw)) {
         for policy in POLICIES {
             policy_entries(&Case::with_policy(shape, ADVERSARIAL, Plus, policy));
         }

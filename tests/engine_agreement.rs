@@ -63,6 +63,7 @@ proptest! {
     fn engines_agree_plus(seed: u64) {
         let case = Case::new(Shape::draw(seed), BENIGN, Plus);
         case.every_entry(Side::Prefix);
+        case.atomic_hardened();
         case.atomic(false);
     }
 

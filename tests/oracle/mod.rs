@@ -37,7 +37,8 @@ use multiprefix::chunked::{
 use multiprefix::obs::MemoryRecorder;
 use multiprefix::op::{CombineOp, Plus, TryCombineOp};
 use multiprefix::resilience::{
-    CancelToken, ChaosPlan, Deadline, DispatchOpts, Dispatcher, DispatcherConfig, RunContext,
+    CancelToken, ChaosPlan, Deadline, DispatchOpts, DispatchOutcome as Outcome, Dispatcher,
+    DispatcherConfig, RunContext,
 };
 use multiprefix::serial::{multiprefix_serial, multireduce_serial, try_multiprefix_serial_ctx};
 use multiprefix::service::{CoalesceConfig, Request, Service, ServiceConfig};
@@ -639,42 +640,68 @@ impl<T: Exact, O: TryCombineOp<T>> Case<T, O> {
         })
     }
 
+    /// A recorder watches and does not steer: `got`, from a dispatcher with
+    /// one, was served by the engine that served `plain`, from the same
+    /// chain without one.
+    fn assert_same_engine<R, S>(&self, entry: &str, got: &Got<Outcome<R>>, plain: Got<Outcome<S>>) {
+        let (got, plain) = (
+            got.as_ref().ok().map(|o| o.engine),
+            plain.ok().map(|o| o.engine),
+        );
+        let what = self.what(entry);
+        assert_eq!(got, plain, "{what}: recorder changed engine selection");
+    }
+
     /// `Dispatcher::{dispatch, dispatch_reduce}` on both chains: the default
     /// chain runs what `Auto` runs (one chunk), and `[Atomic, Serial]` skips
     /// the atomic entry for a generic element type.
     pub fn dispatch(&self, side: Side, observe: bool) {
         let ((v, l, m, op), opts) = (self.io(), DispatchOpts::default());
-        for (d, rec) in self.dispatchers(observe) {
+        let plain = self.dispatchers(false);
+        for ((d, rec), (p, _)) in self.dispatchers(observe).iter().zip(&plain) {
             let entry = format!("dispatch {:?}", d.config().chain);
             if side.prefix() {
-                let got = d.dispatch(v, l, m, op, &opts).map(|out| out.output);
-                self.assert_matches_serial(&entry, Order::Serial, got);
+                let got = d.dispatch(v, l, m, op, &opts);
+                if observe {
+                    self.assert_same_engine(&entry, &got, p.dispatch(v, l, m, op, &opts));
+                }
+                self.assert_matches_serial(&entry, Order::Serial, got.map(|out| out.output));
             }
             if side.reduce() {
-                let got = d.dispatch_reduce(v, l, m, op, &opts).map(|out| out.output);
-                self.assert_matches_serial(&entry, Order::Serial, got);
+                let got = d.dispatch_reduce(v, l, m, op, &opts);
+                if observe {
+                    let plain = p.dispatch_reduce(v, l, m, op, &opts);
+                    self.assert_same_engine(&entry, &got, plain);
+                }
+                self.assert_matches_serial(&entry, Order::Serial, got.map(|out| out.output));
             }
-            self.assert_seen(&entry, rec);
+            self.assert_seen(&entry, rec.clone());
         }
     }
 }
 
 impl<O: AtomicCombine + TryCombineOp<i64>> Case<i64, O> {
-    /// Whether the atomic engine's checks run on this case: one shape seed in
-    /// four. The engine spawns its workers afresh on each of its `O(√n)`
-    /// parallel steps, so a run costs milliseconds even at n = 30.
-    fn atomic_sampled(&self) -> bool {
+    /// Whether the case runs the atomic engine's costlier legs too: one
+    /// shape seed in four. The engine spawns its workers afresh on each of
+    /// its `O(√n)` parallel steps, so a run costs milliseconds even at
+    /// n = 30.
+    pub fn atomic_sampled(&self) -> bool {
         self.p.shape.seed.is_multiple_of(4)
     }
 
-    /// The atomic engine's own entries: the plain ones (under `Wrap`), the
-    /// canonical `multiprefix_atomic_hardened`, and the hardened
-    /// `try_multiprefix_atomic_cfg_ctx` on `threads` workers — only the
-    /// last with `observe`. On [`Self::atomic_sampled`] cases.
+    /// The atomic engine's canonical `multiprefix_atomic_hardened`, under
+    /// the case's policy.
+    pub fn atomic_hardened(&self) {
+        let (v, l, m, op) = self.io();
+        let got = multiprefix_atomic_hardened(v, l, m, op, self.policy);
+        self.assert_matches_serial("multiprefix_atomic_hardened", Order::Serial, got);
+    }
+
+    /// The atomic engine's other entries: the plain ones (under `Wrap`,
+    /// without `observe`) and the hardened `try_multiprefix_atomic_cfg_ctx`
+    /// on the global pool, with a recorder when `observe` is set — and, on
+    /// [`Self::atomic_sampled`] cases, on `threads` workers.
     pub fn atomic(&self, observe: bool) {
-        if !self.atomic_sampled() {
-            return;
-        }
         let ((v, l, m, op), serial) = (self.io(), Order::Serial);
         if self.policy == OverflowPolicy::Wrap && !observe {
             let got = Ok(multiprefix_atomic(v, l, m, op));
@@ -682,35 +709,39 @@ impl<O: AtomicCombine + TryCombineOp<i64>> Case<i64, O> {
             let got = Ok(multireduce_atomic(v, l, m, op));
             self.assert_matches_serial("multireduce_atomic", serial, got);
         }
-        if !observe {
-            let got = multiprefix_atomic_hardened(v, l, m, op, self.policy);
-            self.assert_matches_serial("multiprefix_atomic_hardened", serial, got);
+        let configs = &self.configs()[..1 + usize::from(self.atomic_sampled())];
+        for &(cfg, threads) in configs {
+            let entry = format!("try_multiprefix_atomic_cfg_ctx threads={threads}");
+            let (ctx, rec) = self.ctx(Engine::Atomic, observe);
+            let got = try_multiprefix_atomic_cfg_ctx(v, l, m, op, cfg, &ctx);
+            self.assert_engine_matches(&entry, serial, got);
+            self.assert_seen(&entry, rec);
         }
-        let (ctx, rec) = self.ctx(Engine::Atomic, observe);
-        let got = try_multiprefix_atomic_cfg_ctx(v, l, m, op, self.configs()[1].0, &ctx);
-        self.assert_engine_matches("try_multiprefix_atomic_cfg_ctx", serial, got);
-        self.assert_seen("try_multiprefix_atomic_cfg_ctx", rec);
     }
 
     /// `Dispatcher::{dispatch_i64, dispatch_reduce_i64}` on the default
-    /// chain, and on `[Atomic, Serial]` — which serves on the atomic engine
-    /// — on [`Self::atomic_sampled`] cases.
+    /// chain and on `[Atomic, Serial]`, which serves on the atomic engine.
     pub fn atomic_dispatch(&self, observe: bool) {
         let ((v, l, m, op), opts) = (self.io(), DispatchOpts::default());
-        for (d, rec) in self.dispatchers(observe) {
+        let plain = self.dispatchers(false);
+        for ((d, rec), (p, _)) in self.dispatchers(observe).iter().zip(&plain) {
             let chain = &d.config().chain;
-            if chain[0] == Engine::Atomic && !self.atomic_sampled() {
-                continue;
-            }
             let entry = format!("dispatch_i64 {chain:?}");
             let got = d.dispatch_i64(v, l, m, op, &opts);
+            if observe {
+                self.assert_same_engine(&entry, &got, p.dispatch_i64(v, l, m, op, &opts));
+            }
             let served = got.as_ref().map_or(chain[0], |out| out.engine);
             let wrap = self.policy == OverflowPolicy::Wrap;
             assert!(!wrap || served == chain[0], "{}", self.what(&entry));
             self.assert_matches_serial(&entry, Order::Serial, got.map(|o| o.output));
             let got = d.dispatch_reduce_i64(v, l, m, op, &opts);
+            if observe {
+                let plain = p.dispatch_reduce_i64(v, l, m, op, &opts);
+                self.assert_same_engine(&entry, &got, plain);
+            }
             self.assert_matches_serial(&entry, Order::Serial, got.map(|o| o.output));
-            self.assert_seen(&entry, rec);
+            self.assert_seen(&entry, rec.clone());
         }
     }
 }
