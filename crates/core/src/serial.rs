@@ -23,7 +23,7 @@
 use crate::api::Engine;
 use crate::chunked::expect_plain;
 use crate::error::MpError;
-use crate::exec::{try_filled_vec, OverflowPolicy};
+use crate::exec::{try_filled_vec, try_with_capacity, OverflowPolicy};
 use crate::op::{CombineOp, TryCombineOp};
 use crate::problem::{input_error, validate_lengths, Element, MultiprefixOutput};
 use crate::resilience::RunContext;
@@ -39,7 +39,8 @@ use crate::resilience::RunContext;
 ///
 /// If `values` and `labels` differ in length, or on a label `>= m`: the
 /// message names the engine and the error [`crate::validate`] reports.
-/// The same holds for [`multireduce_serial`].
+/// The same holds for [`multireduce_serial`]. A refused allocation of the
+/// `n`-element output panics with [`MpError::AllocationFailed`].
 pub fn multiprefix_serial<T: Element, O: CombineOp<T>>(
     values: &[T],
     labels: &[usize],
@@ -47,7 +48,7 @@ pub fn multiprefix_serial<T: Element, O: CombineOp<T>>(
     op: O,
 ) -> MultiprefixOutput<T> {
     let mut buckets = vec![op.identity(); m];
-    let mut sums = Vec::with_capacity(values.len());
+    let mut sums = expect_plain(Engine::Serial, try_with_capacity(values.len()));
     for (&value, &label) in values.iter().zip(labels) {
         if label >= m {
             expect_plain(Engine::Serial, Err(input_error(values.len(), labels, m)))
@@ -114,11 +115,7 @@ pub fn try_multiprefix_serial_ctx<T: Element, O: TryCombineOp<T>>(
     ctx.checkpoint()?;
     let _span = ctx.phase_span(crate::obs::Phase::Figure2);
     let mut buckets = try_filled_vec(op.identity(), m)?;
-    let mut sums: Vec<T> = Vec::new();
-    sums.try_reserve_exact(values.len())
-        .map_err(|_| MpError::AllocationFailed {
-            bytes: values.len().saturating_mul(std::mem::size_of::<T>()),
-        })?;
+    let mut sums = try_with_capacity(values.len())?;
     for (i, (&value, &label)) in values.iter().zip(labels).enumerate() {
         ctx.checkpoint_every(i)?;
         if label >= m {

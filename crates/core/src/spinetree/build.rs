@@ -103,12 +103,7 @@ pub(crate) fn build_spinetree_ctx(
     ctx: &RunContext,
 ) -> Result<Vec<usize>, MpError> {
     ctx.checkpoint()?;
-    let mut spine: Vec<usize> = Vec::new();
-    spine
-        .try_reserve_exact(layout.slots())
-        .map_err(|_| MpError::AllocationFailed {
-            bytes: layout.slots().saturating_mul(std::mem::size_of::<usize>()),
-        })?;
+    let mut spine = crate::exec::try_with_capacity(layout.slots())?;
     build_rows(&mut spine, labels, layout, policy, |_, _| ctx.checkpoint())?;
     Ok(spine)
 }

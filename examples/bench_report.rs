@@ -61,6 +61,9 @@
 //! `multiprefix(…, Engine::Auto)` through the public API (validation
 //! included), paired with the serial Figure 2 loop at the same sizes.
 //! `--gate` holds its `auto_vs_serial` ratios to the same 25% tolerance.
+//! Its `fresh_output` entry, which `--gate` ignores, gives `Auto`'s median
+//! ns per element at n = 2²², whose 32 MiB output is mapped afresh on
+//! every call, beside the same figure at n = 10⁶.
 //!
 //! The `dispatch` section pairs the default [`Dispatcher`] with
 //! `try_multiprefix(…, Engine::Auto, …)`: the dispatcher runs what `Auto`
@@ -427,6 +430,32 @@ fn measure_auto_point(n: usize, checksum: &mut i64) -> (f64, u64, u64) {
         *checksum = checksum.wrapping_add(out.reductions[0]);
         ns
     })
+}
+
+/// The size of the `auto` section's `fresh_output` entry: its 32 MiB
+/// `i64` output is past the largest buffer glibc recycles from its heap,
+/// so every call maps the output afresh and first-touches each page.
+const FRESH_OUTPUT_N: usize = 1 << 22;
+
+/// Median wall time per element of `multiprefix(…, Engine::Auto)` at `n`
+/// (m = n/16), over [`gate_trials`] calls after one warm-up.
+fn auto_ns_per_elem(n: usize, checksum: &mut i64) -> f64 {
+    let m = (n / 16).max(1);
+    let values = vec![1i64; n];
+    let labels = lcg_labels(n, m, 42);
+    let mut ns: Vec<u64> = (0..=gate_trials(n))
+        .map(|_| {
+            let started = Instant::now();
+            let out = multiprefix(&values, &labels, m, Plus, Engine::Auto)
+                .expect("auto bench workload must not fail");
+            let ns = started.elapsed().as_nanos() as u64;
+            *checksum = checksum.wrapping_add(out.reductions[0]);
+            ns
+        })
+        .skip(1)
+        .collect();
+    ns.sort_unstable();
+    ns[ns.len() / 2] as f64 / n as f64
 }
 
 /// `--gate` holds the `dispatch_vs_auto` ratio at or below this bound: the
@@ -1555,7 +1584,19 @@ fn main() {
         });
         eprintln!("  n={n}: auto_vs_serial = {ratio:.3}");
     }
-    json.push_str("    ]\n");
+    json.push_str("    ],\n");
+    // Informational (`--gate` reads only the `{"size": …}` points): what a
+    // call pays when its output is mapped afresh, against the n = 10⁶
+    // output that the heap recycles warm (timed first, so that its
+    // warm-up call has raised glibc's mmap threshold past it).
+    let warm = auto_ns_per_elem(1_000_000, &mut checksum);
+    let fresh = auto_ns_per_elem(FRESH_OUTPUT_N, &mut checksum);
+    let _ = writeln!(
+        json,
+        "    \"fresh_output\": {{\"size\": {FRESH_OUTPUT_N}, \"auto_ns_per_elem\": {fresh:.2}, \
+         \"warm_size\": 1000000, \"warm_auto_ns_per_elem\": {warm:.2}}}"
+    );
+    eprintln!("  fresh output n={FRESH_OUTPUT_N}: {fresh:.2} ns/elem (n=10^6: {warm:.2})");
     json.push_str("  },\n");
 
     // The dispatcher's default chain against `Engine::Auto`: both run the

@@ -18,7 +18,8 @@
 //!   whose vector kernels never read a label (the API scans for them).
 //!
 //! Each test file drives its own cells — entry group × value family ×
-//! shape: `oracle_harness.rs` floats and the service; `engine_agreement.rs`
+//! shape: `oracle_harness.rs` floats, the service and one shape past the
+//! engines' huge-page threshold; `engine_agreement.rs`
 //! the integer operators, arbitration and the definition;
 //! `differential_engines.rs` the overflow policies; `obs_differential.rs`
 //! the recorder; `chunked_differential.rs` chunk counts and the invalid

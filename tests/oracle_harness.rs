@@ -8,12 +8,16 @@
 //! The service runs the default dispatcher, so on every value family its
 //! replies are serial's bits, with coalescing or without, and it refuses
 //! an invalid request at submission with `validate`'s error.
+//!
+//! One `i64` shape is large enough that the engines advise huge pages on
+//! its outputs (4 MiB and up, see `multiprefix::exec`): every entry that
+//! takes it must still return serial's bits.
 
 mod oracle;
 
 use multiprefix::op::{FirstLast, Plus, TryCombineOp};
 use oracle::{
-    fixed_shapes, service_matches_serial, Case, Exact, Invalid, Shape, Side, Values, BENIGN,
+    fixed_shapes, service_matches_serial, Case, Exact, Invalid, Shape, Side, Skew, Values, BENIGN,
     FLOATS, PAIRS, SERVES, WHOLE,
 };
 use proptest::prelude::*;
@@ -46,4 +50,20 @@ fn service_matches_serial_with_and_without_coalescing() {
             Invalid::draw(seed).service(serve);
         }
     }
+}
+
+/// n = 2¹⁹ + 3 `i64`s: every `n`-element output is just past the 4 MiB the
+/// engines advise for huge pages. Seed 3 splits the `threads` runs in two.
+#[test]
+fn outputs_past_the_huge_page_threshold_match_serial() {
+    let n = (1 << 19) + 3;
+    let shape = Shape {
+        n,
+        m: n / 16,
+        skew: Skew::Uniform,
+        seed: 3,
+    };
+    let case = Case::new(shape, BENIGN, Plus);
+    assert_eq!(case.threads, 2);
+    case.every_entry(Side::Prefix);
 }
