@@ -393,7 +393,7 @@ pub(crate) fn try_with_capacity<T>(len: usize) -> Result<Vec<T>, MpError> {
 /// The smallest buffer [`try_with_capacity`] advises for huge pages: the
 /// size at which a buffer's 2 MiB-aligned interior always holds at least
 /// one huge page (NumPy advises its arrays from the same size).
-pub(crate) const HUGE_PAGE_MIN_BYTES: usize = 4 << 20;
+const HUGE_PAGE_MIN_BYTES: usize = 4 << 20;
 
 /// The transparent huge page size on x86-64 and on 4 KiB-page arm64.
 const HUGE_PAGE: usize = 2 << 20;
