@@ -416,16 +416,20 @@ fn huge_page_span<T>(addr: usize, len: usize) -> std::ops::Range<usize> {
 /// ([`huge_page_span`]), so its first writes fault one 2 MiB page at a
 /// time instead of one 4 KiB page. A hint only: no byte changes, and a
 /// refusal (huge pages disabled, an old kernel) leaves the buffer on
-/// small pages, so the result is ignored.
-#[cfg(all(target_os = "linux", not(miri)))]
+/// small pages, so the result is ignored. Other systems, and Miri, which
+/// does not interpret the call, skip it.
 fn advise_huge_pages<T>(v: &Vec<T>) {
-    use std::ffi::{c_int, c_void};
-    extern "C" {
-        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
-    }
-    const MADV_HUGEPAGE: c_int = 14;
     let span = huge_page_span::<T>(v.as_ptr() as usize, v.capacity());
-    if !span.is_empty() {
+    if span.is_empty() {
+        return;
+    }
+    #[cfg(all(target_os = "linux", not(miri)))]
+    {
+        use std::ffi::{c_int, c_void};
+        extern "C" {
+            fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        }
+        const MADV_HUGEPAGE: c_int = 14;
         // SAFETY: `span` lies inside the `capacity()`-element allocation
         // `v` owns and starts on a page boundary, as `madvise` requires.
         // MADV_HUGEPAGE changes only how the kernel backs those pages,
@@ -434,9 +438,6 @@ fn advise_huge_pages<T>(v: &Vec<T>) {
         unsafe { madvise(span.start as *mut _, span.len(), MADV_HUGEPAGE) };
     }
 }
-
-#[cfg(not(all(target_os = "linux", not(miri))))]
-fn advise_huge_pages<T>(_: &Vec<T>) {}
 
 #[cfg(test)]
 mod tests {
