@@ -26,9 +26,10 @@ use crate::spinetree::engine::{
 /// [`try_multiprefix`] for the bit-level contract). See the module docs
 /// of [`crate::serial`], [`crate::spinetree`], [`crate::chunked`],
 /// [`crate::atomic`] and [`crate::shard`].
-/// [`Engine::Atomic`] and [`Engine::Sharded`] need what only a dispatcher
-/// has — an `i64` entry and a shard supervisor — so the API calls report
-/// [`MpError::Unavailable`] for them.
+/// The API calls report [`MpError::Unavailable`] for [`Engine::Atomic`],
+/// which only [`crate::atomic`]'s own entries run, and for
+/// [`Engine::Sharded`], which needs the shard supervisor only a dispatcher
+/// has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The library's pick. It runs, reports and is keyed as
@@ -45,8 +46,10 @@ pub enum Engine {
     /// one chunk unless [`ExecConfig::threads`] is set.
     Chunked,
     /// The concurrent CRCW-ARB engine ([`crate::atomic`]): `i64` and
-    /// commutative operators only, so only the dispatcher's `i64` entries
-    /// run it.
+    /// commutative operators only. It reproduces the paper's machine and
+    /// runs only through its own module's entries: the API reports
+    /// [`MpError::Unavailable`] for it and a dispatcher skips it. It stays
+    /// an engine for chaos targeting and the instrument keys.
     Atomic,
     /// The fault-tolerant sharded engine ([`crate::shard`]), run only by a
     /// dispatcher with [`crate::resilience::DispatcherConfig::shard`] set,
@@ -310,9 +313,8 @@ impl<'a, T: Element, O: TryCombineOp<T>> Call<'a, T, O> {
 
     /// The prefix table, shared by [`try_multiprefix_ctx`] and every
     /// dispatcher entry: `engine`'s hardened call, run through
-    /// [`Self::run_prefix`]. [`Engine::Atomic`] and [`Engine::Sharded`]
-    /// are the dispatcher's own arms; here they are
-    /// [`MpError::Unavailable`].
+    /// [`Self::run_prefix`]. [`Engine::Sharded`] is the dispatcher's own
+    /// arm; here it is [`MpError::Unavailable`], as [`Engine::Atomic`] is.
     pub(crate) fn prefix(
         self,
         engine: Engine,
@@ -469,8 +471,9 @@ mod tests {
 
     #[test]
     fn dispatcher_only_engines_are_unavailable_here() {
-        // Atomic and Sharded need an `i64` entry and a shard supervisor; a
-        // bad input still reports `validate()`'s error first.
+        // Atomic runs only through its own module's entries and Sharded
+        // needs a shard supervisor; a bad input still reports
+        // `validate()`'s error first.
         let cfg = ExecConfig::default();
         for engine in [Engine::Atomic, Engine::Sharded] {
             let unavailable = Err(MpError::Unavailable);

@@ -24,14 +24,20 @@
 //! accumulation.
 //!
 //! The engine has one four-phase body and one reduce body. The plain
-//! entries ([`multiprefix_atomic`], [`multireduce_atomic`]) run them with
-//! the plain operator; the hardened ones ([`multiprefix_atomic_hardened`],
+//! [`multiprefix_atomic`] runs the four phases with the plain operator; the
+//! hardened entries ([`multiprefix_atomic_hardened`],
 //! [`try_multiprefix_atomic_cfg_ctx`]) with a trip guard, a trip flag under
-//! a checking policy, and the caller's [`RunContext`]. Both bodies check
-//! the lengths up front and each label where they first read it (INIT, or
-//! the reduce sweep's bucket lookup), so a bad input is the error
-//! [`crate::validate`] reports: returned by the hardened entries, named in
-//! the panic of the plain ones.
+//! a checking policy, and the caller's [`RunContext`]. The reduce body is
+//! the plain [`multireduce_atomic`]'s alone. Both bodies check the lengths
+//! up front and each label where they first read it (INIT, or the reduce
+//! sweep's bucket lookup), so a bad input is the error [`crate::validate`]
+//! reports: returned by the hardened entries, named in the panic of the
+//! plain ones.
+//!
+//! The engine reproduces the paper's CRCW-ARB machine; no production path
+//! runs it. The API reports [`MpError::Unavailable`] for
+//! [`Engine::Atomic`], and a [`crate::resilience::Dispatcher`] skips its
+//! chain entries.
 
 use crate::api::{Call, Engine};
 use crate::chunked::{expect_plain, Comb, PlainComb};
@@ -149,8 +155,7 @@ pub fn multireduce_atomic<O: AtomicCombine>(
     m: usize,
     op: O,
 ) -> Vec<i64> {
-    let run = run_reduce(values, labels, m, op, None, &RunContext::new());
-    expect_plain(Engine::Atomic, run)
+    expect_plain(Engine::Atomic, run_reduce(values, labels, m, op))
 }
 
 /// Fallibly allocate a `len`-vector of non-`Clone` cells (atomics), built
@@ -285,36 +290,27 @@ fn run_prefix<O: AtomicCombine, C: Comb<i64>>(
     Ok(MultiprefixOutput { sums, reductions })
 }
 
-/// The combining send, for the plain and the hardened entries: `tripped`,
-/// when set, is a checking run's trip flag, and every RMW then goes
-/// through [`AtomicCombine::fetch_combine_checked`]. The context is polled
-/// before and after the sweep, which is one lock-free parallel step and
-/// not interruptible mid-flight.
+/// The combining send: one lock-free parallel sweep.
 fn run_reduce<O: AtomicCombine>(
     values: &[i64],
     labels: &[usize],
     m: usize,
     op: O,
-    tripped: Option<&AtomicBool>,
-    ctx: &RunContext,
 ) -> Result<Vec<i64>, MpError> {
     validate_lengths(values.len(), labels.len())?;
-    ctx.checkpoint()?;
     let buckets = try_cell_vec(m, |_| AtomicI64::new(op.identity()))?;
     // The bucket lookup is the label check: a label `>= m` has none.
     let bad = AtomicBool::new(false);
     values
         .par_iter()
         .zip(labels.par_iter())
-        .for_each(|(&v, &l)| match (buckets.get(l), tripped) {
-            (Some(cell), Some(flag)) => op.fetch_combine_checked(cell, v, flag),
-            (Some(cell), None) => op.fetch_combine(cell, v),
-            (None, _) => bad.store(true, Relaxed),
+        .for_each(|(&v, &l)| match buckets.get(l) {
+            Some(cell) => op.fetch_combine(cell, v),
+            None => bad.store(true, Relaxed),
         });
     if bad.into_inner() {
         return Err(input_error(values.len(), labels, m));
     }
-    ctx.checkpoint()?;
     Ok(buckets.into_iter().map(AtomicI64::into_inner).collect())
 }
 
@@ -325,7 +321,7 @@ fn run_reduce<O: AtomicCombine>(
 /// [`MpError::ArithmeticOverflow`] with the serial-order index — is
 /// identical to every other engine's. The API's generic entries cannot
 /// run [`crate::Engine::Atomic`] (it constrains the element type to
-/// `i64`), so this is its canonical entry outside a dispatcher.
+/// `i64`), and no dispatcher runs it, so this is its canonical entry.
 pub fn multiprefix_atomic_hardened<O: AtomicCombine + TryCombineOp<i64>>(
     values: &[i64],
     labels: &[usize],
@@ -372,33 +368,9 @@ pub fn try_multiprefix_atomic_cfg_ctx<O: AtomicCombine + TryCombineOp<i64>>(
     })
 }
 
-/// Hardened concurrent multireduce under the contract of
-/// [`try_multiprefix_atomic_cfg_ctx`]: fallible bucket allocation plus
-/// checked RMWs, polled before and after the single combining sweep. Note
-/// that even an untripped checked run certifies only "no overflow under
-/// *this* combining order" — reduce-only engines never observe the
-/// per-element serial steps, so [`crate::try_multireduce`] canonicalizes
-/// checking policies through the serial engine instead.
-pub(crate) fn try_multireduce_atomic_cfg_ctx<O: AtomicCombine + TryCombineOp<i64>>(
-    values: &[i64],
-    labels: &[usize],
-    m: usize,
-    op: O,
-    cfg: ExecConfig,
-    ctx: &RunContext,
-) -> TryEngineResult<Vec<i64>> {
-    with_thread_scope(cfg, || {
-        let tripped = AtomicBool::new(false);
-        let flag = cfg.overflow.needs_checking().then_some(&tripped);
-        let red = run_reduce(values, labels, m, op, flag, ctx)?;
-        Ok((!tripped.load(Relaxed)).then_some(red))
-    })
-}
-
 /// Run `f` on a scoped rayon pool of `cfg.threads` workers when that field
 /// is set; on the global pool otherwise. A pool-construction failure (the
-/// OS refusing threads) is transient [`MpError::Unavailable`] — the
-/// dispatcher falls back to the next chain entry.
+/// OS refusing threads) is [`MpError::Unavailable`].
 fn with_thread_scope<R>(
     cfg: ExecConfig,
     f: impl FnOnce() -> TryEngineResult<R> + Send,

@@ -86,13 +86,14 @@ pub enum MpError {
         what: &'static str,
     },
     /// Nothing could take the request: every engine in a
-    /// [`crate::resilience::Dispatcher`] fallback chain was unsupported for
-    /// it (the atomic engine for a non-`i64` element, an unconfigured
-    /// sharded entry), a [`crate::shard::ShardSupervisor`] had no live
-    /// shard left, a session's storage breaker was open, or the service
-    /// was stopped. The API calls also return it for
-    /// [`crate::Engine::Atomic`] and [`crate::Engine::Sharded`], which only
-    /// a dispatcher runs.
+    /// [`crate::resilience::Dispatcher`] fallback chain was skipped for it
+    /// (an atomic entry, an unconfigured sharded entry, a sharded entry of
+    /// a reduce), a [`crate::shard::ShardSupervisor`] had no live shard
+    /// left, a session's storage breaker was open, or the service was
+    /// stopped. The API calls also return it for
+    /// [`crate::Engine::Atomic`], which only [`crate::atomic`]'s own
+    /// entries run, and [`crate::Engine::Sharded`], which only a dispatcher
+    /// runs.
     Unavailable,
     /// A [`crate::service::Service`] refused or shed a request because its
     /// bounded submission queue was full. Reported both to a submitter that

@@ -28,12 +28,13 @@
 //! | [`Engine::Atomic`] | [`atomic`] | a genuinely concurrent spinetree build for `i64`/`Plus`: the overwrite-and-test races are resolved by relaxed atomic stores, a faithful CRCW-ARB realization |
 //! | [`Engine::Sharded`] | [`shard`] | the chunked phases distributed across supervised shard workers, with shard-loss recovery |
 //!
-//! The atomic and sharded engines run through a [`Dispatcher`]: they need
-//! an `i64` entry and a shard supervisor. Each engine module keeps one
-//! plain entry, one hardened entry and what its own callers need; every
-//! other combination runs through the API or the dispatcher. Every entry
-//! checks its input as it runs: a hardened entry returns the error
-//! [`validate`] reports, a plain one panics with a message naming it
+//! The atomic engine reproduces the paper's CRCW-ARB machine and runs only
+//! through [`atomic`]'s own entries; the sharded engine runs through a
+//! [`Dispatcher`], which owns its shard supervisor. Each engine module
+//! keeps one plain entry, one hardened entry and what its own callers
+//! need; every other combination runs through the API or the dispatcher.
+//! Every entry checks its input as it runs: a hardened entry returns the
+//! error [`validate`] reports, a plain one panics with a message naming it
 //! (the chunked engine's own entries read no label when `m == 1`).
 //!
 //! On integer operators (and any other exactly associative one, such as
@@ -83,8 +84,8 @@
 //! deadlines and cooperative cancellation ([`CancelToken`],
 //! polled at engine phase boundaries and every few thousand loop
 //! iterations). Each entry runs at most once per request: a failed
-//! allocation, a panic or a blown attempt deadline moves on to the next
-//! entry, and nothing carries over to the next request, so a request whose
+//! allocation or a panic moves on to the next entry, and nothing carries
+//! over to the next request, so a request whose
 //! own operator panics gets [`MpError::EnginePanicked`] and harms no other
 //! request. A seeded chaos harness
 //! ([`resilience::ChaosPlan`]) injects panics, allocation failures and

@@ -9,16 +9,16 @@
 //! * a configurable **fallback chain** of [`Engine`]s, tried in order
 //!   (default `Chunked → Serial`: the engine `Engine::Auto` runs, then the
 //!   Figure 2 loop);
-//! * per-attempt and per-request **deadlines** and a caller-supplied
+//! * a per-request **deadline** and a caller-supplied
 //!   [`crate::resilience::CancelToken`], threaded into every engine via
 //!   [`crate::resilience::RunContext`] checkpoints;
 //! * **one run per chain entry**: a transient failure
-//!   ([`MpError::AllocationFailed`], [`MpError::EnginePanicked`], a blown
-//!   attempt deadline) moves on to the next entry; a permanent error
-//!   (validation, overflow, budgets) or [`MpError::Cancelled`] returns at
-//!   once. The engines are deterministic, so a second run on the same
-//!   engine could change only the outcome of a failed allocation or an
-//!   injected chaos fault, and the next entry covers both.
+//!   ([`MpError::AllocationFailed`], [`MpError::EnginePanicked`]) moves on
+//!   to the next entry; a permanent error (validation, overflow, budgets)
+//!   or [`MpError::Cancelled`] returns at once, and so does an expired
+//!   request deadline. The engines are deterministic, so a second run on
+//!   the same engine could change only the outcome of a failed allocation
+//!   or an injected chaos fault, and the next entry covers both.
 //!
 //! The dispatcher keeps no state across requests: a request whose own
 //! operator panics gets [`MpError::EnginePanicked`] after one run per
@@ -27,7 +27,9 @@
 //! Each attempt runs through the same engine tables as
 //! [`crate::try_multiprefix_ctx`] and [`crate::try_multireduce_ctx`], so
 //! an engine does here exactly what it does there; the dispatcher adds
-//! only its own `Atomic` (`i64`) and `Sharded` arms.
+//! only its own `Sharded` arm. [`Engine::Atomic`] is a reproduction of the
+//! paper's CRCW-ARB machine, not a production path: its chain entries are
+//! skipped, and [`crate::atomic`]'s own entries run it.
 //!
 //! Every successful dispatch returns the canonical result: on integer
 //! operators, bit-identical to the serial (Figure 2) oracle under the
@@ -42,11 +44,8 @@
 //! panics.
 
 use crate::api::{Call, Engine};
-use crate::atomic::{
-    try_multiprefix_atomic_cfg_ctx, try_multireduce_atomic_cfg_ctx, AtomicCombine,
-};
 use crate::error::MpError;
-use crate::exec::{ExecConfig, TryEngineResult};
+use crate::exec::ExecConfig;
 use crate::obs::{dispatch_keys, Recorder};
 use crate::op::TryCombineOp;
 use crate::problem::{Element, MultiprefixOutput};
@@ -62,27 +61,19 @@ use std::time::{Duration, Instant};
 /// benchmark package imports it, like [`crate::blocked`].
 pub type EngineKind = Engine;
 
-/// The `i64` entries' atomic-engine call, which the generic entries lack.
-type AtomicCall<'a, R> = Option<&'a dyn Fn(&RunContext) -> TryEngineResult<R>>;
-
 /// Full dispatcher configuration. The default chain is chunked → serial.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatcherConfig {
     /// Engines to try, in order; later entries are fallbacks. Handles an
-    /// engine that cannot take the element type (skipped) or that fails
-    /// (the next entry runs). The default is `[Chunked, Serial]`: the
-    /// chunked engine on one chunk, as [`Engine::Auto`] runs it, then the
-    /// Figure 2 loop. Spinetree, atomic and sharded entries run only when
-    /// named here.
+    /// engine that fails (the next entry runs). The default is
+    /// `[Chunked, Serial]`: the chunked engine on one chunk, as
+    /// [`Engine::Auto`] runs it, then the Figure 2 loop. Spinetree and
+    /// sharded entries run only when named here; [`Engine::Atomic`]
+    /// entries are always skipped.
     pub chain: Vec<Engine>,
     /// Hardened-execution config (overflow policy, budgets) applied to
     /// every attempt.
     pub exec: ExecConfig,
-    /// Wall-clock budget for one engine attempt (`None` = unbounded).
-    /// Handles a slow engine: an attempt that blows it falls through to the
-    /// next entry. Spinetree, for one, took 10× serial's time at n = 10⁶ in
-    /// the committed `BENCH_multiprefix.json`.
-    pub attempt_timeout: Option<Duration>,
     /// Wall-clock budget for the whole dispatch, every chain entry included
     /// (`None` = unbounded). Handles the caller's budget: once it is spent
     /// the dispatch returns [`MpError::DeadlineExceeded`] before another
@@ -91,9 +82,8 @@ pub struct DispatcherConfig {
     /// Opt-in sharded execution: when set, the dispatcher owns a
     /// [`ShardSupervisor`], whose per-shard breakers handle a lost shard
     /// worker across requests, and [`Engine::Sharded`] chain entries
-    /// participate. When `None` (the default) sharded entries are skipped
-    /// as unsupported, exactly like [`Engine::Atomic`] for non-`i64`
-    /// dispatches.
+    /// participate. When `None` (the default) sharded entries are skipped,
+    /// like [`Engine::Atomic`] entries.
     pub shard: Option<ShardConfig>,
 }
 
@@ -102,7 +92,6 @@ impl Default for DispatcherConfig {
         DispatcherConfig {
             chain: vec![Engine::Chunked, Engine::Serial],
             exec: ExecConfig::default(),
-            attempt_timeout: None,
             request_timeout: None,
             shard: None,
         }
@@ -218,9 +207,13 @@ impl Dispatcher {
     pub fn shard_supervisor(&self) -> Option<&ShardSupervisor> {
         self.shard.as_ref()
     }
-    /// Dispatch a multiprefix over any [`Element`] type. [`Engine::Atomic`]
-    /// entries in the chain are skipped (the atomic engine is `i64`-only —
-    /// use [`Self::dispatch_i64`] to include it).
+
+    /// Dispatch a multiprefix over any [`Element`] type.
+    ///
+    /// The request is checked as the API checks it: its budgets up front,
+    /// then each engine's own label check, and any failure of an invalid
+    /// input reports [`crate::validate`]'s error — also one that ends the
+    /// dispatch before any engine runs.
     pub fn dispatch<T: Element, O: TryCombineOp<T>>(
         &self,
         values: &[T],
@@ -230,31 +223,32 @@ impl Dispatcher {
         opts: &DispatchOpts,
     ) -> Result<DispatchOutcome<MultiprefixOutput<T>>, MpError> {
         let call = Call::new(values, labels, m, op, self.cfg.exec);
-        self.prefix_chain(call, opts, None)
-    }
-
-    /// [`Self::dispatch`] for `i64` with a commutative [`AtomicCombine`]
-    /// operator — the one combination the concurrent atomic engine
-    /// supports, so [`Engine::Atomic`] chain entries participate.
-    pub fn dispatch_i64<O: AtomicCombine + TryCombineOp<i64>>(
-        &self,
-        values: &[i64],
-        labels: &[usize],
-        m: usize,
-        op: O,
-        opts: &DispatchOpts,
-    ) -> Result<DispatchOutcome<MultiprefixOutput<i64>>, MpError> {
-        let call = Call::new(values, labels, m, op, self.cfg.exec);
-        let atomic = |ctx: &RunContext| {
-            try_multiprefix_atomic_cfg_ctx(values, labels, m, op, call.config, ctx)
-        };
-        self.prefix_chain(call, opts, Some(&atomic))
+        call.admit()?;
+        self.drive(
+            opts,
+            |kind| match kind {
+                Engine::Atomic => false,
+                Engine::Sharded => self.shard.is_some(),
+                _ => true,
+            },
+            |kind, ctx| match (kind, &self.shard) {
+                (Engine::Sharded, Some(sup)) => call.run_prefix(kind, ctx, || {
+                    sup.try_multiprefix(values, labels, m, op, call.config, ctx)
+                }),
+                _ => call.prefix(kind, ctx),
+            },
+        )
+        .map_err(|err| call.input_error_first(err))
     }
 
     /// Dispatch a multireduce (per-label reductions only). As with
     /// [`crate::try_multireduce`], a checking overflow policy always
     /// evaluates serially — a reduce-only engine cannot certify the
-    /// serial-order semantics.
+    /// serial-order semantics. Reduce dispatches have no sharded path (the
+    /// sharded engine's value is distributing the three-phase prefix; a
+    /// reduce is served fine by the single-node engines), so `Sharded`
+    /// entries are skipped like `Atomic` ones. The request is checked as in
+    /// [`Self::dispatch`].
     pub fn dispatch_reduce<T: Element, O: TryCombineOp<T>>(
         &self,
         values: &[T],
@@ -264,85 +258,18 @@ impl Dispatcher {
         opts: &DispatchOpts,
     ) -> Result<DispatchOutcome<Vec<T>>, MpError> {
         let call = Call::new(values, labels, m, op, self.cfg.exec);
-        self.reduce_chain(call, opts, None)
-    }
-
-    /// [`Self::dispatch_reduce`] for `i64` with an [`AtomicCombine`]
-    /// operator, including [`Engine::Atomic`] chain entries.
-    pub fn dispatch_reduce_i64<O: AtomicCombine + TryCombineOp<i64>>(
-        &self,
-        values: &[i64],
-        labels: &[usize],
-        m: usize,
-        op: O,
-        opts: &DispatchOpts,
-    ) -> Result<DispatchOutcome<Vec<i64>>, MpError> {
-        let call = Call::new(values, labels, m, op, self.cfg.exec);
-        let atomic = |ctx: &RunContext| {
-            try_multireduce_atomic_cfg_ctx(values, labels, m, op, call.config, ctx)
-        };
-        self.reduce_chain(call, opts, Some(&atomic))
-    }
-
-    /// Every prefix flavor: the shared prefix table, plus the dispatcher's
-    /// own atomic (`i64` entries only) and sharded (when configured) arms.
-    /// The request's checks are the API's: [`Call::admit`] up front, then
-    /// each engine's own label check, and [`crate::validate`]'s error for
-    /// any failure of an invalid input — also one that ends the dispatch
-    /// before any engine runs.
-    fn prefix_chain<T: Element, O: TryCombineOp<T>>(
-        &self,
-        call: Call<'_, T, O>,
-        opts: &DispatchOpts,
-        atomic: AtomicCall<'_, MultiprefixOutput<T>>,
-    ) -> Result<DispatchOutcome<MultiprefixOutput<T>>, MpError> {
         call.admit()?;
         self.drive(
             opts,
-            |kind| match kind {
-                Engine::Atomic => atomic.is_some(),
-                Engine::Sharded => self.shard.is_some(),
-                _ => true,
-            },
-            |kind, ctx| match (kind, atomic, &self.shard) {
-                (Engine::Atomic, Some(atomic), _) => call.run_prefix(kind, ctx, || atomic(ctx)),
-                (Engine::Sharded, _, Some(sup)) => call.run_prefix(kind, ctx, || {
-                    sup.try_multiprefix(call.values, call.labels, call.m, call.op, call.config, ctx)
-                }),
-                _ => call.prefix(kind, ctx),
-            },
+            |kind| !matches!(kind, Engine::Atomic | Engine::Sharded),
+            |kind, ctx| call.reduce(kind, ctx),
         )
         .map_err(|err| call.input_error_first(err))
     }
 
-    /// Every reduce flavor, as [`Self::prefix_chain`]. Reduce dispatches
-    /// have no sharded path (the sharded engine's value is distributing the
-    /// three-phase prefix; a reduce is served fine by the single-node
-    /// engines), so `Sharded` is skipped like any other unsupported engine.
-    fn reduce_chain<T: Element, O: TryCombineOp<T>>(
-        &self,
-        call: Call<'_, T, O>,
-        opts: &DispatchOpts,
-        atomic: AtomicCall<'_, Vec<T>>,
-    ) -> Result<DispatchOutcome<Vec<T>>, MpError> {
-        call.admit()?;
-        self.drive(
-            opts,
-            |kind| match kind {
-                Engine::Atomic => atomic.is_some(),
-                Engine::Sharded => false,
-                _ => true,
-            },
-            |kind, ctx| match (kind, atomic) {
-                (Engine::Atomic, Some(atomic)) => call.run_reduce(kind, ctx, || atomic(ctx)),
-                _ => call.reduce(kind, ctx),
-            },
-        )
-        .map_err(|err| call.input_error_first(err))
-    }
-
-    /// The attempt loop shared by every dispatch flavor: walk the chain,
-    /// run each supported entry once, honor the deadlines, contain panics.
+    /// The attempt loop shared by both dispatch flavors: walk the chain,
+    /// run each supported entry once, honor the request deadline, contain
+    /// panics.
     fn drive<R>(
         &self,
         opts: &DispatchOpts,
@@ -397,8 +324,9 @@ impl Dispatcher {
                             fallbacks: fallbacks as u32,
                         })
                     }
-                    // A failed allocation, a panic or a blown attempt
-                    // deadline: the next entry gets its one run.
+                    // A failed allocation or a panic: the next entry gets
+                    // its one run. (A request deadline that expired during
+                    // this run ends the dispatch at the check above.)
                     Err(err) if err.is_transient() => last_transient = Some(err),
                     // Permanent errors are properties of the request
                     // (validation, overflow, budget), and `Cancelled` is the
@@ -422,8 +350,7 @@ impl Dispatcher {
         if let Some(rec) = &self.recorder {
             ctx = ctx.with_recorder(Arc::clone(rec));
         }
-        let attempt_deadline = self.cfg.attempt_timeout.map(Deadline::after);
-        if let Some(d) = earliest(request_deadline, attempt_deadline) {
+        if let Some(d) = request_deadline {
             ctx = ctx.with_deadline(d);
         }
         if let Some(cancel) = &opts.cancel {
@@ -482,30 +409,6 @@ mod tests {
         assert_eq!(outcome.engine, Engine::Chunked);
         assert_eq!(rec.counter_value("dispatch.chunked.attempts"), 1);
         assert!(rec.histogram("engine.chunked.phase.local").is_some());
-    }
-
-    #[test]
-    fn i64_chain_with_atomic_primary() {
-        let (values, labels) = problem(2000, 7);
-        let cfg = DispatcherConfig {
-            chain: vec![Engine::Atomic, Engine::Serial],
-            ..Default::default()
-        };
-        let d = Dispatcher::new(cfg).unwrap();
-        let outcome = d
-            .dispatch_i64(&values, &labels, 7, Plus, &DispatchOpts::default())
-            .unwrap();
-        assert_eq!(outcome.engine, Engine::Atomic);
-        assert_eq!(
-            outcome.output,
-            multiprefix_serial(&values, &labels, 7, Plus)
-        );
-        // Generic dispatch must skip the atomic entry instead.
-        let generic = d
-            .dispatch(&values, &labels, 7, Plus, &DispatchOpts::default())
-            .unwrap();
-        assert_eq!(generic.engine, Engine::Serial);
-        assert_eq!(generic.fallbacks, 1);
     }
 
     #[test]
@@ -655,16 +558,18 @@ mod tests {
 
     #[test]
     fn type_incapable_chain_is_unavailable() {
-        // Atomic-only chain + a non-i64 dispatch: nothing can serve.
+        // An atomic-only chain: the dispatcher never runs the atomic
+        // engine, so nothing can serve, whatever the element type.
         let cfg = DispatcherConfig {
             chain: vec![Engine::Atomic],
             ..Default::default()
         };
         let d = Dispatcher::new(cfg).unwrap();
-        let err = d
-            .dispatch(&[1.0f64, 2.0], &[0, 1], 2, Plus, &DispatchOpts::default())
-            .unwrap_err();
-        assert_eq!(err, MpError::Unavailable);
+        let opts = DispatchOpts::default();
+        let err = d.dispatch(&[1.0f64, 2.0], &[0, 1], 2, Plus, &opts);
+        assert_eq!(err.unwrap_err(), MpError::Unavailable);
+        let err = d.dispatch_reduce(&[1i64, 2], &[0, 1], 2, Plus, &opts);
+        assert_eq!(err.unwrap_err(), MpError::Unavailable);
     }
 
     #[test]
@@ -841,10 +746,6 @@ mod tests {
         let expect = crate::serial::multireduce_serial(&values, &labels, 9, Plus);
         let outcome = d
             .dispatch_reduce(&values, &labels, 9, Plus, &DispatchOpts::default())
-            .unwrap();
-        assert_eq!(outcome.output, expect);
-        let outcome = d
-            .dispatch_reduce_i64(&values, &labels, 9, Plus, &DispatchOpts::default())
             .unwrap();
         assert_eq!(outcome.output, expect);
     }

@@ -12,10 +12,9 @@
 //!   typed error with **no partial output** (the output buffers are owned
 //!   by the run and dropped on the early exit);
 //! * [`Dispatcher`] ([`dispatcher`]) — a fallback chain of [`crate::Engine`]s
-//!   with per-attempt and per-request deadlines, running each entry at
-//!   most once per request: a failed allocation, a panic or a blown
-//!   attempt deadline moves on to the next entry, and nothing carries
-//!   over to the next request;
+//!   with a per-request deadline, running each entry at most once per
+//!   request: a failed allocation or a panic moves on to the next entry,
+//!   and nothing carries over to the next request;
 //! * [`EngineHealth`] ([`health`]) — a circuit breaker for a fault from
 //!   outside the request: the [`crate::shard::ShardSupervisor`] keeps one
 //!   per shard (a lost worker), and a service session keeps one over its

@@ -65,6 +65,13 @@
 //! ns per element at n = 2²², whose 32 MiB output is mapped afresh on
 //! every call, beside the same figure at n = 10⁶.
 //!
+//! Every `host_cpus` key in either file has a `parallel_capacity` beside
+//! it: twice one thread's time for a unit of dependent integer work over
+//! the time two threads take for one unit each. It reads about 2.0 where
+//! two threads really run at once and about 1.0 where they time-slice one
+//! core, which tells a reader whether the threaded rows ran in parallel.
+//! `--gate` ignores it.
+//!
 //! The `dispatch` section pairs the default [`Dispatcher`] with
 //! `try_multiprefix(…, Engine::Auto, …)`: the dispatcher runs what `Auto`
 //! runs, so `--gate` fails a `dispatch_vs_auto` ratio above 1.10 at
@@ -408,6 +415,44 @@ fn paired_median(n: usize, mut time: impl FnMut(bool) -> u64) -> (f64, u64, u64)
     }
     ratios.sort_by(|a, b| a.total_cmp(b));
     (ratios[ratios.len() / 2], probe_min, base_min)
+}
+
+/// Steps in one unit of [`parallel_capacity`]'s dependent integer chain:
+/// about 18 ms on one core of the 2-vCPU host.
+const CAPACITY_CHAIN_STEPS: u64 = 10_000_000;
+
+/// One unit of work that no second core can shorten: each step of the
+/// chain needs the one before it.
+fn chain_unit(seed: u64) -> u64 {
+    let mut x = std::hint::black_box(seed);
+    for _ in 0..CAPACITY_CHAIN_STEPS {
+        x = (x ^ (x >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    }
+    std::hint::black_box(x)
+}
+
+/// The host's parallel capacity, written beside every `host_cpus`: twice
+/// one thread's time for one chain unit, divided by the time two threads
+/// take for one unit each (the median of [`paired_median`]'s trials). Two
+/// cores read about 2.0. Two vCPUs that deliver one core of throughput
+/// read about 1.0, and a threaded row measured there shows time-slicing,
+/// not parallelism. `--gate` ignores it.
+fn parallel_capacity() -> f64 {
+    // Sized as an n = 10⁶ point: nine trials.
+    let (two_vs_one, _, _) = paired_median(1_000_000, |two| {
+        let started = Instant::now();
+        if two {
+            std::thread::scope(|s| {
+                let other = s.spawn(|| chain_unit(1));
+                chain_unit(2);
+                other.join().expect("the chain unit does not panic");
+            });
+        } else {
+            chain_unit(1);
+        }
+        started.elapsed().as_nanos().max(1) as u64
+    });
+    2.0 / two_vs_one
 }
 
 /// `Engine::Auto` against the serial reference: the public
@@ -1063,11 +1108,13 @@ mod service_bench {
             (&[1, 8, 32, 64], 16_384, 3, "full")
         };
         let host_cpus = std::thread::available_parallelism().map_or(0, usize::from);
+        let capacity = super::parallel_capacity();
         let mut json = String::new();
         json.push_str("{\n");
         let _ = writeln!(json, "  \"schema\": \"multiprefix-service-bench/1\",");
         let _ = writeln!(json, "  \"mode\": \"{mode}\",");
         let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
+        let _ = writeln!(json, "  \"parallel_capacity\": {capacity:.2},");
         let _ = writeln!(json, "  \"workers\": {},", super::BENCH_THREADS);
         let _ = writeln!(json, "  \"queue_capacity\": {QUEUE_CAPACITY},");
         let _ = writeln!(json, "  \"request_n\": {SERVICE_N},");
@@ -1522,10 +1569,13 @@ fn main() {
     // host — the ratio is what the regression gate re-measures.
     eprintln!("simd-vs-scalar sweep ...");
     let host_cpus = std::thread::available_parallelism().map_or(0, usize::from);
+    let capacity = parallel_capacity();
+    eprintln!("  parallel capacity = {capacity:.2}");
     json.push_str("  \"simd\": {\n");
     let _ = writeln!(json, "    \"level\": \"{}\",", active_level().name());
     let _ = writeln!(json, "    \"kernel_arg\": \"{kernel_arg}\",");
     let _ = writeln!(json, "    \"host_cpus\": {host_cpus},");
+    let _ = writeln!(json, "    \"parallel_capacity\": {capacity:.2},");
     let _ = writeln!(
         json,
         "    \"workload\": \"chunked engine, m=1, u64 wrapping add, threads={BENCH_THREADS}\","
@@ -1559,6 +1609,7 @@ fn main() {
     eprintln!("auto-vs-serial sweep ...");
     json.push_str("  \"auto\": {\n");
     let _ = writeln!(json, "    \"host_cpus\": {host_cpus},");
+    let _ = writeln!(json, "    \"parallel_capacity\": {capacity:.2},");
     let _ = writeln!(
         json,
         "    \"workload\": \"multiprefix(.., Engine::Auto) vs multiprefix_serial, i64 Plus, \
@@ -1605,6 +1656,7 @@ fn main() {
     eprintln!("dispatch-vs-auto sweep ...");
     json.push_str("  \"dispatch\": {\n");
     let _ = writeln!(json, "    \"host_cpus\": {host_cpus},");
+    let _ = writeln!(json, "    \"parallel_capacity\": {capacity:.2},");
     let _ = writeln!(
         json,
         "    \"workload\": \"Dispatcher::dispatch (DispatcherConfig::default()) vs \

@@ -1,15 +1,18 @@
-//! Seeded chaos soak for the resilient dispatcher: under mixed
-//! panic/alloc-failure/stall injection, every request must come back as
-//! either the serial-oracle answer or a typed resilience error — never a
-//! hang, never a silently wrong answer, never a process abort.
+//! Seeded chaos soak for the resilient dispatcher and the atomic engine:
+//! under mixed panic/alloc-failure/stall injection, every request must come
+//! back as either the serial-oracle answer or a typed resilience error —
+//! never a hang, never a silently wrong answer, never a process abort.
 //!
 //! The heavy sweep is `#[ignore]`d (run it with
 //! `cargo test -- --ignored soak`); a fast smoke version runs in the
 //! default suite.
 
+use multiprefix::atomic::try_multiprefix_atomic_cfg_ctx;
 use multiprefix::op::Plus;
-use multiprefix::resilience::{ChaosPlan, DispatchOpts, Dispatcher, DispatcherConfig};
+use multiprefix::resilience::{ChaosPlan, DispatchOpts, Dispatcher, DispatcherConfig, RunContext};
 use multiprefix::{multiprefix, Engine, ExecConfig, MpError, MultiprefixOutput};
+use std::fmt::Debug;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 /// Deterministic request shapes: sizes and bucket counts chosen to cross
@@ -44,14 +47,41 @@ fn is_typed_resilience_error(err: &MpError) -> bool {
     )
 }
 
-/// Run every shape through a dispatcher armed with a mixed fault plan and
-/// assert the all-or-typed-error contract. Returns (ok, err) counts.
+/// Count one request's outcome: the oracle answer (`ok`) or a typed
+/// resilience error (`err`). Anything else fails the soak.
+fn settle<R: Debug + PartialEq>(
+    got: Result<R, MpError>,
+    want: &R,
+    what: &str,
+    tally: &mut [usize; 2],
+) {
+    match got {
+        Ok(out) => {
+            assert_eq!(&out, want, "{what}: wrong answer");
+            tally[0] += 1;
+        }
+        Err(e) => {
+            assert!(
+                is_typed_resilience_error(&e),
+                "{what}: untyped chaos error {e:?}"
+            );
+            tally[1] += 1;
+        }
+    }
+}
+
+/// Run every shape through a dispatcher armed with a mixed fault plan, as a
+/// multiprefix and a multireduce, and through the atomic engine's hardened
+/// entry under the same plan (the dispatcher skips that engine), and assert
+/// the all-or-typed-error contract. Returns (ok, err) counts.
 fn soak_round(seed: u64, chain: Vec<Engine>) -> (usize, usize) {
+    // Two threads split the 4 097-element shape into two chunks, so faults
+    // land in the combine and apply phases too, and run the atomic engine
+    // on a two-worker pool.
+    let exec = ExecConfig::default().threads(2);
     let cfg = DispatcherConfig {
         chain,
-        // Two threads split the 4 097-element shape into two chunks, so
-        // faults land in the combine and apply phases too.
-        exec: ExecConfig::default().threads(2),
+        exec,
         ..DispatcherConfig::default()
     };
     let dispatcher = Dispatcher::new(cfg).unwrap();
@@ -60,53 +90,44 @@ fn soak_round(seed: u64, chain: Vec<Engine>) -> (usize, usize) {
         .alloc_fail_ppm(60_000)
         .stall(20_000, Duration::from_micros(20))
         .arm();
+    let atomic_ctx = RunContext::new()
+        .for_engine(Engine::Atomic)
+        .with_chaos(chaos.clone());
     let opts = DispatchOpts {
         chaos: Some(chaos),
         ..DispatchOpts::default()
     };
 
-    let (mut ok, mut err) = (0, 0);
+    let mut tally = [0, 0];
     for (round, &(n, m)) in SHAPES.iter().enumerate() {
         let (values, labels) = problem(n, m, seed.wrapping_add(round as u64));
         let expect = oracle(&values, &labels, m);
+        let what = |leg: &str| format!("seed={seed} shape=({n},{m}) {leg}");
 
-        match dispatcher.dispatch(&values, &labels, m, Plus, &opts) {
-            Ok(out) => {
-                assert_eq!(
-                    out.output, expect,
-                    "seed={seed} shape=({n},{m}): wrong answer from {}",
-                    out.engine
-                );
-                ok += 1;
-            }
-            Err(e) => {
-                assert!(
-                    is_typed_resilience_error(&e),
-                    "seed={seed} shape=({n},{m}): untyped chaos error {e:?}"
-                );
-                err += 1;
-            }
-        }
-
-        match dispatcher.dispatch_reduce_i64(&values, &labels, m, Plus, &opts) {
-            Ok(out) => {
-                assert_eq!(
-                    out.output, expect.reductions,
-                    "seed={seed} shape=({n},{m}): wrong reduction from {}",
-                    out.engine
-                );
-                ok += 1;
-            }
-            Err(e) => {
-                assert!(
-                    is_typed_resilience_error(&e),
-                    "seed={seed} shape=({n},{m}): untyped chaos error {e:?}"
-                );
-                err += 1;
-            }
-        }
+        let got = dispatcher.dispatch(&values, &labels, m, Plus, &opts);
+        settle(
+            got.map(|o| o.output),
+            &expect,
+            &what("dispatch"),
+            &mut tally,
+        );
+        let got = dispatcher.dispatch_reduce(&values, &labels, m, Plus, &opts);
+        let want = &expect.reductions;
+        settle(
+            got.map(|o| o.output),
+            want,
+            &what("dispatch_reduce"),
+            &mut tally,
+        );
+        // A panic is contained as the dispatcher contains an attempt's.
+        let got = catch_unwind(AssertUnwindSafe(|| {
+            try_multiprefix_atomic_cfg_ctx(&values, &labels, m, Plus, exec, &atomic_ctx)
+        }))
+        .unwrap_or(Err(MpError::EnginePanicked));
+        let got = got.map(|o| o.expect("a Wrap run never trips"));
+        settle(got, &expect, &what("atomic"), &mut tally);
     }
-    (ok, err)
+    (tally[0], tally[1])
 }
 
 #[test]

@@ -17,14 +17,13 @@
 //!   contains it — except the chunked engine's own entries with `m == 1`,
 //!   whose vector kernels never read a label (the API scans for them).
 //!
-//! Each test file drives its own cells — entry group × value family ×
-//! shape: `oracle_harness.rs` floats, the service and one shape past the
-//! engines' huge-page threshold; `engine_agreement.rs`
-//! the integer operators, arbitration and the definition;
-//! `differential_engines.rs` the overflow policies; `obs_differential.rs`
-//! the recorder; `chunked_differential.rs` chunk counts and the invalid
-//! family; `shard_exscan_differential.rs` the sharded engine;
-//! `simd_differential.rs` the vector kernels, on this generator's shapes.
+//! Four test files drive its cells — entry group × value family × shape:
+//! `oracle_harness.rs` the operators, arbitration and the definition, the
+//! overflow policies, the recorder, floats, the service and one shape past
+//! the engines' huge-page threshold; `chunked_differential.rs` chunk counts
+//! and the invalid family; `shard_exscan_differential.rs` the sharded
+//! engine; `simd_differential.rs` the vector kernels, on this generator's
+//! shapes.
 #![allow(dead_code)] // each test binary drives its own cells
 
 use multiprefix::atomic::{
@@ -655,7 +654,7 @@ impl<T: Exact, O: TryCombineOp<T>> Case<T, O> {
 
     /// `Dispatcher::{dispatch, dispatch_reduce}` on both chains: the default
     /// chain runs what `Auto` runs (one chunk), and `[Atomic, Serial]` skips
-    /// the atomic entry for a generic element type.
+    /// the atomic entry.
     pub fn dispatch(&self, side: Side, observe: bool) {
         let ((v, l, m, op), opts) = (self.io(), DispatchOpts::default());
         let plain = self.dispatchers(false);
@@ -717,32 +716,6 @@ impl<O: AtomicCombine + TryCombineOp<i64>> Case<i64, O> {
             let got = try_multiprefix_atomic_cfg_ctx(v, l, m, op, cfg, &ctx);
             self.assert_engine_matches(&entry, serial, got);
             self.assert_seen(&entry, rec);
-        }
-    }
-
-    /// `Dispatcher::{dispatch_i64, dispatch_reduce_i64}` on the default
-    /// chain and on `[Atomic, Serial]`, which serves on the atomic engine.
-    pub fn atomic_dispatch(&self, observe: bool) {
-        let ((v, l, m, op), opts) = (self.io(), DispatchOpts::default());
-        let plain = self.dispatchers(false);
-        for ((d, rec), (p, _)) in self.dispatchers(observe).iter().zip(&plain) {
-            let chain = &d.config().chain;
-            let entry = format!("dispatch_i64 {chain:?}");
-            let got = d.dispatch_i64(v, l, m, op, &opts);
-            if observe {
-                self.assert_same_engine(&entry, &got, p.dispatch_i64(v, l, m, op, &opts));
-            }
-            let served = got.as_ref().map_or(chain[0], |out| out.engine);
-            let wrap = self.policy == OverflowPolicy::Wrap;
-            assert!(!wrap || served == chain[0], "{}", self.what(&entry));
-            self.assert_matches_serial(&entry, Order::Serial, got.map(|o| o.output));
-            let got = d.dispatch_reduce_i64(v, l, m, op, &opts);
-            if observe {
-                let plain = p.dispatch_reduce_i64(v, l, m, op, &opts);
-                self.assert_same_engine(&entry, &got, plain);
-            }
-            self.assert_matches_serial(&entry, Order::Serial, got.map(|o| o.output));
-            self.assert_seen(&entry, rec.clone());
         }
     }
 }
@@ -1020,10 +993,10 @@ impl Invalid {
     }
 
     /// The front doors: the API's four entries on every engine, on one
-    /// chunk and on `parts`, and the dispatcher's four on the default
-    /// chain, on `[Atomic, Serial]` and on a sharded front — also when a
-    /// cancel, an expired deadline or an injected worker panic stops the
-    /// run before its loop reaches the bad label.
+    /// chunk and on `parts`, and the dispatcher's two on the default chain
+    /// and on a sharded front — also when a cancel, an expired deadline or
+    /// an injected worker panic stops the run before its loop reaches the
+    /// bad label.
     pub fn front_doors(&self) {
         let (v, l, m) = (&self.values[..], &self.labels[..], self.m);
         let cancel = CancelToken::new();
@@ -1068,7 +1041,7 @@ impl Invalid {
                 self.assert_rejects(&format!("try_multireduce_ctx {entry}"), got);
             }
         }
-        for front in [Engine::Chunked, Engine::Atomic, Engine::Sharded] {
+        for front in [Engine::Chunked, Engine::Sharded] {
             let (chain, shard) = (vec![front, Engine::Serial], ShardConfig::default());
             let shard = (front == Engine::Sharded).then_some(shard);
             let d = Dispatcher::new(DispatcherConfig {
@@ -1081,16 +1054,12 @@ impl Invalid {
                 let entry = |f: &str| format!("{f} {front} {}", why[k]);
                 let got = d.dispatch(v, l, m, Plus, opts);
                 self.assert_rejects(&entry("dispatch"), got);
-                let got = d.dispatch_i64(v, l, m, Plus, opts);
-                self.assert_rejects(&entry("dispatch_i64"), got);
                 let got = d.dispatch_reduce(v, l, m, Plus, opts);
                 self.assert_rejects(&entry("dispatch_reduce"), got);
-                let got = d.dispatch_reduce_i64(v, l, m, Plus, opts);
-                self.assert_rejects(&entry("dispatch_reduce_i64"), got);
             }
             // A valid request right after is served by the chain's first
             // engine on its first attempt, and no bad input reached a shard.
-            let fresh = d.dispatch_i64(&[3, 4], &[0, 0], 1, Plus, &opts(None, None, None));
+            let fresh = d.dispatch(&[3i64, 4], &[0, 0], 1, Plus, &opts(None, None, None));
             let fresh = fresh.map(|out| (out.engine, out.attempts, out.output.sums));
             assert_eq!(fresh, Ok((front, 1, vec![0, 3])));
             let lost = d.shard_supervisor().map_or(0, |sup| sup.shards_lost());
