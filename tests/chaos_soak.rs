@@ -104,18 +104,16 @@ fn soak_round(seed: u64, chain: Vec<Engine>) -> (usize, usize) {
         let expect = oracle(&values, &labels, m);
         let what = |leg: &str| format!("seed={seed} shape=({n},{m}) {leg}");
 
-        let got = dispatcher.dispatch(&values, &labels, m, Plus, &opts);
+        let got = dispatcher
+            .dispatch(&values, &labels, m, Plus, &opts)
+            .map(|o| o.output);
+        settle(got, &expect, &what("dispatch"), &mut tally);
+        let got = dispatcher
+            .dispatch_reduce(&values, &labels, m, Plus, &opts)
+            .map(|o| o.output);
         settle(
-            got.map(|o| o.output),
-            &expect,
-            &what("dispatch"),
-            &mut tally,
-        );
-        let got = dispatcher.dispatch_reduce(&values, &labels, m, Plus, &opts);
-        let want = &expect.reductions;
-        settle(
-            got.map(|o| o.output),
-            want,
+            got,
+            &expect.reductions,
             &what("dispatch_reduce"),
             &mut tally,
         );
