@@ -1,13 +1,11 @@
 //! The sharded MPMC front door: N submission shards, label-affinity
-//! routing, work-stealing pops, and a two-phase shed protocol — no global
-//! queue lock anywhere on the hot path.
+//! routing, work-stealing pops and a one-pass shed, with no global queue
+//! lock on the admission or pop path.
 //!
-//! The old ingress was one `Mutex<QueueState>` plus one condvar pair; at
-//! 64+ submitter threads the lock convoy dominated before any engine ran.
-//! This module splits the queue into [`Ingress::shard_count`] shards, each
-//! a [`Lanes`] (two-priority FIFO pair) under its own mutex, and keeps the
-//! *global* facts — total depth, queued-interactive count, lifecycle
-//! phase, admission sequence — in atomics:
+//! The queue is split into [`Ingress::shard_count`] shards, each a
+//! [`Lanes`] (two-priority FIFO pair) under its own mutex. The *global*
+//! facts — total depth, queued-interactive count, lifecycle phase,
+//! admission sequence — live in atomics:
 //!
 //! * **Routing** — [`Ingress::route`] hashes the request's dominant label
 //!   (a Boyer–Moore majority vote over ≤8 sampled labels, mixed with `m`)
@@ -21,30 +19,25 @@
 //!   never idles workers. Interactive work is drained from *any* shard
 //!   before batch work from the home shard (a cheap `interactive_depth`
 //!   atomic gates the extra pass).
-//! * **Two-phase shed** — when the queue is full and an interactive
-//!   request arrives, phase 1 scans the shards lock-by-lock for the
-//!   globally best victim key (earliest stored deadline instant, oldest
-//!   first — zero clock reads, see [`super::shed`]); phase 2 re-locks the
-//!   winning shard and removes the victim by `seq`, re-scanning if a
-//!   worker raced it away. The victim's reserved slot transfers directly
-//!   to the incoming request, so no concurrent submitter can steal it.
+//! * **Shed** — when the queue is full and an interactive request
+//!   arrives, [`Ingress::try_shed_swap`] locks every shard in index order,
+//!   evicts the globally best victim (earliest stored deadline instant,
+//!   oldest first — zero clock reads, see [`super::shed`]) and pushes the
+//!   arrival, in one pass. The victim's slot transfers directly to the
+//!   arrival, so no concurrent submitter can take it.
 //! * **Phase vs. push race** — shutdown stores the phase atomic *before*
 //!   draining any shard, and submitters re-check the phase *inside* their
 //!   shard lock before pushing; the shard mutex orders the two, so either
 //!   the drain sees the pushed entry or the submitter sees the flipped
 //!   phase. No entry can be pushed into an already-drained shard.
 //!
-//! Wakeups are **per shard**: each shard owns a sleep mutex + condvar pair
-//! per direction (workers wait for work homed on their shard, submitters
-//! wait for space homed on theirs), guarded by per-shard waiter counters so
-//! the uncontended path performs no syscalls. A notifier prefers its own
-//! shard's sleepers and falls back to scanning the others, so every
-//! notification wakes at least one waiter whenever one exists anywhere —
-//! but a busy shard's traffic never thunders the whole fleet awake the way
-//! the old global condvar pair did. The waiter re-checks the (global)
-//! condition *after* registering itself (both sides are SeqCst), which
-//! rules out the lost-wakeup interleaving without putting either atomic
-//! under a lock.
+//! Wake-ups are **per shard**: each shard keeps one [`Waiters`] set per
+//! direction — workers homed there wait for work, submitters routed there
+//! wait for space. A notifier starts at the shard it changed and
+//! ring-scans the rest ([`Ingress::wake`]), so a notification reaches a
+//! sleeper wherever one exists without waking every parked thread. DESIGN
+//! §6.2 records the ablation that keeps the per-shard locks, the per-shard
+//! wake-ups and the affinity routing.
 //!
 //! The accounting invariant is untouched by all of this: entries still
 //! carry their [`super::queue::Resolver`] and every resolution still flows
@@ -54,19 +47,19 @@
 //! never enters it: the service runs it on the submitter's thread (see
 //! [`super::pool::try_run_inline`]). The workers this module parks and
 //! wakes exist only once the first queued admission has started the pool
-//! ([`super::pool::start_pool`]); before that, every shard's
-//! `idle_workers` counter reads 0 and the front door counts as idle
-//! whenever nothing is queued.
+//! ([`super::pool::start_pool`]); before that no worker is ever registered
+//! as waiting, and the front door counts as idle whenever nothing is
+//! queued.
 
 use crate::resilience::ctx::Deadline;
 use crate::service::coalesce::CoalesceConfig;
 use crate::service::queue::{Entry, Lanes, Priority, QueuePhase, Request};
-use crate::service::shed::{pick_victim, VictimKey};
+use crate::service::shed::pick_victim;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// Defensive park bound for both condvars: a missed wakeup (which the
+/// Defensive park bound for every waiter: a missed wakeup (which the
 /// protocol rules out, but cheap insurance survives refactors) costs at
 /// most one park interval, never a hang.
 const MAX_PARK: Duration = Duration::from_millis(50);
@@ -123,9 +116,8 @@ fn dominant_label(labels: &[usize]) -> Option<usize> {
 
 /// Outcome of a non-shedding admission attempt.
 pub(crate) enum Admit<T> {
-    /// Pushed; `shard_depth` is the shard's depth just after the push (for
-    /// the per-shard gauge — emitted by the caller, outside every lock).
-    Admitted { shard: usize, shard_depth: usize },
+    /// Pushed into the routed shard.
+    Admitted,
     /// Queue full; the entry is handed back (the caller reads depth at
     /// whatever moment it reports, never a stale pre-scan snapshot).
     Refused { entry: Entry<T> },
@@ -133,63 +125,85 @@ pub(crate) enum Admit<T> {
     Stopped { entry: Entry<T> },
 }
 
-/// Outcome of a two-phase shed-and-admit attempt.
+/// Outcome of a shed-and-admit attempt.
 pub(crate) enum ShedSwap<T> {
     /// `victim` was evicted and the incoming entry admitted in its slot.
-    Swapped {
-        victim: Entry<T>,
-        shard: usize,
-        shard_depth: usize,
-        victim_shard: usize,
-        victim_shard_depth: usize,
-    },
-    /// Nothing sheddable (or the scan was contended away); entry returned.
+    Swapped { victim: Entry<T> },
+    /// Nothing sheddable; the entry is handed back.
     NoVictim { entry: Entry<T> },
-    /// The service stopped between eviction and re-admission: the victim
-    /// (if one was already removed) and the entry are both handed back.
-    Stopped {
-        victim: Option<Entry<T>>,
-        entry: Entry<T>,
-    },
+    /// The service is draining or aborting; nothing was evicted.
+    Stopped { entry: Entry<T> },
 }
 
-/// What a worker dequeued, and from where.
-pub(crate) struct BatchMeta {
-    pub(crate) shard: usize,
-    /// True when the batch came from a non-home shard.
-    pub(crate) stolen: bool,
-    /// The shard's depth just after the take (per-shard gauge).
-    pub(crate) shard_depth: usize,
+/// Threads parked on one condition, and the lost-wakeup protocol they
+/// share. A waiter registers in `count` under `lock`, re-checks its
+/// condition, and only then parks; a notifier changes the state the
+/// condition reads first, then reads `count` (every access `SeqCst`).
+/// Either the notifier sees the registration, or the waiter's re-check
+/// sees the new state — never neither. A notifier that finds nobody
+/// registered takes no lock and makes no syscall.
+#[derive(Debug, Default)]
+struct Waiters {
+    count: AtomicUsize,
+    lock: Mutex<()>,
+    cv: Condvar,
 }
 
-/// One ingress shard: a two-lane FIFO under its own lock, plus the
-/// shard's own condvar pair (workers homed here park on `work`,
-/// submitters routed here park on `space`). Keeping the sleep state per
-/// shard means a notification wakes only the sleepers that can actually
-/// use it instead of thundering every parked thread in the process.
+impl Waiters {
+    /// Register, re-check `ready`, and park for at most `park` unless it
+    /// held.
+    fn park_unless(&self, park: Duration, ready: impl FnOnce() -> bool) {
+        let guard = lock(&self.lock);
+        self.count.fetch_add(1, Ordering::SeqCst);
+        if !ready() {
+            let _ = self.cv.wait_timeout(guard, park);
+        }
+        self.count.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Wake up to `budget` registered sleepers; returns the budget left.
+    fn wake(&self, budget: usize) -> usize {
+        let waiting = self.count.load(Ordering::SeqCst);
+        if waiting == 0 {
+            return budget;
+        }
+        let _guard = lock(&self.lock);
+        if budget >= waiting {
+            self.cv.notify_all();
+            budget - waiting
+        } else {
+            (0..budget).for_each(|_| self.cv.notify_one());
+            0
+        }
+    }
+}
+
+/// Which waiters a wake-up is for.
+#[derive(Clone, Copy)]
+enum Wait {
+    /// Workers waiting for work.
+    Work,
+    /// Submitters waiting for queue space.
+    Space,
+}
+
+/// One ingress shard: a two-lane FIFO under its own lock, and the shard's
+/// own waiters in each direction, so a notification wakes only sleepers
+/// that can use it instead of every parked thread in the process.
 #[derive(Debug)]
 struct Shard<T> {
     lanes: Mutex<Lanes<T>>,
-    /// Workers registered as sleeping on this shard's `work` condvar.
-    idle_workers: AtomicUsize,
-    sleep_lock: Mutex<()>,
-    work: Condvar,
-    /// Submitters registered as sleeping on this shard's `space` condvar.
-    space_waiters: AtomicUsize,
-    space_lock: Mutex<()>,
-    space: Condvar,
+    /// Workers homed on this shard.
+    work: Waiters,
+    /// Submitters routed to this shard.
+    space: Waiters,
 }
 
 impl<T> Shard<T> {
-    fn new() -> Self {
-        Shard {
-            lanes: Mutex::new(Lanes::new()),
-            idle_workers: AtomicUsize::new(0),
-            sleep_lock: Mutex::new(()),
-            work: Condvar::new(),
-            space_waiters: AtomicUsize::new(0),
-            space_lock: Mutex::new(()),
-            space: Condvar::new(),
+    fn waiters(&self, dir: Wait) -> &Waiters {
+        match dir {
+            Wait::Work => &self.work,
+            Wait::Space => &self.space,
         }
     }
 }
@@ -213,25 +227,24 @@ pub(crate) struct Ingress<T> {
     /// Round-robin cursor for label-less requests.
     rr: AtomicUsize,
     phase: AtomicU8,
-    /// Precomputed per-shard gauge names (`service.queue.shard.N.depth`),
-    /// so gauge emission allocates nothing.
-    gauge_names: Box<[String]>,
 }
 
 impl<T> Ingress<T> {
     pub(crate) fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
         Ingress {
-            shards: (0..shards).map(|_| Shard::new()).collect(),
+            shards: (0..shards.max(1))
+                .map(|_| Shard {
+                    lanes: Mutex::new(Lanes::new()),
+                    work: Waiters::default(),
+                    space: Waiters::default(),
+                })
+                .collect(),
             capacity,
             depth: AtomicUsize::new(0),
             interactive_depth: AtomicUsize::new(0),
             next_seq: AtomicU64::new(0),
             rr: AtomicUsize::new(0),
             phase: AtomicU8::new(PHASE_ACCEPTING),
-            gauge_names: (0..shards)
-                .map(|i| format!("service.queue.shard.{i}.depth"))
-                .collect(),
         }
     }
 
@@ -252,11 +265,6 @@ impl<T> Ingress<T> {
         phase_of(self.phase.load(Ordering::SeqCst))
     }
 
-    /// The per-shard depth gauge name for `shard`.
-    pub(crate) fn shard_gauge_name(&self, shard: usize) -> &str {
-        &self.gauge_names[shard]
-    }
-
     /// Allocate the next admission sequence number.
     pub(crate) fn alloc_seq(&self) -> u64 {
         self.next_seq.fetch_add(1, Ordering::Relaxed)
@@ -274,7 +282,7 @@ impl<T> Ingress<T> {
                 || self
                     .shards
                     .iter()
-                    .any(|sh| sh.idle_workers.load(Ordering::SeqCst) > 0))
+                    .any(|sh| sh.work.count.load(Ordering::SeqCst) > 0))
     }
 
     /// Pick the shard for `request`: dominant-label affinity when the
@@ -290,65 +298,25 @@ impl<T> Ingress<T> {
         }
     }
 
-    /// Wake one idle worker, preferring those homed on `shard` (the shard
-    /// that just gained work) and falling back to a ring scan so the
-    /// notification is never dropped while any worker anywhere sleeps.
-    fn notify_work(&self, shard: usize) {
+    /// Wake up to `budget` sleepers in direction `dir`, those on `shard`
+    /// (the shard whose change they wait for) first, then the other shards
+    /// in ring order: capacity is global, so any freed slot can serve any
+    /// submitter, and any worker can steal any entry.
+    fn wake(&self, dir: Wait, shard: usize, mut budget: usize) {
         let s = self.shards.len();
         for k in 0..s {
-            let sh = &self.shards[(shard + k) % s];
-            if sh.idle_workers.load(Ordering::SeqCst) > 0 {
-                let _guard = lock(&sh.sleep_lock);
-                sh.work.notify_one();
-                return;
-            }
-        }
-    }
-
-    /// Wake up to `freed` parked submitters, preferring the ones parked on
-    /// `shard` (the shard whose pop freed the slots) and ring-scanning the
-    /// rest — capacity is global, so any release can satisfy any waiter,
-    /// but a targeted wake avoids the notify-all herd the old global
-    /// condvar paid on every release.
-    fn notify_space(&self, shard: usize, freed: usize) {
-        if freed == 0 {
-            return;
-        }
-        let s = self.shards.len();
-        let mut budget = freed;
-        for k in 0..s {
-            let sh = &self.shards[(shard + k) % s];
-            let waiting = sh.space_waiters.load(Ordering::SeqCst);
-            if waiting == 0 {
-                continue;
-            }
-            let _guard = lock(&sh.space_lock);
-            if budget >= waiting {
-                sh.space.notify_all();
-                budget -= waiting;
-            } else {
-                for _ in 0..budget {
-                    sh.space.notify_one();
-                }
-                budget = 0;
-            }
             if budget == 0 {
                 return;
             }
+            budget = self.shards[(shard + k) % s].waiters(dir).wake(budget);
         }
     }
 
-    /// Wake every sleeper on every shard's condvars (shutdown, worker
-    /// death).
+    /// Wake every sleeper on every shard, in both directions (shutdown,
+    /// worker death).
     pub(crate) fn wake_all(&self) {
-        for sh in self.shards.iter() {
-            {
-                let _guard = lock(&sh.sleep_lock);
-                sh.work.notify_all();
-            }
-            let _guard = lock(&sh.space_lock);
-            sh.space.notify_all();
-        }
+        self.wake(Wait::Work, 0, usize::MAX);
+        self.wake(Wait::Space, 0, usize::MAX);
     }
 
     /// Reserve one queue slot against the global capacity.
@@ -368,13 +336,6 @@ impl<T> Ingress<T> {
                 Err(now) => current = now,
             }
         }
-    }
-
-    /// Give a reserved (or inherited) slot back. `shard` is the shard the
-    /// slot was destined for, used only as the wakeup starting point.
-    fn release_slot(&self, shard: usize) {
-        self.depth.fetch_sub(1, Ordering::SeqCst);
-        self.notify_space(shard, 1);
     }
 
     /// Try to admit `entry` into `shard` without shedding: reserve a slot,
@@ -398,142 +359,100 @@ impl<T> Ingress<T> {
             };
         }
         let interactive = entry.request.priority == Priority::Interactive;
-        let shard_depth = {
+        {
             let mut lanes = lock(&self.shards[shard].lanes);
             if self.phase.load(Ordering::SeqCst) != PHASE_ACCEPTING {
                 drop(lanes);
-                self.release_slot(shard);
+                // Give the reserved slot back.
+                self.depth.fetch_sub(1, Ordering::SeqCst);
+                self.wake(Wait::Space, shard, 1);
                 return Admit::Stopped { entry };
             }
             on_admit();
             lanes.push(entry);
-            lanes.depth()
-        };
+        }
         if interactive {
             self.interactive_depth.fetch_add(1, Ordering::SeqCst);
         }
-        self.notify_work(shard);
-        Admit::Admitted { shard, shard_depth }
+        self.wake(Wait::Work, shard, 1);
+        Admit::Admitted
     }
 
-    /// Two-phase shed: evict the globally best batch victim and admit
-    /// `entry` in its slot. Only meaningful for interactive arrivals
-    /// against a full queue; anything else reports [`ShedSwap::NoVictim`].
-    /// `on_admit` is as in [`Ingress::try_admit`].
+    /// Evict the globally best batch victim and admit `entry` into `shard`
+    /// in its slot, in one pass under every shard's lock. Only meaningful
+    /// for interactive arrivals against a full queue; anything else reports
+    /// [`ShedSwap::NoVictim`]. `on_admit` is as in [`Ingress::try_admit`].
     pub(crate) fn try_shed_swap(
         &self,
         shard: usize,
         entry: Entry<T>,
-        mut on_admit: impl FnMut(),
+        on_admit: impl FnOnce(),
     ) -> ShedSwap<T> {
         if entry.request.priority != Priority::Interactive {
             return ShedSwap::NoVictim { entry };
         }
-        // Bounded retries: a candidate can be raced away by a worker or a
-        // concurrent shedder; if that keeps happening the backlog is
-        // moving, and the caller's admission loop will get another turn.
-        for _ in 0..(2 * self.shards.len()).max(4) {
-            // Phase 1: find the globally best victim key, one shard lock
-            // at a time (zero clock reads — keys are stored instants).
-            let mut best: Option<(usize, VictimKey)> = None;
-            for (i, sh) in self.shards.iter().enumerate() {
-                let lanes = lock(&sh.lanes);
-                if let Some((_, key)) = pick_victim(&lanes, Priority::Interactive) {
-                    if best.as_ref().is_none_or(|(_, k)| key < *k) {
-                        best = Some((i, key));
-                    }
-                }
-            }
-            let Some((victim_shard, key)) = best else {
-                return ShedSwap::NoVictim { entry };
-            };
-            // Phase 2: re-lock the winner and remove the victim by seq.
-            let (victim, victim_shard_depth) = {
-                let mut lanes = lock(&self.shards[victim_shard].lanes);
-                match lanes.batch.iter().position(|e| e.seq == key.seq) {
-                    Some(pos) => {
-                        let victim = lanes
-                            .batch
-                            .remove(pos)
-                            .expect("invariant: position() index is in range");
-                        (victim, lanes.depth())
-                    }
-                    None => continue, // raced away; rescan
-                }
-            };
-            // The victim's slot transfers to `entry`: the global depth is
-            // deliberately not decremented, so no concurrent submitter can
-            // take the freed capacity between eviction and re-admission.
-            let shard_depth = {
-                let mut lanes = lock(&self.shards[shard].lanes);
-                if self.phase.load(Ordering::SeqCst) != PHASE_ACCEPTING {
-                    drop(lanes);
-                    self.release_slot(shard);
-                    return ShedSwap::Stopped {
-                        victim: Some(victim),
-                        entry,
-                    };
-                }
-                on_admit();
-                lanes.push(entry);
-                lanes.depth()
-            };
-            self.interactive_depth.fetch_add(1, Ordering::SeqCst);
-            self.notify_work(shard);
-            return ShedSwap::Swapped {
-                victim,
-                shard,
-                shard_depth,
-                victim_shard,
-                victim_shard_depth,
-            };
+        // Every shard's lock, taken in index order. No other path holds two
+        // shard locks at once (pops, pushes and drains take one at a time),
+        // so this order cannot deadlock.
+        let mut all: Vec<_> = self.shards.iter().map(|sh| lock(&sh.lanes)).collect();
+        // Checked before anything is evicted, under the same locks a
+        // drain needs: a shed that meets a stop leaves the queue as it was.
+        if self.phase.load(Ordering::SeqCst) != PHASE_ACCEPTING {
+            return ShedSwap::Stopped { entry };
         }
-        ShedSwap::NoVictim { entry }
+        let best = all
+            .iter()
+            .enumerate()
+            .filter_map(|(i, lanes)| {
+                pick_victim(lanes, Priority::Interactive).map(|(pos, key)| (key, i, pos))
+            })
+            .min();
+        let Some((_, victim_shard, pos)) = best else {
+            return ShedSwap::NoVictim { entry };
+        };
+        let victim = all[victim_shard]
+            .batch
+            .remove(pos)
+            .expect("invariant: pick_victim returns an index in range");
+        // The victim's slot transfers to `entry`: the global depth is
+        // deliberately left as it is, so no concurrent submitter can take
+        // the freed capacity.
+        on_admit();
+        all[shard].push(entry);
+        drop(all);
+        self.interactive_depth.fetch_add(1, Ordering::SeqCst);
+        self.wake(Wait::Work, shard, 1);
+        ShedSwap::Swapped { victim }
     }
 
-    /// Park the calling submitter on its routed shard's `space` condvar
-    /// until space may exist (or `deadline` passes). Returns `false` only
-    /// on a deadline expiry observed here; `true` means "re-attempt
-    /// admission".
+    /// Park the calling submitter on its routed shard until space may
+    /// exist, the service stops, or `deadline` passes. Returns `false` only
+    /// when the deadline has passed with the queue still full; `true`
+    /// means "re-attempt admission".
     pub(crate) fn wait_for_space(&self, shard: usize, deadline: Option<Deadline>) -> bool {
-        let sh = &self.shards[shard];
-        let guard = lock(&sh.space_lock);
-        sh.space_waiters.fetch_add(1, Ordering::SeqCst);
-        // Re-check after registering: pairs with notify_space()'s waiter
-        // scan, closing the lost-wakeup window (the releaser decrements the
-        // global depth before scanning the per-shard counters, so either it
-        // sees us registered or we see its freed slot here).
-        if self.depth.load(Ordering::SeqCst) < self.capacity
-            || self.phase.load(Ordering::SeqCst) != PHASE_ACCEPTING
-        {
-            sh.space_waiters.fetch_sub(1, Ordering::SeqCst);
-            return true;
-        }
-        let park = match deadline {
-            Some(d) => {
-                let left = d.remaining();
-                if left.is_zero() {
-                    sh.space_waiters.fetch_sub(1, Ordering::SeqCst);
-                    return false;
-                }
-                left.min(MAX_PARK)
-            }
-            None => MAX_PARK,
+        let room = || {
+            self.depth.load(Ordering::SeqCst) < self.capacity
+                || self.phase.load(Ordering::SeqCst) != PHASE_ACCEPTING
         };
-        let _ = sh.space.wait_timeout(guard, park);
-        sh.space_waiters.fetch_sub(1, Ordering::SeqCst);
+        let park = deadline.map_or(MAX_PARK, |d| d.remaining().min(MAX_PARK));
+        if park.is_zero() {
+            return room();
+        }
+        self.shards[shard].space.park_unless(park, room);
         true
     }
 
     /// Block for the next unit of work for worker `worker`: one entry, or
     /// — when `coalesce` allows — a run of small entries from the same
-    /// shard fused into one batch. `None` means the service is stopping
-    /// and the worker should exit.
+    /// shard fused into one batch, and whether it came from a shard other
+    /// than the worker's home. `None` means the service is stopping and
+    /// the worker should exit.
     pub(crate) fn next_batch(
         &self,
         worker: usize,
         coalesce: Option<&CoalesceConfig>,
-    ) -> Option<(Vec<Entry<T>>, BatchMeta)> {
+    ) -> Option<(Vec<Entry<T>>, bool)> {
+        let home = &self.shards[worker % self.shards.len()].work;
         loop {
             match self.phase() {
                 QueuePhase::Aborting => return None,
@@ -551,24 +470,19 @@ impl<T> Ingress<T> {
                 // sends us behind every runnable submitter. Parking (with
                 // the rescan closing the race) does neither.
             }
-            // Sleep path: park on the home shard's condvar. Register as
-            // idle *before* rescanning, so a pusher either sees us idle
-            // (its ring scan finds this shard's counter and notifies) or
-            // pushed before the rescan (and the rescan finds the entry) —
-            // never neither.
-            let home = &self.shards[worker % self.shards.len()];
-            let guard = lock(&home.sleep_lock);
-            home.idle_workers.fetch_add(1, Ordering::SeqCst);
-            if self.phase.load(Ordering::SeqCst) != PHASE_ACCEPTING {
-                home.idle_workers.fetch_sub(1, Ordering::SeqCst);
-                continue;
+            // Park on the home shard. The re-check is a rescan: a pusher
+            // either sees this worker registered and wakes it, or pushed
+            // before the rescan, which then finds the entry.
+            let mut found = None;
+            home.park_unless(MAX_PARK, || {
+                self.phase.load(Ordering::SeqCst) != PHASE_ACCEPTING || {
+                    found = self.scan_pop(worker, coalesce);
+                    found.is_some()
+                }
+            });
+            if found.is_some() {
+                return found;
             }
-            if let Some(found) = self.scan_pop(worker, coalesce) {
-                home.idle_workers.fetch_sub(1, Ordering::SeqCst);
-                return Some(found);
-            }
-            let _ = home.work.wait_timeout(guard, MAX_PARK);
-            home.idle_workers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -579,7 +493,7 @@ impl<T> Ingress<T> {
         &self,
         worker: usize,
         coalesce: Option<&CoalesceConfig>,
-    ) -> Option<(Vec<Entry<T>>, BatchMeta)> {
+    ) -> Option<(Vec<Entry<T>>, bool)> {
         let s = self.shards.len();
         let home = worker % s;
         if self.interactive_depth.load(Ordering::SeqCst) > 0 {
@@ -587,7 +501,7 @@ impl<T> Ingress<T> {
                 let i = (home + k) % s;
                 let mut lanes = lock(&self.shards[i].lanes);
                 if !lanes.interactive.is_empty() {
-                    return Some(self.finish_take(i, home, &mut lanes, coalesce));
+                    return Some((self.take(i, &mut lanes, coalesce), i != home));
                 }
             }
         }
@@ -595,7 +509,7 @@ impl<T> Ingress<T> {
             let i = (home + k) % s;
             let mut lanes = lock(&self.shards[i].lanes);
             if lanes.depth() > 0 {
-                return Some(self.finish_take(i, home, &mut lanes, coalesce));
+                return Some((self.take(i, &mut lanes, coalesce), i != home));
             }
         }
         None
@@ -604,14 +518,13 @@ impl<T> Ingress<T> {
     /// Take the head of `lanes` (plus a coalesced run, §4.4) and do the
     /// global bookkeeping. Called with the shard lock held; the returned
     /// batch is fully owned by the caller once the guard drops.
-    fn finish_take(
+    fn take(
         &self,
         shard: usize,
-        home: usize,
         lanes: &mut Lanes<T>,
         coalesce: Option<&CoalesceConfig>,
-    ) -> (Vec<Entry<T>>, BatchMeta) {
-        let shard_depth_before = lanes.depth();
+    ) -> Vec<Entry<T>> {
+        let shard_depth = lanes.depth();
         let first = lanes.pop().expect("invariant: shard depth > 0 under lock");
         let mut batch = vec![first];
         if let Some(cc) = coalesce {
@@ -619,8 +532,7 @@ impl<T> Ingress<T> {
                 // §4.4 adaptive batch sizing: the budget is derived from
                 // the head's row length, the observed shard depth, and the
                 // measured 0.749·√n sweet spot (see CoalesceConfig).
-                let (max_requests, max_fused) =
-                    cc.take_budget(batch[0].request.len(), shard_depth_before);
+                let (max_requests, max_fused) = cc.take_budget(batch[0].request.len(), shard_depth);
                 let mut fused_elems = batch[0].request.len();
                 while batch.len() < max_requests {
                     let Some(next) = lanes.peek() else { break };
@@ -632,28 +544,20 @@ impl<T> Ingress<T> {
                 }
             }
         }
-        let shard_depth = lanes.depth();
         let interactive_taken = batch
             .iter()
             .filter(|e| e.request.priority == Priority::Interactive)
             .count();
-        // Atomics while holding the shard lock are fine (no second lock is
-        // taken), and doing them here keeps depth() an overestimate only
-        // on the reservation side.
+        // Atomics while holding the shard lock are fine (no second shard
+        // lock is taken), and doing them here keeps depth() an
+        // overestimate only on the reservation side.
         self.depth.fetch_sub(batch.len(), Ordering::SeqCst);
         if interactive_taken > 0 {
             self.interactive_depth
                 .fetch_sub(interactive_taken, Ordering::SeqCst);
         }
-        self.notify_space(shard, batch.len());
-        (
-            batch,
-            BatchMeta {
-                shard,
-                stolen: shard != home,
-                shard_depth,
-            },
-        )
+        self.wake(Wait::Space, shard, batch.len());
+        batch
     }
 
     /// Advance the lifecycle phase (stores the phase *before* any drain —
@@ -701,7 +605,7 @@ impl<T> Ingress<T> {
                 self.interactive_depth
                     .fetch_sub(interactive, Ordering::SeqCst);
             }
-            self.notify_space(0, out.len());
+            self.wake(Wait::Space, 0, out.len());
         }
         out
     }
@@ -737,8 +641,33 @@ mod tests {
         let (entry, t) = make_entry(ing, priority, labels, m);
         let shard = ing.route(&entry.request);
         match ing.try_admit(shard, entry, || {}) {
-            Admit::Admitted { .. } => t,
+            Admit::Admitted => t,
             _ => panic!("admission refused in test setup"),
+        }
+    }
+
+    /// Admit a batch entry into `shard`, whatever its labels route to,
+    /// with `deadline` from now (`None`: no deadline). Returns its `seq`.
+    fn admit_batch_to(
+        ing: &Ingress<i64>,
+        shard: usize,
+        deadline: Option<Duration>,
+        tickets: &mut Vec<Ticket<i64>>,
+    ) -> u64 {
+        let (mut entry, t) = make_entry(ing, Priority::Batch, vec![0], 1);
+        entry.request.deadline = deadline.map(Deadline::after);
+        let seq = entry.seq;
+        tickets.push(t);
+        assert!(matches!(
+            ing.try_admit(shard, entry, || {}),
+            Admit::Admitted
+        ));
+        seq
+    }
+
+    fn cancel_all(entries: Vec<Entry<i64>>, stats: &ServiceStats) {
+        for e in entries {
+            e.resolver.resolve(stats, Err(crate::MpError::Cancelled));
         }
     }
 
@@ -787,15 +716,11 @@ mod tests {
         match ing.try_admit(shard, entry, || {}) {
             Admit::Refused { entry } => {
                 assert_eq!(ing.depth(), 3, "refusal leaves the depth untouched");
-                entry
-                    .resolver
-                    .resolve(&stats, Err(crate::MpError::Cancelled));
+                cancel_all(vec![entry], &stats);
             }
             _ => panic!("expected refusal at capacity"),
         }
-        for e in ing.drain_all() {
-            e.resolver.resolve(&stats, Err(crate::MpError::Cancelled));
-        }
+        cancel_all(ing.drain_all(), &stats);
         assert_eq!(ing.depth(), 0);
     }
 
@@ -808,6 +733,7 @@ mod tests {
         let mut expect_interactive = Vec::new();
         let mut expect_batch = Vec::new();
         let mut tickets = Vec::new();
+        let mut shard = 0;
         for i in 0..12u64 {
             let pr = if i % 3 == 0 {
                 Priority::Interactive
@@ -820,27 +746,28 @@ mod tests {
                 Priority::Interactive => expect_interactive.push(entry.seq),
                 Priority::Batch => expect_batch.push(entry.seq),
             }
-            let shard = ing.route(&entry.request);
+            shard = ing.route(&entry.request);
             assert!(matches!(
                 ing.try_admit(shard, entry, || {}),
-                Admit::Admitted { .. }
+                Admit::Admitted
             ));
         }
         let expected: Vec<u64> = expect_interactive.into_iter().chain(expect_batch).collect();
         let mut got = Vec::new();
-        while let Some(found) = ing.scan_pop(0, None) {
-            let (batch, meta) = found;
-            assert!(!meta.stolen || meta.shard != 0);
-            for e in batch {
-                got.push(e.seq);
-                e.resolver.resolve(&stats, Err(crate::MpError::Cancelled));
-            }
+        while let Some((batch, stolen)) = ing.scan_pop(0, None) {
+            assert_eq!(
+                stolen,
+                shard != 0,
+                "stolen exactly when off worker 0's home"
+            );
+            got.extend(batch.iter().map(|e| e.seq));
+            cancel_all(batch, &stats);
         }
         assert_eq!(got, expected);
     }
 
     #[test]
-    fn shed_swap_transfers_the_slot_and_reports_fresh_depths() {
+    fn shed_swap_transfers_the_slot() {
         let ing = Ingress::<i64>::new(2, 2);
         let stats = ServiceStats::default();
         let _b1 = admit(&ing, Priority::Batch, vec![0], 1);
@@ -856,10 +783,10 @@ mod tests {
             }
             _ => panic!("expected refusal at capacity"),
         };
-        // ...and the two-phase swap evicts the oldest batch entry while
-        // keeping the global depth constant (the slot is inherited).
+        // ...and the swap evicts the oldest batch entry while keeping the
+        // global depth constant (the slot is inherited).
         match ing.try_shed_swap(shard, entry, || {}) {
-            ShedSwap::Swapped { victim, .. } => {
+            ShedSwap::Swapped { victim } => {
                 assert_eq!(victim.seq, 0, "oldest deadline-less batch entry");
                 assert_eq!(ing.depth(), 2, "slot transferred, not freed");
                 victim.resolver.resolve(
@@ -873,9 +800,66 @@ mod tests {
             _ => panic!("expected a successful swap"),
         }
         drop(vip);
-        for e in ing.drain_all() {
-            e.resolver.resolve(&stats, Err(crate::MpError::Cancelled));
+        cancel_all(ing.drain_all(), &stats);
+    }
+
+    #[test]
+    fn shed_evicts_the_earliest_deadline_on_any_shard() {
+        let ing = Ingress::<i64>::new(4, 4);
+        let stats = ServiceStats::default();
+        let mut tickets = Vec::new();
+        admit_batch_to(&ing, 0, Some(Duration::from_secs(500)), &mut tickets);
+        admit_batch_to(&ing, 1, None, &mut tickets);
+        let earliest = admit_batch_to(&ing, 2, Some(Duration::from_secs(5)), &mut tickets);
+        admit_batch_to(&ing, 3, Some(Duration::from_secs(60)), &mut tickets);
+        assert_eq!(ing.depth(), 4);
+        // The arrival lands on shard 0; the victim sits on shard 2.
+        let (entry, _vip) = make_entry(&ing, Priority::Interactive, vec![0], 1);
+        let vip_seq = entry.seq;
+        let mut admitted = 0;
+        match ing.try_shed_swap(0, entry, || admitted += 1) {
+            ShedSwap::Swapped { victim } => {
+                assert_eq!(victim.seq, earliest, "earliest deadline, on shard 2");
+                cancel_all(vec![victim], &stats);
+            }
+            _ => panic!("expected a successful swap"),
         }
+        assert_eq!(admitted, 1);
+        assert_eq!(ing.depth(), 4, "slot transferred, not freed");
+        // Worker 2 (homed on the victim's shard) takes the arrival first,
+        // stolen from shard 0 by the interactive pass, then the rest.
+        let (batch, stolen) = ing.scan_pop(2, None).expect("queued work");
+        assert_eq!((batch[0].seq, stolen), (vip_seq, true));
+        cancel_all(batch, &stats);
+        let rest = ing.drain_all();
+        assert!(rest.iter().all(|e| e.seq != earliest));
+        assert_eq!(rest.len(), 3);
+        cancel_all(rest, &stats);
+    }
+
+    #[test]
+    fn shed_after_stop_evicts_nothing() {
+        let ing = Ingress::<i64>::new(2, 2);
+        let stats = ServiceStats::default();
+        let mut tickets = Vec::new();
+        admit_batch_to(&ing, 0, Some(Duration::from_secs(5)), &mut tickets);
+        admit_batch_to(&ing, 1, None, &mut tickets);
+        assert!(
+            ing.begin_stop(true).is_empty(),
+            "a graceful stop drains nothing"
+        );
+        let (entry, _vip) = make_entry(&ing, Priority::Interactive, vec![0], 1);
+        let vip_seq = entry.seq;
+        let mut admitted = 0;
+        match ing.try_shed_swap(0, entry, || admitted += 1) {
+            ShedSwap::Stopped { entry } => assert_eq!(entry.seq, vip_seq),
+            _ => panic!("expected Stopped after begin_stop"),
+        }
+        assert_eq!(admitted, 0);
+        assert_eq!(ing.depth(), 2, "nothing evicted, nothing freed");
+        let rest = ing.drain_all();
+        assert_eq!(rest.len(), 2);
+        cancel_all(rest, &stats);
     }
 
     #[test]
@@ -886,9 +870,7 @@ mod tests {
         let drained = ing.begin_stop(false);
         assert_eq!(drained.len(), 1);
         assert_eq!(ing.depth(), 0);
-        for e in drained {
-            e.resolver.resolve(&stats, Err(crate::MpError::Cancelled));
-        }
+        cancel_all(drained, &stats);
         let (entry, _t2) = make_entry(&ing, Priority::Batch, vec![0], 1);
         assert!(matches!(
             ing.try_admit(0, entry, || {}),
@@ -916,22 +898,16 @@ mod tests {
         // other shards must steal it.
         let (probe, _t0) = make_entry(&ing, Priority::Batch, vec![9, 9], 11);
         let hot = ing.route(&probe.request);
-        assert!(matches!(
-            ing.try_admit(hot, probe, || {}),
-            Admit::Admitted { .. }
-        ));
+        assert!(matches!(ing.try_admit(hot, probe, || {}), Admit::Admitted));
         for _ in 0..3 {
             let _t = admit(&ing, Priority::Batch, vec![9, 9], 11);
         }
         let far_worker = hot + 1; // homed on a different shard
         let mut taken = 0;
-        while let Some((batch, meta)) = ing.scan_pop(far_worker, None) {
-            assert_eq!(meta.shard, hot);
-            assert!(meta.stolen);
-            for e in batch {
-                taken += 1;
-                e.resolver.resolve(&stats, Err(crate::MpError::Cancelled));
-            }
+        while let Some((batch, stolen)) = ing.scan_pop(far_worker, None) {
+            assert!(stolen);
+            taken += batch.len();
+            cancel_all(batch, &stats);
         }
         assert_eq!(taken, 4);
     }

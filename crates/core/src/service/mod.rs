@@ -470,17 +470,12 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
         self.admit(request, AdmissionWait::Until(Deadline::after(wait)))
     }
 
-    /// Emit the global and per-shard depth gauges — called after every
-    /// lock involved in the transition has been released, so recorder work
-    /// never executes inside a queue critical section.
-    fn emit_depth_gauges(&self, shard: usize, shard_depth: usize) {
-        if let Some(rec) = self.shared.stats.recorder() {
-            rec.gauge("service.queue.depth", self.shared.ingress.depth() as i64);
-            rec.gauge(
-                self.shared.ingress.shard_gauge_name(shard),
-                shard_depth as i64,
-            );
-        }
+    /// Refuse `entry` at the door: it was never admitted, so its resolver
+    /// is dropped uncounted and the refusal counts in `rejected`.
+    fn refuse(&self, entry: Entry<T>, err: MpError) -> Result<Ticket<T>, MpError> {
+        drop(entry);
+        self.shared.stats.bump_rejected();
+        Err(err)
     }
 
     fn admit(&self, request: Request<T>, wait: AdmissionWait) -> Result<Ticket<T>, MpError> {
@@ -510,27 +505,17 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
         let shard = ing.route(&entry.request);
         loop {
             entry = match ing.try_admit(shard, entry, || stats.bump_admitted()) {
-                Admit::Admitted { shard, shard_depth } => {
+                Admit::Admitted => {
                     start_pool(&self.shared);
-                    self.emit_depth_gauges(shard, shard_depth);
+                    self.shared.emit_depth_gauge();
                     return Ok(ticket);
                 }
-                Admit::Stopped { entry } => {
-                    drop(entry); // never admitted: its resolver never counts
-                    stats.bump_rejected();
-                    return Err(MpError::Unavailable);
-                }
-                Admit::Refused { entry, .. } => {
-                    // Full queue: an interactive arrival may evict the
-                    // globally best batch victim and take its slot.
+                Admit::Stopped { entry } => return self.refuse(entry, MpError::Unavailable),
+                // Full queue: an interactive arrival may evict the globally
+                // best batch victim and take its slot.
+                Admit::Refused { entry } => {
                     match ing.try_shed_swap(shard, entry, || stats.bump_admitted()) {
-                        ShedSwap::Swapped {
-                            victim,
-                            shard,
-                            shard_depth,
-                            victim_shard,
-                            victim_shard_depth,
-                        } => {
+                        ShedSwap::Swapped { victim } => {
                             start_pool(&self.shared);
                             // The depth is read at resolution time — not a
                             // value captured before the scan — so every
@@ -544,23 +529,11 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
                                     capacity,
                                 }),
                             );
-                            self.emit_depth_gauges(victim_shard, victim_shard_depth);
-                            self.emit_depth_gauges(shard, shard_depth);
+                            self.shared.emit_depth_gauge();
                             return Ok(ticket);
                         }
-                        ShedSwap::Stopped { victim, entry } => {
-                            if let Some(victim) = victim {
-                                victim.resolver.resolve(
-                                    stats,
-                                    Err(MpError::Overloaded {
-                                        queue_depth: ing.depth(),
-                                        capacity,
-                                    }),
-                                );
-                            }
-                            drop(entry);
-                            stats.bump_rejected();
-                            return Err(MpError::Unavailable);
+                        ShedSwap::Stopped { entry } => {
+                            return self.refuse(entry, MpError::Unavailable)
                         }
                         ShedSwap::NoVictim { entry } => entry,
                     }
@@ -568,28 +541,20 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
             };
             // No room and nothing sheddable: wait for space or refuse,
             // reporting the depth observed at refusal time.
-            match wait {
-                AdmissionWait::FailFast => {
-                    drop(entry);
-                    stats.bump_rejected();
-                    return Err(MpError::Overloaded {
-                        queue_depth: ing.depth(),
+            let room = match wait {
+                AdmissionWait::FailFast => false,
+                AdmissionWait::Block => ing.wait_for_space(shard, None),
+                AdmissionWait::Until(deadline) => ing.wait_for_space(shard, Some(deadline)),
+            };
+            if !room {
+                let queue_depth = ing.depth();
+                return self.refuse(
+                    entry,
+                    MpError::Overloaded {
+                        queue_depth,
                         capacity,
-                    });
-                }
-                AdmissionWait::Block => {
-                    ing.wait_for_space(shard, None);
-                }
-                AdmissionWait::Until(deadline) => {
-                    if !ing.wait_for_space(shard, Some(deadline)) {
-                        drop(entry);
-                        stats.bump_rejected();
-                        return Err(MpError::Overloaded {
-                            queue_depth: ing.depth(),
-                            capacity,
-                        });
-                    }
-                }
+                    },
+                );
             }
         }
     }
@@ -637,11 +602,8 @@ impl<T: Element, O: TryCombineOp<T>> Service<T, O> {
             aborted
         };
         if aborted {
-            if let Some(rec) = self.shared.stats.recorder() {
-                rec.gauge("service.queue.depth", ing.depth() as i64);
-            }
+            self.shared.emit_depth_gauge();
         }
-        ing.wake_all();
         // A pool start in progress finishes pushing its handles before this
         // lock is ours; one that has not begun will see the stopped phase
         // and spawn nothing (see `pool::start_pool`).
@@ -1199,11 +1161,10 @@ mod tests {
             .submit(Request::multireduce(vec![1i64], vec![0], 1))
             .unwrap();
         assert_eq!(rec.gauge_value("service.queue.depth"), Some(2));
-        // Shed transition: poison both gauges, then let an interactive
-        // arrival evict a batch entry — the swap must re-emit them even
+        // Shed transition: poison the gauge, then let an interactive
+        // arrival evict a batch entry — the swap must re-emit it even
         // though the global depth is unchanged (slot transfer).
         rec.gauge("service.queue.depth", -1);
-        rec.gauge("service.queue.shard.0.depth", -1);
         let vip = service
             .try_submit(
                 Request::multireduce(vec![2i64], vec![0], 1).priority(Priority::Interactive),
@@ -1213,11 +1174,6 @@ mod tests {
             rec.gauge_value("service.queue.depth"),
             Some(2),
             "shed must re-emit the global depth gauge"
-        );
-        assert_eq!(
-            rec.gauge_value("service.queue.shard.0.depth"),
-            Some(2),
-            "shed must re-emit the per-shard depth gauge"
         );
         assert!(first.wait().is_ok());
         assert!(vip.wait().is_ok());

@@ -59,8 +59,8 @@ pub(crate) const INLINE_WORKER: usize = usize::MAX;
 /// Everything the pool's threads share.
 #[derive(Debug)]
 pub(crate) struct Shared<T: Element, O> {
-    /// The sharded submission front door: per-shard locks, global atomics
-    /// for depth/phase, and both condvar pairs (see [`Ingress`]).
+    /// The sharded submission front door: per-shard locks and waiters,
+    /// global atomics for depth and phase (see [`Ingress`]).
     pub(crate) ingress: Ingress<T>,
     /// Join handles of every worker ever spawned (replacements included).
     pub(crate) handles: Mutex<Vec<JoinHandle<()>>>,
@@ -86,6 +86,15 @@ impl<T: Element, O> Shared<T, O> {
     /// has not started or one of its workers is parked.
     pub(crate) fn is_idle(&self) -> bool {
         self.ingress.is_idle(self.started.load(Ordering::SeqCst))
+    }
+
+    /// Emit the `service.queue.depth` gauge. Callers emit it after every
+    /// shard lock of the transition is released, so recorder work never
+    /// runs inside a queue critical section.
+    pub(crate) fn emit_depth_gauge(&self) {
+        if let Some(rec) = self.stats.recorder() {
+            rec.gauge("service.queue.depth", self.ingress.depth() as i64);
+        }
     }
 }
 
@@ -220,19 +229,12 @@ where
     O: TryCombineOp<T>,
 {
     // The ingress handles sleeping, stealing and coalescing; the pool adds
-    // the steal accounting and the depth gauges — both emitted here, after
-    // every shard lock has been released (no recorder work under a lock).
-    while let Some((batch, meta)) = shared.ingress.next_batch(idx, shared.cfg.coalesce.as_ref()) {
-        if meta.stolen {
+    // the steal count and the depth gauge.
+    while let Some((batch, stolen)) = shared.ingress.next_batch(idx, shared.cfg.coalesce.as_ref()) {
+        if stolen {
             shared.stats.bump_steals();
         }
-        if let Some(rec) = shared.stats.recorder() {
-            rec.gauge("service.queue.depth", shared.ingress.depth() as i64);
-            rec.gauge(
-                shared.ingress.shard_gauge_name(meta.shard),
-                meta.shard_depth as i64,
-            );
-        }
+        shared.emit_depth_gauge();
         run_batch(shared, Some(idx), batch);
     }
 }

@@ -21,10 +21,9 @@
 //! subtracting the same `now` from every candidate cannot change which
 //! deadline is earliest, so a full-lane scan under a shard lock performs
 //! **zero clock reads** (pinned by `full_scan_reads_the_clock_at_most_once`).
-//! Across shards, [`super::ingress::Ingress`] runs the same comparison in
-//! two phases: pick the globally best key lock-by-lock, then re-lock the
-//! winning shard and remove the victim by `seq` (re-scanning if a worker
-//! raced it away) — no global lock, same single-queue policy.
+//! Across shards, [`super::ingress::Ingress::try_shed_swap`] runs the same
+//! comparison once over every shard, holding all their locks, so the
+//! policy is the single-queue one.
 
 use crate::service::queue::{Entry, Lanes, Priority};
 use std::time::Instant;
