@@ -139,7 +139,7 @@ pub fn multireduce<T: Element, O: CombineOp<T>>(
 /// The label scan the plain entries need before `engine` runs. The chunked
 /// engine returns a bad input's error itself — it checks lengths first and
 /// each label where its local loop indexes its table — except with
-/// `m == 1`, where its vector kernels never read a label. The serial and
+/// `m == 1`, where its single-label loop never reads a label. The serial and
 /// spinetree engines' plain entries panic on a bad input, so they get the
 /// full scan.
 fn scan_labels<T>(engine: Engine, values: &[T], labels: &[usize], m: usize) -> Result<(), MpError> {
@@ -166,11 +166,10 @@ fn scan_labels<T>(engine: Engine, values: &[T], labels: &[usize], m: usize) -> R
 ///   for the same input;
 /// * on floats only [`Engine::Serial`] and the chunked engine on one
 ///   chunk — every [`ExecConfig`] entry, [`Engine::Auto`] among them,
-///   unless [`ExecConfig::threads`] is set or the opt-in
-///   [`ExecConfig::simd_f32`] kernel runs — combine in serial order and
-///   return serial's bits. A split chunked run, [`Engine::Spinetree`] and
-///   the sharded engine group the combines their own way, so a float sum
-///   that rounds can come out different;
+///   unless [`ExecConfig::threads`] is set — combine in serial order and
+///   return serial's bits, at every `m`. A split chunked run,
+///   [`Engine::Spinetree`] and the sharded engine group the combines
+///   their own way, so a float sum that rounds can come out different;
 /// * `Checked`/`Saturating` semantics are defined by serial (Figure 2)
 ///   evaluation order. A parallel engine whose checked run trips re-derives
 ///   the canonical answer with one serial replay; untripped runs are
@@ -356,7 +355,7 @@ impl<'a, T: Element, O: TryCombineOp<T>> Call<'a, T, O> {
     /// `engine`'s hardened `run`, made canonical:
     ///
     /// * the labels are scanned first only for the chunked engine with
-    ///   `m == 1`, whose vector kernels never read them: every other
+    ///   `m == 1`, whose single-label loop never reads them: every other
     ///   hardened engine returns a bad input's error itself, and the shard
     ///   supervisor scans the labels before it distributes;
     /// * when a checked combine trips, the engine's grouping overflowed

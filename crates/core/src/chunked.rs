@@ -46,20 +46,19 @@
 //! The local loop checks each label against `m` where it indexes its
 //! table, so a bad label comes back as [`MpError::LabelOutOfRange`] at its
 //! index in the whole vector and [`crate::api`] needs no separate
-//! validation pass (except for `m == 1`, whose vector kernels never read a
-//! label). Every [`ExecConfig`] entry — [`crate::Engine::Auto`], the
-//! dispatcher and the service among them — runs one chunk unless
+//! validation pass (except for `m == 1`, whose single-label loop never
+//! reads a label). Every [`ExecConfig`] entry — [`crate::Engine::Auto`],
+//! the dispatcher and the service among them — runs one chunk unless
 //! [`ExecConfig::threads`] is set (DESIGN §8, "The chunk count").
 
 use crate::api::Engine;
 use crate::error::MpError;
 use crate::exec::{try_filled_vec, try_with_capacity, CheckGuard, ExecConfig, TryEngineResult};
-use crate::obs::{phase_key, Phase};
+use crate::obs::Phase;
 use crate::op::{CombineOp, TryCombineOp};
 use crate::problem::{validate_lengths, Element, MultiprefixOutput};
 use crate::resilience::{RunContext, CHECK_STRIDE};
 use crate::shard::exscan::{exscan_parts, SummaryPart};
-use crate::simd::{Kernel, Kernels};
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,19 +83,6 @@ fn chunk_count(n: usize, threads: usize) -> usize {
 pub(crate) trait Comb<T: Element>: Copy + Send + Sync {
     fn identity(&self) -> T;
     fn combine(&self, a: T, b: T) -> T;
-    /// The recognized vector-kernel class for this combine, when engaging
-    /// it is bit-exact for this run ([`crate::op::CombineOp::KERNEL`],
-    /// vetoed by checked/saturating policies and
-    /// [`crate::ExecConfig::force_scalar`]). `None` keeps every phase on
-    /// the scalar loops.
-    fn kernel(&self) -> Option<Kernel> {
-        None
-    }
-    /// Whether the opt-in `f32` kernel is admitted
-    /// ([`crate::ExecConfig::simd_f32`]).
-    fn allow_f32(&self) -> bool {
-        false
-    }
     /// `len` copies of the identity — the `m`-sized reduction vector here,
     /// and the spinetree's pivot blocks; this engine writes its element
     /// output once into uninitialized capacity instead ([`run_prefix`]).
@@ -104,13 +90,6 @@ pub(crate) trait Comb<T: Element>: Copy + Send + Sync {
     fn identity_vec(&self, len: usize) -> Result<Vec<T>, MpError> {
         try_filled_vec(self.identity(), len)
     }
-}
-
-/// Resolve the vector-kernel table for this run, or `None` for scalar.
-#[inline]
-pub(crate) fn comb_kernels<T: Element, C: Comb<T>>(comb: C) -> Option<&'static Kernels<T>> {
-    comb.kernel()
-        .and_then(|k| crate::simd::kernels::<T>(k, comb.allow_f32()))
 }
 
 /// Plain (unchecked) combine for the infallible entry points.
@@ -125,10 +104,6 @@ impl<T: Element, O: CombineOp<T>> Comb<T> for PlainComb<O> {
     #[inline(always)]
     fn combine(&self, a: T, b: T) -> T {
         self.0.combine(a, b)
-    }
-    #[inline(always)]
-    fn kernel(&self) -> Option<Kernel> {
-        O::KERNEL
     }
     /// The plain path allocates with `vec!`, which hands an all-zero
     /// identity to `calloc`: when `m ≫ n`, most reduction slots belong to
@@ -149,18 +124,6 @@ impl<T: Element, O: TryCombineOp<T>> Comb<T> for CheckGuard<'_, O> {
     #[inline(always)]
     fn combine(&self, a: T, b: T) -> T {
         CheckGuard::combine(self, a, b)
-    }
-    #[inline(always)]
-    fn kernel(&self) -> Option<Kernel> {
-        if self.simd_ok() {
-            O::KERNEL
-        } else {
-            None
-        }
-    }
-    #[inline(always)]
-    fn allow_f32(&self) -> bool {
-        CheckGuard::allow_f32(self)
     }
 }
 
@@ -408,21 +371,6 @@ pub(crate) fn use_direct(tables: usize, n: usize, m: usize) -> bool {
     tables.saturating_mul(m) <= 8 * n.max(1) + 1024
 }
 
-/// The vector kernels for a run, when it has a single label class: then the
-/// local scan and the apply prepend degenerate to plain prefix operations
-/// the simd kernels implement bit-exactly. Multi-bucket tables stay scalar
-/// (see DESIGN §12).
-pub(crate) fn single_label_kernels<T: Element, C: Comb<T>>(
-    m: usize,
-    comb: C,
-) -> Option<&'static Kernels<T>> {
-    if m == 1 {
-        comb_kernels::<T, C>(comb)
-    } else {
-        None
-    }
-}
-
 /// One chunk's local-phase table. The first chunk accumulates straight into
 /// the reduction vector: its totals seed the combine scan and its offsets
 /// are all the identity, so it needs no marks, no touched list and no apply
@@ -439,7 +387,6 @@ fn local_pass<T: Element, C: Comb<T>>(
     sums: Option<&mut [MaybeUninit<T>]>,
     input: Input<'_, T>,
     comb: C,
-    fast: Option<&'static Kernels<T>>,
     ctx: &RunContext,
     worker: usize,
 ) -> Result<(), MpError> {
@@ -450,8 +397,8 @@ fn local_pass<T: Element, C: Comb<T>>(
         chaos.inject_chunk_worker(worker, ctx.deadline());
     }
     match table {
-        Table::Output(vals) => fold(vals, |l| (l, false), sums, input, comb, fast, ctx),
-        Table::Space(space) => fold_space(space, sums, input, comb, fast, ctx),
+        Table::Output(vals) => fold(vals, |l| (l, false), sums, input, comb, ctx),
+        Table::Space(space) => fold_space(space, sums, input, comb, ctx),
     }
 }
 
@@ -466,14 +413,13 @@ pub(crate) fn fold_space<T: Element, C: Comb<T>>(
     sums: Option<&mut [MaybeUninit<T>]>,
     input: Input<'_, T>,
     comb: C,
-    fast: Option<&'static Kernels<T>>,
     ctx: &RunContext,
 ) -> Result<(), MpError> {
     let ChunkSpace { map, vals } = space;
     if map.direct {
-        fold(vals, |l| map.locate_direct(l), sums, input, comb, fast, ctx)
+        fold(vals, |l| map.locate_direct(l), sums, input, comb, ctx)
     } else {
-        fold(vals, |l| map.locate_probed(l), sums, input, comb, fast, ctx)
+        fold(vals, |l| map.locate_probed(l), sums, input, comb, ctx)
     }
 }
 
@@ -509,11 +455,11 @@ fn bad_label<T>(input: &Input<'_, T>, i: usize, label: usize) -> MpError {
 /// Every loop here walks [`CHECK_STRIDE`]-element blocks and polls `ctx`
 /// once at each block start, the indices where `checkpoint_every` fires.
 ///
-/// The scalar loops check `label < m` where they index the table, so a bad
-/// label is an [`MpError::LabelOutOfRange`] at its global index, not an
-/// out-of-bounds panic, and callers need no separate validation pass. The
-/// single-label kernels never read a label: with `m == 1` the caller
-/// validates.
+/// The label-indexed loops check `label < m` where they index the table,
+/// so a bad label is an [`MpError::LabelOutOfRange`] at its global index,
+/// not an out-of-bounds panic, and callers need no separate validation
+/// pass. The single-label loop never reads a label: with `m == 1` the
+/// caller validates.
 #[inline(always)]
 fn fold<T: Element, C: Comb<T>>(
     vals: &mut [T],
@@ -521,17 +467,15 @@ fn fold<T: Element, C: Comb<T>>(
     sums: Option<&mut [MaybeUninit<T>]>,
     input: Input<'_, T>,
     comb: C,
-    fast: Option<&'static Kernels<T>>,
     ctx: &RunContext,
 ) -> Result<(), MpError> {
     let Input {
         values, labels, m, ..
     } = input;
     let id = comb.identity();
-    // Single-label fast path (`fast` is only `Some` when `m == 1`, so
-    // every label is 0): the whole chunk is one exclusive scan (or
-    // reduction) with the bucket value as carry.
-    if let Some(tbl) = fast {
+    // Single label: the whole span is one exclusive scan (or reduction)
+    // carried from the bucket's value, in a register, in serial order.
+    if m == 1 {
         if !values.is_empty() {
             let (s, fresh) = locate(0);
             let mut acc = if fresh { id } else { vals[s] };
@@ -540,15 +484,18 @@ fn fold<T: Element, C: Comb<T>>(
                     let blocks = sums
                         .chunks_mut(CHECK_STRIDE)
                         .zip(values.chunks(CHECK_STRIDE));
-                    for (out, values) in blocks {
+                    for (sums, values) in blocks {
                         ctx.checkpoint()?;
-                        acc = (tbl.excl_scan_into)(values, out, acc);
+                        for (si, &v) in sums.iter_mut().zip(values) {
+                            si.write(acc);
+                            acc = comb.combine(acc, v);
+                        }
                     }
                 }
                 None => {
                     for values in values.chunks(CHECK_STRIDE) {
                         ctx.checkpoint()?;
-                        acc = (tbl.reduce)(acc, values);
+                        acc = values.iter().fold(acc, |a, &v| comb.combine(a, v));
                     }
                 }
             }
@@ -599,18 +546,20 @@ fn apply_pass<T: Element, C: Comb<T>>(
     space: &ChunkSpace<T>,
     sums: &mut [T],
     labels: &[usize],
+    m: usize,
     comb: C,
-    fast: Option<&'static Kernels<T>>,
     ctx: &RunContext,
 ) -> Result<(), MpError> {
     let ChunkSpace { map, vals } = space;
-    // Single-label fast path: one offset prepended across the chunk.
-    if let Some(tbl) = fast {
+    // Single label: one offset prepended across the piece, no label read.
+    if m == 1 {
         if !sums.is_empty() {
-            let acc = vals[map.slot(0)];
-            for block in sums.chunks_mut(CHECK_STRIDE) {
+            let offset = vals[map.slot(0)];
+            for sums in sums.chunks_mut(CHECK_STRIDE) {
                 ctx.checkpoint()?;
-                (tbl.combine_broadcast)(acc, block);
+                for si in sums {
+                    *si = comb.combine(offset, *si);
+                }
             }
         }
         return Ok(());
@@ -692,17 +641,6 @@ pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
         });
     }
     let mut sums = try_with_capacity(n)?;
-    let fast = single_label_kernels(m, comb);
-    if let Some(rec) = ctx.recorder() {
-        rec.event(
-            phase_key(Engine::Chunked, Phase::Local),
-            if fast.is_some() {
-                "kernel=simd"
-            } else {
-                "kernel=scalar"
-            },
-        );
-    }
 
     // Phase 1 — local: each chunk runs its serial multiprefix on its own
     // thread.
@@ -721,7 +659,7 @@ pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
             m,
             base: idx * chunk_len,
         };
-        local_pass(table, Some(s), input, comb, fast, ctx, idx)
+        local_pass(table, Some(s), input, comb, ctx, idx)
     })?;
     // SAFETY: `sums` has capacity `n`, and its first `n` slots were cut
     // into one piece per chunk, each as long as that chunk of `values` and
@@ -762,7 +700,7 @@ pub(crate) fn run_prefix<T: Element, C: Comb<T>>(
             })
             .collect();
         run_chunks(items, |_, (space, (s, l))| {
-            apply_pass(space, s, l, comb, fast, ctx)
+            apply_pass(space, s, l, m, comb, ctx)
         })?;
     }
     Ok(MultiprefixOutput { sums, reductions })
@@ -785,7 +723,6 @@ fn run_reduce<T: Element, C: Comb<T>>(
     if n == 0 {
         return Ok(reductions);
     }
-    let fast = single_label_kernels(m, comb);
     let local_span = ctx.phase_span(Phase::Local);
     let (chunk_len, mut spaces) = begin_chunks(n, m, parts, comb.identity())?;
     let tables = std::iter::once(Table::Output(&mut reductions[..]))
@@ -800,7 +737,7 @@ fn run_reduce<T: Element, C: Comb<T>>(
             m,
             base: idx * chunk_len,
         };
-        local_pass(table, None, input, comb, fast, ctx, idx)
+        local_pass(table, None, input, comb, ctx, idx)
     })?;
     drop(local_span);
     ctx.checkpoint()?;
@@ -852,8 +789,8 @@ pub(crate) fn reduce<T: Element, O: CombineOp<T>>(
 ///
 /// If `values` and `labels` differ in length, or, for `m != 1`, on a label
 /// `>= m` (the message names the error [`crate::validate`] reports). With
-/// `m == 1` the vector kernels never read a label, so every label must be
-/// `0`, as [`crate::api::multiprefix`] checks. The same holds for
+/// `m == 1` the single-label loop never reads a label, so every label
+/// must be `0`, as [`crate::api::multiprefix`] checks. The same holds for
 /// [`multiprefix_chunked_with_parts`].
 pub fn multiprefix_chunked<T: Element, O: CombineOp<T>>(
     values: &[T],
@@ -897,9 +834,9 @@ pub fn multiprefix_chunked_with_parts<T: Element, O: CombineOp<T>>(
 ///
 /// Unequal `values`/`labels` lengths are [`MpError::LengthMismatch`]. A
 /// label `>= m` is reported as [`MpError::LabelOutOfRange`] with its
-/// index in the whole vector — except when `m == 1`, where the vector
-/// kernels never read a label: there every label must be `0`, as
-/// [`crate::api::try_multiprefix`] checks before it calls the engine.
+/// index in the whole vector — except when `m == 1`, where the
+/// single-label loop never reads a label: there every label must be `0`,
+/// as [`crate::api::try_multiprefix`] checks before it calls the engine.
 pub fn try_multiprefix_chunked_cfg_ctx<T: Element, O: TryCombineOp<T>>(
     values: &[T],
     labels: &[usize],
@@ -944,8 +881,8 @@ pub(crate) fn try_multireduce_chunked_cfg_ctx<T: Element, O: TryCombineOp<T>>(
     })
 }
 
-/// Run a hardened body through a [`CheckGuard`] under `cfg`'s policy and
-/// SIMD options: `Ok(None)` when a checked combine tripped, and
+/// Run a hardened body through a [`CheckGuard`] under `cfg`'s policy:
+/// `Ok(None)` when a checked combine tripped, and
 /// [`MpError::EnginePanicked`] when the body (or a scoped worker) panicked.
 fn guarded<O: Copy, R>(
     op: O,
@@ -954,8 +891,7 @@ fn guarded<O: Copy, R>(
 ) -> TryEngineResult<R> {
     let caught = catch_unwind(AssertUnwindSafe(|| {
         let tripped = AtomicBool::new(false);
-        let guard = CheckGuard::new(op, cfg.overflow, &tripped)
-            .with_simd_opts(cfg.force_scalar, cfg.simd_f32);
+        let guard = CheckGuard::new(op, cfg.overflow, &tripped);
         let out = body(guard)?;
         Ok((!tripped.load(Ordering::Relaxed)).then_some(out))
     }));
@@ -1194,7 +1130,7 @@ mod tests {
         };
         let n = CHECK_STRIDE + 5;
         let values: Vec<i64> = (0..n as i64).map(|i| i % 9 - 4).collect();
-        // m == 1 runs the vector kernels, 7 the label-indexed tables and
+        // m == 1 runs the single-label loop, 7 the label-indexed tables and
         // 50 000 (≫ n) the probed ones.
         for m in [1usize, 7, 50_000] {
             let labels: Vec<usize> = (0..n).map(|i| (i * 31_337) % m).collect();

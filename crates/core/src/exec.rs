@@ -124,18 +124,6 @@ pub struct ExecConfig {
     /// on any host measured so far) and the available parallelism for the
     /// atomic engine.
     pub threads: Option<usize>,
-    /// Pin this run to the scalar inner loops even when the operator is a
-    /// recognized SIMD kernel ([`crate::op::CombineOp::KERNEL`]) and the
-    /// host supports it. Chaos, Miri and differential-test runs use this
-    /// to hold the reference path fixed; the `MP_FORCE_SCALAR=1`
-    /// environment variable forces the same thing process-wide (see
-    /// [`crate::simd`]).
-    pub force_scalar: bool,
-    /// Opt into the `f32` addition kernel. Float addition is not
-    /// associative, so the vectorized lane order is **not** bit-identical
-    /// to the scalar left fold — off by default, and integer kernels are
-    /// unaffected (they are exact under every reassociation).
-    pub simd_f32: bool,
 }
 
 impl ExecConfig {
@@ -161,20 +149,6 @@ impl ExecConfig {
     /// least 1 at use).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Pin this run to the scalar inner loops (see
-    /// [`ExecConfig::force_scalar`]).
-    pub fn force_scalar(mut self, force: bool) -> Self {
-        self.force_scalar = force;
-        self
-    }
-
-    /// Opt into the non-bit-exact `f32` addition kernel (see
-    /// [`ExecConfig::simd_f32`]).
-    pub fn simd_f32(mut self, enable: bool) -> Self {
-        self.simd_f32 = enable;
         self
     }
 
@@ -285,14 +259,6 @@ pub(crate) struct CheckGuard<'a, O> {
     op: O,
     checking: bool,
     tripped: &'a AtomicBool,
-    /// Whether the vectorized fast paths may engage for this run: only
-    /// under `Wrap` (checked/saturating combines must observe the serial
-    /// trip order element by element) and not when the caller pinned the
-    /// scalar path via [`ExecConfig::force_scalar`].
-    simd_ok: bool,
-    /// Whether the non-bit-exact `f32` kernel is opted in
-    /// ([`ExecConfig::simd_f32`]).
-    allow_f32: bool,
 }
 
 impl<O: Copy> Clone for CheckGuard<'_, O> {
@@ -308,32 +274,7 @@ impl<'a, O: Copy> CheckGuard<'a, O> {
             op,
             checking: policy.needs_checking(),
             tripped,
-            simd_ok: !policy.needs_checking(),
-            allow_f32: false,
         }
-    }
-
-    /// Apply the config's SIMD knobs: `force_scalar` pins the scalar
-    /// loops, `simd_f32` opts floats in (only meaningful when SIMD is
-    /// engaged at all).
-    pub(crate) fn with_simd_opts(mut self, force_scalar: bool, allow_f32: bool) -> Self {
-        if force_scalar {
-            self.simd_ok = false;
-        }
-        self.allow_f32 = allow_f32 && self.simd_ok;
-        self
-    }
-
-    /// Whether the vectorized fast paths may engage for this run.
-    #[inline(always)]
-    pub(crate) fn simd_ok(&self) -> bool {
-        self.simd_ok
-    }
-
-    /// Whether the `f32` kernel is opted in for this run.
-    #[inline(always)]
-    pub(crate) fn allow_f32(&self) -> bool {
-        self.allow_f32
     }
 
     /// The wrapped operator's identity (policies do not change it).

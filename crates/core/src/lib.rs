@@ -41,17 +41,14 @@
 //! [`op::FirstLast`] over integers) every engine returns the bits of
 //! [`serial::multiprefix_serial`]. On floats only [`Engine::Serial`] and
 //! the chunked engine on one chunk — every [`ExecConfig`] entry,
-//! [`Engine::Auto`] among them, unless [`ExecConfig::threads`] is set or
-//! the opt-in [`ExecConfig::simd_f32`] kernel runs — combine in serial
-//! order and return serial's bits; a split chunked run, the spinetree and
-//! the sharded engine group the combines their own way, so a float sum
-//! that rounds can come out different (see [`try_multiprefix`]). Under
-//! the engines sits [`simd`]: runtime-dispatched AVX2
-//! scan/broadcast/reduce kernels (portable fallback elsewhere) that the
-//! chunked engine's single-label fast paths, the [`scan`] partition
-//! sweeps, and the session store's bulk Fenwick rebuild call through —
-//! engaged by default only for operators with an exact machine
-//! counterpart, so those results stay bit-identical.
+//! [`Engine::Auto`] among them, unless [`ExecConfig::threads`] is set —
+//! combine in serial order and return serial's bits; a split chunked run,
+//! the spinetree and the sharded engine group the combines their own way,
+//! so a float sum that rounds can come out different (see
+//! [`try_multiprefix`]). A single-label call (`m == 1`) is a plain prefix
+//! scan: the chunked engine runs it as one loop that reads no label and
+//! keeps the running value in a register, for every operator and overflow
+//! policy.
 //!
 //! ## Quick start
 //!
@@ -165,7 +162,6 @@ pub mod serial;
 pub mod service;
 pub mod session;
 pub mod shard;
-pub mod simd;
 pub mod spinetree;
 pub mod split;
 pub mod stream;
@@ -174,6 +170,31 @@ pub mod stream;
 /// only because the end-to-end benchmark still times it under this path.
 pub mod blocked {
     pub use crate::chunked::multiprefix_chunked as multiprefix_blocked;
+}
+
+/// The name of the loop that runs single-label calls: one constant. Kept
+/// only because the end-to-end benchmark still writes it into its host
+/// record.
+pub mod simd {
+    /// The single-label loop's level. There is one: plain Rust, the same
+    /// on every target.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum SimdLevel {
+        /// The chunked engine's plain single-label loop.
+        Portable,
+    }
+
+    impl SimdLevel {
+        /// `"portable"`.
+        pub fn name(self) -> &'static str {
+            "portable"
+        }
+    }
+
+    /// Always [`SimdLevel::Portable`].
+    pub fn active_level() -> SimdLevel {
+        SimdLevel::Portable
+    }
 }
 
 pub use api::{

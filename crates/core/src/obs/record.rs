@@ -28,7 +28,8 @@ pub trait Recorder: Send + Sync + fmt::Debug {
     /// Record one latency/duration sample for histogram `name`.
     fn duration_ns(&self, name: &str, nanos: u64);
 
-    /// Record a discrete event (e.g. the chunked engine's kernel choice).
+    /// Record a discrete event: a stream name and a free-form detail. No
+    /// library path emits one; it is there for callers' own events.
     fn event(&self, name: &str, detail: &str);
 }
 
@@ -40,9 +41,9 @@ const EVENT_CAP: usize = 1024;
 /// One recorded [`Recorder::event`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsEvent {
-    /// Event stream name (e.g. `engine.chunked.phase.local`).
+    /// Event stream name (e.g. `breaker.chunked`).
     pub name: String,
-    /// Event payload (e.g. `kernel=simd`).
+    /// Event payload (e.g. `closed->open`).
     pub detail: String,
 }
 

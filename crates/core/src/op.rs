@@ -15,26 +15,6 @@
 
 use crate::problem::Element;
 
-/// The vectorizable kernel classes the [`crate::simd`] module recognizes.
-///
-/// An operator that declares `KERNEL = Some(...)` promises that its
-/// `combine` over the declaring element type is **exactly** the named
-/// machine operation (wrapping add, max, min, bitwise xor), so a SIMD
-/// kernel may evaluate it lane-parallel and reassociate freely with a
-/// bit-identical result. Operators without an exact machine counterpart
-/// keep the default `None` and always run the scalar path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Kernel {
-    /// Wrapping addition (`Plus` under [`crate::OverflowPolicy::Wrap`]).
-    Add,
-    /// Maximum selection.
-    Max,
-    /// Minimum selection.
-    Min,
-    /// Bitwise exclusive-or.
-    Xor,
-}
-
 /// A binary associative operator with identity, over element type `T`.
 ///
 /// Laws (checked by property tests in this module and relied on by every
@@ -48,11 +28,6 @@ pub trait CombineOp<T: Element>: Copy + Send + Sync + 'static {
     /// (e.g. the atomic spinetree engine) are only offered for commutative
     /// operators; the order-preserving engines ignore this flag.
     const COMMUTATIVE: bool;
-
-    /// The SIMD kernel class this operator maps onto for this element
-    /// type, if any (see [`Kernel`]). `None` — the default — means the
-    /// engines never attempt a vectorized fast path for it.
-    const KERNEL: Option<Kernel> = None;
 
     /// The identity element (the "0" of the paper, generalized).
     fn identity(&self) -> T;
@@ -126,15 +101,10 @@ pub struct Or;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Xor;
 
-// `$kerneled` is `true` for the element widths the `simd` module carries
-// AVX2/portable kernels for (32- and 64-bit lanes); every other width
-// keeps `KERNEL = None` and stays on the scalar path.
 macro_rules! impl_int_ops {
-    ($(($t:ty, $kerneled:expr)),* $(,)?) => {$(
+    ($($t:ty),*) => {$(
         impl CombineOp<$t> for Plus {
             const COMMUTATIVE: bool = true;
-            const KERNEL: Option<Kernel> =
-                if $kerneled { Some(Kernel::Add) } else { None };
             #[inline(always)]
             fn identity(&self) -> $t { 0 }
             #[inline(always)]
@@ -149,8 +119,6 @@ macro_rules! impl_int_ops {
         }
         impl CombineOp<$t> for Max {
             const COMMUTATIVE: bool = true;
-            const KERNEL: Option<Kernel> =
-                if $kerneled { Some(Kernel::Max) } else { None };
             #[inline(always)]
             fn identity(&self) -> $t { <$t>::MIN }
             #[inline(always)]
@@ -158,8 +126,6 @@ macro_rules! impl_int_ops {
         }
         impl CombineOp<$t> for Min {
             const COMMUTATIVE: bool = true;
-            const KERNEL: Option<Kernel> =
-                if $kerneled { Some(Kernel::Min) } else { None };
             #[inline(always)]
             fn identity(&self) -> $t { <$t>::MAX }
             #[inline(always)]
@@ -181,8 +147,6 @@ macro_rules! impl_int_ops {
         }
         impl CombineOp<$t> for Xor {
             const COMMUTATIVE: bool = true;
-            const KERNEL: Option<Kernel> =
-                if $kerneled { Some(Kernel::Xor) } else { None };
             #[inline(always)]
             fn identity(&self) -> $t { 0 }
             #[inline(always)]
@@ -191,20 +155,7 @@ macro_rules! impl_int_ops {
     )*};
 }
 
-impl_int_ops!(
-    (i8, false),
-    (i16, false),
-    (i32, true),
-    (i64, true),
-    (i128, false),
-    (u8, false),
-    (u16, false),
-    (u32, true),
-    (u64, true),
-    (u128, false),
-    (usize, false),
-    (isize, false),
-);
+impl_int_ops!(i8, i16, i32, i64, i128, u8, u16, u32, u64, u128, usize, isize);
 
 /// A commutative [`CombineOp`] with an exact inverse — the structural
 /// requirement for O(log n) *point-assignment* in the incremental session
@@ -294,18 +245,10 @@ macro_rules! impl_int_try_ops {
 
 impl_int_try_ops!(i8, i16, i32, i64, i128, u8, u16, u32, u64, u128, usize, isize);
 
-// Only f32 `Plus` declares a kernel, and even that one is additionally
-// gated behind an explicit runtime opt-in (`ExecConfig::simd_f32`):
-// float addition is not associative, so the vectorized evaluation order
-// is *not* bit-identical to the scalar left fold. `Max`/`Min` stay
-// scalar outright — `_mm256_max_ps` NaN/-0.0 semantics differ from
-// Rust's `f32::max`.
 macro_rules! impl_float_ops {
-    ($(($t:ty, $kerneled:expr)),* $(,)?) => {$(
+    ($($t:ty),*) => {$(
         impl CombineOp<$t> for Plus {
             const COMMUTATIVE: bool = true;
-            const KERNEL: Option<Kernel> =
-                if $kerneled { Some(Kernel::Add) } else { None };
             #[inline(always)]
             fn identity(&self) -> $t { 0.0 }
             #[inline(always)]
@@ -335,7 +278,7 @@ macro_rules! impl_float_ops {
     )*};
 }
 
-impl_float_ops!((f32, true), (f64, false));
+impl_float_ops!(f32, f64);
 
 // IEEE float arithmetic never traps: overflow saturates to ±∞ by the
 // standard itself, so checked and saturating collapse to plain combine.
@@ -684,26 +627,6 @@ mod tests {
         fn min_f64_laws(a in -1e12f64..1e12, b in -1e12f64..1e12, c in -1e12f64..1e12) {
             check_laws(Min, a, b, c);
         }
-    }
-
-    #[test]
-    fn kernel_recognition_matrix() {
-        // Only the 32/64-bit lanes of Add/Max/Min/Xor (and f32 Add, which
-        // is further gated at runtime) are vectorizable; everything else
-        // must stay None so it can never leave the scalar path.
-        assert_eq!(<Plus as CombineOp<u64>>::KERNEL, Some(Kernel::Add));
-        assert_eq!(<Plus as CombineOp<i32>>::KERNEL, Some(Kernel::Add));
-        assert_eq!(<Plus as CombineOp<u8>>::KERNEL, None);
-        assert_eq!(<Plus as CombineOp<u128>>::KERNEL, None);
-        assert_eq!(<Plus as CombineOp<usize>>::KERNEL, None);
-        assert_eq!(<Max as CombineOp<i64>>::KERNEL, Some(Kernel::Max));
-        assert_eq!(<Min as CombineOp<u32>>::KERNEL, Some(Kernel::Min));
-        assert_eq!(<Xor as CombineOp<i64>>::KERNEL, Some(Kernel::Xor));
-        assert_eq!(<Mult as CombineOp<u64>>::KERNEL, None);
-        assert_eq!(<And as CombineOp<u64>>::KERNEL, None);
-        assert_eq!(<Plus as CombineOp<f32>>::KERNEL, Some(Kernel::Add));
-        assert_eq!(<Plus as CombineOp<f64>>::KERNEL, None);
-        assert_eq!(<Max as CombineOp<f32>>::KERNEL, None);
     }
 
     #[test]

@@ -53,19 +53,13 @@ pub fn exclusive_scan_partition<T: Element, O: CombineOp<T>>(values: &[T], op: O
     let partitions = rayon::current_num_threads().max(1) * 4;
     let part_len = n.div_ceil(partitions).max(1);
 
-    // Both sweeps are plain prefix operations, so recognized operators
-    // ([`crate::op::CombineOp::KERNEL`]) run the vectorized kernels —
-    // bit-identical to the serial fold for the exact integer kernels.
-    let fast = O::KERNEL.and_then(|k| crate::simd::kernels::<T>(k, false));
-
     // Sweep 1: per-partition totals.
     let totals: Vec<T> = values
         .par_chunks(part_len)
-        .map(|chunk| match fast {
-            Some(tbl) => (tbl.reduce)(op.identity(), chunk),
-            None => chunk
+        .map(|chunk| {
+            chunk
                 .iter()
-                .fold(op.identity(), |acc, &v| op.combine(acc, v)),
+                .fold(op.identity(), |acc, &v| op.combine(acc, v))
         })
         .collect();
 
@@ -80,10 +74,6 @@ pub fn exclusive_scan_partition<T: Element, O: CombineOp<T>>(values: &[T], op: O
         .zip(values.par_chunks(part_len))
         .zip(offsets.par_iter())
         .for_each(|((o, v), &offset)| {
-            if let Some(tbl) = fast {
-                (tbl.excl_scan_into)(v, o, offset);
-                return;
-            }
             let mut acc = offset;
             for (oi, &vi) in o.iter_mut().zip(v) {
                 oi.write(acc);
@@ -167,9 +157,9 @@ mod tests {
     }
 
     /// Miri target (the CI `miri` filter matches `scan`): every length up to
-    /// partitions of three elements, on the kernel path (`Plus`) and the
-    /// scalar path (`FirstLast`), so each partition's write-once output is
-    /// read back and compared.
+    /// partitions of three elements, on a commutative (`Plus`) and a
+    /// non-commutative (`FirstLast`) operator, so each partition's
+    /// write-once output is read back and compared.
     #[test]
     fn partition_writes_every_slot_small() {
         let partitions = rayon::current_num_threads().max(1) * 4;

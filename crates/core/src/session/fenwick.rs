@@ -112,8 +112,7 @@ impl<T: Element, O: InvertibleOp<T>> Fenwick<T, O> {
     /// label push-by-push costs `O(n log n)` combines against `O(n)` here.
     ///
     /// The construction is an inclusive prefix scan of the values
-    /// (vectorized when the operator is a recognized kernel, see
-    /// [`crate::simd`]) followed by `node_i = incl[i−1] ⊖
+    /// followed by `node_i = incl[i−1] ⊖
     /// incl[i−lowbit(i)−1]`: node `i` covers `(i − lowbit(i), i]`, and an
     /// [`InvertibleOp`] is a commutative group, so the prefix difference
     /// equals — exactly, bit for bit — the fold [`Fenwick::push`] would
@@ -125,17 +124,10 @@ impl<T: Element, O: InvertibleOp<T>> Fenwick<T, O> {
         incl.try_reserve_exact(n)
             .map_err(|_| MpError::AllocationFailed { bytes })?;
         incl.extend_from_slice(values);
-        match O::KERNEL.and_then(|k| crate::simd::kernels::<T>(k, false)) {
-            Some(tbl) => {
-                (tbl.incl_scan_inplace)(&mut incl, op.identity());
-            }
-            None => {
-                let mut acc = op.identity();
-                for x in incl.iter_mut() {
-                    acc = op.combine(acc, *x);
-                    *x = acc;
-                }
-            }
+        let mut acc = op.identity();
+        for x in incl.iter_mut() {
+            acc = op.combine(acc, *x);
+            *x = acc;
         }
         let mut tree = Vec::new();
         tree.try_reserve_exact(n)

@@ -59,9 +59,7 @@ pub mod transport;
 pub use exscan::{exscan_over_summaries, ShardSummary};
 pub use transport::{ChannelTransport, DownMsg, RecvOutcome, ShardSpan, Transport, UpMsg};
 
-use crate::chunked::{
-    fold_space, run_prefix, single_label_kernels, use_direct, ChunkSpace, Comb, Input, PlainComb,
-};
+use crate::chunked::{fold_space, run_prefix, use_direct, ChunkSpace, Comb, Input, PlainComb};
 use crate::error::MpError;
 use crate::exec::{try_filled_vec, try_with_capacity, CheckGuard, ExecConfig, TryEngineResult};
 use crate::obs::Phase;
@@ -765,7 +763,6 @@ fn worker_loop<T: Element, C: Comb<T>, Tr: Transport<T>>(
     heartbeat: Duration,
     ctx: &RunContext,
 ) {
-    let fast = single_label_kernels(m, comb);
     let mut space = ChunkSpace::default();
     let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), MpError> {
         loop {
@@ -794,7 +791,7 @@ fn worker_loop<T: Element, C: Comb<T>, Tr: Transport<T>>(
             let len = input.values.len();
             space.begin_use(m, len.min(m), use_direct(1, len, m), comb.identity())?;
             let Some(offsets) = offsets else {
-                fold_space(&mut space, None, input, comb, fast, ctx)?;
+                fold_space(&mut space, None, input, comb, ctx)?;
                 let (touched, totals) = space.take_summary();
                 transport.send_up(UpMsg::Summary {
                     shard,
@@ -811,7 +808,7 @@ fn worker_loop<T: Element, C: Comb<T>, Tr: Transport<T>>(
             }
             let mut sums = try_with_capacity(len)?;
             let out = &mut sums.spare_capacity_mut()[..len];
-            fold_space(&mut space, Some(out), input, comb, fast, ctx)?;
+            fold_space(&mut space, Some(out), input, comb, ctx)?;
             // SAFETY: `sums` has capacity `len`, and `out` is its first
             // `len` slots, as long as the span's `values` and `labels`
             // (both cut from `span.start..span.end`). `fold_space` returned
@@ -1084,7 +1081,7 @@ mod tests {
 
     /// Miri target (the CI job runs the `shard` unit tests): an `Apply`
     /// task writes its span's sums once into uninitialized capacity. A
-    /// channel worker serves spans through the single-label kernels
+    /// channel worker serves spans through the single-label loop
     /// (`m == 1`), a label-indexed table and a probed one (`m` ≫ the
     /// span), one of them a little over one `CHECK_STRIDE` block long and
     /// starting past 0. Every slot of each reply is read back against the

@@ -15,15 +15,14 @@
 //! * on an invalid input ([`Invalid`]) a hardened entry returns exactly the
 //!   error `validate` reports, and a plain entry panics with a message that
 //!   contains it — except the chunked engine's own entries with `m == 1`,
-//!   whose vector kernels never read a label (the API scans for them).
+//!   whose single-label loop never reads a label (the API scans for them).
 //!
-//! Four test files drive its cells — entry group × value family × shape:
+//! Three test files drive its cells — entry group × value family × shape:
 //! `oracle_harness.rs` the operators, arbitration and the definition, the
-//! overflow policies, the recorder, floats, the service and one shape past
-//! the engines' huge-page threshold; `chunked_differential.rs` chunk counts
-//! and the invalid family; `shard_exscan_differential.rs` the sharded
-//! engine; `simd_differential.rs` the vector kernels, on this generator's
-//! shapes.
+//! overflow policies, the recorder, floats, the service, one shape past
+//! the engines' huge-page threshold and the single-label loop;
+//! `chunked_differential.rs` chunk counts and the invalid family;
+//! `shard_exscan_differential.rs` the sharded engine.
 #![allow(dead_code)] // each test binary drives its own cells
 
 use multiprefix::atomic::{
@@ -137,8 +136,8 @@ fn probed_m(n: usize, r: &mut Rng) -> usize {
 }
 
 impl Shape {
-    /// The shape drawn from `seed`. n: 0 or 1; a length straddling a SIMD
-    /// lane boundary (7–9, 15–17, 31–33); up to 400; or, one draw in 32,
+    /// The shape drawn from `seed`. n: 0 or 1; a length straddling a
+    /// power of two (7–9, 15–17, 31–33); up to 400; or, one draw in 32,
     /// one to three `MIN_CHUNK_LEN` chunks. m: 1; 2–16; about n; or, below
     /// `MIN_CHUNK_LEN`, `m ≫ n`. Labels: any [`Skew`].
     pub fn draw(seed: u64) -> Shape {
@@ -228,15 +227,27 @@ pub trait Exact: Element + Debug + PartialEq {
     fn bits(self) -> u64;
 }
 
-impl Exact for i64 {
-    fn bits(self) -> u64 {
-        self as u64
-    }
+macro_rules! exact_ints {
+    ($($t:ty),*) => {$(
+        impl Exact for $t {
+            fn bits(self) -> u64 {
+                self as u64
+            }
+        }
+    )*};
 }
+
+exact_ints!(i64, u64, i32, u32, u8);
 
 impl Exact for f64 {
     fn bits(self) -> u64 {
         self.to_bits()
+    }
+}
+
+impl Exact for f32 {
+    fn bits(self) -> u64 {
+        self.to_bits().into()
     }
 }
 

@@ -32,17 +32,30 @@
 //! One `i64` shape is large enough that the engines advise huge pages on
 //! its outputs (4 MiB and up, see `multiprefix::exec`): every entry that
 //! takes it must still return serial's bits.
+//!
+//! **The single-label loop.** With one label (`m == 1`) the chunked engine
+//! runs one loop that reads no label. For every operator, element width
+//! and overflow policy, its prefix entry and the API's chunked prefix and
+//! reduce return Figure 2's `Result` under the same policy, bit for bit —
+//! floats included, on one chunk — and a checked run trips exactly where
+//! Figure 2's does.
 
 mod oracle;
 
-use multiprefix::op::{FirstLast, Max, Min, Mult, Plus, TryCombineOp};
+use multiprefix::chunked::try_multiprefix_chunked_cfg_ctx;
+use multiprefix::op::{FirstLast, Max, Min, Mult, Plus, TryCombineOp, Xor};
+use multiprefix::resilience::RunContext;
+use multiprefix::serial::{multiprefix_serial, try_multiprefix_serial_ctx};
 use multiprefix::spinetree::build::ArbPolicy;
 use multiprefix::spinetree::engine::multiprefix_spinetree_instrumented;
 use multiprefix::spinetree::layout::Layout;
-use multiprefix::{MpError, MultiprefixOutput, OverflowPolicy};
+use multiprefix::{
+    try_multiprefix_ctx, try_multireduce_ctx, Engine, ExecConfig, MpError, MultiprefixOutput,
+    OverflowPolicy,
+};
 use oracle::{
-    fixed_shapes, service_matches_serial, Case, Exact, Invalid, Order, Shape, Side, Skew, Values,
-    ADVERSARIAL, BENIGN, FLOATS, PAIRS, POLICIES, SERVES, WHOLE,
+    fixed_shapes, service_matches_serial, Case, Exact, Invalid, Order, Problem, Rng, Shape, Side,
+    Skew, Values, ADVERSARIAL, BENIGN, FLOATS, PAIRS, POLICIES, SERVES, WHOLE,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -327,4 +340,219 @@ fn outputs_past_the_huge_page_threshold_match_serial() {
     let case = Case::new(shape, BENIGN, Plus);
     assert_eq!(case.threads, 2);
     case.every_entry(Side::Prefix);
+}
+
+// The single-label loop.
+
+fn bits<T: Exact>(xs: &[T]) -> Vec<u64> {
+    xs.iter().map(|&x| x.bits()).collect()
+}
+
+/// The chunked engine's prefix entry and the API's chunked prefix and
+/// reduce, under `cfg`, against Figure 2 under `cfg`'s policy: the same
+/// `Result`, bit for bit. The engine entry may report a trip (`Ok(None)`)
+/// under a checking policy instead, for its caller's serial replay; on
+/// one chunk it does exactly when Figure 2's checked run overflows.
+fn assert_chunked_matches_serial<T: Exact, O: TryCombineOp<T>>(
+    values: &[T],
+    labels: &[usize],
+    m: usize,
+    op: O,
+    cfg: ExecConfig,
+) {
+    let ctx = RunContext::new();
+    let what = format!("n={} m={m} {cfg:?}", values.len());
+    let want = match cfg.overflow {
+        OverflowPolicy::Wrap => Ok(multiprefix_serial(values, labels, m, op)),
+        policy => try_multiprefix_serial_ctx(values, labels, m, op, policy, &ctx),
+    };
+    let out_bits = |got: Result<MultiprefixOutput<T>, MpError>| {
+        got.map(|out| (bits(&out.sums), bits(&out.reductions)))
+    };
+    let want_bits = out_bits(want.clone());
+    match try_multiprefix_chunked_cfg_ctx(values, labels, m, op, cfg, &ctx) {
+        Ok(None) => {
+            assert_ne!(cfg.overflow, OverflowPolicy::Wrap, "{what}: tripped");
+            if cfg.threads.is_none() {
+                let checked = OverflowPolicy::Checked;
+                let serial = try_multiprefix_serial_ctx(values, labels, m, op, checked, &ctx);
+                assert!(serial.is_err(), "{what}: tripped where Figure 2 does not");
+            }
+        }
+        got => assert_eq!(
+            out_bits(got.map(Option::unwrap)),
+            want_bits,
+            "{what}: try_multiprefix_chunked_cfg_ctx"
+        ),
+    }
+    let got = try_multiprefix_ctx(values, labels, m, op, Engine::Chunked, cfg, &ctx);
+    assert_eq!(out_bits(got), want_bits, "{what}: try_multiprefix_ctx");
+    let got = try_multireduce_ctx(values, labels, m, op, Engine::Chunked, cfg, &ctx);
+    assert_eq!(
+        got.map(|r| bits(&r)),
+        want.map(|out| bits(&out.reductions)),
+        "{what}: try_multireduce_ctx"
+    );
+}
+
+/// Every operator with an exact machine counterpart × 32- and 64-bit
+/// widths, at lengths around one 256-bit register's 4 and 8 lanes, past a
+/// check-stride block, and empty.
+#[test]
+fn kerneled_matrix_single_label() {
+    let lens = |lanes: usize| [0, 1, lanes - 1, lanes, lanes + 1, 257, 1_000, 4_099];
+
+    macro_rules! grid {
+        ($t:ty, $lanes:expr, $mk:expr, $($op:expr),+) => {{
+            let mk: fn(u64) -> $t = $mk;
+            for n in lens($lanes) {
+                let mut r = Rng(0x5EED ^ n as u64);
+                let values: Vec<$t> = (0..n).map(|_| mk(r.next())).collect();
+                let labels = vec![0usize; n];
+                $(
+                    assert_chunked_matches_serial(&values, &labels, 1, $op, ExecConfig::default());
+                )+
+            }
+        }};
+    }
+
+    grid!(u64, 4, |r| r, Plus, Max, Min, Xor);
+    grid!(i64, 4, |r| r as i64, Plus, Max, Min, Xor);
+    grid!(u32, 8, |r| r as u32, Plus, Max, Min, Xor);
+    grid!(i32, 8, |r| r as i32, Plus, Max, Min, Xor);
+}
+
+/// Wrapping adds whose prefixes cross the type's maximum again and again.
+#[test]
+fn wrap_boundary_straddles_type_max() {
+    let values: Vec<u64> = vec![
+        u64::MAX - 3,
+        7,
+        u64::MAX,
+        1,
+        2,
+        u64::MAX - 1,
+        5,
+        9,
+        11,
+        u64::MAX / 2,
+        u64::MAX / 2 + 3,
+    ];
+    let labels = vec![0usize; values.len()];
+    assert_chunked_matches_serial(&values, &labels, 1, Plus, ExecConfig::default());
+
+    let values: Vec<i64> = vec![i64::MAX, 1, i64::MAX, i64::MIN, -1, i64::MIN, 5, 7];
+    let labels = vec![0usize; values.len()];
+    assert_chunked_matches_serial(&values, &labels, 1, Plus, ExecConfig::default());
+
+    let values: Vec<u32> = (0..37).map(|i| u32::MAX - i).collect();
+    let labels = vec![0usize; values.len()];
+    assert_chunked_matches_serial(&values, &labels, 1, Plus, ExecConfig::default());
+}
+
+/// Many check-stride blocks and a ragged end, on one chunk and split four
+/// ways, so the apply phase's one-offset prepend runs too.
+#[test]
+fn large_odd_length_u64_add() {
+    let n = 1_000_003usize;
+    let mut r = Rng(0xFEED);
+    let values: Vec<u64> = (0..n).map(|_| r.next()).collect();
+    let labels = vec![0usize; n];
+    for cfg in [ExecConfig::default(), ExecConfig::default().threads(4)] {
+        assert_chunked_matches_serial(&values, &labels, 1, Plus, cfg);
+    }
+}
+
+/// On one chunk the loop adds in serial order, so float sums are
+/// serial's bits: whole numbers, and values whose sums round.
+#[test]
+fn floats_on_one_chunk_are_serial_bits() {
+    for n in [0usize, 1, 7, 8, 9, 1_000] {
+        let mut rng = Rng(0xF0 + n as u64);
+        let mut draw = |round: bool| {
+            let r = rng.next();
+            match round {
+                false => (r % 1024) as f64 - 512.0,
+                true => [1e-24, -1e-16, 1e-8][(r % 3) as usize] * (r >> 8) as f64,
+            }
+        };
+        let labels = vec![0usize; n];
+        for round in [false, true] {
+            let values: Vec<f64> = (0..n).map(|_| draw(round)).collect();
+            assert_chunked_matches_serial(&values, &labels, 1, Plus, ExecConfig::default());
+            let values: Vec<f32> = values.iter().map(|&v| v as f32).collect();
+            assert_chunked_matches_serial(&values, &labels, 1, Plus, ExecConfig::default());
+        }
+    }
+}
+
+/// Widths and operators with no machine counterpart, the checking
+/// policies on values that do and do not overflow, and five labels.
+#[test]
+fn non_eligible_combinations_fall_through() {
+    let mut r = Rng(0xDEAD);
+    let values: Vec<u8> = (0..513).map(|_| r.next() as u8).collect();
+    let labels = vec![0usize; values.len()];
+    assert_chunked_matches_serial(&values, &labels, 1, Plus, ExecConfig::default());
+
+    let values: Vec<i64> = (0..257).map(|_| (r.next() % 7) as i64 | 1).collect();
+    let labels = vec![0usize; values.len()];
+    assert_chunked_matches_serial(&values, &labels, 1, Mult, ExecConfig::default());
+
+    let benign: Vec<i64> = (0..300).map(|_| (r.next() % 1000) as i64 - 500).collect();
+    let mut overflowing = benign.clone();
+    overflowing[150] = i64::MAX;
+    let labels = vec![0usize; benign.len()];
+    for policy in [OverflowPolicy::Checked, OverflowPolicy::Saturating] {
+        for values in [&benign, &overflowing] {
+            let cfg = ExecConfig::default().overflow(policy);
+            assert_chunked_matches_serial(values, &labels, 1, Plus, cfg);
+            assert_chunked_matches_serial(values, &labels, 1, Plus, cfg.threads(4));
+        }
+    }
+
+    let values: Vec<u64> = (0..1_000).map(|_| r.next()).collect();
+    let labels: Vec<usize> = (0..1_000).map(|i| i % 5).collect();
+    assert_chunked_matches_serial(&values, &labels, 5, Plus, ExecConfig::default());
+}
+
+/// The partition-method scans against the serial scans.
+#[test]
+fn partition_scans_match_serial() {
+    use multiprefix::scan::{
+        exclusive_scan_partition, exclusive_scan_serial, inclusive_scan_partition,
+        inclusive_scan_serial,
+    };
+    let mut r = Rng(0xCAFE);
+    for n in [0usize, 1, 3, 4, 5, 1_000, 100_003] {
+        let values: Vec<u64> = (0..n).map(|_| r.next()).collect();
+        assert_eq!(
+            exclusive_scan_partition(&values, Plus),
+            exclusive_scan_serial(&values, Plus),
+            "exclusive n={n}"
+        );
+        assert_eq!(
+            inclusive_scan_partition(&values, Xor),
+            inclusive_scan_serial(&values, Xor),
+            "inclusive n={n}"
+        );
+    }
+}
+
+proptest! {
+    /// The harness's shapes, one label in four draws, with values near the
+    /// ends of `i64`.
+    #[test]
+    fn simd_matches_scalar_i64_any_shape(seed: u64) {
+        let p = Problem::new(Shape::draw(seed), ADVERSARIAL);
+        assert_chunked_matches_serial(&p.values, &p.labels, p.m, Plus, ExecConfig::default());
+        assert_chunked_matches_serial(&p.values, &p.labels, p.m, Xor, ExecConfig::default());
+    }
+
+    #[test]
+    fn simd_matches_scalar_u32_minmax(pairs in proptest::collection::vec(any::<u32>(), 0..300)) {
+        let labels = vec![0usize; pairs.len()];
+        assert_chunked_matches_serial(&pairs, &labels, 1, Max, ExecConfig::default());
+        assert_chunked_matches_serial(&pairs, &labels, 1, Min, ExecConfig::default());
+    }
 }
