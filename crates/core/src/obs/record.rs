@@ -29,7 +29,7 @@ pub trait Recorder: Send + Sync + fmt::Debug {
     fn duration_ns(&self, name: &str, nanos: u64);
 
     /// Record a discrete event: a stream name and a free-form detail. No
-    /// library path emits one; it is there for callers' own events.
+    /// library path emits one.
     fn event(&self, name: &str, detail: &str);
 }
 
@@ -41,9 +41,9 @@ const EVENT_CAP: usize = 1024;
 /// One recorded [`Recorder::event`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsEvent {
-    /// Event stream name (e.g. `breaker.chunked`).
+    /// Event stream name, as the caller gave it.
     pub name: String,
-    /// Event payload (e.g. `closed->open`).
+    /// Event payload, as the caller gave it.
     pub detail: String,
 }
 

@@ -31,7 +31,8 @@ pub struct MultiprefixOutput<T> {
 /// returns exactly this error for every engine: its plain entries run the
 /// serial and spinetree engines after this scan, and every other engine
 /// run checks each label in its own loop (the chunked engine is scanned
-/// first only when `m == 1`, where its vector kernels never read a label).
+/// first only when `m == 1`, where its single-label loop never reads a
+/// label).
 ///
 /// ```
 /// use multiprefix::problem::validate;

@@ -46,8 +46,9 @@
 //! `--gate` is the regression gate: it re-measures every engine at the
 //! baseline's sizes and compares *serial-normalized* ratios (engine time /
 //! serial time on the same host), so the check is immune to absolute machine
-//! speed. An engine whose ratio reads more than 25% above the committed
-//! baseline is past its bound.
+//! speed. It measures each engine row as the report does, in the report's
+//! order ([`measure_engine_cell`]). An engine whose ratio reads more than
+//! 25% above the committed baseline is past its bound.
 //!
 //! Both gates share one rule ([`gate_check`]): a check past its bound is
 //! re-measured [`GATE_REMEASURES`] times, a count fixed before any run,
@@ -381,6 +382,67 @@ fn measure_paired_ratio(kind: Engine, n: usize, checksum: &mut i64) -> f64 {
     ratios[ratios.len() / 2]
 }
 
+/// The engines of the report's `engines` rows, in the order it measures
+/// them; `--gate` measures in this order too.
+const ENGINES: [Engine; 5] = [
+    Engine::Serial,
+    Engine::Spinetree,
+    Engine::Chunked,
+    Engine::Atomic,
+    Engine::Sharded,
+];
+
+/// One engine/size row as the report measures it.
+struct EngineCell {
+    total_ns_mean: u64,
+    total_ns_min: u64,
+    /// The paired serial ratio; `None` for the serial engine itself.
+    ratio: Option<f64>,
+    /// The phase histograms of the warm-up and the timed runs.
+    rec: Arc<MemoryRecorder>,
+}
+
+/// Measure one engine/size row: one untimed warm-up and `iters` timed runs
+/// under a fresh [`MemoryRecorder`], then, for every engine but serial,
+/// [`measure_paired_ratio`] while the row's inputs are still live. The
+/// report and `--gate` both measure every row through this, in [`ENGINES`]
+/// order, so a gated ratio is read after the same process history as the
+/// committed one.
+fn measure_engine_cell(kind: Engine, n: usize, iters: u32, checksum: &mut i64) -> EngineCell {
+    let m = (n / 16).max(1);
+    let values = vec![1i64; n];
+    let labels = lcg_labels(n, m, 42);
+    let rec = MemoryRecorder::shared();
+    let ctx = RunContext::new()
+        .for_engine(kind)
+        .with_recorder(Arc::clone(&rec) as Arc<dyn multiprefix::Recorder>);
+    // One untimed warm-up so cold-start effects (first-touch page
+    // faults, thread spawn-up) don't skew the committed numbers.
+    *checksum = checksum.wrapping_add(run_engine(kind, &values, &labels, m, &ctx));
+    let mut total_ns = 0u64;
+    let mut min_ns = u64::MAX;
+    for _ in 0..iters {
+        let started = Instant::now();
+        *checksum = checksum.wrapping_add(run_engine(kind, &values, &labels, m, &ctx));
+        let iter_ns = started.elapsed().as_nanos() as u64;
+        total_ns += iter_ns;
+        min_ns = min_ns.min(iter_ns);
+    }
+    // Paired serial-normalized ratio for the regression gate: measured
+    // with the engine and the serial reference timed back-to-back so
+    // host load cancels out of the quotient.
+    let ratio = (kind != Engine::Serial).then(|| measure_paired_ratio(kind, n, checksum));
+    EngineCell {
+        total_ns_mean: total_ns / u64::from(iters),
+        // The gate compares minimums: background load on a shared runner
+        // can only inflate a timing, so the fastest run is the statistic
+        // that reproduces across hosts.
+        total_ns_min: min_ns.max(1),
+        ratio,
+        rec,
+    }
+}
+
 /// The paired loop behind the `single_label`, `auto` and `dispatch`
 /// sections: `time(false)`
 /// times the reference and `time(true)` the measured call, back to back in
@@ -623,58 +685,36 @@ fn run_gate(baseline_path: &str) -> ! {
             .find(|r| r.engine == name && r.n == n)
             .map(|r| r.ns)
     };
-    let mut sizes: Vec<usize> = base
-        .iter()
-        .filter(|r| r.engine == "serial")
-        .map(|r| r.n)
-        .collect();
-    sizes.dedup();
-    assert!(!sizes.is_empty(), "baseline lacks serial reference rows");
 
     let mut checksum = 0i64;
-    // Warm the process the way the baseline generator does: its sweep
-    // touches the largest size early, which (among other things) raises
-    // the allocator's dynamic mmap threshold so mid-size engine buffers
-    // are recycled from the heap instead of being mapped — and
-    // page-faulted — afresh on every run. Without this, sub-millisecond
-    // points measure page-fault overhead the baseline never saw.
-    if let Some(&max_n) = sizes.iter().max() {
-        let ctx = RunContext::new();
-        let m = (max_n / 16).max(1);
-        let values = vec![1i64; max_n];
-        let labels = lcg_labels(max_n, m, 42);
-        for kind in Engine::ALL {
-            checksum = checksum.wrapping_add(run_engine(kind, &values, &labels, m, &ctx));
-        }
-    }
     let mut failures = 0usize;
-    for &n in &sizes {
+    // Every row in the baseline's order, which is the report's, each
+    // measured as the report measured it; the serial rows too, since the
+    // committed ratios were read after them.
+    for row in &base {
+        let (name, n) = (row.engine.as_str(), row.n);
+        let Some(kind) = engine_from_name(name) else {
+            eprintln!("gate: skipping unknown engine {name:?} in baseline");
+            continue;
+        };
+        let Some(cur_ratio) = measure_engine_cell(kind, n, FULL.iters, &mut checksum).ratio else {
+            continue;
+        };
+        // Prefer the committed paired ratio: both its sides were measured
+        // back-to-back, so it is immune to load shifts during baseline
+        // generation. Fall back to min-ns division for baselines written
+        // before the field existed.
         let serial_base = base_ns("serial", n).expect("serial baseline row") as f64;
-        for row in &base {
-            if row.n != n || row.engine == "serial" {
-                continue;
-            }
-            let name = row.engine.as_str();
-            let Some(kind) = engine_from_name(name) else {
-                eprintln!("gate: skipping unknown engine {name:?} in baseline");
-                continue;
-            };
-            // Prefer the committed paired ratio: both its sides were
-            // measured back-to-back, so it is immune to load shifts during
-            // baseline generation. Fall back to min-ns division for
-            // baselines written before the field existed.
-            let base_ratio = row.ratio.unwrap_or(row.ns as f64 / serial_base);
-            let cur_ratio = measure_paired_ratio(kind, n, &mut checksum);
-            let (failed, verdict) = gate_check(
-                cur_ratio,
-                |r| r > base_ratio * (1.0 + GATE_TOLERANCE),
-                || measure_paired_ratio(kind, n, &mut checksum),
-            );
-            failures += usize::from(failed);
-            eprintln!(
-                "gate: n={n:>8} {name:<9} ratio {cur_ratio:>7.3} vs baseline {base_ratio:>7.3} {verdict}"
-            );
-        }
+        let base_ratio = row.ratio.unwrap_or(row.ns as f64 / serial_base);
+        let (failed, verdict) = gate_check(
+            cur_ratio,
+            |r| r > base_ratio * (1.0 + GATE_TOLERANCE),
+            || measure_paired_ratio(kind, n, &mut checksum),
+        );
+        failures += usize::from(failed);
+        eprintln!(
+            "gate: n={n:>8} {name:<9} ratio {cur_ratio:>7.3} vs baseline {base_ratio:>7.3} {verdict}"
+        );
     }
     // The single-label call and the default path (`Engine::Auto`), each
     // against serial: a ratio grown past the tolerance fails.
@@ -1363,14 +1403,6 @@ fn main() {
         .unwrap_or("BENCH_multiprefix.json")
         .to_string();
 
-    let engines = [
-        Engine::Serial,
-        Engine::Spinetree,
-        Engine::Chunked,
-        Engine::Atomic,
-        Engine::Sharded,
-    ];
-
     let host_cpus = std::thread::available_parallelism().map_or(0, usize::from);
     let capacity_start = parallel_capacity();
     eprintln!("parallel capacity at the start = {capacity_start:.2}");
@@ -1391,48 +1423,20 @@ fn main() {
     json.push_str("  \"engines\": [\n");
 
     let mut checksum = 0i64;
-    for (ei, &kind) in engines.iter().enumerate() {
+    for (ei, &kind) in ENGINES.iter().enumerate() {
         eprintln!("engine {kind} ...");
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"engine\": \"{kind}\",");
         json.push_str("      \"sizes\": [\n");
         for (si, &n) in cfg.sizes.iter().enumerate() {
-            let m = (n / 16).max(1);
-            let values = vec![1i64; n];
-            let labels = lcg_labels(n, m, 42);
-            let rec = MemoryRecorder::shared();
-            let ctx = RunContext::new()
-                .for_engine(kind)
-                .with_recorder(Arc::clone(&rec) as Arc<dyn multiprefix::Recorder>);
-            // One untimed warm-up so cold-start effects (first-touch page
-            // faults, thread spawn-up) don't skew the committed numbers.
-            checksum = checksum.wrapping_add(run_engine(kind, &values, &labels, m, &ctx));
-            let mut total_ns = 0u64;
-            let mut min_ns = u64::MAX;
-            for _ in 0..cfg.iters {
-                let started = Instant::now();
-                checksum = checksum.wrapping_add(run_engine(kind, &values, &labels, m, &ctx));
-                let iter_ns = started.elapsed().as_nanos() as u64;
-                total_ns += iter_ns;
-                min_ns = min_ns.min(iter_ns);
-            }
+            let cell = measure_engine_cell(kind, n, cfg.iters, &mut checksum);
+            let rec = cell.rec;
             let _ = writeln!(json, "        {{");
             let _ = writeln!(json, "          \"n\": {n},");
-            let _ = writeln!(json, "          \"m\": {m},");
-            let _ = writeln!(
-                json,
-                "          \"total_ns_mean\": {},",
-                total_ns / u64::from(cfg.iters)
-            );
-            // The gate compares minimums: background load on a shared
-            // runner can only inflate a timing, so the fastest run is the
-            // statistic that reproduces across hosts.
-            let _ = writeln!(json, "          \"total_ns_min\": {},", min_ns.max(1));
-            // Paired serial-normalized ratio for the regression gate:
-            // measured with the engine and the serial reference timed
-            // back-to-back so host load cancels out of the quotient.
-            if kind != Engine::Serial {
-                let ratio = measure_paired_ratio(kind, n, &mut checksum);
+            let _ = writeln!(json, "          \"m\": {},", (n / 16).max(1));
+            let _ = writeln!(json, "          \"total_ns_mean\": {},", cell.total_ns_mean);
+            let _ = writeln!(json, "          \"total_ns_min\": {},", cell.total_ns_min);
+            if let Some(ratio) = cell.ratio {
                 let _ = writeln!(json, "          \"serial_ratio_min\": {ratio:.4},");
             }
             json.push_str("          \"phases\": [\n");
@@ -1476,7 +1480,7 @@ fn main() {
         }
         json.push_str("      ]\n");
         json.push_str("    }");
-        json.push_str(if ei + 1 < engines.len() { ",\n" } else { "\n" });
+        json.push_str(if ei + 1 < ENGINES.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
 
