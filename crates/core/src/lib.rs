@@ -108,9 +108,9 @@
 //!
 //! [`obs`] is a zero-dependency metrics layer: a [`obs::Recorder`] trait
 //! (counters, gauges, lock-free latency histograms with p50/p95/p99
-//! snapshots, discrete events) threaded through the engines (per-phase
-//! timings matching the paper's SPINETREE/ROWSUMS/SPINESUMS/MULTISUMS
-//! breakdown), the [`Dispatcher`] (attempt latency, attempts and
+//! snapshots) threaded through the engines (per-phase timings matching
+//! the paper's SPINETREE/ROWSUMS/SPINESUMS/MULTISUMS breakdown), the
+//! [`Dispatcher`] (attempt latency, attempts and
 //! fallbacks) and the [`service::Service`] (queue depth, queue-wait vs.
 //! execution split). Install a [`obs::MemoryRecorder`] and export the
 //! snapshot as JSON or text; with no recorder installed, instrumentation
@@ -132,8 +132,8 @@
 //! structure before serving. A store damaged beyond recovery fails
 //! closed with [`MpError::CorruptStore`]. The
 //! [`service::Service`] session API (`open_session` / `session_append` /
-//! `session_query` / …) routes these stores through the dispatcher's
-//! request deadline and a per-session storage breaker.
+//! `session_query` / …) puts these stores behind a per-session storage
+//! breaker.
 //!
 //! ## Derived primitives
 //!

@@ -7,9 +7,9 @@
 //! tuning the row length `p ≈ 0.749√n` from those measurements. This
 //! module is how that measurement happens in-tree:
 //!
-//! * [`Recorder`] — the sink trait: monotonic counters, gauges, latency
-//!   histograms, and discrete events. Everything in the library records
-//!   through an `Option<Arc<dyn Recorder>>`; when none is installed the
+//! * [`Recorder`] — the sink trait: monotonic counters, gauges and latency
+//!   histograms. Everything in the library records through an
+//!   `Option<Arc<dyn Recorder>>`; when none is installed the
 //!   instrumented code paths reduce to a single branch and **no clock
 //!   reads happen at all** (pinned by the differential tests).
 //! * [`MemoryRecorder`] — the in-tree implementation: lock-free
@@ -43,7 +43,7 @@ mod hist;
 mod record;
 
 pub use hist::{bucket_bounds, bucket_index, HistogramSnapshot, LatencyHistogram, NUM_BUCKETS};
-pub use record::{MemoryRecorder, ObsEvent, ObsSnapshot, Recorder};
+pub use record::{MemoryRecorder, ObsSnapshot, Recorder};
 
 use crate::api::Engine;
 use std::time::Instant;

@@ -2,10 +2,10 @@
 //! export (JSON and human-readable text).
 
 use super::hist::{HistogramSnapshot, LatencyHistogram};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A sink for observability signals.
 ///
@@ -27,24 +27,6 @@ pub trait Recorder: Send + Sync + fmt::Debug {
 
     /// Record one latency/duration sample for histogram `name`.
     fn duration_ns(&self, name: &str, nanos: u64);
-
-    /// Record a discrete event: a stream name and a free-form detail. No
-    /// library path emits one.
-    fn event(&self, name: &str, detail: &str);
-}
-
-/// Maximum retained events; the buffer is a ring — once full, the
-/// *oldest* event is evicted for each new arrival (count preserved in
-/// `events_dropped`), so a snapshot always shows the most recent window.
-const EVENT_CAP: usize = 1024;
-
-/// One recorded [`Recorder::event`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObsEvent {
-    /// Event stream name, as the caller gave it.
-    pub name: String,
-    /// Event payload, as the caller gave it.
-    pub detail: String,
 }
 
 /// The in-memory [`Recorder`]: named counters, gauges and
@@ -60,8 +42,6 @@ pub struct MemoryRecorder {
     counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: RwLock<BTreeMap<String, Arc<AtomicI64>>>,
     hists: RwLock<BTreeMap<String, Arc<LatencyHistogram>>>,
-    events: Mutex<VecDeque<ObsEvent>>,
-    events_dropped: AtomicU64,
 }
 
 impl MemoryRecorder {
@@ -144,19 +124,10 @@ impl MemoryRecorder {
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
-        let events = self
-            .events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect();
         ObsSnapshot {
             counters,
             gauges,
             histograms,
-            events,
-            events_dropped: self.events_dropped.load(Ordering::Acquire),
         }
     }
 }
@@ -173,20 +144,6 @@ impl Recorder for MemoryRecorder {
     fn duration_ns(&self, name: &str, nanos: u64) {
         Self::instrument(&self.hists, name).record(nanos);
     }
-
-    fn event(&self, name: &str, detail: &str) {
-        let mut events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
-        if events.len() >= EVENT_CAP {
-            // Ring semantics: evict the oldest so late-run events (the
-            // ones a post-mortem actually wants) are always retained.
-            events.pop_front();
-            self.events_dropped.fetch_add(1, Ordering::Release);
-        }
-        events.push_back(ObsEvent {
-            name: name.to_owned(),
-            detail: detail.to_owned(),
-        });
-    }
 }
 
 /// A point-in-time copy of a [`MemoryRecorder`]'s instruments, exportable
@@ -199,10 +156,6 @@ pub struct ObsSnapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Histogram snapshots by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Retained discrete events, in arrival order.
-    pub events: Vec<ObsEvent>,
-    /// Events discarded after the retention cap filled.
-    pub events_dropped: u64,
 }
 
 /// Append `s` to `out` as a JSON string literal (quotes + escapes).
@@ -270,18 +223,7 @@ impl ObsSnapshot {
             out.push(':');
             push_hist_json(&mut out, h);
         }
-        out.push_str("},\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            push_json_string(&mut out, &e.name);
-            out.push_str(",\"detail\":");
-            push_json_string(&mut out, &e.detail);
-            out.push('}');
-        }
-        out.push_str(&format!("],\"events_dropped\":{}}}", self.events_dropped));
+        out.push_str("}}");
         out
     }
 }
@@ -325,15 +267,6 @@ impl fmt::Display for ObsSnapshot {
                 )?;
             }
         }
-        if !self.events.is_empty() {
-            writeln!(f, "events:")?;
-            for e in &self.events {
-                writeln!(f, "  {} {}", e.name, e.detail)?;
-            }
-        }
-        if self.events_dropped > 0 {
-            writeln!(f, "  ({} events dropped)", self.events_dropped)?;
-        }
         Ok(())
     }
 }
@@ -351,7 +284,6 @@ mod tests {
         rec.gauge("q.depth", 4);
         rec.duration_ns("lat", 1_000);
         rec.duration_ns("lat", 2_000);
-        rec.event("breaker.chunked", "closed->open");
 
         assert_eq!(rec.counter_value("a.count"), 5);
         assert_eq!(rec.counter_value("never"), 0);
@@ -364,13 +296,6 @@ mod tests {
         assert_eq!(snap.counters["a.count"], 5);
         assert_eq!(snap.gauges["q.depth"], 4);
         assert_eq!(snap.histograms["lat"].count, 2);
-        assert_eq!(
-            snap.events,
-            vec![ObsEvent {
-                name: "breaker.chunked".into(),
-                detail: "closed->open".into()
-            }]
-        );
     }
 
     #[test]
@@ -378,7 +303,7 @@ mod tests {
         let rec = MemoryRecorder::new();
         rec.counter("c\"tricky\\name", 1);
         rec.duration_ns("lat", 5_000);
-        rec.event("e", "line\nbreak");
+        rec.gauge("line\nbreak", 1);
         let json = rec.snapshot().to_json();
         // Structural sanity: balanced braces/brackets, escaped specials.
         assert_eq!(
@@ -404,39 +329,6 @@ mod tests {
         assert!(text.contains("depth"));
         assert!(text.contains("lat"));
         assert!(text.contains("p99"));
-    }
-
-    #[test]
-    fn event_retention_is_capped() {
-        let rec = MemoryRecorder::new();
-        for i in 0..(EVENT_CAP + 10) {
-            rec.event("e", &format!("{i}"));
-        }
-        let snap = rec.snapshot();
-        assert_eq!(snap.events.len(), EVENT_CAP);
-        assert_eq!(snap.events_dropped, 10);
-    }
-
-    #[test]
-    fn event_ring_evicts_oldest_keeps_newest() {
-        // Regression: the buffer used to stop accepting once full, so a
-        // long run's snapshot showed only its *first* EVENT_CAP events and
-        // silently discarded everything recent. The ring must retain the
-        // last EVENT_CAP events in arrival order.
-        let rec = MemoryRecorder::new();
-        let total = EVENT_CAP + 37;
-        for i in 0..total {
-            rec.event("e", &format!("{i}"));
-        }
-        let snap = rec.snapshot();
-        assert_eq!(snap.events.len(), EVENT_CAP);
-        assert_eq!(snap.events_dropped, 37);
-        assert_eq!(snap.events.first().unwrap().detail, format!("{}", 37));
-        assert_eq!(snap.events.last().unwrap().detail, format!("{}", total - 1));
-        // Still in arrival order across the eviction boundary.
-        for (k, e) in snap.events.iter().enumerate() {
-            assert_eq!(e.detail, format!("{}", 37 + k));
-        }
     }
 
     #[test]

@@ -121,15 +121,6 @@ pub struct ChaosPlan {
     /// recovery path must detect the torn tail and truncate the log at
     /// the last whole record.
     pub wal_torn_write_ppm: u32,
-    /// Probability one bit of a WAL record is flipped **after** its
-    /// checksums were computed, then written whole and silently
-    /// acknowledged — media corruption. Recovery must reject the record
-    /// (and everything after it) rather than replay damage.
-    pub wal_bit_flip_ppm: u32,
-    /// Probability a snapshot's bytes are corrupted at write time (one
-    /// flipped bit, post-checksum). Recovery must fail that generation's
-    /// validation and fall back to the previous one.
-    pub snapshot_corrupt_ppm: u32,
     /// Probability an `fsync` (WAL sync or snapshot durability barrier)
     /// reports failure. The session surfaces [`MpError::Storage`] and
     /// does not acknowledge the op — though the bytes may in fact have
@@ -159,8 +150,6 @@ impl Default for ChaosPlan {
             net_disconnect_ppm: 0,
             net_stall_ppm: 0,
             wal_torn_write_ppm: 0,
-            wal_bit_flip_ppm: 0,
-            snapshot_corrupt_ppm: 0,
             fsync_fail_ppm: 0,
         }
     }
@@ -289,18 +278,6 @@ impl ChaosPlan {
         self
     }
 
-    /// Set the WAL bit-flip probability (ppm per record appended).
-    pub fn wal_bit_flip_ppm(mut self, ppm: u32) -> Self {
-        self.wal_bit_flip_ppm = ppm;
-        self
-    }
-
-    /// Set the snapshot-corruption probability (ppm per snapshot written).
-    pub fn snapshot_corrupt_ppm(mut self, ppm: u32) -> Self {
-        self.snapshot_corrupt_ppm = ppm;
-        self
-    }
-
     /// Set the fsync-failure probability (ppm per fsync issued).
     pub fn fsync_fail_ppm(mut self, ppm: u32) -> Self {
         self.fsync_fail_ppm = ppm;
@@ -331,8 +308,6 @@ impl ChaosPlan {
             net_disconnects: AtomicUsize::new(0),
             net_stalls: AtomicUsize::new(0),
             wal_torn_writes: AtomicUsize::new(0),
-            wal_bit_flips: AtomicUsize::new(0),
-            snapshot_corrupts: AtomicUsize::new(0),
             fsync_fails: AtomicUsize::new(0),
         })
     }
@@ -350,15 +325,6 @@ pub(crate) enum NetFault {
     Disconnect,
     /// Sleep (clamped to the active deadline), then write normally.
     Stall,
-}
-
-/// The fate of one durable-session WAL record, drawn at write time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WalFault {
-    /// Write only a prefix of the record, then report the write failed.
-    TornWrite,
-    /// Flip one bit (post-checksum), write whole, acknowledge silently.
-    BitFlip,
 }
 
 /// The fate of one shard-transport data message, drawn at send time.
@@ -393,8 +359,6 @@ pub struct ChaosState {
     net_disconnects: AtomicUsize,
     net_stalls: AtomicUsize,
     wal_torn_writes: AtomicUsize,
-    wal_bit_flips: AtomicUsize,
-    snapshot_corrupts: AtomicUsize,
     fsync_fails: AtomicUsize,
 }
 
@@ -484,16 +448,6 @@ impl ChaosState {
         self.wal_torn_writes.load(Ordering::Relaxed)
     }
 
-    /// WAL bit flips injected so far.
-    pub fn wal_bit_flips_injected(&self) -> usize {
-        self.wal_bit_flips.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot corruptions injected so far.
-    pub fn snapshot_corrupts_injected(&self) -> usize {
-        self.snapshot_corrupts.load(Ordering::Relaxed)
-    }
-
     /// fsync failures injected so far.
     pub fn fsync_fails_injected(&self) -> usize {
         self.fsync_fails.load(Ordering::Relaxed)
@@ -517,8 +471,6 @@ impl ChaosState {
             + self.net_disconnects_injected()
             + self.net_stalls_injected()
             + self.wal_torn_writes_injected()
-            + self.wal_bit_flips_injected()
-            + self.snapshot_corrupts_injected()
             + self.fsync_fails_injected()
     }
 
@@ -724,60 +676,38 @@ impl ChaosState {
         }
     }
 
-    /// One **WAL-record** draw for a record about to be appended. `None`
-    /// means write normally. A plan with no WAL faults armed burns **no
-    /// draw**, keeping every other fault sequence of a seed untouched.
-    pub(crate) fn wal_fault(&self) -> Option<WalFault> {
-        let p = &self.plan;
-        if p.wal_torn_write_ppm == 0 && p.wal_bit_flip_ppm == 0 {
-            return None;
-        }
-        let draw = self.next_draw() % 1_000_000;
-        let torn_edge = p.wal_torn_write_ppm as u64;
-        let flip_edge = torn_edge + p.wal_bit_flip_ppm as u64;
-        if draw < torn_edge {
-            self.wal_torn_writes.fetch_add(1, Ordering::Relaxed);
-            Some(WalFault::TornWrite)
-        } else if draw < flip_edge {
-            self.wal_bit_flips.fetch_add(1, Ordering::Relaxed);
-            Some(WalFault::BitFlip)
-        } else {
-            None
-        }
-    }
-
-    /// One **snapshot** draw for a snapshot image about to be written.
-    /// `true` means corrupt one bit of the image (post-checksum). Burns no
-    /// draw when unarmed.
-    pub(crate) fn snapshot_fault(&self) -> bool {
-        if self.plan.snapshot_corrupt_ppm == 0 {
-            return false;
-        }
-        let fired = self.next_draw() % 1_000_000 < self.plan.snapshot_corrupt_ppm as u64;
-        if fired {
-            self.snapshot_corrupts.fetch_add(1, Ordering::Relaxed);
-        }
-        fired
+    /// One **WAL-record** draw for a record about to be appended. `true`
+    /// means tear the write: only a prefix of the record reaches the file
+    /// and the append reports failure. Burns no draw when unarmed, keeping
+    /// every other fault sequence of a seed untouched.
+    pub(crate) fn wal_fault(&self) -> bool {
+        self.storage_draw(self.plan.wal_torn_write_ppm, &self.wal_torn_writes)
     }
 
     /// One **fsync** draw. `true` means report the fsync failed (the
     /// session surfaces [`MpError::Storage`] without acknowledging the
     /// op). Burns no draw when unarmed.
     pub(crate) fn fsync_fault(&self) -> bool {
-        if self.plan.fsync_fail_ppm == 0 {
+        self.storage_draw(self.plan.fsync_fail_ppm, &self.fsync_fails)
+    }
+
+    /// One draw that fires with probability `ppm`, counted in `injected`;
+    /// no draw at all when `ppm` is 0.
+    fn storage_draw(&self, ppm: u32, injected: &AtomicUsize) -> bool {
+        if ppm == 0 {
             return false;
         }
-        let fired = self.next_draw() % 1_000_000 < self.plan.fsync_fail_ppm as u64;
+        let fired = self.next_draw() % 1_000_000 < ppm as u64;
         if fired {
-            self.fsync_fails.fetch_add(1, Ordering::Relaxed);
+            injected.fetch_add(1, Ordering::Relaxed);
         }
         fired
     }
 
     /// A uniform index in `[0, bound)` from the fault stream — used to
-    /// pick the corrupted bit / truncation point of a faulted frame. Only
-    /// called after a fault already fired, so it never perturbs the clean
-    /// sequence.
+    /// pick the corrupted bit / truncation point of a faulted frame or the
+    /// tear point of a WAL record. Only called after a fault already
+    /// fired, so it never perturbs the clean sequence.
     pub(crate) fn net_index(&self, bound: usize) -> usize {
         if bound == 0 {
             return 0;
@@ -1029,14 +959,13 @@ mod tests {
     }
 
     #[test]
-    fn storage_faults_split_and_burn_no_draw_when_unarmed() {
+    fn storage_faults_fire_and_burn_no_draw_when_unarmed() {
         // Unarmed storage faults burn no draw: the engine-fault sequence
         // of a seed is untouched.
         let plain = ChaosPlan::seeded(51).alloc_fail_ppm(400_000).arm();
         let with_storage = ChaosPlan::seeded(51).alloc_fail_ppm(400_000).arm();
         for i in 0..200 {
-            assert_eq!(with_storage.wal_fault(), None);
-            assert!(!with_storage.snapshot_fault());
+            assert!(!with_storage.wal_fault());
             assert!(!with_storage.fsync_fault());
             assert_eq!(
                 plain.inject(None, None),
@@ -1044,28 +973,18 @@ mod tests {
                 "draw {i}"
             );
         }
-        // Armed at full rate, torn/flip split the WAL draw space and the
-        // snapshot/fsync draws fire every time.
+        // Armed at full rate, the WAL and fsync draws fire every time.
         let state = ChaosPlan::seeded(52)
-            .wal_torn_write_ppm(500_000)
-            .wal_bit_flip_ppm(500_000)
-            .snapshot_corrupt_ppm(1_000_000)
+            .wal_torn_write_ppm(1_000_000)
             .fsync_fail_ppm(1_000_000)
             .arm();
         for _ in 0..200 {
-            assert!(state.wal_fault().is_some());
-            assert!(state.snapshot_fault());
+            assert!(state.wal_fault());
             assert!(state.fsync_fault());
         }
-        assert!(state.wal_torn_writes_injected() > 0);
-        assert!(state.wal_bit_flips_injected() > 0);
-        assert_eq!(
-            state.wal_torn_writes_injected() + state.wal_bit_flips_injected(),
-            200
-        );
-        assert_eq!(state.snapshot_corrupts_injected(), 200);
+        assert_eq!(state.wal_torn_writes_injected(), 200);
         assert_eq!(state.fsync_fails_injected(), 200);
-        assert_eq!(state.faults_injected(), 600);
+        assert_eq!(state.faults_injected(), 400);
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::resilience::ctx::{CancelToken, Deadline, RunContext};
 use crate::shard::{ShardConfig, ShardSupervisor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The engine selector under its former dispatcher name. [`Engine`] is
 /// the one engine enum; the alias stays only because the end-to-end
@@ -74,11 +74,6 @@ pub struct DispatcherConfig {
     /// Hardened-execution config (overflow policy, budgets) applied to
     /// every attempt.
     pub exec: ExecConfig,
-    /// Wall-clock budget for the whole dispatch, every chain entry included
-    /// (`None` = unbounded). Handles the caller's budget: once it is spent
-    /// the dispatch returns [`MpError::DeadlineExceeded`] before another
-    /// entry runs.
-    pub request_timeout: Option<Duration>,
     /// Opt-in sharded execution: when set, the dispatcher owns a
     /// [`ShardSupervisor`], whose per-shard breakers handle a lost shard
     /// worker across requests, and [`Engine::Sharded`] chain entries
@@ -92,7 +87,6 @@ impl Default for DispatcherConfig {
         DispatcherConfig {
             chain: vec![Engine::Chunked, Engine::Serial],
             exec: ExecConfig::default(),
-            request_timeout: None,
             shard: None,
         }
     }
@@ -104,9 +98,11 @@ impl Default for DispatcherConfig {
 pub struct DispatchOpts {
     /// Cooperative cancellation handle for this request.
     pub cancel: Option<CancelToken>,
-    /// A deadline for **this request** (combined, earliest-wins, with the
-    /// dispatcher-wide [`DispatcherConfig::request_timeout`]). This is how
-    /// a [`crate::service::Service`] propagates a caller's deadline through
+    /// A deadline for **this request**, every chain entry included (`None`
+    /// = unbounded): once it is spent the dispatch returns
+    /// [`MpError::DeadlineExceeded`] before another entry runs, and each
+    /// engine checks it at its checkpoints. This is how a
+    /// [`crate::service::Service`] propagates a caller's deadline through
     /// queueing: a request that spent its budget waiting is rejected at the
     /// first pre-attempt check — before any engine runs — rather than after
     /// a wasted execution.
@@ -129,11 +125,6 @@ pub struct DispatchOutcome<R> {
     pub attempts: u32,
     /// Chain entries skipped or failed out before the serving engine.
     pub fallbacks: u32,
-}
-
-/// The earlier of two optional deadlines.
-fn earliest(a: Option<Deadline>, b: Option<Deadline>) -> Option<Deadline> {
-    a.into_iter().chain(b).min()
 }
 
 /// The resilient dispatch runtime. See the module docs for the model.
@@ -276,8 +267,6 @@ impl Dispatcher {
         supports: impl Fn(Engine) -> bool,
         run: impl Fn(Engine, &RunContext) -> Result<R, MpError>,
     ) -> Result<DispatchOutcome<R>, MpError> {
-        let request_deadline =
-            earliest(self.cfg.request_timeout.map(Deadline::after), opts.deadline);
         let rec = self.recorder.as_deref();
         let count = |key: &str| {
             if let Some(rec) = rec {
@@ -294,7 +283,7 @@ impl Dispatcher {
             // `Auto` runs, reports and is keyed as the chunked engine.
             let kind = entry.resolve();
             if supports(kind) {
-                if request_deadline.is_some_and(|d| d.expired()) {
+                if opts.deadline.is_some_and(|d| d.expired()) {
                     // The caller's budget, not the failure before it, ended
                     // the dispatch: report it as such (and let the service
                     // count it as `expired`).
@@ -303,7 +292,7 @@ impl Dispatcher {
                 let [attempt_ns_key, attempts_key] = dispatch_keys(kind);
                 attempts += 1;
                 count(attempts_key);
-                let ctx = self.attempt_ctx(kind, request_deadline, opts);
+                let ctx = self.attempt_ctx(kind, opts);
                 // Contain panics from *any* engine (and from chaos
                 // injection): AssertUnwindSafe is sound because `run`
                 // captures only shared references to the inputs and every
@@ -340,17 +329,12 @@ impl Dispatcher {
         Err(last_transient.unwrap_or(MpError::Unavailable))
     }
 
-    fn attempt_ctx(
-        &self,
-        kind: Engine,
-        request_deadline: Option<Deadline>,
-        opts: &DispatchOpts,
-    ) -> RunContext {
+    fn attempt_ctx(&self, kind: Engine, opts: &DispatchOpts) -> RunContext {
         let mut ctx = RunContext::new().for_engine(kind);
         if let Some(rec) = &self.recorder {
             ctx = ctx.with_recorder(Arc::clone(rec));
         }
-        if let Some(d) = request_deadline {
+        if let Some(d) = opts.deadline {
             ctx = ctx.with_deadline(d);
         }
         if let Some(cancel) = &opts.cancel {
@@ -369,6 +353,7 @@ mod tests {
     use crate::op::Plus;
     use crate::resilience::chaos::ChaosPlan;
     use crate::serial::multiprefix_serial;
+    use std::time::Duration;
 
     fn problem(n: usize, m: usize) -> (Vec<i64>, Vec<usize>) {
         let values = (0..n).map(|i| (i as i64 * 31 % 53) - 26).collect();
@@ -505,36 +490,6 @@ mod tests {
         let outcome = d.dispatch(&values, &labels, 5, Plus, &opts);
         assert_eq!(outcome.unwrap_err(), MpError::DeadlineExceeded);
         assert_eq!(rec.counter_value("dispatch.chunked.attempts"), 0);
-    }
-
-    #[test]
-    fn per_request_deadline_tightens_config_timeout() {
-        let (values, labels) = problem(500, 3);
-        // Generous config timeout, already-expired per-request deadline:
-        // the earlier of the two governs.
-        let cfg = DispatcherConfig {
-            request_timeout: Some(Duration::from_secs(3600)),
-            ..Default::default()
-        };
-        let d = Dispatcher::new(cfg).unwrap();
-        let opts = DispatchOpts {
-            deadline: Some(Deadline::at(std::time::Instant::now())),
-            ..Default::default()
-        };
-        assert_eq!(
-            d.dispatch(&values, &labels, 3, Plus, &opts).unwrap_err(),
-            MpError::DeadlineExceeded
-        );
-        // A generous per-request deadline does not loosen anything.
-        let opts = DispatchOpts {
-            deadline: Some(Deadline::after(Duration::from_secs(3600))),
-            ..Default::default()
-        };
-        let outcome = d.dispatch(&values, &labels, 3, Plus, &opts).unwrap();
-        assert_eq!(
-            outcome.output,
-            multiprefix_serial(&values, &labels, 3, Plus)
-        );
     }
 
     #[test]

@@ -28,36 +28,13 @@
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for one circuit breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive transient failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// How long an open breaker rejects requests before admitting a
-    /// half-open probe.
-    pub cooldown: Duration,
-}
+/// Consecutive transient failures that trip a breaker open.
+const FAILURE_THRESHOLD: u32 = 3;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_millis(100),
-        }
-    }
-}
-
-/// The externally observable state of one breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CircuitState {
-    /// Healthy: requests flow normally.
-    Closed,
-    /// Tripped: requests are rejected until the cooldown elapses.
-    Open,
-    /// Probing: one request has been admitted after cooldown; its outcome
-    /// re-closes or re-opens the breaker.
-    HalfOpen,
-}
+/// How long an open breaker rejects requests before admitting a half-open
+/// probe; also how long a probe may stay outstanding before its slot is
+/// handed to another caller.
+const COOLDOWN: Duration = Duration::from_millis(100);
 
 #[derive(Debug, Clone, Copy)]
 enum State {
@@ -80,16 +57,14 @@ enum State {
 /// supervisor holds one per shard and a service session one over its
 /// storage.
 #[derive(Debug)]
-pub struct EngineHealth {
-    cfg: BreakerConfig,
+pub(crate) struct EngineHealth {
     state: Mutex<State>,
 }
 
 impl EngineHealth {
     /// A fresh, closed breaker.
-    pub fn new(cfg: BreakerConfig) -> Self {
+    pub(crate) fn new() -> Self {
         EngineHealth {
-            cfg,
             state: Mutex::new(State::Closed { failures: 0 }),
         }
     }
@@ -108,13 +83,13 @@ impl EngineHealth {
     /// the cooldown edge see exactly one winner. A probe outstanding
     /// longer than a full cooldown is presumed lost and its slot handed to
     /// the current caller.
-    pub fn admit(&self) -> bool {
+    pub(crate) fn admit(&self) -> bool {
         let mut state = self.lock();
         let now = Instant::now();
         match *state {
             State::Closed { .. } => true,
             State::HalfOpen { probe_since } => {
-                if now.saturating_duration_since(probe_since) >= self.cfg.cooldown {
+                if now.saturating_duration_since(probe_since) >= COOLDOWN {
                     // The previous probe went dark; take over its slot.
                     *state = State::HalfOpen { probe_since: now };
                     true
@@ -135,37 +110,53 @@ impl EngineHealth {
 
     /// Record a successful run: the breaker closes and the failure count
     /// resets.
-    pub fn on_success(&self) {
+    pub(crate) fn on_success(&self) {
         *self.lock() = State::Closed { failures: 0 };
     }
 
     /// Record a transient failure. A closed breaker trips open once the
     /// consecutive-failure threshold is reached; a half-open probe failure
     /// re-opens immediately.
-    pub fn on_failure(&self) {
+    pub(crate) fn on_failure(&self) {
         let mut state = self.lock();
         *state = match *state {
             State::Closed { failures } => {
                 let failures = failures + 1;
-                if failures >= self.cfg.failure_threshold {
+                if failures >= FAILURE_THRESHOLD {
                     State::Open {
-                        until: Instant::now() + self.cfg.cooldown,
+                        until: Instant::now() + COOLDOWN,
                     }
                 } else {
                     State::Closed { failures }
                 }
             }
             State::HalfOpen { .. } => State::Open {
-                until: Instant::now() + self.cfg.cooldown,
+                until: Instant::now() + COOLDOWN,
             },
             open @ State::Open { .. } => open,
         };
     }
+}
 
+/// The externally observable state of one breaker (read by tests).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CircuitState {
+    /// Healthy: requests flow normally.
+    Closed,
+    /// Tripped: requests are rejected until the cooldown elapses.
+    Open,
+    /// Probing: one request has been admitted after cooldown; its outcome
+    /// re-closes or re-opens the breaker.
+    HalfOpen,
+}
+
+#[cfg(test)]
+impl EngineHealth {
     /// The current observable state (does not consume the half-open probe;
     /// an open breaker past its cooldown still reports `Open` until a
     /// request asks to be admitted).
-    pub fn state(&self) -> CircuitState {
+    pub(crate) fn state(&self) -> CircuitState {
         match *self.lock() {
             State::Closed { .. } => CircuitState::Closed,
             State::Open { .. } => CircuitState::Open,
@@ -178,16 +169,26 @@ impl EngineHealth {
 mod tests {
     use super::*;
 
-    fn fast_cfg() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_millis(10),
+    // The tests run on the shipped values, written out so that a change
+    // to either constant fails them: a threshold of three failures and a
+    // 100 ms cooldown.
+
+    /// Long enough past the 100 ms cooldown that a sleeping test wakes
+    /// after it.
+    const PAST_COOLDOWN: Duration = Duration::from_millis(120);
+
+    /// A breaker tripped open by three consecutive failures.
+    fn tripped() -> EngineHealth {
+        let h = EngineHealth::new();
+        for _ in 0..3 {
+            h.on_failure();
         }
+        h
     }
 
     #[test]
     fn stays_closed_below_threshold() {
-        let h = EngineHealth::new(fast_cfg());
+        let h = EngineHealth::new();
         h.on_failure();
         h.on_failure();
         assert_eq!(h.state(), CircuitState::Closed);
@@ -196,17 +197,14 @@ mod tests {
 
     #[test]
     fn trips_open_at_threshold_and_rejects() {
-        let h = EngineHealth::new(fast_cfg());
-        for _ in 0..3 {
-            h.on_failure();
-        }
+        let h = tripped();
         assert_eq!(h.state(), CircuitState::Open);
         assert!(!h.admit());
     }
 
     #[test]
     fn success_resets_the_failure_count() {
-        let h = EngineHealth::new(fast_cfg());
+        let h = EngineHealth::new();
         h.on_failure();
         h.on_failure();
         h.on_success();
@@ -217,23 +215,17 @@ mod tests {
 
     #[test]
     fn cooldown_admits_a_half_open_probe() {
-        let h = EngineHealth::new(fast_cfg());
-        for _ in 0..3 {
-            h.on_failure();
-        }
+        let h = tripped();
         assert!(!h.admit());
-        std::thread::sleep(Duration::from_millis(15));
+        std::thread::sleep(PAST_COOLDOWN);
         assert!(h.admit());
         assert_eq!(h.state(), CircuitState::HalfOpen);
     }
 
     #[test]
     fn probe_success_closes() {
-        let h = EngineHealth::new(fast_cfg());
-        for _ in 0..3 {
-            h.on_failure();
-        }
-        std::thread::sleep(Duration::from_millis(15));
+        let h = tripped();
+        std::thread::sleep(PAST_COOLDOWN);
         assert!(h.admit());
         h.on_success();
         assert_eq!(h.state(), CircuitState::Closed);
@@ -242,11 +234,8 @@ mod tests {
 
     #[test]
     fn probe_failure_reopens() {
-        let h = EngineHealth::new(fast_cfg());
-        for _ in 0..3 {
-            h.on_failure();
-        }
-        std::thread::sleep(Duration::from_millis(15));
+        let h = tripped();
+        std::thread::sleep(PAST_COOLDOWN);
         assert!(h.admit());
         h.on_failure();
         assert_eq!(h.state(), CircuitState::Open);
@@ -255,11 +244,8 @@ mod tests {
 
     #[test]
     fn half_open_admits_exactly_one_probe() {
-        let h = EngineHealth::new(fast_cfg());
-        for _ in 0..3 {
-            h.on_failure();
-        }
-        std::thread::sleep(Duration::from_millis(15));
+        let h = tripped();
+        std::thread::sleep(PAST_COOLDOWN);
         assert!(h.admit(), "first caller wins the probe slot");
         // Losers are rejected without disturbing the breaker state.
         for _ in 0..10 {
@@ -276,21 +262,17 @@ mod tests {
         // Interleaving check for the race the single-probe rule exists
         // for: many threads hit admit() at the same instant right after
         // the cooldown; exactly one may win, and the losers must not
-        // double-transition the breaker.
+        // double-transition the breaker. The cooldown also bounds how long
+        // an admitted probe holds its slot, so it must outlast the spread
+        // of the threads' arrivals on a loaded host, or a late thread
+        // reclaims the slot.
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::{Arc, Barrier};
 
         for round in 0..20 {
-            // The cooldown also bounds how long an admitted probe holds its
-            // slot, so it must outlast the spread of the threads' arrivals
-            // on a loaded host, or a late thread reclaims the slot.
-            let h = Arc::new(EngineHealth::new(BreakerConfig {
-                failure_threshold: 1,
-                cooldown: Duration::from_millis(50),
-            }));
-            h.on_failure();
+            let h = Arc::new(tripped());
             assert_eq!(h.state(), CircuitState::Open);
-            std::thread::sleep(Duration::from_millis(60));
+            std::thread::sleep(PAST_COOLDOWN);
 
             let threads = 8;
             let barrier = Arc::new(Barrier::new(threads));
@@ -322,17 +304,13 @@ mod tests {
 
     #[test]
     fn lost_probe_slot_is_reclaimed_after_a_cooldown() {
-        let h = EngineHealth::new(BreakerConfig {
-            failure_threshold: 1,
-            cooldown: Duration::from_millis(5),
-        });
-        h.on_failure();
-        std::thread::sleep(Duration::from_millis(8));
+        let h = tripped();
+        std::thread::sleep(PAST_COOLDOWN);
         assert!(h.admit(), "probe admitted");
         assert!(!h.admit(), "slot taken");
         // The probe never reports back; after another cooldown the slot is
         // handed to a new caller instead of wedging half-open forever.
-        std::thread::sleep(Duration::from_millis(8));
+        std::thread::sleep(PAST_COOLDOWN);
         assert!(h.admit(), "dark probe's slot reclaimed");
         assert_eq!(h.state(), CircuitState::HalfOpen);
     }

@@ -15,10 +15,10 @@
 //!   with a per-request deadline, running each entry at most once per
 //!   request: a failed allocation or a panic moves on to the next entry,
 //!   and nothing carries over to the next request;
-//! * [`EngineHealth`] ([`health`]) — a circuit breaker for a fault from
-//!   outside the request: the [`crate::shard::ShardSupervisor`] keeps one
-//!   per shard (a lost worker), and a service session keeps one over its
-//!   storage (a failing disk);
+//! * a crate-private circuit breaker (`health`) for a fault from outside
+//!   the request: the [`crate::shard::ShardSupervisor`] keeps one per
+//!   shard (a lost worker), and a service session keeps one over its
+//!   storage (a failing disk); its threshold and cooldown are fixed;
 //! * [`ChaosPlan`] ([`chaos`]) — seeded fault injection (panics, allocation
 //!   failures, stalls) at those same checkpoints, extending the `pram`
 //!   crate's arbitration-fault harness to the production engines; the soak
@@ -38,9 +38,8 @@
 pub mod chaos;
 pub mod ctx;
 pub mod dispatcher;
-pub mod health;
+pub(crate) mod health;
 
 pub use chaos::{ChaosPlan, ChaosState};
 pub use ctx::{CancelToken, Deadline, RunContext, CHECK_STRIDE};
 pub use dispatcher::{DispatchOpts, DispatchOutcome, Dispatcher, DispatcherConfig, EngineKind};
-pub use health::{BreakerConfig, CircuitState, EngineHealth};

@@ -93,8 +93,10 @@ pub struct ServiceConfig {
     /// single-mutex front door exactly (the benchmark baseline).
     pub ingress_shards: Option<usize>,
     /// The dispatcher every request executes through (fallback chain,
-    /// timeouts). One dispatcher serves every worker and keeps no state
-    /// between requests, so a request whose operator panics fails alone.
+    /// execution config). A request's own deadline ([`Request::deadline`])
+    /// reaches its engine through the dispatch. One dispatcher serves
+    /// every worker and keeps no state between requests, so a request
+    /// whose operator panics fails alone.
     pub dispatcher: DispatcherConfig,
     /// Enable micro-batch coalescing of small requests. Off by default.
     /// Setting it also lets a small request that finds the service idle
@@ -969,6 +971,46 @@ mod tests {
     }
 
     #[test]
+    fn request_deadline_reaches_the_engine() {
+        // Every engine checkpoint stalls for four times the timeout (each
+        // stall is clamped to the deadline the engine was handed), so the
+        // request passes the worker's triage and the dispatcher's
+        // pre-attempt check with budget left and its deadline lapses
+        // inside the engine: the engine's next checkpoint must end the
+        // run, which it can see only through the deadline the service
+        // handed the dispatch. Without that deadline the run would sleep
+        // out every stall and succeed. The timeout leaves room for the
+        // submit-side validation and the worker's start-up, even under
+        // Miri.
+        let timeout = Duration::from_secs(1);
+        let chaos = ChaosPlan::seeded(29).stall(1_000_000, 4 * timeout).arm();
+        let rec = crate::obs::MemoryRecorder::shared();
+        let cfg = ServiceConfig {
+            workers: Some(1),
+            queue_capacity: Some(4),
+            chaos: Some(chaos.clone()),
+            recorder: Some(rec.clone() as Arc<dyn Recorder>),
+            ..ServiceConfig::default()
+        };
+        let service = Service::new(Plus, cfg).unwrap();
+        let n = 4 * crate::resilience::CHECK_STRIDE;
+        let values = (0..n as i64).collect();
+        let labels = (0..n).map(|i| i % 3).collect();
+        let doomed = service
+            .submit(Request::multiprefix(values, labels, 3).timeout(timeout))
+            .unwrap();
+        assert_eq!(doomed.wait(), Err(MpError::DeadlineExceeded));
+        let m = service.shutdown();
+        assert_eq!(m.expired, 1);
+        assert_eq!(m.admitted, m.completed + m.errored);
+        // The chunked engine ran once and stopped at a checkpoint; the
+        // dispatcher then refused the serial fallback on the spent budget.
+        assert_eq!(rec.counter_value("dispatch.chunked.attempts"), 1);
+        assert_eq!(rec.counter_value("dispatch.serial.attempts"), 0);
+        assert!(chaos.stalls_injected() >= 1);
+    }
+
+    #[test]
     fn metrics_snapshot_never_overstates_resolutions() {
         // A dedicated observer hammers `metrics()` while submitters and
         // workers race; no snapshot may show completed + errored > admitted
@@ -1384,9 +1426,6 @@ mod tests {
         fn duration_ns(&self, name: &str, nanos: u64) {
             assert_ne!(name, "service.queue.wait_ns", "recorder fault");
             self.0.duration_ns(name, nanos);
-        }
-        fn event(&self, name: &str, detail: &str) {
-            self.0.event(name, detail);
         }
     }
 

@@ -1,5 +1,5 @@
-//! The [`Service`] session API: durable streaming sessions routed
-//! through the service's deadline check and a storage circuit breaker.
+//! The [`Service`] session API: durable streaming sessions behind a
+//! storage circuit breaker.
 //!
 //! A [`Service`] built over an invertible operator can host any number of
 //! [`DurableSession`] stores alongside its batch traffic:
@@ -11,27 +11,21 @@
 //! [`Service::session_close`] seals and unregisters it.
 //!
 //! Each session carries its own **storage breaker** (an
-//! [`EngineHealth`] with the default
-//! [`BreakerConfig`]): consecutive storage failures open it, and while it
-//! is open every storage-touching call fails fast with
+//! [`EngineHealth`]): three consecutive storage failures open it, and
+//! while it is open every storage-touching call fails fast with
 //! [`MpError::Unavailable`] instead of hammering a sick disk — queries,
 //! which touch only memory, keep being served, and
 //! [`Service::session_snapshot`] is still admitted because it is the
-//! remediation path out of a poisoned store. The service's
-//! [`DispatcherConfig::request_timeout`] is applied to every session
-//! call as a fail-fast deadline check, and the session inherits the
-//! service's chaos plan and recorder unless the
-//! [`SessionOptions`] override them.
-//!
-//! [`DispatcherConfig::request_timeout`]: crate::resilience::DispatcherConfig::request_timeout
+//! remediation path out of a poisoned store. The session inherits the
+//! service's chaos plan and recorder unless the [`SessionOptions`]
+//! override them.
 
 use super::queue::QueuePhase;
 use super::Service;
 use crate::error::MpError;
 use crate::op::{InvertibleOp, TryCombineOp};
 use crate::problem::Element;
-use crate::resilience::ctx::Deadline;
-use crate::resilience::health::{BreakerConfig, EngineHealth};
+use crate::resilience::health::EngineHealth;
 use crate::session::{DurableSession, RecoveryReport, SessionOptions};
 use crate::shard::net::wire::WireValue;
 use std::collections::HashMap;
@@ -112,7 +106,7 @@ where
             id,
             SessionSlot {
                 store,
-                health: EngineHealth::new(BreakerConfig::default()),
+                health: EngineHealth::new(),
             },
         );
         if let Some(rec) = self.shared.stats.recorder() {
@@ -147,7 +141,6 @@ where
     /// ⊕-combination of every earlier same-label element. Memory-only:
     /// served even while the session's storage breaker is open.
     pub fn session_query(&self, id: SessionId, index: u64) -> Result<T, MpError> {
-        self.deadline_guard()?;
         let reg = self.lock_sessions();
         let slot = reg
             .open
@@ -159,7 +152,6 @@ where
     /// The ⊕-reduction of every element of session `id` with `label`.
     /// Memory-only, like [`Service::session_query`].
     pub fn session_total(&self, id: SessionId, label: usize) -> Result<T, MpError> {
-        self.deadline_guard()?;
         let reg = self.lock_sessions();
         let slot = reg
             .open
@@ -203,27 +195,11 @@ where
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Fail fast when the service-wide request timeout is already
-    /// unmeetable (a zero/near-zero [`request_timeout`] under test, or a
-    /// clock that jumped). Session calls are synchronous and short; the
-    /// deadline is checked at entry like the worker loop checks queued
-    /// requests before running them.
-    ///
-    /// [`request_timeout`]: crate::resilience::DispatcherConfig::request_timeout
-    fn deadline_guard(&self) -> Result<(), MpError> {
-        if let Some(timeout) = self.shared.cfg.dispatcher.request_timeout {
-            if Deadline::after(timeout).expired() {
-                return Err(MpError::DeadlineExceeded);
-            }
-        }
-        Ok(())
-    }
-
     #[cfg(test)]
     pub(crate) fn session_breaker_state(
         &self,
         id: SessionId,
-    ) -> Result<crate::resilience::CircuitState, MpError> {
+    ) -> Result<crate::resilience::health::CircuitState, MpError> {
         let reg = self.lock_sessions();
         let slot = reg
             .open
@@ -232,11 +208,10 @@ where
         Ok(slot.health.state())
     }
 
-    /// Common path for storage-touching session calls: deadline check,
-    /// breaker admission, the operation, breaker bookkeeping. Transient
-    /// storage failures trip the breaker; permanent request errors
-    /// (label/index out of range) are the caller's problem and leave it
-    /// untouched.
+    /// Common path for storage-touching session calls: breaker admission,
+    /// the operation, breaker bookkeeping. Transient storage failures trip
+    /// the breaker; permanent request errors (label/index out of range)
+    /// are the caller's problem and leave it untouched.
     fn with_session_storage<R>(
         &self,
         id: SessionId,
@@ -255,7 +230,6 @@ where
         gated: bool,
         f: impl FnOnce(&mut SessionSlot<T, O>) -> Result<R, MpError>,
     ) -> Result<R, MpError> {
-        self.deadline_guard()?;
         let mut reg = self.lock_sessions();
         let slot = reg
             .open
@@ -286,7 +260,8 @@ where
 mod tests {
     use super::*;
     use crate::op::Plus;
-    use crate::resilience::{ChaosPlan, CircuitState};
+    use crate::resilience::health::CircuitState;
+    use crate::resilience::ChaosPlan;
     use crate::service::ServiceConfig;
     use std::path::PathBuf;
 

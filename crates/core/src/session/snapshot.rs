@@ -147,25 +147,14 @@ pub fn decode_snapshot<T: WireValue>(bytes: &[u8]) -> Result<SnapshotImage<T>, M
 }
 
 /// Write `image` atomically to `path` (tmp + fsync + rename + directory
-/// fsync). With chaos armed, a `snapshot_corrupt_ppm` draw silently
-/// flips one payload bit *after* the checksums are computed — the
-/// crash-consistent analogue of media corruption, surfaced only when a
-/// later recovery rejects the image and falls back a generation. An
-/// `fsync_fail_ppm` draw fails the write loudly with
-/// [`MpError::Storage`].
+/// fsync). With chaos armed, an `fsync_fail_ppm` draw fails the write
+/// loudly with [`MpError::Storage`].
 pub fn write_snapshot<T: WireValue>(
     path: &Path,
     image: &SnapshotImage<T>,
     chaos: Option<&Arc<ChaosState>>,
 ) -> Result<(), MpError> {
-    let mut bytes = encode_snapshot(image);
-    if let Some(chaos) = chaos {
-        if chaos.snapshot_fault() && bytes.len() > SNAP_HEADER_LEN + 4 {
-            let payload_bits = (bytes.len() - SNAP_HEADER_LEN - 4) * 8;
-            let bit = chaos.net_index(payload_bits) + SNAP_HEADER_LEN * 8;
-            bytes[bit / 8] ^= 1 << (bit % 8);
-        }
-    }
+    let bytes = encode_snapshot(image);
     let tmp = path.with_extension("tmp");
     let mut file = OpenOptions::new()
         .create(true)

@@ -19,7 +19,7 @@
 //! typed stop, never a panic or over-allocation.
 
 use crate::error::MpError;
-use crate::resilience::chaos::{ChaosState, WalFault};
+use crate::resilience::chaos::ChaosState;
 use crate::shard::net::frame::{encode_frame, parse_frame};
 use crate::shard::net::wire::{NetError, WireValue};
 use std::fs::{File, OpenOptions};
@@ -197,7 +197,7 @@ fn storage_err(op: &'static str, e: &std::io::Error) -> MpError {
 }
 
 /// The append side of one WAL segment: encode, optionally fault
-/// (injected torn writes / bit flips / fsync failures), write, sync.
+/// (injected torn writes / fsync failures), write, sync.
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
@@ -304,38 +304,19 @@ impl WalWriter {
                 kind: std::io::ErrorKind::Other,
             });
         }
-        let mut frame = encode_frame(self.seq, &encode_record(rec));
-        let fault = self.chaos.as_ref().and_then(|c| c.wal_fault());
-        match fault {
-            Some(WalFault::TornWrite) => {
-                // The crash signature: a prefix of the record reaches the
-                // platter, the ack never happens. Poison so no later
-                // append writes *beyond* the tear.
-                let keep = self
-                    .chaos
-                    .as_ref()
-                    .map(|c| c.net_index(frame.len()))
-                    .unwrap_or(0);
-                let _ = self.file.write_all(&frame[..keep]);
-                let _ = self.file.sync_data();
-                self.poisoned = true;
-                return Err(MpError::Storage {
-                    op: "wal.append",
-                    kind: std::io::ErrorKind::WriteZero,
-                });
-            }
-            Some(WalFault::BitFlip) => {
-                // Media corruption: flipped after the checksums were
-                // computed, written whole, silently acknowledged. Only
-                // recovery can notice.
-                let bit = self
-                    .chaos
-                    .as_ref()
-                    .map(|c| c.net_index(frame.len() * 8))
-                    .unwrap_or(0);
-                frame[bit / 8] ^= 1 << (bit % 8);
-            }
-            None => {}
+        let frame = encode_frame(self.seq, &encode_record(rec));
+        if let Some(chaos) = self.chaos.as_ref().filter(|c| c.wal_fault()) {
+            // The crash signature: a prefix of the record reaches the
+            // platter, the ack never happens. Poison so no later append
+            // writes *beyond* the tear.
+            let keep = chaos.net_index(frame.len());
+            let _ = self.file.write_all(&frame[..keep]);
+            let _ = self.file.sync_data();
+            self.poisoned = true;
+            return Err(MpError::Storage {
+                op: "wal.append",
+                kind: std::io::ErrorKind::WriteZero,
+            });
         }
         if let Err(e) = self.file.write_all(&frame) {
             // A short/refused write leaves an unknowable tail, same as an

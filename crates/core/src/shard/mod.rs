@@ -43,14 +43,12 @@
 //! ```
 //!
 //! When no live shard is admitted (too many breakers open, every worker
-//! lost, or a task exhausts its retries) the run **degrades**: with
-//! [`ShardConfig::fallback_single_node`] it re-runs the request through
-//! the single-node chunked engine in the supervisor's thread (timed under
-//! the `recover` phase); otherwise it fails cleanly with
-//! [`MpError::Unavailable`]. Never a wrong answer, never a hang: every
-//! blocking wait is bounded by the heartbeat tick, attempt deadlines, and
-//! the run context's own deadline, and the worker scope broadcasts
-//! [`DownMsg::Shutdown`] even when the supervisor unwinds.
+//! lost, or a task exhausts its retries) the run **degrades**: it re-runs
+//! the request through the single-node chunked engine in the supervisor's
+//! thread (timed under the `recover` phase). Never a wrong answer, never a
+//! hang: every blocking wait is bounded by the heartbeat tick, attempt
+//! deadlines, and the run context's own deadline, and the worker scope
+//! broadcasts [`DownMsg::Shutdown`] even when the supervisor unwinds.
 
 pub mod exscan;
 pub mod net;
@@ -65,7 +63,7 @@ use crate::exec::{try_filled_vec, try_with_capacity, CheckGuard, ExecConfig, Try
 use crate::obs::Phase;
 use crate::op::{CombineOp, TryCombineOp};
 use crate::problem::{validate_slices, Element, MultiprefixOutput};
-use crate::resilience::health::{BreakerConfig, CircuitState, EngineHealth};
+use crate::resilience::health::EngineHealth;
 use crate::resilience::RunContext;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -102,9 +100,6 @@ pub struct ShardConfig {
     /// Worker count (spans are split to match; at most one span per
     /// worker, so spare workers double as requeue targets).
     pub shards: usize,
-    /// Fewer live shards than this aborts the distributed attempt (the
-    /// degradation path takes over).
-    pub min_live: usize,
     /// Per-task attempt deadline: a task not answered within this window
     /// is counted against the shard's breaker and requeued.
     pub task_timeout: Duration,
@@ -114,13 +109,6 @@ pub struct ShardConfig {
     /// Requeues allowed per task beyond its first attempt before the run
     /// degrades.
     pub max_task_retries: u32,
-    /// Per-shard circuit breaker tuning (reuses
-    /// [`crate::resilience::health`]).
-    pub breaker: BreakerConfig,
-    /// On exhausted recovery, re-run through the single-node chunked
-    /// engine (`true`, the default) instead of failing with
-    /// [`MpError::Unavailable`].
-    pub fallback_single_node: bool,
     /// Socket transport only: reconnect/respawn attempts allowed per
     /// shard slot before the connection keeper gives up on it and the
     /// degradation ladder takes over. Ignored by the channel transport
@@ -136,12 +124,9 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             shards: 4,
-            min_live: 1,
             task_timeout: Duration::from_millis(500),
             heartbeat_interval: Duration::from_millis(25),
             max_task_retries: 3,
-            breaker: BreakerConfig::default(),
-            fallback_single_node: true,
             max_reconnects: 3,
             reconnect_backoff: Duration::from_millis(10),
         }
@@ -152,12 +137,6 @@ impl ShardConfig {
     /// Set the worker count.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Set the minimum live-shard floor.
-    pub fn min_live(mut self, min_live: usize) -> Self {
-        self.min_live = min_live;
         self
     }
 
@@ -179,18 +158,6 @@ impl ShardConfig {
         self
     }
 
-    /// Set the per-shard breaker tuning.
-    pub fn breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
-    /// Enable or disable the single-node degradation fallback.
-    pub fn fallback_single_node(mut self, fallback: bool) -> Self {
-        self.fallback_single_node = fallback;
-        self
-    }
-
     /// Set the per-shard reconnect/respawn budget (socket transport).
     pub fn max_reconnects(mut self, reconnects: u32) -> Self {
         self.max_reconnects = reconnects;
@@ -205,7 +172,6 @@ impl ShardConfig {
 
     fn normalized(mut self) -> Self {
         self.shards = self.shards.max(1);
-        self.min_live = self.min_live.clamp(1, self.shards);
         self.task_timeout = self.task_timeout.max(Duration::from_millis(1));
         self.heartbeat_interval = self.heartbeat_interval.max(Duration::from_millis(1));
         self.reconnect_backoff = self.reconnect_backoff.max(Duration::from_millis(1));
@@ -244,13 +210,11 @@ pub struct ShardSupervisor {
 }
 
 impl ShardSupervisor {
-    /// A supervisor with `cfg` (normalized: at least one shard, `min_live`
-    /// clamped into `[1, shards]`).
+    /// A supervisor with `cfg` (normalized: at least one shard, timeouts
+    /// of at least a millisecond).
     pub fn new(cfg: ShardConfig) -> Self {
         let cfg = cfg.normalized();
-        let health = (0..cfg.shards)
-            .map(|_| EngineHealth::new(cfg.breaker))
-            .collect();
+        let health = (0..cfg.shards).map(|_| EngineHealth::new()).collect();
         ShardSupervisor {
             cfg,
             health,
@@ -285,11 +249,6 @@ impl ShardSupervisor {
     /// transport's connection keeper; always zero on the channel path).
     pub fn reconnects(&self) -> u64 {
         self.reconnects.load(Ordering::Relaxed)
-    }
-
-    /// The breaker state of one shard slot.
-    pub fn shard_state(&self, shard: usize) -> CircuitState {
-        self.health[shard].state()
     }
 
     /// Plain sharded multiprefix: validates, distributes, recovers; panics
@@ -371,7 +330,7 @@ impl ShardSupervisor {
             })
             .collect();
         match distributed(nshards, &spans) {
-            Err(MpError::Unavailable) if self.cfg.fallback_single_node => {
+            Err(MpError::Unavailable) => {
                 self.degraded.fetch_add(1, Ordering::Relaxed);
                 if let Some(rec) = ctx.recorder() {
                     rec.counter(COUNTER_DEGRADED, 1);
@@ -542,7 +501,7 @@ impl ShardSupervisor {
 
         while pending > 0 {
             ctx.checkpoint()?;
-            if live.iter().filter(|&&l| l).count() < self.cfg.min_live {
+            if !live.contains(&true) {
                 return Err(MpError::Unavailable);
             }
 
@@ -982,21 +941,6 @@ mod tests {
         assert_eq!(out, oracle(&values, &labels, 5));
         assert_eq!(sup.degraded_runs(), 1);
         assert!(sup.shards_lost() >= 1);
-    }
-
-    #[test]
-    fn fallback_disabled_surfaces_unavailable() {
-        let (values, labels) = problem(300, 5);
-        let chaos = ChaosPlan::seeded(13).shard_panic_ppm(1_000_000).arm();
-        let ctx = RunContext::new().with_chaos(chaos);
-        let sup = ShardSupervisor::new(
-            ShardConfig::default()
-                .shards(2)
-                .task_timeout(Duration::from_millis(100))
-                .fallback_single_node(false),
-        );
-        let res = sup.try_multiprefix(&values, &labels, 5, Plus, ExecConfig::default(), &ctx);
-        assert!(matches!(res, Err(MpError::Unavailable)), "got {res:?}");
     }
 
     #[test]

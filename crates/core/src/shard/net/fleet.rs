@@ -86,6 +86,10 @@ pub enum FleetMode {
 /// Per-shard extra environment for spawned worker processes.
 type ShardEnvFn = dyn Fn(usize) -> Vec<(String, String)> + Send + Sync;
 
+/// How long to wait for a worker to connect and finish its handshake
+/// (initial fleet launch and each keeper respawn).
+const ACCEPT_TIMEOUT: Duration = Duration::from_secs(3);
+
 /// Socket-fabric configuration, orthogonal to [`ShardConfig`] (which
 /// keeps owning the recovery tuning: timeouts, retries, reconnect
 /// budget).
@@ -95,11 +99,6 @@ pub struct NetConfig {
     pub kind: SocketKind,
     /// Worker fleet mode.
     pub fleet: FleetMode,
-    /// How long to wait for a worker to connect and finish its
-    /// handshake (initial fleet launch and each keeper respawn).
-    pub accept_timeout: Duration,
-    /// Extra environment for every spawned worker process.
-    pub proc_env: Vec<(String, String)>,
     /// Extra per-shard environment for spawned worker processes (e.g. a
     /// fault-injection hook for one victim shard).
     pub shard_env: Option<Arc<ShardEnvFn>>,
@@ -110,8 +109,6 @@ impl NetConfig {
         NetConfig {
             kind,
             fleet: FleetMode::InProc,
-            accept_timeout: Duration::from_secs(3),
-            proc_env: Vec::new(),
             shard_env: None,
         }
     }
@@ -133,18 +130,6 @@ impl NetConfig {
         self
     }
 
-    /// Set the handshake window.
-    pub fn accept_timeout(mut self, timeout: Duration) -> Self {
-        self.accept_timeout = timeout;
-        self
-    }
-
-    /// Add an environment variable for every spawned worker process.
-    pub fn proc_env(mut self, key: &str, value: &str) -> Self {
-        self.proc_env.push((key.to_string(), value.to_string()));
-        self
-    }
-
     /// Set a per-shard environment hook for spawned worker processes.
     pub fn shard_env(
         mut self,
@@ -160,8 +145,6 @@ impl fmt::Debug for NetConfig {
         f.debug_struct("NetConfig")
             .field("kind", &self.kind)
             .field("fleet", &self.fleet)
-            .field("accept_timeout", &self.accept_timeout)
-            .field("proc_env", &self.proc_env)
             .field("shard_env", &self.shard_env.as_ref().map(|_| "<fn>"))
             .finish()
     }
@@ -305,7 +288,6 @@ impl<T: Element + WireValue, O: CombineOp<T>> WorkerLauncher for InProcLauncher<
 /// Spawns worker processes by re-executing the current binary.
 struct ProcLauncher {
     args: Vec<String>,
-    env: Vec<(String, String)>,
     shard_env: Option<Arc<ShardEnvFn>>,
 }
 
@@ -320,9 +302,6 @@ impl WorkerLauncher for ProcLauncher {
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::null());
-        for (key, value) in &self.env {
-            cmd.env(key, value);
-        }
         if let Some(f) = &self.shard_env {
             for (key, value) in f(shard) {
                 cmd.env(key, value);
@@ -528,7 +507,6 @@ struct Keeper<T: Element + WireValue> {
     attempts: Vec<u32>,
     max_reconnects: u32,
     backoff: Duration,
-    accept_timeout: Duration,
     chaos: Option<Arc<ChaosState>>,
     run_deadline: Option<Deadline>,
     rx: Receiver<KeeperMsg>,
@@ -591,7 +569,7 @@ impl<T: Element + WireValue> Keeper<T> {
                 Err(_) => continue,
             };
             self.handles[shard] = Some(handle);
-            let deadline = Instant::now() + self.accept_timeout;
+            let deadline = Instant::now() + ACCEPT_TIMEOUT;
             let got = accept_one(
                 &self.listener,
                 deadline,
@@ -688,7 +666,7 @@ impl<T: Element + WireValue> SocketTransport<T> {
         }
 
         let mut connected = vec![false; nshards];
-        let deadline = Instant::now() + net.accept_timeout;
+        let deadline = Instant::now() + ACCEPT_TIMEOUT;
         while connected.iter().any(|c| !c) {
             let got = accept_one(
                 &listener,
@@ -733,7 +711,6 @@ impl<T: Element + WireValue> SocketTransport<T> {
             attempts: vec![0; nshards],
             max_reconnects,
             backoff: reconnect_backoff,
-            accept_timeout: net.accept_timeout,
             chaos,
             run_deadline,
             rx: keeper_rx,
@@ -852,9 +829,7 @@ impl ShardSupervisor {
     /// in-process engines for `Checked`/`Saturate` policies). Worker
     /// loss, byte corruption, truncation and disconnects are absorbed by
     /// the requeue/reconnect ladder; exhausted recovery degrades to
-    /// single-node chunked execution when
-    /// [`ShardConfig::fallback_single_node`] is set, else fails with
-    /// [`MpError::Unavailable`].
+    /// single-node chunked execution.
     pub fn try_multiprefix_socket<T, O>(
         &self,
         values: &[T],
@@ -910,7 +885,6 @@ impl ShardSupervisor {
             }),
             FleetMode::SelfExec { args } => Arc::new(ProcLauncher {
                 args: args.clone(),
-                env: net.proc_env.clone(),
                 shard_env: net.shard_env.clone(),
             }),
         };

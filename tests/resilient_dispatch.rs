@@ -5,7 +5,9 @@
 //! construction time.
 
 use multiprefix::op::Plus;
-use multiprefix::resilience::{CancelToken, ChaosPlan, DispatchOpts, Dispatcher, DispatcherConfig};
+use multiprefix::resilience::{
+    CancelToken, ChaosPlan, Deadline, DispatchOpts, Dispatcher, DispatcherConfig,
+};
 use multiprefix::{multiprefix, Engine, ExecConfig, MpError, MultiprefixOutput};
 use std::time::Duration;
 
@@ -122,14 +124,14 @@ fn transient_alloc_failure_falls_through_after_one_attempt() {
 
 #[test]
 fn expired_request_deadline_is_a_typed_error() {
-    let cfg = DispatcherConfig {
-        request_timeout: Some(Duration::ZERO),
-        ..DispatcherConfig::default()
-    };
-    let dispatcher = Dispatcher::new(cfg).unwrap();
+    let dispatcher = Dispatcher::new(DispatcherConfig::default()).unwrap();
     let (values, labels) = problem(500, 5);
+    let opts = DispatchOpts {
+        deadline: Some(Deadline::after(Duration::ZERO)),
+        ..DispatchOpts::default()
+    };
     let err = dispatcher
-        .dispatch(&values, &labels, 5, Plus, &DispatchOpts::default())
+        .dispatch(&values, &labels, 5, Plus, &opts)
         .unwrap_err();
     assert_eq!(err, MpError::DeadlineExceeded);
 }

@@ -10,9 +10,10 @@
 //! after each acknowledged operation), so the expected surviving prefix
 //! is computed independently of the recovery scanner under test.
 //!
-//! The `#[ignore]`d ladder at the bottom extends the matrix across
-//! snapshot generations and injected bit flips; the scheduled
-//! `session-recovery-soak` CI job runs it.
+//! Bit flips in a sealed segment are covered in the default suite by
+//! `sealed_segment_bit_flips_fail_closed_or_recover_exactly`. The
+//! `#[ignore]`d ladder at the bottom extends the matrix across snapshot
+//! generations; the scheduled `session-recovery-soak` CI job runs it.
 
 use multiprefix::chunked::multiprefix_chunked;
 use multiprefix::op::Plus;
