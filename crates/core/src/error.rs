@@ -88,9 +88,9 @@ pub enum MpError {
     /// Nothing could take the request: every engine in a
     /// [`crate::resilience::Dispatcher`] fallback chain was skipped for it
     /// (an atomic entry, an unconfigured sharded entry, a sharded entry of
-    /// a reduce), a [`crate::shard::ShardSupervisor`] had no live shard
-    /// left, a session's storage breaker was open, or the service was
-    /// stopped. The API calls also return it for
+    /// a reduce), a session's storage breaker was open, or the service was
+    /// stopped. (A [`crate::shard::ShardSupervisor`] with no live shard
+    /// left degrades to the single-node run instead.) The API calls also return it for
     /// [`crate::Engine::Atomic`], which only [`crate::atomic`]'s own
     /// entries run, and [`crate::Engine::Sharded`], which only a dispatcher
     /// runs.

@@ -36,7 +36,7 @@
 //! | `service.queue` | `depth` gauge, `wait_ns` histogram |
 //! | `service.exec` | `exec_ns` histogram |
 //! | `service` | `admitted`, `completed`, `shed`, `expired`, `cancelled`, `worker_lost`, `failed` counters (mirrors [`ServiceMetrics`](crate::service::ServiceMetrics)) |
-//! | `shard.supervisor` | `shard_lost`, `requeued`, `degraded` counters; `reconnects` counts socket-transport worker revivals (respawn + re-handshake) by the connection keeper |
+//! | `shard.supervisor` | `shard_lost`, `requeued`, `degraded` counters |
 //! | `shard.net.conn_dead` | `damage`, `decode`, `closed` counters: socket connections the supervisor's reader lost outside wind-down, by cause (a frame failed a check; a verified frame failed to decode; EOF or an I/O error). `damage` counts only worker → supervisor frames: a damaged supervisor → worker frame is failed by the worker, which shuts the socket, so it counts as `closed` |
 
 mod hist;

@@ -276,7 +276,7 @@ impl RunContext {
     }
 
     /// A shared handle to the recorder, for components (the socket
-    /// transport's connection keeper) that outlive a single borrow of the
+    /// transport's reader threads) that outlive a single borrow of the
     /// context.
     pub(crate) fn recorder_arc(&self) -> Option<Arc<dyn Recorder>> {
         self.recorder.clone()

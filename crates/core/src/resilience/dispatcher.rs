@@ -75,9 +75,9 @@ pub struct DispatcherConfig {
     /// every attempt.
     pub exec: ExecConfig,
     /// Opt-in sharded execution: when set, the dispatcher owns a
-    /// [`ShardSupervisor`], whose per-shard breakers handle a lost shard
-    /// worker across requests, and [`Engine::Sharded`] chain entries
-    /// participate. When `None` (the default) sharded entries are skipped,
+    /// [`ShardSupervisor`], which recovers a lost shard worker within
+    /// its run and counts losses across requests, and [`Engine::Sharded`]
+    /// chain entries participate. When `None` (the default) sharded entries are skipped,
     /// like [`Engine::Atomic`] entries.
     pub shard: Option<ShardConfig>,
 }
@@ -145,8 +145,8 @@ pub struct Dispatcher {
     cfg: DispatcherConfig,
     recorder: Option<Arc<dyn Recorder>>,
     /// The sharded engine's orchestrator, present iff
-    /// [`DispatcherConfig::shard`] is set. Owned here so shard breaker
-    /// state and loss counters persist across requests.
+    /// [`DispatcherConfig::shard`] is set. Owned here so its loss,
+    /// requeue and degrade counters span requests; no shard state does.
     shard: Option<ShardSupervisor>,
 }
 
@@ -193,8 +193,7 @@ impl Dispatcher {
     }
 
     /// The sharded engine's supervisor, when [`DispatcherConfig::shard`] is
-    /// configured — exposes shard-loss/requeue/degradation counters and
-    /// per-shard breaker states.
+    /// configured — exposes shard-loss/requeue/degradation counters.
     pub fn shard_supervisor(&self) -> Option<&ShardSupervisor> {
         self.shard.as_ref()
     }

@@ -2,14 +2,15 @@
 //! breaker.
 //!
 //! An [`EngineHealth`] guards a resource whose failures outlive the request
-//! that saw them: the [`crate::shard::ShardSupervisor`] keeps one per shard
-//! (a lost shard worker), and a [`crate::service::Service`] session keeps
-//! one over its storage (a failing disk). Repeated failures trip the
-//! breaker **open** and its owner stops routing work to that resource;
-//! after a cooldown the breaker admits one **half-open** probe, and the
-//! probe's outcome decides whether the resource rejoins or trips again.
-//! The [`crate::resilience::Dispatcher`] keeps none: the engines are
+//! that saw them: a [`crate::service::Service`] session keeps one over its
+//! storage (a failing disk). Repeated failures trip the breaker **open**
+//! and its owner stops routing work to that resource; after a cooldown the
+//! breaker admits one **half-open** probe, and the probe's outcome decides
+//! whether the resource rejoins or trips again. The
+//! [`crate::resilience::Dispatcher`] keeps none: the engines are
 //! deterministic, so an engine failure there belongs to its request. The
+//! [`crate::shard::ShardSupervisor`] keeps none either: every run launches
+//! a fresh worker fleet, so a lost worker does not outlive its run. The
 //! state machine:
 //!
 //! ```text
@@ -53,9 +54,8 @@ enum State {
     },
 }
 
-/// One circuit breaker. Interior-mutable and thread-safe; the shard
-/// supervisor holds one per shard and a service session one over its
-/// storage.
+/// One circuit breaker. Interior-mutable and thread-safe; a service
+/// session holds one over its storage.
 #[derive(Debug)]
 pub(crate) struct EngineHealth {
     state: Mutex<State>,

@@ -16,9 +16,10 @@
 //!   request: a failed allocation or a panic moves on to the next entry,
 //!   and nothing carries over to the next request;
 //! * a crate-private circuit breaker (`health`) for a fault from outside
-//!   the request: the [`crate::shard::ShardSupervisor`] keeps one per
-//!   shard (a lost worker), and a service session keeps one over its
-//!   storage (a failing disk); its threshold and cooldown are fixed;
+//!   the request: a service session keeps one over its storage (a
+//!   failing disk); its threshold and cooldown are fixed. The
+//!   [`crate::shard::ShardSupervisor`] keeps none: every run launches a
+//!   fresh worker fleet, so a lost worker does not outlive its run;
 //! * [`ChaosPlan`] ([`chaos`]) — seeded fault injection (panics, allocation
 //!   failures, stalls) at those same checkpoints, extending the `pram`
 //!   crate's arbitration-fault harness to the production engines; the soak

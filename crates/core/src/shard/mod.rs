@@ -31,6 +31,10 @@
 //! later replies are identical anyway), and dropped messages surface as
 //! attempt timeouts and requeue like a crash.
 //!
+//! Recovery is a property of one run. Every run launches a fresh worker
+//! fleet, so a shard lost in one run says nothing about the next: the
+//! supervisor keeps only counters across runs.
+//!
 //! ## Supervisor state machine (per task)
 //!
 //! ```text
@@ -38,12 +42,12 @@
 //!               ▲            │      │
 //!               │   timeout  │      │ worker crash / silent shard
 //!               └────────────┴──────┘
-//!                 requeue to next live, admitted shard
-//!                 (breaker per shard; attempts capped)
+//!                 requeue to the next live shard
+//!                 (attempts capped)
 //! ```
 //!
-//! When no live shard is admitted (too many breakers open, every worker
-//! lost, or a task exhausts its retries) the run **degrades**: it re-runs
+//! When no shard is live (every worker lost) or a task exhausts its
+//! retries, the run **degrades**: it re-runs
 //! the request through the single-node chunked engine in the supervisor's
 //! thread (timed under the `recover` phase). Never a wrong answer, never a
 //! hang: every blocking wait is bounded by the heartbeat tick, attempt
@@ -63,7 +67,6 @@ use crate::exec::{try_filled_vec, try_with_capacity, CheckGuard, ExecConfig, Try
 use crate::obs::Phase;
 use crate::op::{CombineOp, TryCombineOp};
 use crate::problem::{validate_slices, Element, MultiprefixOutput};
-use crate::resilience::health::EngineHealth;
 use crate::resilience::RunContext;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -76,9 +79,6 @@ pub const COUNTER_SHARD_LOST: &str = "shard.supervisor.shard_lost";
 pub const COUNTER_REQUEUED: &str = "shard.supervisor.requeued";
 /// Recorder key for runs degraded to single-node execution.
 pub const COUNTER_DEGRADED: &str = "shard.supervisor.degraded";
-/// Recorder key for successful worker reconnect/respawns (socket
-/// transport's connection keeper).
-pub const COUNTER_RECONNECTS: &str = "shard.supervisor.reconnects";
 /// Recorder key for socket connections the supervisor's reader lost to
 /// a frame that failed a check (magic, checksum, length or sequence).
 /// Only worker → supervisor frames count here: a damaged supervisor →
@@ -101,7 +101,7 @@ pub struct ShardConfig {
     /// worker, so spare workers double as requeue targets).
     pub shards: usize,
     /// Per-task attempt deadline: a task not answered within this window
-    /// is counted against the shard's breaker and requeued.
+    /// is requeued on the next live shard.
     pub task_timeout: Duration,
     /// Idle workers send a heartbeat on this tick; a shard silent for
     /// several ticks with no task outstanding is declared lost.
@@ -109,15 +109,6 @@ pub struct ShardConfig {
     /// Requeues allowed per task beyond its first attempt before the run
     /// degrades.
     pub max_task_retries: u32,
-    /// Socket transport only: reconnect/respawn attempts allowed per
-    /// shard slot before the connection keeper gives up on it and the
-    /// degradation ladder takes over. Ignored by the channel transport
-    /// (in-process workers cannot be respawned — their problem slices
-    /// live on the caller's stack).
-    pub max_reconnects: u32,
-    /// Socket transport only: base delay of the keeper's jittered
-    /// exponential reconnect backoff.
-    pub reconnect_backoff: Duration,
 }
 
 impl Default for ShardConfig {
@@ -127,8 +118,6 @@ impl Default for ShardConfig {
             task_timeout: Duration::from_millis(500),
             heartbeat_interval: Duration::from_millis(25),
             max_task_retries: 3,
-            max_reconnects: 3,
-            reconnect_backoff: Duration::from_millis(10),
         }
     }
 }
@@ -158,23 +147,10 @@ impl ShardConfig {
         self
     }
 
-    /// Set the per-shard reconnect/respawn budget (socket transport).
-    pub fn max_reconnects(mut self, reconnects: u32) -> Self {
-        self.max_reconnects = reconnects;
-        self
-    }
-
-    /// Set the base reconnect backoff delay (socket transport).
-    pub fn reconnect_backoff(mut self, backoff: Duration) -> Self {
-        self.reconnect_backoff = backoff;
-        self
-    }
-
     fn normalized(mut self) -> Self {
         self.shards = self.shards.max(1);
         self.task_timeout = self.task_timeout.max(Duration::from_millis(1));
         self.heartbeat_interval = self.heartbeat_interval.max(Duration::from_millis(1));
-        self.reconnect_backoff = self.reconnect_backoff.max(Duration::from_millis(1));
         self
     }
 }
@@ -191,37 +167,30 @@ enum Payload<T> {
     Sums(Vec<T>),
 }
 
-/// The shard orchestrator: owns per-shard breakers and loss/requeue/
-/// degradation counters across runs, spawns a worker fleet per request,
-/// and stitches results with the shared exscan primitive.
+/// The shard orchestrator: spawns a worker fleet per run, recovers that
+/// run's lost shards, stitches results with the shared exscan primitive,
+/// and counts losses, requeues and degraded runs across runs.
 ///
 /// Deliberately non-generic (no element or transport type parameters) so a
-/// [`crate::resilience::Dispatcher`] can own one alongside its engine
-/// breakers; each run builds its own [`ChannelTransport`] and worker
-/// scope.
+/// [`crate::resilience::Dispatcher`] can own one; each run builds its own
+/// transport and worker fleet, and no shard state outlives the run.
 #[derive(Debug)]
 pub struct ShardSupervisor {
     cfg: ShardConfig,
-    health: Vec<EngineHealth>,
     shard_lost: AtomicU64,
     requeued: AtomicU64,
     degraded: AtomicU64,
-    reconnects: AtomicU64,
 }
 
 impl ShardSupervisor {
     /// A supervisor with `cfg` (normalized: at least one shard, timeouts
     /// of at least a millisecond).
     pub fn new(cfg: ShardConfig) -> Self {
-        let cfg = cfg.normalized();
-        let health = (0..cfg.shards).map(|_| EngineHealth::new()).collect();
         ShardSupervisor {
-            cfg,
-            health,
+            cfg: cfg.normalized(),
             shard_lost: AtomicU64::new(0),
             requeued: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
         }
     }
 
@@ -243,12 +212,6 @@ impl ShardSupervisor {
     /// Runs that fell back to single-node execution.
     pub fn degraded_runs(&self) -> u64 {
         self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Successful worker reconnect/respawns across all runs (socket
-    /// transport's connection keeper; always zero on the channel path).
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
     }
 
     /// Plain sharded multiprefix: validates, distributes, recovers; panics
@@ -290,8 +253,8 @@ impl ShardSupervisor {
         }));
         // AssertUnwindSafe is sound: partial outputs die inside the
         // closure, worker threads are joined by the scope before the
-        // unwind escapes, and the supervisor's own state (breakers,
-        // counters) is interior-mutable and coherent at every step.
+        // unwind escapes, and the supervisor's own state (its counters) is
+        // interior-mutable and coherent at every step.
         caught.unwrap_or(Err(MpError::EnginePanicked))
     }
 
@@ -460,9 +423,8 @@ impl ShardSupervisor {
     /// Drive one worker phase to completion: assign every span, collect
     /// replies (deduplicated by span index — replies are deterministic, so
     /// first-wins is also only-possible), and recover from crashes,
-    /// timeouts and silence by requeueing onto live, breaker-admitted
-    /// shards. Errors with [`MpError::Unavailable`] when recovery is
-    /// exhausted.
+    /// timeouts and silence by requeueing onto live shards. Errors with
+    /// [`MpError::Unavailable`] when recovery is exhausted.
     #[allow(clippy::too_many_arguments)]
     fn drive_phase<T: Element, Tr: Transport<T>, F: Fn(ShardSpan, u64) -> DownMsg<T>>(
         &self,
@@ -522,11 +484,8 @@ impl ShardSupervisor {
                 RecvOutcome::Msg(UpMsg::Heartbeat { shard }) => {
                     if shard < nshards {
                         last_seen[shard] = Instant::now();
-                        // Any sign of life from a dead slot revives it:
-                        // the socket keeper beacons a synthetic heartbeat
-                        // after a successful reconnect/respawn. Channel
-                        // workers never speak after `Crashed`, so this
-                        // arm is inert on the in-process path.
+                        // A shard declared lost by silence may still be
+                        // alive: any sign of life marks it live again.
                         live[shard] = true;
                     }
                 }
@@ -557,9 +516,6 @@ impl ShardSupervisor {
                         results[i] = Some(Payload::Summary { touched, totals });
                         assigned[i] = None;
                         pending -= 1;
-                        if shard < nshards {
-                            self.health[shard].on_success();
-                        }
                     }
                 }
                 RecvOutcome::Msg(UpMsg::Applied {
@@ -580,9 +536,6 @@ impl ShardSupervisor {
                         results[i] = Some(Payload::Sums(sums));
                         assigned[i] = None;
                         pending -= 1;
-                        if shard < nshards {
-                            self.health[shard].on_success();
-                        }
                     }
                 }
                 RecvOutcome::TimedOut => {}
@@ -590,13 +543,12 @@ impl ShardSupervisor {
             }
 
             // Attempt deadlines: a task unanswered past its window is
-            // presumed lost in transit or stuck behind a stall; charge the
-            // shard's breaker and requeue elsewhere.
+            // presumed lost in transit or stuck behind a stall; requeue it
+            // elsewhere.
             let now = Instant::now();
             for (i, slot) in assigned.iter_mut().enumerate() {
                 if matches!(&slot, Some(a) if now >= a.deadline) {
-                    let a = slot.take().expect("matched Some above");
-                    self.health[a.shard].on_failure();
+                    *slot = None;
                     to_requeue.push(i);
                 }
             }
@@ -636,8 +588,8 @@ impl ShardSupervisor {
             .collect())
     }
 
-    /// Send one task to the first live, breaker-admitted shard at or after
-    /// the preferred slot (round-robin otherwise). Fails with
+    /// Send one task to the first live shard at or after the preferred
+    /// slot (round-robin otherwise). Fails with
     /// [`MpError::Unavailable`] when the attempt budget is spent or no
     /// shard is assignable — the degradation trigger.
     #[allow(clippy::too_many_arguments)]
@@ -660,7 +612,7 @@ impl ShardSupervisor {
         let start = prefer.unwrap_or(*rr) % nshards;
         for k in 0..nshards {
             let s = (start + k) % nshards;
-            if live[s] && self.health[s].admit() {
+            if live[s] {
                 *attempts += 1;
                 *next_task += 1;
                 transport.send_down(s, mk(span, *next_task));
@@ -677,7 +629,6 @@ impl ShardSupervisor {
 
     fn note_shard_lost(&self, ctx: &RunContext, shard: usize, live: &mut [bool]) {
         live[shard] = false;
-        self.health[shard].on_failure();
         self.shard_lost.fetch_add(1, Ordering::Relaxed);
         if let Some(rec) = ctx.recorder() {
             rec.counter(COUNTER_SHARD_LOST, 1);
@@ -817,8 +768,8 @@ pub fn multiprefix_sharded<T: Element, O: CombineOp<T>>(
 
 /// Hardened one-shot sharded multiprefix: a transient supervisor under an
 /// explicit [`ShardConfig`] and [`RunContext`] (the bench harness's entry;
-/// the dispatcher owns a persistent supervisor instead so breaker state
-/// survives across requests).
+/// the dispatcher owns a persistent supervisor instead, whose counters
+/// span its requests).
 pub fn try_multiprefix_sharded_ctx<T: Element, O: TryCombineOp<T>>(
     values: &[T],
     labels: &[usize],

@@ -346,8 +346,7 @@ pub struct JobHeader {
     pub n: usize,
 }
 
-/// Encode a `Job`: the whole problem, shipped once per connection (and
-/// re-shipped after a respawn).
+/// Encode a `Job`: the whole problem, shipped once per connection.
 pub fn encode_job<T: WireValue>(
     tag: &str,
     op: &str,

@@ -1,8 +1,8 @@
 //! One duplex shard connection: framed writes, and framed reads through
 //! the fail-stop [`FrameBuffer`]. A frame that fails any check kills the
 //! connection: `Conn::recv` shuts the stream down in both directions
-//! and returns the typed cause, and the supervisor's requeue, reconnect
-//! and degrade path takes over.
+//! and returns the typed cause, the shard is lost for the rest of its
+//! run, and the supervisor's requeue and degrade path takes over.
 //!
 //! Byte-level chaos is injected **here**, at the frame writer — after the
 //! checksums are computed — so every fault the receiver sees is exactly

@@ -1,28 +1,22 @@
 //! The supervisor side of the socket fabric: listener, worker fleet
-//! launch, per-connection reader threads, and the **keeper** — the
-//! connection supervisor that respawns dead workers with jittered
-//! backoff until a per-shard reconnect budget runs out.
+//! launch, and per-connection reader threads.
 //!
 //! ## Division of labour
 //!
-//! The existing [`ShardSupervisor`] loop already recovers from *task*
-//! loss: a shard that stops answering has its tasks requeued onto
-//! survivors. This module adds the *connection* layer underneath it:
+//! The [`ShardSupervisor`] loop recovers from *task* loss: a shard that
+//! stops answering has its tasks requeued onto survivors. This module
+//! turns every *connection* fault into that loss:
 //!
 //! * each accepted connection gets a reader thread that decodes
 //!   [`UpMsg`] frames into one shared up-queue (so `recv_up` stays a
 //!   single bounded wait, exactly like the channel fabric);
 //! * a reader observing stream death counts it by cause under
-//!   `shard.net.conn_dead.*`, synthesizes [`UpMsg::Crashed`] (the
-//!   supervisor requeues on survivors — never an indefinite hang) and
-//!   notifies the keeper;
-//! * the keeper respawns the worker (thread or process), re-handshakes,
-//!   re-ships the job, and announces the revived slot with a synthetic
-//!   [`UpMsg::Heartbeat`]. Reconnects are counted on the supervisor and
-//!   under the `shard.supervisor.reconnects` recorder key;
-//! * when the budget is exhausted the slot stays dead and the existing
-//!   degradation ladder (requeue → `Unavailable` → single-node rerun)
-//!   takes over.
+//!   `shard.net.conn_dead.*` and synthesizes [`UpMsg::Crashed`], so the
+//!   supervisor requeues on survivors — never an indefinite hang;
+//! * a lost worker stays lost for the rest of its run, as on the channel
+//!   fabric: the listener closes once the fleet has connected, every run
+//!   launches a fresh fleet, and a run with no shard left degrades to
+//!   the single-node chunked run.
 
 use super::codec::{
     decode_ack, decode_hello, decode_up, encode_ack, encode_down, encode_job, Hello, TAG_HELLO_ACK,
@@ -40,7 +34,7 @@ use crate::resilience::{ChaosState, Deadline, RunContext};
 use crate::shard::transport::{DownMsg, RecvOutcome, ShardSpan, Transport, UpMsg};
 use crate::shard::{
     ShardConfig, ShardSupervisor, ShutdownGuard, COUNTER_CONN_DEAD_CLOSED,
-    COUNTER_CONN_DEAD_DAMAGE, COUNTER_CONN_DEAD_DECODE, COUNTER_RECONNECTS,
+    COUNTER_CONN_DEAD_DAMAGE, COUNTER_CONN_DEAD_DECODE,
 };
 use std::fmt;
 use std::marker::PhantomData;
@@ -86,13 +80,12 @@ pub enum FleetMode {
 /// Per-shard extra environment for spawned worker processes.
 type ShardEnvFn = dyn Fn(usize) -> Vec<(String, String)> + Send + Sync;
 
-/// How long to wait for a worker to connect and finish its handshake
-/// (initial fleet launch and each keeper respawn).
+/// How long the fleet launch waits for its workers to connect and finish
+/// their handshakes.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// Socket-fabric configuration, orthogonal to [`ShardConfig`] (which
-/// keeps owning the recovery tuning: timeouts, retries, reconnect
-/// budget).
+/// keeps owning the recovery tuning: timeouts and retries).
 #[derive(Clone)]
 pub struct NetConfig {
     /// Socket family.
@@ -230,7 +223,7 @@ impl Drop for NetListener {
     }
 }
 
-/// A launched worker endpoint, owned (and reaped) by the keeper.
+/// A launched worker endpoint, owned (and reaped) by the transport.
 pub(crate) enum WorkerHandle {
     Thread(JoinHandle<()>),
     Proc(std::process::Child),
@@ -239,8 +232,7 @@ pub(crate) enum WorkerHandle {
 impl WorkerHandle {
     /// Reap the worker. Threads are joined (their connection has been
     /// shut down first, so the worker loop exits promptly); processes
-    /// are killed and waited — a respawn must never race its
-    /// predecessor for the shard slot.
+    /// are killed and waited, so no worker outlives its run.
     fn terminate(self) {
         match self {
             WorkerHandle::Thread(handle) => {
@@ -255,7 +247,7 @@ impl WorkerHandle {
 }
 
 /// Launches one worker endpoint for a shard slot.
-pub(crate) trait WorkerLauncher: Send + Sync {
+pub(crate) trait WorkerLauncher {
     fn launch(&self, shard: usize, addr: &str) -> std::io::Result<WorkerHandle>;
 }
 
@@ -311,65 +303,6 @@ impl WorkerLauncher for ProcLauncher {
     }
 }
 
-/// State shared between the transport, its reader threads, and the
-/// keeper. Connection slots are per-shard so a revival swaps one slot
-/// without touching in-flight traffic to others.
-struct Shared {
-    conns: Vec<Mutex<Option<Arc<Conn>>>>,
-    /// The transport is being dropped: suppress crash synthesis and
-    /// revival, and unblock every keeper/reader wait.
-    shutdown: AtomicBool,
-    /// `Shutdown` has been broadcast (the run is over): worker EOFs from
-    /// here on are clean exits, not crashes — don't revive them.
-    closing: AtomicBool,
-    reconnects: AtomicU64,
-    readers: Mutex<Vec<JoinHandle<()>>>,
-    recorder: Option<Arc<dyn Recorder>>,
-}
-
-impl Shared {
-    /// True once the run is winding down for any reason.
-    fn winding_down(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire) || self.closing.load(Ordering::Acquire)
-    }
-}
-
-/// Keeper → transport control messages.
-enum KeeperMsg {
-    /// A shard's connection died; try to revive it.
-    Dead(usize),
-    /// The transport is shutting down.
-    Quit,
-}
-
-/// Deterministic jittered exponential backoff: seeded from the shard
-/// slot and attempt number so chaos runs replay identically, spread in
-/// `[0.5, 1.5) × base × 2^min(attempt-1, 4)`, capped at 500 ms.
-fn jittered_backoff(base: Duration, shard: usize, attempt: u32) -> Duration {
-    let mut x = (shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ u64::from(attempt).wrapping_mul(0xD1B5_4A32_D192_ED03);
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    let jitter = (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 54) as f64 / 1024.0;
-    let exp = 1u64 << u64::from(attempt.saturating_sub(1)).min(4);
-    let ms = base.as_secs_f64() * 1e3 * exp as f64 * (0.5 + jitter);
-    Duration::from_millis((ms.ceil() as u64).clamp(1, 500))
-}
-
-/// Sleep in small slices so a transport shutdown is never blocked
-/// behind a backoff wait.
-fn sleep_checking(total: Duration, shared: &Shared) {
-    let end = Instant::now() + total;
-    while !shared.winding_down() {
-        let left = end.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return;
-        }
-        std::thread::sleep(left.min(Duration::from_millis(10)));
-    }
-}
-
 /// Accept one connection and run the supervisor side of the handshake:
 /// `Hello` → version + slot validation → `HelloAck` → (for processes)
 /// `Job` → `JobAck`. Refused or garbled peers are dropped and the
@@ -377,14 +310,13 @@ fn sleep_checking(total: Duration, shared: &Shared) {
 fn accept_one(
     listener: &NetListener,
     deadline: Instant,
-    shared: &Shared,
     chaos: Option<Arc<ChaosState>>,
     run_deadline: Option<Deadline>,
     job: Option<&[u8]>,
     expect: impl Fn(&Hello) -> Result<(), &'static str>,
 ) -> Result<(Arc<Conn>, Hello), NetError> {
     loop {
-        if shared.winding_down() || Instant::now() >= deadline {
+        if Instant::now() >= deadline {
             return Err(NetError::Handshake("accept timed out"));
         }
         let Some(stream) = listener.try_accept()? else {
@@ -446,23 +378,22 @@ fn accept_one(
 }
 
 /// Spawn the reader thread for one accepted connection: decode
-/// [`UpMsg`] frames into the shared up-queue; on stream death, count its
-/// cause, synthesize [`UpMsg::Crashed`] and notify the keeper.
+/// [`UpMsg`] frames into the shared up-queue; on stream death outside
+/// wind-down, count its cause and synthesize [`UpMsg::Crashed`].
 fn spawn_reader<T: Element + WireValue>(
     shard: usize,
     conn: Arc<Conn>,
-    shared: &Arc<Shared>,
+    closing: &Arc<AtomicBool>,
+    recorder: Option<Arc<dyn Recorder>>,
     up_tx: &Sender<UpMsg<T>>,
-    keeper_tx: &Sender<KeeperMsg>,
-) {
-    let shared_for_thread = Arc::clone(shared);
+) -> JoinHandle<()> {
+    let closing = Arc::clone(closing);
     let up_tx = up_tx.clone();
-    let keeper_tx = keeper_tx.clone();
-    let handle = std::thread::Builder::new()
+    std::thread::Builder::new()
         .name(format!("shard-net-reader-{shard}"))
         .spawn(move || {
             let cause = loop {
-                if shared_for_thread.shutdown.load(Ordering::Acquire) {
+                if closing.load(Ordering::Acquire) {
                     return;
                 }
                 match conn.recv(Duration::from_millis(50)) {
@@ -482,138 +413,14 @@ fn spawn_reader<T: Element + WireValue>(
             };
             // Slam the socket so the worker side notices too.
             conn.shutdown();
-            if !shared_for_thread.winding_down() {
-                if let Some(rec) = &shared_for_thread.recorder {
+            if !closing.load(Ordering::Acquire) {
+                if let Some(rec) = &recorder {
                     rec.counter(cause, 1);
                 }
                 let _ = up_tx.send(UpMsg::Crashed { shard });
-                let _ = keeper_tx.send(KeeperMsg::Dead(shard));
             }
         })
-        .expect("spawn shard-net reader thread");
-    shared.readers.lock().unwrap().push(handle);
-}
-
-/// The connection supervisor: owns the listener and the worker handles,
-/// revives dead shards with jittered backoff, and reaps the fleet at
-/// shutdown.
-struct Keeper<T: Element + WireValue> {
-    shared: Arc<Shared>,
-    listener: NetListener,
-    addr: String,
-    launcher: Arc<dyn WorkerLauncher>,
-    job: Option<Arc<Vec<u8>>>,
-    handles: Vec<Option<WorkerHandle>>,
-    attempts: Vec<u32>,
-    max_reconnects: u32,
-    backoff: Duration,
-    chaos: Option<Arc<ChaosState>>,
-    run_deadline: Option<Deadline>,
-    rx: Receiver<KeeperMsg>,
-    keeper_tx: Sender<KeeperMsg>,
-    up_tx: Sender<UpMsg<T>>,
-}
-
-impl<T: Element + WireValue> Keeper<T> {
-    fn run(mut self) {
-        loop {
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            match self.rx.recv_timeout(Duration::from_millis(100)) {
-                Ok(KeeperMsg::Quit) | Err(RecvTimeoutError::Disconnected) => break,
-                Ok(KeeperMsg::Dead(shard)) => self.revive(shard),
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-        }
-        let Keeper {
-            listener,
-            mut handles,
-            ..
-        } = self;
-        // Close the listener before reaping: a worker parked in the
-        // accept queue (launched by a revival the shutdown raced) gets
-        // its connection reset and fails its handshake immediately,
-        // instead of waiting out the handshake timeout under our join.
-        drop(listener);
-        for handle in &mut handles {
-            if let Some(h) = handle.take() {
-                h.terminate();
-            }
-        }
-    }
-
-    /// Bounded reconnect/respawn: each attempt burns one unit of the
-    /// shard's budget, backs off with deterministic jitter, replaces the
-    /// worker endpoint, and re-runs the full handshake (re-shipping the
-    /// job to processes). Success re-arms the slot and beacons a
-    /// synthetic heartbeat so the task supervisor marks it live again.
-    fn revive(&mut self, shard: usize) {
-        if let Some(conn) = self.shared.conns[shard].lock().unwrap().take() {
-            conn.shutdown();
-        }
-        while self.attempts[shard] < self.max_reconnects {
-            if self.shared.winding_down() {
-                return;
-            }
-            self.attempts[shard] += 1;
-            sleep_checking(
-                jittered_backoff(self.backoff, shard, self.attempts[shard]),
-                &self.shared,
-            );
-            if let Some(old) = self.handles[shard].take() {
-                old.terminate();
-            }
-            let handle = match self.launcher.launch(shard, &self.addr) {
-                Ok(handle) => handle,
-                Err(_) => continue,
-            };
-            self.handles[shard] = Some(handle);
-            let deadline = Instant::now() + ACCEPT_TIMEOUT;
-            let got = accept_one(
-                &self.listener,
-                deadline,
-                &self.shared,
-                self.chaos.clone(),
-                self.run_deadline,
-                self.job.as_deref().map(Vec::as_slice),
-                |hello| {
-                    if hello.shard == shard {
-                        Ok(())
-                    } else {
-                        Err("unexpected shard slot")
-                    }
-                },
-            );
-            match got {
-                Ok((conn, _hello)) => {
-                    let mut slot = self.shared.conns[shard].lock().unwrap();
-                    // The transport's drop sets `shutdown` before it sweeps
-                    // the slots under their locks: a revival that lands
-                    // after the sweep must close its own connection, or
-                    // its worker never exits and the reaping join hangs.
-                    if self.shared.shutdown.load(Ordering::Acquire) {
-                        conn.shutdown();
-                        return;
-                    }
-                    *slot = Some(Arc::clone(&conn));
-                    drop(slot);
-                    spawn_reader::<T>(shard, conn, &self.shared, &self.up_tx, &self.keeper_tx);
-                    self.shared.reconnects.fetch_add(1, Ordering::Relaxed);
-                    if let Some(rec) = &self.shared.recorder {
-                        rec.counter(COUNTER_RECONNECTS, 1);
-                    }
-                    // Revival beacon: drive_phase flips the slot back to
-                    // live on any sign of life from it.
-                    let _ = self.up_tx.send(UpMsg::Heartbeat { shard });
-                    return;
-                }
-                Err(_) => continue,
-            }
-        }
-        // Budget exhausted: the slot stays dead and the task supervisor's
-        // degradation ladder takes over.
-    }
+        .expect("spawn shard-net reader thread")
 }
 
 /// Supervisor-side socket [`Transport`]: down-messages are encoded and
@@ -622,10 +429,13 @@ impl<T: Element + WireValue> Keeper<T> {
 /// by construction (workers hold a
 /// `WorkerSocket` instead).
 pub struct SocketTransport<T> {
-    shared: Arc<Shared>,
+    conns: Vec<Option<Arc<Conn>>>,
     up_rx: Mutex<Receiver<UpMsg<T>>>,
-    keeper: Option<JoinHandle<()>>,
-    keeper_tx: Sender<KeeperMsg>,
+    /// `Shutdown` has been broadcast or the transport is dropping: worker
+    /// EOFs from here on are clean exits, not crashes.
+    closing: Arc<AtomicBool>,
+    readers: Vec<JoinHandle<()>>,
+    workers: Vec<WorkerHandle>,
     nshards: usize,
 }
 
@@ -633,107 +443,68 @@ impl<T: Element + WireValue> SocketTransport<T> {
     /// Bind a listener, launch the fleet, and handshake every shard
     /// slot. Slots that fail to connect within the window are reported
     /// as immediately crashed (the supervisor requeues their spans) and
-    /// handed to the keeper for revival — a partially-connected fleet is
-    /// degraded, not fatal.
-    #[allow(clippy::too_many_arguments)]
+    /// stay dead — a partially-connected fleet is degraded, not fatal.
+    /// The listener closes when this returns.
     pub(crate) fn establish(
         nshards: usize,
-        launcher: Arc<dyn WorkerLauncher>,
-        job: Option<Arc<Vec<u8>>>,
-        net: &NetConfig,
-        max_reconnects: u32,
-        reconnect_backoff: Duration,
+        launcher: &dyn WorkerLauncher,
+        job: Option<&[u8]>,
+        kind: SocketKind,
         chaos: Option<Arc<ChaosState>>,
         run_deadline: Option<Deadline>,
         recorder: Option<Arc<dyn Recorder>>,
     ) -> Result<SocketTransport<T>, NetError> {
-        let listener = NetListener::bind(net.kind)?;
+        let listener = NetListener::bind(kind)?;
         let addr = listener.addr_string();
-        let shared = Arc::new(Shared {
-            conns: (0..nshards).map(|_| Mutex::new(None)).collect(),
-            shutdown: AtomicBool::new(false),
-            closing: AtomicBool::new(false),
-            reconnects: AtomicU64::new(0),
-            readers: Mutex::new(Vec::new()),
-            recorder,
-        });
+        let workers = (0..nshards)
+            .filter_map(|shard| launcher.launch(shard, &addr).ok())
+            .collect();
+        let closing = Arc::new(AtomicBool::new(false));
         let (up_tx, up_rx) = mpsc::channel::<UpMsg<T>>();
-        let (keeper_tx, keeper_rx) = mpsc::channel::<KeeperMsg>();
-
-        let mut handles: Vec<Option<WorkerHandle>> = (0..nshards).map(|_| None).collect();
-        for (shard, slot) in handles.iter_mut().enumerate() {
-            *slot = launcher.launch(shard, &addr).ok();
-        }
-
-        let mut connected = vec![false; nshards];
+        let mut conns: Vec<Option<Arc<Conn>>> = vec![None; nshards];
+        let mut readers = Vec::with_capacity(nshards);
         let deadline = Instant::now() + ACCEPT_TIMEOUT;
-        while connected.iter().any(|c| !c) {
+        while conns.iter().any(Option::is_none) {
             let got = accept_one(
                 &listener,
                 deadline,
-                &shared,
                 chaos.clone(),
                 run_deadline,
-                job.as_deref().map(Vec::as_slice),
-                |hello| {
-                    if hello.shard >= nshards {
-                        Err("shard index out of range")
-                    } else if connected[hello.shard] {
-                        Err("slot already connected")
-                    } else {
-                        Ok(())
-                    }
+                job,
+                |hello| match conns.get(hello.shard) {
+                    None => Err("shard index out of range"),
+                    Some(Some(_)) => Err("slot already connected"),
+                    Some(None) => Ok(()),
                 },
             );
             match got {
                 Ok((conn, hello)) => {
-                    connected[hello.shard] = true;
-                    *shared.conns[hello.shard].lock().unwrap() = Some(Arc::clone(&conn));
-                    spawn_reader::<T>(hello.shard, conn, &shared, &up_tx, &keeper_tx);
+                    let reader = spawn_reader(
+                        hello.shard,
+                        Arc::clone(&conn),
+                        &closing,
+                        recorder.clone(),
+                        &up_tx,
+                    );
+                    readers.push(reader);
+                    conns[hello.shard] = Some(conn);
                 }
                 Err(_) => break,
             }
         }
-        for (shard, ok) in connected.iter().enumerate() {
-            if !*ok {
+        for (shard, conn) in conns.iter().enumerate() {
+            if conn.is_none() {
                 let _ = up_tx.send(UpMsg::Crashed { shard });
-                let _ = keeper_tx.send(KeeperMsg::Dead(shard));
             }
         }
-
-        let keeper = Keeper {
-            shared: Arc::clone(&shared),
-            listener,
-            addr,
-            launcher,
-            job,
-            handles,
-            attempts: vec![0; nshards],
-            max_reconnects,
-            backoff: reconnect_backoff,
-            chaos,
-            run_deadline,
-            rx: keeper_rx,
-            keeper_tx: keeper_tx.clone(),
-            up_tx,
-        };
-        let keeper = std::thread::Builder::new()
-            .name("shard-net-keeper".into())
-            .spawn(move || keeper.run())?;
-
         Ok(SocketTransport {
-            shared,
+            conns,
             up_rx: Mutex::new(up_rx),
-            keeper: Some(keeper),
-            keeper_tx,
+            closing,
+            readers,
+            workers,
             nshards,
         })
-    }
-
-    /// Reconnect/respawn attempts that succeeded during this transport's
-    /// lifetime.
-    pub(crate) fn reconnects(&self) -> u64 {
-        self.shared.reconnects.load(Ordering::Relaxed)
     }
 }
 
@@ -745,19 +516,16 @@ impl<T: Element + WireValue> Transport<T> for SocketTransport<T> {
     fn send_down(&self, shard: usize, msg: DownMsg<T>) {
         // Shutdown is protocol-critical: exempt from byte chaos, same
         // rule as the channel fabric. It also marks the run as winding
-        // down, so worker EOFs from here on read as clean exits and the
-        // keeper stops reviving slots nobody will ever task again.
+        // down, so worker EOFs from here on read as clean exits.
         let exempt = matches!(msg, DownMsg::Shutdown);
         if exempt {
-            self.shared.closing.store(true, Ordering::Release);
+            self.closing.store(true, Ordering::Release);
         }
-        let payload = encode_down(&msg);
-        let slot = self.shared.conns[shard].lock().unwrap();
-        if let Some(conn) = slot.as_ref() {
+        if let Some(conn) = &self.conns[shard] {
             // A failed send is a lost message — the task supervisor's
             // attempt deadline requeues the span, and the reader thread
-            // reports the dead stream to the keeper.
-            let _ = conn.send(&payload, exempt);
+            // reports the dead stream.
+            let _ = conn.send(&encode_down(&msg), exempt);
         }
     }
 
@@ -774,7 +542,7 @@ impl<T: Element + WireValue> Transport<T> for SocketTransport<T> {
         match rx.recv_timeout(timeout) {
             Ok(msg) => RecvOutcome::Msg(msg),
             Err(RecvTimeoutError::Timeout) => RecvOutcome::TimedOut,
-            // Every sender gone (readers and keeper dead) — the fabric
+            // Every reader gone, so every connection is dead — the fabric
             // itself is lost; the supervisor maps this to Unavailable.
             Err(RecvTimeoutError::Disconnected) => RecvOutcome::Disconnected,
         }
@@ -783,20 +551,16 @@ impl<T: Element + WireValue> Transport<T> for SocketTransport<T> {
 
 impl<T> Drop for SocketTransport<T> {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Close connections before waking the keeper: its teardown joins
-        // worker threads, which only exit once their stream dies.
-        for slot in &self.shared.conns {
-            if let Some(conn) = slot.lock().unwrap().take() {
-                conn.shutdown();
-            }
+        self.closing.store(true, Ordering::Release);
+        // Close connections before reaping: a worker thread exits only
+        // once its stream dies.
+        for conn in self.conns.iter().flatten() {
+            conn.shutdown();
         }
-        let _ = self.keeper_tx.send(KeeperMsg::Quit);
-        if let Some(keeper) = self.keeper.take() {
-            let _ = keeper.join();
+        for worker in self.workers.drain(..) {
+            worker.terminate();
         }
-        let readers = std::mem::take(&mut *self.shared.readers.lock().unwrap());
-        for reader in readers {
+        for reader in self.readers.drain(..) {
             let _ = reader.join();
         }
     }
@@ -827,9 +591,10 @@ impl ShardSupervisor {
     /// Wrap-semantics only (the operator crosses a process boundary by
     /// *name*, so checked-overflow guards cannot ride along — use the
     /// in-process engines for `Checked`/`Saturate` policies). Worker
-    /// loss, byte corruption, truncation and disconnects are absorbed by
-    /// the requeue/reconnect ladder; exhausted recovery degrades to
-    /// single-node chunked execution.
+    /// loss, byte corruption, truncation and disconnects each lose a
+    /// shard for the rest of the run, and its tasks requeue onto live
+    /// shards; exhausted recovery degrades to single-node chunked
+    /// execution.
     pub fn try_multiprefix_socket<T, O>(
         &self,
         values: &[T],
@@ -874,8 +639,8 @@ impl ShardSupervisor {
         O: CombineOp<T> + WireOp,
     {
         let cfg = *self.config();
-        let launcher: Arc<dyn WorkerLauncher> = match &net.fleet {
-            FleetMode::InProc => Arc::new(InProcLauncher {
+        let launcher: Box<dyn WorkerLauncher> = match &net.fleet {
+            FleetMode::InProc => Box::new(InProcLauncher {
                 values: Arc::new(values.to_vec()),
                 labels: Arc::new(labels.to_vec()),
                 m,
@@ -883,49 +648,38 @@ impl ShardSupervisor {
                 heartbeat: cfg.heartbeat_interval,
                 chaos: ctx.chaos_arc(),
             }),
-            FleetMode::SelfExec { args } => Arc::new(ProcLauncher {
+            FleetMode::SelfExec { args } => Box::new(ProcLauncher {
                 args: args.clone(),
                 shard_env: net.shard_env.clone(),
             }),
         };
         let job = match &net.fleet {
             FleetMode::InProc => None,
-            FleetMode::SelfExec { .. } => Some(Arc::new(encode_job::<T>(
+            FleetMode::SelfExec { .. } => Some(encode_job::<T>(
                 &wire_tag_of::<T>(),
                 O::WIRE_OP,
                 m,
                 (cfg.heartbeat_interval.as_millis() as u64).max(1),
                 values,
                 labels,
-            ))),
+            )),
         };
 
         let transport: SocketTransport<T> = SocketTransport::establish(
             nshards,
-            launcher,
-            job,
-            net,
-            cfg.max_reconnects,
-            cfg.reconnect_backoff,
+            launcher.as_ref(),
+            job.as_deref(),
+            net.kind,
             ctx.chaos_arc(),
             ctx.deadline(),
             ctx.recorder_arc(),
         )
         .map_err(|_| MpError::Unavailable)?;
-
-        let result = {
-            let _guard = ShutdownGuard {
-                transport: &transport,
-                _elements: PhantomData,
-            };
-            self.supervise(&transport, spans, values.len(), m, PlainComb(op), ctx)
+        let _guard = ShutdownGuard {
+            transport: &transport,
+            _elements: PhantomData,
         };
-        // Fold the transport's reconnect tally into the supervisor's
-        // cross-run counter (recorder emission happened live, in the
-        // keeper).
-        self.reconnects
-            .fetch_add(transport.reconnects(), Ordering::Relaxed);
-        result
+        self.supervise(&transport, spans, values.len(), m, PlainComb(op), ctx)
     }
 }
 
@@ -1037,26 +791,17 @@ mod tests {
         let values = vec![7i64];
         let labels = vec![0usize];
         let sup = ShardSupervisor::new(ShardConfig::default().shards(2));
-        let launcher: Arc<dyn WorkerLauncher> = Arc::new(InProcLauncher {
+        let launcher = InProcLauncher {
             values: Arc::new(values.clone()),
             labels: Arc::new(labels.clone()),
             m: 1,
             op: Plus,
             heartbeat: Duration::from_millis(10),
             chaos: None,
-        });
-        let transport: SocketTransport<i64> = SocketTransport::establish(
-            2,
-            launcher,
-            None,
-            &NetConfig::uds(),
-            1,
-            Duration::from_millis(5),
-            None,
-            None,
-            None,
-        )
-        .expect("establish");
+        };
+        let transport: SocketTransport<i64> =
+            SocketTransport::establish(2, &launcher, None, SocketKind::Uds, None, None, None)
+                .expect("establish");
         let spans = [
             ShardSpan {
                 index: 0,
@@ -1083,84 +828,6 @@ mod tests {
         assert_eq!(out.reductions, vec![7]);
     }
 
-    /// Deterministic pin for the reconnect ladder: sever one shard's
-    /// socket at the transport level, then wait for the keeper to
-    /// respawn the worker, re-handshake, and tick
-    /// `shard.supervisor.reconnects` — no chaos timing races involved.
-    /// The revived connection must then carry a full run bit-identically.
-    #[test]
-    fn keeper_revives_severed_connection_and_ticks_counter() {
-        let (values, labels) = problem(2_000, 16);
-        let launcher: Arc<dyn WorkerLauncher> = Arc::new(InProcLauncher {
-            values: Arc::new(values.clone()),
-            labels: Arc::new(labels.clone()),
-            m: 16,
-            op: Plus,
-            heartbeat: Duration::from_millis(10),
-            chaos: None,
-        });
-        let rec = MemoryRecorder::shared();
-        let transport: SocketTransport<i64> = SocketTransport::establish(
-            2,
-            launcher,
-            None,
-            &NetConfig::uds(),
-            4,
-            Duration::from_millis(2),
-            None,
-            None,
-            Some(rec.clone()),
-        )
-        .expect("establish");
-
-        // Kill shard 1's socket out from under both endpoints: the
-        // reader thread sees EOF and reports the shard dead.
-        transport.shared.conns[1]
-            .lock()
-            .unwrap()
-            .as_ref()
-            .expect("shard 1 connected at establish")
-            .shutdown();
-
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while transport.reconnects() == 0 {
-            assert!(
-                Instant::now() < deadline,
-                "keeper never revived the severed connection"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-
-        // The revived endpoint must carry real traffic end to end.
-        let sup = ShardSupervisor::new(ShardConfig::default().shards(2).max_reconnects(4));
-        let spans = [
-            ShardSpan {
-                index: 0,
-                start: 0,
-                end: 1_000,
-            },
-            ShardSpan {
-                index: 1,
-                start: 1_000,
-                end: 2_000,
-            },
-        ];
-        let ctx = RunContext::new();
-        let out = {
-            let _guard = ShutdownGuard {
-                transport: &transport,
-                _elements: PhantomData,
-            };
-            sup.supervise(&transport, &spans, 2_000, 16, PlainComb(Plus), &ctx)
-                .expect("supervise after revival")
-        };
-        assert!(transport.reconnects() >= 1);
-        drop(transport);
-        assert!(rec.counter_value(COUNTER_CONN_DEAD_CLOSED) >= 1);
-        assert_eq!(rec.counter_value(COUNTER_CONN_DEAD_DAMAGE), 0);
-        assert_eq!(out, oracle(&values, &labels, 16));
-    }
-
     /// The supervisor's reader names why its connection died: a frame
     /// that fails a check, a verified frame that does not decode, or EOF.
     #[test]
@@ -1180,51 +847,24 @@ mod tests {
         ];
         for (bytes, cause) in cases {
             let rec = MemoryRecorder::shared();
-            let shared = Arc::new(Shared {
-                conns: Vec::new(),
-                shutdown: AtomicBool::new(false),
-                closing: AtomicBool::new(false),
-                reconnects: AtomicU64::new(0),
-                readers: Mutex::new(Vec::new()),
-                recorder: Some(rec.clone()),
-            });
+            let closing = Arc::new(AtomicBool::new(false));
             let (ours, mut peer) = UnixStream::pair().expect("socket pair");
             let conn = Conn::new(NetStream::Unix(ours), None, None).expect("conn");
             let (up_tx, up_rx) = mpsc::channel::<UpMsg<i64>>();
-            let (keeper_tx, keeper_rx) = mpsc::channel();
-            spawn_reader(0, conn, &shared, &up_tx, &keeper_tx);
+            let reader = spawn_reader(0, conn, &closing, Some(rec.clone()), &up_tx);
             match bytes {
                 Some(bytes) => peer.write_all(&bytes).expect("peer write"),
                 None => drop(peer),
             }
             let wait = Duration::from_secs(5);
             assert_eq!(up_rx.recv_timeout(wait), Ok(UpMsg::Crashed { shard: 0 }));
-            assert!(matches!(
-                keeper_rx.recv_timeout(wait),
-                Ok(KeeperMsg::Dead(0))
-            ));
-            let handles = std::mem::take(&mut *shared.readers.lock().unwrap());
-            for handle in handles {
-                handle.join().expect("reader thread");
-            }
+            reader.join().expect("reader thread");
             for key in [
                 COUNTER_CONN_DEAD_DAMAGE,
                 COUNTER_CONN_DEAD_DECODE,
                 COUNTER_CONN_DEAD_CLOSED,
             ] {
                 assert_eq!(rec.counter_value(key), u64::from(key == cause), "{key}");
-            }
-        }
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        for shard in 0..8 {
-            for attempt in 1..6 {
-                let a = jittered_backoff(Duration::from_millis(10), shard, attempt);
-                let b = jittered_backoff(Duration::from_millis(10), shard, attempt);
-                assert_eq!(a, b, "same inputs must give the same backoff");
-                assert!(a >= Duration::from_millis(1) && a <= Duration::from_millis(500));
             }
         }
     }

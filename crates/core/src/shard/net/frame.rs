@@ -23,8 +23,8 @@
 //! delivered, and no repair is attempted. A Unix-domain or loopback-TCP
 //! stream delivers its bytes intact and in order or not at all, so
 //! damage means the connection (or the disk) is broken; the shard
-//! supervisor recovers one level up, by requeueing the lost task and
-//! respawning the worker.
+//! supervisor recovers one level up, by counting the shard lost for the
+//! run and requeueing its task on a live shard.
 
 use super::wire::NetError;
 

@@ -13,7 +13,7 @@
 //! | frames | `frame.rs` | `MPXF` framing and the one strict parser (magic, CRCs, length cap, sequence) the socket reader and the session WAL share |
 //! | messages | `codec.rs` | `DownMsg`/`UpMsg`/handshake/`Job` payload codecs |
 //! | streams | `conn.rs` | one framed connection: send/recv, fail-stop on a failed frame check, byte-chaos injection |
-//! | fleet | `fleet.rs` | supervisor side: listener, launchers, reader threads, the reconnecting keeper |
+//! | fleet | `fleet.rs` | supervisor side: listener, launchers, reader threads |
 //! | worker | `worker.rs` | worker side: handshake, job receipt, the self-exec process entry |
 //!
 //! ## Failure contract
@@ -21,11 +21,13 @@
 //! Frames are fail-stop. Every byte-level fault — bit corruption,
 //! truncation, a mid-message disconnect, a stalled writer — ends as a
 //! **dead connection** (a failed frame check shuts the stream down and
-//! surfaces as a typed [`NetError`]), a **bounded timeout**, or both;
-//! the supervisor absorbs either through its existing requeue, reconnect
-//! and degrade ladder. There is no link-level repair: the stream sockets
-//! deliver bytes intact and in order or end, and each shard task is a
-//! pure function of its span, so requeueing it is the recovery. Never a
+//! surfaces as a typed [`NetError`]), a **bounded timeout**, or both.
+//! A dead connection is a shard lost for the rest of its run, as a
+//! crashed worker is on the channel fabric: its tasks requeue onto live
+//! shards, and a run with none left degrades to the single-node chunked
+//! run. There is no link-level repair and no reconnect: the stream
+//! sockets deliver bytes intact and in order or end, and each shard task
+//! is a pure function of its span, so requeueing it is the recovery. Never a
 //! panic, never silent corruption: the chaos matrix in
 //! `tests/shard_net_chaos.rs` pins every run to the serial oracle
 //! bit-for-bit.

@@ -2,8 +2,8 @@
 //! example re-executes itself as four shard workers over Unix-domain
 //! sockets, runs a multiprefix through the wire protocol, then repeats
 //! the run with one worker configured to SIGKILL itself mid-Scan — and
-//! shows the supervisor absorbing the loss (requeue on survivors,
-//! bounded respawn) while producing the bit-identical answer.
+//! shows the supervisor absorbing the loss (the lost shard's span
+//! requeues on survivors) while producing the bit-identical answer.
 //!
 //! ```sh
 //! cargo run --release --example sharded_sockets
@@ -49,9 +49,9 @@ fn main() {
 
     // Round 2: shard 2's process is told (via its environment) to
     // SIGKILL itself the first time it receives a Scan — a worker
-    // vanishing mid-run. The supervisor sees the dead socket, requeues
-    // the span on survivors, respawns the slot in the background, and
-    // the answer must not change by a single bit.
+    // vanishing mid-run. The supervisor sees the dead socket, counts the
+    // shard lost for the rest of the run, requeues the span on
+    // survivors, and the answer must not change by a single bit.
     let net = net.shard_env(|shard| {
         if shard == 2 {
             vec![(ENV_DIE.to_string(), "scan:1".to_string())]
@@ -78,10 +78,9 @@ fn main() {
     println!("killed mid-apply (tcp): worker 1 SIGKILLed itself, exact answer");
 
     println!(
-        "supervisor counters:   shards_lost={} requeues={} reconnects={} degraded_runs={}",
+        "supervisor counters:   shards_lost={} requeues={} degraded_runs={}",
         sup.shards_lost(),
         sup.requeues(),
-        sup.reconnects(),
         sup.degraded_runs(),
     );
 }
